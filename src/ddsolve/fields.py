@@ -13,6 +13,7 @@ delta(x) = 0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -310,14 +311,26 @@ def mat_inv(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
     return mat_reduce(adj * inv_det, tower)
 
 
+# cocycles of the systems of one solve, with room for a few solves
+_SIGMA_POWER_CACHE_SIZE = 32
+
+
 def sigma_power_matrix(A: sp.Matrix, m: int, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
-    """Cocycle product A_m = sigma^{m-1}(A) ... sigma(A) A (m >= 1)."""
+    """Cocycle product A_m = sigma^{m-1}(A) ... sigma(A) A (m >= 1).
+
+    Memoized on (A, m, tower); every call returns a fresh mutable copy."""
     if m < 1:
         raise ValueError("m >= 1 required")
+    return sp.Matrix(_sigma_power(sp.ImmutableMatrix(A), m, tower))
+
+
+@functools.lru_cache(maxsize=_SIGMA_POWER_CACHE_SIZE)
+def _sigma_power(A: sp.ImmutableMatrix, m: int,
+                 tower: Tower) -> sp.ImmutableMatrix:
     out = A
     for j in range(1, m):
         out = mat_reduce(mat_shift(A, j) * out, tower)
-    return mat_reduce(out, tower)
+    return sp.ImmutableMatrix(mat_reduce(out, tower))
 
 
 def mat_eq(A: sp.Matrix, B: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> bool:

@@ -38,9 +38,9 @@ from .moser import (MoserReport, ReductionStalled, leading_eigendata,
                     moser_reduce, ord_and_moser)
 from .ratsol import (DEFAULT_CONFIG, SolverConfig, _invertible_selection,
                      gauge_from_ratios, rational_solutions)
-from .sequences import (HypCert, LiouvilleSolution, first_safe_index,
-                        lift_sigma_d_to_sigma, verify_certificates,
-                        verify_numeric_window)
+from .sequences import (HypCert, LiouvilleSolution, VerificationError,
+                        first_safe_index, lift_sigma_d_to_sigma,
+                        verify_certificates, verify_numeric_window)
 
 __all__ = ["DDSystem", "Outcome", "NormalForm", "check_integrability",
            "sigma_power_matrix", "decision_procedure_1",
@@ -265,7 +265,8 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict,
                        "invertible gauge", report=report)
     ratios = [treduce(alpha * b, tower) for b in betas]
     lhs = mat_shift(G) * sp.diag(*ratios) - A * G
-    assert all(treduce(e, tower) == 0 for e in lhs), "gauge identity violated"
+    if not all(treduce(e, tower) == 0 for e in lhs):
+        raise VerificationError("gauge identity violated")
     Bbar = _gauge_delta_part(G, B, tower)
     off = _diag_offenders(Bbar, tower)
     if off:
@@ -393,7 +394,7 @@ def decision_procedure_2(sys: DDSystem,
                        "no valid specialization point among the first 50 "
                        "candidates", report=report)
     p, A0 = spec
-    report["specialization_point"] = p
+    report["specialization_point"] = int(p)
     report["A0"] = A0
 
     # (c) hypergeometric candidates of the specialized sigma^n-system
@@ -510,8 +511,9 @@ def descend_gauge(G: sp.Matrix, A: sp.Matrix, Abar: sp.Matrix,
         Hc = H.applyfunc(lambda e: sp.cancel(e.subs(lam, c)))
         if treduce(Hc.det(method="berkowitz")) != 0:
             lhs = mat_reduce(mat_shift(Hc, m) * A - Abar * Hc, tower)
-            assert all(treduce(e, tower) == 0 for e in lhs), \
-                "descended gauge lost the intertwining identity"
+            if not all(treduce(e, tower) == 0 for e in lhs):
+                raise VerificationError(
+                    "descended gauge lost the intertwining identity")
             return Hc
         k += 1
         c = sp.Integer((k + 1) // 2 * (-1) ** (k + 1))
@@ -568,11 +570,15 @@ def solve_liouvillian(sys: DDSystem,
 def _verify_solved(sys: DDSystem, out: Outcome):
     for sol in out.solutions:
         res = verify_certificates(sys, sol)
-        assert res.ok, f"certificate verification failed: {res.failures}"
+        if not res.ok:
+            raise VerificationError(
+                f"certificate verification failed: {res.failures}")
     t0 = _first_verification_point(sys)
     for sol in out.solutions:
         res = verify_numeric_window(sys, sol, t0, terms=30)
-        assert res.ok, f"numeric verification failed: {res.failures}"
+        if not res.ok:
+            raise VerificationError(
+                f"numeric verification failed: {res.failures}")
     out.report["verification"] = f"30-term numeric window at t = {t0}"
 
 
@@ -582,7 +588,7 @@ def _first_verification_point(sys: DDSystem):
         ok = True
         for e in list(sys.A) + list(sys.B):
             den = sp.fraction(sp.together(sp.cancel(e)))[1]
-            if sp.cancel(den.subs(t, p)) == 0 and x not in den.free_symbols:
+            if sp.cancel(den.subs(t, p)) == 0:
                 ok = False
                 break
         if ok:

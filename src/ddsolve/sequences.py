@@ -15,16 +15,23 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import sympy as sp
+from sympy import QQ
+from sympy.polys.densearith import (dup_add, dup_mul, dup_mul_ground, dup_rem,
+                                    dup_sub)
+from sympy.polys.densebasic import dup_strip
+from sympy.polys.euclidtools import dup_invert
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
-from .fields import (TRIVIAL_TOWER, Tower, delta, make_tower, mat_delta,
-                     mat_inv, mat_reduce, mat_shift, shift,
+from .fields import (TRIVIAL_TOWER, FieldError, Tower, mat_delta, mat_shift,
                      sigma_power_matrix, t, theta, treduce, x)
 
 __all__ = ["Seq", "FuncSeq", "SeqVec", "interlace", "section",
            "seq_from_recurrence", "lift_sigma_d_to_sigma",
            "HypCert", "LiouvilleSolution", "VerifyResult",
            "verify_certificates", "verify_numeric_window",
-           "first_safe_index", "PoleError"]
+           "first_safe_index", "PoleError", "PointEvaluator",
+           "VerificationError"]
 
 
 class PoleError(Exception):
@@ -33,6 +40,136 @@ class PoleError(Exception):
     def __init__(self, message, index):
         super().__init__(f"{message} at index {index}")
         self.index = index
+
+
+class VerificationError(AssertionError):
+    """An exact check of a solution failed.  Raised explicitly, so the
+    check survives ``python -O``."""
+
+
+# ---------------------------------------------------------------------------
+# evaluation at integer points
+
+class PointEvaluator:
+    """Evaluation of matrices over Q(x, t)(theta) at integer x.
+
+    Arithmetic is over a ground field K: QQ when t is specialized to t0,
+    QQ.frac_field(t) otherwise.  A tower element is a dense list of
+    coefficients in theta over K (highest first, [] for zero), reduced mod
+    the minimal polynomial, specialized at t0 when t0 is given; over the
+    trivial tower it has at most one coefficient.  :meth:`compile` cancels
+    each entry once into dense (num, den) polynomials in x with tower
+    coefficients, and :meth:`at` evaluates them by Horner's rule.
+    """
+
+    def __init__(self, tower: Tower = TRIVIAL_TOWER, t0=None):
+        self.t0 = t0
+        self.K = QQ.frac_field(t) if t0 is None else QQ
+        self.degree = tower.degree
+        self.mod = None
+        if not tower.trivial:
+            mp = tower.minpoly if t0 is None else tower.minpoly.subs(t, t0)
+            P = sp.Poly(mp, theta, domain=self.K)
+            if t0 is not None and not P.is_irreducible:
+                raise FieldError(
+                    f"minimal polynomial is reducible at t = {t0}")
+            self.mod = P.rep.to_list()
+
+    # tower arithmetic
+    def reduce(self, a: list) -> list:
+        return a if self.mod is None else dup_rem(a, self.mod, self.K)
+
+    def mul(self, a: list, b: list) -> list:
+        return self.reduce(dup_mul(a, b, self.K))
+
+    def sub(self, a: list, b: list) -> list:
+        return dup_sub(a, b, self.K)
+
+    def inv(self, a: list) -> list:
+        if self.mod is None:
+            return [self.K.quo(self.K.one, a[0])]
+        return dup_invert(a, self.mod, self.K)
+
+    def matvec(self, M: list, v: list) -> list:
+        """M v for M a flat row-major list of len(M) // len(v) rows."""
+        n, K = len(v), self.K
+        out = []
+        for i in range(0, len(M), n):
+            acc = []
+            for a, b in zip(M[i:i + n], v):
+                acc = dup_add(acc, dup_mul(a, b, K), K)
+            out.append(self.reduce(acc))
+        return out
+
+    def solve(self, M: list, b: list) -> list:
+        """v with M v = b for a flat row-major square M, by LU over K.
+
+        The tower is written as K^degree: multiplication by an element a
+        is the K-linear map whose column c is the coordinate vector of
+        a * theta^(degree-1-c)."""
+        K, deg, n = self.K, self.degree, len(b)
+
+        def coords(a):
+            return [K.zero] * (deg - len(a)) + a
+
+        rows = [[] for _ in range(n * deg)]
+        for i in range(n):
+            for k in range(n):
+                cols = [coords(self.mul(M[i * n + k],
+                                        [K.one] + [K.zero] * (deg - 1 - c)))
+                        for c in range(deg)]
+                for r in range(deg):
+                    rows[i * deg + r].extend(col[r] for col in cols)
+        rhs = DomainMatrix([[c] for a in b for c in coords(a)],
+                           (n * deg, 1), K)
+        try:
+            sol = DomainMatrix(rows, (n * deg, n * deg), K).lu_solve(rhs)
+        except DMNonInvertibleMatrixError:
+            raise FieldError("matrix not invertible")
+        flat = sol.to_list_flat()
+        return [dup_strip(flat[i * deg:(i + 1) * deg]) for i in range(n)]
+
+    def to_sympy(self, a: list) -> sp.Expr:
+        return sp.Add(*(self.K.to_sympy(c) * theta**k
+                        for k, c in enumerate(reversed(a))))
+
+    # compiled matrices
+    def compile(self, M) -> list:
+        """Entries of M (row-major) as (num, den) pairs of dense
+        polynomials in x, highest degree first, with tower coefficients."""
+        return [tuple(self._xpoly(p)
+                      for p in sp.fraction(sp.together(sp.cancel(e))))
+                for e in M]
+
+    def _xpoly(self, p) -> list:
+        if self.t0 is not None:
+            p = p.subs(t, self.t0)
+        coeffs = sp.Poly(p, x, theta, domain=self.K).rep.to_list()
+        return dup_strip([self.reduce(c) for c in coeffs])
+
+    def xpoly_to_sympy(self, p: list) -> sp.Expr:
+        return sp.Add(*(self.to_sympy(c) * x**k
+                        for k, c in enumerate(reversed(p))))
+
+    def at(self, compiled: list, j: int) -> list:
+        """Values of compiled entries at x = j; PoleError where a
+        denominator is zero in the tower."""
+        K, jj = self.K, self.K(j)
+
+        def horner(p):
+            acc = []
+            for c in p:
+                acc = dup_add(dup_mul_ground(acc, jj, K), c, K)
+            return acc
+
+        out = []
+        for num, den in compiled:
+            d = horner(den)
+            if not d:
+                raise PoleError("denominator vanishes", j)
+            nv = horner(num)
+            out.append(self.mul(nv, self.inv(d)) if nv else [])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +194,10 @@ class SeqVec(Seq):
     """Vector sequence generated by W(j+1) = A(j) W(j) from W(N) = base.
 
     Values below the start index are zero (the lift construction only
-    constrains a sequence from some index on).  Values are cached; a
-    single SeqVec is not safe for concurrent mutation.
+    constrains a sequence from some index on).  Steps run in the ground
+    arithmetic of a :class:`PointEvaluator` (over Q when t is specialized
+    to t0) and are cached; a single SeqVec is not safe for concurrent
+    mutation.
     """
 
     def __init__(self, A: sp.Matrix, N: int, base: sp.Matrix,
@@ -66,51 +205,23 @@ class SeqVec(Seq):
                  tower: Tower = TRIVIAL_TOWER):
         self.A = A
         self.N = N
-        self.t0 = t0
-        self.tower = tower if t0 is None else _evaluate_tower(tower, t0)
-        self._cache = [self._prep(base)]
+        self.points = PointEvaluator(tower, t0)
+        self.compiled = self.points.compile(A)
+        self._cache = [self.points.at(self.points.compile(base), N)]
 
-    def _prep(self, v):
-        if self.t0 is not None:
-            v = v.applyfunc(lambda e: e.subs(t, self.t0))
-        return mat_reduce(v, self.tower)
-
-    def _matrix_at(self, j: int) -> sp.Matrix:
-        out = sp.zeros(*self.A.shape)
-        for i in range(self.A.shape[0]):
-            for k in range(self.A.shape[1]):
-                e = sp.cancel(self.A[i, k])
-                if self.t0 is not None:
-                    num, den = sp.fraction(sp.together(e))
-                    dv = den.subs({x: j, t: self.t0})
-                    if sp.simplify(dv) == 0:
-                        raise PoleError("pole of the recurrence matrix", j)
-                    e = sp.cancel(num.subs({x: j, t: self.t0}) / dv)
-                else:
-                    num, den = sp.fraction(sp.together(e))
-                    dv = sp.cancel(den.subs(x, j))
-                    if treduce(dv, self.tower) == 0:
-                        raise PoleError("pole of the recurrence matrix", j)
-                    e = sp.cancel(num.subs(x, j) / dv)
-                out[i, k] = treduce(e, self.tower)
-        return out
-
-    def value(self, j: int) -> sp.Matrix:
+    def point(self, j: int) -> list:
+        """W(j) as a list of tower elements of :attr:`points`."""
         if j < self.N:
-            return sp.zeros(self._cache[0].shape[0], 1)
+            return [[] for _ in self._cache[0]]
         k = j - self.N
         while len(self._cache) <= k:
             jj = self.N + len(self._cache) - 1
-            Aj = self._matrix_at(jj)
-            self._cache.append(mat_reduce(Aj * self._cache[-1], self.tower))
+            Aj = self.points.at(self.compiled, jj)
+            self._cache.append(self.points.matvec(Aj, self._cache[-1]))
         return self._cache[k]
 
-
-def _evaluate_tower(tower: Tower, t0) -> Tower:
-    if tower.trivial:
-        return tower
-    mp = sp.expand(tower.minpoly.subs(t, t0))
-    return make_tower(mp)
+    def value(self, j: int) -> sp.Matrix:
+        return sp.Matrix([self.points.to_sympy(a) for a in self.point(j)])
 
 
 def interlace(seqs: list) -> Seq:
@@ -206,51 +317,37 @@ def lift_sigma_d_to_sigma(V: sp.Matrix, ratio, d: int, A: sp.Matrix,
 
     Cross-checked against the section-sum construction
     U = V_0 + ... + V_{d-1}, V_i(j) = A(j)^{-1} V_{i-1}(j+1), on a
-    check_terms window; disagreement is a hard internal error.
+    check_terms window; disagreement raises VerificationError.  V_0 lives
+    on the class j = N mod d, so U(j) = V_i(j) for i = (N - j) mod d, and
+    each V_i(j) comes from solving A(j) V_i(j) = V_{i-1}(j+1).
     """
     if N is None:
         N = first_safe_index(A, B, V, tower)
     W = SeqVec(A, N, V.subs(x, N), tower=tower)
     if d == 1:
         return W
-    # section-sum construction: V0 lives on the class j = N mod d, with the
-    # prefactor h normalized by h(N) = 1 so V0(N + d*s) is rational
-    v0_cache: dict = {}
+    pts = W.points
+    Vc, rc = pts.compile(V), pts.compile([ratio])
+    hs = [[pts.K.one]]  # h(N + d*s), normalized by h(N) = 1
+    comps: dict = {}
 
-    def v0(j):
-        if j < N or (j - N) % d != 0:
-            return V * 0
-        if j not in v0_cache:
-            s = (j - N) // d
-            h = sp.Integer(1)
-            for u in range(s):
-                h = treduce(h * ratio.subs(x, N + d * u), tower)
-            v0_cache[j] = mat_reduce(V.subs(x, j) * h, tower)
-        return v0_cache[j]
+    def comp(i, j):
+        if (i, j) not in comps:
+            if i == 0:
+                s = (j - N) // d
+                while len(hs) <= s:
+                    (r,) = pts.at(rc, N + d * (len(hs) - 1))
+                    hs.append(pts.mul(hs[-1], r))
+                comps[i, j] = [pts.mul(v, hs[s]) for v in pts.at(Vc, j)]
+            else:
+                comps[i, j] = pts.solve(pts.at(W.compiled, j),
+                                        comp(i - 1, j + 1))
+        return comps[i, j]
 
-    ainv_cache: dict = {}
-
-    def ainv(j):
-        if j not in ainv_cache:
-            ainv_cache[j] = mat_inv(mat_reduce(A.subs(x, j), tower), tower)
-        return ainv_cache[j]
-
-    V0 = FuncSeq(v0)
-    comps = [V0]
-    for i in range(1, d):
-        prev = comps[-1]
-        cache: dict = {}
-
-        def vi(j, prev=prev, cache=cache):
-            if j not in cache:
-                cache[j] = mat_reduce(ainv(j) * prev.value(j + 1), tower)
-            return cache[j]
-
-        comps.append(FuncSeq(vi))
     for j in range(N, N + check_terms):
-        U = sum((c.value(j) for c in comps), sp.zeros(V.shape[0], 1))
-        if not all(treduce(e, tower) == 0 for e in (U - W.value(j))):
-            raise AssertionError(
+        U = comp((N - j) % d, j)
+        if any(pts.sub(u, w) for u, w in zip(U, W.point(j))):
+            raise VerificationError(
                 f"lift cross-check failed at index {j}: recurrence and "
                 "section-sum constructions disagree")
     return W
@@ -327,40 +424,31 @@ def verify_numeric_window(system, sol: LiouvilleSolution, t0, terms: int = 30) -
     All arithmetic is exact over Q (extended by the tower generator with t
     specialized when the solution lives in an extension); the delta
     relation is checked symbolically by verify_certificates."""
-    A, B = system.A, system.B
-    tower = sol.tower
+    pts = PointEvaluator(sol.tower, t0)
     failures = []
     parts = ([("solution", sol.W, sol.cert)] if sol.kind == "Hypergeometric"
              else [(f"component {i}", W, c) for i, W, c in sol.components])
     for label, W, cert in parts:
         m = cert.sigma_step
-        Am = sigma_power_matrix(A, m, tower)
-        etower = _evaluate_tower(tower, t0)
+        Am = pts.compile(sigma_power_matrix(system.A, m, sol.tower))
+        Wc, rc = pts.compile(W), pts.compile([cert.sigma_ratio])
         # start past every pole visible after the specialization t = t0
         N = 1
-        for e in list(Am) + list(W) + [cert.sigma_ratio]:
-            den = sp.fraction(sp.together(sp.cancel(e)))[1]
-            den = sp.expand(treduce(den.subs(t, t0), etower))
-            if x in den.free_symbols:
-                for r in _integer_x_roots(den):
+        for _, den in Am + Wc + rc:
+            if len(den) > 1:
+                for r in _integer_x_roots(pts.xpoly_to_sympy(den)):
                     N = max(N, r + m + 1)
-        try:
-            for j in range(N, N + terms):
-                def ev(e):
-                    num, den = sp.fraction(sp.together(sp.cancel(e)))
-                    dv = treduce(den.subs({x: j, t: t0}), etower)
-                    if dv == 0:
-                        raise PoleError("pole during numeric verification", j)
-                    return treduce(num.subs({x: j, t: t0}) / dv, etower)
-                Wj = W.subs(x, j).applyfunc(ev)
-                Wjm = W.subs(x, j + m).applyfunc(ev)
-                Amj = Am.subs(x, j).applyfunc(ev)
-                rj = ev(cert.sigma_ratio.subs(x, j))
-                resid = Wjm * rj - Amj * Wj
-                if not all(treduce(e, etower) == 0 for e in resid):
-                    failures.append(
-                        f"{label}: sigma relation fails at x={j}, t={t0}")
-                    break
-        except PoleError as err:
-            failures.append(f"{label}: {err}")
+        for j in range(N, N + terms):
+            try:
+                Wj, Wjm, (rj,) = (pts.at(Wc, j), pts.at(Wc, j + m),
+                                  pts.at(rc, j))
+                AWj = pts.matvec(pts.at(Am, j), Wj)
+            except PoleError:
+                failures.append(f"{label}: pole during numeric verification "
+                                f"at index {j}")
+                break
+            if any(pts.sub(pts.mul(w, rj), aw) for w, aw in zip(Wjm, AWj)):
+                failures.append(
+                    f"{label}: sigma relation fails at x={j}, t={t0}")
+                break
     return VerifyResult(not failures, failures)

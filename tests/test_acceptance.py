@@ -5,7 +5,8 @@
    gauge, in <= 60 s.
 2. Interlaced worked example end-to-end through the compressed-system
    branch, with the published beta, sigma^3-cocycle, candidate ratios,
-   diagonal delta-part, and lifted sequence window, in <= 120 s.
+   diagonal delta-part, and lifted sequence window, in <= 120 s; the
+   outcome's solution file re-verifies after a write/read round trip.
 3. Weighted-Hermite negative test: integrable, but no liouvillian
    solutions; exits at the determinant-split stage.
 4. Subroutine property suites (delegated to the per-module suites and
@@ -21,8 +22,9 @@ import sympy as sp
 from ddsolve.cli import main as cli_main
 from ddsolve.fields import (mat_eq, mat_reduce, mat_shift, shift, t, teq,
                             theta, treduce, x)
-from ddsolve.files import read_system
+from ddsolve.files import read_solution, read_system, write_solution
 from ddsolve.procedures import solve_liouvillian
+from ddsolve.sequences import verify_certificates, verify_numeric_window
 
 
 def _column_match_up_to_sigma_constant(col_paper, cols_solver, tower):
@@ -91,7 +93,7 @@ def test_criterion_1_first_example_end_to_end(example1_path):
     assert elapsed <= 60, f"criterion 1 runtime {elapsed:.1f}s > 60s"
 
 
-def test_criterion_2_interlaced_example_end_to_end(example2_path):
+def test_criterion_2_interlaced_example_end_to_end(example2_path, tmp_path):
     start = time.time()
     sys2 = read_system(example2_path)
     out = solve_liouvillian(sys2)
@@ -142,6 +144,15 @@ def test_criterion_2_interlaced_example_end_to_end(example2_path):
         assert sp.cancel(a - c * b) == 0, (a, b, c)
 
     assert elapsed <= 120, f"criterion 2 runtime {elapsed:.1f}s > 120s"
+
+    # the outcome round-trips through a solution file and re-verifies
+    path = str(tmp_path / "example2.json")
+    write_solution(path, out)
+    _, sols, _ = read_solution(path)
+    assert [s.kind for s in sols] == ["Interlaced"] * 3
+    for sol in sols:
+        assert verify_certificates(sys2, sol).ok
+        assert verify_numeric_window(sys2, sol, sp.Integer(1)).ok
 
 
 def test_criterion_3_hermite_negative(hermite_path):

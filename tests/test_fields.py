@@ -183,3 +183,13 @@ def test_cocycle_composition_law():
 def test_sigma_power_matrix_step_one_is_identity_map():
     A = sp.Matrix([[x, 1], [0, t]])
     assert mat_eq(sigma_power_matrix(A, 1), A)
+
+
+def test_sigma_power_matrix_returns_fresh_copy():
+    A = sp.Matrix([[x, 1], [0, t]])
+    first = sigma_power_matrix(A, 3)
+    want = first.copy()
+    first[0, 0] = 0
+    again = sigma_power_matrix(A, 3)
+    assert again == want
+    assert again is not first

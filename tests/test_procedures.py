@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 import sympy as sp
@@ -7,9 +10,11 @@ from ddsolve.fields import (TRIVIAL_TOWER, delta, make_tower, mat_delta,
                             mat_eq, mat_inv, mat_reduce, mat_shift, t, teq,
                             theta, treduce, x)
 from ddsolve.procedures import (DDSystem, _certificate_normalizer,
+                                _first_verification_point,
                                 check_integrability, decision_procedure_1,
                                 descend_gauge, solve_liouvillian)
-from conftest import random_invertible_matrix
+from ddsolve.files import read_system
+from conftest import ROOT, SYSTEMS, random_invertible_matrix
 
 HERMITE_A = sp.Matrix([[0, 1], [-2 * x, 2 * t]])
 HERMITE_B = sp.Matrix([[2 * t, -1], [2 * x, 0]])
@@ -138,3 +143,53 @@ def test_solve_requires_valid_system():
     B = sp.Matrix([[t, 1], [0, t]])
     with pytest.raises(ValueError):
         solve_liouvillian(DDSystem(2, A, B))
+
+
+# ---------------------------------------------------------------------------
+# verification of Solved outcomes
+
+_PLANTED_BAD_SOLVE = """
+import sys
+import sympy as sp
+from ddsolve.fields import t
+from ddsolve.procedures import DDSystem, Outcome, _verify_solved
+from ddsolve.sequences import HypCert, LiouvilleSolution, VerificationError
+
+assert sys.flags.optimize, "run under python -O"
+# sigma(Y) = 2 Y, delta(Y) = Y / t: the sigma-ratio 3 is wrong
+system = DDSystem(1, sp.Matrix([[2]]), sp.Matrix([[1 / t]]))
+bad = LiouvilleSolution(kind="Hypergeometric", W=sp.Matrix([1]),
+                        cert=HypCert(sp.Integer(3), 1, 1 / t))
+try:
+    _verify_solved(system, Outcome("Solved", solutions=[bad]))
+except VerificationError as err:
+    print("raised:", err)
+    sys.exit(0)
+print("a bad solution passed verification")
+sys.exit(1)
+"""
+
+
+def test_verify_solved_raises_under_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    proc = subprocess.run([sys.executable, "-O", "-c", _PLANTED_BAD_SOLVE],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "certificate verification failed" in proc.stdout
+
+
+def test_first_verification_point_rejects_vanishing_x_denominator():
+    # at t = 1 the denominator (t - 1)(x + 1) vanishes for every x
+    A = sp.Matrix([[1 / ((t - 1) * (x + 1)), 0], [0, 1]])
+    B = sp.zeros(2, 2)
+    assert _first_verification_point(DDSystem(2, A, B)) == 2
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "hermite"])
+def test_first_verification_point_of_bundled_systems(name):
+    system = read_system(str(SYSTEMS / f"{name}.json"))
+    assert _first_verification_point(system) == 1

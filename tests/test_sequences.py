@@ -2,11 +2,15 @@ import random
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
-from ddsolve.fields import (TRIVIAL_TOWER, mat_inv, mat_reduce, mat_shift,
-                            shift, t, teq, treduce, x)
+from ddsolve.fields import (TRIVIAL_TOWER, make_tower, mat_inv, mat_reduce,
+                            mat_shift, shift, t, teq, theta, treduce, x)
+from ddsolve.files import read_system
+from ddsolve.parsing import parse_ratfunc
 from ddsolve.sequences import (FuncSeq, HypCert, LiouvilleSolution, PoleError,
-                               SeqVec, first_safe_index, interlace,
+                               PointEvaluator, SeqVec, VerificationError,
+                               first_safe_index, interlace,
                                lift_sigma_d_to_sigma, section,
                                seq_from_recurrence, verify_certificates,
                                verify_numeric_window)
@@ -108,6 +112,20 @@ def test_lift_cross_check_failure_is_loud():
         lift_sigma_d_to_sigma(V, sp.Integer(7), 2, A, B, N=1, check_terms=10)
 
 
+def test_lift_over_tower_cross_checks():
+    # A(j+1) A(j) = theta * diag(j + 1, j + 2), so V = (1, 0) solves the
+    # sigma^2-system with ratio theta*(x + 1) over the example1 tower
+    A = sp.Matrix([[0, theta], [x + 1, 0]])
+    B = sp.zeros(2, 2)
+    V = sp.Matrix([1, 0])
+    W = lift_sigma_d_to_sigma(V, theta * (x + 1), 2, A, B, N=1,
+                              tower=EX1_TOWER, check_terms=12)
+    assert W.value(3) == sp.Matrix([2 * theta, 0])
+    with pytest.raises(VerificationError):
+        lift_sigma_d_to_sigma(V, 2 * theta * (x + 1), 2, A, B, N=1,
+                              tower=EX1_TOWER, check_terms=12)
+
+
 def test_first_safe_index_skips_integer_poles():
     A = sp.Matrix([[1 / (x - 3)]])
     B = sp.Matrix([[0]])
@@ -161,3 +179,73 @@ def test_verify_numeric_window_catches_mismatch():
         cert=HypCert(sigma_ratio=sp.Integer(2), sigma_step=1,
                      delta_ratio=1 / t))
     assert not verify_numeric_window(system, bad, sp.Rational(2), terms=10).ok
+
+
+# ---------------------------------------------------------------------------
+# point evaluation against the per-index SymPy path
+
+EX1_TOWER = make_tower(theta**2 - t**2 - 1)
+# t0 = 0 is left out: theta^2 = t0^2 + 1 must stay irreducible over Q
+EX1_T0S = [sp.Integer(1), sp.Integer(2), sp.Integer(-3), sp.Rational(1, 2)]
+
+
+@st.composite
+def _entries(draw):
+    """(tower, t0, e, j): e a cancelled quotient of small polynomials in x,
+    t (and theta over the example1 tower), t0 None for no specialization."""
+    tower = draw(st.sampled_from([TRIVIAL_TOWER, EX1_TOWER]))
+    powers = [(i, k, l) for i in range(3) for k in range(2)
+              for l in range(1 if tower.trivial else 2)]
+
+    def poly():
+        cs = draw(st.lists(st.integers(-3, 3), min_size=len(powers),
+                           max_size=len(powers)))
+        return sum(c * x**i * t**k * theta**l
+                   for c, (i, k, l) in zip(cs, powers))
+
+    num, den = poly(), poly()
+    if treduce(den, tower) == 0:
+        den = x + 1
+    t0 = draw(st.sampled_from([None] + EX1_T0S))
+    j = draw(st.integers(-3, 6))
+    # plant a pole at x = j, or one at t = t0 for every x
+    den *= draw(st.sampled_from([1, x - j] + ([] if t0 is None else [t - t0])))
+    return tower, t0, sp.cancel(num / den), j
+
+
+@settings(max_examples=60, deadline=None)
+@given(_entries())
+def test_point_evaluator_matches_sympy_reference(case):
+    tower, t0, e, j = case
+    sub = {x: j} if t0 is None else {x: j, t: t0}
+    etower = (tower if t0 is None or tower.trivial
+              else make_tower(sp.expand(tower.minpoly.subs(t, t0))))
+    pts = PointEvaluator(tower, t0)
+    compiled = pts.compile([e])
+    den = sp.fraction(sp.together(sp.cancel(e)))[1]
+    if treduce(den.subs(sub), etower) == 0:
+        with pytest.raises(PoleError):
+            pts.at(compiled, j)
+        return
+    (got,) = pts.at(compiled, j)
+    want = treduce(e.subs(sub), etower)
+    assert len(got) <= tower.degree
+    assert treduce(pts.to_sympy(got) - want, etower) == 0, (e, j, t0)
+
+
+def test_numeric_window_reports_doubled_example1_ratio(example1_path):
+    system = read_system(example1_path)
+    W = sp.Matrix([parse_ratfunc("-1*(t-theta)/(x-t^2)", EX1_TOWER),
+                   parse_ratfunc("(x-t*theta)/(x-t^2)", EX1_TOWER)])
+    ratio = parse_ratfunc("(x^2*theta+theta)", EX1_TOWER)
+    delta_ratio = parse_ratfunc("(x*t+t^2*theta+t^2+theta+1)/(t^2+1)",
+                                EX1_TOWER)
+
+    def solution(r):
+        return LiouvilleSolution(kind="Hypergeometric", W=W,
+                                 cert=HypCert(r, 1, delta_ratio),
+                                 tower=EX1_TOWER)
+
+    assert verify_numeric_window(system, solution(ratio), sp.Integer(1)).ok
+    res = verify_numeric_window(system, solution(2 * ratio), sp.Integer(1))
+    assert res.failures == ["solution: sigma relation fails at x=3, t=1"]
