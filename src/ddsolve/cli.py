@@ -8,7 +8,9 @@ Subcommands::
     tools {disp|standard|split|moser|ratsol|petkovsek|hyperexp} ...
 
 Exit codes: 0 = Solved / pass; 1 = NoSolution / NoLiouvillianSolutions /
-failed verification; 2 = Unsupported / Inconclusive; 3 = input error.
+failed verification; 2 = Unsupported / Inconclusive; 3 = input error;
+4 = internal error (an exception the solver did not expect, such as a
+failed internal check).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sympy as sp
 
 from .closedform import UnsupportedCase, hyperexp_solutions, petkovsek
 from .difftools import dispersion, split_alpha_beta_power, standard_decompose
-from .fields import TRIVIAL_TOWER, mat_reduce, treduce
+from .fields import TRIVIAL_TOWER, FieldError, mat_reduce, treduce
 from .files import (SchemaError, outcome_to_dict, read_solution, read_system,
                     write_solution)
 from .moser import ReductionStalled, moser_reduce, ord_and_moser
@@ -36,6 +38,7 @@ EXIT_SOLVED = 0
 EXIT_NO_SOLUTION = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 _VERDICT_EXIT = {
     "Solved": EXIT_SOLVED,
@@ -62,7 +65,11 @@ def _cmd_check(args) -> int:
         print(f"input error: {err}", file=_sys.stderr)
         return EXIT_INPUT_ERROR
     from .procedures import check_integrability
-    ok, residual = check_integrability(system.A, system.B)
+    try:
+        ok, residual = check_integrability(system.A, system.B)
+    except FieldError as err:   # singular A
+        print(f"input error: {err}", file=_sys.stderr)
+        return EXIT_INPUT_ERROR
     if ok:
         print("integrable: sigma(B) = delta(A)A^-1 + ABA^-1 holds")
         return EXIT_SOLVED
@@ -298,7 +305,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as err:
+        # never let an internal failure exit as a verdict
+        message = str(err).replace("\n", " ")
+        print(f"internal error: {type(err).__name__}: {message}",
+              file=_sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

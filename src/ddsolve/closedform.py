@@ -4,8 +4,8 @@ hyperexponential solutions of differential systems over Q(t), desk scale.
 petkovsek() enumerates Gosper-Petkovsek forms z * a(x)/b(x) * c(x+m)/c(x)
 with a | p_0 and b(x+(k-1)m) | p_k; constants z are accepted from Q or one
 quadratic extension.  Systems are reduced to scalar recurrences through the
-chain v -> sigma^m(v) M (per coordinate, or by a cyclic vector in
-uncouple()) and solutions recovered by rational back-substitution.
+chain v -> sigma^m(v) M, one per coordinate, and solutions recovered by
+rational back-substitution.
 
 The hyperexponential solver is deliberately restricted to diagonal,
 constant, and simple-pole matrices; anything else raises UnsupportedCase.
@@ -19,14 +19,15 @@ from dataclasses import dataclass
 import sympy as sp
 
 from .fields import (TRIVIAL_TOWER, Tower, make_tower, mat_reduce, mat_shift,
-                     shift, t, theta, tinv, treduce, x)
+                     shift, t, theta, treduce, x)
 from .difftools import standard_decompose
-from .ratsol import (DEFAULT_CONFIG, SolverConfig, _scalar_degree_candidates,
+from .ratsol import (DEFAULT_CONFIG, SolverConfig, _collect_equations,
+                     _nullspace_over_Qt, _scalar_degree_candidates,
                      rational_solutions, scalar_operators)
+from .sequences import VerificationError
 
 __all__ = ["HypergeometricCandidate", "HyperexpCandidate", "UnsupportedCase",
-           "petkovsek", "uncouple", "UncoupleResult", "system_hypergeometric",
-           "hyperexp_solutions"]
+           "petkovsek", "system_hypergeometric", "hyperexp_solutions"]
 
 
 class UnsupportedCase(Exception):
@@ -143,68 +144,15 @@ def _polynomial_kernel(Q, m, degree_bound):
     cs = sp.symbols(f"_k0:{degree_bound + 1}")
     C = sum(cs[j] * x**j for j in range(degree_bound + 1))
     expr = sp.expand(sum(Q[i] * C.subs(x, x + m * i) for i in range(len(Q))))
-    eqs = sp.Poly(expr, x).coeffs() if expr != 0 else []
-    if not eqs:
-        sol = {c: 1 for c in cs}
+    if expr == 0:
+        vec = [1] * len(cs)
     else:
-        A, rhs = sp.linear_eq_to_matrix(eqs, list(cs))
-        null = A.nullspace(iszerofunc=lambda v: sp.simplify(v) == 0)
+        null = _nullspace_over_Qt(sp.Poly(expr, x).coeffs(), list(cs))
         if not null:
             return None
-        sol = {cs[i]: null[0][i] for i in range(len(cs))}
-    Cval = sp.expand(C.subs(sol))
+        vec = null[0]
+    Cval = sp.expand(C.subs(dict(zip(cs, vec))))
     return Cval if Cval != 0 else None
-
-
-# ---------------------------------------------------------------------------
-# uncoupling
-
-@dataclass
-class UncoupleResult:
-    kind: str   # "cyclic" or "blocks"
-    ops: list   # [(coefficients p_0..p_k, row vector v)], one per block
-
-
-def _chain_operator(M, m, v, tower):
-    """Minimal scalar operator annihilating v.Y along sigma^m(Y)=MY."""
-    iszero = lambda e: treduce(e, tower) == 0
-    rows = [v]
-    while True:
-        V = sp.Matrix.vstack(*rows)
-        null = V.T.nullspace(iszerofunc=iszero)
-        cand = next((c for c in null if not iszero(c[-1])), None)
-        if cand is not None:
-            coeffs = [treduce(ci, tower) for ci in cand]
-            den = sp.Integer(1)
-            for ci in coeffs:
-                den = sp.lcm(den, sp.together(ci).as_numer_denom()[1])
-            return [sp.expand(sp.cancel(ci * den)) for ci in coeffs]
-        rows.append(mat_reduce(mat_shift(rows[-1], m) * M, tower))
-
-
-def uncouple(M: sp.Matrix, m: int = 1, tower: Tower = TRIVIAL_TOWER) -> UncoupleResult:
-    """Reduce sigma^m(Y)=MY to scalar recurrences.
-
-    Searches for a cyclic vector among the standard basis vectors and
-    {0,+-1}-combinations (constant, then x-linear); if none reaches full
-    order, returns one chain operator per standard basis vector
-    ("blocks"), which still annihilate all coordinates of all solutions.
-    """
-    n = M.shape[0]
-    basis = [sp.eye(n)[i, :] for i in range(n)]
-    combos = []
-    for c in itertools.product([0, 1, -1], repeat=n):
-        if any(c) and list(c).count(0) < n - 1:
-            combos.append(sp.Matrix([[sp.Integer(ci) for ci in c]]))
-    xcombos = [sp.Matrix([[ci * x for ci in c]]) + b
-               for c in itertools.product([0, 1, -1], repeat=n) if any(c)
-               for b in [sp.zeros(1, n), sp.ones(1, n)]]
-    for v in basis + combos + xcombos:
-        op = _chain_operator(M, m, v, tower)
-        if len(op) == n + 1:
-            return UncoupleResult("cyclic", [(op, v)])
-    return UncoupleResult("blocks",
-                          [( _chain_operator(M, m, b, tower), b) for b in basis])
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +189,9 @@ def system_hypergeometric(M: sp.Matrix, m: int = 1,
         Mi = mat_reduce(M / r)
         for W in rational_solutions(Mi, m, TRIVIAL_TOWER, config).basis:
             resid = mat_shift(W, m) * r - mat_reduce(M * W)
-            assert all(sp.cancel(e) == 0 for e in resid)
+            if not all(sp.cancel(e) == 0 for e in resid):
+                raise VerificationError(
+                    "hypergeometric candidate failed substitution check")
             Wc, rc = _canonical_candidate(W, r, m)
             key_new = True
             for Ws, rs in seen:
@@ -356,8 +306,7 @@ def _diff_rational_solutions(C: sp.Matrix, tower: Tower):
     eqs = []
     for i in range(n):
         num, _ = sp.together(expr[i]).as_numer_denom()
-        eqs.extend(_collect_equations_t(num, tower))
-    from .ratsol import _nullspace_over_Qt
+        eqs.extend(_collect_equations(num, tower, t))
     null = _nullspace_over_Qt(eqs, list(cs))
     sols = []
     for vec in null:
@@ -366,18 +315,6 @@ def _diff_rational_solutions(C: sp.Matrix, tower: Tower):
         if any(v != 0 for v in Vv):
             sols.append(Vv)
     return sols
-
-
-def _collect_equations_t(expr, tower: Tower):
-    """Like ratsol._collect_equations but the polynomial variable is t and
-    coefficients are rational constants."""
-    from .ratsol import _theta_reduction_table
-    expr = sp.expand(expr)
-    expr = _theta_reduction_table(expr, tower)
-    if expr == 0:
-        return []
-    gens = (t, theta) if theta in expr.free_symbols else (t,)
-    return [sp.sympify(c) for c in sp.Poly(expr, *gens).coeffs()]
 
 
 def hyperexp_solutions(Bhat: sp.Matrix):

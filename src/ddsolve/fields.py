@@ -9,6 +9,13 @@ rational functions of x and t.
 
 The shift sigma acts by x -> x+1 and the derivation delta by d/dt with
 delta(x) = 0.
+
+Exact linear algebra over the trivial tower runs on
+:class:`~sympy.polys.matrices.DomainMatrix` over K = Q(x, t) (``QQ_XT``):
+:func:`dm_from_matrix` and :func:`dm_to_matrix` convert at the boundary,
+and :func:`dm_shift`, :func:`dm_delta` and :func:`dm_inv` act on K.
+System matrices lie in K, so their cocycle (:func:`dm_sigma_power`,
+:func:`sigma_power_matrix`) is always formed over K.
 """
 
 from __future__ import annotations
@@ -19,8 +26,16 @@ from typing import Optional
 
 import sympy as sp
 from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
+from sympy.polys.polyerrors import CoercionFailed
 
 x, t, theta = sp.symbols("x t theta")
+
+# K = Q(x, t), the coefficient field of the trivial tower
+QQ_XT = QQ.frac_field(x, t)
+_X = QQ_XT.field.ring.gens[0]   # x in the ring of numerators
+_T = QQ_XT.gens[1]              # t in K
 
 __all__ = [
     "x", "t", "theta", "Tower", "TRIVIAL_TOWER", "make_tower",
@@ -28,7 +43,8 @@ __all__ = [
     "series_at_infinity", "factor_in_x", "roots_over_coeff_field",
     "AllEqual", "Split", "Conjugate", "MixedSplit",
     "mat_reduce", "mat_shift", "mat_delta", "mat_inv", "mat_eq", "mat_is_zero",
-    "sigma_power_matrix",
+    "sigma_power_matrix", "dm_from_matrix", "dm_to_matrix", "dm_shift",
+    "dm_delta", "dm_inv", "dm_sigma_power",
 ]
 
 
@@ -291,17 +307,10 @@ def mat_delta(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
 def mat_inv(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
     if tower.trivial:
         try:
-            from sympy.polys.matrices import DomainMatrix
-            from sympy.polys.matrices.exceptions import \
-                DMNonInvertibleMatrixError
             dm = DomainMatrix.from_Matrix(M, field=True)
             if dm.domain.is_Field and not dm.domain.is_EX:
-                try:
-                    return dm.inv().to_Matrix()
-                except DMNonInvertibleMatrixError:
-                    raise FieldError("matrix not invertible")
-        except (sp.polys.polyerrors.CoercionFailed,
-                sp.polys.polyerrors.OptionError, ValueError):
+                return dm_inv(dm).to_Matrix()
+        except (CoercionFailed, sp.polys.polyerrors.OptionError, ValueError):
             pass
     det = treduce(M.det(method="berkowitz"), tower)
     if det == 0:
@@ -311,26 +320,79 @@ def mat_inv(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
     return mat_reduce(adj * inv_det, tower)
 
 
+def dm_from_matrix(M: sp.Matrix) -> DomainMatrix:
+    """M as a DomainMatrix over K = Q(x, t); FieldError for an entry
+    outside K."""
+    def element(e):
+        try:
+            return QQ_XT.from_sympy(e)
+        except (CoercionFailed, ValueError):
+            raise FieldError(f"entry not in Q(x, t): {e}")
+
+    return DomainMatrix([[element(e) for e in row] for row in M.tolist()],
+                        M.shape, QQ_XT)
+
+
+def dm_to_matrix(D: DomainMatrix) -> sp.Matrix:
+    """Entries of a DomainMatrix over K in the canonical form of treduce."""
+    return sp.Matrix(*D.shape, [treduce(QQ_XT.to_sympy(e))
+                                for e in D.to_list_flat()])
+
+
+def dm_shift(D: DomainMatrix, j: int = 1) -> DomainMatrix:
+    """sigma^j over K: x -> x + j in every entry."""
+    xj = _X + j
+    return D.applyfunc(lambda e: e.new(e.numer.compose(_X, xj),
+                                       e.denom.compose(_X, xj)))
+
+
+def dm_delta(D: DomainMatrix) -> DomainMatrix:
+    """d/dt over K, entrywise."""
+    return D.applyfunc(lambda e: e.diff(_T))
+
+
+def dm_inv(D: DomainMatrix) -> DomainMatrix:
+    """D^-1; FieldError when D is singular."""
+    try:
+        return D.inv()
+    except DMNonInvertibleMatrixError:
+        raise FieldError("matrix not invertible")
+
+
 # cocycles of the systems of one solve, with room for a few solves
 _SIGMA_POWER_CACHE_SIZE = 32
 
 
-def sigma_power_matrix(A: sp.Matrix, m: int, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
-    """Cocycle product A_m = sigma^{m-1}(A) ... sigma(A) A (m >= 1).
+def sigma_power_matrix(A: sp.Matrix, m: int) -> sp.Matrix:
+    """Cocycle product A_m = sigma^{m-1}(A) ... sigma(A) A (m >= 1) of a
+    system matrix A over K = Q(x, t), in the canonical form of treduce.
 
-    Memoized on (A, m, tower); every call returns a fresh mutable copy."""
+    Memoized on (A, m); every call returns a fresh mutable copy."""
     if m < 1:
         raise ValueError("m >= 1 required")
-    return sp.Matrix(_sigma_power(sp.ImmutableMatrix(A), m, tower))
+    return sp.Matrix(_sigma_power_expr(sp.ImmutableMatrix(A), m))
+
+
+def dm_sigma_power(A: sp.Matrix, m: int) -> DomainMatrix:
+    """The cocycle A_m of :func:`sigma_power_matrix` as a DomainMatrix over
+    K, sharing its memo; every call returns a fresh copy."""
+    if m < 1:
+        raise ValueError("m >= 1 required")
+    return _sigma_power(sp.ImmutableMatrix(A), m).copy()
 
 
 @functools.lru_cache(maxsize=_SIGMA_POWER_CACHE_SIZE)
-def _sigma_power(A: sp.ImmutableMatrix, m: int,
-                 tower: Tower) -> sp.ImmutableMatrix:
-    out = A
+def _sigma_power(A: sp.ImmutableMatrix, m: int) -> DomainMatrix:
+    D = dm_from_matrix(A)
+    out = D
     for j in range(1, m):
-        out = mat_reduce(mat_shift(A, j) * out, tower)
-    return sp.ImmutableMatrix(mat_reduce(out, tower))
+        out = dm_shift(D, j) * out
+    return out
+
+
+@functools.lru_cache(maxsize=_SIGMA_POWER_CACHE_SIZE)
+def _sigma_power_expr(A: sp.ImmutableMatrix, m: int) -> sp.ImmutableMatrix:
+    return sp.ImmutableMatrix(dm_to_matrix(_sigma_power(A, m)))
 
 
 def mat_eq(A: sp.Matrix, B: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> bool:

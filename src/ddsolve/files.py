@@ -3,8 +3,8 @@
 System files::
 
     { "n": int,
-      "A": n x n array of expression strings,
-      "B": n x n array of expression strings,
+      "A": n x n array of expression strings in x and t,
+      "B": n x n array of expression strings in x and t,
       "assumptions": { "irreducible_over_k0": bool } }
 
 Solution files::
@@ -66,9 +66,14 @@ def _parse_matrix(rows, n: int, pointer: str) -> sp.Matrix:
                 raise SchemaError(f"{pointer}/{i}/{j}",
                                   "expected an expression string")
             try:
-                out.append(parse_ratfunc(entry))
+                e = parse_ratfunc(entry)
             except (ParseError, ZeroDivisionError) as err:
                 raise SchemaError(f"{pointer}/{i}/{j}", str(err))
+            if theta in e.free_symbols:
+                raise SchemaError(f"{pointer}/{i}/{j}",
+                                  "system entries lie in Q(x, t); "
+                                  "theta is not allowed")
+            out.append(e)
     return sp.Matrix(n, n, out)
 
 

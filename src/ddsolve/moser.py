@@ -19,6 +19,7 @@ import sympy as sp
 
 from .fields import (TRIVIAL_TOWER, Tower, mat_inv, mat_reduce, mat_shift,
                      roots_over_coeff_field, series_at_infinity, t, treduce, x)
+from .sequences import VerificationError
 
 __all__ = ["InfinityExpansion", "MoserReport", "ReductionStalled",
            "infinity_expansion", "ord_and_moser", "moser_reduce",
@@ -157,8 +158,8 @@ def moser_reduce(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> MoserReport:
     ord_, m_, H0 = ord_and_moser(cur, tower)
     # exact gauge identity check
     lhs = mat_reduce(mat_shift(gauge) * M * mat_inv(gauge, tower), tower)
-    assert all(treduce(lhs[i] - cur[i], tower) == 0 for i in range(n * n)), \
-        "gauge identity violated"
+    if not all(treduce(lhs[i] - cur[i], tower) == 0 for i in range(n * n)):
+        raise VerificationError("gauge identity violated")
     return MoserReport(gauge=gauge, reduced=cur, moser_order=m_, leading=H0)
 
 

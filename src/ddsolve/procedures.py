@@ -25,15 +25,17 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
 from .closedform import (HyperexpCandidate, UnsupportedCase,
                          hyperexp_solutions, system_hypergeometric)
 from .difftools import (leading_beta, split_alpha_beta_power,
                         standard_decompose)
-from .fields import (AllEqual, Conjugate, MixedSplit, Split, TRIVIAL_TOWER,
-                     Tower, delta, make_tower, mat_delta, mat_inv, mat_reduce,
-                     mat_shift, shift, sigma_power_matrix, t, theta, tinv,
-                     treduce, x)
+from .fields import (AllEqual, Conjugate, FieldError, MixedSplit, Split,
+                     TRIVIAL_TOWER, Tower, delta, dm_delta, dm_from_matrix,
+                     dm_inv, dm_shift, dm_sigma_power, dm_to_matrix,
+                     make_tower, mat_delta, mat_inv, mat_reduce, mat_shift,
+                     shift, sigma_power_matrix, t, theta, tinv, treduce, x)
 from .moser import (MoserReport, ReductionStalled, leading_eigendata,
                     moser_reduce, ord_and_moser)
 from .ratsol import (DEFAULT_CONFIG, SolverConfig, _invertible_selection,
@@ -61,7 +63,12 @@ class DDSystem:
             raise ValueError(f"order n = {self.n} must be prime")
         if self.A.shape != (self.n, self.n) or self.B.shape != (self.n, self.n):
             raise ValueError("A and B must be n x n")
-        if treduce(self.A.det(method="berkowitz")) == 0:
+        try:
+            A = dm_from_matrix(self.A)
+            B = dm_from_matrix(self.B)
+        except FieldError as err:
+            raise ValueError(f"A and B must be over Q(x, t): {err}")
+        if A.det() == 0:
             raise ValueError("A must be invertible")
         ok, residual = check_integrability(self.A, self.B)
         if ok:
@@ -70,11 +77,8 @@ class DDSystem:
         # accept systems whose sigma^n-compressed companion is integrable:
         # every certificate emitted downstream is verified against the
         # sigma^n- and delta-relations, which are exactly the ones that hold
-        An = sigma_power_matrix(self.A, self.n)
-        Aninv = mat_inv(An)
-        res_n = mat_reduce(mat_shift(self.B, self.n)
-                           - mat_delta(An) * Aninv - An * self.B * Aninv)
-        if all(e == 0 for e in res_n):
+        An = dm_sigma_power(self.A, self.n)
+        if _integrability_residual(An, B, self.n) is None:
             self.integrability_level = self.n
             return
         raise ValueError(f"integrability fails; residual = {residual}")
@@ -110,15 +114,23 @@ class Outcome:
 
 # ---------------------------------------------------------------------------
 
-def check_integrability(A: sp.Matrix, B: sp.Matrix,
-                        tower: Tower = TRIVIAL_TOWER):
-    """Exact test of sigma(B) = delta(A) A^{-1} + A B A^{-1}.
+def check_integrability(A: sp.Matrix, B: sp.Matrix):
+    """Exact test of sigma(B) = delta(A) A^{-1} + A B A^{-1} over
+    K = Q(x, t).
 
-    Returns (ok, residual matrix)."""
-    Ainv = mat_inv(A, tower)
-    residual = mat_reduce(
-        mat_shift(B) - mat_delta(A, tower) * Ainv - A * B * Ainv, tower)
-    return all(e == 0 for e in residual), residual
+    Returns (ok, residual matrix).  FieldError when A is singular or an
+    entry lies outside K."""
+    residual = _integrability_residual(dm_from_matrix(A), dm_from_matrix(B), 1)
+    if residual is None:
+        return True, sp.zeros(*B.shape)
+    return False, residual
+
+
+def _integrability_residual(Am: DomainMatrix, B: DomainMatrix, m: int):
+    """sigma^m(B) - delta(Am) Am^{-1} - Am B Am^{-1} over K: None when it
+    vanishes, else its entries in the canonical form of treduce."""
+    R = dm_shift(B, m) - (dm_delta(Am) + Am * B) * dm_inv(Am)
+    return None if R.is_zero_matrix else dm_to_matrix(R)
 
 
 def _diag_offenders(M: sp.Matrix, tower: Tower):

@@ -17,15 +17,17 @@ import warnings
 from dataclasses import dataclass
 
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
-from .fields import (TRIVIAL_TOWER, Tower, factor_in_x, mat_inv, mat_reduce,
-                     mat_shift, shift, t, theta, tinv, treduce, x)
+from .fields import (TRIVIAL_TOWER, FieldError, Tower, factor_in_x, mat_inv,
+                     mat_reduce, mat_shift, shift, t, theta, tinv, treduce, x)
 from .difftools import shift_equivalent
 from .moser import infinity_expansion
+from .sequences import VerificationError
 
 __all__ = ["SolverConfig", "RationalSolutionBasis", "BoundExceededWarning",
            "universal_denominator", "polynomial_solutions",
-           "rational_solutions", "gauge_from_ratios", "gauge_to_diagonal"]
+           "rational_solutions", "gauge_from_ratios"]
 
 
 class BoundExceededWarning(UserWarning):
@@ -130,26 +132,39 @@ def _theta_reduction_table(expr, tower: Tower):
     return sp.expand(out)
 
 
-def _collect_equations(expr, tower: Tower):
-    """Split a polynomial identity in x (and theta) into Q(t)-coefficient
-    equations, linear in whatever unknown symbols appear."""
+def _collect_equations(expr, tower: Tower, var: sp.Symbol = x):
+    """Split a polynomial identity in var (and theta) into equations for
+    its coefficients, linear in whatever unknown symbols appear."""
     expr = sp.expand(expr)
     expr = _theta_reduction_table(expr, tower)
     if expr == 0:
         return []
-    gens = (x, theta) if theta in expr.free_symbols else (x,)
-    p = sp.Poly(expr, *gens)
-    return [sp.sympify(c) for c in p.coeffs()]
+    gens = (var, theta) if theta in expr.free_symbols else (var,)
+    return [sp.sympify(c) for c in sp.Poly(expr, *gens).coeffs()]
 
 
 def _nullspace_over_Qt(equations, unknowns):
+    """Basis of the solutions of homogeneous linear equations, exact over
+    the field of their coefficients (Q, Q(t), Q(x, t) or a number field).
+
+    The basis is the one Matrix.nullspace returns, in the same order: the
+    reduced row echelon form is unique, and the vector of the k-th free
+    unknown has 1 there and -rref[i][k] at the i-th pivot unknown."""
     eqs = [e for e in equations if e != 0]
     if not eqs:
         return [sp.eye(len(unknowns))[:, i] for i in range(len(unknowns))]
     Amat, rhs = sp.linear_eq_to_matrix(eqs, unknowns)
-    assert rhs.is_zero_matrix, "equations are not homogeneous"
-    Amat = Amat.applyfunc(sp.cancel)
-    return Amat.nullspace(iszerofunc=lambda v: sp.cancel(v) == 0)
+    if not rhs.is_zero_matrix:
+        raise VerificationError("equations are not homogeneous")
+    dm = DomainMatrix.from_list_sympy(*Amat.shape, Amat.tolist(),
+                                      field=True, extension=True)
+    K = dm.domain
+    if K.is_EX:
+        raise FieldError("linear equations are not over a field of "
+                         "rational functions or numbers")
+    rref, pivots = dm.rref()
+    return [sp.Matrix([K.to_sympy(c) for c in row])
+            for row in rref.nullspace_from_rref(pivots).to_list()]
 
 
 def _integer_roots_in_field(phi, d: sp.Symbol, tower: Tower):
@@ -318,6 +333,7 @@ def _constant_span_reduce(vectors, tower: Tower):
     earlier ones."""
     indep = []
     e = tower.degree
+    s = sp.Symbol("_s")
     for V in vectors:
         if not indep:
             indep.append(V)
@@ -327,18 +343,13 @@ def _constant_span_reduce(vectors, tower: Tower):
         for i, W in enumerate(indep):
             c = sum(lam[i * e + k] * theta**k for k in range(e))
             combo = combo + c * W
+        # V is a combination iff the homogeneous system in (lam, s) for
+        # s*V = combo has a solution with s != 0
         eqs = []
         for i in range(V.shape[0]):
-            num, _ = sp.together(V[i] - combo[i]).as_numer_denom()
+            num, _ = sp.together(s * V[i] - combo[i]).as_numer_denom()
             eqs.extend(_collect_equations(num, tower))
-        eqs = [e_ for e_ in eqs if e_ != 0]
-        try:
-            Amat, rhs = sp.linear_eq_to_matrix(eqs, list(lam))
-            sol, params = Amat.gauss_jordan_solve(rhs)
-            solvable = True
-        except ValueError:
-            solvable = False
-        if not solvable:
+        if not any(v[-1] != 0 for v in _nullspace_over_Qt(eqs, [*lam, s])):
             indep.append(V)
     return indep
 
@@ -354,8 +365,9 @@ def rational_solutions(M: sp.Matrix, m: int = 1, tower: Tower = TRIVIAL_TOWER,
     for P in polys:
         V = (P / u).applyfunc(lambda q: treduce(q, tower))
         resid = mat_shift(V, m) - mat_reduce(M * V, tower)
-        assert all(treduce(r, tower) == 0 for r in resid), \
-            "rational solution failed substitution check"
+        if not all(treduce(r, tower) == 0 for r in resid):
+            raise VerificationError(
+                "rational solution failed substitution check")
         basis.append(V)
     basis = _constant_span_reduce(basis, tower)
     return RationalSolutionBasis(m=m, basis=basis)
@@ -396,14 +408,7 @@ def gauge_from_ratios(A: sp.Matrix, ratios, m: int,
         return None
     lhs = mat_shift(G, m) * sp.diag(*ratios)
     rhs = A * G
-    assert all(treduce(e, tower) == 0 for e in (lhs - rhs)), \
-        "gauge postcondition violated"
+    if not all(treduce(e, tower) == 0 for e in (lhs - rhs)):
+        raise VerificationError("gauge postcondition violated")
     return G
 
-
-def gauge_to_diagonal(A: sp.Matrix, alpha, betas, m: int = 1,
-                      tower: Tower = TRIVIAL_TOWER,
-                      config: SolverConfig = DEFAULT_CONFIG):
-    """G with sigma^m(G) * alpha * diag(betas) = A G (DP1 shape)."""
-    return gauge_from_ratios(A, [treduce(alpha * b, tower) for b in betas],
-                             m, tower, config)

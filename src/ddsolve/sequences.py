@@ -11,6 +11,7 @@ tower generator with t specialized).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -23,8 +24,9 @@ from sympy.polys.euclidtools import dup_invert
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
-from .fields import (TRIVIAL_TOWER, FieldError, Tower, mat_delta, mat_shift,
-                     sigma_power_matrix, t, theta, treduce, x)
+from .fields import (TRIVIAL_TOWER, FieldError, Tower, dm_from_matrix,
+                     mat_delta, mat_shift, sigma_power_matrix, t, theta,
+                     treduce, x)
 
 __all__ = ["Seq", "FuncSeq", "SeqVec", "interlace", "section",
            "seq_from_recurrence", "lift_sigma_d_to_sigma",
@@ -257,24 +259,35 @@ def first_safe_index(A: sp.Matrix, B: sp.Matrix, V: sp.Matrix,
     Found by scanning the integer roots (in x) of every denominator and of
     the determinant numerator; t and theta stay symbolic, so a root must be
     a genuine rational-integer root of a coefficient-wise zero polynomial.
+    The scan of A and B is done once per system.
     """
-    bad = 0
-    polys = []
-    for e in list(A) + list(B) + list(V):
-        polys.append(sp.fraction(sp.together(sp.cancel(e)))[1])
-    dA = treduce(A.det(method="berkowitz"), tower)
-    num, den = sp.fraction(sp.together(dA))
-    polys.extend([num, den])
-    for p in polys:
-        p = sp.expand(p)
-        if x not in p.free_symbols:
-            continue
-        for r in _integer_x_roots(p):
-            bad = max(bad, r)
+    dens = [sp.fraction(sp.together(sp.cancel(e)))[1] for e in V]
+    bad = max([_system_pole_bound(sp.ImmutableMatrix(A),
+                                  sp.ImmutableMatrix(B))]
+              + [_max_integer_x_root(d) for d in dens])
     N = max(1, bad + 1)
     while all(treduce(v.subs(x, N), tower) == 0 for v in V):
         N += 1
     return N
+
+
+@functools.lru_cache(maxsize=8)
+def _system_pole_bound(A: sp.ImmutableMatrix, B: sp.ImmutableMatrix) -> int:
+    """max(0, largest integer root in x) of the denominators of A and B and
+    of the numerator and denominator of det A, all over K = Q(x, t)."""
+    DA, DB = dm_from_matrix(A), dm_from_matrix(B)
+    detA = DA.det()
+    polys = ([e.denom for e in DA.to_list_flat() + DB.to_list_flat()]
+             + [detA.numer, detA.denom])
+    return max(_max_integer_x_root(p.as_expr()) for p in polys)
+
+
+def _max_integer_x_root(p) -> int:
+    """max(0, largest integer root in x of p)."""
+    p = sp.expand(p)
+    if x not in p.free_symbols:
+        return 0
+    return max([0] + _integer_x_roots(p))
 
 
 def _integer_x_roots(p):
@@ -389,7 +402,7 @@ class VerifyResult:
 def _check_pair(A, B, W, cert: HypCert, tower: Tower, label: str):
     failures = []
     m = cert.sigma_step
-    Am = sigma_power_matrix(A, m, tower)
+    Am = sigma_power_matrix(A, m)
     lhs = mat_shift(W, m) * cert.sigma_ratio - Am * W
     if not all(treduce(e, tower) == 0 for e in lhs):
         failures.append(f"{label}: sigma identity sigma^{m}(W)*r = A_{m}*W")
@@ -430,7 +443,7 @@ def verify_numeric_window(system, sol: LiouvilleSolution, t0, terms: int = 30) -
              else [(f"component {i}", W, c) for i, W, c in sol.components])
     for label, W, cert in parts:
         m = cert.sigma_step
-        Am = pts.compile(sigma_power_matrix(system.A, m, sol.tower))
+        Am = pts.compile(sigma_power_matrix(system.A, m))
         Wc, rc = pts.compile(W), pts.compile([cert.sigma_ratio])
         # start past every pole visible after the specialization t = t0
         N = 1

@@ -4,13 +4,16 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from ddsolve.fields import (AllEqual, Conjugate, MixedSplit, Split,
-                            TRIVIAL_TOWER, delta, factor_in_x, make_tower,
-                            mat_eq, mat_inv, mat_reduce, mat_shift,
+from ddsolve.fields import (AllEqual, Conjugate, FieldError, MixedSplit, Split,
+                            TRIVIAL_TOWER, delta, dm_delta, dm_from_matrix,
+                            dm_shift, dm_sigma_power, dm_to_matrix,
+                            factor_in_x, make_tower, mat_delta, mat_eq,
+                            mat_inv, mat_reduce, mat_shift,
                             roots_over_coeff_field, series_at_infinity, shift,
                             sigma_power_matrix, t, teq, theta, tinv, treduce,
                             x)
-from conftest import random_ratfunc
+from ddsolve.files import read_system
+from conftest import SYSTEMS, random_ratfunc
 
 Y = sp.Symbol("Y")
 
@@ -158,7 +161,6 @@ def test_mat_inv_oracle():
 
 
 def test_mat_inv_singular_raises():
-    from ddsolve.fields import FieldError
     with pytest.raises(FieldError):
         mat_inv(sp.Matrix([[1, 2], [2, 4]]))
 
@@ -193,3 +195,42 @@ def test_sigma_power_matrix_returns_fresh_copy():
     again = sigma_power_matrix(A, 3)
     assert again == want
     assert again is not first
+
+
+def _expr_sigma_power(A, m):
+    """The cocycle as a product of sympy matrices, reduced after each step."""
+    out = A
+    for j in range(1, m):
+        out = mat_reduce(mat_shift(A, j) * out)
+    return mat_reduce(out)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "hermite"])
+def test_sigma_power_matrix_matches_expr_product(name):
+    A = read_system(str(SYSTEMS / f"{name}.json")).A
+    for m in (2, 3):
+        got = sigma_power_matrix(A, m)
+        want = _expr_sigma_power(A, m)
+        assert [sp.srepr(e) for e in got] == [sp.srepr(e) for e in want], m
+
+
+def test_dm_sigma_power_is_the_cocycle_over_K():
+    A = read_system(str(SYSTEMS / "example2.json")).A
+    D = dm_sigma_power(A, 3)
+    assert dm_to_matrix(D) == sigma_power_matrix(A, 3)
+    D[0, 0] = D.domain.zero
+    assert dm_sigma_power(A, 3) != D
+
+
+def test_domain_matrix_helpers_match_expr_operations():
+    rng = random.Random(7)
+    M = sp.Matrix(2, 2, lambda i, j: random_ratfunc(rng, 2, 3))
+    D = dm_from_matrix(M)
+    assert dm_to_matrix(D) == mat_reduce(M)
+    assert dm_to_matrix(dm_shift(D, 3)) == mat_reduce(mat_shift(M, 3))
+    assert dm_to_matrix(dm_delta(D)) == mat_delta(M)
+
+
+def test_dm_from_matrix_rejects_entries_outside_Qxt():
+    with pytest.raises(FieldError):
+        dm_from_matrix(sp.Matrix([[theta, 1], [0, 1]]))

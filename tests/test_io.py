@@ -139,8 +139,41 @@ def test_cli_check_bad_input_exit3(tmp_path, capsys):
     assert "residual" in capsys.readouterr().out
 
 
+def test_cli_check_singular_A_exit3(tmp_path, capsys):
+    """A singular A is an input error for check, as it is for solve."""
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps({"n": 2, "A": [["x", "x"], ["1", "1"]],
+                                "B": [["0", "0"], ["0", "0"]]}))
+    assert cli_main(["check", str(path)]) == 3
+    assert cli_main(["solve", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert "internal error" not in err
+
+
 def test_cli_solve_hermite_exit1(hermite_path):
     assert cli_main(["solve", hermite_path, "--assume-irreducible"]) == 1
+
+
+def test_cli_internal_failure_exit4(example1_path, monkeypatch, capsys):
+    """A failed internal check is neither a verdict nor an input error."""
+    import ddsolve.procedures
+    from ddsolve.sequences import VerifyResult
+    monkeypatch.setattr(ddsolve.procedures, "verify_certificates",
+                        lambda system, sol: VerifyResult(False, ["planted"]))
+    assert cli_main(["solve", example1_path]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: VerificationError")
+    assert err.count("\n") == 1
+
+
+def test_read_system_rejects_theta(tmp_path):
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps({"n": 2, "A": [["theta", "0"], ["0", "1"]],
+                                "B": [["0", "0"], ["0", "0"]]}))
+    with pytest.raises(SchemaError) as err:
+        read_system(str(path))
+    assert err.value.pointer == "/A/0/0"
 
 
 def test_cli_solve_missing_file_exit3(tmp_path):

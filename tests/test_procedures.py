@@ -14,7 +14,7 @@ from ddsolve.procedures import (DDSystem, _certificate_normalizer,
                                 check_integrability, decision_procedure_1,
                                 descend_gauge, solve_liouvillian)
 from ddsolve.files import read_system
-from conftest import ROOT, SYSTEMS, random_invertible_matrix
+from conftest import ROOT, SYSTEMS, random_invertible_matrix, random_ratfunc
 
 HERMITE_A = sp.Matrix([[0, 1], [-2 * x, 2 * t]])
 HERMITE_B = sp.Matrix([[2 * t, -1], [2 * x, 0]])
@@ -35,6 +35,26 @@ def test_check_integrability_rejects_random_pair():
     ok, residual = check_integrability(A, B)
     assert not ok
     assert any(treduce(e) != 0 for e in residual)
+
+
+def test_check_integrability_residual_matches_reference():
+    """The residual computed over Q(x, t) is, entry by entry, the
+    reference formula sigma(B) - delta(A)A^-1 - ABA^-1 reduced by
+    mat_reduce, in the same canonical form."""
+    rng = random.Random(29)
+    A = random_invertible_matrix(rng, 2)
+    B = sp.Matrix(2, 2, lambda i, j: random_ratfunc(rng, 1, 3))
+    Ainv = mat_inv(A)
+    want = mat_reduce(mat_shift(B) - mat_delta(A) * Ainv - A * B * Ainv)
+    ok, residual = check_integrability(A, B)
+    assert not ok
+    assert any(e != 0 for e in want)
+    assert [sp.srepr(e) for e in residual] == [sp.srepr(e) for e in want]
+
+
+def test_validate_rejects_entries_outside_Qxt():
+    with pytest.raises(ValueError):
+        DDSystem(2, sp.Matrix([[theta, 0], [0, 1]]), sp.zeros(2, 2)).validate()
 
 
 def test_integrability_invariant_under_gauge():
@@ -170,16 +190,45 @@ sys.exit(1)
 """
 
 
-def test_verify_solved_raises_under_python_O():
+def _run_optimized(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
                                else []))
-    proc = subprocess.run([sys.executable, "-O", "-c", _PLANTED_BAD_SOLVE],
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_verify_solved_raises_under_python_O():
+    proc = _run_optimized(_PLANTED_BAD_SOLVE)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "certificate verification failed" in proc.stdout
+
+
+_PLANTED_BAD_GAUGE = """
+import sys
+import sympy as sp
+import ddsolve.ratsol as ratsol
+from ddsolve.sequences import VerificationError
+
+assert sys.flags.optimize, "run under python -O"
+# sigma(G) diag(2, 3) = A G holds for G = 1, not for the swap planted here
+ratsol._invertible_selection = lambda columns, tower: sp.Matrix(
+    [[0, 1], [1, 0]])
+try:
+    ratsol.gauge_from_ratios(sp.diag(2, 3), [2, 3], 1)
+except VerificationError as err:
+    print("raised:", err)
+    sys.exit(0)
+print("a wrong gauge passed the postcondition")
+sys.exit(1)
+"""
+
+
+def test_gauge_postcondition_raises_under_python_O():
+    proc = _run_optimized(_PLANTED_BAD_GAUGE)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "gauge postcondition violated" in proc.stdout
 
 
 def test_first_verification_point_rejects_vanishing_x_denominator():

@@ -2,12 +2,14 @@ import random
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from ddsolve.fields import (TRIVIAL_TOWER, mat_eq, mat_inv, mat_reduce,
                             mat_shift, shift, t, teq, treduce, x)
-from ddsolve.ratsol import (gauge_from_ratios, polynomial_solutions,
-                            rational_solutions, scalar_operators,
-                            universal_denominator)
+from ddsolve.ratsol import (_constant_span_reduce, _nullspace_over_Qt,
+                            gauge_from_ratios,
+                            polynomial_solutions, rational_solutions,
+                            scalar_operators, universal_denominator)
 
 
 def _substitutes(M, m, V):
@@ -95,3 +97,51 @@ def test_gauge_from_ratios_recovers_planted_gauge():
 def test_gauge_from_ratios_failure_returns_none():
     A = sp.Matrix([[x, 0], [0, x]])  # ratio 1 has no rational solution
     assert gauge_from_ratios(A, [1, 1], 1) is None
+
+
+# ---------------------------------------------------------------------------
+# the linear solve over K
+
+def _reference_nullspace(equations, unknowns):
+    """SymPy's Matrix.nullspace on the coefficient matrix."""
+    eqs = [e for e in equations if e != 0]
+    if not eqs:
+        return sp.zeros(1, len(unknowns)).nullspace()
+    Amat, _ = sp.linear_eq_to_matrix(eqs, unknowns)
+    return Amat.applyfunc(sp.cancel).nullspace(
+        iszerofunc=lambda v: sp.cancel(v) == 0)
+
+
+_coeff = st.tuples(st.integers(-3, 3), st.integers(-2, 2),
+                   st.integers(1, 3)).map(lambda c: c[0] + c[1] * t / (t + c[2]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 3), st.integers(0, 5), st.data())
+def test_nullspace_matches_sympy_reference(nu, rank, ne, data):
+    """Same vectors in the same order as Matrix.nullspace, on homogeneous
+    systems over Q(t): rows are integer combinations of `rank` random
+    rows, so the system may be rank-deficient, all zero or empty."""
+    us = sp.symbols(f"_u0:{nu}")
+    base = [data.draw(st.lists(_coeff, min_size=nu, max_size=nu))
+            for _ in range(rank)]
+    equations = []
+    for _ in range(ne):
+        c = data.draw(st.lists(st.integers(-2, 2), min_size=rank,
+                               max_size=rank))
+        equations.append(sp.expand(sum(c[i] * base[i][j] * us[j]
+                                       for i in range(rank)
+                                       for j in range(nu))))
+    got = _nullspace_over_Qt(equations, list(us))
+    want = _reference_nullspace(equations, list(us))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert all(sp.cancel(a - b) == 0 for a, b in zip(g, w))
+
+
+def test_constant_span_reduce_keeps_x_dependent_multiples():
+    V = sp.Matrix([1, 1 / (x + t)])
+    W = sp.Matrix([x, 0])
+    kept = _constant_span_reduce([V, (t + 2) * V, W, x * V, V - 3 * W],
+                                 TRIVIAL_TOWER)
+    assert kept == [V, W, x * V]

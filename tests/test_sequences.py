@@ -133,6 +133,17 @@ def test_first_safe_index_skips_integer_poles():
     assert first_safe_index(A, B, V) >= 4
 
 
+@pytest.mark.parametrize("A, B, V, want", [
+    (sp.diag(x - 7, 1), sp.zeros(2, 2), sp.Matrix([1, 0]), 8),
+    (sp.eye(2), sp.diag(1 / ((x - 5) * t), 0), sp.Matrix([1, 0]), 6),
+    (sp.eye(2), sp.zeros(2, 2), sp.Matrix([1 / (t * x - 9 * t), 0]), 10),
+    (sp.diag(x - t, 1), sp.zeros(2, 2), sp.Matrix([1, 0]), 1),
+])
+def test_first_safe_index_exact(A, B, V, want):
+    """Zeros of det A, poles of B and V; x = t is no integer root."""
+    assert first_safe_index(A, B, V) == want
+
+
 def test_first_safe_index_skips_zero_start_vector():
     A = sp.Matrix([[2]])
     B = sp.Matrix([[0]])
