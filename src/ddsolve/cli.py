@@ -20,6 +20,7 @@ import json
 import sys as _sys
 
 import sympy as sp
+from sympy.polys.polyerrors import CoercionFailed
 
 from .closedform import UnsupportedCase, hyperexp_solutions, petkovsek
 from .difftools import dispersion, split_alpha_beta_power, standard_decompose
@@ -205,7 +206,7 @@ def _dispatch_tool(args) -> int:
         raise SchemaError("", "missing tool arguments")
     if args.tool == "disp":
         p = parse_ratfunc(args.expr[0])
-        print(dispersion(p, args.step))
+        print(dispersion(p))
         return EXIT_SOLVED
     if args.tool == "standard":
         f = parse_ratfunc(args.expr[0])
@@ -250,7 +251,11 @@ def _dispatch_tool(args) -> int:
             print("no hypergeometric solutions")
             return EXIT_NO_SOLUTION
         for r in ratios:
-            print(print_ratfunc(r))
+            try:
+                print(print_ratfunc(r))
+            except CoercionFailed:
+                # a quadratic constant, which the file grammar cannot express
+                print(sp.sstr(r))
         return EXIT_SOLVED
     if args.tool == "hyperexp":
         M = _read_matrix_file(args.expr[0])
@@ -291,7 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("tools", help="subroutine access")
-    p.add_argument("--step", type=int, default=1)
+    p.add_argument("--step", type=int, default=1,
+                   help="shift step m of sigma^m (disp ignores it)")
     p.add_argument("tool", choices=["disp", "standard", "split", "moser",
                                     "ratsol", "petkovsek", "hyperexp"])
     # REMAINDER so expressions may start with '-'; give --step before the

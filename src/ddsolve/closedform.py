@@ -19,19 +19,15 @@ from dataclasses import dataclass
 import sympy as sp
 
 from .fields import (TRIVIAL_TOWER, Tower, make_tower, mat_reduce, mat_shift,
-                     shift, t, theta, treduce, x)
+                     nullspace, shift, t, theta, treduce, x)
 from .difftools import standard_decompose
-from .ratsol import (DEFAULT_CONFIG, SolverConfig, _collect_equations,
-                     _nullspace_over_Qt, _scalar_degree_candidates,
-                     rational_solutions, scalar_operators)
+from .ratsol import (UnsupportedCase, _collect_equations, _nullspace_over_Qt,
+                     _scalar_degree_candidates, rational_solutions,
+                     scalar_operators)
 from .sequences import VerificationError
 
 __all__ = ["HypergeometricCandidate", "HyperexpCandidate", "UnsupportedCase",
            "petkovsek", "system_hypergeometric", "hyperexp_solutions"]
-
-
-class UnsupportedCase(Exception):
-    """Outside the documented desk-scale scope of a subroutine."""
 
 
 @dataclass
@@ -173,8 +169,7 @@ def _canonical_candidate(W, r, m):
     return Wc, sp.cancel(sd.standard_part)
 
 
-def system_hypergeometric(M: sp.Matrix, m: int = 1,
-                          config: SolverConfig = DEFAULT_CONFIG):
+def system_hypergeometric(M: sp.Matrix, m: int = 1):
     """All hypergeometric solution candidates (W, r) of sigma^m(Y) = MY
     over Q(x): chain operators -> petkovsek ratios -> rational
     back-substitution, every candidate verified."""
@@ -187,7 +182,7 @@ def system_hypergeometric(M: sp.Matrix, m: int = 1,
     out = []
     for r in ratios:
         Mi = mat_reduce(M / r)
-        for W in rational_solutions(Mi, m, TRIVIAL_TOWER, config).basis:
+        for W in rational_solutions(Mi, m, TRIVIAL_TOWER).basis:
             resid = mat_shift(W, m) * r - mat_reduce(M * W)
             if not all(sp.cancel(e) == 0 for e in resid):
                 raise VerificationError(
@@ -236,29 +231,17 @@ def _eigen_candidates(C: sp.Matrix, allow_tower=True):
     """(eigenvalue, eigenvector, tower) triples over Q(t) or one extension."""
     Y = sp.Symbol("_Y")
     cp = sp.cancel(sp.expand(C.charpoly(Y).as_expr()))
-    out = []
-    from sympy import QQ
-    P = sp.Poly(cp, Y, domain=QQ.frac_field(t))
+    P = sp.Poly(cp, Y, domain=sp.QQ.frac_field(t))
+    pairs = []
     for fac, _mult in P.factor_list()[1]:
         if fac.degree() == 1:
             lam = sp.cancel(-P.domain.to_sympy(fac.monic().all_coeffs()[1]))
-            vecs = (C - lam * sp.eye(C.shape[0])).nullspace(
-                iszerofunc=lambda e: sp.cancel(e) == 0)
-            for v in vecs:
-                out.append((lam, v.applyfunc(sp.cancel), TRIVIAL_TOWER))
+            pairs.append((lam, TRIVIAL_TOWER))
         elif allow_tower:
             tower = make_tower(fac.monic().as_expr().subs(Y, theta))
-            lam = theta
-            vecs = (C - lam * sp.eye(C.shape[0])).nullspace(
-                iszerofunc=lambda e: treduce(e, tower) == 0)
-            for v in vecs:
-                out.append((lam, v.applyfunc(lambda e: treduce(e, tower)), tower))
-            for conj in tower.conjugates()[1:]:
-                vecs = (C - conj * sp.eye(C.shape[0])).nullspace(
-                    iszerofunc=lambda e: treduce(e, tower) == 0)
-                for v in vecs:
-                    out.append((conj, v.applyfunc(lambda e: treduce(e, tower)), tower))
-    return out
+            pairs.extend((conj, tower) for conj in tower.conjugates())
+    return [(lam, v, tower) for lam, tower in pairs
+            for v in nullspace(C - lam * sp.eye(C.shape[0]), tower)]
 
 
 def _diff_rational_solutions(C: sp.Matrix, tower: Tower):

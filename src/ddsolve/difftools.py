@@ -16,7 +16,7 @@ from typing import Optional
 import sympy as sp
 
 from .fields import (TRIVIAL_TOWER, Tower, factor_in_x, series_at_infinity,
-                     shift, t, theta, treduce, x)
+                     shift, t, treduce, x)
 
 __all__ = [
     "ShiftClass", "ShiftClassDivisor", "StandardDecomposition",
@@ -75,20 +75,20 @@ def shift_equivalent(p, q, tower: Tower = TRIVIAL_TOWER) -> Optional[int]:
     return None
 
 
-def shift_class_divisor(f, tower: Tower = TRIVIAL_TOWER) -> ShiftClassDivisor:
+def shift_class_divisor(f) -> ShiftClassDivisor:
     """Factor numerator (positive mult.) and denominator (negative mult.)
     of f and group the irreducible factors into shift classes."""
-    f = treduce(f, tower)
+    f = treduce(f)
     if f == 0:
         raise ValueError("shift_class_divisor needs f != 0")
     num, den = f.as_numer_denom()
-    cn, fn = factor_in_x(num, tower)
-    cd, fd = factor_in_x(den, tower)
-    content = treduce(cn / cd, tower)
+    cn, fn = factor_in_x(num)
+    cd, fd = factor_in_x(den)
+    content = treduce(cn / cd)
     classes: list[ShiftClass] = []
     for fac, mult, sign in ([(p, m, 1) for p, m in fn] + [(p, m, -1) for p, m in fd]):
         for cls in classes:
-            j = shift_equivalent(cls.base, fac, tower)
+            j = shift_equivalent(cls.base, fac)
             if j is not None:
                 _add_entry(cls, j, sign * mult)
                 break
@@ -115,13 +115,13 @@ def _add_entry(cls: ShiftClass, j: int, mult: int):
     cls.entries.append((j, mult))
 
 
-def dispersion(P, m: int = 1, tower: Tower = TRIVIAL_TOWER) -> int:
+def dispersion(P) -> int:
     """Largest j > 0 with gcd(P(x), P(x+j)) nonconstant, else 0.
 
-    The step argument is accepted for interface symmetry; standardness
-    w.r.t. sigma^m is dispersion < m, measured with unit shifts.
+    Standardness w.r.t. sigma^m is dispersion < m, measured with unit
+    shifts.
     """
-    scd = shift_class_divisor(P, tower)
+    scd = shift_class_divisor(P)
     disp = 0
     for cls in scd.classes:
         shifts = [j for j, _ in cls.entries]
@@ -130,12 +130,12 @@ def dispersion(P, m: int = 1, tower: Tower = TRIVIAL_TOWER) -> int:
     return disp
 
 
-def is_standard(f, m: int, tower: Tower = TRIVIAL_TOWER) -> bool:
-    num, den = treduce(f, tower).as_numer_denom()
-    return dispersion(sp.expand(num * den), 1, tower) < m
+def is_standard(f, m: int) -> bool:
+    num, den = treduce(f).as_numer_denom()
+    return dispersion(sp.expand(num * den)) < m
 
 
-def standard_decompose(f, m: int, tower: Tower = TRIVIAL_TOWER) -> StandardDecomposition:
+def standard_decompose(f, m: int) -> StandardDecomposition:
     """Write f = sigma^m(g)/g * f_standard with f_standard standard w.r.t.
     sigma^m, collapsing every shift class into the window [0, m) above its
     leftmost shift.
@@ -143,7 +143,7 @@ def standard_decompose(f, m: int, tower: Tower = TRIVIAL_TOWER) -> StandardDecom
     Moving a factor uses b(x+r+s*m) = sigma^m(h)/h * b(x+r) with
     h = prod_{i<s} b(x+r+i*m).
     """
-    scd = shift_class_divisor(f, tower)
+    scd = shift_class_divisor(f)
     g = sp.Integer(1)
     standard = scd.content
     for cls in scd.classes:
@@ -158,17 +158,17 @@ def standard_decompose(f, m: int, tower: Tower = TRIVIAL_TOWER) -> StandardDecom
         for r, e in sorted(window.items()):
             if e:
                 standard = standard * shift(cls.base, r) ** e
-    return StandardDecomposition(treduce(g, tower), treduce(standard, tower), m)
+    return StandardDecomposition(treduce(g), treduce(standard), m)
 
 
-def split_alpha_beta_power(a, n: int, tower: Tower = TRIVIAL_TOWER):
+def split_alpha_beta_power(a, n: int):
     """Split a standard a as alpha(x)^n * beta(t) with alpha in Q(x)
     (monic numerator and denominator) and beta in Q(t); None if impossible.
 
     Requires every x-factor multiplicity divisible by n and every x-factor
     to have constant (rational) coefficients.
     """
-    scd = shift_class_divisor(a, tower)
+    scd = shift_class_divisor(a)
     alpha = sp.Integer(1)
     for cls in scd.classes:
         for j, e in cls.entries:
@@ -179,16 +179,16 @@ def split_alpha_beta_power(a, n: int, tower: Tower = TRIVIAL_TOWER):
                 return None
             alpha = alpha * fac ** (e // n)
     alpha = sp.cancel(alpha)
-    beta = treduce(scd.content, tower)
+    beta = treduce(scd.content)
     if beta.free_symbols - {t}:
         return None
     return alpha, beta
 
 
-def leading_beta(detA, n: int, tower: Tower = TRIVIAL_TOWER):
+def leading_beta(detA, n: int):
     """beta(t) with detA = (-1)^(n-1) * beta(t) * x^m + lower order at x=oo."""
-    res = series_at_infinity(detA, 1, tower)
+    res = series_at_infinity(detA, 1)
     if res is None:
         raise ValueError("detA must be nonzero")
     _, (c0,) = res
-    return treduce((-1) ** (n - 1) * c0, tower)
+    return treduce((-1) ** (n - 1) * c0)

@@ -5,17 +5,21 @@ theta.  A :class:`Tower` carries the minimal polynomial of theta over Q(t)
 (or None for the trivial tower) together with delta(theta), obtained by
 implicit differentiation.  Canonical forms are produced by :func:`treduce`:
 a polynomial in theta of degree < deg(m) whose coefficients are cancelled
-rational functions of x and t.
+rational functions of x and t.  It reduces through the dense
+representation the linear algebra below uses: a list of coefficients in
+theta over K, reduced mod the minimal polynomial.
 
 The shift sigma acts by x -> x+1 and the derivation delta by d/dt with
 delta(x) = 0.
 
-Exact linear algebra over the trivial tower runs on
-:class:`~sympy.polys.matrices.DomainMatrix` over K = Q(x, t) (``QQ_XT``):
-:func:`dm_from_matrix` and :func:`dm_to_matrix` convert at the boundary,
-and :func:`dm_shift`, :func:`dm_delta` and :func:`dm_inv` act on K.
-System matrices lie in K, so their cocycle (:func:`dm_sigma_power`,
-:func:`sigma_power_matrix`) is always formed over K.
+All exact linear algebra runs on :class:`~sympy.polys.matrices.DomainMatrix`
+over K = Q(x, t) (``QQ_XT``).  A matrix over the tower is converted at the
+boundary (:func:`dm_from_matrix`, :func:`dm_to_matrix`) to and from the
+K-matrix of its regular representation (:func:`regular_matrix`; the trivial
+tower is the case of degree 1), on which :func:`nullspace`, :func:`rank` and
+:func:`mat_inv` work.  :func:`dm_shift`, :func:`dm_delta` and :func:`dm_inv`
+act on matrices over K.  System matrices lie in K, so their cocycle
+(:func:`dm_sigma_power`, :func:`sigma_power_matrix`) is always formed over K.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ from typing import Optional
 
 import sympy as sp
 from sympy import QQ
+from sympy.polys.densearith import dup_lshift, dup_mul, dup_rem
+from sympy.polys.densebasic import dup_strip
+from sympy.polys.euclidtools import dup_invert
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 from sympy.polys.polyerrors import CoercionFailed
@@ -43,8 +50,9 @@ __all__ = [
     "series_at_infinity", "factor_in_x", "roots_over_coeff_field",
     "AllEqual", "Split", "Conjugate", "MixedSplit",
     "mat_reduce", "mat_shift", "mat_delta", "mat_inv", "mat_eq", "mat_is_zero",
-    "sigma_power_matrix", "dm_from_matrix", "dm_to_matrix", "dm_shift",
-    "dm_delta", "dm_inv", "dm_sigma_power",
+    "nullspace", "rank", "kernel", "regular_matrix", "from_regular",
+    "integer_roots", "sigma_power_matrix", "dm_from_matrix", "dm_to_matrix",
+    "dm_shift", "dm_delta", "dm_inv", "dm_sigma_power",
 ]
 
 
@@ -94,8 +102,16 @@ class Tower:
 TRIVIAL_TOWER = Tower(None, sp.Integer(0), 1)
 
 
-def _theta_poly(expr, tower: Tower) -> sp.Poly:
-    return sp.Poly(expr, theta, domain=QQ.frac_field(x, t))
+def _theta_rep(expr) -> list:
+    """A polynomial in theta over K as a dense list, highest degree first."""
+    return sp.Poly(expr, theta, domain=QQ_XT).rep.to_list()
+
+
+@functools.lru_cache(maxsize=None)
+def _modulus(tower: Tower):
+    """The minimal polynomial of the tower as a dense list over K, None for
+    the trivial tower."""
+    return None if tower.trivial else _theta_rep(tower.minpoly)
 
 
 def make_tower(minpoly: sp.Expr, var: sp.Symbol = None) -> Tower:
@@ -124,27 +140,35 @@ def make_tower(minpoly: sp.Expr, var: sp.Symbol = None) -> Tower:
 
 def treduce(f, tower: Tower = TRIVIAL_TOWER):
     """Canonical form of a tower-valued rational function of x."""
-    f = sp.cancel(sp.together(sp.sympify(f)))
     if tower.trivial:
-        return f
-    num, den = f.as_numer_denom()
-    mp = _theta_poly(tower.minpoly, tower)
-    pn = _theta_poly(num, tower).rem(mp)
-    pd = _theta_poly(den, tower).rem(mp)
-    if pd.is_zero:
+        return sp.cancel(sp.together(sp.sympify(f)))
+    return _tower_expr(_tower_element(f, tower))
+
+
+def _tower_element(e, tower: Tower) -> list:
+    """e as a dense polynomial in theta over K, highest degree first,
+    reduced mod the minimal polynomial."""
+    mod = _modulus(tower)
+    try:
+        if mod is None:
+            return dup_strip([QQ_XT.from_sympy(sp.sympify(e))])
+        num, den = (dup_rem(_theta_rep(p), mod, QQ_XT)
+                    for p in sp.together(sp.sympify(e)).as_numer_denom())
+    except (CoercionFailed, ValueError, sp.PolynomialError):
+        field = "Q(x, t)" if mod is None else "Q(x, t)(theta)"
+        raise FieldError(f"entry not in {field}: {e}")
+    if not den:
         raise ZeroDivisionError("denominator is zero in the tower")
-    if pn.is_zero:
-        return sp.Integer(0)
-    s, _, h = pd.gcdex(mp)
-    # m irreducible and pd nonzero => gcd is 1
-    if not h.is_one:
-        raise FieldError("minimal polynomial not irreducible over Q(x,t)?")
-    res = (pn * s).rem(mp)
-    dom = res.domain
-    out = sp.Integer(0)
-    for (k,), c in res.terms():
-        out += sp.cancel(dom.to_sympy(c)) * theta**k
-    return out
+    # m is irreducible and den is nonzero mod m, so den is invertible
+    return dup_rem(dup_mul(num, dup_invert(den, mod, QQ_XT), QQ_XT), mod,
+                   QQ_XT)
+
+
+def _tower_expr(a: list):
+    """A dense polynomial in theta over K in the canonical form of
+    treduce: coefficients are cancelled rational functions of x and t."""
+    return sp.Add(*(treduce(QQ_XT.to_sympy(c)) * theta**k
+                    for k, c in enumerate(reversed(a))))
 
 
 def teq(a, b, tower: Tower = TRIVIAL_TOWER) -> bool:
@@ -241,6 +265,44 @@ def factor_in_x(p, tower: Tower = TRIVIAL_TOWER):
     return content, factors
 
 
+def _theta_reduction_table(expr, tower: Tower):
+    """Rewrite theta powers >= degree using the minimal polynomial."""
+    if tower.trivial or theta not in expr.free_symbols:
+        return expr
+    p = sp.Poly(expr, theta)
+    e = tower.degree
+    maxpow = p.degree()
+    red = {k: theta**k for k in range(min(maxpow, e - 1) + 1)}
+    for k in range(e, maxpow + 1):
+        red[k] = sp.expand(treduce(theta**k, tower))
+    out = sp.Integer(0)
+    for (k,), c in zip(p.monoms(), p.coeffs()):
+        out += sp.sympify(c) * red[k]
+    return sp.expand(out)
+
+
+def integer_roots(p, var: sp.Symbol = x, tower: Tower = TRIVIAL_TOWER):
+    """Sorted integer roots in var of the numerator of p, whose
+    coefficients may involve t and theta; None when p is zero.
+
+    theta is reduced by the minimal polynomial first.  r counts only if
+    every (t, theta)-monomial slice of the numerator vanishes at var = r;
+    the candidates come from one slice."""
+    p = _theta_reduction_table(sp.expand(p), tower)
+    num = sp.expand(sp.together(p).as_numer_denom()[0])
+    if num == 0:
+        return None
+    gens = sorted(num.free_symbols - {var}, key=str)
+    slices: dict = {}
+    for mono, c in sp.Poly(num, var, *gens).terms():
+        slices[mono[1:]] = slices.get(mono[1:], sp.Integer(0)) \
+            + c * var**mono[0]
+    first = next(iter(slices.values()))
+    return sorted(int(r) for r in sp.Poly(first, var).ground_roots()
+                  if r.is_Integer and all(sp.expand(s.subs(var, r)) == 0
+                                          for s in slices.values()))
+
+
 # ---------------------------------------------------------------------------
 # classification of the beta-polynomial over Q(t)
 
@@ -305,38 +367,85 @@ def mat_delta(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
 
 
 def mat_inv(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
-    if tower.trivial:
-        try:
-            dm = DomainMatrix.from_Matrix(M, field=True)
-            if dm.domain.is_Field and not dm.domain.is_EX:
-                return dm_inv(dm).to_Matrix()
-        except (CoercionFailed, sp.polys.polyerrors.OptionError, ValueError):
-            pass
-    det = treduce(M.det(method="berkowitz"), tower)
-    if det == 0:
-        raise FieldError("matrix not invertible")
-    adj = M.adjugate(method="berkowitz")
-    inv_det = tinv(det, tower)
-    return mat_reduce(adj * inv_det, tower)
+    """M^-1 over the tower; FieldError when M is singular."""
+    return dm_to_matrix(dm_inv(dm_from_matrix(M, tower)), tower)
 
 
-def dm_from_matrix(M: sp.Matrix) -> DomainMatrix:
-    """M as a DomainMatrix over K = Q(x, t); FieldError for an entry
-    outside K."""
-    def element(e):
-        try:
-            return QQ_XT.from_sympy(e)
-        except (CoercionFailed, ValueError):
-            raise FieldError(f"entry not in Q(x, t): {e}")
+def nullspace(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> list:
+    """Basis of {v : M v = 0} over the tower, in the canonical form of
+    treduce: the vectors Matrix.nullspace returns, in the same order.
 
-    return DomainMatrix([[element(e) for e in row] for row in M.tolist()],
-                        M.shape, QQ_XT)
+    In the reduced row echelon form of the regular representation the deg
+    columns of one tower column are all pivots or all free.  The K-basis
+    vector of free column (j, k) is then the coordinate vector of v_j *
+    theta^k, v_j being the basis vector over the tower with 1 at j and 0
+    at every other free column, so the K-basis, as columns, is the regular
+    representation of the matrix [v_1 ... v_f]."""
+    N = dm_to_matrix(kernel(dm_from_matrix(M, tower)).transpose(), tower)
+    return [N[:, j] for j in range(N.cols)]
 
 
-def dm_to_matrix(D: DomainMatrix) -> sp.Matrix:
-    """Entries of a DomainMatrix over K in the canonical form of treduce."""
-    return sp.Matrix(*D.shape, [treduce(QQ_XT.to_sympy(e))
-                                for e in D.to_list_flat()])
+def rank(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> int:
+    """Rank of M over the tower."""
+    _, pivots = dm_from_matrix(M, tower).rref()
+    return len(pivots) // tower.degree
+
+
+def kernel(D: DomainMatrix) -> DomainMatrix:
+    """Null-space basis of D, one vector per row, read off its reduced row
+    echelon form: the k-th vector is 1 at the k-th free column and 0 at
+    the others."""
+    rref, pivots = D.rref()
+    return rref.nullspace_from_rref(pivots)
+
+
+def regular_matrix(entries: list, shape: tuple, mod, K) -> DomainMatrix:
+    """The K-matrix of the regular representation of a matrix over
+    L = K[theta]/(mod), or over K itself when mod is None (degree 1).
+
+    `entries` lists the matrix row-major as dense polynomials in theta
+    over K, highest degree first, reduced mod `mod`.  Entry (i, j) becomes
+    the deg x deg block at rows i*deg + r, columns j*deg + k that holds
+    the coefficient of theta^r in entry * theta^k.  The map is a ring
+    homomorphism, so products, inverses and solves over L are those of
+    the K-matrices; :func:`from_regular` reads the result back."""
+    deg = 1 if mod is None else len(mod) - 1
+    rows = [[] for _ in range(shape[0] * deg)]
+    for idx, a in enumerate(entries):
+        i = idx // shape[1] * deg
+        for k in range(deg):
+            if k:
+                a = dup_rem(dup_lshift(a, 1, K), mod, K)
+            coords = a[::-1] + [K.zero] * (deg - len(a))
+            for r in range(deg):
+                rows[i + r].append(coords[r])
+    return DomainMatrix(rows, (shape[0] * deg, shape[1] * deg), K)
+
+
+def from_regular(R: DomainMatrix, deg: int) -> list:
+    """Entries, row-major, of the matrix over L whose regular
+    representation is R: entry (i, j) is sum_k R[i*deg + k, j*deg] theta^k."""
+    rows = R.to_list()
+    return [dup_strip([rows[i + k][j] for k in reversed(range(deg))])
+            for i in range(0, R.shape[0], deg)
+            for j in range(0, R.shape[1], deg)]
+
+
+def dm_from_matrix(M: sp.Matrix,
+                   tower: Tower = TRIVIAL_TOWER) -> DomainMatrix:
+    """M as the K-matrix of its regular representation over the tower (M
+    itself over K for the trivial tower); FieldError for an entry outside
+    the tower."""
+    return regular_matrix([_tower_element(e, tower) for e in M], M.shape,
+                          _modulus(tower), QQ_XT)
+
+
+def dm_to_matrix(D: DomainMatrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
+    """The matrix over the tower whose regular representation is D, with
+    entries in the canonical form of treduce."""
+    deg = tower.degree
+    return sp.Matrix(D.shape[0] // deg, D.shape[1] // deg,
+                     [_tower_expr(a) for a in from_regular(D, deg)])
 
 
 def dm_shift(D: DomainMatrix, j: int = 1) -> DomainMatrix:

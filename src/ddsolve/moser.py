@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import sympy as sp
 
 from .fields import (TRIVIAL_TOWER, Tower, mat_inv, mat_reduce, mat_shift,
-                     roots_over_coeff_field, series_at_infinity, t, treduce, x)
+                     nullspace, rank, roots_over_coeff_field,
+                     series_at_infinity, treduce, x)
 from .sequences import VerificationError
 
 __all__ = ["InfinityExpansion", "MoserReport", "ReductionStalled",
@@ -67,19 +68,15 @@ def infinity_expansion(M: sp.Matrix, terms: int, tower: Tower = TRIVIAL_TOWER) -
     return InfinityExpansion(ord_, coeffs)
 
 
-def _rank(M: sp.Matrix, tower: Tower) -> int:
-    return M.rank(iszerofunc=lambda e: treduce(e, tower) == 0)
-
-
-def ord_and_moser(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER):
+def ord_and_moser(M: sp.Matrix):
     """(ord_oo(M), m(M), H0)."""
     n = M.shape[0]
-    exp = infinity_expansion(M, 1, tower)
+    exp = infinity_expansion(M, 1)
     H0 = exp.coeffs[0]
-    return exp.ord, sp.Rational(-exp.ord) + sp.Rational(_rank(H0, tower), n), H0
+    return exp.ord, sp.Rational(-exp.ord) + sp.Rational(rank(H0), n), H0
 
 
-def _theta_poly_vanishes(H0: sp.Matrix, H1: sp.Matrix, r: int, tower: Tower) -> bool:
+def _theta_poly_vanishes(H0: sp.Matrix, H1: sp.Matrix, r: int) -> bool:
     """Moser criterion: theta(lam) = [s^r] det(s*H0 + H1 - lam*I) == 0."""
     s, lam = sp.symbols("_s _lam")
     n = H0.shape[0]
@@ -87,10 +84,10 @@ def _theta_poly_vanishes(H0: sp.Matrix, H1: sp.Matrix, r: int, tower: Tower) -> 
     coeff = sp.Poly(detp, s).coeff_monomial(s**r) if sp.Poly(detp, s).degree() >= r else sp.Integer(0)
     if coeff == 0:
         return True
-    return all(treduce(c, tower) == 0 for c in sp.Poly(coeff, lam).all_coeffs())
+    return all(treduce(c) == 0 for c in sp.Poly(coeff, lam).all_coeffs())
 
 
-def _constant_candidates(H0: sp.Matrix, tower: Tower):
+def _constant_candidates(H0: sp.Matrix):
     """Constant (x-free) transformations worth trying before a shearing."""
     n = H0.shape[0]
     cands = [sp.eye(n)]
@@ -100,19 +97,18 @@ def _constant_candidates(H0: sp.Matrix, tower: Tower):
             P[i, p] = 1
         cands.append(P)
     # kernel alignment: invertible T whose trailing columns span ker(H0)
-    kern = H0.nullspace(iszerofunc=lambda e: treduce(e, tower) == 0)
+    kern = nullspace(H0)
     if kern and len(kern) < n:
         cols = list(kern)
         for i in range(n):
             e = sp.zeros(n, 1)
             e[i] = 1
             trial = cols + [e]
-            if sp.Matrix.hstack(*trial).rank(
-                    iszerofunc=lambda v: treduce(v, tower) == 0) == len(trial):
+            if rank(sp.Matrix.hstack(*trial)) == len(trial):
                 cols = trial
         if len(cols) == n:
             T = sp.Matrix.hstack(*(cols[len(kern):] + cols[:len(kern)]))
-            cands.append(mat_reduce(T, tower))
+            cands.append(mat_reduce(T))
     return cands
 
 
@@ -125,26 +121,26 @@ def _shearings(n: int):
     return out
 
 
-def moser_reduce(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> MoserReport:
+def moser_reduce(M: sp.Matrix) -> MoserReport:
     n = M.shape[0]
     gauge = sp.eye(n)
-    cur = mat_reduce(M, tower)
+    cur = mat_reduce(M)
     while True:
-        exp = infinity_expansion(cur, 2, tower)
+        exp = infinity_expansion(cur, 2)
         H0, H1 = exp.coeffs
-        r = _rank(H0, tower)
+        r = rank(H0)
         if exp.ord >= 0:
             break
-        if not _theta_poly_vanishes(H0, H1, r, tower):
+        if not _theta_poly_vanishes(H0, H1, r):
             break  # Moser-irreducible with m > 1
         best = None
-        for T in _constant_candidates(H0, tower):
-            Tinv = mat_inv(T, tower)
-            MT = mat_reduce(T * cur * Tinv, tower)
+        for T in _constant_candidates(H0):
+            Tinv = mat_inv(T)
+            MT = mat_reduce(T * cur * Tinv)
             for D in _shearings(n):
-                cand = mat_reduce(mat_shift(D) * MT * D.inv(), tower)
-                cexp = infinity_expansion(cand, 1, tower)
-                measure = (-cexp.ord, _rank(cexp.coeffs[0], tower))
+                cand = mat_reduce(mat_shift(D) * MT * D.inv())
+                cexp = infinity_expansion(cand, 1)
+                measure = (-cexp.ord, rank(cexp.coeffs[0]))
                 if measure < (-exp.ord, r):
                     best = (D * T, cand)
                     break
@@ -154,11 +150,11 @@ def moser_reduce(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> MoserReport:
             raise ReductionStalled(
                 "Moser criterion fires but no candidate gauge decreases (-ord, rank)")
         G, cur = best
-        gauge = mat_reduce(G * gauge, tower)
-    ord_, m_, H0 = ord_and_moser(cur, tower)
+        gauge = mat_reduce(G * gauge)
+    ord_, m_, H0 = ord_and_moser(cur)
     # exact gauge identity check
-    lhs = mat_reduce(mat_shift(gauge) * M * mat_inv(gauge, tower), tower)
-    if not all(treduce(lhs[i] - cur[i], tower) == 0 for i in range(n * n)):
+    lhs = mat_reduce(mat_shift(gauge) * M * mat_inv(gauge))
+    if not all(treduce(lhs[i] - cur[i]) == 0 for i in range(n * n)):
         raise VerificationError("gauge identity violated")
     return MoserReport(gauge=gauge, reduced=cur, moser_order=m_, leading=H0)
 

@@ -31,15 +31,16 @@ from .closedform import (HyperexpCandidate, UnsupportedCase,
                          hyperexp_solutions, system_hypergeometric)
 from .difftools import (leading_beta, split_alpha_beta_power,
                         standard_decompose)
-from .fields import (AllEqual, Conjugate, FieldError, MixedSplit, Split,
-                     TRIVIAL_TOWER, Tower, delta, dm_delta, dm_from_matrix,
-                     dm_inv, dm_shift, dm_sigma_power, dm_to_matrix,
-                     make_tower, mat_delta, mat_inv, mat_reduce, mat_shift,
-                     shift, sigma_power_matrix, t, theta, tinv, treduce, x)
+from .fields import (QQ_XT, AllEqual, Conjugate, FieldError, MixedSplit,
+                     Split, TRIVIAL_TOWER, Tower, delta, dm_delta,
+                     dm_from_matrix, dm_inv, dm_shift, dm_sigma_power,
+                     dm_to_matrix, make_tower, mat_delta, mat_inv, mat_reduce,
+                     mat_shift, rank, shift, sigma_power_matrix, t, theta,
+                     tinv, treduce, x)
 from .moser import (MoserReport, ReductionStalled, leading_eigendata,
                     moser_reduce, ord_and_moser)
-from .ratsol import (DEFAULT_CONFIG, SolverConfig, _invertible_selection,
-                     gauge_from_ratios, rational_solutions)
+from .ratsol import (_invertible_selection, gauge_from_ratios,
+                     rational_solutions)
 from .sequences import (HypCert, LiouvilleSolution, VerificationError,
                         first_safe_index, lift_sigma_d_to_sigma,
                         verify_certificates, verify_numeric_window)
@@ -190,16 +191,35 @@ def _normalize_gauge_certificates(G: sp.Matrix, Bbar: sp.Matrix, tower: Tower):
 # ---------------------------------------------------------------------------
 # decision procedure 1
 
-def decision_procedure_1(sys: DDSystem,
-                         config: SolverConfig = DEFAULT_CONFIG) -> Outcome:
+def decision_procedure_1(sys: DDSystem) -> Outcome:
     """Hypergeometric fundamental-system search for the sigma-system."""
+    return _unsupported_as_outcome(_decision_procedure_1, sys, "DP1")
+
+
+def _unsupported_as_outcome(procedure, sys: DDSystem, provenance: str):
+    """Run a decision procedure; a subroutine outside its scope
+    (UnsupportedCase, ReductionStalled) ends it as Unsupported at the
+    current stage."""
+    report = {"stages": []}
+    try:
+        return procedure(sys, report)
+    except (UnsupportedCase, ReductionStalled) as err:
+        return Outcome("Unsupported", provenance, report["stages"][-1],
+                       str(err), report=report)
+
+
+def _det(A: sp.Matrix):
+    """det A over K, in the canonical form of treduce."""
+    return treduce(QQ_XT.to_sympy(dm_from_matrix(A).det()))
+
+
+def _decision_procedure_1(sys: DDSystem, report: dict) -> Outcome:
     n, A, B = sys.n, sys.A, sys.B
-    stages = []
-    report = {"stages": stages}
+    stages = report["stages"]
 
     # (a) det A = sigma(g)/g * a with a standard; a must be alpha^n * beta
     stages.append("a")
-    detA = treduce(A.det(method="berkowitz"))
+    detA = _det(A)
     sd = standard_decompose(detA, 1)
     split = split_alpha_beta_power(sd.standard_part, n)
     if split is None:
@@ -212,10 +232,7 @@ def decision_procedure_1(sys: DDSystem,
     # (b) Moser-reduce A/alpha; order at infinity must be 0
     stages.append("b")
     Abar = mat_reduce(A / alpha)
-    try:
-        mos: MoserReport = moser_reduce(Abar)
-    except ReductionStalled as err:
-        return Outcome("Unsupported", "DP1", "b", str(err), report=report)
+    mos: MoserReport = moser_reduce(Abar)
     ordA, _, _ = ord_and_moser(mos.reduced)
     if ordA != 0:
         return Outcome("NoSolution", "DP1", "b",
@@ -233,17 +250,16 @@ def decision_procedure_1(sys: DDSystem,
 
     if isinstance(eig, (Conjugate, Split)):
         stages.append("d1")
-        return _dp1_stage_d1(sys, alpha, eig, report, config)
+        return _dp1_stage_d1(sys, alpha, eig, report)
     stages.append("d2")
-    return _dp1_stage_d2(sys, alpha, eig.root, report, config)
+    return _dp1_stage_d2(sys, alpha, eig.root, report)
 
 
 def _conjugate_matrix(M: sp.Matrix, conj, tower: Tower) -> sp.Matrix:
     return M.applyfunc(lambda e: treduce(sp.sympify(e).subs(theta, conj), tower))
 
 
-def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict,
-                  config: SolverConfig) -> Outcome:
+def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
     n, A, B = sys.n, sys.A, sys.B
     if isinstance(eig, Conjugate):
         mp = eig.minpoly.subs(sp.Symbol("Y"), theta)
@@ -257,7 +273,7 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict,
                            report=report)
         # one rational solve; the remaining columns are conjugates
         M0 = mat_reduce(A * tinv(alpha * betas[0], tower), tower)
-        basis = rational_solutions(M0, 1, tower, config).basis
+        basis = rational_solutions(M0, 1, tower).basis
         if not basis:
             return Outcome("NoSolution", "DP1", "d1",
                            "no rational solution for the ratio alpha*beta_1",
@@ -269,8 +285,8 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict,
     else:  # Split over Q(t)
         tower = TRIVIAL_TOWER
         betas = [treduce(r) for r in eig.roots]
-        G = gauge_from_ratios(A, [treduce(alpha * b) for b in betas],
-                              1, tower, config)
+        G = gauge_from_ratios(A, [treduce(alpha * b) for b in betas], 1,
+                              tower)
     if G is None:
         return Outcome("NoSolution", "DP1", "d1",
                        "rational solutions exist but assemble to no "
@@ -301,12 +317,11 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict,
                    report=report)
 
 
-def _dp1_stage_d2(sys: DDSystem, alpha, beta1, report: dict,
-                  config: SolverConfig) -> Outcome:
+def _dp1_stage_d2(sys: DDSystem, alpha, beta1, report: dict) -> Outcome:
     n, A, B = sys.n, sys.A, sys.B
     ratio = treduce(alpha * beta1)
     M0 = mat_reduce(A * tinv(ratio))
-    basis = rational_solutions(M0, 1, TRIVIAL_TOWER, config).basis
+    basis = rational_solutions(M0, 1, TRIVIAL_TOWER).basis
     G = _invertible_selection([basis] * n, TRIVIAL_TOWER) if basis else None
     if G is None:
         return Outcome("NoSolution", "DP1", "d2",
@@ -319,10 +334,7 @@ def _dp1_stage_d2(sys: DDSystem, alpha, beta1, report: dict,
                        "residual delta-part is not over Q(t)", report=report)
     report["G"] = G
     report["Bhat"] = Bhat
-    try:
-        cands = hyperexp_solutions(Bhat)
-    except UnsupportedCase as err:
-        return Outcome("Unsupported", "DP1", "d2", str(err), report=report)
+    cands = hyperexp_solutions(Bhat)
     indep = _independent_candidates(cands, n)
     if indep is None:
         return Outcome("NoSolution", "DP1", "d2",
@@ -357,7 +369,7 @@ def _independent_candidates(cands, n):
         cols = sp.Matrix.hstack(*[cc.V for cc in trial])
         tw = next((cc.tower for cc in trial if not cc.tower.trivial),
                   TRIVIAL_TOWER)
-        if cols.rank(iszerofunc=lambda e: treduce(e, tw) == 0) == len(trial):
+        if rank(cols, tw) == len(trial):
             chosen = trial
         if len(chosen) == n:
             return chosen
@@ -367,18 +379,20 @@ def _independent_candidates(cands, n):
 # ---------------------------------------------------------------------------
 # decision procedure 2
 
-def decision_procedure_2(sys: DDSystem,
-                         config: SolverConfig = DEFAULT_CONFIG) -> Outcome:
+def decision_procedure_2(sys: DDSystem) -> Outcome:
     """Interlaced-hypergeometric search for the sigma^n-compressed system."""
+    return _unsupported_as_outcome(_decision_procedure_2, sys, "DP2")
+
+
+def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
     n, A, B = sys.n, sys.A, sys.B
-    stages = []
-    report = {"stages": stages}
+    stages = report["stages"]
     An = sigma_power_matrix(A, n)
     report["An"] = An
 
     # (a) det A = (-1)^{n-1} sigma(g)/g alpha(x) beta(t)
     stages.append("a")
-    detA = treduce(A.det(method="berkowitz"))
+    detA = _det(A)
     sd = standard_decompose(detA, 1)
     std = treduce(sd.standard_part * sp.Integer(-1) ** (n - 1))
     num, den = std.as_numer_denom()
@@ -411,7 +425,7 @@ def decision_procedure_2(sys: DDSystem,
 
     # (c) hypergeometric candidates of the specialized sigma^n-system
     stages.append("c")
-    cands = system_hypergeometric(A0, n, config)
+    cands = system_hypergeometric(A0, n)
     if not cands:
         return Outcome("NoSolution", "DP2", "c",
                        "specialized sigma^n-system has no hypergeometric "
@@ -432,7 +446,7 @@ def decision_procedure_2(sys: DDSystem,
     for lam in lams:
         for j0 in range(n):
             ratios = [treduce(beta * shift(lam, j0 + i)) for i in range(n)]
-            G = gauge_from_ratios(An, ratios, n, TRIVIAL_TOWER, config)
+            G = gauge_from_ratios(An, ratios, n, TRIVIAL_TOWER)
             if G is None:
                 continue
             Bbar = _gauge_delta_part(G, B, TRIVIAL_TOWER)
@@ -476,30 +490,30 @@ def _splits_x_t(f) -> bool:
     return True
 
 
-def _specialization_point(Atil: sp.Matrix, cap: int = 50):
-    """First rational p (0, 1, -1, 2, -2, ...) with Atil defined at t = p
-    and det(Atil|_{t=p}) != 0; returns (p, specialized matrix)."""
-    cands = [sp.Integer(0)]
-    k = 1
-    while len(cands) < cap:
-        cands.extend([sp.Integer(k), sp.Integer(-k)])
-        k += 1
-    for p in cands[:cap]:
-        ok = True
-        A0 = sp.zeros(*Atil.shape)
-        for i in range(Atil.shape[0]):
-            for j in range(Atil.shape[1]):
-                e = sp.cancel(Atil[i, j])
-                numr, denr = sp.fraction(sp.together(e))
-                if sp.cancel(denr.subs(t, p)) == 0:
-                    ok = False
-                    break
-                A0[i, j] = sp.cancel(numr.subs(t, p) / denr.subs(t, p))
-            if not ok:
-                break
-        if not ok:
+# 0, 1, -1, 2, -2, ...: the candidates of every rational-point search
+RATIONAL_POINTS = tuple(sp.Integer((k + 1) // 2 * (-1) ** (k + 1))
+                        for k in range(50))
+
+
+def _defined_at(entries, p) -> bool:
+    """Is every entry defined at t = p (no denominator vanishing there)?"""
+    return all(sp.cancel(_fraction(e)[1].subs(t, p)) != 0 for e in entries)
+
+
+def _fraction(e):
+    return sp.fraction(sp.together(sp.cancel(e)))
+
+
+def _specialization_point(Atil: sp.Matrix):
+    """First p of RATIONAL_POINTS with Atil defined at t = p and
+    Atil|_{t=p} invertible; returns (p, specialized matrix)."""
+    for p in RATIONAL_POINTS:
+        if not _defined_at(Atil, p):
             continue
-        if sp.cancel(A0.det(method="berkowitz")) != 0:
+        A0 = sp.Matrix(*Atil.shape, [
+            sp.cancel(num.subs(t, p) / den.subs(t, p))
+            for num, den in map(_fraction, Atil)])
+        if rank(A0) == A0.shape[0]:
             return p, A0
     return None
 
@@ -511,28 +525,26 @@ def descend_gauge(G: sp.Matrix, A: sp.Matrix, Abar: sp.Matrix,
                   tower: Tower = TRIVIAL_TOWER, m: int = 1) -> sp.Matrix:
     """From a tower-valued gauge with sigma^m(G) A = Abar G, produce one
     over Q(t)(x): write G = sum_i G_i theta^i, form H(lam) = sum_i lam^i G_i
-    and return H(c) for the first rational c (0, 1, -1, 2, ...) with
-    det H(c) != 0.  Termination: det H(lam) is a nonzero polynomial."""
+    and return H(c) for the first c of RATIONAL_POINTS with H(c)
+    invertible.  det H(lam) is a nonzero polynomial, so the FieldError
+    raised when no candidate works needs its degree to be at least 50."""
     if tower.trivial or theta not in G.free_symbols:
         return G
     lam = sp.Dummy("lam")
     H = G.applyfunc(lambda e: treduce(e, tower).subs(theta, lam))
-    c = sp.Integer(0)
-    k = 0
-    while True:
+    for c in RATIONAL_POINTS:
         Hc = H.applyfunc(lambda e: sp.cancel(e.subs(lam, c)))
-        if treduce(Hc.det(method="berkowitz")) != 0:
+        if rank(Hc) == Hc.shape[0]:
             lhs = mat_reduce(mat_shift(Hc, m) * A - Abar * Hc, tower)
             if not all(treduce(e, tower) == 0 for e in lhs):
                 raise VerificationError(
                     "descended gauge lost the intertwining identity")
             return Hc
-        k += 1
-        c = sp.Integer((k + 1) // 2 * (-1) ** (k + 1))
+    raise FieldError("no invertible specialization of the gauge among the "
+                     f"first {len(RATIONAL_POINTS)} rational points")
 
 
-def solve_liouvillian(sys: DDSystem,
-                      config: SolverConfig = DEFAULT_CONFIG) -> Outcome:
+def solve_liouvillian(sys: DDSystem) -> Outcome:
     """DP1, then DP2 with sequence lifts; verdicts: Solved,
     NoLiouvillianSolutions (only under the asserted irreducibility),
     Inconclusive when a subsolver restriction was hit."""
@@ -544,7 +556,7 @@ def solve_liouvillian(sys: DDSystem,
         report["assumptions"].append(
             "irreducibility over Q(x, t) asserted by the caller")
     t0 = time.time()
-    out1 = decision_procedure_1(sys, config)
+    out1 = decision_procedure_1(sys)
     report["timings"]["dp1"] = time.time() - t0
     report["dp1"] = {"kind": out1.kind, "stage": out1.stage,
                      "reason": out1.reason, "stages": out1.report.get("stages")}
@@ -556,7 +568,7 @@ def solve_liouvillian(sys: DDSystem,
         return Outcome("Inconclusive", "DP1", out1.stage,
                        f"restricted subroutine: {out1.reason}", report=report)
     t0 = time.time()
-    out2 = decision_procedure_2(sys, config)
+    out2 = decision_procedure_2(sys)
     report["timings"]["dp2"] = time.time() - t0
     report["dp2"] = {"kind": out2.kind, "stage": out2.stage,
                      "reason": out2.reason, "stages": out2.report.get("stages")}
@@ -595,14 +607,9 @@ def _verify_solved(sys: DDSystem, out: Outcome):
 
 
 def _first_verification_point(sys: DDSystem):
-    for k in [1, 2, 3, 5, 7]:
-        p = sp.Integer(k)
-        ok = True
-        for e in list(sys.A) + list(sys.B):
-            den = sp.fraction(sp.together(sp.cancel(e)))[1]
-            if sp.cancel(den.subs(t, p)) == 0:
-                ok = False
-                break
-        if ok:
+    """First positive p of RATIONAL_POINTS with A and B defined at t = p."""
+    for p in RATIONAL_POINTS:
+        if p > 0 and _defined_at(list(sys.A) + list(sys.B), p):
             return p
-    return sp.Integer(1)
+    raise VerificationError("no verification point: A or B has a pole at "
+                            "every positive candidate t")

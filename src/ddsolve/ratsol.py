@@ -13,34 +13,27 @@ residue mod m) in a finite window with explicit multiplicity bounds.
 
 from __future__ import annotations
 
-import warnings
+import itertools
 from dataclasses import dataclass
 
 import sympy as sp
 from sympy.polys.matrices import DomainMatrix
 
-from .fields import (TRIVIAL_TOWER, FieldError, Tower, factor_in_x, mat_inv,
-                     mat_reduce, mat_shift, shift, t, theta, tinv, treduce, x)
+from .fields import (TRIVIAL_TOWER, FieldError, Tower, _theta_reduction_table,
+                     factor_in_x, integer_roots, kernel, mat_inv, mat_reduce,
+                     mat_shift, nullspace, rank, shift, theta, tinv, treduce,
+                     x)
 from .difftools import shift_equivalent
 from .moser import infinity_expansion
 from .sequences import VerificationError
 
-__all__ = ["SolverConfig", "RationalSolutionBasis", "BoundExceededWarning",
+__all__ = ["RationalSolutionBasis", "UnsupportedCase",
            "universal_denominator", "polynomial_solutions",
            "rational_solutions", "gauge_from_ratios"]
 
 
-class BoundExceededWarning(UserWarning):
-    """Degree-bound analysis was inconclusive and the configured cap was used."""
-
-
-@dataclass
-class SolverConfig:
-    degree_cap: int = 50          # fallback polynomial degree bound
-    denominator_margin: int = 0   # extra m-shifts added around each pole window
-
-
-DEFAULT_CONFIG = SolverConfig()
+class UnsupportedCase(Exception):
+    """Outside the documented desk-scale scope of a subroutine."""
 
 
 @dataclass
@@ -70,8 +63,7 @@ def _denominator_factors(M: sp.Matrix, tower: Tower):
 
 
 def universal_denominator(M: sp.Matrix, m: int = 1,
-                          tower: Tower = TRIVIAL_TOWER,
-                          config: SolverConfig = DEFAULT_CONFIG):
+                          tower: Tower = TRIVIAL_TOWER):
     """Polynomial u(x): every rational solution of sigma^m(Y)=MY has
     denominator dividing u."""
     denA = _denominator_factors(M, tower)
@@ -92,7 +84,6 @@ def universal_denominator(M: sp.Matrix, m: int = 1,
             entry[1 + which][0] = mult
             classes.append(entry)
     u = sp.Integer(1)
-    marg = config.denominator_margin
     for base, SA, SB in classes:
         residues = {a % m for a in SA} & {b % m for b in SB}
         for rho in residues:
@@ -101,36 +92,16 @@ def universal_denominator(M: sp.Matrix, m: int = 1,
             # coordinates runs from min(B-shifts) up to max(A-shifts) - m
             As = {a: mu for a, mu in SA.items() if a % m == rho}
             Bs = {b: mu for b, mu in SB.items() if b % m == rho}
-            lo = min(Bs) - marg * m
-            hi = max(As) - m + marg * m
-            k = lo
-            while k <= hi:
-                mult = min(sum(mu for a, mu in As.items() if a >= k + m - marg * m),
-                           sum(mu for b, mu in Bs.items() if b <= k + marg * m))
+            for k in range(min(Bs), max(As) - m + 1, m):
+                mult = min(sum(mu for a, mu in As.items() if a >= k + m),
+                           sum(mu for b, mu in Bs.items() if b <= k))
                 if mult > 0:
                     u = u * shift(base, k) ** mult
-                k += m
     return sp.expand(u)
 
 
 # ---------------------------------------------------------------------------
 # polynomial solutions
-
-def _theta_reduction_table(expr, tower: Tower):
-    """Rewrite theta powers >= degree using the minimal polynomial."""
-    if tower.trivial or theta not in expr.free_symbols:
-        return expr
-    p = sp.Poly(expr, theta)
-    e = tower.degree
-    maxpow = p.degree()
-    red = {k: theta**k for k in range(min(maxpow, e - 1) + 1)}
-    for k in range(e, maxpow + 1):
-        red[k] = sp.expand(treduce(theta**k, tower))
-    out = sp.Integer(0)
-    for (k,), c in zip(p.monoms(), p.coeffs()):
-        out += sp.sympify(c) * red[k]
-    return sp.expand(out)
-
 
 def _collect_equations(expr, tower: Tower, var: sp.Symbol = x):
     """Split a polynomial identity in var (and theta) into equations for
@@ -162,35 +133,8 @@ def _nullspace_over_Qt(equations, unknowns):
     if K.is_EX:
         raise FieldError("linear equations are not over a field of "
                          "rational functions or numbers")
-    rref, pivots = dm.rref()
     return [sp.Matrix([K.to_sympy(c) for c in row])
-            for row in rref.nullspace_from_rref(pivots).to_list()]
-
-
-def _integer_roots_in_field(phi, d: sp.Symbol, tower: Tower):
-    """Nonnegative integer roots of a polynomial in d with coefficients in
-    Q(t)(theta), or None if phi is identically zero."""
-    phi = sp.expand(sp.together(phi).as_numer_denom()[0])
-    if tower.trivial is False:
-        phi = _theta_reduction_table(phi, tower)
-    gens = [d] + [s for s in (t, theta) if s in phi.free_symbols]
-    p = sp.Poly(phi, *gens) if phi != 0 else None
-    if p is None:
-        return None
-    # candidates: rational roots of the first nonzero pure-d coefficient slice
-    slices: dict = {}
-    for mon, c in zip(p.monoms(), p.coeffs()):
-        key = mon[1:]
-        slices.setdefault(key, sp.Integer(0))
-        slices[key] += sp.sympify(c) * d ** mon[0]
-    first = next(iter(slices.values()))
-    roots = sp.Poly(first, d).ground_roots()
-    out = []
-    for r in roots:
-        if r.is_Integer and r >= 0:
-            if all(sp.expand(s.subs(d, r)) == 0 for s in slices.values()):
-                out.append(int(r))
-    return sorted(out)
+            for row in kernel(dm).to_list()]
 
 
 def scalar_operators(M: sp.Matrix, m: int, tower: Tower):
@@ -198,24 +142,17 @@ def scalar_operators(M: sp.Matrix, m: int, tower: Tower):
     satisfied by y = (i-th coordinate of any solution of sigma^m(Y)=MY),
     with polynomial p_j.  Built from the chain v_{k+1} = sigma^m(v_k) M."""
     n = M.shape[0]
-    iszero = lambda e: treduce(e, tower) == 0
     ops = []
     for i in range(n):
         rows = [sp.eye(n)[i, :]]
         while True:
-            V = sp.Matrix.vstack(*rows)
-            null = V.T.nullspace(iszerofunc=iszero)
-            cand = None
-            for c in null:
-                if not iszero(c[-1]):
-                    cand = c
-                    break
+            null = nullspace(sp.Matrix.vstack(*rows).T, tower)
+            cand = next((c for c in null if c[-1] != 0), None)
             if cand is not None:
-                coeffs = [treduce(ci, tower) for ci in cand]
                 den = sp.Integer(1)
-                for ci in coeffs:
+                for ci in cand:
                     den = sp.lcm(den, sp.together(ci).as_numer_denom()[1])
-                ops.append([sp.expand(sp.cancel(ci * den)) for ci in coeffs])
+                ops.append([sp.expand(sp.cancel(ci * den)) for ci in cand])
                 break
             rows.append(mat_reduce(mat_shift(rows[-1], m) * M, tower))
     return ops
@@ -245,59 +182,53 @@ def _scalar_degree_candidates(pcoeffs, m: int, tower: Tower, rmax: int = 80):
                 c = coeff(i, r - s)
                 if c != 0:
                     phi += c * sp.ff(d, s) / sp.factorial(s) * (m * i) ** s
-        roots = _integer_roots_in_field(sp.expand(phi), d, tower)
+        roots = integer_roots(phi, d, tower)
         if roots is not None:
-            return roots
+            return [r for r in roots if r >= 0]
     return None
 
 
-def _degree_bound(M: sp.Matrix, m: int, tower: Tower, config: SolverConfig):
-    """Top-degree analysis at x = infinity; -1 means only the zero solution."""
+def _degree_bound(M: sp.Matrix, m: int, tower: Tower):
+    """Top-degree analysis at x = infinity; -1 means only the zero solution.
+    UnsupportedCase when the indicial analysis finds no bound."""
     n = M.shape[0]
     exp = infinity_expansion(M, 2, tower)
     H0, H1 = exp.coeffs
-    iszero = lambda e: treduce(e, tower) == 0
     if exp.ord > 0:
         return -1
     if exp.ord == 0:
-        K = (H0 - sp.eye(n)).nullspace(iszerofunc=iszero)
-        if not K:
+        right = nullspace(H0 - sp.eye(n), tower)
+        if not right:
             return -1
-        L = (H0 - sp.eye(n)).T.nullspace(iszerofunc=iszero)
-        C = sp.Matrix.hstack(*K)
-        LT = sp.Matrix.hstack(*L).T
+        left = nullspace((H0 - sp.eye(n)).T, tower)
+        C = sp.Matrix.hstack(*right)
+        LT = sp.Matrix.hstack(*left).T
         d = sp.Symbol("_d")
-        p = treduce(sp.expand((LT * (H1 - m * d * sp.eye(n)) * C).det(
-            method="berkowitz")), tower)
-        roots = _integer_roots_in_field(p, d, tower)
+        roots = integer_roots((LT * (H1 - m * d * sp.eye(n)) * C).det(
+            method="berkowitz"), d, tower)
         if roots is not None:
-            return max(roots) if roots else -1
-    elif not H0.nullspace(iszerofunc=iszero):
+            return max([-1] + roots)
+    elif rank(H0, tower) == n:
         return -1
     # fall back to scalar relations per coordinate (sound and complete:
     # every coordinate of a solution is annihilated by its chain operator)
-    try:
-        bounds = []
-        for op in scalar_operators(M, m, tower):
-            roots = _scalar_degree_candidates(op, m, tower)
-            if roots is None:
-                raise ValueError("indicial analysis failed")
-            bounds.append(max(roots) if roots else -1)
-        return max(bounds)
-    except Exception:
-        warnings.warn("degree bound inconclusive; using configured cap",
-                      BoundExceededWarning)
-        return config.degree_cap
+    bounds = []
+    for op in scalar_operators(M, m, tower):
+        roots = _scalar_degree_candidates(op, m, tower)
+        if roots is None:
+            raise UnsupportedCase("degree bound: the indicial analysis of a "
+                                  "scalar operator found no equation")
+        bounds.append(max([-1] + roots))
+    return max(bounds)
 
 
 def polynomial_solutions(M: sp.Matrix, m: int = 1, degree_bound: int = None,
-                         tower: Tower = TRIVIAL_TOWER,
-                         config: SolverConfig = DEFAULT_CONFIG):
+                         tower: Tower = TRIVIAL_TOWER):
     """All polynomial solution vectors of sigma^m(Y) = M Y with
     deg <= degree_bound (computed from the infinity expansion if omitted)."""
     n = M.shape[0]
     if degree_bound is None:
-        degree_bound = _degree_bound(M, m, tower, config)
+        degree_bound = _degree_bound(M, m, tower)
     if degree_bound < 0:
         return []
     e = tower.degree
@@ -354,13 +285,13 @@ def _constant_span_reduce(vectors, tower: Tower):
     return indep
 
 
-def rational_solutions(M: sp.Matrix, m: int = 1, tower: Tower = TRIVIAL_TOWER,
-                       config: SolverConfig = DEFAULT_CONFIG) -> RationalSolutionBasis:
+def rational_solutions(M: sp.Matrix, m: int = 1,
+                       tower: Tower = TRIVIAL_TOWER) -> RationalSolutionBasis:
     """Complete basis of rational solutions of sigma^m(Y) = M Y, each
     verified by substitution."""
-    u = universal_denominator(M, m, tower, config)
+    u = universal_denominator(M, m, tower)
     Mp = mat_reduce(sp.sympify(shift(u, m)) / u * M, tower)
-    polys = polynomial_solutions(Mp, m, None, tower, config)
+    polys = polynomial_solutions(Mp, m, None, tower)
     basis = []
     for P in polys:
         V = (P / u).applyfunc(lambda q: treduce(q, tower))
@@ -378,28 +309,25 @@ def rational_solutions(M: sp.Matrix, m: int = 1, tower: Tower = TRIVIAL_TOWER,
 
 def _invertible_selection(columns, tower: Tower):
     """Pick one column per slot so the assembled matrix is invertible."""
-    import itertools
     for choice in itertools.product(*columns):
         G = sp.Matrix.hstack(*choice)
-        if treduce(G.det(method="berkowitz"), tower) != 0:
+        if rank(G, tower) == len(columns):
             return mat_reduce(G, tower)
     # try sums of basis vectors per slot as a fallback
-    sums = [[sum(bs, sp.zeros(*bs[0].shape))] for bs in columns]
-    G = sp.Matrix.hstack(*[s[0] for s in sums])
-    if treduce(G.det(method="berkowitz"), tower) != 0:
+    G = sp.Matrix.hstack(*[sum(bs, sp.zeros(*bs[0].shape)) for bs in columns])
+    if rank(G, tower) == len(columns):
         return mat_reduce(G, tower)
     return None
 
 
 def gauge_from_ratios(A: sp.Matrix, ratios, m: int,
-                      tower: Tower = TRIVIAL_TOWER,
-                      config: SolverConfig = DEFAULT_CONFIG):
+                      tower: Tower = TRIVIAL_TOWER):
     """G with sigma^m(G) * diag(ratios) = A * G, assembled column-by-column
     from rational solutions of sigma^m(W) = (A/ratio_i) W; None on failure."""
     columns = []
     for r in ratios:
         Mi = mat_reduce(A * tinv(r, tower), tower)
-        basis = rational_solutions(Mi, m, tower, config).basis
+        basis = rational_solutions(Mi, m, tower).basis
         if not basis:
             return None
         columns.append(basis)

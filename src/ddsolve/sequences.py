@@ -21,12 +21,12 @@ from sympy.polys.densearith import (dup_add, dup_mul, dup_mul_ground, dup_rem,
                                     dup_sub)
 from sympy.polys.densebasic import dup_strip
 from sympy.polys.euclidtools import dup_invert
-from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from .fields import (TRIVIAL_TOWER, FieldError, Tower, dm_from_matrix,
-                     mat_delta, mat_shift, sigma_power_matrix, t, theta,
-                     treduce, x)
+                     from_regular, integer_roots, mat_delta, mat_shift,
+                     regular_matrix, sigma_power_matrix, t, theta, treduce,
+                     x)
 
 __all__ = ["Seq", "FuncSeq", "SeqVec", "interlace", "section",
            "seq_from_recurrence", "lift_sigma_d_to_sigma",
@@ -104,32 +104,15 @@ class PointEvaluator:
         return out
 
     def solve(self, M: list, b: list) -> list:
-        """v with M v = b for a flat row-major square M, by LU over K.
-
-        The tower is written as K^degree: multiplication by an element a
-        is the K-linear map whose column c is the coordinate vector of
-        a * theta^(degree-1-c)."""
-        K, deg, n = self.K, self.degree, len(b)
-
-        def coords(a):
-            return [K.zero] * (deg - len(a)) + a
-
-        rows = [[] for _ in range(n * deg)]
-        for i in range(n):
-            for k in range(n):
-                cols = [coords(self.mul(M[i * n + k],
-                                        [K.one] + [K.zero] * (deg - 1 - c)))
-                        for c in range(deg)]
-                for r in range(deg):
-                    rows[i * deg + r].extend(col[r] for col in cols)
-        rhs = DomainMatrix([[c] for a in b for c in coords(a)],
-                           (n * deg, 1), K)
+        """v with M v = b for a flat row-major square M, by LU over K in
+        the regular representation of the tower."""
+        n = len(b)
+        R = regular_matrix(M, (n, n), self.mod, self.K)
         try:
-            sol = DomainMatrix(rows, (n * deg, n * deg), K).lu_solve(rhs)
+            sol = R.lu_solve(regular_matrix(b, (n, 1), self.mod, self.K))
         except DMNonInvertibleMatrixError:
             raise FieldError("matrix not invertible")
-        flat = sol.to_list_flat()
-        return [dup_strip(flat[i * deg:(i + 1) * deg]) for i in range(n)]
+        return from_regular(sol, self.degree)
 
     def to_sympy(self, a: list) -> sp.Expr:
         return sp.Add(*(self.K.to_sympy(c) * theta**k
@@ -284,34 +267,7 @@ def _system_pole_bound(A: sp.ImmutableMatrix, B: sp.ImmutableMatrix) -> int:
 
 def _max_integer_x_root(p) -> int:
     """max(0, largest integer root in x of p)."""
-    p = sp.expand(p)
-    if x not in p.free_symbols:
-        return 0
-    return max([0] + _integer_x_roots(p))
-
-
-def _integer_x_roots(p):
-    """Integer roots in x of a polynomial whose coefficients may contain t
-    or theta: x0 counts only if every (t, theta)-coefficient slice of p
-    vanishes at x0; candidates come from one nonzero slice."""
-    gens = tuple(sorted((s for s in p.free_symbols if s != x), key=str))
-    if not gens:
-        return sorted(int(r) for r in sp.Poly(p, x).ground_roots()
-                      if sp.sympify(r).is_Integer)
-    Pall = sp.Poly(sp.expand(p), x, *gens)
-    groups: dict = {}
-    for mono, coeff in zip(Pall.monoms(), Pall.coeffs()):
-        key = mono[1:]
-        groups[key] = groups.get(key, sp.Integer(0)) + coeff * x ** mono[0]
-    first = next(g for g in groups.values() if g != 0)
-    cand = set()
-    if x not in first.free_symbols:
-        return []
-    for r in sp.Poly(first, x).ground_roots():
-        if sp.sympify(r).is_Integer and all(
-                sp.expand(g.subs(x, r)) == 0 for g in groups.values()):
-            cand.add(int(r))
-    return sorted(cand)
+    return max([0] + (integer_roots(p) or []))
 
 
 def seq_from_recurrence(A: sp.Matrix, N: int, V_N: sp.Matrix,
@@ -449,7 +405,7 @@ def verify_numeric_window(system, sol: LiouvilleSolution, t0, terms: int = 30) -
         N = 1
         for _, den in Am + Wc + rc:
             if len(den) > 1:
-                for r in _integer_x_roots(pts.xpoly_to_sympy(den)):
+                for r in integer_roots(pts.xpoly_to_sympy(den)):
                     N = max(N, r + m + 1)
         for j in range(N, N + terms):
             try:

@@ -9,11 +9,16 @@
    outcome's solution file re-verifies after a write/read round trip.
 3. Weighted-Hermite negative test: integrable, but no liouvillian
    solutions; exits at the determinant-split stage.
+
+Criteria 1-3 also compare the solution file of their outcome, byte for
+byte, with the one in tests/golden (the regression oracle of any
+refactor).
 4. Subroutine property suites (delegated to the per-module suites and
    re-invoked here).
 5. Cocycle and commutation laws (likewise re-invoked).
 """
 
+import pathlib
 import time
 
 import pytest
@@ -25,6 +30,13 @@ from ddsolve.fields import (mat_eq, mat_reduce, mat_shift, shift, t, teq,
 from ddsolve.files import read_solution, read_system, write_solution
 from ddsolve.procedures import solve_liouvillian
 from ddsolve.sequences import verify_certificates, verify_numeric_window
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def _assert_matches_golden(path, name):
+    assert path.read_bytes() == (GOLDEN / f"{name}.json").read_bytes(), \
+        f"{name}: solution file differs from tests/golden/{name}.json"
 
 
 def _column_match_up_to_sigma_constant(col_paper, cols_solver, tower):
@@ -50,7 +62,7 @@ def _column_match_up_to_sigma_constant(col_paper, cols_solver, tower):
     return False
 
 
-def test_criterion_1_first_example_end_to_end(example1_path):
+def test_criterion_1_first_example_end_to_end(example1_path, tmp_path):
     start = time.time()
     sys1 = read_system(example1_path)
     out = solve_liouvillian(sys1)
@@ -91,6 +103,10 @@ def test_criterion_1_first_example_end_to_end(example1_path):
         assert _column_match_up_to_sigma_constant(paper_G[:, i], cols, tw)
 
     assert elapsed <= 60, f"criterion 1 runtime {elapsed:.1f}s > 60s"
+
+    path = tmp_path / "example1.json"
+    write_solution(str(path), out)
+    _assert_matches_golden(path, "example1")
 
 
 def test_criterion_2_interlaced_example_end_to_end(example2_path, tmp_path):
@@ -146,19 +162,23 @@ def test_criterion_2_interlaced_example_end_to_end(example2_path, tmp_path):
     assert elapsed <= 120, f"criterion 2 runtime {elapsed:.1f}s > 120s"
 
     # the outcome round-trips through a solution file and re-verifies
-    path = str(tmp_path / "example2.json")
-    write_solution(path, out)
-    _, sols, _ = read_solution(path)
+    path = tmp_path / "example2.json"
+    write_solution(str(path), out)
+    _assert_matches_golden(path, "example2")
+    _, sols, _ = read_solution(str(path))
     assert [s.kind for s in sols] == ["Interlaced"] * 3
     for sol in sols:
         assert verify_certificates(sys2, sol).ok
         assert verify_numeric_window(sys2, sol, sp.Integer(1)).ok
 
 
-def test_criterion_3_hermite_negative(hermite_path):
+def test_criterion_3_hermite_negative(hermite_path, tmp_path):
     assert cli_main(["check", hermite_path]) == 0
-    code = cli_main(["solve", hermite_path, "--assume-irreducible"])
+    path = tmp_path / "hermite.json"
+    code = cli_main(["solve", hermite_path, "--assume-irreducible",
+                     "--json", str(path)])
     assert code == 1
+    _assert_matches_golden(path, "hermite")
     # stage expectation: determinant split fails in the diagonalizable
     # branch
     sys3 = read_system(hermite_path)

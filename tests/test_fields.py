@@ -8,7 +8,8 @@ from ddsolve.fields import (AllEqual, Conjugate, FieldError, MixedSplit, Split,
                             TRIVIAL_TOWER, delta, dm_delta, dm_from_matrix,
                             dm_shift, dm_sigma_power, dm_to_matrix,
                             factor_in_x, make_tower, mat_delta, mat_eq,
-                            mat_inv, mat_reduce, mat_shift,
+                            integer_roots, mat_inv, mat_reduce, mat_shift,
+                            nullspace, rank,
                             roots_over_coeff_field, series_at_infinity, shift,
                             sigma_power_matrix, t, teq, theta, tinv, treduce,
                             x)
@@ -163,6 +164,73 @@ def test_mat_inv_oracle():
 def test_mat_inv_singular_raises():
     with pytest.raises(FieldError):
         mat_inv(sp.Matrix([[1, 2], [2, 4]]))
+    with pytest.raises(FieldError):
+        mat_inv(sp.Matrix([[1, theta], [theta, t**2 + 1]]), EX1_TOWER)
+
+
+# ---------------------------------------------------------------------------
+# linear algebra over the tower, against SymPy's Matrix routines kept here
+# as the reference
+
+EX1_TOWER = make_tower(theta**2 - (t**2 + 1))
+
+
+def _srepr(vectors):
+    return [[sp.srepr(e) for e in v] for v in vectors]
+
+
+def _tower_entry(with_theta):
+    c = st.integers(-1, 1)
+    return st.tuples(st.integers(-2, 2), c, c, c).map(
+        lambda k: k[0] + k[1] * x + k[2] / (t + 1)
+        + (k[3] * theta if with_theta else 0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.booleans(), st.integers(0, 3), st.integers(0, 3), st.integers(0, 2),
+       st.data())
+def test_nullspace_and_rank_match_sympy_reference(over_tower, nrows, ncols,
+                                                  k, data):
+    """M = U V with inner dimension k, so M may be rank-deficient, zero or
+    have no rows or columns."""
+    tower = EX1_TOWER if over_tower else TRIVIAL_TOWER
+    entry = _tower_entry(over_tower)
+    U = sp.Matrix(nrows, k, data.draw(st.lists(entry, min_size=nrows * k,
+                                               max_size=nrows * k)))
+    V = sp.Matrix(k, ncols, data.draw(st.lists(entry, min_size=k * ncols,
+                                               max_size=k * ncols)))
+    M = U * V
+    want = [v.applyfunc(lambda e: treduce(e, tower)) for v in M.nullspace(
+        iszerofunc=lambda e: treduce(e, tower) == 0)]
+    assert _srepr(nullspace(M, tower)) == _srepr(want)
+    assert rank(M, tower) == ncols - len(want)
+
+
+def test_integer_roots_are_common_to_every_slice():
+    d = sp.Symbol("d")
+    assert integer_roots((x - 3) * t + x - 5) == []
+    assert integer_roots((x - 3) * (x + 2) * t + (x - 3) / t) == [3]
+    assert integer_roots(sp.Integer(0)) is None
+    # theta is reduced first: theta^2 - (t^2 + 1) is zero in the tower
+    assert integer_roots(d * theta**2 - d * (t**2 + 1), d, EX1_TOWER) is None
+    assert integer_roots((d + 1) * (d - 4) * theta**3 + (d - 4) * t, d,
+                         EX1_TOWER) == [4]
+
+
+def test_mat_inv_matches_adjugate_formula_over_tower():
+    rng = random.Random(13)
+    for _ in range(6):
+        while True:
+            M = sp.Matrix(2, 2, lambda i, j: rng.randint(-2, 2)
+                          + rng.randint(-1, 1) * x / (t + rng.randint(1, 2))
+                          + rng.randint(-1, 1) * theta)
+            det = treduce(M.det(method="berkowitz"), EX1_TOWER)
+            if det != 0:
+                break
+        want = mat_reduce(M.adjugate(method="berkowitz")
+                          * tinv(det, EX1_TOWER), EX1_TOWER)
+        assert [sp.srepr(e) for e in mat_inv(M, EX1_TOWER)] == \
+            [sp.srepr(e) for e in want]
 
 
 def test_cocycle_composition_law():

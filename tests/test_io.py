@@ -193,6 +193,9 @@ def test_cli_json_deterministic(hermite_path, tmp_path):
 def test_cli_tools_disp(capsys):
     assert cli_main(["tools", "disp", "x*(x+3)"]) == 0
     assert capsys.readouterr().out.strip() == "3"
+    # disp ignores --step
+    assert cli_main(["tools", "--step", "2", "disp", "x*(x+3)"]) == 0
+    assert capsys.readouterr().out.strip() == "3"
 
 
 def test_cli_tools_standard(capsys):
@@ -213,6 +216,16 @@ def test_cli_tools_petkovsek(capsys):
     assert cli_main(["tools", "petkovsek", "x+1", "-x"]) == 0
     out = capsys.readouterr().out
     assert "(x+1)/x" in out.replace(" ", "")
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    (["1", "0", "-2"], ["-sqrt(2)/2", "sqrt(2)/2"]),
+    (["1", "0", "1"], ["-I", "I"]),
+])
+def test_cli_tools_petkovsek_quadratic_constants(coeffs, want, capsys):
+    # y(x) + c y(x+2) = 0: constant ratios with c r^2 = -1
+    assert cli_main(["tools", "petkovsek", *coeffs]) == 0
+    assert sorted(capsys.readouterr().out.split()) == want
 
 
 def test_cli_tools_ratsol(tmp_path, capsys):

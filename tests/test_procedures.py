@@ -12,7 +12,10 @@ from ddsolve.fields import (TRIVIAL_TOWER, delta, make_tower, mat_delta,
 from ddsolve.procedures import (DDSystem, _certificate_normalizer,
                                 _first_verification_point,
                                 check_integrability, decision_procedure_1,
-                                descend_gauge, solve_liouvillian)
+                                decision_procedure_2, descend_gauge,
+                                solve_liouvillian)
+from ddsolve.ratsol import UnsupportedCase
+from ddsolve.sequences import VerificationError
 from ddsolve.files import read_system
 from conftest import ROOT, SYSTEMS, random_invertible_matrix, random_ratfunc
 
@@ -158,6 +161,23 @@ def test_dp1_stage_a_exit_on_hermite():
     assert out.stage == "a"
 
 
+def test_unsupported_subroutine_ends_dp2_inconclusive(monkeypatch):
+    """A subroutine outside its scope ends DP2 as Unsupported at the
+    current stage, and the verdict is Inconclusive."""
+    import ddsolve.procedures as procedures
+
+    def unsupported(*args):
+        raise UnsupportedCase("planted")
+
+    monkeypatch.setattr(procedures, "system_hypergeometric", unsupported)
+    sys = DDSystem(2, HERMITE_A, HERMITE_B, assume_irreducible=True)
+    out = decision_procedure_2(sys)
+    assert (out.kind, out.provenance, out.stage, out.reason) == \
+        ("Unsupported", "DP2", "c", "planted")
+    out = solve_liouvillian(sys)
+    assert (out.kind, out.stage) == ("Inconclusive", "c")
+
+
 def test_solve_requires_valid_system():
     A = sp.Matrix([[x, 0], [0, 1]])
     B = sp.Matrix([[t, 1], [0, t]])
@@ -236,6 +256,15 @@ def test_first_verification_point_rejects_vanishing_x_denominator():
     A = sp.Matrix([[1 / ((t - 1) * (x + 1)), 0], [0, 1]])
     B = sp.zeros(2, 2)
     assert _first_verification_point(DDSystem(2, A, B)) == 2
+
+
+def test_first_verification_point_skips_every_pole():
+    A = sp.eye(2)
+    B = sp.diag(1 / ((t - 1) * (t - 2) * (t - 3) * (t - 5) * (t - 7)), 0)
+    assert _first_verification_point(DDSystem(2, A, B)) == 4
+    B = sp.diag(1 / sp.prod([t - k for k in range(1, 26)]), 0)
+    with pytest.raises(VerificationError):
+        _first_verification_point(DDSystem(2, A, B))
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "hermite"])

@@ -4,12 +4,15 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from ddsolve.fields import (TRIVIAL_TOWER, mat_eq, mat_inv, mat_reduce,
-                            mat_shift, shift, t, teq, treduce, x)
-from ddsolve.ratsol import (_constant_span_reduce, _nullspace_over_Qt,
-                            gauge_from_ratios,
-                            polynomial_solutions, rational_solutions,
-                            scalar_operators, universal_denominator)
+from ddsolve.fields import (TRIVIAL_TOWER, make_tower, mat_eq, mat_inv,
+                            mat_reduce, mat_shift, shift, t, teq, theta,
+                            treduce, x)
+import ddsolve.ratsol as ratsol
+from ddsolve.ratsol import (UnsupportedCase, _constant_span_reduce,
+                            _degree_bound, _nullspace_over_Qt,
+                            gauge_from_ratios, polynomial_solutions,
+                            rational_solutions, scalar_operators,
+                            universal_denominator)
 
 
 def _substitutes(M, m, V):
@@ -37,6 +40,17 @@ def test_polynomial_solutions_planted():
     target = sp.Matrix([x, 1])
     aug = sp.Matrix.hstack(span, target)
     assert span.rank() == aug.rank()  # (x, 1) lies in the span
+
+
+def test_polynomial_solutions_degree_bound_over_tower():
+    """Order 0 at infinity over a tower: y(x+1) = (1 + theta/x) y(x) has
+    no polynomial solution (its exponent theta is not an integer), and
+    y = x solves y(x+1) = (x+1)/x y(x)."""
+    tw = make_tower(theta**2 - (t**2 + 1))
+    assert polynomial_solutions(sp.Matrix([[1 + theta / x]]), 1, None,
+                                tw) == []
+    sols = polynomial_solutions(sp.Matrix([[(x + 1) / x]]), 1, None, tw)
+    assert sols == [sp.Matrix([x]), sp.Matrix([theta * x])]
 
 
 def test_rational_solutions_planted_diagonalizable():
@@ -80,6 +94,17 @@ def test_scalar_operators_annihilate_solution_coordinates():
     p = ops[0]
     acc = sum(sp.cancel(p[i] * shift(y, i)) for i in range(len(p)))
     assert sp.cancel(acc) == 0
+
+
+def test_degree_bound_failure_is_unsupported(monkeypatch):
+    """With ord -1 and a singular leading matrix the bound needs the scalar
+    relations; when their indicial analysis fails there is no bound."""
+    M = sp.Matrix([[x, 0], [0, 1]])
+    assert _degree_bound(M, 1, TRIVIAL_TOWER) == 0
+    monkeypatch.setattr(ratsol, "_scalar_degree_candidates",
+                        lambda op, m, tower: None)
+    with pytest.raises(UnsupportedCase):
+        _degree_bound(M, 1, TRIVIAL_TOWER)
 
 
 def test_gauge_from_ratios_recovers_planted_gauge():
