@@ -4,6 +4,7 @@
 Usage: python scripts/solve_and_verify.py SYSTEM.json [SOLUTION_OUT.json]
 """
 
+import os
 import sys
 import tempfile
 
@@ -15,7 +16,11 @@ def main(argv):
         print(__doc__)
         return 3
     system = argv[0]
-    out = argv[1] if len(argv) > 1 else tempfile.mktemp(suffix=".json")
+    if len(argv) > 1:
+        out = argv[1]
+    else:
+        fd, out = tempfile.mkstemp(suffix=".json")
+        os.close(fd)
     code = cli_main(["solve", system, "--assume-irreducible", "--json", out])
     print(f"\nsolve exit code: {code}; solution written to {out}")
     if code != 0:

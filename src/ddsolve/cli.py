@@ -20,7 +20,6 @@ import json
 import sys as _sys
 
 import sympy as sp
-from sympy.polys.polyerrors import CoercionFailed
 
 from .closedform import UnsupportedCase, hyperexp_solutions, petkovsek
 from .difftools import dispersion, split_alpha_beta_power, standard_decompose
@@ -253,7 +252,7 @@ def _dispatch_tool(args) -> int:
         for r in ratios:
             try:
                 print(print_ratfunc(r))
-            except CoercionFailed:
+            except FieldError:
                 # a quadratic constant, which the file grammar cannot express
                 print(sp.sstr(r))
         return EXIT_SOLVED

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import sympy as sp
 
-from .fields import (TRIVIAL_TOWER, Tower, make_tower, mat_reduce, mat_shift,
-                     nullspace, shift, t, theta, treduce, x)
+from .fields import (TRIVIAL_TOWER, FieldError, Tower, make_tower, mat_reduce,
+                     mat_shift, nullspace, shift, t, theta, treduce, x)
 from .difftools import standard_decompose
 from .ratsol import (UnsupportedCase, _collect_equations, _nullspace_over_Qt,
                      _scalar_degree_candidates, rational_solutions,
@@ -176,6 +176,12 @@ def system_hypergeometric(M: sp.Matrix, m: int = 1):
     ratios = []
     for op in scalar_operators(M, m, TRIVIAL_TOWER):
         for r in petkovsek(op, m):
+            try:
+                treduce(r)
+            except FieldError:
+                # a quadratic constant: the back-substitution works over K
+                raise UnsupportedCase(
+                    f"hypergeometric ratio not in Q(x, t): {r}") from None
             if not any(sp.cancel(r - r2) == 0 for r2 in ratios):
                 ratios.append(r)
     seen = []

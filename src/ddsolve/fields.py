@@ -1,13 +1,22 @@
 """Exact arithmetic for the coefficient tower Q < Q(t) < Q(t)[theta]/(m(theta)).
 
-Everything is represented as sympy expressions in the global symbols x, t,
-theta.  A :class:`Tower` carries the minimal polynomial of theta over Q(t)
-(or None for the trivial tower) together with delta(theta), obtained by
-implicit differentiation.  Canonical forms are produced by :func:`treduce`:
-a polynomial in theta of degree < deg(m) whose coefficients are cancelled
-rational functions of x and t.  It reduces through the dense
-representation the linear algebra below uses: a list of coefficients in
-theta over K, reduced mod the minimal polynomial.
+Field elements cross the API as sympy expressions in the global symbols x,
+t, theta.  A :class:`Tower` carries the minimal polynomial of theta over
+Q(t) (or None for the trivial tower) together with delta(theta), obtained
+by implicit differentiation.  Canonical forms are produced by
+:func:`treduce`, which evaluates an expression straight into the field and
+reads the result back from the field's own reduced fraction; no SymPy
+simplification runs on the way:
+
+* trivial tower: into Q(x, t, theta), theta an indeterminate, so the
+  canonical form is the cancelled fraction num/den with the leading
+  coefficient of den (lex order, x > t > theta) positive;
+* nontrivial tower: the expression tree is evaluated in K[theta]/(m),
+  K = Q(x, t), and the result is a polynomial in theta of degree < deg(m)
+  whose coefficients are cancelled fractions in the same form.
+
+Input outside the field raises :class:`FieldError`; a denominator that is
+zero mod m raises ZeroDivisionError.
 
 The shift sigma acts by x -> x+1 and the derivation delta by d/dt with
 delta(x) = 0.
@@ -30,7 +39,7 @@ from typing import Optional
 
 import sympy as sp
 from sympy import QQ
-from sympy.polys.densearith import dup_lshift, dup_mul, dup_rem
+from sympy.polys.densearith import dup_add, dup_lshift, dup_mul, dup_rem
 from sympy.polys.densebasic import dup_strip
 from sympy.polys.euclidtools import dup_invert
 from sympy.polys.matrices import DomainMatrix
@@ -41,6 +50,9 @@ x, t, theta = sp.symbols("x t theta")
 
 # K = Q(x, t), the coefficient field of the trivial tower
 QQ_XT = QQ.frac_field(x, t)
+# Q(x, t, theta), theta an indeterminate: where treduce works on the
+# trivial tower
+_QQ_XTTH = QQ.frac_field(x, t, theta)
 _X = QQ_XT.field.ring.gens[0]   # x in the ring of numerators
 _T = QQ_XT.gens[1]              # t in K
 
@@ -102,16 +114,13 @@ class Tower:
 TRIVIAL_TOWER = Tower(None, sp.Integer(0), 1)
 
 
-def _theta_rep(expr) -> list:
-    """A polynomial in theta over K as a dense list, highest degree first."""
-    return sp.Poly(expr, theta, domain=QQ_XT).rep.to_list()
-
-
 @functools.lru_cache(maxsize=None)
 def _modulus(tower: Tower):
-    """The minimal polynomial of the tower as a dense list over K, None for
-    the trivial tower."""
-    return None if tower.trivial else _theta_rep(tower.minpoly)
+    """The minimal polynomial of the tower as a dense list over K, highest
+    degree first; None for the trivial tower."""
+    if tower.trivial:
+        return None
+    return sp.Poly(tower.minpoly, theta, domain=QQ_XT).rep.to_list()
 
 
 def make_tower(minpoly: sp.Expr, var: sp.Symbol = None) -> Tower:
@@ -139,35 +148,78 @@ def make_tower(minpoly: sp.Expr, var: sp.Symbol = None) -> Tower:
 
 
 def treduce(f, tower: Tower = TRIVIAL_TOWER):
-    """Canonical form of a tower-valued rational function of x."""
+    """Canonical form of a tower-valued rational function of x.
+
+    On the trivial tower f is evaluated in Q(x, t, theta), theta an
+    indeterminate; on a tower, in K[theta]/(m).  The result is read back
+    from the reduced field element (see the module docstring).  FieldError
+    for input outside the field, ZeroDivisionError for a denominator that
+    is zero in the tower."""
     if tower.trivial:
-        return sp.cancel(sp.together(sp.sympify(f)))
+        return _frac_expr(_field_element(_QQ_XTTH, f, "Q(x, t, theta)"))
     return _tower_expr(_tower_element(f, tower))
+
+
+def _field_element(field, e, name: str):
+    """e as an element of the rational function field `field`."""
+    try:
+        return field.from_sympy(sp.sympify(e))
+    except (CoercionFailed, ValueError):
+        raise FieldError(f"entry not in {name}: {e}")
+
+
+def _frac_expr(c):
+    """A reduced fraction as num/den, negated so that the leading
+    coefficient of den (lex order) is positive: the form of sp.cancel."""
+    num, den = c.numer, c.denom
+    if den.LC < 0:
+        num, den = -num, -den
+    return num.as_expr() / den.as_expr()
 
 
 def _tower_element(e, tower: Tower) -> list:
     """e as a dense polynomial in theta over K, highest degree first,
     reduced mod the minimal polynomial."""
     mod = _modulus(tower)
-    try:
-        if mod is None:
-            return dup_strip([QQ_XT.from_sympy(sp.sympify(e))])
-        num, den = (dup_rem(_theta_rep(p), mod, QQ_XT)
-                    for p in sp.together(sp.sympify(e)).as_numer_denom())
-    except (CoercionFailed, ValueError, sp.PolynomialError):
-        field = "Q(x, t)" if mod is None else "Q(x, t)(theta)"
-        raise FieldError(f"entry not in {field}: {e}")
-    if not den:
-        raise ZeroDivisionError("denominator is zero in the tower")
-    # m is irreducible and den is nonzero mod m, so den is invertible
-    return dup_rem(dup_mul(num, dup_invert(den, mod, QQ_XT), QQ_XT), mod,
-                   QQ_XT)
+    if mod is None:
+        return dup_strip([_field_element(QQ_XT, e, "Q(x, t)")])
+    return _eval_mod(sp.sympify(e), mod)
+
+
+def _eval_mod(e, mod) -> list:
+    """Evaluate the expression tree e in K[theta]/(mod), bottom up."""
+    if e == theta:
+        return [QQ_XT.one, QQ_XT.zero]   # deg mod >= 2
+    if not e.has(theta):
+        return dup_strip([_field_element(QQ_XT, e, "Q(x, t)")])
+    if e.is_Add:
+        out = []
+        for a in e.args:
+            out = dup_add(out, _eval_mod(a, mod), QQ_XT)
+        return out
+    if e.is_Mul:
+        out = [QQ_XT.one]
+        for a in e.args:
+            out = dup_rem(dup_mul(out, _eval_mod(a, mod), QQ_XT), mod, QQ_XT)
+        return out
+    if e.is_Pow and e.exp.is_Integer:
+        base, n = _eval_mod(e.base, mod), int(e.exp)
+        if n < 0:
+            if not base:
+                raise ZeroDivisionError("denominator is zero in the tower")
+            # m is irreducible and base is nonzero mod m: base is invertible
+            base, n = dup_invert(base, mod, QQ_XT), -n
+        out = [QQ_XT.one]
+        for _ in range(n):
+            out = dup_rem(dup_mul(out, base, QQ_XT), mod, QQ_XT)
+        return out
+    raise FieldError(f"entry not in Q(x, t)(theta): {e}")
 
 
 def _tower_expr(a: list):
     """A dense polynomial in theta over K in the canonical form of
-    treduce: coefficients are cancelled rational functions of x and t."""
-    return sp.Add(*(treduce(QQ_XT.to_sympy(c)) * theta**k
+    treduce."""
+    return sp.Add(*(_frac_expr(c) * theta**k
                     for k, c in enumerate(reversed(a))))
 
 

@@ -100,6 +100,13 @@ def test_system_hypergeometric_none():
         assert all(treduce(e) == 0 for e in lhs)
 
 
+def test_system_hypergeometric_quadratic_ratio_is_unsupported():
+    """sigma(Y) = [[0, 1], [2, 0]] Y has the ratios +-sqrt(2), outside
+    Q(x, t), where the back-substitution works."""
+    with pytest.raises(UnsupportedCase, match=r"sqrt\(2\)"):
+        system_hypergeometric(sp.Matrix([[0, 1], [2, 0]]))
+
+
 # ---------------------------------------------------------------------------
 # hyperexponential solutions of delta(Y) = C Y over Q(t)
 

@@ -3,9 +3,12 @@ import random
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
+from sympy.polys.densearith import dup_mul, dup_rem
+from sympy.polys.euclidtools import dup_invert
 
 from ddsolve.fields import (AllEqual, Conjugate, FieldError, MixedSplit, Split,
-                            TRIVIAL_TOWER, delta, dm_delta, dm_from_matrix,
+                            QQ_XT, TRIVIAL_TOWER, delta, dm_delta,
+                            dm_from_matrix,
                             dm_shift, dm_sigma_power, dm_to_matrix,
                             factor_in_x, make_tower, mat_delta, mat_eq,
                             integer_roots, mat_inv, mat_reduce, mat_shift,
@@ -17,6 +20,7 @@ from ddsolve.files import read_system
 from conftest import SYSTEMS, random_ratfunc
 
 Y = sp.Symbol("Y")
+EX1_TOWER = make_tower(theta**2 - (t**2 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -25,6 +29,134 @@ Y = sp.Symbol("Y")
 def test_trivial_tower_reduce_cancels():
     f = (x**2 - 1) / (x - 1)
     assert treduce(f) == x + 1
+
+
+# ---------------------------------------------------------------------------
+# treduce against reference copies of the SymPy-simplification formulas it
+# replaced: cancel(together(f)) on the trivial tower; together, Poly in
+# theta over K, inversion mod m and a cancelled coefficient on a tower
+
+def _reference_treduce(f, tower=TRIVIAL_TOWER):
+    if tower.trivial:
+        return sp.cancel(sp.together(sp.sympify(f)))
+    K = QQ_XT
+
+    def rep(p):
+        return sp.Poly(p, theta, domain=K).rep.to_list()
+
+    mod = rep(tower.minpoly)
+    num, den = (dup_rem(rep(p), mod, K)
+                for p in sp.together(sp.sympify(f)).as_numer_denom())
+    if not den:
+        raise ZeroDivisionError("denominator is zero in the tower")
+    a = dup_rem(dup_mul(num, dup_invert(den, mod, K), K), mod, K)
+    return sp.Add(*(sp.cancel(sp.together(K.to_sympy(c))) * theta**k
+                    for k, c in enumerate(reversed(a))))
+
+
+def _polys(gens):
+    """Small polynomials over Q in gens, 0 and constants included."""
+    coeff = st.fractions(-3, 3, max_denominator=2).map(sp.Rational)
+    term = st.tuples(coeff, *[st.integers(0, 2) for _ in gens]).map(
+        lambda c: c[0] * sp.Mul(*(g**e for g, e in zip(gens, c[1:]))))
+    return st.lists(term, max_size=3).map(lambda ts: sp.Add(*ts))
+
+
+def _nonzero(polys):
+    return polys.filter(lambda p: p != 0)
+
+
+XTTH = (x, t, theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(XTTH), _nonzero(_polys(XTTH)), _polys(XTTH),
+       _nonzero(_polys(XTTH)), st.sampled_from(["+", "*", "/", "1/"]))
+def test_treduce_trivial_matches_cancel_reference(n1, d1, n2, d2, op):
+    """Rational functions over Q in x, t, theta, theta an indeterminate;
+    the denominators have either sign of leading coefficient, and "1/"
+    ends in a negative power, which leaves that sign as it is."""
+    f, g = n1 / d1, n2 / d2
+    e = {"+": lambda: f + g, "*": lambda: f * g,
+         "/": lambda: f / g if n2 != 0 else f, "1/": lambda: 1 / d2}[op]()
+    assert sp.srepr(treduce(e)) == sp.srepr(_reference_treduce(e))
+
+
+def _tower_exprs():
+    """Expression trees over Q(x, t)(theta): sums, products and integer
+    powers (negative ones included) of theta and rational functions."""
+    leaf = st.one_of(st.just(theta), _polys((x, t)),
+                     st.tuples(_polys((x, t)), _nonzero(_polys((x, t))))
+                     .map(lambda nd: nd[0] / nd[1]))
+    return st.recursive(leaf, lambda sub: st.one_of(
+        st.tuples(sub, sub).map(lambda ab: ab[0] + ab[1]),
+        st.tuples(sub, sub).map(lambda ab: ab[0] * ab[1]),
+        st.tuples(sub, st.integers(-2, 4)).map(lambda be: be[0]**be[1])),
+        max_leaves=6)
+
+
+THETA3_TOWER = make_tower(theta**3 - t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), _tower_exprs())
+def test_treduce_tower_matches_reference(cubic, e):
+    tower = THETA3_TOWER if cubic else EX1_TOWER
+    if e.has(sp.zoo, sp.nan):
+        return
+    try:
+        want = _reference_treduce(e, tower)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            treduce(e, tower)
+        return
+    assert sp.srepr(treduce(e, tower)) == sp.srepr(want)
+
+
+@pytest.mark.parametrize("tower", ["trivial", "ex1"])
+@pytest.mark.parametrize("e", [sp.sqrt(2) * x, sp.I, sp.Symbol("_d") * x,
+                               sp.zoo, 1 + theta * sp.Symbol("_d")])
+def test_treduce_rejects_input_outside_the_field(tower, e):
+    with pytest.raises(FieldError):
+        treduce(e, TRIVIAL_TOWER if tower == "trivial" else EX1_TOWER)
+
+
+def test_treduce_zero_denominator_in_tower():
+    with pytest.raises(ZeroDivisionError):
+        treduce(1 / (theta**2 - t**2 - 1), EX1_TOWER)
+
+
+def test_treduce_denominator_sign_rule():
+    """A negative power does not normalize the sign of the denominator in
+    Q(x, t, theta); treduce does, as cancel does."""
+    want = -1 / (2 * x + 2)
+    assert sp.srepr(treduce(1 / (-2 * x - 2))) == sp.srepr(want)
+    assert sp.srepr(treduce(theta / (-2 * x - 2), EX1_TOWER)) == \
+        sp.srepr(want * theta)
+
+
+def test_treduce_keeps_theta_an_indeterminate_on_trivial_tower():
+    m = theta**2 - t**2 - 1
+    assert treduce(m) == m
+    assert treduce(m / (theta - t)) == sp.cancel(m / (theta - t))
+
+
+def test_tower_reduction_runs_without_sympy_simplification(monkeypatch):
+    """treduce, mat_inv and dm_to_matrix on a tower never call SymPy's
+    cancel or together."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("SymPy simplification in the field layer")
+
+    M = sp.Matrix([[x, theta], [1 / (t + 1), x * theta + 1]])
+    e = (x + theta) / (t - theta) + theta**3 / (x - 1)
+    D = dm_from_matrix(M, EX1_TOWER)
+    for mod in (sp, sp.polys.polytools, sp.polys.rationaltools):
+        for name in ("cancel", "together"):
+            monkeypatch.setattr(mod, name, forbidden, raising=False)
+    for tower in (TRIVIAL_TOWER, EX1_TOWER):
+        treduce(e, tower)
+    mat_inv(M, EX1_TOWER)
+    dm_to_matrix(D, EX1_TOWER)
 
 
 def test_make_tower_degree_two():
@@ -171,9 +303,6 @@ def test_mat_inv_singular_raises():
 # ---------------------------------------------------------------------------
 # linear algebra over the tower, against SymPy's Matrix routines kept here
 # as the reference
-
-EX1_TOWER = make_tower(theta**2 - (t**2 + 1))
-
 
 def _srepr(vectors):
     return [[sp.srepr(e) for e in v] for v in vectors]

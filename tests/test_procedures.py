@@ -178,6 +178,21 @@ def test_unsupported_subroutine_ends_dp2_inconclusive(monkeypatch):
     assert (out.kind, out.stage) == ("Inconclusive", "c")
 
 
+def test_quadratic_ratio_ends_dp2_inconclusive(monkeypatch):
+    """A hypergeometric ratio with a quadratic constant ends DP2 as
+    Unsupported at stage c, naming the ratio, not as an internal error."""
+    import ddsolve.closedform as closedform
+
+    monkeypatch.setattr(closedform, "petkovsek",
+                        lambda op, m: [sp.sqrt(2) * x])
+    sys = DDSystem(2, HERMITE_A, HERMITE_B, assume_irreducible=True)
+    out = decision_procedure_2(sys)
+    assert (out.kind, out.provenance, out.stage) == ("Unsupported", "DP2", "c")
+    assert "sqrt(2)*x" in out.reason
+    out = solve_liouvillian(sys)
+    assert (out.kind, out.stage) == ("Inconclusive", "c")
+
+
 def test_solve_requires_valid_system():
     A = sp.Matrix([[x, 0], [0, 1]])
     B = sp.Matrix([[t, 1], [0, t]])
