@@ -182,11 +182,13 @@ def _read_matrix_file(path: str) -> sp.Matrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        rows = data["M"]
-        return sp.Matrix([[parse_ratfunc(e) for e in row] for row in rows])
+        rows = [[parse_ratfunc(e) for e in row] for row in data["M"]]
     except (OSError, json.JSONDecodeError, KeyError, TypeError,
             ParseError) as err:
         raise SchemaError("/M", str(err))
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise SchemaError("/M", "rows of different lengths")
+    return sp.Matrix(rows)
 
 
 def _cmd_tools(args) -> int:
@@ -226,6 +228,10 @@ def _dispatch_tool(args) -> int:
         return EXIT_SOLVED
     if args.tool == "moser":
         M = _read_matrix_file(args.expr[0])
+        if not M.is_square:
+            raise SchemaError("/M", "moser needs a square matrix")
+        if all(treduce(e) == 0 for e in M):
+            raise SchemaError("/M", "moser needs a nonzero matrix")
         rep = moser_reduce(M)
         ordv, _, _ = ord_and_moser(rep.reduced)
         print(f"ord = {ordv}")

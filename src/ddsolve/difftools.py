@@ -20,7 +20,7 @@ from .fields import (TRIVIAL_TOWER, Tower, factor_in_x, series_at_infinity,
 
 __all__ = [
     "ShiftClass", "ShiftClassDivisor", "StandardDecomposition",
-    "shift_equivalent", "shift_class_divisor", "dispersion", "is_standard",
+    "shift_equivalent", "shift_class_divisor", "dispersion",
     "standard_decompose", "split_alpha_beta_power", "leading_beta",
 ]
 
@@ -128,11 +128,6 @@ def dispersion(P) -> int:
         if len(shifts) > 1:
             disp = max(disp, max(shifts) - min(shifts))
     return disp
-
-
-def is_standard(f, m: int) -> bool:
-    num, den = treduce(f).as_numer_denom()
-    return dispersion(sp.expand(num * den)) < m
 
 
 def standard_decompose(f, m: int) -> StandardDecomposition:

@@ -26,9 +26,10 @@ over K = Q(x, t) (``QQ_XT``).  A matrix over the tower is converted at the
 boundary (:func:`dm_from_matrix`, :func:`dm_to_matrix`) to and from the
 K-matrix of its regular representation (:func:`regular_matrix`; the trivial
 tower is the case of degree 1), on which :func:`nullspace`, :func:`rank` and
-:func:`mat_inv` work.  :func:`dm_shift`, :func:`dm_delta` and :func:`dm_inv`
-act on matrices over K.  System matrices lie in K, so their cocycle
-(:func:`dm_sigma_power`, :func:`sigma_power_matrix`) is always formed over K.
+:func:`mat_inv` work.  :func:`dm_shift`, :func:`dm_delta`, :func:`dm_inv` and
+:func:`dm_series_at_infinity` act on matrices over K.  System matrices lie in
+K, so their cocycle (:func:`dm_sigma_power`, :func:`sigma_power_matrix`) is
+always formed over K.
 """
 
 from __future__ import annotations
@@ -61,10 +62,11 @@ __all__ = [
     "treduce", "teq", "tinv", "shift", "delta",
     "series_at_infinity", "factor_in_x", "roots_over_coeff_field",
     "AllEqual", "Split", "Conjugate", "MixedSplit",
-    "mat_reduce", "mat_shift", "mat_delta", "mat_inv", "mat_eq", "mat_is_zero",
+    "mat_reduce", "mat_shift", "mat_delta", "mat_inv",
     "nullspace", "rank", "kernel", "regular_matrix", "from_regular",
     "integer_roots", "sigma_power_matrix", "dm_from_matrix", "dm_to_matrix",
     "dm_shift", "dm_delta", "dm_inv", "dm_sigma_power",
+    "dm_series_at_infinity",
 ]
 
 
@@ -248,35 +250,13 @@ def delta(f, tower: Tower = TRIVIAL_TOWER):
 def series_at_infinity(f, terms: int, tower: Tower = TRIVIAL_TOWER):
     """Expansion f = (1/x)^ord * (c0 + c1/x + ...), exact.
 
-    Returns (ord, [c0, ..., c_{terms-1}]) or None for f = 0.
-    """
-    if terms < 1:
-        raise ValueError("terms >= 1 required")
-    f = treduce(f, tower)
-    if f == 0:
+    Returns (ord, [c0, ..., c_{terms-1}]) or None for f = 0; the c_k are
+    in the canonical form of treduce."""
+    D = dm_from_matrix(sp.Matrix([f]), tower)
+    if D.is_zero_matrix:
         return None
-    xi = sp.Dummy("xi")
-    g = sp.cancel(sp.together(f.subs(x, 1 / xi)))
-    num, den = g.as_numer_denom()
-    pn = sp.Poly(sp.expand(num), xi)
-    pd = sp.Poly(sp.expand(den), xi)
-    # trailing (valuation) coefficients
-    nc = list(reversed(pn.all_coeffs()))  # nc[k] = coeff of xi^k
-    dc = list(reversed(pd.all_coeffs()))
-    vn = next(i for i, c in enumerate(nc) if not teq(c, 0, tower))
-    vd = next(i for i, c in enumerate(dc) if not teq(c, 0, tower))
-    ord_ = vn - vd
-    n0 = nc[vn:]
-    d0 = dc[vd:]
-    inv0 = tinv(d0[0], tower)
-    coeffs = []
-    for k in range(terms):
-        acc = n0[k] if k < len(n0) else sp.Integer(0)
-        for i in range(k):
-            dcoef = d0[k - i] if k - i < len(d0) else sp.Integer(0)
-            acc = acc - coeffs[i] * dcoef
-        coeffs.append(treduce(acc * inv0, tower))
-    return ord_, coeffs
+    ord_, coeffs = dm_series_at_infinity(D, terms)
+    return ord_, [dm_to_matrix(C, tower)[0] for C in coeffs]
 
 
 def factor_in_x(p, tower: Tower = TRIVIAL_TOWER):
@@ -520,6 +500,37 @@ def dm_inv(D: DomainMatrix) -> DomainMatrix:
         raise FieldError("matrix not invertible")
 
 
+def dm_series_at_infinity(D: DomainMatrix, terms: int):
+    """Expansion D = (1/x)^ord * (C0 + C1/x + ...) of a nonzero matrix over
+    K: (ord, [C0, ..., C_{terms-1}]) with entries in Q(t).  An entry
+    num/den expands by dividing the coefficients of num and den in x, read
+    from the top.  The regular representation is Q(t)-linear, so on it this
+    is the expansion of the matrix over the tower."""
+    if terms < 1:
+        raise ValueError("terms >= 1 required")
+    series = {}
+    for ij, c in D.to_dok().items():
+        (dn, a), (dd, b) = (_top_coeffs(p, terms) for p in (c.numer, c.denom))
+        cs = []
+        for k in range(terms):
+            cs.append((a[k] - sum((cs[i] * b[k - i] for i in range(k)),
+                                  QQ_XT.zero)) / b[0])
+        series[ij] = dd - dn, cs
+    if not series:
+        raise ValueError("zero matrix has no expansion")
+    ord_ = min(o for o, _ in series.values())
+    return ord_, [DomainMatrix.from_dok(
+        {ij: cs[k - o + ord_] for ij, (o, cs) in series.items()
+         if k >= o - ord_}, D.shape, QQ_XT) for k in range(terms)]
+
+
+def _top_coeffs(p, terms: int):
+    """deg_x p and its first `terms` coefficients in x from the top, in K."""
+    d = p.degree(_X)
+    return d, [QQ_XT.new(p.coeff_wrt(_X, d - k)) if k <= d else QQ_XT.zero
+               for k in range(terms)]
+
+
 # cocycles of the systems of one solve, with room for a few solves
 _SIGMA_POWER_CACHE_SIZE = 32
 
@@ -555,10 +566,3 @@ def _sigma_power(A: sp.ImmutableMatrix, m: int) -> DomainMatrix:
 def _sigma_power_expr(A: sp.ImmutableMatrix, m: int) -> sp.ImmutableMatrix:
     return sp.ImmutableMatrix(dm_to_matrix(_sigma_power(A, m)))
 
-
-def mat_eq(A: sp.Matrix, B: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> bool:
-    return A.shape == B.shape and mat_is_zero(A - B, tower)
-
-
-def mat_is_zero(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> bool:
-    return all(treduce(e, tower) == 0 for e in M)

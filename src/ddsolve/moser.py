@@ -1,30 +1,44 @@
-"""Order at infinity, first Moser order, and a desk-scale reduction loop.
+"""Order at infinity, first Moser order, and Moser reduction at x = infinity.
 
-For M = (1/x)^ord (H0 + H1/x + ...) with H0 != 0 the first Moser order is
-m(M) = -ord + rank(H0)/n.  The reduction loop applies gauge transformations
-M -> sigma(G) M G^{-1} built from constant transformations (permutations,
-kernel alignment of H0) composed with shearings diag(1,..,1,x,..,x), and
-accepts a step only when the pair (-ord, rank H0) strictly decreases
-lexicographically.  The classical Moser reducibility criterion (theta(lam)
-identically zero) decides when to keep trying; if it fires but no candidate
-helps, ReductionStalled is raised rather than silently accepting the form.
+For M = x^q (H0 + H1/x + ...), q = -ord, H0 != 0, the first Moser order is
+m(M) = q + r/n, r = rank H0.  :func:`moser_reduce` lowers it by gauges
+M -> sigma(G) M G^-1 built as in Moser's lemma (J. Moser, 1960; M. A.
+Barkatou, ISSAC 1995; Barkatou-Pfluegel, JSC 44, 2009), over K = Q(x, t):
+
+* M is Moser-reducible iff theta(lam) = [s^r] det(s*H0 + H1 - lam*I),
+  taken over Q(t)[s, lam], vanishes identically.
+* One step is G = S * P^-1, P a constant basis change over Q(t) whose
+  trailing columns span a subspace N2 of ker H0 and S = diag(1, ..., 1,
+  1/x, ..., 1/x) a shearing of the N2 coordinates.  sigma(S) S^-1 = I +
+  O(1/x), so the new leading matrix is that of S P^-1 M P S^-1, of rank
+  r + dim(B N2 + J N2) - dim N2 for the pencil B + lam*J : ker H0 ->
+  K^n / im H0 induced by H1 and the identity, whose determinant is theta
+  up to a unit.  N2 = ker H0 when that lowers the rank (plain shearing);
+  otherwise N2 is spanned by the coefficients of a least-degree polynomial
+  null vector of the pencil, which maps them into a smaller space.
+* Each step must lower (q, r) lexicographically, checked exactly;
+  ReductionStalled is raised when it does not.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import sympy as sp
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
-from .fields import (TRIVIAL_TOWER, Tower, mat_inv, mat_reduce, mat_shift,
-                     nullspace, rank, roots_over_coeff_field,
-                     series_at_infinity, treduce, x)
+from .fields import (QQ_XT, TRIVIAL_TOWER, Tower, dm_from_matrix, dm_inv,
+                     dm_series_at_infinity, dm_shift, dm_to_matrix, kernel,
+                     rank, roots_over_coeff_field, t, x)
 from .sequences import VerificationError
 
 __all__ = ["InfinityExpansion", "MoserReport", "ReductionStalled",
            "infinity_expansion", "ord_and_moser", "moser_reduce",
            "leading_eigendata"]
+
+# Q(t)[s, lam], where the Moser criterion's determinant is taken
+_THETA_RING = QQ.frac_field(t)[sp.Symbol("_s"), sp.Symbol("_lam")]
 
 
 class ReductionStalled(Exception):
@@ -46,26 +60,9 @@ class MoserReport:
 
 
 def infinity_expansion(M: sp.Matrix, terms: int, tower: Tower = TRIVIAL_TOWER) -> InfinityExpansion:
-    n, mcols = M.shape
-    entry = [[series_at_infinity(M[i, j], terms, tower) for j in range(mcols)]
-             for i in range(n)]
-    orders = [e[0] for row in entry for e in row if e is not None]
-    if not orders:
-        raise ValueError("zero matrix has no expansion")
-    ord_ = min(orders)
-    coeffs = []
-    for k in range(terms):
-        Hk = sp.zeros(n, mcols)
-        for i in range(n):
-            for j in range(mcols):
-                if entry[i][j] is None:
-                    continue
-                o, cs = entry[i][j]
-                idx = k - (o - ord_)
-                if 0 <= idx < len(cs):
-                    Hk[i, j] = cs[idx]
-        coeffs.append(Hk)
-    return InfinityExpansion(ord_, coeffs)
+    """Expansion of a nonzero matrix at x = infinity, in canonical form."""
+    ord_, coeffs = dm_series_at_infinity(dm_from_matrix(M, tower), terms)
+    return InfinityExpansion(ord_, [dm_to_matrix(C, tower) for C in coeffs])
 
 
 def ord_and_moser(M: sp.Matrix):
@@ -76,87 +73,84 @@ def ord_and_moser(M: sp.Matrix):
     return exp.ord, sp.Rational(-exp.ord) + sp.Rational(rank(H0), n), H0
 
 
-def _theta_poly_vanishes(H0: sp.Matrix, H1: sp.Matrix, r: int) -> bool:
-    """Moser criterion: theta(lam) = [s^r] det(s*H0 + H1 - lam*I) == 0."""
-    s, lam = sp.symbols("_s _lam")
+def _theta_vanishes(H0: DomainMatrix, H1: DomainMatrix, r: int) -> bool:
+    """Moser criterion theta(lam) == 0.  det(s*H0 + H1 - lam*I) has degree
+    at most r = rank H0 in s, so theta vanishes iff the degree is below r."""
+    R = _THETA_RING
+    s, lam = R.gens
+    h0, h1 = (H.convert_to(R.domain).to_list() for H in (H0, H1))
+    n = len(h0)
+    pencil = DomainMatrix(
+        [[s * h0[i][j] + h1[i][j] - (lam if i == j else R.zero)
+          for j in range(n)] for i in range(n)], (n, n), R)
+    return pencil.det().degree(s) < r
+
+
+def _pencil_null_vector(B: DomainMatrix, J: DomainMatrix):
+    """Coefficients nu_0, ..., nu_d (rows) of a polynomial null vector of
+    least degree d of the square pencil B + lam*J, or None when the pencil
+    is regular.  They solve B nu_0 = 0, B nu_k + J nu_{k-1} = 0, J nu_d = 0,
+    and a singular m x m pencil has such a vector with d < m."""
+    m = B.shape[0]
+    Z = DomainMatrix.zeros((m, m), QQ_XT)
+    for d in range(m):
+        T = DomainMatrix.vstack(*(
+            DomainMatrix.hstack(*(B if k == row else J if k == row - 1 else Z
+                                  for k in range(d + 1)))
+            for row in range(d + 2)))
+        null = kernel(T)
+        if null.shape[0]:
+            v = null.to_list()[0]
+            return DomainMatrix([v[k * m:(k + 1) * m] for k in range(d + 1)],
+                                (d + 1, m), QQ_XT)
+    return None
+
+
+def _moser_step(H0: DomainMatrix, H1: DomainMatrix) -> DomainMatrix:
+    """The gauge G = S * P^-1 of one Moser step (module docstring)."""
     n = H0.shape[0]
-    detp = sp.expand((s * H0 + H1 - lam * sp.eye(n)).det(method="berkowitz"))
-    coeff = sp.Poly(detp, s).coeff_monomial(s**r) if sp.Poly(detp, s).degree() >= r else sp.Integer(0)
-    if coeff == 0:
-        return True
-    return all(treduce(c) == 0 for c in sp.Poly(coeff, lam).all_coeffs())
-
-
-def _constant_candidates(H0: sp.Matrix):
-    """Constant (x-free) transformations worth trying before a shearing."""
-    n = H0.shape[0]
-    cands = [sp.eye(n)]
-    for perm in itertools.permutations(range(n)):
-        P = sp.zeros(n, n)
-        for i, p in enumerate(perm):
-            P[i, p] = 1
-        cands.append(P)
-    # kernel alignment: invertible T whose trailing columns span ker(H0)
-    kern = nullspace(H0)
-    if kern and len(kern) < n:
-        cols = list(kern)
-        for i in range(n):
-            e = sp.zeros(n, 1)
-            e[i] = 1
-            trial = cols + [e]
-            if rank(sp.Matrix.hstack(*trial)) == len(trial):
-                cols = trial
-        if len(cols) == n:
-            T = sp.Matrix.hstack(*(cols[len(kern):] + cols[:len(kern)]))
-            cands.append(mat_reduce(T))
-    return cands
-
-
-def _shearings(n: int):
-    out = []
-    for k in range(1, n):
-        D = sp.diag(*([1] * (n - k) + [x] * k))
-        out.append(D)
-        out.append(D.inv())
-    return out
+    N = kernel(H0)                     # rows: a basis of ker H0
+    W = kernel(H0.transpose())         # rows: coordinates on K^n / im H0
+    J = W * N.transpose()
+    B = W * H1 * N.transpose()
+    N2 = N
+    if B.hstack(J).rank() == N.shape[0]:   # the plain shearing keeps the rank
+        V = _pencil_null_vector(B, J)
+        if V is not None:
+            N2 = V * N
+    # P: a basis of N2, extended by ker H0 and then by K^n, in reverse
+    X = DomainMatrix.vstack(N2, N, DomainMatrix.eye(n, QQ_XT))
+    _, pivots = X.transpose().rref()
+    P = X.extract(list(reversed(pivots)), range(n)).transpose()
+    s = sum(1 for p in pivots if p < N2.shape[0])
+    inv_x = QQ_XT.one / QQ_XT.from_sympy(x)
+    S = DomainMatrix.diag([QQ_XT.one] * (n - s) + [inv_x] * s, QQ_XT)
+    return S * dm_inv(P)
 
 
 def moser_reduce(M: sp.Matrix) -> MoserReport:
+    """Gauge M over Q(x, t) to order 0 at infinity or to Moser-irreducible
+    form; ReductionStalled when a built step does not lower (q, rank H0)."""
     n = M.shape[0]
-    gauge = sp.eye(n)
-    cur = mat_reduce(M)
-    while True:
-        exp = infinity_expansion(cur, 2)
-        H0, H1 = exp.coeffs
-        r = rank(H0)
-        if exp.ord >= 0:
-            break
-        if not _theta_poly_vanishes(H0, H1, r):
-            break  # Moser-irreducible with m > 1
-        best = None
-        for T in _constant_candidates(H0):
-            Tinv = mat_inv(T)
-            MT = mat_reduce(T * cur * Tinv)
-            for D in _shearings(n):
-                cand = mat_reduce(mat_shift(D) * MT * D.inv())
-                cexp = infinity_expansion(cand, 1)
-                measure = (-cexp.ord, rank(cexp.coeffs[0]))
-                if measure < (-exp.ord, r):
-                    best = (D * T, cand)
-                    break
-            if best:
-                break
-        if best is None:
-            raise ReductionStalled(
-                "Moser criterion fires but no candidate gauge decreases (-ord, rank)")
-        G, cur = best
-        gauge = mat_reduce(G * gauge)
-    ord_, m_, H0 = ord_and_moser(cur)
+    D = dm_from_matrix(M)
+    cur, gauge = D, DomainMatrix.eye(n, QQ_XT)
+    ord_, (H0, H1) = dm_series_at_infinity(cur, 2)
+    r = H0.rank()
+    while ord_ < 0 and _theta_vanishes(H0, H1, r):
+        G = _moser_step(H0, H1)
+        cur, gauge = dm_shift(G) * cur * dm_inv(G), G * gauge
+        before = (-ord_, r)
+        ord_, (H0, H1) = dm_series_at_infinity(cur, 2)
+        r = H0.rank()
+        if (-ord_, r) >= before:
+            raise ReductionStalled("Moser criterion fires but the Moser "
+                                   "step does not decrease (-ord, rank)")
     # exact gauge identity check
-    lhs = mat_reduce(mat_shift(gauge) * M * mat_inv(gauge))
-    if not all(treduce(lhs[i] - cur[i]) == 0 for i in range(n * n)):
+    if dm_shift(gauge) * D * dm_inv(gauge) != cur:
         raise VerificationError("gauge identity violated")
-    return MoserReport(gauge=gauge, reduced=cur, moser_order=m_, leading=H0)
+    return MoserReport(gauge=dm_to_matrix(gauge), reduced=dm_to_matrix(cur),
+                       moser_order=sp.Rational(-ord_) + sp.Rational(r, n),
+                       leading=dm_to_matrix(H0))
 
 
 def leading_eigendata(H0: sp.Matrix, n: int, var: sp.Symbol = None):

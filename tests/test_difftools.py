@@ -3,11 +3,12 @@ import random
 import pytest
 import sympy as sp
 
-from ddsolve.difftools import (dispersion, is_standard, leading_beta,
-                               shift_class_divisor, shift_equivalent,
-                               split_alpha_beta_power, standard_decompose)
+from ddsolve.difftools import (dispersion, leading_beta, shift_class_divisor,
+                               shift_equivalent, split_alpha_beta_power,
+                               standard_decompose)
 from ddsolve.fields import shift, t, teq, x
 from conftest import random_poly_x
+from helpers import is_standard
 
 
 # ---------------------------------------------------------------------------

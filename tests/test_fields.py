@@ -10,7 +10,7 @@ from ddsolve.fields import (AllEqual, Conjugate, FieldError, MixedSplit, Split,
                             QQ_XT, TRIVIAL_TOWER, delta, dm_delta,
                             dm_from_matrix,
                             dm_shift, dm_sigma_power, dm_to_matrix,
-                            factor_in_x, make_tower, mat_delta, mat_eq,
+                            factor_in_x, make_tower, mat_delta,
                             integer_roots, mat_inv, mat_reduce, mat_shift,
                             nullspace, rank,
                             roots_over_coeff_field, series_at_infinity, shift,
@@ -18,6 +18,7 @@ from ddsolve.fields import (AllEqual, Conjugate, FieldError, MixedSplit, Split,
                             x)
 from ddsolve.files import read_system
 from conftest import SYSTEMS, random_ratfunc
+from helpers import mat_eq
 
 Y = sp.Symbol("Y")
 EX1_TOWER = make_tower(theta**2 - (t**2 + 1))
@@ -238,6 +239,65 @@ def test_series_at_infinity_rational():
 
 def test_series_at_infinity_zero():
     assert series_at_infinity(sp.Integer(0), 3) is None
+
+
+def _reference_series_at_infinity(f, terms, tower=TRIVIAL_TOWER):
+    """The expansion by substitution x -> 1/xi and SymPy simplification
+    that series_at_infinity replaced."""
+    f = treduce(f, tower)
+    if f == 0:
+        return None
+    xi = sp.Dummy("xi")
+    g = sp.cancel(sp.together(f.subs(x, 1 / xi)))
+    num, den = g.as_numer_denom()
+    nc = list(reversed(sp.Poly(sp.expand(num), xi).all_coeffs()))
+    dc = list(reversed(sp.Poly(sp.expand(den), xi).all_coeffs()))
+    vn = next(i for i, c in enumerate(nc) if not teq(c, 0, tower))
+    vd = next(i for i, c in enumerate(dc) if not teq(c, 0, tower))
+    n0, d0 = nc[vn:], dc[vd:]
+    inv0 = tinv(d0[0], tower)
+    coeffs = []
+    for k in range(terms):
+        acc = n0[k] if k < len(n0) else sp.Integer(0)
+        for i in range(k):
+            dcoef = d0[k - i] if k - i < len(d0) else sp.Integer(0)
+            acc = acc - coeffs[i] * dcoef
+        coeffs.append(treduce(acc * inv0, tower))
+    return vn - vd, coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["trivial", "ex1", "cubic"]), _tower_exprs(),
+       _nonzero(_polys((x, t))), _nonzero(_polys((x, t))),
+       st.integers(1, 4))
+def test_series_at_infinity_matches_reference(which, e, num, den, terms):
+    """Rational functions in x and t on the trivial tower; expression
+    trees over the towers theta^2 = t^2 + 1 and theta^3 = t."""
+    tower = {"trivial": TRIVIAL_TOWER, "ex1": EX1_TOWER,
+             "cubic": THETA3_TOWER}[which]
+    if tower.trivial:
+        e = num / den
+    if e.has(sp.zoo, sp.nan):
+        return
+    try:
+        want = _reference_series_at_infinity(e, terms, tower)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            series_at_infinity(e, terms, tower)
+        return
+    assert sp.srepr(series_at_infinity(e, terms, tower)) == sp.srepr(want)
+
+
+def test_series_at_infinity_runs_without_sympy_simplification(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("SymPy simplification in series_at_infinity")
+
+    for mod in (sp, sp.polys.polytools, sp.polys.rationaltools):
+        for name in ("cancel", "together"):
+            monkeypatch.setattr(mod, name, forbidden, raising=False)
+    assert series_at_infinity((x * theta + 1) / (x**2 + t), 3, EX1_TOWER) \
+        == (1, [theta, 1, -t * theta])
+    assert series_at_infinity(x / (x + 1), 2) == (0, [1, -1])
 
 
 @settings(max_examples=40, deadline=None)

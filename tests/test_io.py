@@ -249,6 +249,20 @@ def test_cli_tools_moser(tmp_path, capsys):
     assert "ord = 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tool, M", [
+    ("ratsol", [["1", "0"], ["0"]]),          # ragged rows
+    ("moser", [["1", "0"], ["0"]]),
+    ("moser", [["1", "0"]]),                  # not square
+    ("moser", [["0", "(x^2-1)/(x-1)-x-1"], ["0", "0"]]),  # zero matrix
+])
+def test_cli_tools_malformed_matrix_is_an_input_error(tool, M, tmp_path,
+                                                      capsys):
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps({"M": M}))
+    assert cli_main(["tools", tool, str(mat)]) == 3
+    assert capsys.readouterr().err.startswith("input error:")
+
+
 # ---------------------------------------------------------------------------
 # solution files
 

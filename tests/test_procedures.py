@@ -7,17 +7,18 @@ import pytest
 import sympy as sp
 
 from ddsolve.fields import (TRIVIAL_TOWER, delta, make_tower, mat_delta,
-                            mat_eq, mat_inv, mat_reduce, mat_shift, t, teq,
-                            theta, treduce, x)
+                            mat_inv, mat_reduce, mat_shift, t, teq, theta,
+                            treduce, x)
 from ddsolve.procedures import (DDSystem, _certificate_normalizer,
                                 _first_verification_point,
                                 check_integrability, decision_procedure_1,
                                 decision_procedure_2, descend_gauge,
                                 solve_liouvillian)
 from ddsolve.ratsol import UnsupportedCase
-from ddsolve.sequences import VerificationError
+from ddsolve.sequences import VerificationError, verify_certificates
 from ddsolve.files import read_system
 from conftest import ROOT, SYSTEMS, random_invertible_matrix, random_ratfunc
+from helpers import mat_eq
 
 HERMITE_A = sp.Matrix([[0, 1], [-2 * x, 2 * t]])
 HERMITE_B = sp.Matrix([[2 * t, -1], [2 * x, 0]])
@@ -159,6 +160,23 @@ def test_dp1_stage_a_exit_on_hermite():
     out = decision_procedure_1(sys)
     assert out.kind == "NoSolution"
     assert out.stage == "a"
+
+
+def test_dp1_solves_gauged_example1():
+    """example1 under the unimodular gauge G: A' = sigma(G)^-1 A G,
+    B' = G^-1 (B G - delta(G)).  Its Moser reduction at infinity needs a
+    basis change of ker H0 before the shearing."""
+    ex1 = read_system(str(SYSTEMS / "example1.json"))
+    G = sp.Matrix([[1, t - 2 * x + 1], [0, 1]])
+    A = mat_reduce(mat_inv(mat_shift(G)) * ex1.A * G)
+    B = mat_reduce(mat_inv(G) * (ex1.B * G - mat_delta(G)))
+    sys = DDSystem(2, A, B, assume_irreducible=True)
+    sys.validate()
+    out = decision_procedure_1(sys)
+    assert (out.kind, out.provenance) == ("Solved", "DP1")
+    assert out.solutions
+    for sol in out.solutions:
+        assert verify_certificates(sys, sol).ok
 
 
 def test_unsupported_subroutine_ends_dp2_inconclusive(monkeypatch):

@@ -4,9 +4,8 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from ddsolve.fields import (TRIVIAL_TOWER, make_tower, mat_eq, mat_inv,
-                            mat_reduce, mat_shift, shift, t, teq, theta,
-                            treduce, x)
+from ddsolve.fields import (TRIVIAL_TOWER, make_tower, mat_inv, mat_reduce,
+                            mat_shift, shift, t, teq, theta, treduce, x)
 import ddsolve.ratsol as ratsol
 from ddsolve.ratsol import (UnsupportedCase, _constant_span_reduce,
                             _degree_bound, _nullspace_over_Qt,
