@@ -21,9 +21,10 @@ import sys as _sys
 
 import sympy as sp
 
-from .closedform import UnsupportedCase, hyperexp_solutions, petkovsek
+from .closedform import (UnsupportedCase, hyperexp_solutions, petkovsek,
+                         recurrence_polys)
 from .difftools import dispersion, split_alpha_beta_power, standard_decompose
-from .fields import TRIVIAL_TOWER, FieldError, mat_reduce, treduce
+from .fields import TRIVIAL_TOWER, FieldError, dm_from_matrix, treduce
 from .files import (SchemaError, outcome_to_dict, read_solution, read_system,
                     write_solution)
 from .moser import ReductionStalled, moser_reduce, ord_and_moser
@@ -178,7 +179,9 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # tools
 
-def _read_matrix_file(path: str) -> sp.Matrix:
+def _read_matrix_file(path: str, invertible: bool = False) -> sp.Matrix:
+    """The square matrix over Q(x, t) in the file's "M" field (an
+    invertible one when `invertible` is set); SchemaError otherwise."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -186,9 +189,16 @@ def _read_matrix_file(path: str) -> sp.Matrix:
     except (OSError, json.JSONDecodeError, KeyError, TypeError,
             ParseError) as err:
         raise SchemaError("/M", str(err))
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise SchemaError("/M", "rows of different lengths")
-    return sp.Matrix(rows)
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise SchemaError("/M", "matrix must be square and nonempty")
+    M = sp.Matrix(rows)
+    try:
+        D = dm_from_matrix(M)
+    except FieldError as err:
+        raise SchemaError("/M", str(err))
+    if invertible and D.rank() < D.shape[0]:
+        raise SchemaError("/M", "matrix must be invertible")
+    return M
 
 
 def _cmd_tools(args) -> int:
@@ -228,8 +238,6 @@ def _dispatch_tool(args) -> int:
         return EXIT_SOLVED
     if args.tool == "moser":
         M = _read_matrix_file(args.expr[0])
-        if not M.is_square:
-            raise SchemaError("/M", "moser needs a square matrix")
         if all(treduce(e) == 0 for e in M):
             raise SchemaError("/M", "moser needs a nonzero matrix")
         rep = moser_reduce(M)
@@ -240,7 +248,7 @@ def _dispatch_tool(args) -> int:
         _print_matrix("reduced", rep.reduced)
         return EXIT_SOLVED
     if args.tool == "ratsol":
-        M = _read_matrix_file(args.expr[0])
+        M = _read_matrix_file(args.expr[0], invertible=True)
         basis = rational_solutions(M, args.step, TRIVIAL_TOWER).basis
         if not basis:
             print("no nonzero rational solutions")
@@ -251,6 +259,10 @@ def _dispatch_tool(args) -> int:
         return EXIT_SOLVED
     if args.tool == "petkovsek":
         ps = [parse_ratfunc(s) for s in args.expr]
+        try:
+            recurrence_polys(ps)
+        except ValueError as err:
+            raise SchemaError("", str(err))
         ratios = petkovsek(ps, args.step)
         if not ratios:
             print("no hypergeometric solutions")

@@ -1,11 +1,21 @@
 """Hypergeometric solutions of difference systems over Q(x) and
-hyperexponential solutions of differential systems over Q(t), desk scale.
+hyperexponential solutions of differential systems over Q(t).
 
-petkovsek() enumerates Gosper-Petkovsek forms z * a(x)/b(x) * c(x+m)/c(x)
-with a | p_0 and b(x+(k-1)m) | p_k; constants z are accepted from Q or one
-quadratic extension.  Systems are reduced to scalar recurrences through the
-chain v -> sigma^m(v) M, one per coordinate, and solutions recovered by
-rational back-substitution.
+petkovsek() is Petkovsek's Hyper with shift step m: it enumerates
+Gosper-Petkovsek forms z * a(x)/b(x) * C(x+m)/C(x) with a | p_0 and
+b(x+(k-1)m) | p_k.  The search runs in dense polynomial arithmetic over a
+ground domain K: QQ, or QQ(z) when the constant z is a quadratic
+irrational (z is searched in Q and quadratic extensions of Q).  Degrees
+and leading coefficients of the P_i come from those of a and b, the
+indicial polynomial and the linear system for C are formed over K, and
+duplicate ratios are found by cross-multiplying over K.  SymPy
+expressions appear only at the boundary: the coefficients are read in
+from expressions, and each new ratio is built as an expression and
+checked by substitution into the recurrence.
+
+Systems are reduced to scalar recurrences through the chain
+v -> sigma^m(v) M, one per coordinate, and solutions recovered by rational
+back-substitution.
 
 The hyperexponential solver is deliberately restricted to diagonal,
 constant, and simple-pole matrices; anything else raises UnsupportedCase.
@@ -17,17 +27,29 @@ import itertools
 from dataclasses import dataclass
 
 import sympy as sp
+from sympy import QQ
+from sympy.polys.densearith import (dup_add, dup_mul, dup_mul_ground,
+                                    dup_pow, dup_quo_ground)
+from sympy.polys.densebasic import dup_convert, dup_degree, dup_strip
+from sympy.polys.densetools import dup_monic, dup_shift
+from sympy.polys.factortools import dup_factor_list
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.polyerrors import CoercionFailed
 
-from .fields import (TRIVIAL_TOWER, FieldError, Tower, make_tower, mat_reduce,
-                     mat_shift, nullspace, shift, t, theta, treduce, x)
+from .fields import (TRIVIAL_TOWER, FieldError, Tower, common_integer_roots,
+                     kernel, make_tower, mat_reduce, mat_shift, nullspace,
+                     shift, t, theta, treduce, x)
 from .difftools import standard_decompose
 from .ratsol import (UnsupportedCase, _collect_equations, _nullspace_over_Qt,
-                     _scalar_degree_candidates, rational_solutions,
-                     scalar_operators)
+                     rational_solutions, scalar_operators)
 from .sequences import VerificationError
 
 __all__ = ["HypergeometricCandidate", "HyperexpCandidate", "UnsupportedCase",
-           "petkovsek", "system_hypergeometric", "hyperexp_solutions"]
+           "petkovsek", "recurrence_polys", "system_hypergeometric",
+           "hyperexp_solutions"]
+
+_Z = sp.Symbol("_z")
+_QQ_X = QQ.frac_field(x)
 
 
 @dataclass
@@ -45,110 +67,206 @@ class HyperexpCandidate:
 
 
 # ---------------------------------------------------------------------------
-# Petkovsek, with shift step m
+# Petkovsek's Hyper.  Polynomials in x are dense lists over the ground
+# domain K (QQ, or QQ(z) for a quadratic irrational z), highest degree
+# first.
 
-def _monic_divisors(p):
-    """All monic divisors in x of a polynomial over Q (constants dropped)."""
-    if p == 0:
-        return [sp.Integer(1)]
-    _, factors = sp.factor_list(sp.expand(p), x)
-    factors = [(f, m) for f, m in factors if x in f.free_symbols]
-    divisors = [sp.Integer(1)]
-    for f, mult in factors:
-        lc = sp.LC(f, x)
-        fm = sp.expand(f / lc)
-        divisors = [d * fm**e for d in divisors for e in range(mult + 1)]
-    return [sp.expand(d) for d in divisors]
-
-
-def _algebraic_roots(poly_in_z, z):
-    """Roots in Q or a quadratic extension of Q."""
-    out = []
-    for r in sp.roots(sp.Poly(poly_in_z, z), multiple=True):
-        if r == 0:
-            continue
+def recurrence_polys(pcoeffs) -> list:
+    """The coefficients p_i as dense polynomials in x over Q.  ValueError
+    names a coefficient outside Q[x] and an all-zero recurrence."""
+    ps = []
+    for p in pcoeffs:
         try:
-            deg = sp.minimal_polynomial(r, z).as_poly(z).degree()
-        except Exception:
-            continue
-        if deg <= 2 and not any(sp.simplify(r - o) == 0 for o in out):
-            out.append(sp.radsimp(r))
-    return out
-
-
-def _normalize_recurrence(pcoeffs, m):
-    """Drop leading zero coefficients: if p_0 = ... = p_{i0-1} = 0, rewrite
-    in the shifted variable so the trailing coefficient is nonzero."""
-    ps = [sp.expand(p) for p in pcoeffs]
-    while ps and ps[-1] == 0:
-        ps.pop()
-    i0 = next(i for i, p in enumerate(ps) if p != 0)
-    if i0:
-        ps = [shift(p, -m * i0) for p in ps[i0:]]
+            f = _QQ_X.from_sympy(sp.sympify(p))
+        except (CoercionFailed, ValueError):
+            f = None
+        if f is None or not f.denom.is_ground:
+            raise ValueError(f"recurrence coefficient not in Q[x]: {p}")
+        ps.append(f.numer.quo_ground(f.denom.LC).to_dense())
+    if not any(ps):
+        raise ValueError("recurrence has only zero coefficients")
     return ps
+
+
+def _monic_divisors(p: list) -> list:
+    """All monic divisors of a nonzero polynomial over Q, in the order of
+    its factor list, exponents of earlier factors varying slowest."""
+    divisors = [[QQ.one]]
+    for f, mult in dup_factor_list(p, QQ)[1]:
+        f = dup_monic(f, QQ)
+        divisors = [dup_mul(d, dup_pow(f, e, QQ), QQ)
+                    for d in divisors for e in range(mult + 1)]
+    return divisors
+
+
+def _leading_roots(lead: list) -> list:
+    """(z, K, z in K) for each nonzero root z of `lead` (a dense
+    polynomial over Q) that is rational, K = QQ, or quadratic over Q, K =
+    QQ(z), in the order and the SymPy form (after radsimp) of
+    sp.roots(lead)."""
+    roots = []
+    for f, _ in dup_factor_list(lead, QQ)[1]:
+        if len(f) == 2 and f[1]:
+            r = -f[1] / f[0]
+            roots.append((QQ.to_sympy(r), QQ, r))
+        elif len(f) == 3:
+            q = sp.Poly(f, _Z, domain=QQ)
+            for r in sp.roots(q, multiple=True):
+                K = QQ.algebraic_field((q.monic(), sp.radsimp(r)))
+                roots.append((r, K, K.unit))
+    order = {e: i for i, e in enumerate(sp.ordered([r[0] for r in roots]))}
+    return [(sp.radsimp(r), K, z)
+            for r, K, z in sorted(roots, key=lambda r: order[r[0]])]
+
+
+def _slices(p: list, K) -> list:
+    """The nonzero coordinate polynomials over Q of a polynomial over K."""
+    if K == QQ:
+        return [p]
+    deg = K.mod.degree()
+    coords = [[QQ.zero] * (deg - len(c.to_list())) + c.to_list() for c in p]
+    return [s for s in (dup_strip([c[j] for c in coords])
+                        for j in range(deg)) if s]
+
+
+def _indicial_degrees(Q: list, m: int, K, rmax: int = 80):
+    """Degree candidates for polynomial solutions of
+    sum_i Q_i(x) C(x + m*i) = 0: the nonnegative integer roots of the
+    first nonzero indicial polynomial at x = infinity, None when there is
+    none up to rmax."""
+    D = max(dup_degree(q) for q in Q)
+    binom = [[K.one]]          # binomial(d, s) as a polynomial in d
+    for r in range(rmax + 1):
+        if r:
+            binom.append(dup_quo_ground(
+                dup_mul(binom[-1], [K.one, K(-(r - 1))], K), K(r), K))
+        phi = []
+        for i, q in enumerate(Q):
+            for s in range(r + 1):
+                e = dup_degree(q) - (D - r + s)   # index of x^(D-r+s)
+                if 0 <= e < len(q) and q[e] and (i or not s):
+                    phi = dup_add(phi, dup_mul_ground(
+                        binom[s], q[e] * K((m * i) ** s), K), K)
+        if phi:
+            return [d for d in common_integer_roots(_slices(phi, K))
+                    if d >= 0]
+    return None
+
+
+def _polynomial_kernel(Q: list, m: int, bound: int, K):
+    """A nonzero C over K of degree <= bound with
+    sum_i Q_i(x) C(x + m*i) = 0, or None: the first vector of the
+    null-space basis of the coefficient equations (all ones when every
+    equation is zero)."""
+    cols = []
+    terms = list(Q)             # Q_i(x) (x + m*i)^j for j = 0, 1, ...
+    for j in range(bound + 1):
+        if j:
+            terms = [dup_mul(q, [K.one, K(m * i)], K)
+                     for i, q in enumerate(terms)]
+        col = []
+        for q in terms:
+            col = dup_add(col, q, K)
+        cols.append(col[::-1])
+    rows = max(len(c) for c in cols)
+    if not rows:
+        vec = [K.one] * (bound + 1)
+    else:
+        M = DomainMatrix([[c[e] if e < len(c) else K.zero for c in cols]
+                          for e in range(rows)], (rows, bound + 1), K)
+        null = kernel(M).to_list()
+        if not null:
+            return None
+        vec = null[0]
+    return dup_strip(vec[::-1]) or None
+
+
+def _expr(p: list, K) -> sp.Expr:
+    return sp.expand(sp.Add(*(K.to_sympy(c) * x**k
+                              for k, c in enumerate(reversed(p)))))
 
 
 def petkovsek(pcoeffs, m: int = 1):
     """All rational ratios r with a nonzero solution of
     sum_i p_i(x) y(x + m*i) = 0 satisfying sigma^m(y) = r*y.
 
-    Constants are searched in Q and quadratic extensions of Q; coefficients
-    must be polynomials over Q (t-free).
+    Constants are searched in Q and quadratic extensions of Q; the p_i
+    must lie in Q[x] (ValueError otherwise, see :func:`recurrence_polys`).
     """
-    ps = _normalize_recurrence(pcoeffs, m)
+    ps = recurrence_polys(pcoeffs)
+    # drop zero coefficients at both ends: if p_0 = ... = p_{i0-1} = 0,
+    # rewrite in x - m*i0 so that the trailing coefficient is nonzero
+    while not ps[-1]:
+        ps.pop()
+    i0 = next(i for i, p in enumerate(ps) if p)
+    ps = [dup_shift(p, QQ(-m * i0), QQ) for p in ps[i0:]]
     k = len(ps) - 1
     if k == 0:
         return []
-    z = sp.Symbol("_z")
-    ratios = []
-    for a in _monic_divisors(ps[0]):
-        for b in _monic_divisors(shift(ps[k], -(k - 1) * m)):
-            P = []
-            for i in range(k + 1):
-                Pi = ps[i]
-                for j in range(i):
-                    Pi = Pi * shift(a, j * m)
-                for j in range(i, k):
-                    Pi = Pi * shift(b, j * m)
-                P.append(sp.expand(Pi))
-            mdeg = max(sp.degree(Pi, x) for Pi in P)
-            lead = sum(sp.LC(P[i], x) * z**i if sp.degree(P[i], x) == mdeg else 0
-                       for i in range(k + 1))
-            if lead == 0:
+
+    def with_shifts(divisors):
+        return [(f, [dup_shift(f, QQ(j * m), QQ) for j in range(k)])
+                for f in divisors]
+
+    found = []                  # (r, K, numerator, denominator of r)
+    roots_of = {}               # leading polynomial -> _leading_roots
+    for a, A in with_shifts(_monic_divisors(ps[0])):
+        for b, B in with_shifts(_monic_divisors(
+                dup_shift(ps[k], QQ(-(k - 1) * m), QQ))):
+            # P_i = p_i * a(x) ... a(x+(i-1)m) * b(x+im) ... b(x+(k-1)m);
+            # a and b are monic, so degree and leading coefficient of P_i
+            # come without the product
+            pdeg = [dup_degree(p) + i * dup_degree(a)
+                    + (k - i) * dup_degree(b) if p else -1
+                    for i, p in enumerate(ps)]
+            top = max(pdeg)
+            lead = tuple(dup_strip([p[0] if dg == top else QQ.zero
+                                    for dg, p in zip(reversed(pdeg),
+                                                     reversed(ps))]))
+            if lead not in roots_of:
+                roots_of[lead] = _leading_roots(list(lead))
+            if not roots_of[lead]:
                 continue
-            for zz in _algebraic_roots(lead, z):
-                Q = [sp.expand(zz**i * P[i]) for i in range(k + 1)]
-                degs = _scalar_degree_candidates(Q, m, TRIVIAL_TOWER)
-                if not degs:
+            P = []
+            for i, p in enumerate(ps):
+                for f in A[:i] + B[i:]:
+                    p = dup_mul(p, f, QQ)
+                P.append(p)
+            for zexpr, K, z in roots_of[lead]:
+                Q, zi = [], K.one
+                for p in P:
+                    Q.append(dup_mul_ground(dup_convert(p, QQ, K), zi, K))
+                    zi = zi * z
+                bounds = _indicial_degrees(Q, m, K)
+                if not bounds:
                     continue
-                C = _polynomial_kernel(Q, m, max(degs))
+                C = _polynomial_kernel(Q, m, max(bounds), K)
                 if C is None:
                     continue
-                r = sp.radsimp(sp.cancel(zz * a / b * shift(C, m) / C))
-                if not any(sp.simplify(r - r2) == 0 for r2 in ratios):
-                    # substitution check on the product form
-                    resid = sum(ps[i] * sp.prod([r.subs(x, x + j * m)
-                                                 for j in range(i)])
-                                for i in range(len(ps)))
-                    if sp.simplify(sp.cancel(resid)) == 0:
-                        ratios.append(r)
-    return ratios
+                aK, bK = dup_convert(a, QQ, K), dup_convert(b, QQ, K)
+                num = dup_mul_ground(
+                    dup_mul(aK, dup_shift(C, K(m), K), K), z, K)
+                den = dup_mul(bK, C, K)
+                if any(K2 == K and dup_mul(num, d2, K) == dup_mul(n2, den, K)
+                       for _, K2, n2, d2 in found):
+                    continue
+                found.append((_ratio_expr(zexpr, a, b, C, K, ps, m),
+                              K, num, den))
+    return [r for r, *_ in found]
 
 
-def _polynomial_kernel(Q, m, degree_bound):
-    """A nonzero polynomial C with sum_i Q_i(x) C(x + m*i) = 0, or None."""
-    cs = sp.symbols(f"_k0:{degree_bound + 1}")
-    C = sum(cs[j] * x**j for j in range(degree_bound + 1))
-    expr = sp.expand(sum(Q[i] * C.subs(x, x + m * i) for i in range(len(Q))))
-    if expr == 0:
-        vec = [1] * len(cs)
-    else:
-        null = _nullspace_over_Qt(sp.Poly(expr, x).coeffs(), list(cs))
-        if not null:
-            return None
-        vec = null[0]
-    Cval = sp.expand(C.subs(dict(zip(cs, vec))))
-    return Cval if Cval != 0 else None
+def _ratio_expr(zexpr, a, b, C, K, ps, m):
+    """The ratio z*a/b*C(x+m)/C as an expression, checked by substitution
+    into the recurrence."""
+    Ce = _expr(C, K)
+    r = sp.radsimp(sp.cancel(zexpr * _expr(a, QQ) / _expr(b, QQ)
+                             * shift(Ce, m) / Ce))
+    resid = sum(_expr(p, QQ) * sp.prod([shift(r, j * m) for j in range(i)])
+                for i, p in enumerate(ps))
+    if sp.simplify(sp.cancel(resid)) != 0:
+        raise VerificationError(
+            f"hypergeometric ratio failed substitution check: {r}")
+    return r
 
 
 # ---------------------------------------------------------------------------

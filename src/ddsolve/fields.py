@@ -41,7 +41,9 @@ from typing import Optional
 import sympy as sp
 from sympy import QQ
 from sympy.polys.densearith import dup_add, dup_lshift, dup_mul, dup_rem
-from sympy.polys.densebasic import dup_strip
+from sympy.polys.densebasic import dup_from_raw_dict, dup_strip
+from sympy.polys.densetools import dup_eval
+from sympy.polys.factortools import dup_factor_list
 from sympy.polys.euclidtools import dup_invert
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
@@ -64,7 +66,8 @@ __all__ = [
     "AllEqual", "Split", "Conjugate", "MixedSplit",
     "mat_reduce", "mat_shift", "mat_delta", "mat_inv",
     "nullspace", "rank", "kernel", "regular_matrix", "from_regular",
-    "integer_roots", "sigma_power_matrix", "dm_from_matrix", "dm_to_matrix",
+    "integer_roots", "common_integer_roots", "sigma_power_matrix",
+    "dm_from_matrix", "dm_to_matrix",
     "dm_shift", "dm_delta", "dm_inv", "dm_sigma_power",
     "dm_series_at_infinity",
 ]
@@ -318,21 +321,29 @@ def integer_roots(p, var: sp.Symbol = x, tower: Tower = TRIVIAL_TOWER):
     coefficients may involve t and theta; None when p is zero.
 
     theta is reduced by the minimal polynomial first.  r counts only if
-    every (t, theta)-monomial slice of the numerator vanishes at var = r;
-    the candidates come from one slice."""
+    every (t, theta)-monomial slice of the numerator vanishes at var = r
+    (see :func:`common_integer_roots`)."""
     p = _theta_reduction_table(sp.expand(p), tower)
     num = sp.expand(sp.together(p).as_numer_denom()[0])
     if num == 0:
         return None
     gens = sorted(num.free_symbols - {var}, key=str)
     slices: dict = {}
-    for mono, c in sp.Poly(num, var, *gens).terms():
-        slices[mono[1:]] = slices.get(mono[1:], sp.Integer(0)) \
-            + c * var**mono[0]
-    first = next(iter(slices.values()))
-    return sorted(int(r) for r in sp.Poly(first, var).ground_roots()
-                  if r.is_Integer and all(sp.expand(s.subs(var, r)) == 0
-                                          for s in slices.values()))
+    for (k, *mono), c in sp.Poly(num, var, *gens,
+                                 domain=QQ).as_dict(native=True).items():
+        slices.setdefault(tuple(mono), {})[k] = c
+    return common_integer_roots([dup_from_raw_dict(s, QQ)
+                                 for s in slices.values()])
+
+
+def common_integer_roots(slices: list) -> list:
+    """Sorted integers that are roots of every nonzero dense polynomial
+    over Q in `slices`; the candidates are the rational roots of the
+    first."""
+    _, factors = dup_factor_list(slices[0], QQ)
+    cands = [-f[1] / f[0] for f, _ in factors if len(f) == 2]
+    return sorted(int(r) for r in cands if r.denominator == 1
+                  and all(not dup_eval(s, r, QQ) for s in slices))
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,9 @@ from .moser import (MoserReport, ReductionStalled, leading_eigendata,
                     moser_reduce, ord_and_moser)
 from .ratsol import (_invertible_selection, gauge_from_ratios,
                      rational_solutions)
-from .sequences import (HypCert, LiouvilleSolution, VerificationError,
-                        first_safe_index, lift_sigma_d_to_sigma,
+from .sequences import (CompiledMatrix, HypCert, LiouvilleSolution,
+                        VerificationError, first_safe_index,
+                        lift_sigma_d_to_sigma,
                         verify_certificates, verify_numeric_window)
 
 __all__ = ["DDSystem", "Outcome", "NormalForm", "check_integrability",
@@ -180,12 +181,16 @@ def _certificate_normalizer(c, tower: Tower = TRIVIAL_TOWER):
 
 
 def _normalize_gauge_certificates(G: sp.Matrix, Bbar: sp.Matrix, tower: Tower):
-    """Rescale each gauge column so its delta-certificate is residue-normal."""
+    """(G, Bbar) with each gauge column rescaled so that its
+    delta-certificate is residue-normal; the arguments, which may be
+    immutable, are left as they are."""
+    G, Bbar = G.as_mutable(), Bbar.as_mutable()
     for i in range(G.shape[1]):
         gam = _certificate_normalizer(Bbar[i, i], tower)
         if gam != 1:
             G[:, i] = mat_reduce(G[:, i] * gam, tower)
             Bbar[i, i] = treduce(Bbar[i, i] - delta(gam) / gam, tower)
+    return G, Bbar
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +305,7 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
     if off:
         return Outcome("NoSolution", "DP1", "d1",
                        f"delta-part not diagonal at {off}", report=report)
-    _normalize_gauge_certificates(G, Bbar, tower)
+    G, Bbar = _normalize_gauge_certificates(G, Bbar, tower)
     report["G"] = G
     report["Bbar"] = Bbar
     cs = [treduce(Bbar[i, i] - delta(betas[i], tower) / betas[i] * x, tower)
@@ -455,7 +460,7 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
                 return Outcome("NoSolution", "DP2", "d",
                                f"delta-part not diagonal at {off}",
                                report=report)
-            _normalize_gauge_certificates(G, Bbar, TRIVIAL_TOWER)
+            G, Bbar = _normalize_gauge_certificates(G, Bbar, TRIVIAL_TOWER)
             report["lambda"] = lam
             report["j0"] = j0
             report["G"] = G
@@ -574,11 +579,12 @@ def solve_liouvillian(sys: DDSystem) -> Outcome:
                      "reason": out2.reason, "stages": out2.report.get("stages")}
     if out2.kind == "Solved":
         _verify_solved(sys, out2)
+        steps = CompiledMatrix(sys.A)   # A(j), shared by the lifts
         lifts = []
         for sol in out2.solutions:
             i, W, cert = sol.components[0]
             lifts.append(lift_sigma_d_to_sigma(
-                W, cert.sigma_ratio, sys.n, sys.A, sys.B))
+                W, cert.sigma_ratio, sys.n, sys.A, sys.B, steps=steps))
         out2.report["lifts"] = lifts
         out2.report.update(report)
         return out2

@@ -12,6 +12,7 @@ tower generator with t specialized).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -33,7 +34,7 @@ __all__ = ["Seq", "FuncSeq", "SeqVec", "interlace", "section",
            "HypCert", "LiouvilleSolution", "VerifyResult",
            "verify_certificates", "verify_numeric_window",
            "first_safe_index", "PoleError", "PointEvaluator",
-           "VerificationError"]
+           "CompiledMatrix", "VerificationError"]
 
 
 class PoleError(Exception):
@@ -61,12 +62,15 @@ class PointEvaluator:
     the minimal polynomial, specialized at t0 when t0 is given; over the
     trivial tower it has at most one coefficient.  :meth:`compile` cancels
     each entry once into dense (num, den) polynomials in x with tower
-    coefficients, and :meth:`at` evaluates them by Horner's rule.
+    coefficients over R, the ring of K's numerators (Q[t], or QQ itself),
+    and :meth:`at` evaluates them by Horner's rule over R, with one
+    division in the tower per entry.
     """
 
     def __init__(self, tower: Tower = TRIVIAL_TOWER, t0=None):
         self.t0 = t0
         self.K = QQ.frac_field(t) if t0 is None else QQ
+        self.R = self.K.get_ring() if t0 is None else QQ
         self.degree = tower.degree
         self.mod = None
         if not tower.trivial:
@@ -114,17 +118,29 @@ class PointEvaluator:
             raise FieldError("matrix not invertible")
         return from_regular(sol, self.degree)
 
-    def to_sympy(self, a: list) -> sp.Expr:
-        return sp.Add(*(self.K.to_sympy(c) * theta**k
+    def to_sympy(self, a: list, dom=None) -> sp.Expr:
+        dom = dom or self.K
+        return sp.Add(*(dom.to_sympy(c) * theta**k
                         for k, c in enumerate(reversed(a))))
 
     # compiled matrices
     def compile(self, M) -> list:
         """Entries of M (row-major) as (num, den) pairs of dense
-        polynomials in x, highest degree first, with tower coefficients."""
-        return [tuple(self._xpoly(p)
-                      for p in sp.fraction(sp.together(sp.cancel(e))))
-                for e in M]
+        polynomials in x, highest degree first, with tower coefficients
+        over R: num/den is the entry."""
+        out = []
+        for e in M:
+            num, den = (self._xpoly(p)
+                        for p in sp.fraction(sp.together(sp.cancel(e))))
+            if self.R is not self.K:
+                # clear the denominators in t of every coefficient
+                R, L = self.R, self.R.one
+                for c in itertools.chain(*num, *den):
+                    L = R.lcm(L, c.denom)
+                num, den = ([[c.numer * R.exquo(L, c.denom) for c in a]
+                             for a in p] for p in (num, den))
+            out.append((num, den))
+        return out
 
     def _xpoly(self, p) -> list:
         if self.t0 is not None:
@@ -133,19 +149,19 @@ class PointEvaluator:
         return dup_strip([self.reduce(c) for c in coeffs])
 
     def xpoly_to_sympy(self, p: list) -> sp.Expr:
-        return sp.Add(*(self.to_sympy(c) * x**k
+        return sp.Add(*(self.to_sympy(c, self.R) * x**k
                         for k, c in enumerate(reversed(p))))
 
     def at(self, compiled: list, j: int) -> list:
         """Values of compiled entries at x = j; PoleError where a
         denominator is zero in the tower."""
-        K, jj = self.K, self.K(j)
+        R, jj = self.R, self.R(j)
 
         def horner(p):
             acc = []
             for c in p:
-                acc = dup_add(dup_mul_ground(acc, jj, K), c, K)
-            return acc
+                acc = dup_add(dup_mul_ground(acc, jj, R), c, R)
+            return [self.K.convert_from(c, R) for c in acc]
 
         out = []
         for num, den in compiled:
@@ -155,6 +171,23 @@ class PointEvaluator:
             nv = horner(num)
             out.append(self.mul(nv, self.inv(d)) if nv else [])
         return out
+
+
+class CompiledMatrix:
+    """A matrix over Q(x, t)(theta) compiled once by a
+    :class:`PointEvaluator` over the tower at t = t0, with its value at
+    each integer computed once.  Sequences built on one recurrence share
+    it; the values are read, never modified."""
+
+    def __init__(self, M: sp.Matrix, tower: Tower = TRIVIAL_TOWER, t0=None):
+        self.points = PointEvaluator(tower, t0)
+        self.compiled = self.points.compile(M)
+        self._values: dict = {}
+
+    def at(self, j: int) -> list:
+        if j not in self._values:
+            self._values[j] = self.points.at(self.compiled, j)
+        return self._values[j]
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +213,15 @@ class SeqVec(Seq):
 
     Values below the start index are zero (the lift construction only
     constrains a sequence from some index on).  Steps run in the ground
-    arithmetic of a :class:`PointEvaluator` (over Q when t is specialized
-    to t0) and are cached; a single SeqVec is not safe for concurrent
-    mutation.
+    arithmetic of the :class:`CompiledMatrix` of A (over Q when t is
+    specialized to t0) and are cached; a single SeqVec is not safe for
+    concurrent mutation.
     """
 
-    def __init__(self, A: sp.Matrix, N: int, base: sp.Matrix,
-                 t0: Optional[sp.Rational] = None,
-                 tower: Tower = TRIVIAL_TOWER):
-        self.A = A
+    def __init__(self, steps: CompiledMatrix, N: int, base: sp.Matrix):
+        self.steps = steps
+        self.points = steps.points
         self.N = N
-        self.points = PointEvaluator(tower, t0)
-        self.compiled = self.points.compile(A)
         self._cache = [self.points.at(self.points.compile(base), N)]
 
     def point(self, j: int) -> list:
@@ -200,8 +230,7 @@ class SeqVec(Seq):
             return [[] for _ in self._cache[0]]
         k = j - self.N
         while len(self._cache) <= k:
-            jj = self.N + len(self._cache) - 1
-            Aj = self.points.at(self.compiled, jj)
+            Aj = self.steps.at(self.N + len(self._cache) - 1)
             self._cache.append(self.points.matvec(Aj, self._cache[-1]))
         return self._cache[k]
 
@@ -273,13 +302,14 @@ def _max_integer_x_root(p) -> int:
 def seq_from_recurrence(A: sp.Matrix, N: int, V_N: sp.Matrix,
                         t0=None, tower: Tower = TRIVIAL_TOWER) -> SeqVec:
     """SeqVec with W(N) = V_N and W(j+1) = A(j) W(j)."""
-    return SeqVec(A, N, V_N, t0=t0, tower=tower)
+    return SeqVec(CompiledMatrix(A, tower, t0), N, V_N)
 
 
 def lift_sigma_d_to_sigma(V: sp.Matrix, ratio, d: int, A: sp.Matrix,
                           B: sp.Matrix, N: Optional[int] = None,
                           tower: Tower = TRIVIAL_TOWER,
-                          check_terms: int = 30) -> SeqVec:
+                          check_terms: int = 30,
+                          steps: Optional[CompiledMatrix] = None) -> SeqVec:
     """Lift a hypergeometric solution V*h (sigma^d(h) = ratio*h) of the
     sigma^d-system to a solution sequence of the sigma-system:
     W(N) = V(N) (prefactor normalized to h(N) = 1), W(j+1) = A(j) W(j).
@@ -289,10 +319,16 @@ def lift_sigma_d_to_sigma(V: sp.Matrix, ratio, d: int, A: sp.Matrix,
     check_terms window; disagreement raises VerificationError.  V_0 lives
     on the class j = N mod d, so U(j) = V_i(j) for i = (N - j) mod d, and
     each V_i(j) comes from solving A(j) V_i(j) = V_{i-1}(j+1).
+
+    `steps`, the CompiledMatrix of A over the tower with t symbolic, lets
+    the lifts of several solutions of one system share the values A(j);
+    it is built here when not given.
     """
     if N is None:
         N = first_safe_index(A, B, V, tower)
-    W = SeqVec(A, N, V.subs(x, N), tower=tower)
+    if steps is None:
+        steps = CompiledMatrix(A, tower)
+    W = SeqVec(steps, N, V.subs(x, N))
     if d == 1:
         return W
     pts = W.points
@@ -309,8 +345,7 @@ def lift_sigma_d_to_sigma(V: sp.Matrix, ratio, d: int, A: sp.Matrix,
                     hs.append(pts.mul(hs[-1], r))
                 comps[i, j] = [pts.mul(v, hs[s]) for v in pts.at(Vc, j)]
             else:
-                comps[i, j] = pts.solve(pts.at(W.compiled, j),
-                                        comp(i - 1, j + 1))
+                comps[i, j] = pts.solve(W.steps.at(j), comp(i - 1, j + 1))
         return comps[i, j]
 
     for j in range(N, N + check_terms):

@@ -2,11 +2,19 @@ import random
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
+from ddsolve import closedform
 from ddsolve.closedform import (UnsupportedCase, hyperexp_solutions,
                                 petkovsek, system_hypergeometric)
 from ddsolve.fields import (TRIVIAL_TOWER, delta, mat_reduce, mat_shift,
-                            shift, t, teq, theta, treduce, x)
+                            shift, sigma_power_matrix, t, teq, theta,
+                            treduce, x)
+from ddsolve.files import read_system
+from ddsolve.procedures import _specialization_point
+from ddsolve.ratsol import scalar_operators
+
+from helpers import reference_petkovsek
 
 
 def _recurrence_from_ratio(r, m=1):
@@ -75,6 +83,118 @@ def test_petkovsek_leading_zero_normalization():
     # multiplied by a zero-leading pad must not break the search
     found = petkovsek([-(x + 1), x])
     assert any(_ratio_matches(f, (x + 1) / x) for f in found)
+
+
+def test_petkovsek_rejects_input_outside_q_x():
+    with pytest.raises(ValueError, match=r"not in Q\[x\]: 1/x"):
+        petkovsek([1 / x, 1])
+    with pytest.raises(ValueError, match=r"not in Q\[x\]: t"):
+        petkovsek([t, -1])
+    with pytest.raises(ValueError, match="only zero coefficients"):
+        petkovsek([0, 0])
+
+
+# ---------------------------------------------------------------------------
+# Petkovsek against the Expr reference: same ratios, same order, same srepr
+
+def _same_ratios(ps, m):
+    got = petkovsek(ps, m)
+    want = reference_petkovsek(ps, m)
+    assert [sp.srepr(r) for r in got] == [sp.srepr(r) for r in want]
+    return got
+
+
+def _compose(L1, L2, m):
+    """Coefficients of (sum_i p_i sigma^(m i)) o (sum_j q_j sigma^(m j))."""
+    out = [sp.Integer(0)] * (len(L1) + len(L2) - 1)
+    for i, p in enumerate(L1):
+        for j, q in enumerate(L2):
+            out[i + j] += p * shift(q, m * i)
+    return [sp.expand(c) for c in out]
+
+
+_FACTORS = [sp.Integer(1), x, x + 1, x - 2, 2 * x + 1, x**2 + 1]
+
+
+@st.composite
+def _planted_recurrences(draw):
+    """Products of one or two first-order operators b(x) sigma^m - z a(x),
+    padded with zero coefficients at either end."""
+    m = draw(st.sampled_from([1, 2, 3]))
+    L = None
+    for _ in range(draw(st.integers(1, 2))):
+        z = draw(st.sampled_from([1, -1, 2, sp.Rational(1, 2), -3]))
+        a, b = draw(st.sampled_from(_FACTORS)), draw(st.sampled_from(_FACTORS))
+        op = [sp.expand(-z * a), b]
+        L = op if L is None else _compose(L, op, m)
+    lead, trail = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+    return [0] * lead + L + [0] * trail, m, sp.cancel(z * a / b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_planted_recurrences())
+def test_petkovsek_matches_reference_on_planted_recurrences(case):
+    ps, m, r = case
+    got = _same_ratios(ps, m)
+    # the ratio of the right-hand factor solves the product; the padding
+    # shifts it by the number of leading zeros
+    lead = next(i for i, p in enumerate(ps) if p != 0)
+    assert any(_ratio_matches(g, shift(r, -m * lead)) for g in got)
+
+
+@pytest.fixture(scope="module")
+def example2_operators(example2_path):
+    """Scalar operators of the sigma^3-system of example2 specialized at
+    t = 0, as decision procedure 2 builds them (beta = t^3)."""
+    A = read_system(example2_path).A
+    _, A0 = _specialization_point(mat_reduce(sigma_power_matrix(A, 3)
+                                             / t**3))
+    return scalar_operators(A0, 3, TRIVIAL_TOWER)
+
+
+def test_petkovsek_matches_reference_on_example2(example2_operators):
+    assert len(example2_operators) == 3
+    found = [_same_ratios(op, 3) for op in example2_operators]
+    assert any(_ratio_matches(r, (x + 1) * (x + 2)) for r in found[2])
+
+
+@pytest.mark.parametrize("ps, m", [
+    ([-2, 0, 1], 1),            # +-sqrt(2)
+    ([1, 0, 1], 1),             # +-I
+    ([-1, -1, 1], 1),           # the golden ratio and its conjugate
+    ([-2, 1], 2),
+    ([1, 0, -2], 1),
+    ([0, -1, -1, 1, 0], 1),
+])
+def test_petkovsek_matches_reference_on_quadratic_constants(ps, m):
+    assert _same_ratios(ps, m)
+
+
+def test_petkovsek_search_runs_without_expand(monkeypatch):
+    """Reading the coefficients, the divisor pairs, the leading roots, the
+    indicial polynomials and the solves for C work on dense polynomials:
+    Expr.expand only runs where a new ratio is built as an expression."""
+    ps = [x + 1, -(2 * x + 3), x + 2]
+    want = [sp.srepr(r) for r in reference_petkovsek(ps)]
+    expand, ratio_expr = sp.Expr.expand, closedform._ratio_expr
+
+    def no_expand(self, *args, **kwargs):
+        raise AssertionError("Expr.expand called")
+
+    def boundary(*args):
+        monkeypatch.setattr(sp.Expr, "expand", expand)
+        try:
+            return ratio_expr(*args)
+        finally:
+            monkeypatch.setattr(sp.Expr, "expand", no_expand)
+
+    monkeypatch.setattr(closedform, "_ratio_expr", boundary)
+    monkeypatch.setattr(sp.Expr, "expand", no_expand)
+    try:
+        got = petkovsek(ps)
+    finally:
+        monkeypatch.undo()
+    assert [sp.srepr(r) for r in got] == want
 
 
 # ---------------------------------------------------------------------------

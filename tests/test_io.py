@@ -249,11 +249,31 @@ def test_cli_tools_moser(tmp_path, capsys):
     assert "ord = 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("coeffs, message", [
+    (["1/x", "1"], "not in Q[x]: 1/x"),
+    (["0", "0"], "only zero coefficients"),
+    (["t", "-1"], "not in Q[x]: t"),
+])
+def test_cli_tools_petkovsek_input_outside_q_x_is_an_input_error(
+        coeffs, message, capsys):
+    assert cli_main(["tools", "petkovsek", *coeffs]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and message in err
+
+
 @pytest.mark.parametrize("tool, M", [
     ("ratsol", [["1", "0"], ["0"]]),          # ragged rows
     ("moser", [["1", "0"], ["0"]]),
     ("moser", [["1", "0"]]),                  # not square
     ("moser", [["0", "(x^2-1)/(x-1)-x-1"], ["0", "0"]]),  # zero matrix
+    ("hyperexp", [["1", "0"]]),
+    ("ratsol", [["1", "0"]]),
+    ("hyperexp", []),                         # empty
+    ("ratsol", [["0", "0"], ["0", "0"]]),     # not invertible
+    ("ratsol", [["x", "1"], ["x^2", "x"]]),
+    ("ratsol", [["theta", "0"], ["0", "1"]]),  # entry outside Q(x, t)
+    ("moser", [["theta", "0"], ["0", "1"]]),
+    ("hyperexp", [["theta", "0"], ["0", "1"]]),
 ])
 def test_cli_tools_malformed_matrix_is_an_input_error(tool, M, tmp_path,
                                                       capsys):
@@ -261,6 +281,14 @@ def test_cli_tools_malformed_matrix_is_an_input_error(tool, M, tmp_path,
     mat.write_text(json.dumps({"M": M}))
     assert cli_main(["tools", tool, str(mat)]) == 3
     assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_cli_tools_hyperexp_zero_matrix_is_valid(tmp_path, capsys):
+    # delta(Y) = 0: every constant vector is a solution
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps({"M": [["0", "0"], ["0", "0"]]}))
+    assert cli_main(["tools", "hyperexp", str(mat)]) == 0
+    assert capsys.readouterr().out.count("certificate = 0") == 2
 
 
 # ---------------------------------------------------------------------------

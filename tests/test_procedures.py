@@ -11,6 +11,7 @@ from ddsolve.fields import (TRIVIAL_TOWER, delta, make_tower, mat_delta,
                             treduce, x)
 from ddsolve.procedures import (DDSystem, _certificate_normalizer,
                                 _first_verification_point,
+                                _normalize_gauge_certificates,
                                 check_integrability, decision_procedure_1,
                                 decision_procedure_2, descend_gauge,
                                 solve_liouvillian)
@@ -129,6 +130,18 @@ def test_certificate_normalizer_ignores_nonintegers():
     c = x / t + sp.Rational(1, 2) / t
     assert _certificate_normalizer(c) == 1
     assert _certificate_normalizer(t**3 + x / t) == 1
+
+
+def test_normalize_gauge_certificates_on_immutable_matrices():
+    """The gauge and delta-part of DP2 can be immutable matrices; rescaling
+    a column returns new ones (it raised TypeError, an internal error, on
+    gauged copies of example2)."""
+    G = sp.ImmutableMatrix([[1, x], [0, 1]])
+    Bbar = sp.ImmutableMatrix([[x / t + t**2 - 1 / t, 0], [0, 2]])
+    G2, Bbar2 = _normalize_gauge_certificates(G, Bbar, TRIVIAL_TOWER)
+    assert mat_eq(G2, sp.Matrix([[1 / t, x], [0, 1]]))
+    assert mat_eq(Bbar2, sp.diag(x / t + t**2, 2))
+    assert G == sp.Matrix([[1, x], [0, 1]])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 import sympy as sp
@@ -8,6 +9,7 @@ from ddsolve.fields import (TRIVIAL_TOWER, make_tower, mat_inv, mat_reduce,
                             mat_shift, shift, t, teq, theta, treduce, x)
 from ddsolve.files import read_system
 from ddsolve.parsing import parse_ratfunc
+from ddsolve.procedures import solve_liouvillian
 from ddsolve.sequences import (FuncSeq, HypCert, LiouvilleSolution, PoleError,
                                PointEvaluator, SeqVec, VerificationError,
                                first_safe_index, interlace,
@@ -126,6 +128,35 @@ def test_lift_over_tower_cross_checks():
                               tower=EX1_TOWER, check_terms=12)
 
 
+def test_lifts_of_example2_evaluate_A_once_per_index(example2_path,
+                                                     monkeypatch):
+    """The three lifts of one solve share A(j) between the recurrence and
+    the section-sum cross-check, and with each other."""
+    system = read_system(example2_path)
+    calls = []
+    at = PointEvaluator.at
+
+    def spy(self, compiled, j):
+        calls.append((compiled, j))
+        return at(self, compiled, j)
+
+    monkeypatch.setattr(PointEvaluator, "at", spy)
+    out = solve_liouvillian(system)
+    monkeypatch.undo()
+    lifts = out.report["lifts"]
+    steps = lifts[0].steps
+    assert len(lifts) == 3 and all(W.steps is steps for W in lifts)
+    assert steps.compiled == PointEvaluator().compile(system.A)
+    per_index = Counter(j for c, j in calls if c is steps.compiled)
+    assert set(per_index.values()) == {1}
+    assert all(j in per_index for W in lifts for j in range(W.N, W.N + 29))
+    # the cross-check keeps its strength: a doubled ratio is caught
+    _, W, cert = out.solutions[0].components[0]
+    with pytest.raises(VerificationError):
+        lift_sigma_d_to_sigma(W, 2 * cert.sigma_ratio, system.n, system.A,
+                              system.B)
+
+
 def test_first_safe_index_skips_integer_poles():
     A = sp.Matrix([[1 / (x - 3)]])
     B = sp.Matrix([[0]])
@@ -242,6 +273,19 @@ def test_point_evaluator_matches_sympy_reference(case):
     want = treduce(e.subs(sub), etower)
     assert len(got) <= tower.degree
     assert treduce(pts.to_sympy(got) - want, etower) == 0, (e, j, t0)
+
+
+def test_point_evaluator_clears_denominators_in_t():
+    """Over theta^2 = 1/(2t) the reduction mod m leaves coefficients with
+    denominators in t, which compile clears before Horner's rule runs in
+    Q[t]."""
+    tower = make_tower(theta**2 - 1 / (2 * t))
+    e = (x * theta**3 + 3 * x**2 + t) / (x + theta + 1)
+    pts = PointEvaluator(tower)
+    compiled = pts.compile([e])
+    for j in range(-2, 4):
+        (got,) = pts.at(compiled, j)
+        assert treduce(pts.to_sympy(got) - e.subs(x, j), tower) == 0, j
 
 
 def test_numeric_window_reports_doubled_example1_ratio(example1_path):
