@@ -105,7 +105,7 @@ def _human_report(outcome):
         print(f"alpha = {print_ratfunc(nf.alpha, tw)}")
         for i, b in enumerate(nf.betas):
             print(f"beta_{i + 1} = {print_ratfunc(b, tw)}")
-        for i, c in enumerate(nf.cs_or_bhats):
+        for i, c in enumerate(nf.cs + nf.bhats):
             print(f"c_{i + 1} = {print_ratfunc(c, tw)}")
         if nf.ell != 1:
             print(f"interlacing period = {nf.ell}, j0 = {nf.j0}")

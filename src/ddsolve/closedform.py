@@ -28,20 +28,19 @@ from dataclasses import dataclass
 
 import sympy as sp
 from sympy import QQ
-from sympy.polys.densearith import (dup_add, dup_mul, dup_mul_ground,
-                                    dup_pow, dup_quo_ground)
+from sympy.polys.densearith import dup_add, dup_mul, dup_mul_ground, dup_pow
 from sympy.polys.densebasic import dup_convert, dup_degree, dup_strip
 from sympy.polys.densetools import dup_monic, dup_shift
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.polyerrors import CoercionFailed
 
-from .fields import (TRIVIAL_TOWER, FieldError, Tower, common_integer_roots,
-                     kernel, make_tower, mat_reduce, mat_shift, nullspace,
-                     shift, t, theta, treduce, x)
+from .fields import (TRIVIAL_TOWER, FieldError, Tower,
+                     _theta_reduction_table, indicial_degrees, kernel,
+                     make_tower, mat_reduce, mat_shift, nullspace, shift, t,
+                     theta, treduce, x)
 from .difftools import standard_decompose
-from .ratsol import (UnsupportedCase, _collect_equations, _nullspace_over_Qt,
-                     rational_solutions, scalar_operators)
+from .ratsol import UnsupportedCase, rational_solutions, scalar_operators
 from .sequences import VerificationError
 
 __all__ = ["HypergeometricCandidate", "HyperexpCandidate", "UnsupportedCase",
@@ -117,40 +116,6 @@ def _leading_roots(lead: list) -> list:
     order = {e: i for i, e in enumerate(sp.ordered([r[0] for r in roots]))}
     return [(sp.radsimp(r), K, z)
             for r, K, z in sorted(roots, key=lambda r: order[r[0]])]
-
-
-def _slices(p: list, K) -> list:
-    """The nonzero coordinate polynomials over Q of a polynomial over K."""
-    if K == QQ:
-        return [p]
-    deg = K.mod.degree()
-    coords = [[QQ.zero] * (deg - len(c.to_list())) + c.to_list() for c in p]
-    return [s for s in (dup_strip([c[j] for c in coords])
-                        for j in range(deg)) if s]
-
-
-def _indicial_degrees(Q: list, m: int, K, rmax: int = 80):
-    """Degree candidates for polynomial solutions of
-    sum_i Q_i(x) C(x + m*i) = 0: the nonnegative integer roots of the
-    first nonzero indicial polynomial at x = infinity, None when there is
-    none up to rmax."""
-    D = max(dup_degree(q) for q in Q)
-    binom = [[K.one]]          # binomial(d, s) as a polynomial in d
-    for r in range(rmax + 1):
-        if r:
-            binom.append(dup_quo_ground(
-                dup_mul(binom[-1], [K.one, K(-(r - 1))], K), K(r), K))
-        phi = []
-        for i, q in enumerate(Q):
-            for s in range(r + 1):
-                e = dup_degree(q) - (D - r + s)   # index of x^(D-r+s)
-                if 0 <= e < len(q) and q[e] and (i or not s):
-                    phi = dup_add(phi, dup_mul_ground(
-                        binom[s], q[e] * K((m * i) ** s), K), K)
-        if phi:
-            return [d for d in common_integer_roots(_slices(phi, K))
-                    if d >= 0]
-    return None
 
 
 def _polynomial_kernel(Q: list, m: int, bound: int, K):
@@ -237,7 +202,7 @@ def petkovsek(pcoeffs, m: int = 1):
                 for p in P:
                     Q.append(dup_mul_ground(dup_convert(p, QQ, K), zi, K))
                     zi = zi * z
-                bounds = _indicial_degrees(Q, m, K)
+                bounds = indicial_degrees(Q, m, K)
                 if not bounds:
                     continue
                 C = _polynomial_kernel(Q, m, max(bounds), K)
@@ -366,6 +331,40 @@ def _eigen_candidates(C: sp.Matrix, allow_tower=True):
             pairs.extend((conj, tower) for conj in tower.conjugates())
     return [(lam, v, tower) for lam, tower in pairs
             for v in nullspace(C - lam * sp.eye(C.shape[0]), tower)]
+
+
+def _collect_equations(expr, tower: Tower, var: sp.Symbol = x):
+    """Split a polynomial identity in var (and theta) into equations for
+    its coefficients, linear in whatever unknown symbols appear."""
+    expr = sp.expand(expr)
+    expr = _theta_reduction_table(expr, tower)
+    if expr == 0:
+        return []
+    gens = (var, theta) if theta in expr.free_symbols else (var,)
+    return [sp.sympify(c) for c in sp.Poly(expr, *gens).coeffs()]
+
+
+def _nullspace_over_Qt(equations, unknowns):
+    """Basis of the solutions of homogeneous linear equations, exact over
+    the field of their coefficients (Q, Q(t), Q(x, t) or a number field).
+
+    The basis is the one Matrix.nullspace returns, in the same order: the
+    reduced row echelon form is unique, and the vector of the k-th free
+    unknown has 1 there and -rref[i][k] at the i-th pivot unknown."""
+    eqs = [e for e in equations if e != 0]
+    if not eqs:
+        return [sp.eye(len(unknowns))[:, i] for i in range(len(unknowns))]
+    Amat, rhs = sp.linear_eq_to_matrix(eqs, unknowns)
+    if not rhs.is_zero_matrix:
+        raise VerificationError("equations are not homogeneous")
+    dm = DomainMatrix.from_list_sympy(*Amat.shape, Amat.tolist(),
+                                      field=True, extension=True)
+    K = dm.domain
+    if K.is_EX:
+        raise FieldError("linear equations are not over a field of "
+                         "rational functions or numbers")
+    return [sp.Matrix([K.to_sympy(c) for c in row])
+            for row in kernel(dm).to_list()]
 
 
 def _diff_rational_solutions(C: sp.Matrix, tower: Tower):

@@ -20,7 +20,7 @@ from .fields import (TRIVIAL_TOWER, Tower, factor_in_x, series_at_infinity,
 
 __all__ = [
     "ShiftClass", "ShiftClassDivisor", "StandardDecomposition",
-    "shift_equivalent", "shift_class_divisor", "dispersion",
+    "shift_equivalent", "dispersion",
     "standard_decompose", "split_alpha_beta_power", "leading_beta",
 ]
 
@@ -35,13 +35,6 @@ class ShiftClass:
 class ShiftClassDivisor:
     content: sp.Expr                   # x-free cofactor
     classes: list
-
-    def reassemble(self) -> sp.Expr:
-        out = self.content
-        for cls in self.classes:
-            for j, m in cls.entries:
-                out = out * shift(cls.base, j) ** m
-        return sp.cancel(out)
 
 
 @dataclass

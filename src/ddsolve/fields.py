@@ -40,8 +40,9 @@ from typing import Optional
 
 import sympy as sp
 from sympy import QQ
-from sympy.polys.densearith import dup_add, dup_lshift, dup_mul, dup_rem
-from sympy.polys.densebasic import dup_from_raw_dict, dup_strip
+from sympy.polys.densearith import (dup_add, dup_lshift, dup_mul,
+                                    dup_mul_ground, dup_quo_ground, dup_rem)
+from sympy.polys.densebasic import dup_degree, dup_from_raw_dict, dup_strip
 from sympy.polys.densetools import dup_eval
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.euclidtools import dup_invert
@@ -66,7 +67,8 @@ __all__ = [
     "AllEqual", "Split", "Conjugate", "MixedSplit",
     "mat_reduce", "mat_shift", "mat_delta", "mat_inv",
     "nullspace", "rank", "kernel", "regular_matrix", "from_regular",
-    "integer_roots", "common_integer_roots", "sigma_power_matrix",
+    "integer_roots", "common_integer_roots", "indicial_degrees",
+    "sigma_power_matrix",
     "dm_from_matrix", "dm_to_matrix",
     "dm_shift", "dm_delta", "dm_inv", "dm_sigma_power",
     "dm_series_at_infinity",
@@ -344,6 +346,46 @@ def common_integer_roots(slices: list) -> list:
     cands = [-f[1] / f[0] for f, _ in factors if len(f) == 2]
     return sorted(int(r) for r in cands if r.denominator == 1
                   and all(not dup_eval(s, r, QQ) for s in slices))
+
+
+def _slices(p: list, K) -> list:
+    """The nonzero coordinate polynomials over Q of a polynomial over K:
+    K is QQ, a number field QQ(z) (coordinates in its power basis) or a
+    polynomial ring over QQ (the coefficients of its monomials)."""
+    if K == QQ:
+        return [p]
+    if K.is_PolynomialRing:
+        monoms = sorted({mon for c in p for mon in c})
+        return [dup_strip([c.get(mon, QQ.zero) for c in p]) for mon in monoms]
+    deg = K.mod.degree()
+    coords = [[QQ.zero] * (deg - len(c.to_list())) + c.to_list() for c in p]
+    return [s for s in (dup_strip([c[j] for c in coords])
+                        for j in range(deg)) if s]
+
+
+def indicial_degrees(Q: list, m: int, K, rmax: int = 80):
+    """Degree candidates for polynomial solutions of
+    sum_i Q_i(x) C(x + m*i) = 0, the Q_i dense in x over K (see
+    :func:`_slices`): the nonnegative integer roots of the first nonzero
+    indicial polynomial at x = infinity, None when there is none up to
+    rmax."""
+    D = max(dup_degree(q) for q in Q)
+    binom = [[K.one]]          # binomial(d, s) as a polynomial in d
+    for r in range(rmax + 1):
+        if r:
+            binom.append(dup_quo_ground(
+                dup_mul(binom[-1], [K.one, K(-(r - 1))], K), K(r), K))
+        phi = []
+        for i, q in enumerate(Q):
+            for s in range(r + 1):
+                e = dup_degree(q) - (D - r + s)   # index of x^(D-r+s)
+                if 0 <= e < len(q) and q[e] and (i or not s):
+                    phi = dup_add(phi, dup_mul_ground(
+                        binom[s], q[e] * K((m * i) ** s), K), K)
+        if phi:
+            return [d for d in common_integer_roots(_slices(phi, K))
+                    if d >= 0]
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -90,13 +90,15 @@ class DDSystem:
 class NormalForm:
     """Diagonal normal form data.
 
-    DP1: sigma-part diag(alpha * beta_i), delta-part diag(cs_or_bhats[i] +
+    DP1: sigma-part diag(alpha * beta_i), delta-part diag(cs[i] +
     (delta beta_i / beta_i) x collapsed into the full delta ratios).
     DP2: sigma^n-part beta * diag(lam(x + j0 + i)), delta-part
-    diag((delta beta/(n beta)) x + bhat_i)."""
+    diag((delta beta/(n beta)) x + bhats[i]).  The list of the other
+    procedure is empty."""
     alpha: sp.Expr
     betas: list
-    cs_or_bhats: list
+    cs: list = field(default_factory=list)
+    bhats: list = field(default_factory=list)
     j0: int = 0
     ell: int = 1
     tower: Tower = TRIVIAL_TOWER
@@ -293,6 +295,10 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
         G = gauge_from_ratios(A, [treduce(alpha * b) for b in betas], 1,
                               tower)
     if G is None:
+        # complete: _invertible_selection tries every one-vector-per-slot
+        # choice, and a minor of any constant combination per slot is a
+        # sum of the same minor over those choices (multilinearity), so
+        # no combination is invertible either
         return Outcome("NoSolution", "DP1", "d1",
                        "rational solutions exist but assemble to no "
                        "invertible gauge", report=report)
@@ -310,7 +316,7 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
     report["Bbar"] = Bbar
     cs = [treduce(Bbar[i, i] - delta(betas[i], tower) / betas[i] * x, tower)
           for i in range(n)]
-    nf = NormalForm(alpha=alpha, betas=betas, cs_or_bhats=cs, ell=1,
+    nf = NormalForm(alpha=alpha, betas=betas, cs=cs, ell=1,
                     tower=tower)
     sols = []
     for i in range(n):
@@ -329,6 +335,7 @@ def _dp1_stage_d2(sys: DDSystem, alpha, beta1, report: dict) -> Outcome:
     basis = rational_solutions(M0, 1, TRIVIAL_TOWER).basis
     G = _invertible_selection([basis] * n, TRIVIAL_TOWER) if basis else None
     if G is None:
+        # complete, by the argument at ratsol._invertible_selection
         return Outcome("NoSolution", "DP1", "d2",
                        "no invertible gauge with ratio alpha*beta over "
                        "Q(x, t)", report=report)
@@ -356,7 +363,7 @@ def _dp1_stage_d2(sys: DDSystem, alpha, beta1, report: dict) -> Outcome:
         cert = HypCert(sigma_ratio=ratio, sigma_step=1, delta_ratio=dr)
         sols.append(LiouvilleSolution(kind="Hypergeometric", W=W, cert=cert,
                                       tower=c.tower))
-    nf = NormalForm(alpha=alpha, betas=[beta1] * n, cs_or_bhats=cs, ell=1,
+    nf = NormalForm(alpha=alpha, betas=[beta1] * n, cs=cs, ell=1,
                     tower=sol_tower)
     return Outcome("Solved", "DP1", solutions=sols, normal_form=nf,
                    report=report)
@@ -467,7 +474,7 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
             report["Bbar"] = Bbar
             bhats = [treduce(Bbar[i, i] - delta(beta) / (n * beta) * x)
                      for i in range(n)]
-            nf = NormalForm(alpha=lam, betas=[beta] * n, cs_or_bhats=bhats,
+            nf = NormalForm(alpha=lam, betas=[beta] * n, bhats=bhats,
                             j0=j0, ell=n)
             sols = []
             for i in range(n):
@@ -478,6 +485,10 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
                     components=[(i, G[:, i], cert)]))
             return Outcome("Solved", "DP2", solutions=sols, normal_form=nf,
                            report=report)
+    # complete for the candidate ratios: gauge_from_ratios returns None
+    # only when some ratio has no rational solution or when no constant
+    # combination per slot is invertible (the multilinearity argument at
+    # ratsol._invertible_selection)
     return Outcome("NoSolution", "DP2", "d",
                    "no candidate ratio admits a rational sigma^n-solution "
                    "with an invertible gauge", report=report)

@@ -9,6 +9,23 @@ A pole of a solution at c propagates through Y(x+m) = M(x)Y(x): going down
 there must be s >= 1 with den(M)(c - s*m) = 0, going up s >= 0 with
 den(M^-1)(c + s*m) = 0.  That traps candidate poles (per shift class and
 residue mod m) in a finite window with explicit multiplicity bounds.
+
+Between the boundaries everything runs on DomainMatrix over K = Q(x, t):
+a matrix over the tower is the K-matrix of its regular representation
+(:func:`~ddsolve.fields.dm_from_matrix`), and a vector is the first column
+of its own.  The denominators of M and M^-1 are read off their K-entries.
+The degree bound comes from the expansion of M at infinity, whose indicial
+determinant is taken over Q[t, d], or else from the indicial polynomials
+of the scalar operators (:func:`~ddsolve.fields.indicial_degrees`), whose
+chains are sequences of K-matrices.  The polynomial ansatz clears the
+denominators of M with one q in Q[x, t] and solves
+q(x) Y(x+m) - N(x) Y(x) = 0 as a linear system over Q(t) in the
+coefficients of Y, unknowns ordered by (coordinate, degree, theta-power).
+The constant-span test is a rank test over Q(t) on coefficients in x.
+SymPy expressions appear only at the boundary: the public functions take
+and return sp.Matrix with entries in the canonical form of treduce, u is
+returned in that form, and the scalar operators as lists of expanded
+polynomials.
 """
 
 from __future__ import annotations
@@ -17,19 +34,36 @@ import itertools
 from dataclasses import dataclass
 
 import sympy as sp
+from sympy import QQ, ZZ
+from sympy.polys.densebasic import dup_from_raw_dict, dup_strip
 from sympy.polys.matrices import DomainMatrix
 
-from .fields import (TRIVIAL_TOWER, FieldError, Tower, _theta_reduction_table,
-                     factor_in_x, integer_roots, kernel, mat_inv, mat_reduce,
-                     mat_shift, nullspace, rank, shift, theta, tinv, treduce,
-                     x)
+from .fields import (QQ_XT, TRIVIAL_TOWER, Tower, _QQ_XTTH, _frac_expr,
+                     _modulus, _tower_expr, common_integer_roots,
+                     dm_from_matrix, dm_inv, dm_series_at_infinity, dm_shift,
+                     dm_to_matrix, factor_in_x, from_regular,
+                     indicial_degrees, kernel, regular_matrix, shift, t,
+                     theta, x)
 from .difftools import shift_equivalent
-from .moser import infinity_expansion
 from .sequences import VerificationError
 
 __all__ = ["RationalSolutionBasis", "UnsupportedCase",
            "universal_denominator", "polynomial_solutions",
            "rational_solutions", "gauge_from_ratios"]
+
+# Q(t), the field of the ansatz unknowns, and its polynomial ring
+_QT = QQ.frac_field(t)
+_QT_RING = _QT.field.ring
+# Q[x, t], where numerators and denominators of K live, its integer
+# version, and Q[x, t, theta], where scalar operators are written out
+_XT_RING = QQ_XT.field.ring
+_XT_ZZ = _XT_RING.clone(domain=ZZ)
+_XTTH_RING = _QQ_XTTH.field.ring
+_X = _XT_RING.gens[0]
+# Q[t, theta][x], where the indicial analysis of a scalar operator runs
+_OP_RING = QQ[t, theta][x]
+# Q[t, d], where the indicial determinant at infinity is taken
+_TD_RING = QQ[t, sp.Symbol("_d")]
 
 
 class UnsupportedCase(Exception):
@@ -42,34 +76,56 @@ class RationalSolutionBasis:
     basis: list  # column vectors (sympy Matrix n x 1)
 
 
+def _common_denominator(D: DomainMatrix):
+    """Monic lcm in Q[x, t] of the denominators of the entries of D."""
+    q = _XT_RING.one
+    for c in D.to_dok().values():
+        q = q.lcm(c.denom)
+    return q
+
+
+def _cleared(c, q):
+    """c * q as a polynomial in Q[x, t], for q a multiple of den(c)."""
+    return c.numer * q.exquo(c.denom)
+
+
+def _coefficient_matrix(columns: list) -> DomainMatrix:
+    """The matrix over Q(t) whose j-th column lists the coefficients in x
+    of the polynomials columns[j] (over Q[x, t]), one row per (position,
+    power of x) that occurs."""
+    slots: dict = {}
+    for j, col in enumerate(columns):
+        for a, p in enumerate(col):
+            for (i, k), c in p.items():
+                slots.setdefault((a, i), {}).setdefault(j, {})[(k,)] = c
+    rows = []
+    for key in sorted(slots):
+        row = [_QT.zero] * len(columns)
+        for j, terms in slots[key].items():
+            row[j] = _QT.new(_QT_RING.from_dict(terms))
+        rows.append(row)
+    return DomainMatrix(rows, (len(rows), len(columns)), _QT)
+
+
 # ---------------------------------------------------------------------------
 # universal denominator
 
-def _denominator_factors(M: sp.Matrix, tower: Tower):
-    """Shift-class factor data {(class_index, shift): mult} of lcm of entry
-    denominators, together with the class bases."""
-    dens = []
-    for e in M:
-        e = treduce(e, tower)
-        d = sp.together(e).as_numer_denom()[1]
-        if x in d.free_symbols:
-            dens.append(d)
-    if not dens:
-        return sp.Integer(1)
-    lcm = dens[0]
-    for d in dens[1:]:
-        lcm = sp.lcm(lcm, d)
-    return sp.expand(lcm)
+def _denominator_factors(D: DomainMatrix, tower: Tower) -> list:
+    """Monic irreducible factors in x over Q(t), with multiplicity, of the
+    lcm of the denominators of the entries of D."""
+    q = _common_denominator(D)
+    if q.degree(_X) <= 0:
+        return []
+    return factor_in_x(q.as_expr(), tower)[1]
 
 
 def universal_denominator(M: sp.Matrix, m: int = 1,
                           tower: Tower = TRIVIAL_TOWER):
     """Polynomial u(x): every rational solution of sigma^m(Y)=MY has
     denominator dividing u."""
-    denA = _denominator_factors(M, tower)
-    denB = _denominator_factors(mat_inv(M, tower), tower)
-    _, facA = factor_in_x(denA, tower) if denA != 1 else (1, [])
-    _, facB = factor_in_x(denB, tower) if denB != 1 else (1, [])
+    R = dm_from_matrix(M, tower)
+    facA = _denominator_factors(R, tower)
+    facB = _denominator_factors(dm_inv(R), tower)
     # group into shift classes across A and B factors
     classes = []  # (base, {shift: multA}, {shift: multB})
     for fac, mult, which in ([(f, mu, 0) for f, mu in facA]
@@ -83,7 +139,7 @@ def universal_denominator(M: sp.Matrix, m: int = 1,
             entry = [fac, {}, {}]
             entry[1 + which][0] = mult
             classes.append(entry)
-    u = sp.Integer(1)
+    u = QQ_XT.one
     for base, SA, SB in classes:
         residues = {a % m for a in SA} & {b % m for b in SB}
         for rho in residues:
@@ -96,119 +152,113 @@ def universal_denominator(M: sp.Matrix, m: int = 1,
                 mult = min(sum(mu for a, mu in As.items() if a >= k + m),
                            sum(mu for b, mu in Bs.items() if b <= k))
                 if mult > 0:
-                    u = u * shift(base, k) ** mult
-    return sp.expand(u)
+                    u = u * QQ_XT.from_sympy(shift(base, k)) ** mult
+    return _frac_expr(u)
 
 
 # ---------------------------------------------------------------------------
 # polynomial solutions
 
-def _collect_equations(expr, tower: Tower, var: sp.Symbol = x):
-    """Split a polynomial identity in var (and theta) into equations for
-    its coefficients, linear in whatever unknown symbols appear."""
-    expr = sp.expand(expr)
-    expr = _theta_reduction_table(expr, tower)
-    if expr == 0:
-        return []
-    gens = (var, theta) if theta in expr.free_symbols else (var,)
-    return [sp.sympify(c) for c in sp.Poly(expr, *gens).coeffs()]
-
-
-def _nullspace_over_Qt(equations, unknowns):
-    """Basis of the solutions of homogeneous linear equations, exact over
-    the field of their coefficients (Q, Q(t), Q(x, t) or a number field).
-
-    The basis is the one Matrix.nullspace returns, in the same order: the
-    reduced row echelon form is unique, and the vector of the k-th free
-    unknown has 1 there and -rref[i][k] at the i-th pivot unknown."""
-    eqs = [e for e in equations if e != 0]
-    if not eqs:
-        return [sp.eye(len(unknowns))[:, i] for i in range(len(unknowns))]
-    Amat, rhs = sp.linear_eq_to_matrix(eqs, unknowns)
-    if not rhs.is_zero_matrix:
-        raise VerificationError("equations are not homogeneous")
-    dm = DomainMatrix.from_list_sympy(*Amat.shape, Amat.tolist(),
-                                      field=True, extension=True)
-    K = dm.domain
-    if K.is_EX:
-        raise FieldError("linear equations are not over a field of "
-                         "rational functions or numbers")
-    return [sp.Matrix([K.to_sympy(c) for c in row])
-            for row in kernel(dm).to_list()]
-
-
 def scalar_operators(M: sp.Matrix, m: int, tower: Tower):
     """For each coordinate i a scalar relation sum_j p_j(x) y(x + m*j) = 0
     satisfied by y = (i-th coordinate of any solution of sigma^m(Y)=MY),
     with polynomial p_j.  Built from the chain v_{k+1} = sigma^m(v_k) M."""
-    n = M.shape[0]
+    e, n = tower.degree, M.shape[0]
+    mod = _modulus(tower)
+    entries = from_regular(dm_from_matrix(M, tower), e)
+    # columns w_k = v_k^T, so w_{k+1} = M^T sigma^m(w_k)
+    MT = regular_matrix([entries[j * n + i] for i in range(n)
+                         for j in range(n)], (n, n), mod, QQ_XT)
     ops = []
     for i in range(n):
-        rows = [sp.eye(n)[i, :]]
+        chain = [regular_matrix([[QQ_XT.one] if r == i else []
+                                 for r in range(n)], (n, 1), mod, QQ_XT)]
         while True:
-            null = nullspace(sp.Matrix.vstack(*rows).T, tower)
-            cand = next((c for c in null if c[-1] != 0), None)
+            k = len(chain)
+            # the null space over the tower as a k x f matrix, row-major
+            null = from_regular(kernel(DomainMatrix.hstack(*chain))
+                                .transpose(), e)
+            f = len(null) // k
+            cand = next((j for j in range(f) if null[(k - 1) * f + j]),
+                        None)
             if cand is not None:
-                den = sp.Integer(1)
-                for ci in cand:
-                    den = sp.lcm(den, sp.together(ci).as_numer_denom()[1])
-                ops.append([sp.expand(sp.cancel(ci * den)) for ci in cand])
+                ops.append(_operator_polynomials(
+                    [null[r * f + cand] for r in range(k)]))
                 break
-            rows.append(mat_reduce(mat_shift(rows[-1], m) * M, tower))
+            chain.append(MT * dm_shift(chain[-1], m))
     return ops
 
 
-def _scalar_degree_candidates(pcoeffs, m: int, tower: Tower, rmax: int = 80):
+def _operator_polynomials(coeffs: list) -> list:
+    """Tower elements c_j (dense in theta over K) times the lcm over Z[x, t]
+    of their denominators, as expanded polynomials in x, t and theta."""
+    den = _XT_ZZ.one
+    for a in coeffs:
+        for c in a:
+            den = den.lcm(c.denom.set_ring(_XT_ZZ))
+    den = den.set_ring(_XT_RING)
+    theta_ = _XTTH_RING.gens[2]
+    return [sum((_cleared(c, den).set_ring(_XTTH_RING) * theta_**k
+                 for k, c in enumerate(reversed(a))), _XTTH_RING.zero)
+            .as_expr() for a in coeffs]
+
+
+def _scalar_degree_candidates(pcoeffs, m: int, tower: Tower):
     """Degree candidates for polynomial solutions of
-    sum_j p_j(x) y(x+m*j) = 0 via the indicial analysis at x = infinity."""
-    D = max(sp.degree(pj, x) if pj != 0 else -sp.oo for pj in pcoeffs)
-    d = sp.Symbol("_d")
-    a = []
-    for pj in pcoeffs:
-        pp = sp.Poly(pj, x) if pj != 0 else None
-        a.append(pp)
-    def coeff(i, u):
-        # a_{i,u} = coefficient of x^(D-u) in p_i
-        if a[i] is None:
-            return sp.Integer(0)
-        k = D - u
-        if k < 0 or k > a[i].degree():
-            return sp.Integer(0)
-        return sp.sympify(a[i].coeff_monomial(x ** k))
-    for r in range(rmax + 1):
-        phi = sp.Integer(0)
-        for i in range(len(pcoeffs)):
-            for s in range(r + 1):
-                c = coeff(i, r - s)
-                if c != 0:
-                    phi += c * sp.ff(d, s) / sp.factorial(s) * (m * i) ** s
-        roots = integer_roots(phi, d, tower)
-        if roots is not None:
-            return [r for r in roots if r >= 0]
-    return None
+    sum_j p_j(x) y(x+m*j) = 0 via the indicial analysis at x = infinity,
+    the p_j read as polynomials in x over Q[t, theta]."""
+    return indicial_degrees([_OP_RING.ring.from_expr(p).to_dense()
+                             for p in pcoeffs], m, _OP_RING.domain)
+
+
+def _indicial_roots(P1: DomainMatrix, P0: DomainMatrix, m: int):
+    """Sorted integer roots d of det(P1 - m*d*P0) for square P0, P1 over
+    Q(t) (held in K); None when the determinant vanishes identically.
+
+    Each row is cleared of its denominators first, which scales the
+    determinant by a unit of Q(t), so it is taken over Q[t, d]."""
+    ring, d = _TD_RING.ring, _TD_RING.gens[1]
+    rows = []
+    for r1, r0 in zip(P1.to_list(), P0.to_list()):
+        q = _XT_RING.one
+        for c in r1 + r0:
+            q = q.lcm(c.denom)
+        rows.append([_cleared(a, q).set_ring(ring)
+                     - m * d * _cleared(b, q).set_ring(ring)
+                     for a, b in zip(r1, r0)])
+    det = DomainMatrix(rows, P1.shape, _TD_RING).det()
+    if not det:
+        return None
+    slices: dict = {}      # power of t -> {power of d: coefficient}
+    for (s, k), c in det.items():
+        slices.setdefault(s, {})[k] = c
+    return common_integer_roots([dup_from_raw_dict(sl, QQ)
+                                 for sl in slices.values()])
 
 
 def _degree_bound(M: sp.Matrix, m: int, tower: Tower):
     """Top-degree analysis at x = infinity; -1 means only the zero solution.
-    UnsupportedCase when the indicial analysis finds no bound."""
-    n = M.shape[0]
-    exp = infinity_expansion(M, 2, tower)
-    H0, H1 = exp.coeffs
-    if exp.ord > 0:
+    UnsupportedCase when the indicial analysis finds no bound.
+
+    On the regular representation the determinant of the indicial pencil
+    is the norm of the one over the tower times a unit of Q(t), so it has
+    the same integer roots."""
+    R = dm_from_matrix(M, tower)
+    ne = R.shape[0]
+    ord_, (H0, H1) = dm_series_at_infinity(R, 2)
+    if ord_ > 0:
         return -1
-    if exp.ord == 0:
-        right = nullspace(H0 - sp.eye(n), tower)
-        if not right:
+    if ord_ == 0:
+        A = H0 - DomainMatrix.eye(ne, QQ_XT)
+        right = kernel(A)
+        if not right.shape[0]:
             return -1
-        left = nullspace((H0 - sp.eye(n)).T, tower)
-        C = sp.Matrix.hstack(*right)
-        LT = sp.Matrix.hstack(*left).T
-        d = sp.Symbol("_d")
-        roots = integer_roots((LT * (H1 - m * d * sp.eye(n)) * C).det(
-            method="berkowitz"), d, tower)
+        left = kernel(A.transpose())
+        C = right.transpose()
+        roots = _indicial_roots(left * H1 * C, left * C, m)
         if roots is not None:
             return max([-1] + roots)
-    elif rank(H0, tower) == n:
+    elif H0.rank() == ne:
         return -1
     # fall back to scalar relations per coordinate (sound and complete:
     # every coordinate of a solution is annihilated by its chain operator)
@@ -225,34 +275,40 @@ def _degree_bound(M: sp.Matrix, m: int, tower: Tower):
 def polynomial_solutions(M: sp.Matrix, m: int = 1, degree_bound: int = None,
                          tower: Tower = TRIVIAL_TOWER):
     """All polynomial solution vectors of sigma^m(Y) = M Y with
-    deg <= degree_bound (computed from the infinity expansion if omitted)."""
-    n = M.shape[0]
+    deg <= degree_bound (computed from the infinity expansion if omitted).
+
+    The basis is the null-space basis of the coefficient system, unknowns
+    ordered by (coordinate, degree, theta-power)."""
     if degree_bound is None:
         degree_bound = _degree_bound(M, m, tower)
     if degree_bound < 0:
         return []
-    e = tower.degree
-    coeffs = sp.symbols(f"_c0:{n * (degree_bound + 1) * e}")
-    def unk(i, dg, k):
-        return coeffs[(i * (degree_bound + 1) + dg) * e + k]
-    P = sp.Matrix([[sum(unk(i, dg, k) * theta**k * x**dg
-                        for dg in range(degree_bound + 1)
-                        for k in range(e))] for i in range(n)])
-    # clear denominators of M row-wise
-    equations = []
-    MP = M * P
-    for i in range(n):
-        lhs = shift(P[i], m)
-        num, _ = sp.together(lhs - MP[i]).as_numer_denom()
-        equations.extend(_collect_equations(num, tower))
-    null = _nullspace_over_Qt(equations, list(coeffs))
+    R = dm_from_matrix(M, tower)
+    e, ne, deg = tower.degree, R.shape[0], degree_bound + 1
+    q = _common_denominator(R)
+    N = {ab: _cleared(c, q) for ab, c in R.to_dok().items()}
+    # column (i, dg, k) holds q(x) (x+m)^dg at coordinate b = i*e + k and
+    # -N(x)_{ab} x^dg at every coordinate a
+    qshift = [q * (_X + m)**dg for dg in range(deg)]
+    columns = []
+    for i in range(M.shape[0]):
+        for dg in range(deg):
+            for k in range(e):
+                b = i * e + k
+                columns.append([
+                    (qshift[dg] if a == b else _XT_RING.zero)
+                    - N.get((a, b), _XT_RING.zero) * _X**dg
+                    for a in range(ne)])
+    xK = QQ_XT.gens[0]
     sols = []
-    for vec in null:
-        sub = {coeffs[i]: vec[i] for i in range(len(coeffs))}
-        V = P.subs(sub)
-        V = V.applyfunc(lambda q: treduce(q, tower))
-        if any(v != 0 for v in V):
-            sols.append(V)
+    for vec in kernel(_coefficient_matrix(columns)).to_list():
+        vec = [QQ_XT.convert_from(c, _QT) for c in vec]
+        sols.append(sp.Matrix([
+            _tower_expr(dup_strip([
+                sum((vec[(i * deg + dg) * e + k] * xK**dg
+                     for dg in range(deg)), QQ_XT.zero)
+                for k in reversed(range(e))]))
+            for i in range(M.shape[0])]))
     return sols
 
 
@@ -261,27 +317,24 @@ def polynomial_solutions(M: sp.Matrix, m: int = 1, degree_bound: int = None,
 
 def _constant_span_reduce(vectors, tower: Tower):
     """Prune vectors that are tower-constant (x-free) combinations of
-    earlier ones."""
-    indep = []
-    e = tower.degree
-    s = sp.Symbol("_s")
-    for V in vectors:
-        if not indep:
+    earlier ones.
+
+    The columns of the regular representation of V are the coordinates
+    of theta^k V, so a combination over Q(t)(theta) is a combination over
+    Q(t) of those columns; with one common denominator cleared it is one
+    of their coefficients in x.  The kept columns span a space closed
+    under theta, so V is new iff its first column raises the rank."""
+    regs = [dm_from_matrix(V, tower) for V in vectors]
+    if not regs:
+        return []
+    q = _common_denominator(DomainMatrix.hstack(*regs))
+    indep, span = [], []
+    for V, D in zip(vectors, regs):
+        cols = [[_cleared(c, q) for c in col]
+                for col in D.transpose().to_list()]
+        if _coefficient_matrix(span + cols[:1]).rank() > len(span):
             indep.append(V)
-            continue
-        lam = sp.symbols(f"_l0:{len(indep) * e}")
-        combo = sp.zeros(*V.shape)
-        for i, W in enumerate(indep):
-            c = sum(lam[i * e + k] * theta**k for k in range(e))
-            combo = combo + c * W
-        # V is a combination iff the homogeneous system in (lam, s) for
-        # s*V = combo has a solution with s != 0
-        eqs = []
-        for i in range(V.shape[0]):
-            num, _ = sp.together(s * V[i] - combo[i]).as_numer_denom()
-            eqs.extend(_collect_equations(num, tower))
-        if not any(v[-1] != 0 for v in _nullspace_over_Qt(eqs, [*lam, s])):
-            indep.append(V)
+            span.extend(cols)
     return indep
 
 
@@ -289,17 +342,19 @@ def rational_solutions(M: sp.Matrix, m: int = 1,
                        tower: Tower = TRIVIAL_TOWER) -> RationalSolutionBasis:
     """Complete basis of rational solutions of sigma^m(Y) = M Y, each
     verified by substitution."""
+    R = dm_from_matrix(M, tower)
     u = universal_denominator(M, m, tower)
-    Mp = mat_reduce(sp.sympify(shift(u, m)) / u * M, tower)
-    polys = polynomial_solutions(Mp, m, None, tower)
+    polys = polynomial_solutions(
+        dm_to_matrix(R.mul(QQ_XT.from_sympy(shift(u, m) / u)), tower),
+        m, None, tower)
+    inv_u = QQ_XT.one / QQ_XT.from_sympy(u)
     basis = []
     for P in polys:
-        V = (P / u).applyfunc(lambda q: treduce(q, tower))
-        resid = mat_shift(V, m) - mat_reduce(M * V, tower)
-        if not all(treduce(r, tower) == 0 for r in resid):
+        V = dm_from_matrix(P, tower).mul(inv_u)
+        if dm_shift(V, m) != R * V:
             raise VerificationError(
                 "rational solution failed substitution check")
-        basis.append(V)
+        basis.append(dm_to_matrix(V, tower))
     basis = _constant_span_reduce(basis, tower)
     return RationalSolutionBasis(m=m, basis=basis)
 
@@ -308,35 +363,43 @@ def rational_solutions(M: sp.Matrix, m: int = 1,
 # gauge assembly
 
 def _invertible_selection(columns, tower: Tower):
-    """Pick one column per slot so the assembled matrix is invertible."""
-    for choice in itertools.product(*columns):
-        G = sp.Matrix.hstack(*choice)
-        if rank(G, tower) == len(columns):
-            return mat_reduce(G, tower)
-    # try sums of basis vectors per slot as a fallback
-    G = sp.Matrix.hstack(*[sum(bs, sp.zeros(*bs[0].shape)) for bs in columns])
-    if rank(G, tower) == len(columns):
-        return mat_reduce(G, tower)
+    """Pick one column per slot so the assembled matrix is invertible.
+
+    The search is complete over constant combinations per slot: a k x k
+    minor of [sum_j c_1j V_1j, ..., sum_j c_kj V_kj] is multilinear in the
+    columns, so it is the sum over all one-vector-per-slot choices of
+    prod c * (the same minor of the choice).  If every choice is
+    rank-deficient, all those minors vanish, and so does every minor of
+    every combination: no combination is invertible either."""
+    regs = [[dm_from_matrix(V, tower) for V in slot] for slot in columns]
+    for choice in itertools.product(*regs):
+        G = DomainMatrix.hstack(*choice)
+        if G.rank() == len(columns) * tower.degree:
+            return dm_to_matrix(G, tower)
     return None
 
 
 def gauge_from_ratios(A: sp.Matrix, ratios, m: int,
                       tower: Tower = TRIVIAL_TOWER):
     """G with sigma^m(G) * diag(ratios) = A * G, assembled column-by-column
-    from rational solutions of sigma^m(W) = (A/ratio_i) W; None on failure."""
+    from rational solutions of sigma^m(W) = (A/ratio_i) W; None on failure.
+
+    None is a complete negative answer: either some ratio has no rational
+    solution, or no constant combination per slot is invertible (see
+    :func:`_invertible_selection`)."""
+    RA = dm_from_matrix(A, tower)
+    n = A.shape[0]
     columns = []
     for r in ratios:
-        Mi = mat_reduce(A * tinv(r, tower), tower)
-        basis = rational_solutions(Mi, m, tower).basis
+        Mi = RA * dm_from_matrix(sp.eye(n) / sp.sympify(r), tower)
+        basis = rational_solutions(dm_to_matrix(Mi, tower), m, tower).basis
         if not basis:
             return None
         columns.append(basis)
     G = _invertible_selection(columns, tower)
     if G is None:
         return None
-    lhs = mat_shift(G, m) * sp.diag(*ratios)
-    rhs = A * G
-    if not all(treduce(e, tower) == 0 for e in (lhs - rhs)):
+    GK = dm_from_matrix(G, tower)
+    if dm_shift(GK, m) * dm_from_matrix(sp.diag(*ratios), tower) != RA * GK:
         raise VerificationError("gauge postcondition violated")
     return G
-

@@ -1,10 +1,11 @@
-"""Checks the tests share: matrix equality over a tower, and standardness
-of a rational function with respect to sigma^m."""
+"""Checks the tests share: matrix equality over a tower, standardness of a
+rational function with respect to sigma^m, and reference implementations
+that pin the results of the ones that replaced them."""
 
 import sympy as sp
 
 from ddsolve.difftools import dispersion
-from ddsolve.fields import TRIVIAL_TOWER, Tower, treduce
+from ddsolve.fields import TRIVIAL_TOWER, Tower, shift, treduce
 
 
 def mat_eq(A: sp.Matrix, B: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> bool:
@@ -18,6 +19,15 @@ def mat_is_zero(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> bool:
 def is_standard(f, m: int) -> bool:
     num, den = treduce(f).as_numer_denom()
     return dispersion(sp.expand(num * den)) < m
+
+
+def reassemble(scd) -> sp.Expr:
+    """The rational function a ShiftClassDivisor describes."""
+    out = scd.content
+    for cls in scd.classes:
+        for j, m in cls.entries:
+            out = out * shift(cls.base, j) ** m
+    return sp.cancel(out)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +110,7 @@ def _reference_algebraic_roots(poly_in_z, z):
 
 
 def _reference_polynomial_kernel(Q, m, degree_bound, x):
-    from ddsolve.ratsol import _nullspace_over_Qt
+    from ddsolve.closedform import _nullspace_over_Qt
 
     cs = sp.symbols(f"_k0:{degree_bound + 1}")
     C = sum(cs[j] * x**j for j in range(degree_bound + 1))
@@ -138,3 +148,173 @@ def _reference_degree_candidates(Q, m, x, rmax=80):
             return sorted(int(z) for z in sp.Poly(num, d).ground_roots()
                           if z.is_Integer and z >= 0)
     return None
+
+
+# ---------------------------------------------------------------------------
+# reference ratsol: the SymPy Expr implementations of universal_denominator,
+# polynomial_solutions and scalar_operators that the K-matrix ones
+# replaced, kept to pin their results (srepr included)
+
+def reference_universal_denominator(M, m=1, tower=TRIVIAL_TOWER):
+    """Universal denominator from together/lcm on the treduced entries of M
+    and M^-1, returned expanded."""
+    from ddsolve.difftools import shift_equivalent
+    from ddsolve.fields import factor_in_x, mat_inv, x
+
+    facs = []
+    for which, N in enumerate((M, mat_inv(M, tower))):
+        dens = [d for d in (sp.together(treduce(e, tower)).as_numer_denom()[1]
+                            for e in N) if x in d.free_symbols]
+        if not dens:
+            continue
+        lcm = dens[0]
+        for d in dens[1:]:
+            lcm = sp.lcm(lcm, d)
+        facs += [(f, mu, which)
+                 for f, mu in factor_in_x(sp.expand(lcm), tower)[1]]
+    classes = []
+    for fac, mult, which in facs:
+        for entry in classes:
+            j = shift_equivalent(entry[0], fac, tower)
+            if j is not None:
+                entry[1 + which][j] = entry[1 + which].get(j, 0) + mult
+                break
+        else:
+            entry = [fac, {}, {}]
+            entry[1 + which][0] = mult
+            classes.append(entry)
+    u = sp.Integer(1)
+    for base, SA, SB in classes:
+        for rho in {a % m for a in SA} & {b % m for b in SB}:
+            As = {a: mu for a, mu in SA.items() if a % m == rho}
+            Bs = {b: mu for b, mu in SB.items() if b % m == rho}
+            for k in range(min(Bs), max(As) - m + 1, m):
+                mult = min(sum(mu for a, mu in As.items() if a >= k + m),
+                           sum(mu for b, mu in Bs.items() if b <= k))
+                if mult > 0:
+                    u = u * shift(base, k) ** mult
+    return sp.expand(u)
+
+
+def reference_scalar_operators(M, m, tower):
+    """Chain operators from nullspace on sp.Matrix rows, normalized by the
+    lcm of the together-denominators."""
+    from ddsolve.fields import mat_reduce, mat_shift, nullspace
+
+    n = M.shape[0]
+    ops = []
+    for i in range(n):
+        rows = [sp.eye(n)[i, :]]
+        while True:
+            null = nullspace(sp.Matrix.vstack(*rows).T, tower)
+            cand = next((c for c in null if c[-1] != 0), None)
+            if cand is not None:
+                den = sp.Integer(1)
+                for ci in cand:
+                    den = sp.lcm(den, sp.together(ci).as_numer_denom()[1])
+                ops.append([sp.expand(sp.cancel(ci * den)) for ci in cand])
+                break
+            rows.append(mat_reduce(mat_shift(rows[-1], m) * M, tower))
+    return ops
+
+
+def reference_degree_bound(M, m, tower):
+    """Degree bound from the Expr infinity expansion, a Berkowitz det with
+    a free symbol, and the reference scalar operators."""
+    from ddsolve.fields import integer_roots, nullspace, rank
+    from ddsolve.moser import infinity_expansion
+    from ddsolve.ratsol import UnsupportedCase, _scalar_degree_candidates
+
+    n = M.shape[0]
+    exp = infinity_expansion(M, 2, tower)
+    H0, H1 = exp.coeffs
+    if exp.ord > 0:
+        return -1
+    if exp.ord == 0:
+        right = nullspace(H0 - sp.eye(n), tower)
+        if not right:
+            return -1
+        left = nullspace((H0 - sp.eye(n)).T, tower)
+        C = sp.Matrix.hstack(*right)
+        LT = sp.Matrix.hstack(*left).T
+        d = sp.Symbol("_d")
+        roots = integer_roots((LT * (H1 - m * d * sp.eye(n)) * C).det(
+            method="berkowitz"), d, tower)
+        if roots is not None:
+            return max([-1] + roots)
+    elif rank(H0, tower) == n:
+        return -1
+    bounds = []
+    for op in reference_scalar_operators(M, m, tower):
+        roots = _scalar_degree_candidates(op, m, tower)
+        if roots is None:
+            raise UnsupportedCase("no indicial equation")
+        bounds.append(max([-1] + roots))
+    return max(bounds)
+
+
+def reference_polynomial_solutions(M, m=1, degree_bound=None,
+                                   tower=TRIVIAL_TOWER):
+    """Polynomial solutions from an Expr ansatz with n*(deg+1)*e unknown
+    symbols, together/as_numer_denom per row and coefficient collection."""
+    from ddsolve.closedform import _collect_equations, _nullspace_over_Qt
+    from ddsolve.fields import theta, x
+
+    n = M.shape[0]
+    if degree_bound is None:
+        degree_bound = reference_degree_bound(M, m, tower)
+    if degree_bound < 0:
+        return []
+    e = tower.degree
+    coeffs = sp.symbols(f"_c0:{n * (degree_bound + 1) * e}")
+
+    def unk(i, dg, k):
+        return coeffs[(i * (degree_bound + 1) + dg) * e + k]
+
+    P = sp.Matrix([[sum(unk(i, dg, k) * theta**k * x**dg
+                        for dg in range(degree_bound + 1)
+                        for k in range(e))] for i in range(n)])
+    equations = []
+    MP = M * P
+    for i in range(n):
+        num, _ = sp.together(shift(P[i], m) - MP[i]).as_numer_denom()
+        equations.extend(_collect_equations(num, tower))
+    sols = []
+    for vec in _nullspace_over_Qt(equations, list(coeffs)):
+        V = P.subs({coeffs[i]: vec[i] for i in range(len(coeffs))})
+        V = V.applyfunc(lambda q: treduce(q, tower))
+        if any(v != 0 for v in V):
+            sols.append(V)
+    return sols
+
+
+def reference_rational_solutions(M, m=1, tower=TRIVIAL_TOWER):
+    """Rational solution basis from the reference universal denominator,
+    the reference polynomial solutions and an Expr ansatz for the
+    constant-span test."""
+    from ddsolve.closedform import _collect_equations, _nullspace_over_Qt
+    from ddsolve.fields import mat_reduce, theta
+
+    u = reference_universal_denominator(M, m, tower)
+    Mp = mat_reduce(sp.sympify(shift(u, m)) / u * M, tower)
+    vectors = [(P / u).applyfunc(lambda q: treduce(q, tower))
+               for P in reference_polynomial_solutions(Mp, m, None, tower)]
+    indep = []
+    e = tower.degree
+    s = sp.Symbol("_s")
+    for V in vectors:
+        if not indep:
+            indep.append(V)
+            continue
+        lam = sp.symbols(f"_l0:{len(indep) * e}")
+        combo = sp.zeros(*V.shape)
+        for i, W in enumerate(indep):
+            combo = combo + sum(lam[i * e + k] * theta**k
+                                for k in range(e)) * W
+        eqs = []
+        for i in range(V.shape[0]):
+            num, _ = sp.together(s * V[i] - combo[i]).as_numer_denom()
+            eqs.extend(_collect_equations(num, tower))
+        if not any(v[-1] != 0 for v in _nullspace_over_Qt(eqs, [*lam, s])):
+            indep.append(V)
+    return indep

@@ -8,7 +8,7 @@ from ddsolve.difftools import (dispersion, leading_beta, shift_class_divisor,
                                standard_decompose)
 from ddsolve.fields import shift, t, teq, x
 from conftest import random_poly_x
-from helpers import is_standard
+from helpers import is_standard, reassemble
 
 
 # ---------------------------------------------------------------------------
@@ -150,4 +150,4 @@ def test_leading_beta_order_three():
 def test_shift_class_divisor_reassembles():
     f = x * (x + 2)**2 / ((x + 5) * (x**2 + 1))
     scd = shift_class_divisor(f)
-    assert sp.cancel(scd.reassemble() - f) == 0
+    assert sp.cancel(reassemble(scd) - f) == 0

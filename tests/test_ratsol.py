@@ -4,14 +4,23 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+import ddsolve.closedform as closedform
+import ddsolve.procedures as procedures
+from ddsolve.closedform import _nullspace_over_Qt
 from ddsolve.fields import (TRIVIAL_TOWER, make_tower, mat_inv, mat_reduce,
                             mat_shift, shift, t, teq, theta, treduce, x)
+from ddsolve.files import read_system
 import ddsolve.ratsol as ratsol
 from ddsolve.ratsol import (UnsupportedCase, _constant_span_reduce,
-                            _degree_bound, _nullspace_over_Qt,
+                            _degree_bound, _invertible_selection,
                             gauge_from_ratios, polynomial_solutions,
                             rational_solutions, scalar_operators,
                             universal_denominator)
+
+from helpers import (mat_eq, reference_polynomial_solutions,
+                     reference_rational_solutions,
+                     reference_scalar_operators,
+                     reference_universal_denominator)
 
 
 def _substitutes(M, m, V):
@@ -169,3 +178,251 @@ def test_constant_span_reduce_keeps_x_dependent_multiples():
     kept = _constant_span_reduce([V, (t + 2) * V, W, x * V, V - 3 * W],
                                  TRIVIAL_TOWER)
     assert kept == [V, W, x * V]
+
+
+# ---------------------------------------------------------------------------
+# the K-matrix implementations against the Expr references in helpers.py
+
+# the tower of example1, theta^2 = t^2 + 1
+TOWER1 = make_tower(theta**2 - (t**2 + 1))
+
+_FACTORS = [1, x, x + 1, x - 2, x + t, t * x + 1]
+
+
+@st.composite
+def _planted_systems(draw):
+    """(M, m, tower) with M = sigma^m(G) diag(c_i r_i(x+m)/r_i) G^-1,
+    r_i = g_i/h_i and G a product of elementary matrices: the slots with
+    c_i = 1 carry the rational solutions G e_i r_i, the others none."""
+    tower = draw(st.sampled_from([TRIVIAL_TOWER, TOWER1]))
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 2))
+    consts = [1, 2, t] + ([t + 1] if tower.trivial else [theta, 1 + theta])
+    factor = st.sampled_from(_FACTORS)
+    D = [draw(st.sampled_from(consts)) * shift(r, m) / r
+         for r in (draw(factor) / draw(factor) for _ in range(n))]
+    atoms = [1, -1, 2, x, t, x + t] + ([] if tower.trivial else [theta])
+    G = sp.eye(n)
+    for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        E = sp.eye(n)
+        E[i, j] = draw(st.sampled_from(atoms))
+        G = G * E
+    M = mat_reduce(mat_shift(G, m) * sp.diag(*D) * mat_inv(G, tower), tower)
+    return M, m, tower
+
+
+def _srepr_equal(got, want):
+    assert sp.srepr(got) == sp.srepr(want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_planted_systems())
+def test_ratsol_matches_reference_on_planted_systems(case):
+    """Polynomial solutions are srepr-identical to the reference.  u is
+    the reference's value in the canonical form of treduce (the reference
+    returns it expanded).  Over the trivial tower the operators and the
+    rational basis are srepr-identical too.  Over a tower the reference
+    read a denominator off together(c_0 + c_1*theta), which repeats a
+    factor shared by den(c_0) and den(c_1); so there its operators may
+    carry an extra polynomial factor and its u may be a proper multiple.
+    The tower's rational bases are pinned by the calls of example1."""
+    M, m, tower = case
+    _srepr_equal(polynomial_solutions(M, m, None, tower),
+                 reference_polynomial_solutions(M, m, None, tower))
+    u = universal_denominator(M, m, tower)
+    u_ref = reference_universal_denominator(M, m, tower)
+    ops = scalar_operators(M, m, tower)
+    ops_ref = reference_scalar_operators(M, m, tower)
+    if tower.trivial:
+        _srepr_equal(u, treduce(u_ref))
+        _srepr_equal(ops, ops_ref)
+        _srepr_equal(rational_solutions(M, m).basis,
+                     reference_rational_solutions(M, m))
+        return
+    quotient = treduce(u_ref / u)
+    assert x not in sp.fraction(quotient)[1].free_symbols
+    if x not in quotient.free_symbols:
+        _srepr_equal(u, treduce(u_ref))
+    assert len(ops) == len(ops_ref)
+    for op, ref in zip(ops, ops_ref):
+        assert len(op) == len(ref)
+        assert all(treduce(op[j] * ref[0] - op[0] * ref[j], tower) == 0
+                   for j in range(len(op)))
+
+
+@pytest.fixture(scope="module")
+def captured_calls(example1_path, example2_path):
+    """Arguments of the ratsol calls the two decision procedures make on
+    example1 (DP1 over its tower) and example2 (DP1, then DP2)."""
+    names = ("universal_denominator", "polynomial_solutions",
+             "scalar_operators", "rational_solutions")
+    calls = {"example1": [], "example2": []}
+    current = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in names:
+            orig = getattr(ratsol, name)
+
+            def spy(*args, _name=name, _orig=orig, **kwargs):
+                current[-1].append((_name, args, kwargs))
+                return _orig(*args, **kwargs)
+
+            for mod in (ratsol, closedform, procedures):
+                if getattr(mod, name, None) is orig:
+                    mp.setattr(mod, name, spy)
+        for name, path in (("example1", example1_path),
+                           ("example2", example2_path)):
+            current.append(calls[name])
+            system = read_system(path)
+            if procedures.decision_procedure_1(system).kind != "Solved":
+                procedures.decision_procedure_2(system)
+    return calls
+
+
+_REFERENCES = {
+    "universal_denominator": lambda *a, **k: treduce(
+        reference_universal_denominator(*a, **k)),
+    "polynomial_solutions": reference_polynomial_solutions,
+    "scalar_operators": reference_scalar_operators,
+    "rational_solutions": reference_rational_solutions,
+}
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_ratsol_matches_reference_on_captured_calls(captured_calls, name):
+    calls = captured_calls[name]
+    assert {fn for fn, _, _ in calls} >= {
+        "universal_denominator", "polynomial_solutions",
+        "rational_solutions"}
+    for fn, args, kwargs in calls:
+        got = getattr(ratsol, fn)(*args, **kwargs)
+        if fn == "rational_solutions":
+            got = got.basis
+        _srepr_equal(got, _REFERENCES[fn](*args, **kwargs))
+
+
+def test_universal_denominator_in_canonical_form():
+    """t*x + 1 is x + 1/t as a monic factor over Q(t): u is returned in
+    the canonical form of treduce, the reference expanded it."""
+    g = t * x + 1
+    M = sp.Matrix([[g / shift(g)]])
+    _srepr_equal(universal_denominator(M), treduce(g / t))
+    assert reference_universal_denominator(M) == x + 1 / t
+    _srepr_equal(rational_solutions(M).basis, reference_rational_solutions(M))
+    assert rational_solutions(M).basis == [sp.Matrix([t / g])]
+
+
+def test_scalar_operators_over_a_tower_clear_the_lcm_of_denominators():
+    """den(c_0) = x*(x + 1) and den(c_1) = (x + 1)*(x + 2): the reference's
+    together-denominator repeats x + 1, so its first operator is this one
+    times x + 1."""
+    c = 1 + 1 / (x**2 + x) + theta / ((x + 1) * (x + 2))
+    M = sp.Matrix([[treduce(c, TOWER1), 0], [0, 1]])
+    ops = scalar_operators(M, 1, TOWER1)
+    ref = reference_scalar_operators(M, 1, TOWER1)
+    assert ops[1] == ref[1]
+    assert all(treduce(a * (x + 1) - b, TOWER1) == 0
+               for a, b in zip(ops[0], ref[0]))
+    _srepr_equal(ops[0], [-theta * x - x**3 - 3 * x**2 - 3 * x - 2,
+                          x**3 + 3 * x**2 + 2 * x])
+
+
+def test_polynomial_solutions_run_without_together_and_expand(monkeypatch):
+    """The ansatz is solved on K-matrices: sp.together and Expr.expand do
+    not run, except in the Expr indicial polynomial of a scalar operator
+    (the degree-bound fallback, third case)."""
+    g = x * (x + 1)
+    cases = [
+        (mat_reduce(mat_shift(sp.Matrix([[1, x], [0, 1]]), 2)
+                    * sp.diag(shift(g, 2) / g, 2)
+                    * sp.Matrix([[1, -x], [0, 1]])), 2, TRIVIAL_TOWER),
+        (sp.Matrix([[(x + 1) / x]]), 1, TOWER1),
+        (sp.Matrix([[x, 0], [0, 1]]), 1, TRIVIAL_TOWER),
+    ]
+    want = [sp.srepr(reference_polynomial_solutions(M, m, None, tw))
+            for M, m, tw in cases]
+    expand, together = sp.Expr.expand, sp.together
+    candidates = ratsol._scalar_degree_candidates
+
+    def no_expand(self, *args, **kwargs):
+        raise AssertionError("Expr.expand called")
+
+    def no_together(*args, **kwargs):
+        raise AssertionError("sp.together called")
+
+    def boundary(*args):
+        monkeypatch.setattr(sp.Expr, "expand", expand)
+        monkeypatch.setattr(sp, "together", together)
+        try:
+            return candidates(*args)
+        finally:
+            monkeypatch.setattr(sp.Expr, "expand", no_expand)
+            monkeypatch.setattr(sp, "together", no_together)
+
+    monkeypatch.setattr(ratsol, "_scalar_degree_candidates", boundary)
+    monkeypatch.setattr(sp.Expr, "expand", no_expand)
+    monkeypatch.setattr(sp, "together", no_together)
+    try:
+        got = [sp.srepr(polynomial_solutions(M, m, None, tw))
+               for M, m, tw in cases]
+    finally:
+        monkeypatch.undo()
+    assert got == want
+    assert want[0] != sp.srepr([])
+
+
+# ---------------------------------------------------------------------------
+# completeness of the gauge assembly
+
+_ENTRY = st.sampled_from([0, 1, -1, 2, x, t, x + t, x * t])
+
+
+@st.composite
+def _slot_bases(draw):
+    """k = 2 or 3 slots of 1-3 vectors each, drawn from the columns of a
+    planted matrix P: slot i may hold its own column, another slot's
+    column, a sum of both or a random vector, so a choice can collide."""
+    k = draw(st.integers(2, 3))
+
+    def vec():
+        return sp.Matrix([draw(_ENTRY) for _ in range(k)])
+
+    P = [vec() for _ in range(k)]
+    slots = []
+    for i in range(k):
+        slot = []
+        for _ in range(draw(st.integers(1, 3))):
+            j = draw(st.integers(0, k - 1))
+            slot.append(draw(st.sampled_from(
+                [P[i], P[j], P[i] + P[j], vec()])))
+        slots.append(slot)
+    return slots
+
+
+def test_constant_span_reduce_clears_one_common_denominator():
+    """1/x and 1/(x + 1) have the same numerator: the test clears the
+    common denominator x*(x + 1) before comparing coefficients."""
+    V = sp.Matrix([1 / x, 1 / (x + 1)])
+    W = sp.Matrix([1, 1])
+    assert _constant_span_reduce([V, W, (t + 1) * V + W], TRIVIAL_TOWER) == [
+        V, W]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_slot_bases())
+def test_invertible_selection_is_complete_over_constant_combinations(slots):
+    """A gauge is returned iff some constant combination per slot is
+    invertible, i.e. iff det[sum_j c_1j V_1j, ..., sum_j c_kj V_kj] is a
+    nonzero polynomial in the c_ij."""
+    k = len(slots)
+    combo = sp.Matrix.hstack(*[
+        sum((sp.Symbol(f"_c{i}_{j}") * V for j, V in enumerate(slot)),
+            sp.zeros(k, 1))
+        for i, slot in enumerate(slots)])
+    invertible = sp.expand(combo.det(method="berkowitz")) != 0
+    G = _invertible_selection(slots, TRIVIAL_TOWER)
+    assert (G is not None) == invertible
+    if G is not None:
+        assert treduce(G.det()) != 0
+        assert all(any(mat_eq(G[:, i], V) for V in slot)
+                   for i, slot in enumerate(slots))
