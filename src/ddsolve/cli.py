@@ -29,7 +29,7 @@ from .files import (SchemaError, outcome_to_dict, read_solution, read_system,
                     write_solution)
 from .moser import ReductionStalled, moser_reduce, ord_and_moser
 from .parsing import ParseError, parse_ratfunc, print_ratfunc
-from .procedures import solve_liouvillian
+from .procedures import solve_liouvillian, verification_point_fault
 from .ratsol import rational_solutions
 from .sequences import verify_certificates, verify_numeric_window
 
@@ -159,7 +159,19 @@ def _cmd_verify(args) -> int:
     if not sols:
         print("no solutions in file")
         return EXIT_NO_SOLUTION
-    t0 = sp.Rational(args.t0) if args.t0 is not None else None
+    t0 = None
+    if args.t0 is not None:
+        try:
+            t0 = sp.Rational(args.t0)
+        except (TypeError, ValueError, ZeroDivisionError):
+            print(f"input error: --t0 {args.t0!r} is not a rational number",
+                  file=_sys.stderr)
+            return EXIT_INPUT_ERROR
+        fault = verification_point_fault(system, sols, t0)
+        if fault is not None:
+            print(f"input error: --t0 {t0} is not a valid verification "
+                  f"point: {fault}", file=_sys.stderr)
+            return EXIT_INPUT_ERROR
     all_ok = True
     for k, sol in enumerate(sols):
         res = verify_certificates(system, sol)

@@ -67,7 +67,8 @@ __all__ = [
     "AllEqual", "Split", "Conjugate", "MixedSplit",
     "mat_reduce", "mat_shift", "mat_delta", "mat_inv",
     "nullspace", "rank", "kernel", "regular_matrix", "from_regular",
-    "integer_roots", "common_integer_roots", "indicial_degrees",
+    "integer_roots", "common_integer_roots", "x_integer_roots",
+    "indicial_degrees",
     "sigma_power_matrix",
     "dm_from_matrix", "dm_to_matrix",
     "dm_shift", "dm_delta", "dm_inv", "dm_sigma_power",
@@ -346,6 +347,16 @@ def common_integer_roots(slices: list) -> list:
     cands = [-f[1] / f[0] for f, _ in factors if len(f) == 2]
     return sorted(int(r) for r in cands if r.denominator == 1
                   and all(not dup_eval(s, r, QQ) for s in slices))
+
+
+def x_integer_roots(p) -> list:
+    """Sorted integer roots in x of a nonzero p in Q[x, t] (the ring of
+    K's numerators): the common roots of its slices by powers of t."""
+    slices: dict = {}
+    for (i, k), c in p.terms():
+        slices.setdefault(k, {})[i] = c
+    return common_integer_roots([dup_from_raw_dict(s, QQ)
+                                 for s in slices.values()])
 
 
 def _slices(p: list, K) -> list:

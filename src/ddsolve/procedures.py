@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import sympy as sp
+from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from .closedform import (HyperexpCandidate, UnsupportedCase,
@@ -42,13 +43,16 @@ from .moser import (MoserReport, ReductionStalled, leading_eigendata,
 from .ratsol import (_invertible_selection, gauge_from_ratios,
                      rational_solutions)
 from .sequences import (CompiledMatrix, HypCert, LiouvilleSolution,
-                        VerificationError, first_safe_index,
-                        lift_sigma_d_to_sigma,
+                        PointEvaluator, VerificationError,
+                        lift_sigma_d_to_sigma, solution_parts,
                         verify_certificates, verify_numeric_window)
 
 __all__ = ["DDSystem", "Outcome", "NormalForm", "check_integrability",
            "sigma_power_matrix", "decision_procedure_1",
-           "decision_procedure_2", "descend_gauge", "solve_liouvillian"]
+           "decision_procedure_2", "descend_gauge", "solve_liouvillian",
+           "verification_point_fault"]
+
+_T = QQ_XT.field.ring.gens[1]   # t in the ring Q[x, t] of K's numerators
 
 
 @dataclass
@@ -511,24 +515,30 @@ RATIONAL_POINTS = tuple(sp.Integer((k + 1) // 2 * (-1) ** (k + 1))
                         for k in range(50))
 
 
-def _defined_at(entries, p) -> bool:
-    """Is every entry defined at t = p (no denominator vanishing there)?"""
-    return all(sp.cancel(_fraction(e)[1].subs(t, p)) != 0 for e in entries)
-
-
-def _fraction(e):
-    return sp.fraction(sp.together(sp.cancel(e)))
+def _at_point(D: DomainMatrix, p):
+    """The entries of the K-matrix D at t = p, as (num, den) pairs of
+    polynomials in x over Q; None when some denominator vanishes
+    identically there."""
+    p = QQ.from_sympy(p)
+    out = []
+    for e in D.to_list_flat():
+        den = e.denom.evaluate(_T, p)
+        if not den:
+            return None
+        out.append((e.numer.evaluate(_T, p), den))
+    return out
 
 
 def _specialization_point(Atil: sp.Matrix):
     """First p of RATIONAL_POINTS with Atil defined at t = p and
     Atil|_{t=p} invertible; returns (p, specialized matrix)."""
+    D = dm_from_matrix(Atil)
     for p in RATIONAL_POINTS:
-        if not _defined_at(Atil, p):
+        entries = _at_point(D, p)
+        if entries is None:
             continue
-        A0 = sp.Matrix(*Atil.shape, [
-            sp.cancel(num.subs(t, p) / den.subs(t, p))
-            for num, den in map(_fraction, Atil)])
+        A0 = sp.Matrix(*Atil.shape, [sp.cancel(num.as_expr() / den.as_expr())
+                                     for num, den in entries])
         if rank(A0) == A0.shape[0]:
             return p, A0
     return None
@@ -571,32 +581,23 @@ def solve_liouvillian(sys: DDSystem) -> Outcome:
     if sys.assume_irreducible:
         report["assumptions"].append(
             "irreducibility over Q(x, t) asserted by the caller")
-    t0 = time.time()
-    out1 = decision_procedure_1(sys)
-    report["timings"]["dp1"] = time.time() - t0
+    timings = report["timings"]
+    out1 = _timed(timings, "dp1", decision_procedure_1, sys)
     report["dp1"] = {"kind": out1.kind, "stage": out1.stage,
                      "reason": out1.reason, "stages": out1.report.get("stages")}
     if out1.kind == "Solved":
-        _verify_solved(sys, out1)
+        _timed(timings, "verify", _verify_solved, sys, out1)
         out1.report.update(report)
         return out1
     if out1.kind == "Unsupported":
         return Outcome("Inconclusive", "DP1", out1.stage,
                        f"restricted subroutine: {out1.reason}", report=report)
-    t0 = time.time()
-    out2 = decision_procedure_2(sys)
-    report["timings"]["dp2"] = time.time() - t0
+    out2 = _timed(timings, "dp2", decision_procedure_2, sys)
     report["dp2"] = {"kind": out2.kind, "stage": out2.stage,
                      "reason": out2.reason, "stages": out2.report.get("stages")}
     if out2.kind == "Solved":
-        _verify_solved(sys, out2)
-        steps = CompiledMatrix(sys.A)   # A(j), shared by the lifts
-        lifts = []
-        for sol in out2.solutions:
-            i, W, cert = sol.components[0]
-            lifts.append(lift_sigma_d_to_sigma(
-                W, cert.sigma_ratio, sys.n, sys.A, sys.B, steps=steps))
-        out2.report["lifts"] = lifts
+        _timed(timings, "verify", _verify_solved, sys, out2)
+        out2.report["lifts"] = _timed(timings, "lift", _lifts, sys, out2)
         out2.report.update(report)
         return out2
     if out2.kind == "Unsupported":
@@ -608,13 +609,33 @@ def solve_liouvillian(sys: DDSystem) -> Outcome:
                    report=report)
 
 
+def _timed(timings: dict, key: str, fn, *args):
+    """fn(*args), its wall time (perf_counter) recorded under `key`."""
+    start = time.perf_counter()
+    result = fn(*args)
+    timings[key] = time.perf_counter() - start
+    return result
+
+
+def _lifts(sys: DDSystem, out: Outcome) -> list:
+    """The sigma-sequence lifts of DP2's interlaced solutions."""
+    # N(j), d(j) and the adjugates of A = N/d, shared by the lifts
+    steps = CompiledMatrix(dm_sigma_power(sys.A, 1))
+    lifts = []
+    for sol in out.solutions:
+        _, W, cert = sol.components[0]
+        lifts.append(lift_sigma_d_to_sigma(
+            W, cert.sigma_ratio, sys.n, sys.A, sys.B, steps=steps))
+    return lifts
+
+
 def _verify_solved(sys: DDSystem, out: Outcome):
     for sol in out.solutions:
         res = verify_certificates(sys, sol)
         if not res.ok:
             raise VerificationError(
                 f"certificate verification failed: {res.failures}")
-    t0 = _first_verification_point(sys)
+    t0 = _first_verification_point(sys, out.solutions)
     for sol in out.solutions:
         res = verify_numeric_window(sys, sol, t0, terms=30)
         if not res.ok:
@@ -623,10 +644,31 @@ def _verify_solved(sys: DDSystem, out: Outcome):
     out.report["verification"] = f"30-term numeric window at t = {t0}"
 
 
-def _first_verification_point(sys: DDSystem):
-    """First positive p of RATIONAL_POINTS with A and B defined at t = p."""
+def verification_point_fault(sys, solutions, p) -> Optional[str]:
+    """Why the numeric window of these solutions cannot run at t = p, or
+    None when it can: the minimal polynomial of a solution's tower has a
+    pole or is reducible there, or a denominator of A, B, a W or a
+    sigma-ratio (read off their K-forms) vanishes identically there."""
+    forms = [dm_sigma_power(sys.A, 1), dm_from_matrix(sys.B)]
+    for sol in solutions:
+        try:
+            PointEvaluator(sol.tower, p)
+        except FieldError as err:
+            return str(err)
+        for _, W, cert in solution_parts(sol):
+            forms += [dm_from_matrix(M, sol.tower)
+                      for M in (W, sp.Matrix([cert.sigma_ratio]))]
+    if any(_at_point(D, p) is None for D in forms):
+        return f"a denominator of A, B or a solution vanishes at t = {p}"
+    return None
+
+
+def _first_verification_point(sys: DDSystem, solutions=()):
+    """First positive p of RATIONAL_POINTS at which the numeric window of
+    the solutions can run (see :func:`verification_point_fault`)."""
     for p in RATIONAL_POINTS:
-        if p > 0 and _defined_at(list(sys.A) + list(sys.B), p):
+        if p > 0 and verification_point_fault(sys, solutions, p) is None:
             return p
-    raise VerificationError("no verification point: A or B has a pole at "
-                            "every positive candidate t")
+    raise VerificationError("no verification point: at every positive "
+                            "candidate t a denominator vanishes or a "
+                            "minimal polynomial is reducible")

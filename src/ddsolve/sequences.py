@@ -12,29 +12,29 @@ tower generator with t specialized).
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import sympy as sp
-from sympy import QQ
-from sympy.polys.densearith import (dup_add, dup_mul, dup_mul_ground, dup_rem,
-                                    dup_sub)
-from sympy.polys.densebasic import dup_strip
-from sympy.polys.euclidtools import dup_invert
-from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
+from sympy import QQ, ZZ
+from sympy.polys.densearith import (dup_add, dup_lshift, dup_mul,
+                                    dup_mul_ground, dup_prem)
+from sympy.polys.densebasic import dup_degree, dup_from_raw_dict, dup_strip
+from sympy.polys.factortools import dup_irreducible_p
+from sympy.polys.matrices import DomainMatrix
 
-from .fields import (TRIVIAL_TOWER, FieldError, Tower, dm_from_matrix,
-                     from_regular, integer_roots, mat_delta, mat_shift,
-                     regular_matrix, sigma_power_matrix, t, theta, treduce,
-                     x)
+from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, Tower, _modulus,
+                     common_integer_roots, dm_from_matrix, dm_sigma_power,
+                     from_regular, mat_delta, mat_shift, sigma_power_matrix,
+                     t, theta, treduce, x, x_integer_roots)
 
 __all__ = ["Seq", "FuncSeq", "SeqVec", "interlace", "section",
            "seq_from_recurrence", "lift_sigma_d_to_sigma",
            "HypCert", "LiouvilleSolution", "VerifyResult",
            "verify_certificates", "verify_numeric_window",
            "first_safe_index", "PoleError", "PointEvaluator",
-           "CompiledMatrix", "VerificationError"]
+           "CompiledMatrix", "VerificationError", "solution_parts"]
 
 
 class PoleError(Exception):
@@ -53,141 +53,263 @@ class VerificationError(AssertionError):
 # ---------------------------------------------------------------------------
 # evaluation at integer points
 
-class PointEvaluator:
-    """Evaluation of matrices over Q(x, t)(theta) at integer x.
+_ZZ_T = ZZ[t]
+_QQ_T = QQ.frac_field(t)
+_QQ_XT_RING = QQ_XT.field.ring   # Q[x, t], where K's numerators live
 
-    Arithmetic is over a ground field K: QQ when t is specialized to t0,
-    QQ.frac_field(t) otherwise.  A tower element is a dense list of
-    coefficients in theta over K (highest first, [] for zero), reduced mod
-    the minimal polynomial, specialized at t0 when t0 is given; over the
-    trivial tower it has at most one coefficient.  :meth:`compile` cancels
-    each entry once into dense (num, den) polynomials in x with tower
-    coefficients over R, the ring of K's numerators (Q[t], or QQ itself),
-    and :meth:`at` evaluates them by Horner's rule over R, with one
-    division in the tower per entry.
+
+class PointEvaluator:
+    """Evaluation of matrices over Q(x, t)(theta) at integer x, with no
+    gcd on the way.
+
+    Arithmetic is over a ground ring R: Q when t is specialized to t0,
+    Z[t] otherwise.  A tower element is a dense list of coefficients in
+    theta over R (highest first, [] for zero) of degree below that of the
+    modulus m: the minimal polynomial at t0 (monic over Q), or its
+    multiple with coefficients in Z[t], whose leading coefficient lc may
+    depend on t.  :meth:`reduce` is the pseudo-remainder of lcf * a with
+    the fixed factor lcf = lc^(deg m - 1), the most a product of two
+    reduced elements needs; a reduced product thus stands for lcf times
+    the true one, and callers carry lcf in a denominator (lcf = 1 at t0
+    and for monic m).
+
+    :meth:`compile` takes a matrix's K-form (its regular representation
+    over K = Q(x, t)) and reads numerators over one common denominator
+    straight off the Q[x, t] numerators and denominators of the entries,
+    specialized at t0 or scaled by one integer into Z[t]; :meth:`at`
+    evaluates them at x = j by Horner's rule over R.
     """
 
     def __init__(self, tower: Tower = TRIVIAL_TOWER, t0=None):
         self.t0 = t0
-        self.K = QQ.frac_field(t) if t0 is None else QQ
-        self.R = self.K.get_ring() if t0 is None else QQ
+        self.R = _ZZ_T if t0 is None else QQ
+        self.K = _QQ_T if t0 is None else QQ   # where values are read out
         self.degree = tower.degree
-        self.mod = None
-        if not tower.trivial:
-            mp = tower.minpoly if t0 is None else tower.minpoly.subs(t, t0)
-            P = sp.Poly(mp, theta, domain=self.K)
-            if t0 is not None and not P.is_irreducible:
-                raise FieldError(
-                    f"minimal polynomial is reducible at t = {t0}")
-            self.mod = P.rep.to_list()
+        self.mod, self.lcf = None, self.R.one
+        if tower.trivial:
+            return
+        (m,), den = self._compile([_modulus(tower)])
+        if t0 is None:
+            self.mod = m[0]
+            self.lcf = self.mod[0] ** (self.degree - 1)
+            return
+        if not den:
+            raise FieldError(f"minimal polynomial has a pole at t = {t0}")
+        self.mod = [c / den[0] for c in m[0]]
+        if not dup_irreducible_p(self.mod, QQ):
+            raise FieldError(f"minimal polynomial is reducible at t = {t0}")
 
     # tower arithmetic
     def reduce(self, a: list) -> list:
-        return a if self.mod is None else dup_rem(a, self.mod, self.K)
+        """lcf * a mod m, for a of degree at most 2 (deg m - 1)."""
+        if self.mod is None:
+            return a
+        R, e = self.R, dup_degree(a) - len(self.mod) + 2
+        if e > 0:
+            a = dup_prem(a, self.mod, R)   # lc^e * a mod m
+        return dup_mul_ground(a, self.mod[0] ** (self.degree - 1 - max(e, 0)),
+                              R)
 
     def mul(self, a: list, b: list) -> list:
-        return self.reduce(dup_mul(a, b, self.K))
-
-    def sub(self, a: list, b: list) -> list:
-        return dup_sub(a, b, self.K)
-
-    def inv(self, a: list) -> list:
-        if self.mod is None:
-            return [self.K.quo(self.K.one, a[0])]
-        return dup_invert(a, self.mod, self.K)
+        return self.reduce(dup_mul(a, b, self.R))
 
     def matvec(self, M: list, v: list) -> list:
-        """M v for M a flat row-major list of len(M) // len(v) rows."""
-        n, K = len(v), self.K
+        """M v (times lcf) for M a flat row-major list of len(M) // len(v)
+        rows."""
+        n, R = len(v), self.R
         out = []
         for i in range(0, len(M), n):
             acc = []
             for a, b in zip(M[i:i + n], v):
-                acc = dup_add(acc, dup_mul(a, b, K), K)
+                if a and b:
+                    acc = dup_add(acc, dup_mul(a, b, R), R)
             out.append(self.reduce(acc))
         return out
 
-    def solve(self, M: list, b: list) -> list:
-        """v with M v = b for a flat row-major square M, by LU over K in
-        the regular representation of the tower."""
-        n = len(b)
-        R = regular_matrix(M, (n, n), self.mod, self.K)
-        try:
-            sol = R.lu_solve(regular_matrix(b, (n, 1), self.mod, self.K))
-        except DMNonInvertibleMatrixError:
-            raise FieldError("matrix not invertible")
-        return from_regular(sol, self.degree)
+    def same(self, u: list, du, w: list, dw) -> bool:
+        """Do the vectors u / du and w / dw agree?  By cross-multiplication."""
+        R = self.R
+        return all(dup_mul_ground(a, dw, R) == dup_mul_ground(b, du, R)
+                   for a, b in zip(u, w))
 
-    def to_sympy(self, a: list, dom=None) -> sp.Expr:
-        dom = dom or self.K
-        return sp.Add(*(dom.to_sympy(c) * theta**k
+    def to_sympy(self, a: list, den) -> sp.Expr:
+        """The tower element a / den, its coefficients in the canonical
+        form of Q(t) (of Q at t0)."""
+        K, R = self.K, self.R
+        d = K.convert_from(den, R)
+        return sp.Add(*(K.to_sympy(K.convert_from(c, R) / d) * theta**k
                         for k, c in enumerate(reversed(a))))
 
     # compiled matrices
-    def compile(self, M) -> list:
-        """Entries of M (row-major) as (num, den) pairs of dense
-        polynomials in x, highest degree first, with tower coefficients
-        over R: num/den is the entry."""
+    def compile(self, D: DomainMatrix, deg: int = 1):
+        """(nums, den) for the matrix whose K-form is D, a regular
+        representation of degree `deg` (1 for a matrix over K): entry i
+        (row-major) is nums[i] / den, nums[i] a dense polynomial in x
+        (highest degree first) with tower coefficients over R, den a dense
+        polynomial in x over R."""
+        return self._compile(from_regular(D, deg))
+
+    def _compile(self, entries: list):
+        den = _QQ_XT_RING.one
+        for a in entries:
+            for c in a:
+                den = den.lcm(c.denom)
+        nums = [[c.numer * den.exquo(c.denom) for c in a] for a in entries]
+        dense = iter(self._dense_in_x([den] + [p for a in nums for p in a]))
+        den = next(dense)
         out = []
-        for e in M:
-            num, den = (self._xpoly(p)
-                        for p in sp.fraction(sp.together(sp.cancel(e))))
-            if self.R is not self.K:
-                # clear the denominators in t of every coefficient
-                R, L = self.R, self.R.one
-                for c in itertools.chain(*num, *den):
-                    L = R.lcm(L, c.denom)
-                num, den = ([[c.numer * R.exquo(L, c.denom) for c in a]
-                             for a in p] for p in (num, den))
-            out.append((num, den))
+        for a in nums:
+            coeffs = [next(dense) for _ in a]
+            size = max(map(len, coeffs), default=0)
+            coeffs = [[self.R.zero] * (size - len(c)) + c for c in coeffs]
+            out.append(dup_strip([dup_strip([c[i] for c in coeffs])
+                                  for i in range(size)]))
+        return out, den
+
+    def _dense_in_x(self, polys: list) -> list:
+        """Polynomials in Q[x, t] as dense polynomials in x over R: at
+        t = t0, or all scaled by the one positive integer that makes their
+        coefficients integral."""
+        out = []
+        if self.t0 is not None:
+            t0 = QQ.from_sympy(self.t0)
+            for p in polys:
+                coeffs: dict = {}
+                for (i, k), c in p.terms():
+                    coeffs[i] = coeffs.get(i, QQ.zero) + c * t0**k
+                out.append(dup_from_raw_dict(coeffs, QQ))
+            return out
+        scale = 1
+        for p in polys:
+            for c in p.values():
+                scale = math.lcm(scale, c.denominator)
+        ring = _ZZ_T.ring
+        for p in polys:
+            coeffs = {}
+            for (i, k), c in p.terms():
+                coeffs.setdefault(i, {})[(k,)] = int(c * scale)
+            out.append(dup_from_raw_dict(
+                {i: ring.from_dict(cs) for i, cs in coeffs.items()}, _ZZ_T))
         return out
 
-    def _xpoly(self, p) -> list:
-        if self.t0 is not None:
-            p = p.subs(t, self.t0)
-        coeffs = sp.Poly(p, x, theta, domain=self.K).rep.to_list()
-        return dup_strip([self.reduce(c) for c in coeffs])
-
-    def xpoly_to_sympy(self, p: list) -> sp.Expr:
-        return sp.Add(*(self.to_sympy(c, self.R) * x**k
-                        for k, c in enumerate(reversed(p))))
-
-    def at(self, compiled: list, j: int) -> list:
-        """Values of compiled entries at x = j; PoleError where a
-        denominator is zero in the tower."""
-        R, jj = self.R, self.R(j)
-
-        def horner(p):
+    def at(self, compiled, j: int):
+        """(values, d): the compiled entries at x = j are values[i] / d;
+        PoleError where the common denominator d is zero."""
+        nums, den = compiled
+        R = self.R
+        d = R.zero
+        for c in den:
+            d = d * j + c
+        if not d:
+            raise PoleError("denominator vanishes", j)
+        out = []
+        for p in nums:
             acc = []
             for c in p:
-                acc = dup_add(dup_mul_ground(acc, jj, R), c, R)
-            return [self.K.convert_from(c, R) for c in acc]
+                acc = dup_add(dup_mul_ground(acc, j, R), c, R)
+            out.append(acc)
+        return out, d
 
-        out = []
-        for num, den in compiled:
-            d = horner(den)
-            if not d:
-                raise PoleError("denominator vanishes", j)
-            nv = horner(num)
-            out.append(self.mul(nv, self.inv(d)) if nv else [])
-        return out
+    # the regular representation over R
+    def coords(self, v: list) -> list:
+        """The coordinates over R of a vector of tower elements, theta^0
+        first within each entry."""
+        deg, zero = self.degree, self.R.zero
+        return [c for a in v for c in a[::-1] + [zero] * (deg - len(a))]
+
+    def from_coords(self, c: list) -> list:
+        deg = self.degree
+        return [dup_strip(c[i:i + deg][::-1]) for i in range(0, len(c), deg)]
+
+    def regular(self, M: list, n: int) -> list:
+        """lcf times the regular representation over R of the n x n matrix
+        M of tower elements (row-major), as rows: column k of block (i, l)
+        holds the coordinates of the reduced M[i, l] * theta^k."""
+        deg, R = self.degree, self.R
+        rows = [[R.zero] * (n * deg) for _ in range(n * deg)]
+        for idx, a in enumerate(M):
+            i, l = divmod(idx, n)
+            for k in range(deg):
+                col = self.coords([self.reduce(dup_lshift(a, k, R))])
+                for r in range(deg):
+                    rows[i * deg + r][l * deg + k] = col[r]
+        return rows
+
+
+def _adj_det(rows: list, R):
+    """(adjugate, determinant) of a square matrix over the domain R.
+
+    Bareiss's fraction-free elimination on [M | 1] (E. H. Bareiss, Math.
+    Comp. 22, 1968), whose divisions are exact, gives det M; back
+    substitution then solves M X = det(M) 1, and its divisions are exact
+    too, since X = adj M lies over R.  The adjugate is None when det M is
+    zero."""
+    n = len(rows)
+    M = [row[:] + [R.one if i == j else R.zero for j in range(n)]
+         for i, row in enumerate(rows)]
+    sign, prev = R.one, R.one
+    for k in range(n):
+        if not M[k][k]:
+            p = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if p is None:
+                return None, R.zero
+            M[k], M[p], sign = M[p], M[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, 2 * n):
+                M[i][j] = R.exquo(M[i][j] * M[k][k] - M[i][k] * M[k][j],
+                                  prev)
+        prev = M[k][k]
+    det = sign * prev
+    X = [[None] * n for _ in range(n)]
+    for i in reversed(range(n)):
+        for c in range(n):
+            acc = det * M[i][n + c]
+            for j in range(i + 1, n):
+                acc -= M[i][j] * X[j][c]
+            X[i][c] = R.exquo(acc, M[i][i])
+    return X, det
 
 
 class CompiledMatrix:
-    """A matrix over Q(x, t)(theta) compiled once by a
-    :class:`PointEvaluator` over the tower at t = t0, with its value at
-    each integer computed once.  Sequences built on one recurrence share
-    it; the values are read, never modified."""
+    """A square matrix A over Q(x, t)(theta), compiled once by a
+    :class:`PointEvaluator` over the tower at t = t0 from its K-form D (a
+    regular representation of degree `deg`) as A = N / d.
 
-    def __init__(self, M: sp.Matrix, tower: Tower = TRIVIAL_TOWER, t0=None):
+    Its value (N(j), d(j)) at each integer is computed once, and so, for
+    the section-sum construction, are the adjugate and determinant of the
+    regular representation of N(j).  Sequences built on one recurrence
+    share it; the values are read, never modified."""
+
+    def __init__(self, D: DomainMatrix, tower: Tower = TRIVIAL_TOWER,
+                 t0=None, deg: int = 1):
         self.points = PointEvaluator(tower, t0)
-        self.compiled = self.points.compile(M)
+        self.compiled = self.points.compile(D, deg)
+        self.n = D.shape[0] // deg
         self._values: dict = {}
+        self._inverses: dict = {}
 
-    def at(self, j: int) -> list:
+    def at(self, j: int):
+        """(N(j), d(j))."""
         if j not in self._values:
             self._values[j] = self.points.at(self.compiled, j)
         return self._values[j]
+
+    def solve(self, j: int, v: list, dv):
+        """A(j)^-1 (v / dv) as (u, du): u = lcf d(j) adj N(j) v and
+        du = det N(j) dv, N(j) in the regular representation (which holds
+        lcf N(j)); FieldError when A(j) is singular."""
+        if j not in self._inverses:
+            N, d = self.at(j)
+            adj, det = _adj_det(self.points.regular(N, self.n),
+                                self.points.R)
+            if not det:
+                raise FieldError("matrix not invertible")
+            self._inverses[j] = adj, det, d * self.points.lcf
+        adj, det, scale = self._inverses[j]
+        c = self.points.coords(v)
+        u = [sum((a * b for a, b in zip(row, c) if a and b),
+                 self.points.R.zero) * scale for row in adj]
+        return self.points.from_coords(u), det * dv
 
 
 # ---------------------------------------------------------------------------
@@ -212,30 +334,36 @@ class SeqVec(Seq):
     """Vector sequence generated by W(j+1) = A(j) W(j) from W(N) = base.
 
     Values below the start index are zero (the lift construction only
-    constrains a sequence from some index on).  Steps run in the ground
-    arithmetic of the :class:`CompiledMatrix` of A (over Q when t is
-    specialized to t0) and are cached; a single SeqVec is not safe for
-    concurrent mutation.
+    constrains a sequence from some index on).  Steps run fraction-free in
+    the ground ring of the :class:`CompiledMatrix` A = N / d: W(j) is
+    carried as (w(j), D(j)), a vector over the ring and one common
+    denominator, with w(j+1) = N(j) w(j) and D(j+1) = d(j) D(j) (times
+    the tower's lcf), and no gcd.  `base` is such a pair.  Steps are
+    cached; a single SeqVec is not safe for concurrent mutation.
     """
 
-    def __init__(self, steps: CompiledMatrix, N: int, base: sp.Matrix):
+    def __init__(self, steps: CompiledMatrix, N: int, base: tuple):
         self.steps = steps
         self.points = steps.points
         self.N = N
-        self._cache = [self.points.at(self.points.compile(base), N)]
+        self._cache = [base]
 
-    def point(self, j: int) -> list:
-        """W(j) as a list of tower elements of :attr:`points`."""
+    def point(self, j: int) -> tuple:
+        """(w, D): W(j) = w / D, w a list of tower elements of
+        :attr:`points`."""
         if j < self.N:
-            return [[] for _ in self._cache[0]]
+            return [[] for _ in self._cache[0][0]], self.points.R.one
         k = j - self.N
         while len(self._cache) <= k:
-            Aj = self.steps.at(self.N + len(self._cache) - 1)
-            self._cache.append(self.points.matvec(Aj, self._cache[-1]))
+            w, D = self._cache[-1]
+            Nj, dj = self.steps.at(self.N + len(self._cache) - 1)
+            self._cache.append((self.points.matvec(Nj, w),
+                                D * dj * self.points.lcf))
         return self._cache[k]
 
     def value(self, j: int) -> sp.Matrix:
-        return sp.Matrix([self.points.to_sympy(a) for a in self.point(j)])
+        w, D = self.point(j)
+        return sp.Matrix([self.points.to_sympy(a, D) for a in w])
 
 
 def interlace(seqs: list) -> Seq:
@@ -271,9 +399,10 @@ def first_safe_index(A: sp.Matrix, B: sp.Matrix, V: sp.Matrix,
     Found by scanning the integer roots (in x) of every denominator and of
     the determinant numerator; t and theta stay symbolic, so a root must be
     a genuine rational-integer root of a coefficient-wise zero polynomial.
-    The scan of A and B is done once per system.
+    The denominators of V are read off its K-form; the scan of A and B is
+    done once per system.
     """
-    dens = [sp.fraction(sp.together(sp.cancel(e)))[1] for e in V]
+    dens = [c.denom for c in dm_from_matrix(V, tower).to_list_flat()]
     bad = max([_system_pole_bound(sp.ImmutableMatrix(A),
                                   sp.ImmutableMatrix(B))]
               + [_max_integer_x_root(d) for d in dens])
@@ -291,18 +420,21 @@ def _system_pole_bound(A: sp.ImmutableMatrix, B: sp.ImmutableMatrix) -> int:
     detA = DA.det()
     polys = ([e.denom for e in DA.to_list_flat() + DB.to_list_flat()]
              + [detA.numer, detA.denom])
-    return max(_max_integer_x_root(p.as_expr()) for p in polys)
+    return max(_max_integer_x_root(p) for p in polys)
 
 
 def _max_integer_x_root(p) -> int:
-    """max(0, largest integer root in x of p)."""
-    return max([0] + (integer_roots(p) or []))
+    """max(0, largest integer root in x of p in Q[x, t])."""
+    return max([0] + x_integer_roots(p))
 
 
 def seq_from_recurrence(A: sp.Matrix, N: int, V_N: sp.Matrix,
                         t0=None, tower: Tower = TRIVIAL_TOWER) -> SeqVec:
     """SeqVec with W(N) = V_N and W(j+1) = A(j) W(j)."""
-    return SeqVec(CompiledMatrix(A, tower, t0), N, V_N)
+    steps = CompiledMatrix(dm_from_matrix(A, tower), tower, t0, tower.degree)
+    pts = steps.points
+    return SeqVec(steps, N, pts.at(
+        pts.compile(dm_from_matrix(V_N, tower), tower.degree), N))
 
 
 def lift_sigma_d_to_sigma(V: sp.Matrix, ratio, d: int, A: sp.Matrix,
@@ -317,23 +449,28 @@ def lift_sigma_d_to_sigma(V: sp.Matrix, ratio, d: int, A: sp.Matrix,
     Cross-checked against the section-sum construction
     U = V_0 + ... + V_{d-1}, V_i(j) = A(j)^{-1} V_{i-1}(j+1), on a
     check_terms window; disagreement raises VerificationError.  V_0 lives
-    on the class j = N mod d, so U(j) = V_i(j) for i = (N - j) mod d, and
-    each V_i(j) comes from solving A(j) V_i(j) = V_{i-1}(j+1).
+    on the class j = N mod d, so U(j) = V_i(j) for i = (N - j) mod d.
+    Both constructions run fraction-free over Z[t] with t symbolic:
+    V_i(j) = d(j) adj N(j) V_{i-1}(j+1) / det N(j) for A = N / d, and
+    U(j) = W(j) is tested by cross-multiplication.
 
     `steps`, the CompiledMatrix of A over the tower with t symbolic, lets
-    the lifts of several solutions of one system share the values A(j);
-    it is built here when not given.
+    the lifts of several solutions of one system share N(j), d(j) and the
+    adjugates; it is built here when not given.
     """
     if N is None:
         N = first_safe_index(A, B, V, tower)
+    deg = tower.degree
     if steps is None:
-        steps = CompiledMatrix(A, tower)
-    W = SeqVec(steps, N, V.subs(x, N))
+        steps = CompiledMatrix(dm_from_matrix(A, tower), tower, deg=deg)
+    pts = steps.points
+    Vc = pts.compile(dm_from_matrix(V, tower), deg)
+    W = SeqVec(steps, N, pts.at(Vc, N))
     if d == 1:
         return W
-    pts = W.points
-    Vc, rc = pts.compile(V), pts.compile([ratio])
-    hs = [[pts.K.one]]  # h(N + d*s), normalized by h(N) = 1
+    rc = pts.compile(dm_from_matrix(sp.Matrix([ratio]), tower), deg)
+    one = pts.R.one
+    hs = [([one], one)]   # h(N + d*s) = num / den, normalized by h(N) = 1
     comps: dict = {}
 
     def comp(i, j):
@@ -341,16 +478,18 @@ def lift_sigma_d_to_sigma(V: sp.Matrix, ratio, d: int, A: sp.Matrix,
             if i == 0:
                 s = (j - N) // d
                 while len(hs) <= s:
-                    (r,) = pts.at(rc, N + d * (len(hs) - 1))
-                    hs.append(pts.mul(hs[-1], r))
-                comps[i, j] = [pts.mul(v, hs[s]) for v in pts.at(Vc, j)]
+                    (r,), dr = pts.at(rc, N + d * (len(hs) - 1))
+                    h, dh = hs[-1]
+                    hs.append((pts.mul(h, r), dh * dr * pts.lcf))
+                h, dh = hs[s]
+                v, dv = pts.at(Vc, j)
+                comps[i, j] = ([pts.mul(a, h) for a in v], dv * dh * pts.lcf)
             else:
-                comps[i, j] = pts.solve(W.steps.at(j), comp(i - 1, j + 1))
+                comps[i, j] = steps.solve(j, *comp(i - 1, j + 1))
         return comps[i, j]
 
     for j in range(N, N + check_terms):
-        U = comp((N - j) % d, j)
-        if any(pts.sub(u, w) for u, w in zip(U, W.point(j))):
+        if not pts.same(*comp((N - j) % d, j), *W.point(j)):
             raise VerificationError(
                 f"lift cross-check failed at index {j}: recurrence and "
                 "section-sum constructions disagree")
@@ -390,6 +529,13 @@ class VerifyResult:
         return self.ok
 
 
+def solution_parts(sol: LiouvilleSolution) -> list:
+    """(label, W, cert) for each hypergeometric part of a solution."""
+    if sol.kind == "Hypergeometric":
+        return [("solution", sol.W, sol.cert)]
+    return [(f"component {i}", W, c) for i, W, c in sol.components]
+
+
 def _check_pair(A, B, W, cert: HypCert, tower: Tower, label: str):
     failures = []
     m = cert.sigma_step
@@ -422,36 +568,42 @@ def verify_certificates(system, sol: LiouvilleSolution) -> VerifyResult:
     return VerifyResult(not failures, failures)
 
 
+@functools.lru_cache(maxsize=8)
+def _compiled_cocycle(A: sp.ImmutableMatrix, m: int, tower: Tower, t0):
+    """The evaluator over the tower at t0 and A_m compiled by it, shared
+    by the numeric windows of all solutions of a solve."""
+    pts = PointEvaluator(tower, t0)
+    return pts, pts.compile(dm_sigma_power(A, m))
+
+
 def verify_numeric_window(system, sol: LiouvilleSolution, t0, terms: int = 30) -> VerifyResult:
     """Evaluate the sigma-relation at t = t0 for `terms` integer points.
 
     All arithmetic is exact over Q (extended by the tower generator with t
     specialized when the solution lives in an extension); the delta
     relation is checked symbolically by verify_certificates."""
-    pts = PointEvaluator(sol.tower, t0)
     failures = []
-    parts = ([("solution", sol.W, sol.cert)] if sol.kind == "Hypergeometric"
-             else [(f"component {i}", W, c) for i, W, c in sol.components])
-    for label, W, cert in parts:
+    deg = sol.tower.degree
+    for label, W, cert in solution_parts(sol):
         m = cert.sigma_step
-        Am = pts.compile(sigma_power_matrix(system.A, m))
-        Wc, rc = pts.compile(W), pts.compile([cert.sigma_ratio])
+        pts, Am = _compiled_cocycle(sp.ImmutableMatrix(system.A), m,
+                                    sol.tower, t0)
+        Wc = pts.compile(dm_from_matrix(W, sol.tower), deg)
+        rc = pts.compile(dm_from_matrix(sp.Matrix([cert.sigma_ratio]),
+                                        sol.tower), deg)
         # start past every pole visible after the specialization t = t0
-        N = 1
-        for _, den in Am + Wc + rc:
-            if len(den) > 1:
-                for r in integer_roots(pts.xpoly_to_sympy(den)):
-                    N = max(N, r + m + 1)
+        N = max([1] + [r + m + 1 for _, den in (Am, Wc, rc) if len(den) > 1
+                       for r in common_integer_roots([den])])
         for j in range(N, N + terms):
             try:
-                Wj, Wjm, (rj,) = (pts.at(Wc, j), pts.at(Wc, j + m),
-                                  pts.at(rc, j))
-                AWj = pts.matvec(pts.at(Am, j), Wj)
+                (Wjm, dWjm), ((rj,), dr) = pts.at(Wc, j + m), pts.at(rc, j)
+                (Aj, dA), (Wj, dW) = pts.at(Am, j), pts.at(Wc, j)
             except PoleError:
                 failures.append(f"{label}: pole during numeric verification "
                                 f"at index {j}")
                 break
-            if any(pts.sub(pts.mul(w, rj), aw) for w, aw in zip(Wjm, AWj)):
+            lhs = [pts.mul(w, rj) for w in Wjm]
+            if not pts.same(lhs, dWjm * dr, pts.matvec(Aj, Wj), dA * dW):
                 failures.append(
                     f"{label}: sigma relation fails at x={j}, t={t0}")
                 break

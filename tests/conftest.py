@@ -25,6 +25,16 @@ def hermite_path():
     return str(SYSTEMS / "hermite.json")
 
 
+@pytest.fixture(scope="session")
+def solved_example2(example2_path):
+    """(system, outcome) of one solve of example2; read, never modified."""
+    from ddsolve.files import read_system
+    from ddsolve.procedures import solve_liouvillian
+
+    system = read_system(example2_path)
+    return system, solve_liouvillian(system)
+
+
 def random_ratfunc(rng: random.Random, max_deg: int = 2,
                    coeff: int = 4) -> sp.Expr:
     """Random nonzero rational function of x and t with small degrees."""

@@ -10,7 +10,7 @@ from ddsolve.files import (SchemaError, read_solution, read_system,
                            write_system)
 from ddsolve.parsing import (ParseError, parse_expression, parse_ratfunc,
                              print_ratfunc, tree_to_sympy)
-from conftest import random_ratfunc
+from conftest import SYSTEMS, random_ratfunc
 
 
 # ---------------------------------------------------------------------------
@@ -311,3 +311,38 @@ def test_solution_file_roundtrip(tmp_path, hermite_path):
     assert len(sols) == 1
     assert teq(sols[0].cert.sigma_ratio, x + 1)
     assert teq(sols[0].W[1], x)
+
+
+# ---------------------------------------------------------------------------
+# verify --t0: a point the window cannot use is an input error
+
+GOLDEN = SYSTEMS.parent / "tests" / "golden"
+
+
+@pytest.mark.parametrize("name, t0, why", [
+    ("example1", "abc", "not a rational number"),
+    # theta^2 = t^2 + 1 is reducible at t = 0
+    ("example1", "0", "reducible at t = 0"),
+    # W = x/(t^3 + t*x) and A have a denominator that vanishes at t = 0
+    ("example2", "0", "vanishes at t = 0"),
+])
+def test_cli_verify_rejects_bad_t0(name, t0, why, capsys):
+    code = cli_main(["verify", str(SYSTEMS / f"{name}.json"),
+                     str(GOLDEN / f"{name}.json"), "--t0", t0])
+    out, err = capsys.readouterr()
+    assert code == 3, out + err
+    assert err.startswith("input error: --t0") and why in err
+    assert "FAILED" not in out
+
+
+def test_cli_verify_mismatch_stays_failed(tmp_path, capsys):
+    """A doubled sigma-ratio is a failed verification, exit 1."""
+    data = json.loads((GOLDEN / "example1.json").read_text())
+    data["solutions"][0]["sigma_ratio"] = "2*(x^2*theta+theta)"
+    path = tmp_path / "doubled.json"
+    path.write_text(json.dumps(data))
+    code = cli_main(["verify", str(SYSTEMS / "example1.json"), str(path),
+                     "--t0", "2", "--terms", "5"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "solution 0: FAILED" in out and "solution 1: ok" in out

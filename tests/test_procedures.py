@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -317,3 +318,25 @@ def test_first_verification_point_skips_every_pole():
 def test_first_verification_point_of_bundled_systems(name):
     system = read_system(str(SYSTEMS / f"{name}.json"))
     assert _first_verification_point(system) == 1
+
+
+def test_solve_reports_stage_timings(solved_example2):
+    """perf_counter spans for both procedures, the verification and the
+    lift; solve --json leaves them out (the goldens pin that)."""
+    _, out = solved_example2
+    timings = out.report["timings"]
+    assert {"dp1", "dp2", "verify", "lift"} <= set(timings)
+    assert all(v >= 0 for v in timings.values())
+
+
+def test_verification_point_respects_solution_tower(tmp_path):
+    """DP1 solves this system over theta^2 = t, which is reducible at
+    t = 1: the numeric window runs at t = 2."""
+    path = tmp_path / "sqrt_t.json"
+    path.write_text(json.dumps({
+        "A": [["0", "t"], ["1", "0"]],
+        "B": [["(x+1)/(2*t)", "0"], ["0", "x/(2*t)"]], "n": 2}))
+    out = solve_liouvillian(read_system(str(path)))
+    assert out.kind == "Solved" and out.provenance == "DP1"
+    assert out.solutions[0].tower.minpoly == theta**2 - t
+    assert out.report["verification"] == "30-term numeric window at t = 2"

@@ -5,9 +5,11 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from ddsolve.fields import (TRIVIAL_TOWER, make_tower, mat_inv, mat_reduce,
-                            mat_shift, shift, t, teq, theta, treduce, x)
+from ddsolve.fields import (TRIVIAL_TOWER, dm_from_matrix, dm_sigma_power,
+                            make_tower, mat_inv, mat_reduce, mat_shift, shift,
+                            t, teq, theta, treduce, x)
 from ddsolve.files import read_system
+from helpers import reference_lift
 from ddsolve.parsing import parse_ratfunc
 from ddsolve.procedures import solve_liouvillian
 from ddsolve.sequences import (FuncSeq, HypCert, LiouvilleSolution, PoleError,
@@ -146,7 +148,8 @@ def test_lifts_of_example2_evaluate_A_once_per_index(example2_path,
     lifts = out.report["lifts"]
     steps = lifts[0].steps
     assert len(lifts) == 3 and all(W.steps is steps for W in lifts)
-    assert steps.compiled == PointEvaluator().compile(system.A)
+    assert steps.compiled == PointEvaluator().compile(
+        dm_sigma_power(system.A, 1))
     per_index = Counter(j for c, j in calls if c is steps.compiled)
     assert set(per_index.values()) == {1}
     assert all(j in per_index for W in lifts for j in range(W.N, W.N + 29))
@@ -155,6 +158,103 @@ def test_lifts_of_example2_evaluate_A_once_per_index(example2_path,
     with pytest.raises(VerificationError):
         lift_sigma_d_to_sigma(W, 2 * cert.sigma_ratio, system.n, system.A,
                               system.B)
+
+
+def test_lift_and_window_run_without_cancel_or_together(solved_example2,
+                                                       monkeypatch):
+    """The lift and the numeric window compile from K-forms: on a solved
+    example2 neither runs sp.cancel or sp.together."""
+    import ddsolve.sequences as sequences
+
+    system, out = solved_example2
+    sequences._compiled_cocycle.cache_clear()
+    sequences._system_pole_bound.cache_clear()
+
+    def boom(*args, **kwargs):
+        raise AssertionError("SymPy simplification called")
+
+    monkeypatch.setattr(sp, "cancel", boom)
+    monkeypatch.setattr(sp, "together", boom)
+    for sol in out.solutions:
+        _, W, cert = sol.components[0]
+        lift_sigma_d_to_sigma(W, cert.sigma_ratio, system.n, system.A,
+                              system.B)
+        assert verify_numeric_window(system, sol, sp.Integer(1)).ok
+
+
+def _ratfunc(draw, tower):
+    """A nonzero (a + b x + c t) / den, times theta over a tower."""
+    a, b, c = draw(st.tuples(*[st.integers(-2, 2)] * 3).filter(any))
+    den = draw(st.sampled_from([1, x + 1, x - 2, t + 1, x + t]))
+    power = 0 if tower.trivial else draw(st.integers(0, 1))
+    return (a + b * x + c * t) / den * theta**power
+
+
+@st.composite
+def _planted_lifts(draw):
+    """(d, tower, A, V, ratio): A = sigma(G) C G^-1 with C the weighted
+    cyclic shift C e_i = c_i e_{i+1 mod d} and G = 1 + g E_kl unimodular,
+    so V = G e_1 solves the sigma^d-system with ratio
+    prod_i c_i(x + i)."""
+    d = draw(st.sampled_from([2, 3]))
+    tower = draw(st.sampled_from([TRIVIAL_TOWER, EX1_TOWER]))
+    cs = [_ratfunc(draw, tower) for _ in range(d)]
+    C = sp.zeros(d, d)
+    for i, c in enumerate(cs):
+        C[(i + 1) % d, i] = c
+    k, l = draw(st.permutations(range(d)))[:2]
+    g = sum(draw(st.integers(-2, 2)) * m for m in (1, x, t))
+    E = sp.zeros(d, d)
+    E[k, l] = g
+    G = sp.eye(d) + E
+    A = mat_reduce(mat_shift(G) * C * (sp.eye(d) - E), tower)
+    ratio = treduce(sp.prod([shift(c, i) for i, c in enumerate(cs)]), tower)
+    return d, tower, A, G[:, 0], ratio
+
+
+@settings(max_examples=20, deadline=None)
+@given(_planted_lifts())
+def test_fraction_free_lift_matches_reference(case):
+    """On planted sigma^d systems the fraction-free lift gives the W(j) of
+    the reference Q(t) lift and the same cross-check verdict, for the
+    planted ratio (which passes) and the doubled one (which raises)."""
+    d, tower, A, V, ratio = case
+    B = sp.zeros(d, d)
+    # the poles of A and of the ratio and the integer zeros of det A lie
+    # in [-2, 2], and V has first entry 1: every index from 4 on is safe
+    N, terms = 4, 12
+    verdicts = []
+    for r in (ratio, treduce(2 * ratio, tower)):
+        try:
+            want = reference_lift(V, r, d, A, N, tower, terms)
+        except VerificationError as err:
+            want = str(err)
+        try:
+            W = lift_sigma_d_to_sigma(V, r, d, A, B, N=N, tower=tower,
+                                      check_terms=terms)
+            got = [W.value(j) for j in range(N, N + terms)]
+        except VerificationError as err:
+            got = str(err)
+        assert got == want
+        verdicts.append(isinstance(got, list))
+    assert verdicts == [True, False]
+
+
+def test_lift_over_non_monic_tower():
+    """Over theta^2 = 1/(2t) the modulus in Z[t][theta] is 2t theta^2 - 1:
+    reduction is a pseudo-remainder whose factor 2t goes into the
+    denominators, and the lift still matches the reference."""
+    tower = make_tower(theta**2 - 1 / (2 * t))
+    A = sp.Matrix([[0, theta / (x + 1)], [x + t, 0]])
+    V = sp.Matrix([1, 0])
+    ratio = treduce(theta * (x + t) / (x + 2), tower)
+    W = lift_sigma_d_to_sigma(V, ratio, 2, A, sp.zeros(2, 2), N=1,
+                              tower=tower)
+    assert [W.value(j) for j in range(1, 31)] == \
+        reference_lift(V, ratio, 2, A, 1, tower)
+    with pytest.raises(VerificationError):
+        lift_sigma_d_to_sigma(V, 2 * ratio, 2, A, sp.zeros(2, 2), N=1,
+                              tower=tower)
 
 
 def test_first_safe_index_skips_integer_poles():
@@ -263,29 +363,31 @@ def test_point_evaluator_matches_sympy_reference(case):
     etower = (tower if t0 is None or tower.trivial
               else make_tower(sp.expand(tower.minpoly.subs(t, t0))))
     pts = PointEvaluator(tower, t0)
-    compiled = pts.compile([e])
+    compiled = pts.compile(dm_from_matrix(sp.Matrix([e]), tower),
+                           tower.degree)
     den = sp.fraction(sp.together(sp.cancel(e)))[1]
     if treduce(den.subs(sub), etower) == 0:
         with pytest.raises(PoleError):
             pts.at(compiled, j)
         return
-    (got,) = pts.at(compiled, j)
+    (got,), d = pts.at(compiled, j)
     want = treduce(e.subs(sub), etower)
     assert len(got) <= tower.degree
-    assert treduce(pts.to_sympy(got) - want, etower) == 0, (e, j, t0)
+    assert treduce(pts.to_sympy(got, d) - want, etower) == 0, (e, j, t0)
 
 
 def test_point_evaluator_clears_denominators_in_t():
     """Over theta^2 = 1/(2t) the reduction mod m leaves coefficients with
     denominators in t, which compile clears before Horner's rule runs in
-    Q[t]."""
+    Z[t]."""
     tower = make_tower(theta**2 - 1 / (2 * t))
     e = (x * theta**3 + 3 * x**2 + t) / (x + theta + 1)
     pts = PointEvaluator(tower)
-    compiled = pts.compile([e])
+    compiled = pts.compile(dm_from_matrix(sp.Matrix([e]), tower),
+                           tower.degree)
     for j in range(-2, 4):
-        (got,) = pts.at(compiled, j)
-        assert treduce(pts.to_sympy(got) - e.subs(x, j), tower) == 0, j
+        (got,), d = pts.at(compiled, j)
+        assert treduce(pts.to_sympy(got, d) - e.subs(x, j), tower) == 0, j
 
 
 def test_numeric_window_reports_doubled_example1_ratio(example1_path):
