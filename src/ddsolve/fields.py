@@ -67,6 +67,7 @@ __all__ = [
     "AllEqual", "Split", "Conjugate", "MixedSplit",
     "mat_reduce", "mat_shift", "mat_delta", "mat_inv",
     "nullspace", "rank", "kernel", "regular_matrix", "from_regular",
+    "regular_rows", "theta_coords", "from_theta_coords",
     "integer_roots", "common_integer_roots", "x_integer_roots",
     "indicial_degrees",
     "sigma_power_matrix",
@@ -495,26 +496,53 @@ def kernel(D: DomainMatrix) -> DomainMatrix:
     return rref.nullspace_from_rref(pivots)
 
 
+def theta_coords(v: list, deg: int, zero) -> list:
+    """The coordinates of a vector of tower elements (dense polynomials in
+    theta of degree below `deg`, highest degree first) over their ground
+    ring, theta^0 first within each entry: the layout of a column of the
+    regular representation."""
+    return [c for a in v for c in a[::-1] + [zero] * (deg - len(a))]
+
+
+def from_theta_coords(c: list, deg: int) -> list:
+    """The vector of tower elements whose coordinates are c."""
+    return [dup_strip(c[i:i + deg][::-1]) for i in range(0, len(c), deg)]
+
+
+def regular_rows(entries: list, shape: tuple, deg: int, times_theta,
+                 zero) -> list:
+    """The rows of the regular representation of a matrix over a ring
+    extended by theta of degree `deg`.
+
+    `entries` lists the matrix row-major as dense polynomials in theta,
+    highest degree first, reduced.  Entry (i, j) becomes the deg x deg
+    block at rows i*deg + r, columns j*deg + k that holds the coefficient
+    of theta^r in times_theta(entry, k), the reduced entry * theta^k."""
+    rows = [[] for _ in range(shape[0] * deg)]
+    for idx, a in enumerate(entries):
+        i = idx // shape[1] * deg
+        for k in range(deg):
+            for r, c in enumerate(theta_coords([times_theta(a, k)], deg,
+                                               zero)):
+                rows[i + r].append(c)
+    return rows
+
+
 def regular_matrix(entries: list, shape: tuple, mod, K) -> DomainMatrix:
     """The K-matrix of the regular representation of a matrix over
     L = K[theta]/(mod), or over K itself when mod is None (degree 1).
 
     `entries` lists the matrix row-major as dense polynomials in theta
-    over K, highest degree first, reduced mod `mod`.  Entry (i, j) becomes
-    the deg x deg block at rows i*deg + r, columns j*deg + k that holds
-    the coefficient of theta^r in entry * theta^k.  The map is a ring
-    homomorphism, so products, inverses and solves over L are those of
-    the K-matrices; :func:`from_regular` reads the result back."""
+    over K, highest degree first, reduced mod `mod` (layout in
+    :func:`regular_rows`).  The map is a ring homomorphism, so products,
+    inverses and solves over L are those of the K-matrices;
+    :func:`from_regular` reads the result back."""
     deg = 1 if mod is None else len(mod) - 1
-    rows = [[] for _ in range(shape[0] * deg)]
-    for idx, a in enumerate(entries):
-        i = idx // shape[1] * deg
-        for k in range(deg):
-            if k:
-                a = dup_rem(dup_lshift(a, 1, K), mod, K)
-            coords = a[::-1] + [K.zero] * (deg - len(a))
-            for r in range(deg):
-                rows[i + r].append(coords[r])
+
+    def times_theta(a, k):
+        return dup_rem(dup_lshift(a, k, K), mod, K) if k else a
+
+    rows = regular_rows(entries, shape, deg, times_theta, K.zero)
     return DomainMatrix(rows, (shape[0] * deg, shape[1] * deg), K)
 
 
@@ -522,7 +550,7 @@ def from_regular(R: DomainMatrix, deg: int) -> list:
     """Entries, row-major, of the matrix over L whose regular
     representation is R: entry (i, j) is sum_k R[i*deg + k, j*deg] theta^k."""
     rows = R.to_list()
-    return [dup_strip([rows[i + k][j] for k in reversed(range(deg))])
+    return [from_theta_coords([rows[i + k][j] for k in range(deg)], deg)[0]
             for i in range(0, R.shape[0], deg)
             for j in range(0, R.shape[1], deg)]
 

@@ -619,7 +619,7 @@ def _timed(timings: dict, key: str, fn, *args):
 
 def _lifts(sys: DDSystem, out: Outcome) -> list:
     """The sigma-sequence lifts of DP2's interlaced solutions."""
-    # N(j), d(j) and the adjugates of A = N/d, shared by the lifts
+    # N(j), d(j) and the inverses of A = N/d, shared by the lifts
     steps = CompiledMatrix(dm_sigma_power(sys.A, 1))
     lifts = []
     for sol in out.solutions:
@@ -649,15 +649,28 @@ def verification_point_fault(sys, solutions, p) -> Optional[str]:
     None when it can: the minimal polynomial of a solution's tower has a
     pole or is reducible there, or a denominator of A, B, a W or a
     sigma-ratio (read off their K-forms) vanishes identically there."""
+    return _point_fault(*_verification_forms(sys, solutions), p)
+
+
+def _verification_forms(sys, solutions) -> tuple:
+    """(K-forms of A, B and of every W and sigma-ratio, distinct towers of
+    the solutions): what :func:`_point_fault` reads at each point."""
     forms = [dm_sigma_power(sys.A, 1), dm_from_matrix(sys.B)]
+    towers = {}
     for sol in solutions:
-        try:
-            PointEvaluator(sol.tower, p)
-        except FieldError as err:
-            return str(err)
+        towers[sol.tower] = None
         for _, W, cert in solution_parts(sol):
             forms += [dm_from_matrix(M, sol.tower)
                       for M in (W, sp.Matrix([cert.sigma_ratio]))]
+    return forms, list(towers)
+
+
+def _point_fault(forms: list, towers: list, p) -> Optional[str]:
+    for tower in towers:
+        try:
+            PointEvaluator(tower, p)
+        except FieldError as err:
+            return str(err)
     if any(_at_point(D, p) is None for D in forms):
         return f"a denominator of A, B or a solution vanishes at t = {p}"
     return None
@@ -666,8 +679,9 @@ def verification_point_fault(sys, solutions, p) -> Optional[str]:
 def _first_verification_point(sys: DDSystem, solutions=()):
     """First positive p of RATIONAL_POINTS at which the numeric window of
     the solutions can run (see :func:`verification_point_fault`)."""
+    forms, towers = _verification_forms(sys, solutions)
     for p in RATIONAL_POINTS:
-        if p > 0 and verification_point_fault(sys, solutions, p) is None:
+        if p > 0 and _point_fault(forms, towers, p) is None:
             return p
     raise VerificationError("no verification point: at every positive "
                             "candidate t a denominator vanishes or a "

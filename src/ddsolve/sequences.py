@@ -23,11 +23,13 @@ from sympy.polys.densearith import (dup_add, dup_lshift, dup_mul,
 from sympy.polys.densebasic import dup_degree, dup_from_raw_dict, dup_strip
 from sympy.polys.factortools import dup_irreducible_p
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, Tower, _modulus,
                      common_integer_roots, dm_from_matrix, dm_sigma_power,
-                     from_regular, mat_delta, mat_shift, sigma_power_matrix,
-                     t, theta, treduce, x, x_integer_roots)
+                     from_regular, from_theta_coords, mat_delta, mat_shift,
+                     regular_rows, sigma_power_matrix, t, theta,
+                     theta_coords, treduce, x, x_integer_roots)
 
 __all__ = ["Seq", "FuncSeq", "SeqVec", "interlace", "section",
            "seq_from_recurrence", "lift_sigma_d_to_sigma",
@@ -210,64 +212,14 @@ class PointEvaluator:
             out.append(acc)
         return out, d
 
-    # the regular representation over R
-    def coords(self, v: list) -> list:
-        """The coordinates over R of a vector of tower elements, theta^0
-        first within each entry."""
-        deg, zero = self.degree, self.R.zero
-        return [c for a in v for c in a[::-1] + [zero] * (deg - len(a))]
-
-    def from_coords(self, c: list) -> list:
-        deg = self.degree
-        return [dup_strip(c[i:i + deg][::-1]) for i in range(0, len(c), deg)]
-
     def regular(self, M: list, n: int) -> list:
         """lcf times the regular representation over R of the n x n matrix
-        M of tower elements (row-major), as rows: column k of block (i, l)
-        holds the coordinates of the reduced M[i, l] * theta^k."""
-        deg, R = self.degree, self.R
-        rows = [[R.zero] * (n * deg) for _ in range(n * deg)]
-        for idx, a in enumerate(M):
-            i, l = divmod(idx, n)
-            for k in range(deg):
-                col = self.coords([self.reduce(dup_lshift(a, k, R))])
-                for r in range(deg):
-                    rows[i * deg + r][l * deg + k] = col[r]
-        return rows
-
-
-def _adj_det(rows: list, R):
-    """(adjugate, determinant) of a square matrix over the domain R.
-
-    Bareiss's fraction-free elimination on [M | 1] (E. H. Bareiss, Math.
-    Comp. 22, 1968), whose divisions are exact, gives det M; back
-    substitution then solves M X = det(M) 1, and its divisions are exact
-    too, since X = adj M lies over R.  The adjugate is None when det M is
-    zero."""
-    n = len(rows)
-    M = [row[:] + [R.one if i == j else R.zero for j in range(n)]
-         for i, row in enumerate(rows)]
-    sign, prev = R.one, R.one
-    for k in range(n):
-        if not M[k][k]:
-            p = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if p is None:
-                return None, R.zero
-            M[k], M[p], sign = M[p], M[k], -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, 2 * n):
-                M[i][j] = R.exquo(M[i][j] * M[k][k] - M[i][k] * M[k][j],
-                                  prev)
-        prev = M[k][k]
-    det = sign * prev
-    X = [[None] * n for _ in range(n)]
-    for i in reversed(range(n)):
-        for c in range(n):
-            acc = det * M[i][n + c]
-            for j in range(i + 1, n):
-                acc -= M[i][j] * X[j][c]
-            X[i][c] = R.exquo(acc, M[i][i])
-    return X, det
+        M of tower elements (row-major), as rows (see
+        :func:`fields.regular_rows`)."""
+        R = self.R
+        return regular_rows(M, (n, n), self.degree,
+                            lambda a, k: self.reduce(dup_lshift(a, k, R)),
+                            R.zero)
 
 
 class CompiledMatrix:
@@ -276,7 +228,7 @@ class CompiledMatrix:
     regular representation of degree `deg`) as A = N / d.
 
     Its value (N(j), d(j)) at each integer is computed once, and so, for
-    the section-sum construction, are the adjugate and determinant of the
+    the section-sum construction, is the fraction-free inverse of the
     regular representation of N(j).  Sequences built on one recurrence
     share it; the values are read, never modified."""
 
@@ -295,21 +247,26 @@ class CompiledMatrix:
         return self._values[j]
 
     def solve(self, j: int, v: list, dv):
-        """A(j)^-1 (v / dv) as (u, du): u = lcf d(j) adj N(j) v and
-        du = det N(j) dv, N(j) in the regular representation (which holds
-        lcf N(j)); FieldError when A(j) is singular."""
+        """A(j)^-1 (v / dv) as (u, du): u = lcf d(j) X v and du = den dv,
+        where X / den is the inverse of the regular representation of N(j)
+        (which holds lcf N(j)), computed fraction-free over R;
+        FieldError when A(j) is singular."""
+        pts = self.points
+        R, deg = pts.R, pts.degree
         if j not in self._inverses:
             N, d = self.at(j)
-            adj, det = _adj_det(self.points.regular(N, self.n),
-                                self.points.R)
-            if not det:
-                raise FieldError("matrix not invertible")
-            self._inverses[j] = adj, det, d * self.points.lcf
-        adj, det, scale = self._inverses[j]
-        c = self.points.coords(v)
-        u = [sum((a * b for a, b in zip(row, c) if a and b),
-                 self.points.R.zero) * scale for row in adj]
-        return self.points.from_coords(u), det * dv
+            size = self.n * deg
+            try:
+                X, den = DomainMatrix(pts.regular(N, self.n), (size, size),
+                                      R).inv_den()
+            except DMNonInvertibleMatrixError:
+                raise FieldError("matrix not invertible") from None
+            self._inverses[j] = X.to_list(), den, d * pts.lcf
+        X, den, scale = self._inverses[j]
+        c = theta_coords(v, deg, R.zero)
+        u = [sum((a * b for a, b in zip(row, c) if a and b), R.zero) * scale
+             for row in X]
+        return from_theta_coords(u, deg), den * dv
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +408,13 @@ def lift_sigma_d_to_sigma(V: sp.Matrix, ratio, d: int, A: sp.Matrix,
     check_terms window; disagreement raises VerificationError.  V_0 lives
     on the class j = N mod d, so U(j) = V_i(j) for i = (N - j) mod d.
     Both constructions run fraction-free over Z[t] with t symbolic:
-    V_i(j) = d(j) adj N(j) V_{i-1}(j+1) / det N(j) for A = N / d, and
-    U(j) = W(j) is tested by cross-multiplication.
+    V_i(j) = d(j) X(j) V_{i-1}(j+1) / den(j) for A = N / d, where
+    X(j) / den(j) is the fraction-free inverse of N(j), and U(j) = W(j) is
+    tested by cross-multiplication.
 
     `steps`, the CompiledMatrix of A over the tower with t symbolic, lets
     the lifts of several solutions of one system share N(j), d(j) and the
-    adjugates; it is built here when not given.
+    inverses; it is built here when not given.
     """
     if N is None:
         N = first_safe_index(A, B, V, tower)
