@@ -16,7 +16,7 @@ from .sequences import (HypCert, LiouvilleSolution, interlace,
                         verify_certificates, verify_numeric_window)
 from .procedures import (DDSystem, Outcome, check_integrability,
                          decision_procedure_1, decision_procedure_2,
-                         descend_gauge, solve_liouvillian)
+                         solve_liouvillian)
 from .parsing import ParseError, parse_expression, parse_ratfunc, print_ratfunc
 from .files import (SchemaError, read_solution, read_system, write_solution,
                     write_system)

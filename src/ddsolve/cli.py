@@ -24,7 +24,8 @@ import sympy as sp
 from .closedform import (UnsupportedCase, hyperexp_solutions, petkovsek,
                          recurrence_polys)
 from .difftools import dispersion, split_alpha_beta_power, standard_decompose
-from .fields import TRIVIAL_TOWER, FieldError, dm_from_matrix, treduce
+from .fields import (TRIVIAL_TOWER, FieldError, dm_from_matrix, dm_to_matrix,
+                     treduce)
 from .files import (SchemaError, outcome_to_dict, read_solution, read_system,
                     write_solution)
 from .moser import ReductionStalled, moser_reduce, ord_and_moser
@@ -261,13 +262,15 @@ def _dispatch_tool(args) -> int:
         return EXIT_SOLVED
     if args.tool == "ratsol":
         M = _read_matrix_file(args.expr[0], invertible=True)
-        basis = rational_solutions(M, args.step, TRIVIAL_TOWER).basis
+        basis = rational_solutions(dm_from_matrix(M), args.step,
+                                   TRIVIAL_TOWER).basis
         if not basis:
             print("no nonzero rational solutions")
             return EXIT_NO_SOLUTION
         for k, V in enumerate(basis):
             print(f"V_{k} = [ "
-                  + "  ".join(print_ratfunc(e) for e in V) + " ]")
+                  + "  ".join(print_ratfunc(e) for e in dm_to_matrix(V))
+                  + " ]")
         return EXIT_SOLVED
     if args.tool == "petkovsek":
         ps = [parse_ratfunc(s) for s in args.expr]

@@ -36,9 +36,9 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.polyerrors import CoercionFailed
 
 from .fields import (TRIVIAL_TOWER, FieldError, Tower,
-                     _theta_reduction_table, indicial_degrees, kernel,
-                     make_tower, mat_reduce, mat_shift, nullspace, shift, t,
-                     theta, treduce, x)
+                     _theta_reduction_table, dm_from_matrix, dm_to_matrix,
+                     indicial_degrees, kernel, make_tower, mat_reduce,
+                     mat_shift, nullspace, shift, t, theta, treduce, x)
 from .difftools import standard_decompose
 from .ratsol import UnsupportedCase, rational_solutions, scalar_operators
 from .sequences import VerificationError
@@ -257,8 +257,8 @@ def system_hypergeometric(M: sp.Matrix, m: int = 1):
     over Q(x): chain operators -> petkovsek ratios -> rational
     back-substitution, every candidate verified."""
     ratios = []
-    for op in scalar_operators(M, m, TRIVIAL_TOWER):
-        for r in petkovsek(op, m):
+    for op in scalar_operators(dm_from_matrix(M), m, TRIVIAL_TOWER):
+        for r in petkovsek(list(dm_to_matrix(op)), m):
             try:
                 treduce(r)
             except FieldError:
@@ -270,8 +270,9 @@ def system_hypergeometric(M: sp.Matrix, m: int = 1):
     seen = []
     out = []
     for r in ratios:
-        Mi = mat_reduce(M / r)
-        for W in rational_solutions(Mi, m, TRIVIAL_TOWER).basis:
+        basis = rational_solutions(dm_from_matrix(M / r), m,
+                                   TRIVIAL_TOWER).basis
+        for W in map(dm_to_matrix, basis):
             resid = mat_shift(W, m) * r - mat_reduce(M * W)
             if not all(sp.cancel(e) == 0 for e in resid):
                 raise VerificationError(

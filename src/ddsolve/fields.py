@@ -22,14 +22,14 @@ The shift sigma acts by x -> x+1 and the derivation delta by d/dt with
 delta(x) = 0.
 
 All exact linear algebra runs on :class:`~sympy.polys.matrices.DomainMatrix`
-over K = Q(x, t) (``QQ_XT``).  A matrix over the tower is converted at the
-boundary (:func:`dm_from_matrix`, :func:`dm_to_matrix`) to and from the
-K-matrix of its regular representation (:func:`regular_matrix`; the trivial
-tower is the case of degree 1), on which :func:`nullspace`, :func:`rank` and
-:func:`mat_inv` work.  :func:`dm_shift`, :func:`dm_delta`, :func:`dm_inv` and
-:func:`dm_series_at_infinity` act on matrices over K.  System matrices lie in
-K, so their cocycle (:func:`dm_sigma_power`, :func:`sigma_power_matrix`) is
-always formed over K.
+over K = Q(x, t) (``QQ_XT``).  A matrix over the tower is held as its
+K-form, the K-matrix of its regular representation (:func:`regular_matrix`;
+the trivial tower is the case of degree 1), converted at the boundary by
+:func:`dm_from_matrix` and :func:`dm_to_matrix`.  Sums, products and
+inverses over the tower are those of the K-forms; sigma, and delta with
+:func:`dm_delta`, act on them too.  The ``Expr`` helpers (``mat_*``,
+:func:`nullspace`, :func:`rank`, :func:`sigma_power_matrix`) serve parsing,
+files, the CLI and the modules whose API is still ``Expr``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from sympy import QQ
 from sympy.polys.densearith import (dup_add, dup_lshift, dup_mul,
                                     dup_mul_ground, dup_quo_ground, dup_rem)
 from sympy.polys.densebasic import dup_degree, dup_from_raw_dict, dup_strip
-from sympy.polys.densetools import dup_eval
+from sympy.polys.densetools import dup_compose, dup_diff, dup_eval
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.euclidtools import dup_invert
 from sympy.polys.matrices import DomainMatrix
@@ -68,11 +68,12 @@ __all__ = [
     "mat_reduce", "mat_shift", "mat_delta", "mat_inv",
     "nullspace", "rank", "kernel", "regular_matrix", "from_regular",
     "regular_rows", "theta_coords", "from_theta_coords",
-    "integer_roots", "common_integer_roots", "x_integer_roots",
+    "common_integer_roots", "x_integer_roots",
     "indicial_degrees",
     "sigma_power_matrix",
     "dm_from_matrix", "dm_to_matrix",
-    "dm_shift", "dm_delta", "dm_inv", "dm_sigma_power",
+    "dm_shift", "dm_delta", "dm_inv", "dm_embed", "dm_block_diag",
+    "dm_conjugate", "dm_sigma_power",
     "dm_series_at_infinity",
 ]
 
@@ -320,26 +321,6 @@ def _theta_reduction_table(expr, tower: Tower):
     return sp.expand(out)
 
 
-def integer_roots(p, var: sp.Symbol = x, tower: Tower = TRIVIAL_TOWER):
-    """Sorted integer roots in var of the numerator of p, whose
-    coefficients may involve t and theta; None when p is zero.
-
-    theta is reduced by the minimal polynomial first.  r counts only if
-    every (t, theta)-monomial slice of the numerator vanishes at var = r
-    (see :func:`common_integer_roots`)."""
-    p = _theta_reduction_table(sp.expand(p), tower)
-    num = sp.expand(sp.together(p).as_numer_denom()[0])
-    if num == 0:
-        return None
-    gens = sorted(num.free_symbols - {var}, key=str)
-    slices: dict = {}
-    for (k, *mono), c in sp.Poly(num, var, *gens,
-                                 domain=QQ).as_dict(native=True).items():
-        slices.setdefault(tuple(mono), {})[k] = c
-    return common_integer_roots([dup_from_raw_dict(s, QQ)
-                                 for s in slices.values()])
-
-
 def common_integer_roots(slices: list) -> list:
     """Sorted integers that are roots of every nonzero dense polynomial
     over Q in `slices`; the candidates are the rational roots of the
@@ -579,9 +560,43 @@ def dm_shift(D: DomainMatrix, j: int = 1) -> DomainMatrix:
                                        e.denom.compose(_X, xj)))
 
 
-def dm_delta(D: DomainMatrix) -> DomainMatrix:
-    """d/dt over K, entrywise."""
-    return D.applyfunc(lambda e: e.diff(_T))
+def dm_delta(D: DomainMatrix, tower: Tower = TRIVIAL_TOWER) -> DomainMatrix:
+    """delta on a K-form over the tower: an entry sum_k a_k theta^k goes to
+    sum_k (d/dt a_k) theta^k + a'(theta) delta(theta) mod m."""
+    if tower.trivial:
+        return D.applyfunc(lambda e: e.diff(_T))
+    mod, dtheta = _modulus(tower), _tower_element(tower.dtheta, tower)
+    entries = [dup_add(dup_strip([c.diff(_T) for c in a]), dup_rem(dup_mul(
+        dup_diff(a, 1, QQ_XT), dtheta, QQ_XT), mod, QQ_XT), QQ_XT)
+        for a in from_regular(D, tower.degree)]
+    return regular_matrix(entries, (D.shape[0] // tower.degree,
+                                    D.shape[1] // tower.degree), mod, QQ_XT)
+
+
+def dm_conjugate(D: DomainMatrix, conj, tower: Tower) -> DomainMatrix:
+    """A K-form over the tower with theta replaced by conj, a root of the
+    minimal polynomial in the tower."""
+    mod, root = _modulus(tower), _tower_element(conj, tower)
+    entries = [dup_rem(dup_compose(a, root, QQ_XT), mod, QQ_XT)
+               for a in from_regular(D, tower.degree)]
+    return regular_matrix(entries, (D.shape[0] // tower.degree,
+                                    D.shape[1] // tower.degree), mod, QQ_XT)
+
+
+def dm_embed(D: DomainMatrix, tower: Tower) -> DomainMatrix:
+    """The K-form over the tower of a matrix D over K."""
+    return regular_matrix([[a] if a else [] for a in D.to_list_flat()],
+                          D.shape, _modulus(tower), QQ_XT)
+
+
+def dm_block_diag(blocks: list) -> DomainMatrix:
+    """The block-diagonal K-matrix with square blocks of one size: the
+    K-form of diag(c_1, ..., c_n) when block i is the K-form of c_i."""
+    e = blocks[0].shape[0]
+    return DomainMatrix.from_dok({(i * e + r, i * e + c): a for i, b in
+                                  enumerate(blocks)
+                                  for (r, c), a in b.to_dok().items()},
+                                 (len(blocks) * e,) * 2, QQ_XT).to_dense()
 
 
 def dm_inv(D: DomainMatrix) -> DomainMatrix:
@@ -632,22 +647,22 @@ def sigma_power_matrix(A: sp.Matrix, m: int) -> sp.Matrix:
     system matrix A over K = Q(x, t), in the canonical form of treduce.
 
     Memoized on (A, m); every call returns a fresh mutable copy."""
-    if m < 1:
-        raise ValueError("m >= 1 required")
     return sp.Matrix(_sigma_power_expr(sp.ImmutableMatrix(A), m))
 
 
 def dm_sigma_power(A: sp.Matrix, m: int) -> DomainMatrix:
     """The cocycle A_m of :func:`sigma_power_matrix` as a DomainMatrix over
     K, sharing its memo; every call returns a fresh copy."""
-    if m < 1:
-        raise ValueError("m >= 1 required")
     return _sigma_power(sp.ImmutableMatrix(A), m).copy()
 
 
 @functools.lru_cache(maxsize=_SIGMA_POWER_CACHE_SIZE)
 def _sigma_power(A: sp.ImmutableMatrix, m: int) -> DomainMatrix:
-    D = dm_from_matrix(A)
+    if m < 1:
+        raise ValueError("m >= 1 required")
+    if m == 1:
+        return dm_from_matrix(A)
+    D = _sigma_power(A, 1)
     out = D
     for j in range(1, m):
         out = dm_shift(D, j) * out

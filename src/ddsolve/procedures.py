@@ -1,7 +1,6 @@
 """Orchestration: integrability checking, the two decision procedures for
 liouvillian solutions of integrable prime-order systems
-{sigma(Y) = A Y, delta(Y) = B Y} over Q(x, t), gauge descent, and the
-top-level verdict.
+{sigma(Y) = A Y, delta(Y) = B Y} over Q(x, t), and the top-level verdict.
 
 Decision procedure 1 looks for a basis of hypergeometric solutions over a
 finite extension of Q(x, t): (a) standard-split det A as alpha(x)^n *
@@ -16,10 +15,16 @@ through hypergeometric candidates of a t-specialized system, then
 assembles the gauge and reads the diagonal delta-part.  Solutions are
 interlacings of hypergeometric vectors, returned with their sigma- and
 delta-certificates and lifted to sequences of the original system.
+
+The gauge G, the identity sigma^m(G) diag(r) = A G and the delta-part
+B-bar = G^-1 B G - G^-1 delta(G) are formed on K-forms (see
+:mod:`ddsolve.fields`), from the ones of A and B a :class:`DDSystem` holds;
+G and B-bar become sympy matrices once, for certificates and report.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -28,16 +33,15 @@ import sympy as sp
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from .closedform import (HyperexpCandidate, UnsupportedCase,
-                         hyperexp_solutions, system_hypergeometric)
+from .closedform import (UnsupportedCase, hyperexp_solutions,
+                         system_hypergeometric)
 from .difftools import (leading_beta, split_alpha_beta_power,
                         standard_decompose)
 from .fields import (QQ_XT, AllEqual, Conjugate, FieldError, MixedSplit,
-                     Split, TRIVIAL_TOWER, Tower, delta, dm_delta,
-                     dm_from_matrix, dm_inv, dm_shift, dm_sigma_power,
-                     dm_to_matrix, make_tower, mat_delta, mat_inv, mat_reduce,
-                     mat_shift, rank, shift, sigma_power_matrix, t, theta,
-                     tinv, treduce, x)
+                     Split, TRIVIAL_TOWER, Tower, delta, dm_conjugate,
+                     dm_delta, dm_embed, dm_from_matrix, dm_inv, dm_shift,
+                     dm_sigma_power, dm_to_matrix, from_regular, make_tower,
+                     rank, shift, t, theta, treduce, x)
 from .moser import (MoserReport, ReductionStalled, leading_eigendata,
                     moser_reduce, ord_and_moser)
 from .ratsol import (_invertible_selection, gauge_from_ratios,
@@ -48,21 +52,39 @@ from .sequences import (CompiledMatrix, HypCert, LiouvilleSolution,
                         verify_certificates, verify_numeric_window)
 
 __all__ = ["DDSystem", "Outcome", "NormalForm", "check_integrability",
-           "sigma_power_matrix", "decision_procedure_1",
-           "decision_procedure_2", "descend_gauge", "solve_liouvillian",
-           "verification_point_fault"]
+           "decision_procedure_1", "decision_procedure_2",
+           "solve_liouvillian", "verification_point_fault"]
 
 _T = QQ_XT.field.ring.gens[1]   # t in the ring Q[x, t] of K's numerators
 
 
 @dataclass
 class DDSystem:
-    """Integrable system sigma(Y) = A Y, delta(Y) = B Y over Q(x, t)."""
+    """Integrable system sigma(Y) = A Y, delta(Y) = B Y over Q(x, t).
+
+    The K-forms of A and B (:attr:`A_K`, :attr:`B_K`) are computed on
+    first use and kept; A and B are not modified after construction."""
     n: int
     A: sp.Matrix
     B: sp.Matrix
     assume_irreducible: bool = False
     integrability_level: int = 0   # set by validate(): 1 or n
+
+    @functools.cached_property
+    def A_K(self) -> DomainMatrix:
+        """A over K; FieldError for an entry outside Q(x, t)."""
+        return self.cocycle(1)
+
+    @functools.cached_property
+    def B_K(self) -> DomainMatrix:
+        """B over K; FieldError for an entry outside Q(x, t)."""
+        return dm_from_matrix(self.B)
+
+    def cocycle(self, m: int) -> DomainMatrix:
+        """A_m = sigma^{m-1}(A) ... sigma(A) A over K (m >= 1), formed from
+        A over K in the memo of :func:`~ddsolve.fields.dm_sigma_power`,
+        which the numeric window shares."""
+        return dm_sigma_power(self.A, m)
 
     def validate(self):
         if not sp.isprime(self.n):
@@ -70,24 +92,24 @@ class DDSystem:
         if self.A.shape != (self.n, self.n) or self.B.shape != (self.n, self.n):
             raise ValueError("A and B must be n x n")
         try:
-            A = dm_from_matrix(self.A)
-            B = dm_from_matrix(self.B)
+            A, B = self.A_K, self.B_K
         except FieldError as err:
             raise ValueError(f"A and B must be over Q(x, t): {err}")
         if A.det() == 0:
             raise ValueError("A must be invertible")
-        ok, residual = check_integrability(self.A, self.B)
-        if ok:
+        residual = _integrability_residual(A, B, 1)
+        if residual.is_zero_matrix:
             self.integrability_level = 1
             return
         # accept systems whose sigma^n-compressed companion is integrable:
         # every certificate emitted downstream is verified against the
         # sigma^n- and delta-relations, which are exactly the ones that hold
-        An = dm_sigma_power(self.A, self.n)
-        if _integrability_residual(An, B, self.n) is None:
+        An = self.cocycle(self.n)
+        if _integrability_residual(An, B, self.n).is_zero_matrix:
             self.integrability_level = self.n
             return
-        raise ValueError(f"integrability fails; residual = {residual}")
+        raise ValueError("integrability fails; residual = "
+                         f"{dm_to_matrix(residual)}")
 
 
 @dataclass
@@ -128,29 +150,28 @@ def check_integrability(A: sp.Matrix, B: sp.Matrix):
 
     Returns (ok, residual matrix).  FieldError when A is singular or an
     entry lies outside K."""
-    residual = _integrability_residual(dm_from_matrix(A), dm_from_matrix(B), 1)
-    if residual is None:
-        return True, sp.zeros(*B.shape)
-    return False, residual
+    R = _integrability_residual(dm_from_matrix(A), dm_from_matrix(B), 1)
+    return R.is_zero_matrix, dm_to_matrix(R)
 
 
 def _integrability_residual(Am: DomainMatrix, B: DomainMatrix, m: int):
-    """sigma^m(B) - delta(Am) Am^{-1} - Am B Am^{-1} over K: None when it
-    vanishes, else its entries in the canonical form of treduce."""
-    R = dm_shift(B, m) - (dm_delta(Am) + Am * B) * dm_inv(Am)
-    return None if R.is_zero_matrix else dm_to_matrix(R)
+    """sigma^m(B) - delta(Am) Am^{-1} - Am B Am^{-1} over K."""
+    return dm_shift(B, m) - (dm_delta(Am) + Am * B) * dm_inv(Am)
 
 
-def _diag_offenders(M: sp.Matrix, tower: Tower):
-    n = M.shape[0]
+def _diag_offenders(D: DomainMatrix, tower: Tower) -> list:
+    """The off-diagonal positions of nonzero entries of the matrix over the
+    tower whose K-form is D."""
+    n = D.shape[0] // tower.degree
+    entries = from_regular(D, tower.degree)
     return [(i, j) for i in range(n) for j in range(n)
-            if i != j and treduce(M[i, j], tower) != 0]
+            if i != j and entries[i * n + j]]
 
 
-def _gauge_delta_part(G: sp.Matrix, B: sp.Matrix, tower: Tower) -> sp.Matrix:
-    """B-bar = G^{-1} B G - G^{-1} delta(G)."""
-    Ginv = mat_inv(G, tower)
-    return mat_reduce(Ginv * B * G - Ginv * mat_delta(G, tower), tower)
+def _gauge_delta_part(G: DomainMatrix, B: DomainMatrix,
+                      tower: Tower) -> DomainMatrix:
+    """B-bar = G^{-1} B G - G^{-1} delta(G) on K-forms over the tower."""
+    return dm_inv(G) * (B * G - dm_delta(G, tower))
 
 
 def _certificate_normalizer(c, tower: Tower = TRIVIAL_TOWER):
@@ -194,7 +215,7 @@ def _normalize_gauge_certificates(G: sp.Matrix, Bbar: sp.Matrix, tower: Tower):
     for i in range(G.shape[1]):
         gam = _certificate_normalizer(Bbar[i, i], tower)
         if gam != 1:
-            G[:, i] = mat_reduce(G[:, i] * gam, tower)
+            G[:, i] = G[:, i].applyfunc(lambda e: treduce(e * gam, tower))
             Bbar[i, i] = treduce(Bbar[i, i] - delta(gam) / gam, tower)
     return G, Bbar
 
@@ -219,18 +240,18 @@ def _unsupported_as_outcome(procedure, sys: DDSystem, provenance: str):
                        str(err), report=report)
 
 
-def _det(A: sp.Matrix):
+def _det(sys: DDSystem):
     """det A over K, in the canonical form of treduce."""
-    return treduce(QQ_XT.to_sympy(dm_from_matrix(A).det()))
+    return treduce(QQ_XT.to_sympy(sys.A_K.det()))
 
 
 def _decision_procedure_1(sys: DDSystem, report: dict) -> Outcome:
-    n, A, B = sys.n, sys.A, sys.B
+    n = sys.n
     stages = report["stages"]
 
     # (a) det A = sigma(g)/g * a with a standard; a must be alpha^n * beta
     stages.append("a")
-    detA = _det(A)
+    detA = _det(sys)
     sd = standard_decompose(detA, 1)
     split = split_alpha_beta_power(sd.standard_part, n)
     if split is None:
@@ -242,7 +263,7 @@ def _decision_procedure_1(sys: DDSystem, report: dict) -> Outcome:
 
     # (b) Moser-reduce A/alpha; order at infinity must be 0
     stages.append("b")
-    Abar = mat_reduce(A / alpha)
+    Abar = dm_to_matrix(sys.A_K * dm_from_matrix(sp.eye(n) / alpha))
     mos: MoserReport = moser_reduce(Abar)
     ordA, _, _ = ord_and_moser(mos.reduced)
     if ordA != 0:
@@ -266,12 +287,8 @@ def _decision_procedure_1(sys: DDSystem, report: dict) -> Outcome:
     return _dp1_stage_d2(sys, alpha, eig.root, report)
 
 
-def _conjugate_matrix(M: sp.Matrix, conj, tower: Tower) -> sp.Matrix:
-    return M.applyfunc(lambda e: treduce(sp.sympify(e).subs(theta, conj), tower))
-
-
 def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
-    n, A, B = sys.n, sys.A, sys.B
+    n = sys.n
     if isinstance(eig, Conjugate):
         mp = eig.minpoly.subs(sp.Symbol("Y"), theta)
         tower = make_tower(mp)
@@ -282,8 +299,9 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
                            "splitting field required: not all conjugate "
                            "eigenvalues lie in the degree-n tower",
                            report=report)
+        A = dm_embed(sys.A_K, tower)
         # one rational solve; the remaining columns are conjugates
-        M0 = mat_reduce(A * tinv(alpha * betas[0], tower), tower)
+        M0 = A * dm_from_matrix(sp.eye(n) / (alpha * betas[0]), tower)
         basis = rational_solutions(M0, 1, tower).basis
         if not basis:
             return Outcome("NoSolution", "DP1", "d1",
@@ -291,13 +309,14 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
                            report=report)
         columns = [basis]
         for b in betas[1:]:
-            columns.append([_conjugate_matrix(V, b, tower) for V in basis])
+            columns.append([dm_conjugate(V, b, tower) for V in basis])
         G = _invertible_selection(columns, tower)
     else:  # Split over Q(t)
         tower = TRIVIAL_TOWER
+        A = sys.A_K
         betas = [treduce(r) for r in eig.roots]
-        G = gauge_from_ratios(A, [treduce(alpha * b) for b in betas], 1,
-                              tower)
+        G = gauge_from_ratios(
+            A, dm_from_matrix(sp.diag(*betas) * alpha, tower), 1, tower)
     if G is None:
         # complete: _invertible_selection tries every one-vector-per-slot
         # choice, and a minor of any constant combination per slot is a
@@ -307,15 +326,15 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
                        "rational solutions exist but assemble to no "
                        "invertible gauge", report=report)
     ratios = [treduce(alpha * b, tower) for b in betas]
-    lhs = mat_shift(G) * sp.diag(*ratios) - A * G
-    if not all(treduce(e, tower) == 0 for e in lhs):
+    if dm_shift(G) * dm_from_matrix(sp.diag(*ratios), tower) != A * G:
         raise VerificationError("gauge identity violated")
-    Bbar = _gauge_delta_part(G, B, tower)
+    Bbar = _gauge_delta_part(G, dm_embed(sys.B_K, tower), tower)
     off = _diag_offenders(Bbar, tower)
     if off:
         return Outcome("NoSolution", "DP1", "d1",
                        f"delta-part not diagonal at {off}", report=report)
-    G, Bbar = _normalize_gauge_certificates(G, Bbar, tower)
+    G, Bbar = _normalize_gauge_certificates(dm_to_matrix(G, tower),
+                                            dm_to_matrix(Bbar, tower), tower)
     report["G"] = G
     report["Bbar"] = Bbar
     cs = [treduce(Bbar[i, i] - delta(betas[i], tower) / betas[i] * x, tower)
@@ -333,9 +352,9 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
 
 
 def _dp1_stage_d2(sys: DDSystem, alpha, beta1, report: dict) -> Outcome:
-    n, A, B = sys.n, sys.A, sys.B
+    n = sys.n
     ratio = treduce(alpha * beta1)
-    M0 = mat_reduce(A * tinv(ratio))
+    M0 = sys.A_K * dm_from_matrix(sp.eye(n) / ratio)
     basis = rational_solutions(M0, 1, TRIVIAL_TOWER).basis
     G = _invertible_selection([basis] * n, TRIVIAL_TOWER) if basis else None
     if G is None:
@@ -343,12 +362,13 @@ def _dp1_stage_d2(sys: DDSystem, alpha, beta1, report: dict) -> Outcome:
         return Outcome("NoSolution", "DP1", "d2",
                        "no invertible gauge with ratio alpha*beta over "
                        "Q(x, t)", report=report)
-    Bbar = _gauge_delta_part(G, B, TRIVIAL_TOWER)
-    Bhat = mat_reduce(Bbar - delta(beta1) / beta1 * x * sp.eye(n))
+    Bbar = _gauge_delta_part(G, sys.B_K, TRIVIAL_TOWER)
+    Bhat = dm_to_matrix(Bbar - dm_from_matrix(sp.eye(n) * x * delta(beta1)
+                                              / beta1))
     if x in Bhat.free_symbols:
         return Outcome("NoSolution", "DP1", "d2",
                        "residual delta-part is not over Q(t)", report=report)
-    report["G"] = G
+    report["G"] = dm_to_matrix(G)
     report["Bhat"] = Bhat
     cands = hyperexp_solutions(Bhat)
     indep = _independent_candidates(cands, n)
@@ -361,7 +381,8 @@ def _dp1_stage_d2(sys: DDSystem, alpha, beta1, report: dict) -> Outcome:
     sol_tower = next((tw for tw in towers if not tw.trivial), TRIVIAL_TOWER)
     cs = []
     for c in indep:
-        W = mat_reduce(G * c.V, c.tower)
+        W = dm_to_matrix(dm_embed(G, c.tower)
+                         * dm_from_matrix(c.V, c.tower), c.tower)
         dr = treduce(c.certificate + delta(beta1) / beta1 * x, c.tower)
         cs.append(c.certificate)
         cert = HypCert(sigma_ratio=ratio, sigma_step=1, delta_ratio=dr)
@@ -401,22 +422,17 @@ def decision_procedure_2(sys: DDSystem) -> Outcome:
 
 
 def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
-    n, A, B = sys.n, sys.A, sys.B
+    n = sys.n
     stages = report["stages"]
-    An = sigma_power_matrix(A, n)
-    report["An"] = An
+    An = sys.cocycle(n)
+    report["An"] = dm_to_matrix(An)
 
     # (a) det A = (-1)^{n-1} sigma(g)/g alpha(x) beta(t)
     stages.append("a")
-    detA = _det(A)
+    detA = _det(sys)
     sd = standard_decompose(detA, 1)
     std = treduce(sd.standard_part * sp.Integer(-1) ** (n - 1))
-    num, den = std.as_numer_denom()
-    if (num.free_symbols - {x, t}) or (den.free_symbols - {x, t}):
-        return Outcome("NoSolution", "DP2", "a",
-                       "det A does not split as alpha(x) * beta(t)",
-                       report=report)
-    if not _splits_x_t(std):
+    if std.free_symbols - {x, t} or not _splits_x_t(std):
         return Outcome("NoSolution", "DP2", "a",
                        "det A does not split as alpha(x) * beta(t)",
                        report=report)
@@ -429,8 +445,7 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
                        "leading coefficient of det A is not a nonzero "
                        "element of Q(t)", report=report)
     report["beta"] = beta
-    Atil = mat_reduce(An * tinv(beta))
-    spec = _specialization_point(Atil)
+    spec = _specialization_point(An * dm_from_matrix(sp.eye(n) / beta))
     if spec is None:
         return Outcome("Unsupported", "DP2", "b",
                        "no valid specialization point among the first 50 "
@@ -462,16 +477,18 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
     for lam in lams:
         for j0 in range(n):
             ratios = [treduce(beta * shift(lam, j0 + i)) for i in range(n)]
-            G = gauge_from_ratios(An, ratios, n, TRIVIAL_TOWER)
+            G = gauge_from_ratios(An, dm_from_matrix(sp.diag(*ratios)), n,
+                                  TRIVIAL_TOWER)
             if G is None:
                 continue
-            Bbar = _gauge_delta_part(G, B, TRIVIAL_TOWER)
+            Bbar = _gauge_delta_part(G, sys.B_K, TRIVIAL_TOWER)
             off = _diag_offenders(Bbar, TRIVIAL_TOWER)
             if off:
                 return Outcome("NoSolution", "DP2", "d",
                                f"delta-part not diagonal at {off}",
                                report=report)
-            G, Bbar = _normalize_gauge_certificates(G, Bbar, TRIVIAL_TOWER)
+            G, Bbar = _normalize_gauge_certificates(
+                dm_to_matrix(G), dm_to_matrix(Bbar), TRIVIAL_TOWER)
             report["lambda"] = lam
             report["j0"] = j0
             report["G"] = G
@@ -529,12 +546,11 @@ def _at_point(D: DomainMatrix, p):
     return out
 
 
-def _specialization_point(Atil: sp.Matrix):
-    """First p of RATIONAL_POINTS with Atil defined at t = p and
-    Atil|_{t=p} invertible; returns (p, specialized matrix)."""
-    D = dm_from_matrix(Atil)
+def _specialization_point(Atil: DomainMatrix):
+    """First p of RATIONAL_POINTS with Atil (a K-matrix) defined at t = p
+    and Atil|_{t=p} invertible; returns (p, specialized sympy matrix)."""
     for p in RATIONAL_POINTS:
-        entries = _at_point(D, p)
+        entries = _at_point(Atil, p)
         if entries is None:
             continue
         A0 = sp.Matrix(*Atil.shape, [sp.cancel(num.as_expr() / den.as_expr())
@@ -545,30 +561,7 @@ def _specialization_point(Atil: sp.Matrix):
 
 
 # ---------------------------------------------------------------------------
-# gauge descent and the top-level verdict
-
-def descend_gauge(G: sp.Matrix, A: sp.Matrix, Abar: sp.Matrix,
-                  tower: Tower = TRIVIAL_TOWER, m: int = 1) -> sp.Matrix:
-    """From a tower-valued gauge with sigma^m(G) A = Abar G, produce one
-    over Q(t)(x): write G = sum_i G_i theta^i, form H(lam) = sum_i lam^i G_i
-    and return H(c) for the first c of RATIONAL_POINTS with H(c)
-    invertible.  det H(lam) is a nonzero polynomial, so the FieldError
-    raised when no candidate works needs its degree to be at least 50."""
-    if tower.trivial or theta not in G.free_symbols:
-        return G
-    lam = sp.Dummy("lam")
-    H = G.applyfunc(lambda e: treduce(e, tower).subs(theta, lam))
-    for c in RATIONAL_POINTS:
-        Hc = H.applyfunc(lambda e: sp.cancel(e.subs(lam, c)))
-        if rank(Hc) == Hc.shape[0]:
-            lhs = mat_reduce(mat_shift(Hc, m) * A - Abar * Hc, tower)
-            if not all(treduce(e, tower) == 0 for e in lhs):
-                raise VerificationError(
-                    "descended gauge lost the intertwining identity")
-            return Hc
-    raise FieldError("no invertible specialization of the gauge among the "
-                     f"first {len(RATIONAL_POINTS)} rational points")
-
+# the top-level verdict
 
 def solve_liouvillian(sys: DDSystem) -> Outcome:
     """DP1, then DP2 with sequence lifts; verdicts: Solved,
@@ -582,27 +575,21 @@ def solve_liouvillian(sys: DDSystem) -> Outcome:
         report["assumptions"].append(
             "irreducibility over Q(x, t) asserted by the caller")
     timings = report["timings"]
-    out1 = _timed(timings, "dp1", decision_procedure_1, sys)
-    report["dp1"] = {"kind": out1.kind, "stage": out1.stage,
-                     "reason": out1.reason, "stages": out1.report.get("stages")}
-    if out1.kind == "Solved":
-        _timed(timings, "verify", _verify_solved, sys, out1)
-        out1.report.update(report)
-        return out1
-    if out1.kind == "Unsupported":
-        return Outcome("Inconclusive", "DP1", out1.stage,
-                       f"restricted subroutine: {out1.reason}", report=report)
-    out2 = _timed(timings, "dp2", decision_procedure_2, sys)
-    report["dp2"] = {"kind": out2.kind, "stage": out2.stage,
-                     "reason": out2.reason, "stages": out2.report.get("stages")}
-    if out2.kind == "Solved":
-        _timed(timings, "verify", _verify_solved, sys, out2)
-        out2.report["lifts"] = _timed(timings, "lift", _lifts, sys, out2)
-        out2.report.update(report)
-        return out2
-    if out2.kind == "Unsupported":
-        return Outcome("Inconclusive", "DP2", out2.stage,
-                       f"restricted subroutine: {out2.reason}", report=report)
+    for key, procedure in (("dp1", decision_procedure_1),
+                           ("dp2", decision_procedure_2)):
+        out = _timed(timings, key, procedure, sys)
+        report[key] = {"kind": out.kind, "stage": out.stage,
+                       "reason": out.reason, "stages": out.report.get("stages")}
+        if out.kind == "Solved":
+            _timed(timings, "verify", _verify_solved, sys, out)
+            if key == "dp2":
+                out.report["lifts"] = _timed(timings, "lift", _lifts, sys, out)
+            out.report.update(report)
+            return out
+        if out.kind == "Unsupported":
+            return Outcome("Inconclusive", out.provenance, out.stage,
+                           f"restricted subroutine: {out.reason}",
+                           report=report)
     return Outcome("NoLiouvillianSolutions", "DP1+DP2",
                    reason="both decision procedures exclude a liouvillian "
                           "basis; valid under the declared assumptions",
@@ -620,7 +607,7 @@ def _timed(timings: dict, key: str, fn, *args):
 def _lifts(sys: DDSystem, out: Outcome) -> list:
     """The sigma-sequence lifts of DP2's interlaced solutions."""
     # N(j), d(j) and the inverses of A = N/d, shared by the lifts
-    steps = CompiledMatrix(dm_sigma_power(sys.A, 1))
+    steps = CompiledMatrix(sys.A_K)
     lifts = []
     for sol in out.solutions:
         _, W, cert = sol.components[0]
@@ -655,7 +642,7 @@ def verification_point_fault(sys, solutions, p) -> Optional[str]:
 def _verification_forms(sys, solutions) -> tuple:
     """(K-forms of A, B and of every W and sigma-ratio, distinct towers of
     the solutions): what :func:`_point_fault` reads at each point."""
-    forms = [dm_sigma_power(sys.A, 1), dm_from_matrix(sys.B)]
+    forms = [sys.A_K, sys.B_K]
     towers = {}
     for sol in solutions:
         towers[sol.tower] = None

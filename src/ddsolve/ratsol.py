@@ -10,22 +10,17 @@ there must be s >= 1 with den(M)(c - s*m) = 0, going up s >= 0 with
 den(M^-1)(c + s*m) = 0.  That traps candidate poles (per shift class and
 residue mod m) in a finite window with explicit multiplicity bounds.
 
-Between the boundaries everything runs on DomainMatrix over K = Q(x, t):
-a matrix over the tower is the K-matrix of its regular representation
-(:func:`~ddsolve.fields.dm_from_matrix`), and a vector is the first column
-of its own.  The denominators of M and M^-1 are read off their K-entries.
-The degree bound comes from the expansion of M at infinity, whose indicial
-determinant is taken over Q[t, d], or else from the indicial polynomials
-of the scalar operators (:func:`~ddsolve.fields.indicial_degrees`), whose
-chains are sequences of K-matrices.  The polynomial ansatz clears the
-denominators of M with one q in Q[x, t] and solves
-q(x) Y(x+m) - N(x) Y(x) = 0 as a linear system over Q(t) in the
-coefficients of Y, unknowns ordered by (coordinate, degree, theta-power).
-The constant-span test is a rank test over Q(t) on coefficients in x.
-SymPy expressions appear only at the boundary: the public functions take
-and return sp.Matrix with entries in the canonical form of treduce, u is
-returned in that form, and the scalar operators as lists of expanded
-polynomials.
+Every function here takes and returns K-forms (see :mod:`ddsolve.fields`):
+a vector is the K-form of an n x 1 matrix, a scalar operator that of the
+row of its coefficients, and u an element of K = Q(x, t).  Denominators
+are read off K-entries.  The degree bound comes from the expansion of M at
+infinity, whose indicial determinant is taken over Q[t, d], or else from
+the indicial polynomials of the scalar operators, whose chains are
+sequences of K-matrices.  The polynomial ansatz clears the denominators of
+M with one q in Q[x, t] and solves q(x) Y(x+m) - N(x) Y(x) = 0 over Q(t)
+in the coefficients of Y, unknowns ordered by (coordinate, degree,
+theta-power).  The constant-span test is a rank test over Q(t) on
+coefficients in x.
 """
 
 from __future__ import annotations
@@ -38,12 +33,11 @@ from sympy import QQ, ZZ
 from sympy.polys.densebasic import dup_from_raw_dict, dup_strip
 from sympy.polys.matrices import DomainMatrix
 
-from .fields import (QQ_XT, TRIVIAL_TOWER, Tower, _QQ_XTTH, _frac_expr,
-                     _modulus, _tower_expr, common_integer_roots,
-                     dm_from_matrix, dm_inv, dm_series_at_infinity, dm_shift,
-                     dm_to_matrix, factor_in_x, from_regular,
-                     indicial_degrees, kernel, regular_matrix, shift, t,
-                     theta, x)
+from .fields import (QQ_XT, TRIVIAL_TOWER, Tower, _modulus,
+                     common_integer_roots, dm_block_diag, dm_inv,
+                     dm_series_at_infinity, dm_shift, factor_in_x,
+                     from_regular, indicial_degrees, kernel, regular_matrix,
+                     shift, t, theta)
 from .difftools import shift_equivalent
 from .sequences import VerificationError
 
@@ -54,14 +48,13 @@ __all__ = ["RationalSolutionBasis", "UnsupportedCase",
 # Q(t), the field of the ansatz unknowns, and its polynomial ring
 _QT = QQ.frac_field(t)
 _QT_RING = _QT.field.ring
-# Q[x, t], where numerators and denominators of K live, its integer
-# version, and Q[x, t, theta], where scalar operators are written out
+# Q[x, t], where numerators and denominators of K live, and its integer
+# version
 _XT_RING = QQ_XT.field.ring
 _XT_ZZ = _XT_RING.clone(domain=ZZ)
-_XTTH_RING = _QQ_XTTH.field.ring
 _X = _XT_RING.gens[0]
-# Q[t, theta][x], where the indicial analysis of a scalar operator runs
-_OP_RING = QQ[t, theta][x]
+# Q[t, theta], the coefficients in x of a scalar operator
+_OP_RING = QQ[t, theta]
 # Q[t, d], where the indicial determinant at infinity is taken
 _TD_RING = QQ[t, sp.Symbol("_d")]
 
@@ -73,7 +66,7 @@ class UnsupportedCase(Exception):
 @dataclass
 class RationalSolutionBasis:
     m: int
-    basis: list  # column vectors (sympy Matrix n x 1)
+    basis: list  # K-forms of the column vectors
 
 
 def _common_denominator(D: DomainMatrix):
@@ -119,13 +112,12 @@ def _denominator_factors(D: DomainMatrix, tower: Tower) -> list:
     return factor_in_x(q.as_expr(), tower)[1]
 
 
-def universal_denominator(M: sp.Matrix, m: int = 1,
+def universal_denominator(M: DomainMatrix, m: int = 1,
                           tower: Tower = TRIVIAL_TOWER):
-    """Polynomial u(x): every rational solution of sigma^m(Y)=MY has
-    denominator dividing u."""
-    R = dm_from_matrix(M, tower)
-    facA = _denominator_factors(R, tower)
-    facB = _denominator_factors(dm_inv(R), tower)
+    """Polynomial u(x) in K: every rational solution of sigma^m(Y) = MY
+    (M a K-form) has denominator dividing u."""
+    facA = _denominator_factors(M, tower)
+    facB = _denominator_factors(dm_inv(M), tower)
     # group into shift classes across A and B factors
     classes = []  # (base, {shift: multA}, {shift: multB})
     for fac, mult, which in ([(f, mu, 0) for f, mu in facA]
@@ -153,19 +145,21 @@ def universal_denominator(M: sp.Matrix, m: int = 1,
                            sum(mu for b, mu in Bs.items() if b <= k))
                 if mult > 0:
                     u = u * QQ_XT.from_sympy(shift(base, k)) ** mult
-    return _frac_expr(u)
+    return u
 
 
 # ---------------------------------------------------------------------------
 # polynomial solutions
 
-def scalar_operators(M: sp.Matrix, m: int, tower: Tower):
+def scalar_operators(M: DomainMatrix, m: int, tower: Tower):
     """For each coordinate i a scalar relation sum_j p_j(x) y(x + m*j) = 0
     satisfied by y = (i-th coordinate of any solution of sigma^m(Y)=MY),
-    with polynomial p_j.  Built from the chain v_{k+1} = sigma^m(v_k) M."""
-    e, n = tower.degree, M.shape[0]
+    with polynomial p_j: the K-form of the row (p_0, ..., p_k).  Built
+    from the chain v_{k+1} = sigma^m(v_k) M."""
+    e = tower.degree
+    n = M.shape[0] // e
     mod = _modulus(tower)
-    entries = from_regular(dm_from_matrix(M, tower), e)
+    entries = from_regular(M, e)
     # columns w_k = v_k^T, so w_{k+1} = M^T sigma^m(w_k)
     MT = regular_matrix([entries[j * n + i] for i in range(n)
                          for j in range(n)], (n, n), mod, QQ_XT)
@@ -182,33 +176,40 @@ def scalar_operators(M: sp.Matrix, m: int, tower: Tower):
             cand = next((j for j in range(f) if null[(k - 1) * f + j]),
                         None)
             if cand is not None:
-                ops.append(_operator_polynomials(
-                    [null[r * f + cand] for r in range(k)]))
+                ops.append(regular_matrix(
+                    _cleared_row([null[r * f + cand] for r in range(k)]),
+                    (1, k), mod, QQ_XT))
                 break
             chain.append(MT * dm_shift(chain[-1], m))
     return ops
 
 
-def _operator_polynomials(coeffs: list) -> list:
-    """Tower elements c_j (dense in theta over K) times the lcm over Z[x, t]
-    of their denominators, as expanded polynomials in x, t and theta."""
+def _cleared_row(coeffs: list) -> list:
+    """Tower elements c_j (dense in theta over K) times the lcm over
+    Z[x, t] of their denominators."""
     den = _XT_ZZ.one
     for a in coeffs:
         for c in a:
             den = den.lcm(c.denom.set_ring(_XT_ZZ))
     den = den.set_ring(_XT_RING)
-    theta_ = _XTTH_RING.gens[2]
-    return [sum((_cleared(c, den).set_ring(_XTTH_RING) * theta_**k
-                 for k, c in enumerate(reversed(a))), _XTTH_RING.zero)
-            .as_expr() for a in coeffs]
+    return [[QQ_XT.new(_cleared(c, den)) for c in a] for a in coeffs]
 
 
-def _scalar_degree_candidates(pcoeffs, m: int, tower: Tower):
-    """Degree candidates for polynomial solutions of
-    sum_j p_j(x) y(x+m*j) = 0 via the indicial analysis at x = infinity,
-    the p_j read as polynomials in x over Q[t, theta]."""
-    return indicial_degrees([_OP_RING.ring.from_expr(p).to_dense()
-                             for p in pcoeffs], m, _OP_RING.domain)
+def _scalar_degree_candidates(op: DomainMatrix, m: int, tower: Tower):
+    """Degree candidates for polynomial solutions of the scalar operator
+    op (a K-form, see :func:`scalar_operators`) via the indicial analysis
+    at x = infinity, its coefficients read as polynomials in x over
+    Q[t, theta]."""
+    ring = _OP_RING.ring
+    Q = []
+    for a in from_regular(op, tower.degree):
+        coeffs: dict = {}
+        for k, c in enumerate(reversed(a)):
+            for (i, s), q in c.numer.terms():
+                coeffs.setdefault(i, {})[(s, k)] = q
+        Q.append(dup_from_raw_dict(
+            {i: ring.from_dict(cs) for i, cs in coeffs.items()}, _OP_RING))
+    return indicial_degrees(Q, m, _OP_RING)
 
 
 def _indicial_roots(P1: DomainMatrix, P0: DomainMatrix, m: int):
@@ -236,16 +237,15 @@ def _indicial_roots(P1: DomainMatrix, P0: DomainMatrix, m: int):
                                  for sl in slices.values()])
 
 
-def _degree_bound(M: sp.Matrix, m: int, tower: Tower):
+def _degree_bound(M: DomainMatrix, m: int, tower: Tower):
     """Top-degree analysis at x = infinity; -1 means only the zero solution.
     UnsupportedCase when the indicial analysis finds no bound.
 
     On the regular representation the determinant of the indicial pencil
     is the norm of the one over the tower times a unit of Q(t), so it has
     the same integer roots."""
-    R = dm_from_matrix(M, tower)
-    ne = R.shape[0]
-    ord_, (H0, H1) = dm_series_at_infinity(R, 2)
+    ne = M.shape[0]
+    ord_, (H0, H1) = dm_series_at_infinity(M, 2)
     if ord_ > 0:
         return -1
     if ord_ == 0:
@@ -272,7 +272,8 @@ def _degree_bound(M: sp.Matrix, m: int, tower: Tower):
     return max(bounds)
 
 
-def polynomial_solutions(M: sp.Matrix, m: int = 1, degree_bound: int = None,
+def polynomial_solutions(M: DomainMatrix, m: int = 1,
+                         degree_bound: int = None,
                          tower: Tower = TRIVIAL_TOWER):
     """All polynomial solution vectors of sigma^m(Y) = M Y with
     deg <= degree_bound (computed from the infinity expansion if omitted).
@@ -283,15 +284,15 @@ def polynomial_solutions(M: sp.Matrix, m: int = 1, degree_bound: int = None,
         degree_bound = _degree_bound(M, m, tower)
     if degree_bound < 0:
         return []
-    R = dm_from_matrix(M, tower)
-    e, ne, deg = tower.degree, R.shape[0], degree_bound + 1
-    q = _common_denominator(R)
-    N = {ab: _cleared(c, q) for ab, c in R.to_dok().items()}
+    e, ne, deg = tower.degree, M.shape[0], degree_bound + 1
+    n = ne // e
+    q = _common_denominator(M)
+    N = {ab: _cleared(c, q) for ab, c in M.to_dok().items()}
     # column (i, dg, k) holds q(x) (x+m)^dg at coordinate b = i*e + k and
     # -N(x)_{ab} x^dg at every coordinate a
     qshift = [q * (_X + m)**dg for dg in range(deg)]
     columns = []
-    for i in range(M.shape[0]):
+    for i in range(n):
         for dg in range(deg):
             for k in range(e):
                 b = i * e + k
@@ -300,70 +301,69 @@ def polynomial_solutions(M: sp.Matrix, m: int = 1, degree_bound: int = None,
                     - N.get((a, b), _XT_RING.zero) * _X**dg
                     for a in range(ne)])
     xK = QQ_XT.gens[0]
+    mod = _modulus(tower)
     sols = []
     for vec in kernel(_coefficient_matrix(columns)).to_list():
         vec = [QQ_XT.convert_from(c, _QT) for c in vec]
-        sols.append(sp.Matrix([
-            _tower_expr(dup_strip([
+        sols.append(regular_matrix([
+            dup_strip([
                 sum((vec[(i * deg + dg) * e + k] * xK**dg
                      for dg in range(deg)), QQ_XT.zero)
-                for k in reversed(range(e))]))
-            for i in range(M.shape[0])]))
+                for k in reversed(range(e))])
+            for i in range(n)], (n, 1), mod, QQ_XT))
     return sols
 
 
 # ---------------------------------------------------------------------------
 # rational solutions
 
-def _constant_span_reduce(vectors, tower: Tower):
-    """Prune vectors that are tower-constant (x-free) combinations of
-    earlier ones.
+def _constant_span_reduce(vectors: list, tower: Tower) -> list:
+    """Prune vectors (K-forms) that are tower-constant (x-free)
+    combinations of earlier ones.
 
-    The columns of the regular representation of V are the coordinates
-    of theta^k V, so a combination over Q(t)(theta) is a combination over
-    Q(t) of those columns; with one common denominator cleared it is one
-    of their coefficients in x.  The kept columns span a space closed
-    under theta, so V is new iff its first column raises the rank."""
-    regs = [dm_from_matrix(V, tower) for V in vectors]
-    if not regs:
+    The columns of the K-form of V are the coordinates of theta^k V, so a
+    combination over Q(t)(theta) is a combination over Q(t) of those
+    columns; with one common denominator cleared it is one of their
+    coefficients in x.  The kept columns span a space closed under theta,
+    so V is new iff its first column raises the rank."""
+    if not vectors:
         return []
-    q = _common_denominator(DomainMatrix.hstack(*regs))
+    q = _common_denominator(DomainMatrix.hstack(*vectors))
     indep, span = [], []
-    for V, D in zip(vectors, regs):
+    for V in vectors:
         cols = [[_cleared(c, q) for c in col]
-                for col in D.transpose().to_list()]
+                for col in V.transpose().to_list()]
         if _coefficient_matrix(span + cols[:1]).rank() > len(span):
             indep.append(V)
             span.extend(cols)
     return indep
 
 
-def rational_solutions(M: sp.Matrix, m: int = 1,
+def rational_solutions(M: DomainMatrix, m: int = 1,
                        tower: Tower = TRIVIAL_TOWER) -> RationalSolutionBasis:
     """Complete basis of rational solutions of sigma^m(Y) = M Y, each
     verified by substitution."""
-    R = dm_from_matrix(M, tower)
     u = universal_denominator(M, m, tower)
-    polys = polynomial_solutions(
-        dm_to_matrix(R.mul(QQ_XT.from_sympy(shift(u, m) / u)), tower),
-        m, None, tower)
-    inv_u = QQ_XT.one / QQ_XT.from_sympy(u)
+    su = dm_shift(DomainMatrix([[u]], (1, 1), QQ_XT), m)[0, 0].element
+    polys = polynomial_solutions(M.mul(su / u), m, None, tower)
+    inv_u = QQ_XT.one / u
     basis = []
     for P in polys:
-        V = dm_from_matrix(P, tower).mul(inv_u)
-        if dm_shift(V, m) != R * V:
+        V = P.mul(inv_u)
+        if dm_shift(V, m) != M * V:
             raise VerificationError(
                 "rational solution failed substitution check")
-        basis.append(dm_to_matrix(V, tower))
-    basis = _constant_span_reduce(basis, tower)
-    return RationalSolutionBasis(m=m, basis=basis)
+        basis.append(V)
+    return RationalSolutionBasis(m=m,
+                                 basis=_constant_span_reduce(basis, tower))
 
 
 # ---------------------------------------------------------------------------
 # gauge assembly
 
-def _invertible_selection(columns, tower: Tower):
-    """Pick one column per slot so the assembled matrix is invertible.
+def _invertible_selection(columns: list, tower: Tower):
+    """Pick one vector per slot (lists of K-forms) so that the assembled
+    matrix is invertible; its K-form, or None.
 
     The search is complete over constant combinations per slot: a k x k
     minor of [sum_j c_1j V_1j, ..., sum_j c_kj V_kj] is multilinear in the
@@ -371,35 +371,36 @@ def _invertible_selection(columns, tower: Tower):
     prod c * (the same minor of the choice).  If every choice is
     rank-deficient, all those minors vanish, and so does every minor of
     every combination: no combination is invertible either."""
-    regs = [[dm_from_matrix(V, tower) for V in slot] for slot in columns]
-    for choice in itertools.product(*regs):
+    for choice in itertools.product(*columns):
         G = DomainMatrix.hstack(*choice)
         if G.rank() == len(columns) * tower.degree:
-            return dm_to_matrix(G, tower)
+            return G
     return None
 
 
-def gauge_from_ratios(A: sp.Matrix, ratios, m: int,
+def gauge_from_ratios(A: DomainMatrix, ratios: DomainMatrix, m: int,
                       tower: Tower = TRIVIAL_TOWER):
-    """G with sigma^m(G) * diag(ratios) = A * G, assembled column-by-column
-    from rational solutions of sigma^m(W) = (A/ratio_i) W; None on failure.
+    """G with sigma^m(G) * diag(r_1, ..., r_n) = A * G, `ratios` the K-form
+    of that diagonal, assembled column-by-column from rational solutions
+    of sigma^m(W) = (A/r_i) W; None on failure.
 
     None is a complete negative answer: either some ratio has no rational
     solution, or no constant combination per slot is invertible (see
     :func:`_invertible_selection`)."""
-    RA = dm_from_matrix(A, tower)
-    n = A.shape[0]
+    e = tower.degree
+    n = A.shape[0] // e
     columns = []
-    for r in ratios:
-        Mi = RA * dm_from_matrix(sp.eye(n) / sp.sympify(r), tower)
-        basis = rational_solutions(dm_to_matrix(Mi, tower), m, tower).basis
+    for i in range(n):
+        block = list(range(i * e, (i + 1) * e))
+        inv = dm_inv(ratios.extract(block, block))
+        basis = rational_solutions(A * dm_block_diag([inv] * n), m,
+                                   tower).basis
         if not basis:
             return None
         columns.append(basis)
     G = _invertible_selection(columns, tower)
     if G is None:
         return None
-    GK = dm_from_matrix(G, tower)
-    if dm_shift(GK, m) * dm_from_matrix(sp.diag(*ratios), tower) != RA * GK:
+    if dm_shift(G, m) * ratios != A * G:
         raise VerificationError("gauge postcondition violated")
     return G

@@ -26,9 +26,9 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, Tower, _modulus,
-                     common_integer_roots, dm_from_matrix, dm_sigma_power,
-                     from_regular, from_theta_coords, mat_delta, mat_shift,
-                     regular_rows, sigma_power_matrix, t, theta,
+                     common_integer_roots, dm_delta, dm_embed,
+                     dm_from_matrix, dm_shift, dm_sigma_power, from_regular,
+                     from_theta_coords, regular_rows, t, theta,
                      theta_coords, treduce, x, x_integer_roots)
 
 __all__ = ["Seq", "FuncSeq", "SeqVec", "interlace", "section",
@@ -356,12 +356,12 @@ def first_safe_index(A: sp.Matrix, B: sp.Matrix, V: sp.Matrix,
     Found by scanning the integer roots (in x) of every denominator and of
     the determinant numerator; t and theta stay symbolic, so a root must be
     a genuine rational-integer root of a coefficient-wise zero polynomial.
-    The denominators of V are read off its K-form; the scan of A and B is
-    done once per system.
+    A, B and V are read over the tower, through their K-forms; the scan of
+    A and B is done once per system and tower.
     """
     dens = [c.denom for c in dm_from_matrix(V, tower).to_list_flat()]
     bad = max([_system_pole_bound(sp.ImmutableMatrix(A),
-                                  sp.ImmutableMatrix(B))]
+                                  sp.ImmutableMatrix(B), tower)]
               + [_max_integer_x_root(d) for d in dens])
     N = max(1, bad + 1)
     while all(treduce(v.subs(x, N), tower) == 0 for v in V):
@@ -370,10 +370,13 @@ def first_safe_index(A: sp.Matrix, B: sp.Matrix, V: sp.Matrix,
 
 
 @functools.lru_cache(maxsize=8)
-def _system_pole_bound(A: sp.ImmutableMatrix, B: sp.ImmutableMatrix) -> int:
-    """max(0, largest integer root in x) of the denominators of A and B and
-    of the numerator and denominator of det A, all over K = Q(x, t)."""
-    DA, DB = dm_from_matrix(A), dm_from_matrix(B)
+def _system_pole_bound(A: sp.ImmutableMatrix, B: sp.ImmutableMatrix,
+                       tower: Tower) -> int:
+    """max(0, largest integer root in x) of the denominators of the K-forms
+    of A and B over the tower and of the numerator and denominator of the
+    determinant of A's.  That determinant is the norm of det A, so its
+    integer roots include those of det A."""
+    DA, DB = dm_from_matrix(A, tower), dm_from_matrix(B, tower)
     detA = DA.det()
     polys = ([e.denom for e in DA.to_list_flat() + DB.to_list_flat()]
              + [detA.numer, detA.denom])
@@ -494,35 +497,33 @@ def solution_parts(sol: LiouvilleSolution) -> list:
     return [(f"component {i}", W, c) for i, W, c in sol.components]
 
 
-def _check_pair(A, B, W, cert: HypCert, tower: Tower, label: str):
+def _check_pair(system, W, cert: HypCert, tower: Tower, label: str):
+    """The sigma- and delta-identities of one hypergeometric part, as
+    equalities of K-forms over the tower."""
     failures = []
     m = cert.sigma_step
-    Am = sigma_power_matrix(A, m)
-    lhs = mat_shift(W, m) * cert.sigma_ratio - Am * W
-    if not all(treduce(e, tower) == 0 for e in lhs):
+    W = dm_from_matrix(W, tower)
+    r, c = (dm_from_matrix(sp.Matrix([e]), tower)
+            for e in (cert.sigma_ratio, cert.delta_ratio))
+    if dm_shift(W, m) * r != dm_embed(system.cocycle(m), tower) * W:
         failures.append(f"{label}: sigma identity sigma^{m}(W)*r = A_{m}*W")
-    lhs = mat_delta(W, tower) + cert.delta_ratio * W - B * W
-    if not all(treduce(e, tower) == 0 for e in lhs):
+    if dm_delta(W, tower) + W * c != dm_embed(system.B_K, tower) * W:
         failures.append(f"{label}: delta identity delta(W) + c*W = B*W")
     return failures
 
 
 def verify_certificates(system, sol: LiouvilleSolution) -> VerifyResult:
-    """Exact identity check of a solution against sigma(Y)=AY, delta(Y)=BY.
+    """Exact identity check of a solution against sigma(Y)=AY, delta(Y)=BY,
+    over K = Q(x, t) with t symbolic.
 
-    `system` needs attributes A and B.  Hypergeometric solutions check the
+    `system` is a :class:`~ddsolve.procedures.DDSystem`, whose K-forms of
+    B and of the cocycles A_m are read.  Hypergeometric solutions check the
     two identities directly; Interlaced ones check every component against
     the sigma^period-system."""
-    A, B = system.A, system.B
-    tower = sol.tower
-    failures = []
-    if sol.kind == "Hypergeometric":
-        failures += _check_pair(A, B, sol.W, sol.cert, tower, "solution")
-    elif sol.kind == "Interlaced":
-        for i, W, cert in sol.components:
-            failures += _check_pair(A, B, W, cert, tower, f"component {i}")
-    else:
-        failures.append(f"unknown solution kind {sol.kind!r}")
+    if sol.kind not in ("Hypergeometric", "Interlaced"):
+        return VerifyResult(False, [f"unknown solution kind {sol.kind!r}"])
+    failures = [f for label, W, cert in solution_parts(sol)
+                for f in _check_pair(system, W, cert, sol.tower, label)]
     return VerifyResult(not failures, failures)
 
 

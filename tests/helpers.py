@@ -5,7 +5,7 @@ that pin the results of the ones that replaced them."""
 import sympy as sp
 
 from ddsolve.difftools import dispersion
-from ddsolve.fields import TRIVIAL_TOWER, Tower, shift, treduce
+from ddsolve.fields import TRIVIAL_TOWER, Tower, shift, treduce, x
 
 
 def mat_eq(A: sp.Matrix, B: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> bool:
@@ -218,12 +218,37 @@ def reference_scalar_operators(M, m, tower):
     return ops
 
 
+def integer_roots(p, var=x, tower=TRIVIAL_TOWER):
+    """Sorted integer roots in var of the numerator of p, whose
+    coefficients may involve t and theta; None when p is zero.
+
+    theta is reduced by the minimal polynomial first.  r counts only if
+    every (t, theta)-monomial slice of the numerator vanishes at var = r
+    (see :func:`ddsolve.fields.common_integer_roots`)."""
+    from sympy import QQ
+    from sympy.polys.densebasic import dup_from_raw_dict
+
+    from ddsolve.fields import _theta_reduction_table, common_integer_roots
+
+    p = _theta_reduction_table(sp.expand(p), tower)
+    num = sp.expand(sp.together(p).as_numer_denom()[0])
+    if num == 0:
+        return None
+    gens = sorted(num.free_symbols - {var}, key=str)
+    slices: dict = {}
+    for (k, *mono), c in sp.Poly(num, var, *gens,
+                                 domain=QQ).as_dict(native=True).items():
+        slices.setdefault(tuple(mono), {})[k] = c
+    return common_integer_roots([dup_from_raw_dict(s, QQ)
+                                 for s in slices.values()])
+
+
 def reference_degree_bound(M, m, tower):
     """Degree bound from the Expr infinity expansion, a Berkowitz det with
     a free symbol, and the reference scalar operators."""
-    from ddsolve.fields import integer_roots, nullspace, rank
+    from ddsolve.fields import nullspace, rank
     from ddsolve.moser import infinity_expansion
-    from ddsolve.ratsol import UnsupportedCase, _scalar_degree_candidates
+    from ddsolve.ratsol import UnsupportedCase
 
     n = M.shape[0]
     exp = infinity_expansion(M, 2, tower)
@@ -246,11 +271,23 @@ def reference_degree_bound(M, m, tower):
         return -1
     bounds = []
     for op in reference_scalar_operators(M, m, tower):
-        roots = _scalar_degree_candidates(op, m, tower)
+        roots = _reference_scalar_degree_candidates(op, m)
         if roots is None:
             raise UnsupportedCase("no indicial equation")
         bounds.append(max([-1] + roots))
     return max(bounds)
+
+
+def _reference_scalar_degree_candidates(pcoeffs, m):
+    """Degree candidates of sum_j p_j(x) y(x+m*j) = 0, the p_j read from
+    expressions as polynomials in x over Q[t, theta]."""
+    from sympy import QQ
+
+    from ddsolve.fields import indicial_degrees, t, theta, x
+
+    ring = QQ[t, theta][x]
+    return indicial_degrees([ring.ring.from_expr(p).to_dense()
+                             for p in pcoeffs], m, ring.domain)
 
 
 def reference_polynomial_solutions(M, m=1, degree_bound=None,
@@ -473,3 +510,32 @@ def reference_lift(V, ratio, d: int, A, N: int, tower: Tower = TRIVIAL_TOWER,
                     f"lift cross-check failed at index {j}: recurrence and "
                     "section-sum constructions disagree")
     return [sp.Matrix([pts.to_sympy(a) for a in w]) for w in Ws]
+
+
+# ---------------------------------------------------------------------------
+# reference gauge delta-part and certificate check: the Expr products,
+# treduce on every entry, that the K-form ones in procedures and sequences
+# replaced
+
+def reference_gauge_delta_part(G, B, tower=TRIVIAL_TOWER):
+    """B-bar = G^{-1} B G - G^{-1} delta(G)."""
+    from ddsolve.fields import mat_delta, mat_inv, mat_reduce
+
+    Ginv = mat_inv(G, tower)
+    return mat_reduce(Ginv * B * G - Ginv * mat_delta(G, tower), tower)
+
+
+def reference_check_pair(A, B, W, cert, tower, label):
+    """Failures of sigma^m(W) r = A_m W and delta(W) + c W = B W."""
+    from ddsolve.fields import mat_delta, mat_shift, sigma_power_matrix
+
+    failures = []
+    m = cert.sigma_step
+    Am = sigma_power_matrix(A, m)
+    lhs = mat_shift(W, m) * cert.sigma_ratio - Am * W
+    if not all(treduce(e, tower) == 0 for e in lhs):
+        failures.append(f"{label}: sigma identity sigma^{m}(W)*r = A_{m}*W")
+    lhs = mat_delta(W, tower) + cert.delta_ratio * W - B * W
+    if not all(treduce(e, tower) == 0 for e in lhs):
+        failures.append(f"{label}: delta identity delta(W) + c*W = B*W")
+    return failures

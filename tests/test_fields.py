@@ -7,18 +7,18 @@ from sympy.polys.densearith import dup_mul, dup_rem
 from sympy.polys.euclidtools import dup_invert
 
 from ddsolve.fields import (AllEqual, Conjugate, FieldError, MixedSplit, Split,
-                            QQ_XT, TRIVIAL_TOWER, delta, dm_delta,
-                            dm_from_matrix,
+                            QQ_XT, TRIVIAL_TOWER, delta, dm_block_diag,
+                            dm_conjugate, dm_delta, dm_embed, dm_from_matrix,
                             dm_shift, dm_sigma_power, dm_to_matrix,
                             factor_in_x, make_tower, mat_delta,
-                            integer_roots, mat_inv, mat_reduce, mat_shift,
+                            mat_inv, mat_reduce, mat_shift,
                             nullspace, rank,
                             roots_over_coeff_field, series_at_infinity, shift,
                             sigma_power_matrix, t, teq, theta, tinv, treduce,
                             x)
 from ddsolve.files import read_system
 from conftest import SYSTEMS, random_ratfunc
-from helpers import mat_eq
+from helpers import integer_roots, mat_eq
 
 Y = sp.Symbol("Y")
 EX1_TOWER = make_tower(theta**2 - (t**2 + 1))
@@ -486,6 +486,47 @@ def test_domain_matrix_helpers_match_expr_operations():
     assert dm_to_matrix(D) == mat_reduce(M)
     assert dm_to_matrix(dm_shift(D, 3)) == mat_reduce(mat_shift(M, 3))
     assert dm_to_matrix(dm_delta(D)) == mat_delta(M)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["trivial", "ex1", "cubic"]),
+       st.lists(_tower_exprs(), min_size=2, max_size=2))
+def test_dm_delta_over_a_tower_matches_mat_delta(which, entries):
+    """delta on the K-form, delta(a_k) on each coefficient plus
+    a'(theta) delta(theta) mod m, read back is mat_delta's matrix."""
+    tower = {"trivial": TRIVIAL_TOWER, "ex1": EX1_TOWER,
+             "cubic": THETA3_TOWER}[which]
+    if tower.trivial:
+        entries = [e.subs(theta, x + t) for e in entries]
+    M = sp.Matrix([entries])
+    if M.has(sp.zoo, sp.nan):
+        return
+    try:
+        D = dm_from_matrix(M, tower)
+    except ZeroDivisionError:
+        return
+    assert sp.srepr(dm_to_matrix(dm_delta(D, tower), tower)) == \
+        sp.srepr(mat_delta(M, tower))
+
+
+def test_tower_k_form_helpers_match_expr_operations():
+    """dm_embed is dm_from_matrix over the tower of a matrix over K,
+    dm_block_diag assembles diag from 1 x 1 K-forms, and dm_conjugate is
+    theta -> conjugate on every entry."""
+    M = sp.Matrix([[x / (t + 1), 0], [t * x**2, 1 / (x + t)]])
+    conj = EX1_TOWER.conjugates()[1]
+    for tower in (TRIVIAL_TOWER, EX1_TOWER, THETA3_TOWER):
+        assert dm_embed(dm_from_matrix(M), tower) == dm_from_matrix(M, tower)
+        cs = [theta / x + t, 1 / (theta + x)] if not tower.trivial else \
+            [1 / x + t, 2]
+        assert dm_block_diag([dm_from_matrix(sp.Matrix([c]), tower)
+                              for c in cs]) == \
+            dm_from_matrix(sp.diag(*cs), tower)
+    N = sp.Matrix([[theta / x + t, 1], [x, (1 + theta) / (x + theta)]])
+    got = dm_to_matrix(dm_conjugate(dm_from_matrix(N, EX1_TOWER), conj,
+                                    EX1_TOWER), EX1_TOWER)
+    assert sp.srepr(got) == sp.srepr(N.applyfunc(
+        lambda e: treduce(e.subs(theta, conj), EX1_TOWER)))
 
 
 def test_dm_from_matrix_rejects_entries_outside_Qxt():

@@ -7,20 +7,19 @@ import sys
 import pytest
 import sympy as sp
 
-from ddsolve.fields import (TRIVIAL_TOWER, delta, make_tower, mat_delta,
+from ddsolve.fields import (TRIVIAL_TOWER, delta, dm_to_matrix, mat_delta,
                             mat_inv, mat_reduce, mat_shift, t, teq, theta,
                             treduce, x)
 from ddsolve.procedures import (DDSystem, _certificate_normalizer,
                                 _first_verification_point,
                                 _normalize_gauge_certificates,
                                 check_integrability, decision_procedure_1,
-                                decision_procedure_2, descend_gauge,
-                                solve_liouvillian)
+                                decision_procedure_2, solve_liouvillian)
 from ddsolve.ratsol import UnsupportedCase
 from ddsolve.sequences import VerificationError, verify_certificates
 from ddsolve.files import read_system
 from conftest import ROOT, SYSTEMS, random_invertible_matrix, random_ratfunc
-from helpers import mat_eq
+from helpers import mat_eq, reference_gauge_delta_part
 
 HERMITE_A = sp.Matrix([[0, 1], [-2 * x, 2 * t]])
 HERMITE_B = sp.Matrix([[2 * t, -1], [2 * x, 0]])
@@ -146,25 +145,6 @@ def test_normalize_gauge_certificates_on_immutable_matrices():
 
 
 # ---------------------------------------------------------------------------
-# gauge descent
-
-def test_descend_gauge_trivial_passthrough():
-    G = sp.Matrix([[1, x], [0, 1]])
-    assert mat_eq(descend_gauge(G, sp.eye(2), sp.eye(2)), G)
-
-
-def test_descend_gauge_eliminates_theta():
-    tw = make_tower(theta**2 - (t**2 + 1))
-    # G = G0 + theta*G1 with det(G0 + lam*G1) generically nonzero
-    G = sp.Matrix([[1, theta], [theta, t]])
-    A = sp.eye(2)
-    Abar = mat_reduce(mat_shift(G) * A * mat_inv(G, tw), tw)
-    H = descend_gauge(G, A, Abar, tw)
-    assert theta not in H.free_symbols
-    assert treduce(H.det()) != 0
-
-
-# ---------------------------------------------------------------------------
 # decision-procedure exits (cheap cases only; the worked examples run in
 # the acceptance suite)
 
@@ -191,6 +171,39 @@ def test_dp1_solves_gauged_example1():
     assert out.solutions
     for sol in out.solutions:
         assert verify_certificates(sys, sol).ok
+
+
+def test_gauge_delta_part_matches_reference(monkeypatch):
+    """B-bar from K-forms is srepr-identical to the Expr reference on
+    every gauge the decision procedures build for the bundled systems and
+    for the gauged example1 of test_dp1_solves_gauged_example1."""
+    import ddsolve.procedures as procedures
+
+    ex1 = read_system(str(SYSTEMS / "example1.json"))
+    G = sp.Matrix([[1, t - 2 * x + 1], [0, 1]])
+    gauged = DDSystem(2, mat_reduce(mat_inv(mat_shift(G)) * ex1.A * G),
+                      mat_reduce(mat_inv(G) * (ex1.B * G - mat_delta(G))),
+                      assume_irreducible=True)
+    systems = {name: read_system(str(SYSTEMS / f"{name}.json"))
+               for name in ("example1", "example2", "hermite")}
+    systems["gauged example1"] = gauged
+    calls = []
+    orig = procedures._gauge_delta_part
+
+    def spy(G, B, tower):
+        calls.append((name, G, B, tower, orig(G, B, tower)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(procedures, "_gauge_delta_part", spy)
+    for name, system in systems.items():
+        if decision_procedure_1(system).kind != "Solved":
+            decision_procedure_2(system)
+    assert {c[0] for c in calls} == {"example1", "example2",
+                                     "gauged example1"}
+    for _, G, B, tower, Bbar in calls:
+        want = reference_gauge_delta_part(dm_to_matrix(G, tower),
+                                          dm_to_matrix(B, tower), tower)
+        assert sp.srepr(dm_to_matrix(Bbar, tower)) == sp.srepr(want)
 
 
 def test_unsupported_subroutine_ends_dp2_inconclusive(monkeypatch):
@@ -276,14 +289,16 @@ _PLANTED_BAD_GAUGE = """
 import sys
 import sympy as sp
 import ddsolve.ratsol as ratsol
+from ddsolve.fields import dm_from_matrix
 from ddsolve.sequences import VerificationError
 
 assert sys.flags.optimize, "run under python -O"
 # sigma(G) diag(2, 3) = A G holds for G = 1, not for the swap planted here
-ratsol._invertible_selection = lambda columns, tower: sp.Matrix(
-    [[0, 1], [1, 0]])
+ratsol._invertible_selection = lambda columns, tower: dm_from_matrix(
+    sp.Matrix([[0, 1], [1, 0]]))
 try:
-    ratsol.gauge_from_ratios(sp.diag(2, 3), [2, 3], 1)
+    ratsol.gauge_from_ratios(dm_from_matrix(sp.diag(2, 3)),
+                             dm_from_matrix(sp.diag(2, 3)), 1)
 except VerificationError as err:
     print("raised:", err)
     sys.exit(0)

@@ -3,24 +3,73 @@ import random
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 import ddsolve.closedform as closedform
 import ddsolve.procedures as procedures
 from ddsolve.closedform import _nullspace_over_Qt
-from ddsolve.fields import (TRIVIAL_TOWER, make_tower, mat_inv, mat_reduce,
+from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, dm_from_matrix,
+                            dm_to_matrix, make_tower, mat_inv, mat_reduce,
                             mat_shift, shift, t, teq, theta, treduce, x)
 from ddsolve.files import read_system
 import ddsolve.ratsol as ratsol
-from ddsolve.ratsol import (UnsupportedCase, _constant_span_reduce,
-                            _degree_bound, _invertible_selection,
-                            gauge_from_ratios, polynomial_solutions,
-                            rational_solutions, scalar_operators,
-                            universal_denominator)
+from ddsolve.ratsol import RationalSolutionBasis, UnsupportedCase
 
 from helpers import (mat_eq, reference_polynomial_solutions,
                      reference_rational_solutions,
                      reference_scalar_operators,
                      reference_universal_denominator)
+
+
+# ratsol takes and returns K-forms; these call it on sympy matrices
+
+def universal_denominator(M, m=1, tower=TRIVIAL_TOWER):
+    u = ratsol.universal_denominator(dm_from_matrix(M, tower), m, tower)
+    return dm_to_matrix(DomainMatrix([[u]], (1, 1), QQ_XT))[0]
+
+
+def polynomial_solutions(M, m=1, degree_bound=None, tower=TRIVIAL_TOWER):
+    return [dm_to_matrix(P, tower) for P in ratsol.polynomial_solutions(
+        dm_from_matrix(M, tower), m, degree_bound, tower)]
+
+
+def rational_solutions(M, m=1, tower=TRIVIAL_TOWER):
+    basis = ratsol.rational_solutions(dm_from_matrix(M, tower), m,
+                                      tower).basis
+    return RationalSolutionBasis(m, [dm_to_matrix(V, tower) for V in basis])
+
+
+def scalar_operators(M, m, tower):
+    return [list(dm_to_matrix(op, tower)) for op in ratsol.scalar_operators(
+        dm_from_matrix(M, tower), m, tower)]
+
+
+def gauge_from_ratios(A, ratios, m, tower=TRIVIAL_TOWER):
+    G = ratsol.gauge_from_ratios(dm_from_matrix(A, tower),
+                                 dm_from_matrix(sp.diag(*ratios), tower), m,
+                                 tower)
+    return None if G is None else dm_to_matrix(G, tower)
+
+
+def _degree_bound(M, m, tower):
+    return ratsol._degree_bound(dm_from_matrix(M, tower), m, tower)
+
+
+def _constant_span_reduce(vectors, tower):
+    return [dm_to_matrix(V, tower) for V in ratsol._constant_span_reduce(
+        [dm_from_matrix(V, tower) for V in vectors], tower)]
+
+
+def _invertible_selection(columns, tower):
+    G = ratsol._invertible_selection(
+        [[dm_from_matrix(V, tower) for V in slot] for slot in columns], tower)
+    return None if G is None else dm_to_matrix(G, tower)
+
+
+_WRAPPERS = {"universal_denominator": universal_denominator,
+             "polynomial_solutions": polynomial_solutions,
+             "scalar_operators": scalar_operators,
+             "rational_solutions": rational_solutions}
 
 
 def _substitutes(M, m, V):
@@ -263,9 +312,11 @@ def captured_calls(example1_path, example2_path):
         for name in names:
             orig = getattr(ratsol, name)
 
-            def spy(*args, _name=name, _orig=orig, **kwargs):
-                current[-1].append((_name, args, kwargs))
-                return _orig(*args, **kwargs)
+            def spy(M, *args, _name=name, _orig=orig, **kwargs):
+                tower = args[-1]   # the solver passes every argument
+                current[-1].append(
+                    (_name, (dm_to_matrix(M, tower), *args), kwargs))
+                return _orig(M, *args, **kwargs)
 
             for mod in (ratsol, closedform, procedures):
                 if getattr(mod, name, None) is orig:
@@ -295,7 +346,7 @@ def test_ratsol_matches_reference_on_captured_calls(captured_calls, name):
         "universal_denominator", "polynomial_solutions",
         "rational_solutions"}
     for fn, args, kwargs in calls:
-        got = getattr(ratsol, fn)(*args, **kwargs)
+        got = _WRAPPERS[fn](*args, **kwargs)
         if fn == "rational_solutions":
             got = got.basis
         _srepr_equal(got, _REFERENCES[fn](*args, **kwargs))
@@ -359,14 +410,17 @@ def test_polynomial_solutions_run_without_together_and_expand(monkeypatch):
             monkeypatch.setattr(sp.Expr, "expand", no_expand)
             monkeypatch.setattr(sp, "together", no_together)
 
+    forms = [dm_from_matrix(M, tw) for M, m, tw in cases]
     monkeypatch.setattr(ratsol, "_scalar_degree_candidates", boundary)
     monkeypatch.setattr(sp.Expr, "expand", no_expand)
     monkeypatch.setattr(sp, "together", no_together)
     try:
-        got = [sp.srepr(polynomial_solutions(M, m, None, tw))
-               for M, m, tw in cases]
+        got = [ratsol.polynomial_solutions(D, m, None, tw)
+               for D, (_, m, tw) in zip(forms, cases)]
     finally:
         monkeypatch.undo()
+    got = [sp.srepr([dm_to_matrix(P, tw) for P in sols])
+           for sols, (_, _, tw) in zip(got, cases)]
     assert got == want
     assert want[0] != sp.srepr([])
 

@@ -9,21 +9,15 @@ from ddsolve.fields import (TRIVIAL_TOWER, dm_from_matrix, dm_sigma_power,
                             make_tower, mat_inv, mat_reduce, mat_shift, shift,
                             t, teq, theta, treduce, x)
 from ddsolve.files import read_system
-from helpers import reference_lift
+from helpers import reference_check_pair, reference_lift
 from ddsolve.parsing import parse_ratfunc
-from ddsolve.procedures import solve_liouvillian
+from ddsolve.procedures import DDSystem, solve_liouvillian
 from ddsolve.sequences import (FuncSeq, HypCert, LiouvilleSolution, PoleError,
                                PointEvaluator, SeqVec, VerificationError,
                                first_safe_index, interlace,
                                lift_sigma_d_to_sigma, section,
                                seq_from_recurrence, verify_certificates,
                                verify_numeric_window)
-
-
-class _Sys:
-    def __init__(self, A, B):
-        self.A = A
-        self.B = B
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +289,7 @@ def _toy_solved_system():
         kind="Hypergeometric", W=sp.Matrix([1]),
         cert=HypCert(sigma_ratio=sp.Integer(2), sigma_step=1,
                      delta_ratio=1 / t))
-    return _Sys(A, B), sol
+    return DDSystem(1, A, B), sol
 
 
 def test_verify_certificates_pass_and_fail():
@@ -406,3 +400,44 @@ def test_numeric_window_reports_doubled_example1_ratio(example1_path):
     assert verify_numeric_window(system, solution(ratio), sp.Integer(1)).ok
     res = verify_numeric_window(system, solution(2 * ratio), sp.Integer(1))
     assert res.failures == ["solution: sigma relation fails at x=3, t=1"]
+
+
+def test_certificate_check_over_a_tower(example1_path):
+    """verify_certificates checks sigma^m(W) r = A_m W and
+    delta(W) + W c = B W on K-forms through the regular representation:
+    an example1 solution passes, and fails with its delta-ratio + 1 or its
+    sigma-ratio * 2, as the Expr reference does."""
+    system = read_system(example1_path)
+    W = sp.Matrix([parse_ratfunc("-1*(t-theta)/(x-t^2)", EX1_TOWER),
+                   parse_ratfunc("(x-t*theta)/(x-t^2)", EX1_TOWER)])
+    ratio = parse_ratfunc("(x^2*theta+theta)", EX1_TOWER)
+    delta_ratio = parse_ratfunc("(x*t+t^2*theta+t^2+theta+1)/(t^2+1)",
+                                EX1_TOWER)
+    cases = [
+        (ratio, delta_ratio, []),
+        (ratio, delta_ratio + 1,
+         ["solution: delta identity delta(W) + c*W = B*W"]),
+        (2 * ratio, delta_ratio,
+         ["solution: sigma identity sigma^1(W)*r = A_1*W"]),
+    ]
+    for r, c, want in cases:
+        cert = HypCert(r, 1, c)
+        sol = LiouvilleSolution(kind="Hypergeometric", W=W, cert=cert,
+                                tower=EX1_TOWER)
+        assert verify_certificates(system, sol).failures == want
+        assert reference_check_pair(system.A, system.B, W, cert, EX1_TOWER,
+                                    "solution") == want
+
+
+def test_lift_over_tower_finds_its_start_index():
+    """Without N, first_safe_index reads A and B over the solution's
+    tower: the lift of test_lift_over_tower_cross_checks starts at N = 1
+    and has the values of the N = 1 lift."""
+    A = sp.Matrix([[0, theta], [x + 1, 0]])
+    V = sp.Matrix([1, 0])
+    args = (V, theta * (x + 1), 2, A, sp.zeros(2, 2))
+    W = lift_sigma_d_to_sigma(*args, tower=EX1_TOWER, check_terms=12)
+    ref = lift_sigma_d_to_sigma(*args, N=1, tower=EX1_TOWER, check_terms=12)
+    assert W.N == 1
+    assert [W.value(j) for j in range(1, 13)] == \
+        [ref.value(j) for j in range(1, 13)]
