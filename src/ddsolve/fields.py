@@ -72,8 +72,8 @@ __all__ = [
     "indicial_degrees",
     "sigma_power_matrix",
     "dm_from_matrix", "dm_to_matrix",
-    "dm_shift", "dm_delta", "dm_inv", "dm_embed", "dm_block_diag",
-    "dm_conjugate", "dm_sigma_power",
+    "dm_shift", "dm_delta", "dm_inv", "dm_embed", "dm_conjugate",
+    "dm_sigma_power",
     "dm_series_at_infinity",
 ]
 
@@ -587,16 +587,6 @@ def dm_embed(D: DomainMatrix, tower: Tower) -> DomainMatrix:
     """The K-form over the tower of a matrix D over K."""
     return regular_matrix([[a] if a else [] for a in D.to_list_flat()],
                           D.shape, _modulus(tower), QQ_XT)
-
-
-def dm_block_diag(blocks: list) -> DomainMatrix:
-    """The block-diagonal K-matrix with square blocks of one size: the
-    K-form of diag(c_1, ..., c_n) when block i is the K-form of c_i."""
-    e = blocks[0].shape[0]
-    return DomainMatrix.from_dok({(i * e + r, i * e + c): a for i, b in
-                                  enumerate(blocks)
-                                  for (r, c), a in b.to_dok().items()},
-                                 (len(blocks) * e,) * 2, QQ_XT).to_dense()
 
 
 def dm_inv(D: DomainMatrix) -> DomainMatrix:

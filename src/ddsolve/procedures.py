@@ -315,8 +315,7 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
         tower = TRIVIAL_TOWER
         A = sys.A_K
         betas = [treduce(r) for r in eig.roots]
-        G = gauge_from_ratios(
-            A, dm_from_matrix(sp.diag(*betas) * alpha, tower), 1, tower)
+        G = gauge_from_ratios(A, dm_from_matrix(sp.diag(*betas) * alpha), 1)
     if G is None:
         # complete: _invertible_selection tries every one-vector-per-slot
         # choice, and a minor of any constant combination per slot is a
@@ -477,8 +476,7 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
     for lam in lams:
         for j0 in range(n):
             ratios = [treduce(beta * shift(lam, j0 + i)) for i in range(n)]
-            G = gauge_from_ratios(An, dm_from_matrix(sp.diag(*ratios)), n,
-                                  TRIVIAL_TOWER)
+            G = gauge_from_ratios(An, dm_from_matrix(sp.diag(*ratios)), n)
             if G is None:
                 continue
             Bbar = _gauge_delta_part(G, sys.B_K, TRIVIAL_TOWER)

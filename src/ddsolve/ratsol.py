@@ -34,7 +34,7 @@ from sympy.polys.densebasic import dup_from_raw_dict, dup_strip
 from sympy.polys.matrices import DomainMatrix
 
 from .fields import (QQ_XT, TRIVIAL_TOWER, Tower, _modulus,
-                     common_integer_roots, dm_block_diag, dm_inv,
+                     common_integer_roots, dm_inv,
                      dm_series_at_infinity, dm_shift, factor_in_x,
                      from_regular, indicial_degrees, kernel, regular_matrix,
                      shift, t, theta)
@@ -378,27 +378,22 @@ def _invertible_selection(columns: list, tower: Tower):
     return None
 
 
-def gauge_from_ratios(A: DomainMatrix, ratios: DomainMatrix, m: int,
-                      tower: Tower = TRIVIAL_TOWER):
-    """G with sigma^m(G) * diag(r_1, ..., r_n) = A * G, `ratios` the K-form
-    of that diagonal, assembled column-by-column from rational solutions
-    of sigma^m(W) = (A/r_i) W; None on failure.
+def gauge_from_ratios(A: DomainMatrix, ratios: DomainMatrix, m: int):
+    """G over K with sigma^m(G) * diag(r_1, ..., r_n) = A * G, `ratios` that
+    diagonal over K, assembled column-by-column from rational solutions of
+    sigma^m(W) = (A/r_i) W; None on failure.
 
     None is a complete negative answer: either some ratio has no rational
     solution, or no constant combination per slot is invertible (see
     :func:`_invertible_selection`)."""
-    e = tower.degree
-    n = A.shape[0] // e
     columns = []
-    for i in range(n):
-        block = list(range(i * e, (i + 1) * e))
-        inv = dm_inv(ratios.extract(block, block))
-        basis = rational_solutions(A * dm_block_diag([inv] * n), m,
-                                   tower).basis
+    for i in range(A.shape[0]):
+        basis = rational_solutions(A.mul(QQ_XT.one / ratios[i, i].element),
+                                   m, TRIVIAL_TOWER).basis
         if not basis:
             return None
         columns.append(basis)
-    G = _invertible_selection(columns, tower)
+    G = _invertible_selection(columns, TRIVIAL_TOWER)
     if G is None:
         return None
     if dm_shift(G, m) * ratios != A * G:

@@ -7,8 +7,8 @@ from sympy.polys.densearith import dup_mul, dup_rem
 from sympy.polys.euclidtools import dup_invert
 
 from ddsolve.fields import (AllEqual, Conjugate, FieldError, MixedSplit, Split,
-                            QQ_XT, TRIVIAL_TOWER, delta, dm_block_diag,
-                            dm_conjugate, dm_delta, dm_embed, dm_from_matrix,
+                            QQ_XT, TRIVIAL_TOWER, delta, dm_conjugate,
+                            dm_delta, dm_embed, dm_from_matrix,
                             dm_shift, dm_sigma_power, dm_to_matrix,
                             factor_in_x, make_tower, mat_delta,
                             mat_inv, mat_reduce, mat_shift,
@@ -510,18 +510,12 @@ def test_dm_delta_over_a_tower_matches_mat_delta(which, entries):
 
 
 def test_tower_k_form_helpers_match_expr_operations():
-    """dm_embed is dm_from_matrix over the tower of a matrix over K,
-    dm_block_diag assembles diag from 1 x 1 K-forms, and dm_conjugate is
-    theta -> conjugate on every entry."""
+    """dm_embed is dm_from_matrix over the tower of a matrix over K, and
+    dm_conjugate is theta -> conjugate on every entry."""
     M = sp.Matrix([[x / (t + 1), 0], [t * x**2, 1 / (x + t)]])
     conj = EX1_TOWER.conjugates()[1]
     for tower in (TRIVIAL_TOWER, EX1_TOWER, THETA3_TOWER):
         assert dm_embed(dm_from_matrix(M), tower) == dm_from_matrix(M, tower)
-        cs = [theta / x + t, 1 / (theta + x)] if not tower.trivial else \
-            [1 / x + t, 2]
-        assert dm_block_diag([dm_from_matrix(sp.Matrix([c]), tower)
-                              for c in cs]) == \
-            dm_from_matrix(sp.diag(*cs), tower)
     N = sp.Matrix([[theta / x + t, 1], [x, (1 + theta) / (x + theta)]])
     got = dm_to_matrix(dm_conjugate(dm_from_matrix(N, EX1_TOWER), conj,
                                     EX1_TOWER), EX1_TOWER)

@@ -44,11 +44,10 @@ def scalar_operators(M, m, tower):
         dm_from_matrix(M, tower), m, tower)]
 
 
-def gauge_from_ratios(A, ratios, m, tower=TRIVIAL_TOWER):
-    G = ratsol.gauge_from_ratios(dm_from_matrix(A, tower),
-                                 dm_from_matrix(sp.diag(*ratios), tower), m,
-                                 tower)
-    return None if G is None else dm_to_matrix(G, tower)
+def gauge_from_ratios(A, ratios, m):
+    G = ratsol.gauge_from_ratios(dm_from_matrix(A),
+                                 dm_from_matrix(sp.diag(*ratios)), m)
+    return None if G is None else dm_to_matrix(G)
 
 
 def _degree_bound(M, m, tower):
