@@ -65,7 +65,7 @@ __all__ = [
     "treduce", "teq", "tinv", "shift", "delta",
     "series_at_infinity", "factor_in_x", "roots_over_coeff_field",
     "AllEqual", "Split", "Conjugate", "MixedSplit",
-    "mat_reduce", "mat_shift", "mat_delta", "mat_inv",
+    "mat_reduce", "mat_shift", "mat_inv",
     "nullspace", "rank", "kernel", "regular_matrix", "from_regular",
     "regular_rows", "theta_coords", "from_theta_coords",
     "common_integer_roots", "x_integer_roots",
@@ -440,10 +440,6 @@ def mat_shift(M: sp.Matrix, j: int = 1) -> sp.Matrix:
     return M.applyfunc(lambda e: shift(e, j))
 
 
-def mat_delta(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
-    return M.applyfunc(lambda e: delta(e, tower))
-
-
 def mat_inv(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
     """M^-1 over the tower; FieldError when M is singular."""
     return dm_to_matrix(dm_inv(dm_from_matrix(M, tower)), tower)
@@ -628,38 +624,19 @@ def _top_coeffs(p, terms: int):
                for k in range(terms)]
 
 
-# cocycles of the systems of one solve, with room for a few solves
-_SIGMA_POWER_CACHE_SIZE = 32
-
-
 def sigma_power_matrix(A: sp.Matrix, m: int) -> sp.Matrix:
     """Cocycle product A_m = sigma^{m-1}(A) ... sigma(A) A (m >= 1) of a
-    system matrix A over K = Q(x, t), in the canonical form of treduce.
-
-    Memoized on (A, m); every call returns a fresh mutable copy."""
-    return sp.Matrix(_sigma_power_expr(sp.ImmutableMatrix(A), m))
-
-
-def dm_sigma_power(A: sp.Matrix, m: int) -> DomainMatrix:
-    """The cocycle A_m of :func:`sigma_power_matrix` as a DomainMatrix over
-    K, sharing its memo; every call returns a fresh copy."""
-    return _sigma_power(sp.ImmutableMatrix(A), m).copy()
+    system matrix A over K = Q(x, t), in the canonical form of treduce:
+    the SymPy form of :func:`dm_sigma_power`."""
+    return dm_to_matrix(dm_sigma_power(dm_from_matrix(A), m))
 
 
-@functools.lru_cache(maxsize=_SIGMA_POWER_CACHE_SIZE)
-def _sigma_power(A: sp.ImmutableMatrix, m: int) -> DomainMatrix:
+def dm_sigma_power(D: DomainMatrix, m: int) -> DomainMatrix:
+    """The cocycle A_m of the matrix A over K whose K-form is D (D itself
+    for m = 1)."""
     if m < 1:
         raise ValueError("m >= 1 required")
-    if m == 1:
-        return dm_from_matrix(A)
-    D = _sigma_power(A, 1)
     out = D
     for j in range(1, m):
         out = dm_shift(D, j) * out
     return out
-
-
-@functools.lru_cache(maxsize=_SIGMA_POWER_CACHE_SIZE)
-def _sigma_power_expr(A: sp.ImmutableMatrix, m: int) -> sp.ImmutableMatrix:
-    return sp.ImmutableMatrix(dm_to_matrix(_sigma_power(A, m)))
-

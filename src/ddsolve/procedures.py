@@ -48,8 +48,8 @@ from .ratsol import (_invertible_selection, gauge_from_ratios,
                      rational_solutions)
 from .sequences import (CompiledMatrix, HypCert, LiouvilleSolution,
                         PointEvaluator, VerificationError,
-                        lift_sigma_d_to_sigma, solution_parts,
-                        verify_certificates, verify_numeric_window)
+                        lift_sigma_d_to_sigma, verify_certificates,
+                        verify_numeric_window)
 
 __all__ = ["DDSystem", "Outcome", "NormalForm", "check_integrability",
            "decision_procedure_1", "decision_procedure_2",
@@ -62,7 +62,8 @@ _T = QQ_XT.field.ring.gens[1]   # t in the ring Q[x, t] of K's numerators
 class DDSystem:
     """Integrable system sigma(Y) = A Y, delta(Y) = B Y over Q(x, t).
 
-    The K-forms of A and B (:attr:`A_K`, :attr:`B_K`) are computed on
+    The forms over K derived from A and B (:attr:`A_K`, :attr:`B_K`,
+    :attr:`det_K` and the cocycles of :meth:`cocycle`) are computed on
     first use and kept; A and B are not modified after construction."""
     n: int
     A: sp.Matrix
@@ -73,18 +74,28 @@ class DDSystem:
     @functools.cached_property
     def A_K(self) -> DomainMatrix:
         """A over K; FieldError for an entry outside Q(x, t)."""
-        return self.cocycle(1)
+        return dm_from_matrix(self.A)
 
     @functools.cached_property
     def B_K(self) -> DomainMatrix:
         """B over K; FieldError for an entry outside Q(x, t)."""
         return dm_from_matrix(self.B)
 
+    @functools.cached_property
+    def det_K(self):
+        """det A, an element of K."""
+        return self.A_K.det()
+
+    @functools.cached_property
+    def _cocycles(self) -> dict:
+        return {}
+
     def cocycle(self, m: int) -> DomainMatrix:
-        """A_m = sigma^{m-1}(A) ... sigma(A) A over K (m >= 1), formed from
-        A over K in the memo of :func:`~ddsolve.fields.dm_sigma_power`,
-        which the numeric window shares."""
-        return dm_sigma_power(self.A, m)
+        """A_m = sigma^{m-1}(A) ... sigma(A) A over K (m >= 1); read, never
+        modified, by the certificate check and the numeric window."""
+        if m not in self._cocycles:
+            self._cocycles[m] = dm_sigma_power(self.A_K, m)
+        return self._cocycles[m]
 
     def validate(self):
         if not sp.isprime(self.n):
@@ -95,7 +106,7 @@ class DDSystem:
             A, B = self.A_K, self.B_K
         except FieldError as err:
             raise ValueError(f"A and B must be over Q(x, t): {err}")
-        if A.det() == 0:
+        if self.det_K == 0:
             raise ValueError("A must be invertible")
         residual = _integrability_residual(A, B, 1)
         if residual.is_zero_matrix:
@@ -241,8 +252,8 @@ def _unsupported_as_outcome(procedure, sys: DDSystem, provenance: str):
 
 
 def _det(sys: DDSystem):
-    """det A over K, in the canonical form of treduce."""
-    return treduce(QQ_XT.to_sympy(sys.A_K.det()))
+    """det A, in the canonical form of treduce."""
+    return treduce(QQ_XT.to_sympy(sys.det_K))
 
 
 def _decision_procedure_1(sys: DDSystem, report: dict) -> Outcome:
@@ -372,9 +383,11 @@ def _dp1_stage_d2(sys: DDSystem, alpha, beta1, report: dict) -> Outcome:
     cands = hyperexp_solutions(Bhat)
     indep = _independent_candidates(cands, n)
     if indep is None:
-        return Outcome("NoSolution", "DP1", "d2",
-                       "residual system has no hyperexponential fundamental "
-                       "matrix", report=report)
+        # not a proof: hyperexp_solutions searches only over Q(t) and only
+        # some classes of certificates
+        return Outcome("Unsupported", "DP1", "d2",
+                       "no hyperexponential fundamental matrix of the "
+                       "residual system found over Q(t)", report=report)
     sols = []
     towers = [c.tower for c in indep]
     sol_tower = next((tw for tw in towers if not tw.trivial), TRIVIAL_TOWER)
@@ -563,8 +576,9 @@ def _specialization_point(Atil: DomainMatrix):
 
 def solve_liouvillian(sys: DDSystem) -> Outcome:
     """DP1, then DP2 with sequence lifts; verdicts: Solved,
-    NoLiouvillianSolutions (only under the asserted irreducibility),
-    Inconclusive when a subsolver restriction was hit."""
+    NoLiouvillianSolutions (only when irreducibility is asserted),
+    Inconclusive when a subsolver restriction was hit or irreducibility is
+    not asserted."""
     sys.validate()
     level = ("integrable as a sigma-delta system" if sys.integrability_level == 1
              else f"integrable only at the sigma^{sys.integrability_level} level")
@@ -588,6 +602,14 @@ def solve_liouvillian(sys: DDSystem) -> Outcome:
             return Outcome("Inconclusive", out.provenance, out.stage,
                            f"restricted subroutine: {out.reason}",
                            report=report)
+    if not sys.assume_irreducible:
+        # the procedures decide irreducible systems only; a reducible one
+        # can have a liouvillian basis that neither finds
+        return Outcome("Inconclusive", "DP1+DP2",
+                       reason="both decision procedures exclude a liouvillian "
+                              "basis, but irreducibility over Q(x, t) is not "
+                              "asserted (irreducible_over_k0, "
+                              "--assume-irreducible)", report=report)
     return Outcome("NoLiouvillianSolutions", "DP1+DP2",
                    reason="both decision procedures exclude a liouvillian "
                           "basis; valid under the declared assumptions",
@@ -608,9 +630,9 @@ def _lifts(sys: DDSystem, out: Outcome) -> list:
     steps = CompiledMatrix(sys.A_K)
     lifts = []
     for sol in out.solutions:
-        _, W, cert = sol.components[0]
-        lifts.append(lift_sigma_d_to_sigma(
-            W, cert.sigma_ratio, sys.n, sys.A, sys.B, steps=steps))
+        part = sol.parts[0]
+        lifts.append(lift_sigma_d_to_sigma(part.W, part.r, sys.n, sys.A_K,
+                                           sys.B_K, steps=steps))
     return lifts
 
 
@@ -644,9 +666,7 @@ def _verification_forms(sys, solutions) -> tuple:
     towers = {}
     for sol in solutions:
         towers[sol.tower] = None
-        for _, W, cert in solution_parts(sol):
-            forms += [dm_from_matrix(M, sol.tower)
-                      for M in (W, sp.Matrix([cert.sigma_ratio]))]
+        forms += [D for part in sol.parts for D in (part.W, part.r)]
     return forms, list(towers)
 
 

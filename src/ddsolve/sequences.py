@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import sympy as sp
 from sympy import QQ, ZZ
@@ -27,16 +27,16 @@ from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, Tower, _modulus,
                      common_integer_roots, dm_delta, dm_embed,
-                     dm_from_matrix, dm_shift, dm_sigma_power, from_regular,
+                     dm_from_matrix, dm_shift, from_regular,
                      from_theta_coords, regular_rows, t, theta,
-                     theta_coords, treduce, x, x_integer_roots)
+                     theta_coords, x_integer_roots)
 
 __all__ = ["Seq", "FuncSeq", "SeqVec", "interlace", "section",
            "seq_from_recurrence", "lift_sigma_d_to_sigma",
-           "HypCert", "LiouvilleSolution", "VerifyResult",
+           "HypCert", "Part", "LiouvilleSolution", "VerifyResult",
            "verify_certificates", "verify_numeric_window",
            "first_safe_index", "PoleError", "PointEvaluator",
-           "CompiledMatrix", "VerificationError", "solution_parts"]
+           "CompiledMatrix", "VerificationError"]
 
 
 class PoleError(Exception):
@@ -58,6 +58,7 @@ class VerificationError(AssertionError):
 _ZZ_T = ZZ[t]
 _QQ_T = QQ.frac_field(t)
 _QQ_XT_RING = QQ_XT.field.ring   # Q[x, t], where K's numerators live
+_X = _QQ_XT_RING.gens[0]
 
 
 class PointEvaluator:
@@ -348,63 +349,49 @@ def section(seq: Seq, d: int, i: int) -> Seq:
     return FuncSeq(fn)
 
 
-def first_safe_index(A: sp.Matrix, B: sp.Matrix, V: sp.Matrix,
+def first_safe_index(A: DomainMatrix, B: DomainMatrix, V: DomainMatrix,
                      tower: Tower = TRIVIAL_TOWER) -> int:
     """Least N >= 1 with A(j), B(j) defined, det A(j) != 0 for all j >= N,
-    V defined at N and V(N) != 0.
+    V defined at N and V(N) != 0, for A, B and V given by their K-forms
+    over the tower.
 
-    Found by scanning the integer roots (in x) of every denominator and of
-    the determinant numerator; t and theta stay symbolic, so a root must be
-    a genuine rational-integer root of a coefficient-wise zero polynomial.
-    A, B and V are read over the tower, through their K-forms; the scan of
-    A and B is done once per system and tower.
+    Found by scanning the integer roots (in x) of every denominator of the
+    K-forms and of the numerator and denominator of the determinant of A's.
+    That determinant is the norm of det A, so its integer roots include
+    those of det A.  t and theta stay symbolic, so a root must be a genuine
+    rational-integer root of a coefficient-wise zero polynomial.
     """
-    dens = [c.denom for c in dm_from_matrix(V, tower).to_list_flat()]
-    bad = max([_system_pole_bound(sp.ImmutableMatrix(A),
-                                  sp.ImmutableMatrix(B), tower)]
-              + [_max_integer_x_root(d) for d in dens])
-    N = max(1, bad + 1)
-    while all(treduce(v.subs(x, N), tower) == 0 for v in V):
+    detA = A.det()
+    polys = ([e.denom for D in (A, B, V) for e in D.to_list_flat()]
+             + [detA.numer, detA.denom])
+    N = max(1, 1 + max((r for p in polys for r in x_integer_roots(p)),
+                       default=0))
+    # V(N) is defined, so it is zero when every numerator vanishes at x = N
+    while not any(e.numer.evaluate(_X, N) for e in V.to_list_flat()):
         N += 1
     return N
 
 
-@functools.lru_cache(maxsize=8)
-def _system_pole_bound(A: sp.ImmutableMatrix, B: sp.ImmutableMatrix,
-                       tower: Tower) -> int:
-    """max(0, largest integer root in x) of the denominators of the K-forms
-    of A and B over the tower and of the numerator and denominator of the
-    determinant of A's.  That determinant is the norm of det A, so its
-    integer roots include those of det A."""
-    DA, DB = dm_from_matrix(A, tower), dm_from_matrix(B, tower)
-    detA = DA.det()
-    polys = ([e.denom for e in DA.to_list_flat() + DB.to_list_flat()]
-             + [detA.numer, detA.denom])
-    return max(_max_integer_x_root(p) for p in polys)
-
-
-def _max_integer_x_root(p) -> int:
-    """max(0, largest integer root in x of p in Q[x, t])."""
-    return max([0] + x_integer_roots(p))
-
-
-def seq_from_recurrence(A: sp.Matrix, N: int, V_N: sp.Matrix,
+def seq_from_recurrence(A: DomainMatrix, N: int, V_N: DomainMatrix,
                         t0=None, tower: Tower = TRIVIAL_TOWER) -> SeqVec:
-    """SeqVec with W(N) = V_N and W(j+1) = A(j) W(j)."""
-    steps = CompiledMatrix(dm_from_matrix(A, tower), tower, t0, tower.degree)
+    """SeqVec with W(N) = V_N and W(j+1) = A(j) W(j), for A and V_N given
+    by their K-forms over the tower."""
+    steps = CompiledMatrix(A, tower, t0, tower.degree)
     pts = steps.points
-    return SeqVec(steps, N, pts.at(
-        pts.compile(dm_from_matrix(V_N, tower), tower.degree), N))
+    return SeqVec(steps, N, pts.at(pts.compile(V_N, tower.degree), N))
 
 
-def lift_sigma_d_to_sigma(V: sp.Matrix, ratio, d: int, A: sp.Matrix,
-                          B: sp.Matrix, N: Optional[int] = None,
+def lift_sigma_d_to_sigma(V: DomainMatrix, ratio: DomainMatrix, d: int,
+                          A: DomainMatrix, B: DomainMatrix,
+                          N: Optional[int] = None,
                           tower: Tower = TRIVIAL_TOWER,
                           check_terms: int = 30,
                           steps: Optional[CompiledMatrix] = None) -> SeqVec:
     """Lift a hypergeometric solution V*h (sigma^d(h) = ratio*h) of the
     sigma^d-system to a solution sequence of the sigma-system:
     W(N) = V(N) (prefactor normalized to h(N) = 1), W(j+1) = A(j) W(j).
+    V, the 1 x 1 matrix [ratio], A and B are given by their K-forms over
+    the tower.
 
     Cross-checked against the section-sum construction
     U = V_0 + ... + V_{d-1}, V_i(j) = A(j)^{-1} V_{i-1}(j+1), on a
@@ -423,13 +410,13 @@ def lift_sigma_d_to_sigma(V: sp.Matrix, ratio, d: int, A: sp.Matrix,
         N = first_safe_index(A, B, V, tower)
     deg = tower.degree
     if steps is None:
-        steps = CompiledMatrix(dm_from_matrix(A, tower), tower, deg=deg)
+        steps = CompiledMatrix(A, tower, deg=deg)
     pts = steps.points
-    Vc = pts.compile(dm_from_matrix(V, tower), deg)
+    Vc = pts.compile(V, deg)
     W = SeqVec(steps, N, pts.at(Vc, N))
     if d == 1:
         return W
-    rc = pts.compile(dm_from_matrix(sp.Matrix([ratio]), tower), deg)
+    rc = pts.compile(ratio, deg)
     one = pts.R.one
     hs = [([one], one)]   # h(N + d*s) = num / den, normalized by h(N) = 1
     comps: dict = {}
@@ -467,18 +454,47 @@ class HypCert:
     delta_ratio: sp.Expr
 
 
+class Part(NamedTuple):
+    """One hypergeometric part W*h of a solution, sigma^m(h) = r*h and
+    delta(h) = c*h, with W, the 1 x 1 matrices [r] and [c] as K-forms over
+    the solution's tower."""
+    label: str
+    W: DomainMatrix
+    r: DomainMatrix
+    c: DomainMatrix
+    m: int
+
+
 @dataclass
 class LiouvilleSolution:
     """kind 'Hypergeometric': W, cert describe W*h with sigma^m(h) =
     sigma_ratio*h and delta(h) = delta_ratio*h.  kind 'Interlaced':
     components [(shift class i, W_i, cert_i)] of sigma^d-solutions whose
-    lifts interlace to solutions of the sigma-system."""
+    lifts interlace to solutions of the sigma-system.
+
+    The K-forms of its parts (:attr:`parts`) are formed on first use and
+    kept; the fields are not modified after construction."""
     kind: str
     W: Optional[sp.Matrix] = None
     cert: Optional[HypCert] = None
     period: int = 1
     components: list = field(default_factory=list)
     tower: Tower = TRIVIAL_TOWER
+
+    @functools.cached_property
+    def parts(self) -> list:
+        """The :class:`Part` of each hypergeometric part, what the
+        certificate check, the numeric window and the lift read; FieldError
+        for an entry outside the tower."""
+        if self.kind == "Hypergeometric":
+            raw = [("solution", self.W, self.cert)]
+        else:
+            raw = [(f"component {i}", W, c) for i, W, c in self.components]
+        return [Part(label, dm_from_matrix(W, self.tower),
+                     *(dm_from_matrix(sp.Matrix([e]), self.tower)
+                       for e in (cert.sigma_ratio, cert.delta_ratio)),
+                     cert.sigma_step)
+                for label, W, cert in raw]
 
 
 @dataclass
@@ -490,25 +506,16 @@ class VerifyResult:
         return self.ok
 
 
-def solution_parts(sol: LiouvilleSolution) -> list:
-    """(label, W, cert) for each hypergeometric part of a solution."""
-    if sol.kind == "Hypergeometric":
-        return [("solution", sol.W, sol.cert)]
-    return [(f"component {i}", W, c) for i, W, c in sol.components]
-
-
-def _check_pair(system, W, cert: HypCert, tower: Tower, label: str):
+def _check_pair(system, part: Part, tower: Tower) -> list:
     """The sigma- and delta-identities of one hypergeometric part, as
     equalities of K-forms over the tower."""
     failures = []
-    m = cert.sigma_step
-    W = dm_from_matrix(W, tower)
-    r, c = (dm_from_matrix(sp.Matrix([e]), tower)
-            for e in (cert.sigma_ratio, cert.delta_ratio))
-    if dm_shift(W, m) * r != dm_embed(system.cocycle(m), tower) * W:
-        failures.append(f"{label}: sigma identity sigma^{m}(W)*r = A_{m}*W")
-    if dm_delta(W, tower) + W * c != dm_embed(system.B_K, tower) * W:
-        failures.append(f"{label}: delta identity delta(W) + c*W = B*W")
+    W, m = part.W, part.m
+    if dm_shift(W, m) * part.r != dm_embed(system.cocycle(m), tower) * W:
+        failures.append(
+            f"{part.label}: sigma identity sigma^{m}(W)*r = A_{m}*W")
+    if dm_delta(W, tower) + W * part.c != dm_embed(system.B_K, tower) * W:
+        failures.append(f"{part.label}: delta identity delta(W) + c*W = B*W")
     return failures
 
 
@@ -522,17 +529,9 @@ def verify_certificates(system, sol: LiouvilleSolution) -> VerifyResult:
     the sigma^period-system."""
     if sol.kind not in ("Hypergeometric", "Interlaced"):
         return VerifyResult(False, [f"unknown solution kind {sol.kind!r}"])
-    failures = [f for label, W, cert in solution_parts(sol)
-                for f in _check_pair(system, W, cert, sol.tower, label)]
+    failures = [f for part in sol.parts
+                for f in _check_pair(system, part, sol.tower)]
     return VerifyResult(not failures, failures)
-
-
-@functools.lru_cache(maxsize=8)
-def _compiled_cocycle(A: sp.ImmutableMatrix, m: int, tower: Tower, t0):
-    """The evaluator over the tower at t0 and A_m compiled by it, shared
-    by the numeric windows of all solutions of a solve."""
-    pts = PointEvaluator(tower, t0)
-    return pts, pts.compile(dm_sigma_power(A, m))
 
 
 def verify_numeric_window(system, sol: LiouvilleSolution, t0, terms: int = 30) -> VerifyResult:
@@ -543,13 +542,10 @@ def verify_numeric_window(system, sol: LiouvilleSolution, t0, terms: int = 30) -
     relation is checked symbolically by verify_certificates."""
     failures = []
     deg = sol.tower.degree
-    for label, W, cert in solution_parts(sol):
-        m = cert.sigma_step
-        pts, Am = _compiled_cocycle(sp.ImmutableMatrix(system.A), m,
-                                    sol.tower, t0)
-        Wc = pts.compile(dm_from_matrix(W, sol.tower), deg)
-        rc = pts.compile(dm_from_matrix(sp.Matrix([cert.sigma_ratio]),
-                                        sol.tower), deg)
+    pts = PointEvaluator(sol.tower, t0)
+    for label, W, ratio, _, m in sol.parts:
+        Am, Wc, rc = (pts.compile(system.cocycle(m)), pts.compile(W, deg),
+                      pts.compile(ratio, deg))
         # start past every pole visible after the specialization t = t0
         N = max([1] + [r + m + 1 for _, den in (Am, Wc, rc) if len(den) > 1
                        for r in common_integer_roots([den])])

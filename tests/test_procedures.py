@@ -7,9 +7,8 @@ import sys
 import pytest
 import sympy as sp
 
-from ddsolve.fields import (TRIVIAL_TOWER, delta, dm_to_matrix, mat_delta,
-                            mat_inv, mat_reduce, mat_shift, t, teq, theta,
-                            treduce, x)
+from ddsolve.fields import (TRIVIAL_TOWER, delta, dm_to_matrix, mat_inv,
+                            mat_reduce, mat_shift, t, teq, theta, treduce, x)
 from ddsolve.procedures import (DDSystem, _certificate_normalizer,
                                 _first_verification_point,
                                 _normalize_gauge_certificates,
@@ -17,9 +16,10 @@ from ddsolve.procedures import (DDSystem, _certificate_normalizer,
                                 decision_procedure_2, solve_liouvillian)
 from ddsolve.ratsol import UnsupportedCase
 from ddsolve.sequences import VerificationError, verify_certificates
-from ddsolve.files import read_system
+from ddsolve.cli import main as cli_main
+from ddsolve.files import read_system, write_system
 from conftest import ROOT, SYSTEMS, random_invertible_matrix, random_ratfunc
-from helpers import mat_eq, reference_gauge_delta_part
+from helpers import mat_delta, mat_eq, reference_gauge_delta_part
 
 HERMITE_A = sp.Matrix([[0, 1], [-2 * x, 2 * t]])
 HERMITE_B = sp.Matrix([[2 * t, -1], [2 * x, 0]])
@@ -243,6 +243,35 @@ def test_solve_requires_valid_system():
     B = sp.Matrix([[t, 1], [0, t]])
     with pytest.raises(ValueError):
         solve_liouvillian(DDSystem(2, A, B))
+
+
+def test_unasserted_irreducibility_gives_no_negative_verdict(tmp_path):
+    """A = [[x, 1], [0, 1]], B = 0 is reducible, with the liouvillian basis
+    Gamma(x) (1, 0) and Gamma(x) (sum_{k<x} 1/Gamma(k+1), 1).  Both
+    procedures exclude a basis; with irreducibility not asserted that is
+    no proof, so the verdict is Inconclusive (exit 2) and names the
+    missing assumption."""
+    system = DDSystem(2, sp.Matrix([[x, 1], [0, 1]]), sp.zeros(2, 2))
+    out = solve_liouvillian(system)
+    assert (out.kind, out.provenance) == ("Inconclusive", "DP1+DP2")
+    assert "irreducibility over Q(x, t) is not asserted" in out.reason
+    path = tmp_path / "reducible.json"
+    write_system(str(path), system)
+    assert cli_main(["solve", str(path)]) == 2
+
+
+def test_dp1_d2_without_hyperexponential_basis_is_inconclusive():
+    """A = I and B the companion matrix of y'' + y'/(2t) - y/t = 0, whose
+    solutions exp(+-2 sqrt(t)) are hyperexponential only over theta^2 = t.
+    The d2 search over Q(t) finds no basis, which proves nothing: DP1 ends
+    Unsupported at d2 and the verdict is Inconclusive, although
+    irreducibility is asserted."""
+    B = sp.Matrix([[0, 1], [1 / t, -1 / (2 * t)]])
+    system = DDSystem(2, sp.eye(2), B, assume_irreducible=True)
+    out = solve_liouvillian(system)
+    assert (out.kind, out.provenance, out.stage) == \
+        ("Inconclusive", "DP1", "d2")
+    assert out.report["dp1"]["kind"] == "Unsupported"
 
 
 # ---------------------------------------------------------------------------

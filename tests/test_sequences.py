@@ -5,9 +5,9 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from ddsolve.fields import (TRIVIAL_TOWER, dm_from_matrix, dm_sigma_power,
-                            make_tower, mat_inv, mat_reduce, mat_shift, shift,
-                            t, teq, theta, treduce, x)
+from ddsolve.fields import (TRIVIAL_TOWER, dm_from_matrix, make_tower,
+                            mat_inv, mat_reduce, mat_shift, shift, t, teq,
+                            theta, treduce, x)
 from ddsolve.files import read_system
 from helpers import reference_check_pair, reference_lift
 from ddsolve.parsing import parse_ratfunc
@@ -20,6 +20,25 @@ from ddsolve.sequences import (FuncSeq, HypCert, LiouvilleSolution, PoleError,
                                verify_numeric_window)
 
 
+def kform(M, tower=TRIVIAL_TOWER):
+    """The K-form over the tower of a matrix, or of [M] for a scalar M."""
+    if not isinstance(M, sp.MatrixBase):
+        M = sp.Matrix([M])
+    return dm_from_matrix(M, tower)
+
+
+def lift(V, ratio, d, A, B, tower=TRIVIAL_TOWER, **kwargs):
+    """lift_sigma_d_to_sigma on the K-forms of Expr arguments."""
+    return lift_sigma_d_to_sigma(*(kform(M, tower) for M in (V, ratio)), d,
+                                 *(kform(M, tower) for M in (A, B)),
+                                 tower=tower, **kwargs)
+
+
+def seq(A, N, V_N, t0=None):
+    """seq_from_recurrence on the K-forms of Expr arguments."""
+    return seq_from_recurrence(kform(A), N, kform(V_N), t0)
+
+
 # ---------------------------------------------------------------------------
 # recurrence-generated sequences
 
@@ -27,7 +46,7 @@ def test_seq_from_recurrence_window():
     # companion matrix of the weighted-Hermite recurrence
     # W(j+1) = A(j) W(j); the first step evaluates A at x = 0
     A = sp.Matrix([[0, 1], [-2 * x, 2 * t]])
-    W = seq_from_recurrence(A, 0, sp.Matrix([1, 2 * t]))
+    W = seq(A, 0, sp.Matrix([1, 2 * t]))
     assert list(W.value(0)) == [1, 2 * t]
     assert [sp.expand(e) for e in W.value(1)] == [2 * t, 4 * t**2]
     assert [sp.expand(e) for e in W.value(2)] == \
@@ -36,7 +55,7 @@ def test_seq_from_recurrence_window():
 
 def test_seq_value_below_start_is_zero():
     A = sp.Matrix([[2]])
-    W = seq_from_recurrence(A, 3, sp.Matrix([5]))
+    W = seq(A, 3, sp.Matrix([5]))
     assert W.value(2) == sp.Matrix([0])
     assert W.value(3) == sp.Matrix([5])
     assert W.value(5) == sp.Matrix([20])
@@ -44,7 +63,7 @@ def test_seq_value_below_start_is_zero():
 
 def test_seq_pole_detection():
     A = sp.Matrix([[1 / (x - 4)]])
-    W = seq_from_recurrence(A, 3, sp.Matrix([1]))
+    W = seq(A, 3, sp.Matrix([1]))
     with pytest.raises(PoleError) as err:
         W.value(5)
     assert err.value.index == 4
@@ -52,7 +71,7 @@ def test_seq_pole_detection():
 
 def test_seq_specialized_tower_evaluation():
     A = sp.Matrix([[t]])
-    W = seq_from_recurrence(A, 0, sp.Matrix([1]), t0=sp.Rational(3))
+    W = seq(A, 0, sp.Matrix([1]), t0=sp.Rational(3))
     assert W.value(2) == sp.Matrix([9])
 
 
@@ -96,8 +115,7 @@ def test_lift_step_two_cross_check_30_terms():
     B = sp.Matrix([[0]])
     V = sp.Matrix([1])
     # sigma^2-ratio of W: W(j+2)/W(j) = (j+3)(j+2)
-    W = lift_sigma_d_to_sigma(V, sp.expand((x + 3) * (x + 2)), 2, A, B,
-                              N=1, check_terms=30)
+    W = lift(V, sp.expand((x + 3) * (x + 2)), 2, A, B, N=1, check_terms=30)
     assert W.value(1) == sp.Matrix([1])
     assert W.value(3) == sp.Matrix([4 * 3])
 
@@ -107,7 +125,7 @@ def test_lift_cross_check_failure_is_loud():
     B = sp.Matrix([[0]])
     V = sp.Matrix([1])
     with pytest.raises(AssertionError):
-        lift_sigma_d_to_sigma(V, sp.Integer(7), 2, A, B, N=1, check_terms=10)
+        lift(V, sp.Integer(7), 2, A, B, N=1, check_terms=10)
 
 
 def test_lift_over_tower_cross_checks():
@@ -116,12 +134,12 @@ def test_lift_over_tower_cross_checks():
     A = sp.Matrix([[0, theta], [x + 1, 0]])
     B = sp.zeros(2, 2)
     V = sp.Matrix([1, 0])
-    W = lift_sigma_d_to_sigma(V, theta * (x + 1), 2, A, B, N=1,
-                              tower=EX1_TOWER, check_terms=12)
+    W = lift(V, theta * (x + 1), 2, A, B, N=1, tower=EX1_TOWER,
+             check_terms=12)
     assert W.value(3) == sp.Matrix([2 * theta, 0])
     with pytest.raises(VerificationError):
-        lift_sigma_d_to_sigma(V, 2 * theta * (x + 1), 2, A, B, N=1,
-                              tower=EX1_TOWER, check_terms=12)
+        lift(V, 2 * theta * (x + 1), 2, A, B, N=1, tower=EX1_TOWER,
+             check_terms=12)
 
 
 def test_lifts_of_example2_evaluate_A_once_per_index(example2_path,
@@ -142,27 +160,21 @@ def test_lifts_of_example2_evaluate_A_once_per_index(example2_path,
     lifts = out.report["lifts"]
     steps = lifts[0].steps
     assert len(lifts) == 3 and all(W.steps is steps for W in lifts)
-    assert steps.compiled == PointEvaluator().compile(
-        dm_sigma_power(system.A, 1))
+    assert steps.compiled == PointEvaluator().compile(system.A_K)
     per_index = Counter(j for c, j in calls if c is steps.compiled)
     assert set(per_index.values()) == {1}
     assert all(j in per_index for W in lifts for j in range(W.N, W.N + 29))
     # the cross-check keeps its strength: a doubled ratio is caught
     _, W, cert = out.solutions[0].components[0]
     with pytest.raises(VerificationError):
-        lift_sigma_d_to_sigma(W, 2 * cert.sigma_ratio, system.n, system.A,
-                              system.B)
+        lift(W, 2 * cert.sigma_ratio, system.n, system.A, system.B)
 
 
 def test_lift_and_window_run_without_cancel_or_together(solved_example2,
                                                        monkeypatch):
     """The lift and the numeric window compile from K-forms: on a solved
     example2 neither runs sp.cancel or sp.together."""
-    import ddsolve.sequences as sequences
-
     system, out = solved_example2
-    sequences._compiled_cocycle.cache_clear()
-    sequences._system_pole_bound.cache_clear()
 
     def boom(*args, **kwargs):
         raise AssertionError("SymPy simplification called")
@@ -170,10 +182,63 @@ def test_lift_and_window_run_without_cancel_or_together(solved_example2,
     monkeypatch.setattr(sp, "cancel", boom)
     monkeypatch.setattr(sp, "together", boom)
     for sol in out.solutions:
-        _, W, cert = sol.components[0]
-        lift_sigma_d_to_sigma(W, cert.sigma_ratio, system.n, system.A,
-                              system.B)
+        part = sol.parts[0]
+        lift_sigma_d_to_sigma(part.W, part.r, system.n, system.A_K,
+                              system.B_K)
         assert verify_numeric_window(system, sol, sp.Integer(1)).ok
+
+
+def test_verification_and_lift_share_one_k_form_per_part(solved_example2,
+                                                         monkeypatch):
+    """Verifying and lifting example2's three solutions converts W, r and
+    c of each part to K once (9 conversions), and the certificate check,
+    the numeric window and the lift all read those same K-forms."""
+    import dataclasses
+    import sys
+
+    import ddsolve.fields as fields
+    import ddsolve.procedures as procedures
+    import ddsolve.sequences as sequences
+
+    system, solved = solved_example2
+    out = procedures.Outcome("Solved", "DP2", solutions=[
+        dataclasses.replace(sol) for sol in solved.solutions])
+    log = {"convert": [], "check": [], "compile": [], "lift": []}
+
+    def spy(key, fn):
+        def wrapper(*args, **kwargs):
+            log[key].append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    orig = fields.dm_from_matrix
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ddsolve") and \
+                getattr(mod, "dm_from_matrix", None) is orig:
+            monkeypatch.setattr(mod, "dm_from_matrix", spy("convert", orig))
+    monkeypatch.setattr(sequences, "_check_pair",
+                        spy("check", sequences._check_pair))
+    monkeypatch.setattr(PointEvaluator, "compile",
+                        spy("compile", PointEvaluator.compile))
+    procedures._verify_solved(system, out)
+    window = [args[1] for args in log["compile"]]
+    monkeypatch.setattr(procedures, "lift_sigma_d_to_sigma",
+                        spy("lift", procedures.lift_sigma_d_to_sigma))
+    procedures._lifts(system, out)
+
+    parts = [part for sol in out.solutions for part in sol.parts]
+    assert len(parts) == 3
+    assert [args[0] for args in log["convert"]] == [
+        M for sol in out.solutions for _, W, cert in sol.components
+        for M in (W, sp.Matrix([cert.sigma_ratio]),
+                  sp.Matrix([cert.delta_ratio]))]
+    assert all(args[1] is part for args, part in zip(log["check"], parts))
+    assert len(log["check"]) == 3
+    for part, args in zip(parts, log["lift"]):
+        assert any(D is part.W for D in window)
+        assert any(D is part.r for D in window)
+        assert args[0] is part.W and args[1] is part.r
+    assert len(log["lift"]) == 3
 
 
 def _ratfunc(draw, tower):
@@ -224,8 +289,7 @@ def test_fraction_free_lift_matches_reference(case):
         except VerificationError as err:
             want = str(err)
         try:
-            W = lift_sigma_d_to_sigma(V, r, d, A, B, N=N, tower=tower,
-                                      check_terms=terms)
+            W = lift(V, r, d, A, B, N=N, tower=tower, check_terms=terms)
             got = [W.value(j) for j in range(N, N + terms)]
         except VerificationError as err:
             got = str(err)
@@ -242,20 +306,18 @@ def test_lift_over_non_monic_tower():
     A = sp.Matrix([[0, theta / (x + 1)], [x + t, 0]])
     V = sp.Matrix([1, 0])
     ratio = treduce(theta * (x + t) / (x + 2), tower)
-    W = lift_sigma_d_to_sigma(V, ratio, 2, A, sp.zeros(2, 2), N=1,
-                              tower=tower)
+    W = lift(V, ratio, 2, A, sp.zeros(2, 2), N=1, tower=tower)
     assert [W.value(j) for j in range(1, 31)] == \
         reference_lift(V, ratio, 2, A, 1, tower)
     with pytest.raises(VerificationError):
-        lift_sigma_d_to_sigma(V, 2 * ratio, 2, A, sp.zeros(2, 2), N=1,
-                              tower=tower)
+        lift(V, 2 * ratio, 2, A, sp.zeros(2, 2), N=1, tower=tower)
 
 
 def test_first_safe_index_skips_integer_poles():
     A = sp.Matrix([[1 / (x - 3)]])
     B = sp.Matrix([[0]])
     V = sp.Matrix([1])
-    assert first_safe_index(A, B, V) >= 4
+    assert first_safe_index(kform(A), kform(B), kform(V)) >= 4
 
 
 @pytest.mark.parametrize("A, B, V, want", [
@@ -266,14 +328,14 @@ def test_first_safe_index_skips_integer_poles():
 ])
 def test_first_safe_index_exact(A, B, V, want):
     """Zeros of det A, poles of B and V; x = t is no integer root."""
-    assert first_safe_index(A, B, V) == want
+    assert first_safe_index(kform(A), kform(B), kform(V)) == want
 
 
 def test_first_safe_index_skips_zero_start_vector():
     A = sp.Matrix([[2]])
     B = sp.Matrix([[0]])
     V = sp.Matrix([x - 5])
-    N = first_safe_index(A, B, V)
+    N = first_safe_index(kform(A), kform(B), kform(V))
     assert treduce(V[0].subs(x, N)) != 0
 
 
@@ -436,8 +498,8 @@ def test_lift_over_tower_finds_its_start_index():
     A = sp.Matrix([[0, theta], [x + 1, 0]])
     V = sp.Matrix([1, 0])
     args = (V, theta * (x + 1), 2, A, sp.zeros(2, 2))
-    W = lift_sigma_d_to_sigma(*args, tower=EX1_TOWER, check_terms=12)
-    ref = lift_sigma_d_to_sigma(*args, N=1, tower=EX1_TOWER, check_terms=12)
+    W = lift(*args, tower=EX1_TOWER, check_terms=12)
+    ref = lift(*args, N=1, tower=EX1_TOWER, check_terms=12)
     assert W.N == 1
     assert [W.value(j) for j in range(1, 13)] == \
         [ref.value(j) for j in range(1, 13)]
