@@ -13,9 +13,13 @@ expressions appear only at the boundary: the coefficients are read in
 from expressions, and each new ratio is built as an expression and
 checked by substitution into the recurrence.
 
-Systems are reduced to scalar recurrences through the chain
-v -> sigma^m(v) M, one per coordinate, and solutions recovered by rational
-back-substitution.
+system_hypergeometric() takes the K-form of M (see :mod:`ddsolve.fields`)
+and reduces sigma^m(Y) = M Y to scalar recurrences through the chain
+v -> sigma^m(v) M, one per coordinate.  The ratios are deduplicated as
+elements of K = Q(x, t), each is decomposed once as sigma^m(g)/g * lambda
+with lambda standard, and the solutions are recovered by rational
+back-substitution on K-forms.  Candidates are grouped by lambda; a g W in
+the constant span of the earlier ones of its group is dropped.
 
 The hyperexponential solver is deliberately restricted to diagonal,
 constant, and simple-pole matrices; anything else raises UnsupportedCase.
@@ -35,12 +39,13 @@ from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.polyerrors import CoercionFailed
 
-from .fields import (TRIVIAL_TOWER, FieldError, Tower,
-                     _theta_reduction_table, dm_from_matrix, dm_to_matrix,
-                     indicial_degrees, kernel, make_tower, mat_reduce,
-                     mat_shift, nullspace, shift, t, theta, treduce, x)
+from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, Tower,
+                     _theta_reduction_table, dm_shift, dm_to_matrix,
+                     indicial_degrees, kernel, make_tower, nullspace, shift,
+                     t, theta, treduce, x)
 from .difftools import standard_decompose
-from .ratsol import UnsupportedCase, rational_solutions, scalar_operators
+from .ratsol import (UnsupportedCase, _constant_span_reduce,
+                     rational_solutions, scalar_operators)
 from .sequences import VerificationError
 
 __all__ = ["HypergeometricCandidate", "HyperexpCandidate", "UnsupportedCase",
@@ -53,8 +58,9 @@ _QQ_X = QQ.frac_field(x)
 
 @dataclass
 class HypergeometricCandidate:
-    W: sp.Matrix          # rational vector part
-    ratio: sp.Expr        # sigma^m(h) = ratio * h
+    W: DomainMatrix         # K-form of the rational vector part
+    ratio: sp.Expr          # sigma^m(h) = ratio * h, as petkovsek returns it
+    standard_part: sp.Expr  # lambda: ratio = sigma^m(g)/g * lambda
     m: int
 
 
@@ -237,75 +243,41 @@ def _ratio_expr(zexpr, a, b, C, K, ps, m):
 # ---------------------------------------------------------------------------
 # hypergeometric solutions of systems
 
-def _canonical_candidate(W, r, m):
-    """Push the sigma^m(g)/g part of the ratio into the vector so equivalent
-    candidates compare equal."""
-    sd = standard_decompose(r, m)
-    Wc = mat_reduce(W * sd.g)
-    # normalize by the first nonzero entry's leading content
-    piv = next((w for w in Wc if sp.cancel(w) != 0), None)
-    if piv is not None:
-        num, den = sp.fraction(sp.cancel(piv))
-        lc = sp.LC(sp.expand(num), x) / sp.LC(sp.expand(den), x)
-        if lc != 0 and not lc.free_symbols:
-            Wc = mat_reduce(Wc / lc)
-    return Wc, sp.cancel(sd.standard_part)
+def system_hypergeometric(M: DomainMatrix, m: int = 1):
+    """Hypergeometric solution candidates (W, r) of sigma^m(Y) = MY over
+    Q(x), M a K-form: chain operators -> petkovsek ratios -> rational
+    back-substitution, every candidate verified.
 
-
-def system_hypergeometric(M: sp.Matrix, m: int = 1):
-    """All hypergeometric solution candidates (W, r) of sigma^m(Y) = MY
-    over Q(x): chain operators -> petkovsek ratios -> rational
-    back-substitution, every candidate verified."""
-    ratios = []
-    for op in scalar_operators(dm_from_matrix(M), m, TRIVIAL_TOWER):
+    With r = sigma^m(g)/g * lambda, lambda standard, the candidate stands
+    for the solution g W h, sigma^m(h) = lambda h; a g W in the constant
+    span of the earlier ones with the same lambda adds nothing and is
+    dropped."""
+    ratios = {}                 # r in K -> r as petkovsek returns it
+    for op in scalar_operators(M, m, TRIVIAL_TOWER):
         for r in petkovsek(list(dm_to_matrix(op)), m):
             try:
-                treduce(r)
-            except FieldError:
+                ratios.setdefault(QQ_XT.from_sympy(r), r)
+            except (CoercionFailed, ValueError):
                 # a quadratic constant: the back-substitution works over K
                 raise UnsupportedCase(
                     f"hypergeometric ratio not in Q(x, t): {r}") from None
-            if not any(sp.cancel(r - r2) == 0 for r2 in ratios):
-                ratios.append(r)
-    seen = []
+    spans = {}                  # lambda -> the kept g W
     out = []
-    for r in ratios:
-        basis = rational_solutions(dm_from_matrix(M / r), m,
-                                   TRIVIAL_TOWER).basis
-        for W in map(dm_to_matrix, basis):
-            resid = mat_shift(W, m) * r - mat_reduce(M * W)
-            if not all(sp.cancel(e) == 0 for e in resid):
+    for r_K, r in ratios.items():
+        sd = standard_decompose(r, m)
+        g_K = QQ_XT.from_sympy(sd.g)
+        span = spans.setdefault(sd.standard_part, [])
+        for W in rational_solutions(M.mul(QQ_XT.one / r_K), m,
+                                    TRIVIAL_TOWER).basis:
+            if dm_shift(W, m).mul(r_K) != M * W:
                 raise VerificationError(
                     "hypergeometric candidate failed substitution check")
-            Wc, rc = _canonical_candidate(W, r, m)
-            key_new = True
-            for Ws, rs in seen:
-                if sp.cancel(rs - rc) == 0:
-                    # proportional over constants?
-                    lam = None
-                    ok = True
-                    for a, b in zip(Wc, Ws):
-                        a, b = sp.cancel(a), sp.cancel(b)
-                        if a == 0 and b == 0:
-                            continue
-                        if (a == 0) != (b == 0):
-                            ok = False
-                            break
-                        q = sp.cancel(a / b)
-                        if x in q.free_symbols:
-                            ok = False
-                            break
-                        if lam is None:
-                            lam = q
-                        elif sp.cancel(q - lam) != 0:
-                            ok = False
-                            break
-                    if ok:
-                        key_new = False
-                        break
-            if key_new:
-                seen.append((Wc, rc))
-                out.append(HypergeometricCandidate(W=W, ratio=r, m=m))
+            gW = W.mul(g_K)
+            kept = _constant_span_reduce(span + [gW], TRIVIAL_TOWER)
+            if len(kept) > len(span):
+                span.append(gW)
+                out.append(HypergeometricCandidate(W, r, sd.standard_part,
+                                                   m))
     return out
 
 

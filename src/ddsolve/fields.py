@@ -27,9 +27,16 @@ K-form, the K-matrix of its regular representation (:func:`regular_matrix`;
 the trivial tower is the case of degree 1), converted at the boundary by
 :func:`dm_from_matrix` and :func:`dm_to_matrix`.  Sums, products and
 inverses over the tower are those of the K-forms; sigma, and delta with
-:func:`dm_delta`, act on them too.  The ``Expr`` helpers (``mat_*``,
-:func:`nullspace`, :func:`rank`, :func:`sigma_power_matrix`) serve parsing,
-files, the CLI and the modules whose API is still ``Expr``.
+:func:`dm_delta`, act on them too.  The ``Expr`` matrix helpers that
+remain serve what is still ``Expr``: :func:`nullspace` and :func:`rank`
+the hyperexponential side (the eigenvectors of ``closedform``, the
+independence test of DP1's residual candidates); :func:`mat_reduce`, :func:`mat_inv` and :func:`sigma_power_matrix` have no
+caller in the package, but ``ddsolve`` exports them and the benchmark
+tracer (``ddbench/tracer.py``) names ``mat_inv`` and
+``sigma_power_matrix``.  The scalar helpers (:func:`treduce`,
+:func:`shift`, :func:`factor_in_x`, :func:`series_at_infinity`) serve
+``difftools``, parsing and the places where a value enters or leaves as
+an expression.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ __all__ = [
     "treduce", "teq", "tinv", "shift", "delta",
     "series_at_infinity", "factor_in_x", "roots_over_coeff_field",
     "AllEqual", "Split", "Conjugate", "MixedSplit",
-    "mat_reduce", "mat_shift", "mat_inv",
+    "mat_reduce", "mat_inv",
     "nullspace", "rank", "kernel", "regular_matrix", "from_regular",
     "regular_rows", "theta_coords", "from_theta_coords",
     "common_integer_roots", "x_integer_roots",
@@ -434,10 +441,6 @@ def roots_over_coeff_field(P, var: sp.Symbol, n: int):
 
 def mat_reduce(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
     return M.applyfunc(lambda e: treduce(e, tower))
-
-
-def mat_shift(M: sp.Matrix, j: int = 1) -> sp.Matrix:
-    return M.applyfunc(lambda e: shift(e, j))
 
 
 def mat_inv(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:

@@ -12,14 +12,19 @@ gauge over Q(x, t) and solve the residual hyperexponential system.
 Decision procedure 2 works with the sigma^n-compressed system: it detects
 the interlacing normal form sigma^n-part beta(t) * diag(lambda(x + j0 + i))
 through hypergeometric candidates of a t-specialized system, then
-assembles the gauge and reads the diagonal delta-part.  Solutions are
-interlacings of hypergeometric vectors, returned with their sigma- and
-delta-certificates and lifted to sequences of the original system.
+assembles the gauge and reads the diagonal delta-part.  Its stage c takes
+the candidates of the specialized sigma^n-system, one per standard part
+lambda and constant span (closedform.system_hypergeometric), and reads
+lambda off them.  Solutions are interlacings of hypergeometric vectors,
+returned with their sigma- and delta-certificates and lifted to sequences
+of the original system.
 
-The gauge G, the identity sigma^m(G) diag(r) = A G and the delta-part
-B-bar = G^-1 B G - G^-1 delta(G) are formed on K-forms (see
-:mod:`ddsolve.fields`), from the ones of A and B a :class:`DDSystem` holds;
-G and B-bar become sympy matrices once, for certificates and report.
+The gauge G, the identity sigma^m(G) diag(r) = A G, the delta-part
+B-bar = G^-1 B G - G^-1 delta(G) and the residue normal form of the
+certificates are formed on K-forms (see :mod:`ddsolve.fields`), from the
+ones of A and B a :class:`DDSystem` holds, and so are DP2's specialized
+system and its ratios beta * lambda(x + j0 + i); G and B-bar become sympy
+matrices once, for certificates and report.
 """
 
 from __future__ import annotations
@@ -35,13 +40,13 @@ from sympy.polys.matrices import DomainMatrix
 
 from .closedform import (UnsupportedCase, hyperexp_solutions,
                          system_hypergeometric)
-from .difftools import (leading_beta, split_alpha_beta_power,
-                        standard_decompose)
+from .difftools import (StandardDecomposition, leading_beta,
+                        split_alpha_beta_power, standard_decompose)
 from .fields import (QQ_XT, AllEqual, Conjugate, FieldError, MixedSplit,
                      Split, TRIVIAL_TOWER, Tower, delta, dm_conjugate,
                      dm_delta, dm_embed, dm_from_matrix, dm_inv, dm_shift,
                      dm_sigma_power, dm_to_matrix, from_regular, make_tower,
-                     rank, shift, t, theta, treduce, x)
+                     rank, t, theta, treduce, x)
 from .moser import (MoserReport, ReductionStalled, leading_eigendata,
                     moser_reduce, ord_and_moser)
 from .ratsol import (_invertible_selection, gauge_from_ratios,
@@ -55,7 +60,8 @@ __all__ = ["DDSystem", "Outcome", "NormalForm", "check_integrability",
            "decision_procedure_1", "decision_procedure_2",
            "solve_liouvillian", "verification_point_fault"]
 
-_T = QQ_XT.field.ring.gens[1]   # t in the ring Q[x, t] of K's numerators
+# x and t in the ring Q[x, t] of K's numerators
+_X, _T = QQ_XT.field.ring.gens
 
 
 @dataclass
@@ -63,8 +69,9 @@ class DDSystem:
     """Integrable system sigma(Y) = A Y, delta(Y) = B Y over Q(x, t).
 
     The forms over K derived from A and B (:attr:`A_K`, :attr:`B_K`,
-    :attr:`det_K` and the cocycles of :meth:`cocycle`) are computed on
-    first use and kept; A and B are not modified after construction."""
+    :attr:`det_K`, :attr:`det_standard` and the cocycles of
+    :meth:`cocycle`) are computed on first use and kept; A and B are not
+    modified after construction."""
     n: int
     A: sp.Matrix
     B: sp.Matrix
@@ -85,6 +92,12 @@ class DDSystem:
     def det_K(self):
         """det A, an element of K."""
         return self.A_K.det()
+
+    @functools.cached_property
+    def det_standard(self) -> StandardDecomposition:
+        """det A = sigma(g)/g * a with a standard, which stage a of both
+        decision procedures reads."""
+        return standard_decompose(QQ_XT.to_sympy(self.det_K), 1)
 
     @functools.cached_property
     def _cocycles(self) -> dict:
@@ -185,50 +198,45 @@ def _gauge_delta_part(G: DomainMatrix, B: DomainMatrix,
     return dm_inv(G) * (B * G - dm_delta(G, tower))
 
 
-def _certificate_normalizer(c, tower: Tower = TRIVIAL_TOWER):
-    """sigma-constant gamma(t) whose log-derivative strips integer residues
-    from a delta-certificate.
+def _certificate_normalizer(c):
+    """sigma-constant gamma in Q(t) whose log-derivative strips integer
+    residues from c, the theta^0 coordinate (an element of K) of a
+    delta-certificate.
 
     Rescaling a solution column by gamma(t) shifts its delta-certificate
     by -delta(gamma)/gamma, so certificates are canonical only modulo
     logarithmic derivatives of rational functions of t.  The normal form
-    chosen here removes every integer residue at a rational point from
-    the x-free, theta-free additive part of the certificate (the analogue
-    of shift-quotient standardization on the delta side)."""
-    one = sp.Integer(1)
-    c0 = sp.expand(treduce(c, tower)).coeff(theta, 0)
-    num, den = sp.together(c0).as_numer_denom()
-    if x in den.free_symbols or theta in num.free_symbols:
-        return one
-    if x in num.free_symbols:
-        c0 = sp.cancel(sp.Poly(sp.expand(num), x).nth(0) / den)
-    dnum, dden = sp.cancel(c0).as_numer_denom()
-    try:
-        P = sp.Poly(dden, t, domain=sp.QQ)
-    except sp.PolynomialError:
-        return one
-    gamma = one
-    for fac, mult in P.factor_list()[1]:
-        if fac.degree() != 1 or mult != 1:
+    chosen here removes every integer residue at a simple rational pole
+    from the x-free part of c, read when the denominator of c is x-free
+    (the analogue of shift-quotient standardization on the delta side)."""
+    gamma = QQ_XT.one
+    if c.denom.degree(_X) > 0:
+        return gamma
+    c0 = QQ_XT.field.new(c.numer.coeff_wrt(_X, 0), c.denom)
+    for fac, mult in c0.denom.factor_list()[1]:
+        if mult != 1 or fac.degree(_T) != 1:
             continue
-        a = sp.Rational(-fac.nth(0), fac.nth(1))
-        res = sp.cancel(dnum * (t - a) / dden).subs(t, a)
-        if res.is_Integer and res != 0:
-            gamma = gamma * (t - a) ** int(res)
+        a = -fac.coeff(1) / fac.coeff(_T)
+        res = (c0.numer.subs(_T, a).LC
+               / (c0.denom.exquo(fac).subs(_T, a).LC * fac.coeff(_T)))
+        if res and res.denominator == 1:
+            gamma *= QQ_XT.field.new(_T - a) ** int(res)
     return gamma
 
 
-def _normalize_gauge_certificates(G: sp.Matrix, Bbar: sp.Matrix, tower: Tower):
-    """(G, Bbar) with each gauge column rescaled so that its
-    delta-certificate is residue-normal; the arguments, which may be
-    immutable, are left as they are."""
-    G, Bbar = G.as_mutable(), Bbar.as_mutable()
-    for i in range(G.shape[1]):
-        gam = _certificate_normalizer(Bbar[i, i], tower)
-        if gam != 1:
-            G[:, i] = G[:, i].applyfunc(lambda e: treduce(e * gam, tower))
-            Bbar[i, i] = treduce(Bbar[i, i] - delta(gam) / gam, tower)
-    return G, Bbar
+def _normalize_gauge_certificates(G: DomainMatrix, Bbar: DomainMatrix,
+                                  tower: Tower):
+    """(G, Bbar), K-forms over the tower, with each gauge column rescaled
+    by the gamma of its delta-certificate (:func:`_certificate_normalizer`
+    on the theta^0 coordinate of the diagonal entry of Bbar).
+
+    The rescaling S = diag(gamma_i) is a gauge by sigma-constants: G
+    becomes G S, and the diagonal Bbar becomes S^-1 (Bbar S - delta(S))."""
+    deg = tower.degree
+    gammas = [_certificate_normalizer(Bbar[i, i].element)
+              for i in range(0, Bbar.shape[0], deg)]
+    S = DomainMatrix.diag([g for g in gammas for _ in range(deg)], QQ_XT)
+    return G * S, _gauge_delta_part(S, Bbar, tower)
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +259,13 @@ def _unsupported_as_outcome(procedure, sys: DDSystem, provenance: str):
                        str(err), report=report)
 
 
-def _det(sys: DDSystem):
-    """det A, in the canonical form of treduce."""
-    return treduce(QQ_XT.to_sympy(sys.det_K))
-
-
 def _decision_procedure_1(sys: DDSystem, report: dict) -> Outcome:
     n = sys.n
     stages = report["stages"]
 
     # (a) det A = sigma(g)/g * a with a standard; a must be alpha^n * beta
     stages.append("a")
-    detA = _det(sys)
-    sd = standard_decompose(detA, 1)
-    split = split_alpha_beta_power(sd.standard_part, n)
+    split = split_alpha_beta_power(sys.det_standard.standard_part, n)
     if split is None:
         return Outcome("NoSolution", "DP1", "a",
                        "standard part of det A is not of the form "
@@ -343,8 +344,8 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
     if off:
         return Outcome("NoSolution", "DP1", "d1",
                        f"delta-part not diagonal at {off}", report=report)
-    G, Bbar = _normalize_gauge_certificates(dm_to_matrix(G, tower),
-                                            dm_to_matrix(Bbar, tower), tower)
+    G, Bbar = _normalize_gauge_certificates(G, Bbar, tower)
+    G, Bbar = dm_to_matrix(G, tower), dm_to_matrix(Bbar, tower)
     report["G"] = G
     report["Bbar"] = Bbar
     cs = [treduce(Bbar[i, i] - delta(betas[i], tower) / betas[i] * x, tower)
@@ -441,44 +442,38 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
 
     # (a) det A = (-1)^{n-1} sigma(g)/g alpha(x) beta(t)
     stages.append("a")
-    detA = _det(sys)
-    sd = standard_decompose(detA, 1)
-    std = treduce(sd.standard_part * sp.Integer(-1) ** (n - 1))
-    if std.free_symbols - {x, t} or not _splits_x_t(std):
+    if not _splits_x_t(QQ_XT.from_sympy(sys.det_standard.standard_part)):
         return Outcome("NoSolution", "DP2", "a",
                        "det A does not split as alpha(x) * beta(t)",
                        report=report)
 
     # (b) beta from the leading series coefficient; specialize t = p
     stages.append("b")
-    beta = leading_beta(detA, n)
+    beta = leading_beta(QQ_XT.to_sympy(sys.det_K), n)
     if beta == 0 or (beta.free_symbols - {t}):
         return Outcome("NoSolution", "DP2", "b",
                        "leading coefficient of det A is not a nonzero "
                        "element of Q(t)", report=report)
     report["beta"] = beta
-    spec = _specialization_point(An * dm_from_matrix(sp.eye(n) / beta))
+    beta_K = QQ_XT.from_sympy(beta)
+    spec = _specialization_point(An.mul(QQ_XT.one / beta_K))
     if spec is None:
         return Outcome("Unsupported", "DP2", "b",
                        "no valid specialization point among the first 50 "
                        "candidates", report=report)
     p, A0 = spec
     report["specialization_point"] = int(p)
-    report["A0"] = A0
+    report["A0"] = dm_to_matrix(A0)
 
-    # (c) hypergeometric candidates of the specialized sigma^n-system
+    # (c) hypergeometric candidates of the specialized sigma^n-system,
+    # one per standard part and constant span
     stages.append("c")
     cands = system_hypergeometric(A0, n)
     if not cands:
         return Outcome("NoSolution", "DP2", "c",
                        "specialized sigma^n-system has no hypergeometric "
                        "solutions", report=report)
-    lams = []
-    for c in cands:
-        lam = sp.cancel(standard_decompose(c.ratio, n).standard_part)
-        if not any(sp.cancel(lam - l2) == 0 for l2 in lams):
-            lams.append(lam)
-    lams.sort(key=sp.default_sort_key)
+    lams = sorted({c.standard_part for c in cands}, key=sp.default_sort_key)
     report["candidate_ratios"] = lams
 
     # (d) least shift j0 with a rational sigma^n-solution, then the gauge.
@@ -487,9 +482,14 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
     # so scanning 0 <= j0 < n is exhaustive.
     stages.append("d")
     for lam in lams:
+        # beta * lambda(x + s) for s = j0 + i < 2n - 1
+        beta_lam = DomainMatrix([[beta_K * QQ_XT.from_sympy(lam)]], (1, 1),
+                                QQ_XT)
+        shifted = [dm_shift(beta_lam, s)[0, 0].element
+                   for s in range(2 * n - 1)]
         for j0 in range(n):
-            ratios = [treduce(beta * shift(lam, j0 + i)) for i in range(n)]
-            G = gauge_from_ratios(An, dm_from_matrix(sp.diag(*ratios)), n)
+            R = DomainMatrix.diag(shifted[j0:j0 + n], QQ_XT)
+            G = gauge_from_ratios(An, R, n)
             if G is None:
                 continue
             Bbar = _gauge_delta_part(G, sys.B_K, TRIVIAL_TOWER)
@@ -498,8 +498,8 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
                 return Outcome("NoSolution", "DP2", "d",
                                f"delta-part not diagonal at {off}",
                                report=report)
-            G, Bbar = _normalize_gauge_certificates(
-                dm_to_matrix(G), dm_to_matrix(Bbar), TRIVIAL_TOWER)
+            G, Bbar = _normalize_gauge_certificates(G, Bbar, TRIVIAL_TOWER)
+            G, Bbar, R = dm_to_matrix(G), dm_to_matrix(Bbar), dm_to_matrix(R)
             report["lambda"] = lam
             report["j0"] = j0
             report["G"] = G
@@ -510,7 +510,7 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
                             j0=j0, ell=n)
             sols = []
             for i in range(n):
-                cert = HypCert(sigma_ratio=ratios[i], sigma_step=n,
+                cert = HypCert(sigma_ratio=R[i, i], sigma_step=n,
                                delta_ratio=treduce(Bbar[i, i]))
                 sols.append(LiouvilleSolution(
                     kind="Interlaced", period=n,
@@ -527,15 +527,12 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
 
 
 def _splits_x_t(f) -> bool:
-    """Does f in Q(x, t) factor as (function of x) * (function of t)?"""
-    f = sp.cancel(f)
-    num, den = f.as_numer_denom()
-    for p in (num, den):
-        _, facs = sp.factor_list(sp.expand(p))
-        for fac, _mult in facs:
-            if x in fac.free_symbols and t in fac.free_symbols:
-                return False
-    return True
+    """Does f in K factor as (function of x) * (function of t)?  It does
+    when no irreducible factor in Q[x, t] of its numerator or denominator
+    involves both."""
+    return not any(fac.degree(_X) > 0 and fac.degree(_T) > 0
+                   for p in (f.numer, f.denom)
+                   for fac, _ in p.factor_list()[1])
 
 
 # 0, 1, -1, 2, -2, ...: the candidates of every rational-point search
@@ -545,28 +542,29 @@ RATIONAL_POINTS = tuple(sp.Integer((k + 1) // 2 * (-1) ** (k + 1))
 
 def _at_point(D: DomainMatrix, p):
     """The entries of the K-matrix D at t = p, as (num, den) pairs of
-    polynomials in x over Q; None when some denominator vanishes
-    identically there."""
+    polynomials in x over Q (held in Q[x, t]); None when some denominator
+    vanishes identically there."""
     p = QQ.from_sympy(p)
     out = []
     for e in D.to_list_flat():
-        den = e.denom.evaluate(_T, p)
+        den = e.denom.subs(_T, p)
         if not den:
             return None
-        out.append((e.numer.evaluate(_T, p), den))
+        out.append((e.numer.subs(_T, p), den))
     return out
 
 
 def _specialization_point(Atil: DomainMatrix):
     """First p of RATIONAL_POINTS with Atil (a K-matrix) defined at t = p
-    and Atil|_{t=p} invertible; returns (p, specialized sympy matrix)."""
+    and Atil|_{t=p} invertible; returns (p, the K-form of Atil|_{t=p})."""
     for p in RATIONAL_POINTS:
         entries = _at_point(Atil, p)
         if entries is None:
             continue
-        A0 = sp.Matrix(*Atil.shape, [sp.cancel(num.as_expr() / den.as_expr())
-                                     for num, den in entries])
-        if rank(A0) == A0.shape[0]:
+        A0 = DomainMatrix.from_list_flat(
+            [QQ_XT.field.new(num, den) for num, den in entries], Atil.shape,
+            QQ_XT)
+        if A0.rank() == A0.shape[0]:
             return p, A0
     return None
 
@@ -578,7 +576,8 @@ def solve_liouvillian(sys: DDSystem) -> Outcome:
     """DP1, then DP2 with sequence lifts; verdicts: Solved,
     NoLiouvillianSolutions (only when irreducibility is asserted),
     Inconclusive when a subsolver restriction was hit or irreducibility is
-    not asserted."""
+    not asserted.  DP2 runs whenever DP1 does not solve, also after an
+    Unsupported DP1."""
     sys.validate()
     level = ("integrable as a sigma-delta system" if sys.integrability_level == 1
              else f"integrable only at the sigma^{sys.integrability_level} level")
@@ -587,6 +586,7 @@ def solve_liouvillian(sys: DDSystem) -> Outcome:
         report["assumptions"].append(
             "irreducibility over Q(x, t) asserted by the caller")
     timings = report["timings"]
+    unsupported = None
     for key, procedure in (("dp1", decision_procedure_1),
                            ("dp2", decision_procedure_2)):
         out = _timed(timings, key, procedure, sys)
@@ -598,10 +598,14 @@ def solve_liouvillian(sys: DDSystem) -> Outcome:
                 out.report["lifts"] = _timed(timings, "lift", _lifts, sys, out)
             out.report.update(report)
             return out
-        if out.kind == "Unsupported":
-            return Outcome("Inconclusive", out.provenance, out.stage,
-                           f"restricted subroutine: {out.reason}",
-                           report=report)
+        if out.kind == "Unsupported" and unsupported is None:
+            unsupported = out
+    if unsupported is not None:
+        # the first restricted subroutine is the reason no verdict is given
+        return Outcome("Inconclusive", unsupported.provenance,
+                       unsupported.stage,
+                       f"restricted subroutine: {unsupported.reason}",
+                       report=report)
     if not sys.assume_irreducible:
         # the procedures decide irreducible systems only; a reducible one
         # can have a liouvillian basis that neither finds

@@ -16,6 +16,11 @@ def mat_is_zero(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> bool:
     return all(treduce(e, tower) == 0 for e in M)
 
 
+def mat_shift(M: sp.Matrix, j: int = 1) -> sp.Matrix:
+    """sigma^j on every entry of a matrix."""
+    return M.applyfunc(lambda e: shift(e, j))
+
+
 def mat_delta(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
     """delta on every entry of a matrix over the tower."""
     return M.applyfunc(lambda e: delta(e, tower))
@@ -204,7 +209,7 @@ def reference_universal_denominator(M, m=1, tower=TRIVIAL_TOWER):
 def reference_scalar_operators(M, m, tower):
     """Chain operators from nullspace on sp.Matrix rows, normalized by the
     lcm of the together-denominators."""
-    from ddsolve.fields import mat_reduce, mat_shift, nullspace
+    from ddsolve.fields import mat_reduce, nullspace
 
     n = M.shape[0]
     ops = []
@@ -532,7 +537,7 @@ def reference_gauge_delta_part(G, B, tower=TRIVIAL_TOWER):
 
 def reference_check_pair(A, B, W, cert, tower, label):
     """Failures of sigma^m(W) r = A_m W and delta(W) + c W = B W."""
-    from ddsolve.fields import mat_shift, sigma_power_matrix
+    from ddsolve.fields import sigma_power_matrix
 
     failures = []
     m = cert.sigma_step

@@ -8,8 +8,8 @@ from ddsolve import closedform
 from ddsolve.closedform import (UnsupportedCase, hyperexp_solutions,
                                 petkovsek, system_hypergeometric)
 from ddsolve.difftools import standard_decompose
-from ddsolve.fields import (TRIVIAL_TOWER, delta, dm_from_matrix,
-                            dm_to_matrix, mat_reduce, mat_shift, shift,
+from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, delta, dm_from_matrix,
+                            dm_shift, dm_to_matrix, mat_reduce, shift,
                             sigma_power_matrix, t, teq, theta, treduce, x)
 from ddsolve.files import read_system
 from ddsolve.procedures import _specialization_point
@@ -153,14 +153,20 @@ def test_petkovsek_matches_reference_on_planted_recurrences(case):
 
 
 @pytest.fixture(scope="module")
-def example2_operators(example2_path):
-    """Scalar operators of the sigma^3-system of example2 specialized at
-    t = 0, as decision procedure 2 builds them (beta = t^3)."""
+def example2_A0(example2_path):
+    """The K-form of the sigma^3-system of example2 specialized at t = 0,
+    as decision procedure 2 builds it (beta = t^3)."""
     A = read_system(example2_path).A
     _, A0 = _specialization_point(dm_from_matrix(
         mat_reduce(sigma_power_matrix(A, 3) / t**3)))
+    return A0
+
+
+@pytest.fixture(scope="module")
+def example2_operators(example2_A0):
+    """Scalar operators of example2's specialized sigma^3-system."""
     return [list(dm_to_matrix(op))
-            for op in scalar_operators(dm_from_matrix(A0), 3, TRIVIAL_TOWER)]
+            for op in scalar_operators(example2_A0, 3, TRIVIAL_TOWER)]
 
 
 def test_petkovsek_matches_reference_on_example2(example2_operators):
@@ -211,31 +217,62 @@ def test_petkovsek_search_runs_without_expand(monkeypatch):
 # ---------------------------------------------------------------------------
 # system-level hypergeometric candidates
 
+def _solves(c, M):
+    """sigma^m(W) r = M W on K-forms."""
+    return dm_shift(c.W, c.m).mul(QQ_XT.from_sympy(c.ratio)) == M * c.W
+
+
 def test_system_hypergeometric_diagonal():
-    M = sp.diag((x + 1) / x, 2)
+    M = dm_from_matrix(sp.diag((x + 1) / x, 2))
     cands = system_hypergeometric(M)
     ratios = [c.ratio for c in cands]
     assert any(_ratio_matches(r, (x + 1) / x) for r in ratios)
     assert any(_ratio_matches(r, 2) for r in ratios)
     for c in cands:
-        lhs = mat_reduce(mat_shift(c.W, c.m) * c.ratio - M * c.W)
-        assert all(treduce(e) == 0 for e in lhs)
+        assert _solves(c, M)
 
 
 def test_system_hypergeometric_none():
     # sigma(Y) = [[0, x], [1, 0]] Y has ratio^2 = x(x+1)-like growth:
     # no hypergeometric solution with rational ratio of this parity mix
-    M = sp.Matrix([[0, 1], [x, 0]])
+    M = dm_from_matrix(sp.Matrix([[0, 1], [x, 0]]))
     for c in system_hypergeometric(M):
-        lhs = mat_reduce(mat_shift(c.W, c.m) * c.ratio - M * c.W)
-        assert all(treduce(e) == 0 for e in lhs)
+        assert _solves(c, M)
 
 
 def test_system_hypergeometric_quadratic_ratio_is_unsupported():
     """sigma(Y) = [[0, 1], [2, 0]] Y has the ratios +-sqrt(2), outside
     Q(x, t), where the back-substitution works."""
     with pytest.raises(UnsupportedCase, match=r"sqrt\(2\)"):
-        system_hypergeometric(sp.Matrix([[0, 1], [2, 0]]))
+        system_hypergeometric(dm_from_matrix(sp.Matrix([[0, 1], [2, 0]])))
+
+
+def test_system_hypergeometric_drops_candidates_in_the_constant_span(
+        monkeypatch):
+    """The ratios x and x^2/(x + 1) = sigma(g)/g * x, g = 1/x, share the
+    standard part x.  For sigma(Y) = x Y the second gives the vectors
+    x e_1 and x e_2, whose g W lie in the constant span of the first's
+    e_1 and e_2: two candidates, not four."""
+    monkeypatch.setattr(closedform, "petkovsek",
+                        lambda op, m: [x, x**2 / (x + 1)])
+    M = dm_from_matrix(sp.diag(x, x))
+    cands = system_hypergeometric(M)
+    assert [(c.ratio, c.standard_part) for c in cands] == [(x, x), (x, x)]
+    for c in cands:
+        assert _solves(c, M)
+
+
+def test_system_hypergeometric_one_candidate_per_standard_part(example2_A0):
+    """example2's specialized sigma^3-system has one candidate for each of
+    the standard parts x(x+1), (x+1)(x+2) and (x+2)(x+3): every other
+    candidate the ratios give lies in the constant span of one of these."""
+    cands = system_hypergeometric(example2_A0, 3)
+    assert len(cands) == 3
+    assert sorted((c.standard_part for c in cands), key=sp.default_sort_key) \
+        == [x**2 + x, x**2 + 3 * x + 2, x**2 + 5 * x + 6]
+    for c in cands:
+        assert c.m == 3
+        assert _solves(c, example2_A0)
 
 
 # ---------------------------------------------------------------------------

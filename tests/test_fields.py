@@ -11,13 +11,13 @@ from ddsolve.fields import (AllEqual, Conjugate, FieldError, MixedSplit, Split,
                             dm_delta, dm_embed, dm_from_matrix,
                             dm_shift, dm_sigma_power, dm_to_matrix,
                             factor_in_x, make_tower, mat_inv, mat_reduce,
-                            mat_shift, nullspace, rank,
+                            nullspace, rank,
                             roots_over_coeff_field, series_at_infinity, shift,
                             sigma_power_matrix, t, teq, theta, tinv, treduce,
                             x)
 from ddsolve.files import read_system
 from conftest import SYSTEMS, random_ratfunc
-from helpers import integer_roots, mat_delta, mat_eq
+from helpers import integer_roots, mat_delta, mat_eq, mat_shift
 
 Y = sp.Symbol("Y")
 EX1_TOWER = make_tower(theta**2 - (t**2 + 1))

@@ -5,10 +5,10 @@ import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from ddsolve.fields import (AllEqual, Conjugate, Split, mat_inv, mat_reduce,
-                            mat_shift, t, x)
+                            t, x)
 from ddsolve.moser import (infinity_expansion, leading_eigendata,
                            moser_reduce, ord_and_moser)
-from helpers import mat_eq
+from helpers import mat_eq, mat_shift
 
 Y = sp.Symbol("Y")
 

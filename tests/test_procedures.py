@@ -7,8 +7,9 @@ import sys
 import pytest
 import sympy as sp
 
-from ddsolve.fields import (TRIVIAL_TOWER, delta, dm_to_matrix, mat_inv,
-                            mat_reduce, mat_shift, t, teq, theta, treduce, x)
+from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, delta, dm_from_matrix,
+                            dm_to_matrix, make_tower, mat_inv, mat_reduce, t,
+                            teq, theta, treduce, x)
 from ddsolve.procedures import (DDSystem, _certificate_normalizer,
                                 _first_verification_point,
                                 _normalize_gauge_certificates,
@@ -19,7 +20,8 @@ from ddsolve.sequences import VerificationError, verify_certificates
 from ddsolve.cli import main as cli_main
 from ddsolve.files import read_system, write_system
 from conftest import ROOT, SYSTEMS, random_invertible_matrix, random_ratfunc
-from helpers import mat_delta, mat_eq, reference_gauge_delta_part
+from helpers import (mat_delta, mat_eq, mat_shift,
+                     reference_gauge_delta_part)
 
 HERMITE_A = sp.Matrix([[0, 1], [-2 * x, 2 * t]])
 HERMITE_B = sp.Matrix([[2 * t, -1], [2 * x, 0]])
@@ -119,29 +121,52 @@ def test_validate_accepts_sigma_n_level():
 # ---------------------------------------------------------------------------
 # certificate normalization
 
+def _normalizer(c):
+    """_certificate_normalizer on c in Q(x, t), gamma as an expression."""
+    return QQ_XT.to_sympy(_certificate_normalizer(QQ_XT.from_sympy(c)))
+
+
 def test_certificate_normalizer_strips_integer_residues():
     c = x / t + t**2 - 1 / t
-    gam = _certificate_normalizer(c)
+    gam = _normalizer(c)
     assert sp.cancel(gam - 1 / t) == 0
     assert sp.cancel(c - delta(gam) / gam - (x / t + t**2)) == 0
 
 
 def test_certificate_normalizer_ignores_nonintegers():
     c = x / t + sp.Rational(1, 2) / t
-    assert _certificate_normalizer(c) == 1
-    assert _certificate_normalizer(t**3 + x / t) == 1
+    assert _normalizer(c) == 1
+    assert _normalizer(t**3 + x / t) == 1
 
 
 def test_normalize_gauge_certificates_on_immutable_matrices():
-    """The gauge and delta-part of DP2 can be immutable matrices; rescaling
-    a column returns new ones (it raised TypeError, an internal error, on
-    gauged copies of example2)."""
-    G = sp.ImmutableMatrix([[1, x], [0, 1]])
-    Bbar = sp.ImmutableMatrix([[x / t + t**2 - 1 / t, 0], [0, 2]])
+    """The gauge and delta-part arrive as K-forms; rescaling a column
+    returns new ones and leaves the arguments as they are (on immutable
+    sympy matrices it once raised TypeError, an internal error, on gauged
+    copies of example2)."""
+    G = dm_from_matrix(sp.Matrix([[1, x], [0, 1]]))
+    Bbar = dm_from_matrix(sp.Matrix([[x / t + t**2 - 1 / t, 0], [0, 2]]))
     G2, Bbar2 = _normalize_gauge_certificates(G, Bbar, TRIVIAL_TOWER)
-    assert mat_eq(G2, sp.Matrix([[1 / t, x], [0, 1]]))
-    assert mat_eq(Bbar2, sp.diag(x / t + t**2, 2))
-    assert G == sp.Matrix([[1, x], [0, 1]])
+    assert mat_eq(dm_to_matrix(G2), sp.Matrix([[1 / t, x], [0, 1]]))
+    assert mat_eq(dm_to_matrix(Bbar2), sp.diag(x / t + t**2, 2))
+    assert G == dm_from_matrix(sp.Matrix([[1, x], [0, 1]]))
+
+
+def test_normalize_gauge_certificates_over_a_tower():
+    """Over theta^2 = t the theta^0 coordinate 2/(t - 1) - 1/t + x/t of a
+    certificate has the integer residues 2 at t = 1 and -1 at t = 0 in its
+    x-free part: gamma = (t - 1)^2 / t.  The x-term and the theta-coordinate
+    1/(t - 1) stay; the residue 1/2 of the other certificate gives
+    gamma = 1."""
+    tower = make_tower(theta**2 - t)
+    c = 2 / (t - 1) - 1 / t + x / t + theta / (t - 1)
+    G = dm_from_matrix(sp.Matrix([[1, theta], [0, 1]]), tower)
+    Bbar = dm_from_matrix(sp.diag(c, 1 / (2 * t)), tower)
+    G2, Bbar2 = _normalize_gauge_certificates(G, Bbar, tower)
+    assert mat_eq(dm_to_matrix(G2, tower),
+                  sp.Matrix([[(t - 1)**2 / t, theta], [0, 1]]), tower)
+    assert mat_eq(dm_to_matrix(Bbar2, tower),
+                  sp.diag(x / t + theta / (t - 1), 1 / (2 * t)), tower)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +297,25 @@ def test_dp1_d2_without_hyperexponential_basis_is_inconclusive():
     assert (out.kind, out.provenance, out.stage) == \
         ("Inconclusive", "DP1", "d2")
     assert out.report["dp1"]["kind"] == "Unsupported"
+    assert "dp2" in out.report
+
+
+def test_unsupported_dp1_does_not_stop_dp2(monkeypatch, example2_path):
+    """An Unsupported DP1 proves nothing, so DP2 still runs: with DP1
+    planted Unsupported, example2 is Solved by DP2, certificates
+    verified."""
+    import ddsolve.procedures as procedures
+
+    monkeypatch.setattr(procedures, "decision_procedure_1",
+                        lambda sys: procedures.Outcome(
+                            "Unsupported", "DP1", "d2", "planted"))
+    system = read_system(example2_path)
+    out = solve_liouvillian(system)
+    assert (out.kind, out.provenance) == ("Solved", "DP2")
+    assert out.report["dp1"]["kind"] == "Unsupported"
+    assert out.solutions
+    for sol in out.solutions:
+        assert verify_certificates(system, sol).ok
 
 
 # ---------------------------------------------------------------------------

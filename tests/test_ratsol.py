@@ -10,12 +10,12 @@ import ddsolve.procedures as procedures
 from ddsolve.closedform import _nullspace_over_Qt
 from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, dm_from_matrix,
                             dm_to_matrix, make_tower, mat_inv, mat_reduce,
-                            mat_shift, shift, t, teq, theta, treduce, x)
+                            shift, t, teq, theta, treduce, x)
 from ddsolve.files import read_system
 import ddsolve.ratsol as ratsol
 from ddsolve.ratsol import RationalSolutionBasis, UnsupportedCase
 
-from helpers import (mat_eq, reference_polynomial_solutions,
+from helpers import (mat_eq, mat_shift, reference_polynomial_solutions,
                      reference_rational_solutions,
                      reference_scalar_operators,
                      reference_universal_denominator)

@@ -6,10 +6,10 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from ddsolve.fields import (TRIVIAL_TOWER, dm_from_matrix, make_tower,
-                            mat_inv, mat_reduce, mat_shift, shift, t, teq,
-                            theta, treduce, x)
+                            mat_inv, mat_reduce, shift, t, teq, theta,
+                            treduce, x)
 from ddsolve.files import read_system
-from helpers import reference_check_pair, reference_lift
+from helpers import mat_shift, reference_check_pair, reference_lift
 from ddsolve.parsing import parse_ratfunc
 from ddsolve.procedures import DDSystem, solve_liouvillian
 from ddsolve.sequences import (FuncSeq, HypCert, LiouvilleSolution, PoleError,
