@@ -181,9 +181,9 @@ def petkovsek(pcoeffs, m: int = 1):
 
     found = []                  # (r, K, numerator, denominator of r)
     roots_of = {}               # leading polynomial -> _leading_roots
+    bs = with_shifts(_monic_divisors(dup_shift(ps[k], QQ(-(k - 1) * m), QQ)))
     for a, A in with_shifts(_monic_divisors(ps[0])):
-        for b, B in with_shifts(_monic_divisors(
-                dup_shift(ps[k], QQ(-(k - 1) * m), QQ))):
+        for b, B in bs:
             # P_i = p_i * a(x) ... a(x+(i-1)m) * b(x+im) ... b(x+(k-1)m);
             # a and b are monic, so degree and leading coefficient of P_i
             # come without the product

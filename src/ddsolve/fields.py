@@ -27,7 +27,9 @@ K-form, the K-matrix of its regular representation (:func:`regular_matrix`;
 the trivial tower is the case of degree 1), converted at the boundary by
 :func:`dm_from_matrix` and :func:`dm_to_matrix`.  Sums, products and
 inverses over the tower are those of the K-forms; sigma, and delta with
-:func:`dm_delta`, act on them too.  The ``Expr`` matrix helpers that
+:func:`dm_delta`, act on them too, and on the matrices over Q[x, t] of
+cleared numerators that the fraction-free cocycle (:func:`dm_sigma_power`)
+and integrability test multiply.  The ``Expr`` matrix helpers that
 remain serve what is still ``Expr``: :func:`nullspace` and :func:`rank`
 the hyperexponential side (the eigenvectors of ``closedform``, the
 independence test of DP1's residual candidates); :func:`mat_reduce`, :func:`mat_inv` and :func:`sigma_power_matrix` have no
@@ -64,8 +66,8 @@ QQ_XT = QQ.frac_field(x, t)
 # Q(x, t, theta), theta an indeterminate: where treduce works on the
 # trivial tower
 _QQ_XTTH = QQ.frac_field(x, t, theta)
-_X = QQ_XT.field.ring.gens[0]   # x in the ring of numerators
-_T = QQ_XT.gens[1]              # t in K
+_X, _T_RING = QQ_XT.field.ring.gens   # x and t in Q[x, t], K's numerators
+_T = QQ_XT.gens[1]                     # t in K
 
 __all__ = [
     "x", "t", "theta", "Tower", "TRIVIAL_TOWER", "make_tower",
@@ -553,17 +555,21 @@ def dm_to_matrix(D: DomainMatrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
 
 
 def dm_shift(D: DomainMatrix, j: int = 1) -> DomainMatrix:
-    """sigma^j over K: x -> x + j in every entry."""
+    """sigma^j over K, or over Q[x, t]: x -> x + j in every entry."""
     xj = _X + j
+    if D.domain.is_PolynomialRing:
+        return D.applyfunc(lambda p: p.compose(_X, xj))
     return D.applyfunc(lambda e: e.new(e.numer.compose(_X, xj),
                                        e.denom.compose(_X, xj)))
 
 
 def dm_delta(D: DomainMatrix, tower: Tower = TRIVIAL_TOWER) -> DomainMatrix:
     """delta on a K-form over the tower: an entry sum_k a_k theta^k goes to
-    sum_k (d/dt a_k) theta^k + a'(theta) delta(theta) mod m."""
+    sum_k (d/dt a_k) theta^k + a'(theta) delta(theta) mod m.  Over the
+    trivial tower D may also be a matrix over Q[x, t]."""
     if tower.trivial:
-        return D.applyfunc(lambda e: e.diff(_T))
+        t_ = _T_RING if D.domain.is_PolynomialRing else _T
+        return D.applyfunc(lambda e: e.diff(t_))
     mod, dtheta = _modulus(tower), _tower_element(tower.dtheta, tower)
     entries = [dup_add(dup_strip([c.diff(_T) for c in a]), dup_rem(dup_mul(
         dup_diff(a, 1, QQ_XT), dtheta, QQ_XT), mod, QQ_XT), QQ_XT)
@@ -635,11 +641,22 @@ def sigma_power_matrix(A: sp.Matrix, m: int) -> sp.Matrix:
 
 
 def dm_sigma_power(D: DomainMatrix, m: int) -> DomainMatrix:
-    """The cocycle A_m of the matrix A over K whose K-form is D (D itself
-    for m = 1)."""
+    """The cocycle A_m = sigma^{m-1}(A) ... sigma(A) A of the matrix A over
+    K whose K-form is D (D itself for m = 1), formed fraction-free: with
+    A = N/a, N over Q[x, t] and a in Q[x, t] (one clear_denoms),
+    A_m = sigma^{m-1}(N) ... N / (sigma^{m-1}(a) ... a).  The shifted
+    numerators multiply over Q[x, t] with no gcd, and each entry of the
+    product is divided by the product of the shifted denominators once,
+    where m - 1 products over K would cancel every entry of each."""
     if m < 1:
         raise ValueError("m >= 1 required")
-    out = D
+    if m == 1:
+        return D
+    a, N = D.clear_denoms(convert=True)
+    num, den = N, a.element
     for j in range(1, m):
-        out = dm_shift(D, j) * out
-    return out
+        num = dm_shift(N, j) * num
+        den = den * a.element.compose(_X, _X + j)
+    elems, data = num.to_flat_nz()
+    return D.from_flat_nz([QQ_XT.field.new(p, den) for p in elems], data,
+                          QQ_XT)

@@ -111,6 +111,14 @@ class DDSystem:
         return self._cocycles[m]
 
     def validate(self):
+        """Check that (A, B) is a system the procedures accept and set
+        :attr:`integrability_level`: 1 when sigma(B) A = delta(A) + A B,
+        else n when sigma^n(B) A_n = delta(A_n) + A_n B for the cocycle
+        A_n.  Both identities are tested fraction-free on cleared
+        numerators (see :func:`_integrable`); since A, and so A_n, is
+        invertible, each is the integrability condition sigma^m(B) =
+        (delta(A_m) + A_m B) A_m^{-1}, whose residual over K is formed
+        only for the message when both fail.  ValueError otherwise."""
         if not sp.isprime(self.n):
             raise ValueError(f"order n = {self.n} must be prime")
         if self.A.shape != (self.n, self.n) or self.B.shape != (self.n, self.n):
@@ -121,19 +129,17 @@ class DDSystem:
             raise ValueError(f"A and B must be over Q(x, t): {err}")
         if self.det_K == 0:
             raise ValueError("A must be invertible")
-        residual = _integrability_residual(A, B, 1)
-        if residual.is_zero_matrix:
+        if _integrable(A, B, 1):
             self.integrability_level = 1
             return
         # accept systems whose sigma^n-compressed companion is integrable:
         # every certificate emitted downstream is verified against the
         # sigma^n- and delta-relations, which are exactly the ones that hold
-        An = self.cocycle(self.n)
-        if _integrability_residual(An, B, self.n).is_zero_matrix:
+        if _integrable(self.cocycle(self.n), B, self.n):
             self.integrability_level = self.n
             return
         raise ValueError("integrability fails; residual = "
-                         f"{dm_to_matrix(residual)}")
+                         f"{dm_to_matrix(_integrability_residual(A, B, 1))}")
 
 
 @dataclass
@@ -172,10 +178,33 @@ def check_integrability(A: sp.Matrix, B: sp.Matrix):
     """Exact test of sigma(B) = delta(A) A^{-1} + A B A^{-1} over
     K = Q(x, t).
 
-    Returns (ok, residual matrix).  FieldError when A is singular or an
-    entry lies outside K."""
-    R = _integrability_residual(dm_from_matrix(A), dm_from_matrix(B), 1)
-    return R.is_zero_matrix, dm_to_matrix(R)
+    ok is decided fraction-free, by the test of :meth:`DDSystem.validate`
+    on sigma(B) A = delta(A) + A B, which is equivalent for invertible A;
+    the residual over K, which needs A^{-1}, is formed only when the test
+    fails (the zero matrix otherwise).  Returns (ok, residual matrix).
+    FieldError when A is singular or an entry lies outside K."""
+    A_K, B_K = dm_from_matrix(A), dm_from_matrix(B)
+    if A_K.det() == 0:
+        raise FieldError("matrix not invertible")
+    if _integrable(A_K, B_K, 1):
+        return True, sp.zeros(*B.shape)
+    return False, dm_to_matrix(_integrability_residual(A_K, B_K, 1))
+
+
+def _integrable(Am: DomainMatrix, B: DomainMatrix, m: int) -> bool:
+    """sigma^m(B) Am = delta(Am) + Am B over K, tested on cleared
+    numerators: with Am = N/a and B = M/b (N, M over Q[x, t], a, b in
+    Q[x, t]), the identity times a^2 b sigma^m(b) reads
+    sigma^m(M) N b a = (delta(N) a - N delta(a)) sigma^m(b) b
+    + N M sigma^m(b) a, products of polynomial matrices with no inverse
+    and no gcd in the products."""
+    a, N = Am.clear_denoms(convert=True)
+    b, M = B.clear_denoms(convert=True)
+    a, b = a.element, b.element
+    sb = b.compose(_X, _X + m)
+    return (dm_shift(M, m) * N * (b * a)
+            == (dm_delta(N) * a - N * a.diff(_T)) * (sb * b)
+            + N * M * (sb * a))
 
 
 def _integrability_residual(Am: DomainMatrix, B: DomainMatrix, m: int):

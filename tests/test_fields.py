@@ -525,3 +525,43 @@ def test_tower_k_form_helpers_match_expr_operations():
 def test_dm_from_matrix_rejects_entries_outside_Qxt():
     with pytest.raises(FieldError):
         dm_from_matrix(sp.Matrix([[theta, 1], [0, 1]]))
+
+
+def _k_product_sigma_power(D, m):
+    """The cocycle as m - 1 products of shifted K-forms over K."""
+    out = D
+    for j in range(1, m):
+        out = dm_shift(D, j) * out
+    return out
+
+
+def _ratfuncs_xt():
+    """Small rational functions of x and t whose denominators mix x and t,
+    with factors x + t and x + 1 that they may share."""
+    return st.tuples(_polys((x, t)), st.sampled_from(
+        [1, t, x + 1, x + t, x * t + 1, t * (x + t), x * (x + 1)])).map(
+        lambda nd: nd[0] / nd[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_ratfuncs_xt(), min_size=4, max_size=4), st.integers(1, 5))
+def test_dm_sigma_power_matches_the_k_product(entries, m):
+    """The fraction-free cocycle is the K-product of shifts, entry by entry
+    in the same reduced form."""
+    D = dm_from_matrix(sp.Matrix(2, 2, entries))
+    got, want = dm_sigma_power(D, m), _k_product_sigma_power(D, m)
+    assert got == want
+    assert [(e.numer, e.denom) for e in got.to_list_flat()] == \
+        [(e.numer, e.denom) for e in want.to_list_flat()]
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_dm_sigma_power_telescopes(m):
+    """Shifted denominators that cancel against later numerators: the
+    cocycle of diag(x/(x + 1), t/(x + t)) has entries x/(x + m) and
+    t^m / ((x + t) ... (x + t + m - 1))."""
+    D = dm_from_matrix(sp.diag(x / (x + 1), t / (x + t)))
+    want = sp.diag(x / (x + m), t**m / sp.prod([x + t + j for j in range(m)]))
+    got = dm_sigma_power(D, m)
+    assert got == dm_from_matrix(want)
+    assert got == _k_product_sigma_power(D, m)

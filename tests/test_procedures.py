@@ -6,12 +6,15 @@ import sys
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
-from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, delta, dm_from_matrix,
+from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, delta, dm_delta,
+                            dm_from_matrix, dm_shift, dm_sigma_power,
                             dm_to_matrix, make_tower, mat_inv, mat_reduce, t,
                             teq, theta, treduce, x)
 from ddsolve.procedures import (DDSystem, _certificate_normalizer,
-                                _first_verification_point,
+                                _first_verification_point, _integrable,
                                 _normalize_gauge_certificates,
                                 check_integrability, decision_procedure_1,
                                 decision_procedure_2, solve_liouvillian)
@@ -25,6 +28,11 @@ from helpers import (mat_delta, mat_eq, mat_shift,
 
 HERMITE_A = sp.Matrix([[0, 1], [-2 * x, 2 * t]])
 HERMITE_B = sp.Matrix([[2 * t, -1], [2 * x, 0]])
+# integrable at the sigma^2 level only: the sigma-level identity needs
+# sigma(B) = ABA^-1, which fails, but the sigma^2-cocycle is diagonal and
+# commutes with B
+SIGMA2_A = sp.Matrix([[0, 1], [x, 0]])
+SIGMA2_B = sp.diag(t, t + 1/t)
 
 
 # ---------------------------------------------------------------------------
@@ -102,20 +110,130 @@ def test_validate_rejects_singular_A():
 def test_validate_accepts_sigma_n_level():
     """A pair that is only integrable for the sigma^n-compressed system
     validates with integrability_level = n (the interlaced example class)."""
-    # planted: B diagonal constant, A a 2-cycle permutation twist; the
-    # sigma-level identity needs sigma(B) = ABA^-1, which fails, but the
-    # sigma^2-cocycle is diagonal and commutes
-    A = sp.Matrix([[0, 1], [x, 0]])
-    B = sp.diag(t, t + 1/t)
-    ok, _ = check_integrability(A, B)
-    if ok:
-        pytest.skip("planted pair unexpectedly sigma-integrable")
-    sys = DDSystem(2, A, B)
-    try:
-        sys.validate()
-    except ValueError:
-        pytest.skip("planted pair not sigma^2-integrable either")
+    ok, _ = check_integrability(SIGMA2_A, SIGMA2_B)
+    assert not ok
+    sys = DDSystem(2, SIGMA2_A, SIGMA2_B)
+    sys.validate()
     assert sys.integrability_level == 2
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free integrability test against the residual over K
+
+def _reference_integrable(A, B, m):
+    """Zero test of the reference residual
+    sigma^m(B) - delta(A_m) A_m^-1 - A_m B A_m^-1 over K, A_m a product of
+    shifted K-forms."""
+    A, B = dm_from_matrix(A), dm_from_matrix(B)
+    Am = A
+    for j in range(1, m):
+        Am = dm_shift(A, j) * Am
+    Ainv = Am.inv()
+    return (dm_shift(B, m) - dm_delta(Am) * Ainv
+            - Am * B * Ainv).is_zero_matrix
+
+
+def _fraction_free_integrable(A, B, m):
+    return _integrable(dm_sigma_power(dm_from_matrix(A), m),
+                       dm_from_matrix(B), m)
+
+
+def _gauge(A, B, G):
+    """(sigma(G) A G^-1, G B G^-1 + delta(G) G^-1), formed over K."""
+    A, B, G = (dm_from_matrix(M) for M in (A, B, G))
+    Ginv = G.inv()
+    return (dm_to_matrix(dm_shift(G) * A * Ginv),
+            dm_to_matrix(G * B * Ginv + dm_delta(G) * Ginv))
+
+
+# rational functions whose denominators mix x and t; x + t appears in
+# several, so that gauged A and B share denominator factors
+_DENS = [1, t, x + 1, x + t, x * t + 1, t * (x + t)]
+_ratfuncs = st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                      st.integers(-2, 2), st.sampled_from(_DENS)).map(
+    lambda c: (c[0] + c[1] * x + c[2] * t) / c[3])
+_nonzero_ratfuncs = _ratfuncs.filter(lambda f: f != 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_ratfuncs, min_size=4, max_size=4),
+       st.lists(_ratfuncs, min_size=4, max_size=4))
+def test_fraction_free_integrability_agrees_on_random_pairs(a, b):
+    A, B = sp.Matrix(2, 2, a) + sp.eye(2), sp.Matrix(2, 2, b)
+    if treduce(A.det()) == 0:
+        return
+    assert _fraction_free_integrable(A, B, 1) == \
+        _reference_integrable(A, B, 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_nonzero_ratfuncs, _ratfuncs, st.booleans(), st.integers(0, 3),
+       _ratfuncs)
+def test_fraction_free_integrability_agrees_on_gauged_hermite(
+        u, g, lower, spot, eps):
+    """Gauge transforms of hermite are integrable at level 1; adding eps to
+    one entry of B breaks that unless eps is 0."""
+    G = sp.Matrix([[u, g], [0, 1]])
+    A, B = _gauge(HERMITE_A, HERMITE_B, G.T if lower else G)
+    B[spot] += eps
+    got = _fraction_free_integrable(A, B, 1)
+    assert got == _reference_integrable(A, B, 1)
+    assert got == (eps == 0)
+
+
+def _planted_sigma_n_pair(n, fs, h, cs):
+    """A = P diag(f_i(x) h(t)), P the cyclic permutation, and
+    B = diag(x h'/h + c_i(t)).  The cocycle A_n is diagonal with
+    delta(A_n) A_n^-1 = n h'/h = sigma^n(B) - B, so the pair is integrable
+    at level n; at level 1 the cycle needs every c_i equal."""
+    P = sp.Matrix(n, n, lambda i, j: 1 if j == (i + 1) % n else 0)
+    A = P * sp.diag(*[f * h for f in fs])
+    B = sp.diag(*[x * sp.diff(h, t) / h + c for c in cs])
+    return A, B
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([2, 3]), st.data(),
+       st.sampled_from([t, t + 1, t**2 + 1]), st.booleans(),
+       _nonzero_ratfuncs)
+def test_fraction_free_integrability_agrees_on_planted_sigma_n_pairs(
+        n, data, h, gauged, g):
+    fs = data.draw(st.lists(st.sampled_from([x, x + 1, 2 * x + 1, x**2 + 3]),
+                            min_size=n, max_size=n))
+    cs = data.draw(st.lists(st.sampled_from([0, 1, t, 1 / t, 2 * t + 1]),
+                            min_size=n, max_size=n, unique=True))
+    A, B = _planted_sigma_n_pair(n, fs, h, cs)
+    if gauged:
+        G = sp.eye(n)
+        G[0, n - 1] = g
+        A, B = _gauge(A, B, G)
+    for m, want in ((1, False), (n, True)):
+        assert _fraction_free_integrable(A, B, m) is want
+        assert _reference_integrable(A, B, m) is want
+    sys = DDSystem(n, A, B)
+    sys.validate()
+    assert sys.integrability_level == n
+    B[0, 0] += 1 / (x + t)
+    assert not _fraction_free_integrable(A, B, n)
+    assert not _reference_integrable(A, B, n)
+
+
+def test_validate_forms_no_inverse(monkeypatch):
+    """validate decides integrability on cleared numerators: with
+    DomainMatrix.inv disabled it still accepts the bundled systems and the
+    sigma^2-level pair, at their levels."""
+    systems = [read_system(str(SYSTEMS / f"{name}.json"))
+               for name in ("example1", "example2", "hermite")]
+    systems.append(DDSystem(2, SIGMA2_A, SIGMA2_B))
+
+    def no_inverse(self):
+        raise AssertionError("validate formed an inverse")
+
+    monkeypatch.setattr(DomainMatrix, "inv", no_inverse)
+    for sys in systems:
+        sys.validate()
+    assert [s.integrability_level for s in systems] == [1, 3, 1, 2]
+    assert check_integrability(HERMITE_A, HERMITE_B)[0]
 
 
 # ---------------------------------------------------------------------------
