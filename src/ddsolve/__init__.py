@@ -6,7 +6,7 @@ from .fields import (TRIVIAL_TOWER, Tower, make_tower, mat_inv, mat_reduce,
                      sigma_power_matrix, t, theta, treduce, x)
 from .difftools import (dispersion, leading_beta, split_alpha_beta_power,
                         standard_decompose)
-from .moser import leading_eigendata, moser_reduce, ord_and_moser
+from .moser import leading_eigendata, moser_reduce
 from .ratsol import (gauge_from_ratios, polynomial_solutions,
                      rational_solutions, universal_denominator)
 from .closedform import (UnsupportedCase, hyperexp_solutions, petkovsek,

@@ -24,11 +24,10 @@ import sympy as sp
 from .closedform import (UnsupportedCase, hyperexp_solutions, petkovsek,
                          recurrence_polys)
 from .difftools import dispersion, split_alpha_beta_power, standard_decompose
-from .fields import (TRIVIAL_TOWER, FieldError, dm_from_matrix, dm_to_matrix,
-                     treduce)
-from .files import (SchemaError, outcome_to_dict, read_solution, read_system,
-                    write_solution)
-from .moser import ReductionStalled, moser_reduce, ord_and_moser
+from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, dm_from_matrix,
+                     dm_to_matrix)
+from .files import SchemaError, read_solution, read_system, write_solution
+from .moser import ReductionStalled, moser_reduce
 from .parsing import ParseError, parse_ratfunc, print_ratfunc
 from .procedures import solve_liouvillian, verification_point_fault
 from .ratsol import rational_solutions
@@ -192,9 +191,9 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # tools
 
-def _read_matrix_file(path: str, invertible: bool = False) -> sp.Matrix:
-    """The square matrix over Q(x, t) in the file's "M" field (an
-    invertible one when `invertible` is set); SchemaError otherwise."""
+def _read_matrix_file(path: str, invertible: bool = False):
+    """The K-form of the square matrix over Q(x, t) in the file's "M" field
+    (an invertible one when `invertible` is set); SchemaError otherwise."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -204,14 +203,13 @@ def _read_matrix_file(path: str, invertible: bool = False) -> sp.Matrix:
         raise SchemaError("/M", str(err))
     if not rows or any(len(row) != len(rows) for row in rows):
         raise SchemaError("/M", "matrix must be square and nonempty")
-    M = sp.Matrix(rows)
     try:
-        D = dm_from_matrix(M)
+        D = dm_from_matrix(sp.Matrix(rows))
     except FieldError as err:
         raise SchemaError("/M", str(err))
     if invertible and D.rank() < D.shape[0]:
         raise SchemaError("/M", "matrix must be invertible")
-    return M
+    return D
 
 
 def _cmd_tools(args) -> int:
@@ -225,45 +223,75 @@ def _cmd_tools(args) -> int:
         return EXIT_INCONCLUSIVE
 
 
+# tool -> number of arguments; None: one or more
+_TOOL_ARGS = {"disp": 1, "standard": 1, "split": 2, "moser": 1, "ratsol": 1,
+              "hyperexp": 1, "petkovsek": None}
+
+
+def _check_tool_args(args):
+    """SchemaError for --step < 1, a misplaced option or a wrong count."""
+    if args.step < 1:
+        raise SchemaError("", f"--step must be >= 1, got {args.step}")
+    for a in args.expr:     # "--x" is the expression x, "--step" an option
+        if a.split("=")[0] in ("--step", "--help"):
+            raise SchemaError("", f"misplaced option {a}: give options "
+                                  "before the tool name")
+    want = _TOOL_ARGS[args.tool]
+    if len(args.expr) != want and not (want is None and args.expr):
+        raise SchemaError("", f"{args.tool} takes {want or 'at least 1'} "
+                              f"argument(s), got {len(args.expr)}; options "
+                              "such as --step go before the tool name")
+
+
+def _parse_K(s: str):
+    """s as a nonzero element of K = Q(x, t); SchemaError otherwise."""
+    try:
+        (f,) = dm_from_matrix(sp.Matrix([parse_ratfunc(s)])).to_list_flat()
+    except FieldError as err:
+        raise SchemaError("", str(err))
+    if not f:
+        raise SchemaError("", f"expression must be nonzero: {s}")
+    return f
+
+
 def _dispatch_tool(args) -> int:
-    if not args.expr:
-        raise SchemaError("", "missing tool arguments")
+    _check_tool_args(args)
     if args.tool == "disp":
-        p = parse_ratfunc(args.expr[0])
-        print(dispersion(p))
+        print(dispersion(_parse_K(args.expr[0])))
         return EXIT_SOLVED
     if args.tool == "standard":
-        f = parse_ratfunc(args.expr[0])
-        sd = standard_decompose(f, args.step)
-        print(f"g = {print_ratfunc(sd.g)}")
-        print(f"standard = {print_ratfunc(sd.standard_part)}")
+        sd = standard_decompose(_parse_K(args.expr[0]), args.step)
+        print(f"g = {print_ratfunc(QQ_XT.to_sympy(sd.g))}")
+        print(f"standard = {print_ratfunc(QQ_XT.to_sympy(sd.standard_part))}")
         return EXIT_SOLVED
     if args.tool == "split":
-        a = parse_ratfunc(args.expr[0])
-        n = int(args.expr[1])
+        a = _parse_K(args.expr[0])
+        n = int(args.expr[1]) if args.expr[1].isdecimal() else 0
+        if n < 1:
+            raise SchemaError("", "n must be a positive integer: "
+                                  f"{args.expr[1]}")
         res = split_alpha_beta_power(a, n)
         if res is None:
             print("no alpha(x)^n * beta(t) split")
             return EXIT_NO_SOLUTION
         alpha, beta = res
-        print(f"alpha = {print_ratfunc(alpha)}")
-        print(f"beta = {print_ratfunc(beta)}")
+        print(f"alpha = {print_ratfunc(QQ_XT.to_sympy(alpha))}")
+        print(f"beta = {print_ratfunc(QQ_XT.to_sympy(beta))}")
         return EXIT_SOLVED
     if args.tool == "moser":
-        M = _read_matrix_file(args.expr[0])
-        if all(treduce(e) == 0 for e in M):
+        D = _read_matrix_file(args.expr[0])
+        if D.is_zero_matrix:
             raise SchemaError("/M", "moser needs a nonzero matrix")
-        rep = moser_reduce(M)
-        ordv, _, _ = ord_and_moser(rep.reduced)
-        print(f"ord = {ordv}")
+        rep = moser_reduce(D)
+        print(f"ord = {rep.ord}")
         print(f"moser_order = {rep.moser_order}")
         _print_matrix("gauge", rep.gauge)
         _print_matrix("reduced", rep.reduced)
         return EXIT_SOLVED
     if args.tool == "ratsol":
-        M = _read_matrix_file(args.expr[0], invertible=True)
-        basis = rational_solutions(dm_from_matrix(M), args.step,
-                                   TRIVIAL_TOWER).basis
+        basis = rational_solutions(
+            _read_matrix_file(args.expr[0], invertible=True), args.step,
+            TRIVIAL_TOWER).basis
         if not basis:
             print("no nonzero rational solutions")
             return EXIT_NO_SOLUTION
@@ -290,8 +318,8 @@ def _dispatch_tool(args) -> int:
                 print(sp.sstr(r))
         return EXIT_SOLVED
     if args.tool == "hyperexp":
-        M = _read_matrix_file(args.expr[0])
-        cands = hyperexp_solutions(M)
+        cands = hyperexp_solutions(dm_to_matrix(
+            _read_matrix_file(args.expr[0])))
         if not cands:
             print("no hyperexponential solutions")
             return EXIT_NO_SOLUTION

@@ -60,7 +60,7 @@ _QQ_X = QQ.frac_field(x)
 class HypergeometricCandidate:
     W: DomainMatrix         # K-form of the rational vector part
     ratio: sp.Expr          # sigma^m(h) = ratio * h, as petkovsek returns it
-    standard_part: sp.Expr  # lambda: ratio = sigma^m(g)/g * lambda
+    standard_part: object   # lambda in K: ratio = sigma^m(g)/g * lambda
     m: int
 
 
@@ -264,15 +264,14 @@ def system_hypergeometric(M: DomainMatrix, m: int = 1):
     spans = {}                  # lambda -> the kept g W
     out = []
     for r_K, r in ratios.items():
-        sd = standard_decompose(r, m)
-        g_K = QQ_XT.from_sympy(sd.g)
+        sd = standard_decompose(r_K, m)
         span = spans.setdefault(sd.standard_part, [])
         for W in rational_solutions(M.mul(QQ_XT.one / r_K), m,
                                     TRIVIAL_TOWER).basis:
             if dm_shift(W, m).mul(r_K) != M * W:
                 raise VerificationError(
                     "hypergeometric candidate failed substitution check")
-            gW = W.mul(g_K)
+            gW = W.mul(sd.g)
             kept = _constant_span_reduce(span + [gW], TRIVIAL_TOWER)
             if len(kept) > len(span):
                 span.append(gW)

@@ -1,11 +1,22 @@
-"""Dispersion, Z-orbit divisor analysis and sigma^m-standard decompositions.
+"""Dispersion, Z-orbit divisor analysis and sigma^m-standard decompositions
+over K = Q(x, t).
 
 A rational function f in x factors into shift classes: groups of monic
 irreducible factors that are integer shifts of one another.  Standardness
 with respect to sigma^m means the dispersion of numerator*denominator is
 < m; every f is sigma^m(g)/g times a standard one, and the decomposition
-here picks a canonical representative (all multiplicity of a shift class
-collapsed into the window [0, m) above the leftmost shift).
+here picks a representative (all multiplicity of a shift class collapsed
+into the window [0, m) above the leftmost shift).  The representative is
+canonical for a given f, but not within a similarity class: x and x + 1
+are both standard for sigma, and each is its own representative.
+
+:func:`shift_classes`, the one routine behind this module and the
+universal denominator of :mod:`ddsolve.ratsol`, works in Q[x, t], the
+ring of K's numerators: PolyElement.factor_list() gives the irreducible
+factors, and each one involving x becomes a base monic in x over Q(t), an
+element of K.  Every function here takes and returns elements of K; the
+``Expr`` helpers fields.factor_in_x and fields.series_at_infinity, which
+have no caller in the package, stay for the tests and the tracer.
 """
 
 from __future__ import annotations
@@ -13,114 +24,117 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
-from .fields import (TRIVIAL_TOWER, Tower, factor_in_x, series_at_infinity,
-                     shift, t, treduce, x)
+from .fields import QQ_XT, dm_series_at_infinity, k_shift
 
 __all__ = [
     "ShiftClass", "ShiftClassDivisor", "StandardDecomposition",
-    "shift_equivalent", "dispersion",
+    "shift_classes", "shift_class_divisor", "dispersion",
     "standard_decompose", "split_alpha_beta_power", "leading_beta",
 ]
+
+# x and t in Q[x, t], the ring of K's numerators
+_X, _T = QQ_XT.field.ring.gens
 
 
 @dataclass
 class ShiftClass:
-    base: sp.Expr                      # monic irreducible in x, leftmost shift
-    entries: list                      # sorted [(shift j >= 0, multiplicity != 0)]
+    base: object    # monic irreducible in x over Q(t), in K, leftmost shift
+    entries: list   # sorted [(shift j >= 0, multiplicity != 0)]
+
+    @property
+    def over_q(self) -> bool:       # the base has rational coefficients
+        return self.base.numer.degree(_T) <= 0
 
 
 @dataclass
 class ShiftClassDivisor:
-    content: sp.Expr                   # x-free cofactor
+    content: object                    # x-free cofactor, in K
     classes: list
 
 
 @dataclass
 class StandardDecomposition:
-    g: sp.Expr
-    standard_part: sp.Expr
-    m: int
+    g: object
+    standard_part: object
+    divisor: ShiftClassDivisor         # the shift classes of standard_part
 
 
-def shift_equivalent(p, q, tower: Tower = TRIVIAL_TOWER) -> Optional[int]:
-    """Return j with q(x) = p(x+j), or None.
-
-    Both inputs monic in x.  The candidate j comes from the subleading
-    coefficients (translation shifts it by deg * j); the exact check follows.
-    """
-    pp = sp.Poly(p, x)
-    pq = sp.Poly(q, x)
-    d = pp.degree()
-    if d != pq.degree():
+def _shift_between(p, q) -> Optional[int]:
+    """The integer j with q(x) = p(x + j), or None, for irreducible p and q
+    in Q[x, t] normalized alike (as factor_list returns them): a shift
+    keeps the leading coefficient a_d in x, so it maps one onto the other
+    exactly.  The subleading coefficient of p(x + j) is a_{d-1} + d*j*a_d,
+    which gives the candidate j."""
+    d = p.degree(_X)
+    if d != q.degree(_X):
         return None
-    if d == 0:
-        return 0 if treduce(p - q, tower) == 0 else None
-    cp = pp.all_coeffs()[1] if len(pp.all_coeffs()) > 1 else 0
-    cq = pq.all_coeffs()[1] if len(pq.all_coeffs()) > 1 else 0
-    cand = sp.cancel((sp.sympify(cq) - sp.sympify(cp)) / d)
-    if not cand.is_Integer:
+    diff = q.coeff_wrt(_X, d - 1) - p.coeff_wrt(_X, d - 1)
+    j = diff.LC / (d * p.coeff_wrt(_X, d).LC)
+    if j.denominator != 1 or p.compose(_X, _X + j) != q:
         return None
-    j = int(cand)
-    if treduce(sp.expand(shift(p, j) - q), tower) == 0:
-        return j
-    return None
+    return int(j)
+
+
+def shift_classes(polys: list):
+    """The shift classes of the irreducible factors of nonzero p_0, ...,
+    p_k in Q[x, t].
+
+    Returns (contents, classes).  contents[i] is the x-free cofactor of
+    p_i in K; classes lists (base, {j: [multiplicity in p_0, ..., in
+    p_k]}) with base monic in x over Q(t), in K, and
+    p_i = contents[i] * prod base(x + j)^(multiplicity in p_i)."""
+    contents = []
+    refs = []                          # (reference factor, base, shifts)
+    for i, p in enumerate(polys):
+        coeff, factors = p.factor_list()
+        content = QQ_XT(coeff)
+        for fac, mult in factors:
+            if fac.degree(_X) <= 0:
+                content *= QQ_XT.new(fac) ** mult
+                continue
+            lead = fac.coeff_wrt(_X, fac.degree(_X))
+            content *= QQ_XT.new(lead) ** mult
+            for ref, _, shifts in refs:
+                j = _shift_between(ref, fac)
+                if j is not None:
+                    break
+            else:
+                j, shifts = 0, {}
+                refs.append((fac, QQ_XT.new(fac) / QQ_XT.new(lead), shifts))
+            shifts.setdefault(j, [0] * len(polys))[i] += mult
+        contents.append(content)
+    return contents, [(base, shifts) for _, base, shifts in refs]
+
+
+def _anchored(base, entries) -> Optional[ShiftClass]:
+    """The class of base with the nonzero (shift, multiplicity) entries,
+    re-anchored at its leftmost shift; None when no entry is left."""
+    entries = sorted((j, e) for j, e in entries if e)
+    if not entries:
+        return None
+    j0 = entries[0][0]
+    return ShiftClass(k_shift(base, j0), [(j - j0, e) for j, e in entries])
 
 
 def shift_class_divisor(f) -> ShiftClassDivisor:
     """Factor numerator (positive mult.) and denominator (negative mult.)
-    of f and group the irreducible factors into shift classes."""
-    f = treduce(f)
-    if f == 0:
+    of f in K and group the irreducible factors into shift classes."""
+    if not f:
         raise ValueError("shift_class_divisor needs f != 0")
-    num, den = f.as_numer_denom()
-    cn, fn = factor_in_x(num)
-    cd, fd = factor_in_x(den)
-    content = treduce(cn / cd)
-    classes: list[ShiftClass] = []
-    for fac, mult, sign in ([(p, m, 1) for p, m in fn] + [(p, m, -1) for p, m in fd]):
-        for cls in classes:
-            j = shift_equivalent(cls.base, fac)
-            if j is not None:
-                _add_entry(cls, j, sign * mult)
-                break
-        else:
-            classes.append(ShiftClass(fac, [(0, sign * mult)]))
-    # re-anchor each class at its leftmost shift
-    out = []
-    for cls in classes:
-        cls.entries = [(j, m) for j, m in cls.entries if m != 0]
-        if not cls.entries:
-            continue
-        jmin = min(j for j, _ in cls.entries)
-        cls.base = sp.expand(shift(cls.base, jmin))
-        cls.entries = sorted((j - jmin, m) for j, m in cls.entries)
-        out.append(cls)
-    return ShiftClassDivisor(content, out)
-
-
-def _add_entry(cls: ShiftClass, j: int, mult: int):
-    for i, (jj, mm) in enumerate(cls.entries):
-        if jj == j:
-            cls.entries[i] = (j, mm + mult)
-            return
-    cls.entries.append((j, mult))
+    (cn, cd), raw = shift_classes([f.numer, f.denom])
+    classes = [_anchored(base, [(j, a - b) for j, (a, b) in shifts.items()])
+               for base, shifts in raw]
+    return ShiftClassDivisor(cn / cd, [c for c in classes if c])
 
 
 def dispersion(P) -> int:
-    """Largest j > 0 with gcd(P(x), P(x+j)) nonconstant, else 0.
-
-    Standardness w.r.t. sigma^m is dispersion < m, measured with unit
-    shifts.
-    """
-    scd = shift_class_divisor(P)
-    disp = 0
-    for cls in scd.classes:
-        shifts = [j for j, _ in cls.entries]
-        if len(shifts) > 1:
-            disp = max(disp, max(shifts) - min(shifts))
-    return disp
+    """Largest j > 0 with gcd(P(x), P(x+j)) nonconstant, else 0, for P in
+    K (its numerator and denominator together).  Standardness w.r.t.
+    sigma^m is dispersion < m, measured with unit shifts."""
+    return max([cls.entries[-1][0]
+                for cls in shift_class_divisor(P).classes], default=0)
 
 
 def standard_decompose(f, m: int) -> StandardDecomposition:
@@ -129,54 +143,48 @@ def standard_decompose(f, m: int) -> StandardDecomposition:
     leftmost shift.
 
     Moving a factor uses b(x+r+s*m) = sigma^m(h)/h * b(x+r) with
-    h = prod_{i<s} b(x+r+i*m).
-    """
+    h = prod_{i<s} b(x+r+i*m)."""
     scd = shift_class_divisor(f)
-    g = sp.Integer(1)
-    standard = scd.content
+    g, standard, classes = QQ_XT.one, scd.content, []
     for cls in scd.classes:
         window: dict[int, int] = {}
         for k, e in cls.entries:
-            r = k % m
-            s = (k - r) // m
-            if s:
-                h = sp.prod([shift(cls.base, r + i * m) for i in range(s)])
-                g = g * h ** e
+            r, s = k % m, k // m
+            for i in range(s):
+                g *= k_shift(cls.base, r + i * m) ** e
             window[r] = window.get(r, 0) + e
-        for r, e in sorted(window.items()):
-            if e:
-                standard = standard * shift(cls.base, r) ** e
-    return StandardDecomposition(treduce(g), treduce(standard), m)
+        kept = _anchored(cls.base, window.items())
+        if kept:
+            classes.append(kept)
+            for j, e in kept.entries:
+                standard *= k_shift(kept.base, j) ** e
+    return StandardDecomposition(g, standard,
+                                 ShiftClassDivisor(scd.content, classes))
 
 
 def split_alpha_beta_power(a, n: int):
-    """Split a standard a as alpha(x)^n * beta(t) with alpha in Q(x)
+    """Split a standard a in K as alpha(x)^n * beta(t) with alpha in Q(x)
     (monic numerator and denominator) and beta in Q(t); None if impossible.
+    a may also be given by its ShiftClassDivisor (the `divisor` of a
+    StandardDecomposition), which spares the factorization.
 
     Requires every x-factor multiplicity divisible by n and every x-factor
-    to have constant (rational) coefficients.
-    """
-    scd = shift_class_divisor(a)
-    alpha = sp.Integer(1)
+    to have constant (rational) coefficients."""
+    scd = a if isinstance(a, ShiftClassDivisor) else shift_class_divisor(a)
+    alpha = QQ_XT.one
     for cls in scd.classes:
+        if not cls.over_q:
+            return None
         for j, e in cls.entries:
-            if e % n != 0:
+            if e % n:
                 return None
-            fac = sp.expand(shift(cls.base, j))
-            if fac.free_symbols - {x}:
-                return None
-            alpha = alpha * fac ** (e // n)
-    alpha = sp.cancel(alpha)
-    beta = treduce(scd.content)
-    if beta.free_symbols - {t}:
-        return None
-    return alpha, beta
+            alpha *= k_shift(cls.base, j) ** (e // n)
+    return alpha, scd.content
 
 
 def leading_beta(detA, n: int):
-    """beta(t) with detA = (-1)^(n-1) * beta(t) * x^m + lower order at x=oo."""
-    res = series_at_infinity(detA, 1)
-    if res is None:
-        raise ValueError("detA must be nonzero")
-    _, (c0,) = res
-    return treduce((-1) ** (n - 1) * c0)
+    """beta(t) in K with detA = (-1)^(n-1) * beta(t) * x^m + lower order
+    at x = oo, for nonzero detA in K."""
+    _, (C0,) = dm_series_at_infinity(
+        DomainMatrix([[detA]], (1, 1), QQ_XT), 1)
+    return (-1) ** (n - 1) * C0[0, 0].element

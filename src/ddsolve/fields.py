@@ -32,13 +32,14 @@ cleared numerators that the fraction-free cocycle (:func:`dm_sigma_power`)
 and integrability test multiply.  The ``Expr`` matrix helpers that
 remain serve what is still ``Expr``: :func:`nullspace` and :func:`rank`
 the hyperexponential side (the eigenvectors of ``closedform``, the
-independence test of DP1's residual candidates); :func:`mat_reduce`, :func:`mat_inv` and :func:`sigma_power_matrix` have no
-caller in the package, but ``ddsolve`` exports them and the benchmark
-tracer (``ddbench/tracer.py``) names ``mat_inv`` and
-``sigma_power_matrix``.  The scalar helpers (:func:`treduce`,
-:func:`shift`, :func:`factor_in_x`, :func:`series_at_infinity`) serve
-``difftools``, parsing and the places where a value enters or leaves as
-an expression.
+independence test of DP1's residual candidates).  :func:`treduce` and
+:func:`shift` serve parsing and the places where a value enters or leaves
+as an expression; :func:`k_shift` is sigma on K.  :func:`mat_reduce`,
+:func:`mat_inv`, :func:`sigma_power_matrix`, :func:`factor_in_x` and
+:func:`series_at_infinity` have no caller in the package (``difftools``
+works on K and Q[x, t]); they stay for ``ddsolve``'s exports, the tests
+and the benchmark tracer (``ddbench/tracer.py``), which names all but
+:func:`mat_reduce`.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ __all__ = [
     "common_integer_roots", "x_integer_roots",
     "indicial_degrees",
     "sigma_power_matrix",
-    "dm_from_matrix", "dm_to_matrix",
+    "dm_from_matrix", "dm_to_matrix", "k_shift",
     "dm_shift", "dm_delta", "dm_inv", "dm_embed", "dm_conjugate",
     "dm_sigma_power",
     "dm_series_at_infinity",
@@ -554,13 +555,19 @@ def dm_to_matrix(D: DomainMatrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
                      [_tower_expr(a) for a in from_regular(D, deg)])
 
 
+def k_shift(e, j: int = 1):
+    """sigma^j on an element of K.  x -> x + j is an automorphism of
+    Z[x, t] that keeps the top coefficient in x, so a reduced fraction stays
+    reduced with the same lex leading coefficient: no cancel is needed."""
+    xj = _X + j
+    return e.raw_new(e.numer.compose(_X, xj), e.denom.compose(_X, xj))
+
+
 def dm_shift(D: DomainMatrix, j: int = 1) -> DomainMatrix:
     """sigma^j over K, or over Q[x, t]: x -> x + j in every entry."""
-    xj = _X + j
     if D.domain.is_PolynomialRing:
-        return D.applyfunc(lambda p: p.compose(_X, xj))
-    return D.applyfunc(lambda e: e.new(e.numer.compose(_X, xj),
-                                       e.denom.compose(_X, xj)))
+        return D.applyfunc(lambda p: p.compose(_X, _X + j))
+    return D.applyfunc(lambda e: k_shift(e, j))
 
 
 def dm_delta(D: DomainMatrix, tower: Tower = TRIVIAL_TOWER) -> DomainMatrix:

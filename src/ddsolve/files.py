@@ -23,11 +23,10 @@ location (e.g. a missing "B" key raises ``SchemaError('/B')``).
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 import sympy as sp
 
-from .fields import TRIVIAL_TOWER, Tower, make_tower, theta, treduce
+from .fields import TRIVIAL_TOWER, Tower, make_tower, theta
 from .parsing import ParseError, parse_ratfunc, print_ratfunc
 from .procedures import DDSystem, Outcome
 from .sequences import HypCert, LiouvilleSolution

@@ -30,11 +30,11 @@ from sympy.polys.matrices import DomainMatrix
 
 from .fields import (QQ_XT, TRIVIAL_TOWER, Tower, dm_from_matrix, dm_inv,
                      dm_series_at_infinity, dm_shift, dm_to_matrix, kernel,
-                     rank, roots_over_coeff_field, t, x)
+                     roots_over_coeff_field, t, x)
 from .sequences import VerificationError
 
 __all__ = ["InfinityExpansion", "MoserReport", "ReductionStalled",
-           "infinity_expansion", "ord_and_moser", "moser_reduce",
+           "infinity_expansion", "moser_reduce",
            "leading_eigendata"]
 
 # Q(t)[s, lam], where the Moser criterion's determinant is taken
@@ -57,20 +57,13 @@ class MoserReport:
     reduced: sp.Matrix
     moser_order: sp.Rational
     leading: sp.Matrix
+    ord: int               # order at infinity of the reduced matrix
 
 
 def infinity_expansion(M: sp.Matrix, terms: int, tower: Tower = TRIVIAL_TOWER) -> InfinityExpansion:
     """Expansion of a nonzero matrix at x = infinity, in canonical form."""
     ord_, coeffs = dm_series_at_infinity(dm_from_matrix(M, tower), terms)
     return InfinityExpansion(ord_, [dm_to_matrix(C, tower) for C in coeffs])
-
-
-def ord_and_moser(M: sp.Matrix):
-    """(ord_oo(M), m(M), H0)."""
-    n = M.shape[0]
-    exp = infinity_expansion(M, 1)
-    H0 = exp.coeffs[0]
-    return exp.ord, sp.Rational(-exp.ord) + sp.Rational(rank(H0), n), H0
 
 
 def _theta_vanishes(H0: DomainMatrix, H1: DomainMatrix, r: int) -> bool:
@@ -128,11 +121,11 @@ def _moser_step(H0: DomainMatrix, H1: DomainMatrix) -> DomainMatrix:
     return S * dm_inv(P)
 
 
-def moser_reduce(M: sp.Matrix) -> MoserReport:
-    """Gauge M over Q(x, t) to order 0 at infinity or to Moser-irreducible
-    form; ReductionStalled when a built step does not lower (q, rank H0)."""
-    n = M.shape[0]
-    D = dm_from_matrix(M)
+def moser_reduce(D: DomainMatrix) -> MoserReport:
+    """Gauge the nonzero matrix over Q(x, t) whose K-form is D to order 0
+    at infinity or to Moser-irreducible form; ReductionStalled when a
+    built step does not lower (q, rank H0)."""
+    n = D.shape[0]
     cur, gauge = D, DomainMatrix.eye(n, QQ_XT)
     ord_, (H0, H1) = dm_series_at_infinity(cur, 2)
     r = H0.rank()
@@ -150,7 +143,7 @@ def moser_reduce(M: sp.Matrix) -> MoserReport:
         raise VerificationError("gauge identity violated")
     return MoserReport(gauge=dm_to_matrix(gauge), reduced=dm_to_matrix(cur),
                        moser_order=sp.Rational(-ord_) + sp.Rational(r, n),
-                       leading=dm_to_matrix(H0))
+                       leading=dm_to_matrix(H0), ord=ord_)
 
 
 def leading_eigendata(H0: sp.Matrix, n: int, var: sp.Symbol = None):

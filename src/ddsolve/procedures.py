@@ -42,13 +42,13 @@ from .closedform import (UnsupportedCase, hyperexp_solutions,
                          system_hypergeometric)
 from .difftools import (StandardDecomposition, leading_beta,
                         split_alpha_beta_power, standard_decompose)
-from .fields import (QQ_XT, AllEqual, Conjugate, FieldError, MixedSplit,
-                     Split, TRIVIAL_TOWER, Tower, delta, dm_conjugate,
+from .fields import (QQ_XT, Conjugate, FieldError, MixedSplit, Split,
+                     TRIVIAL_TOWER, Tower, delta, dm_conjugate,
                      dm_delta, dm_embed, dm_from_matrix, dm_inv, dm_shift,
-                     dm_sigma_power, dm_to_matrix, from_regular, make_tower,
-                     rank, t, theta, treduce, x)
+                     dm_sigma_power, dm_to_matrix, from_regular, k_shift,
+                     make_tower, rank, theta, treduce, x)
 from .moser import (MoserReport, ReductionStalled, leading_eigendata,
-                    moser_reduce, ord_and_moser)
+                    moser_reduce)
 from .ratsol import (_invertible_selection, gauge_from_ratios,
                      rational_solutions)
 from .sequences import (CompiledMatrix, HypCert, LiouvilleSolution,
@@ -97,7 +97,7 @@ class DDSystem:
     def det_standard(self) -> StandardDecomposition:
         """det A = sigma(g)/g * a with a standard, which stage a of both
         decision procedures reads."""
-        return standard_decompose(QQ_XT.to_sympy(self.det_K), 1)
+        return standard_decompose(self.det_K, 1)
 
     @functools.cached_property
     def _cocycles(self) -> dict:
@@ -294,23 +294,21 @@ def _decision_procedure_1(sys: DDSystem, report: dict) -> Outcome:
 
     # (a) det A = sigma(g)/g * a with a standard; a must be alpha^n * beta
     stages.append("a")
-    split = split_alpha_beta_power(sys.det_standard.standard_part, n)
+    split = split_alpha_beta_power(sys.det_standard.divisor, n)
     if split is None:
         return Outcome("NoSolution", "DP1", "a",
                        "standard part of det A is not of the form "
                        "alpha(x)^n * beta(t)", report=report)
-    alpha, _beta_det = split
-    report["alpha"] = alpha
+    alpha_K = split[0]
+    report["alpha"] = alpha = QQ_XT.to_sympy(alpha_K)
 
     # (b) Moser-reduce A/alpha; order at infinity must be 0
     stages.append("b")
-    Abar = dm_to_matrix(sys.A_K * dm_from_matrix(sp.eye(n) / alpha))
-    mos: MoserReport = moser_reduce(Abar)
-    ordA, _, _ = ord_and_moser(mos.reduced)
-    if ordA != 0:
+    mos: MoserReport = moser_reduce(sys.A_K.mul(QQ_XT.one / alpha_K))
+    if mos.ord != 0:
         return Outcome("NoSolution", "DP1", "b",
-                       f"reduced matrix has order {ordA} != 0 at infinity",
-                       report=report)
+                       f"reduced matrix has order {mos.ord} != 0 at "
+                       "infinity", report=report)
 
     # (c) classify the eigenvalue multiset of the leading matrix
     stages.append("c")
@@ -469,22 +467,17 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
     An = sys.cocycle(n)
     report["An"] = dm_to_matrix(An)
 
-    # (a) det A = (-1)^{n-1} sigma(g)/g alpha(x) beta(t)
+    # (a) det A = (-1)^{n-1} sigma(g)/g alpha(x) beta(t): rational bases
     stages.append("a")
-    if not _splits_x_t(QQ_XT.from_sympy(sys.det_standard.standard_part)):
+    if not all(cls.over_q for cls in sys.det_standard.divisor.classes):
         return Outcome("NoSolution", "DP2", "a",
                        "det A does not split as alpha(x) * beta(t)",
                        report=report)
 
     # (b) beta from the leading series coefficient; specialize t = p
     stages.append("b")
-    beta = leading_beta(QQ_XT.to_sympy(sys.det_K), n)
-    if beta == 0 or (beta.free_symbols - {t}):
-        return Outcome("NoSolution", "DP2", "b",
-                       "leading coefficient of det A is not a nonzero "
-                       "element of Q(t)", report=report)
-    report["beta"] = beta
-    beta_K = QQ_XT.from_sympy(beta)
+    beta_K = leading_beta(sys.det_K, n)
+    report["beta"] = beta = QQ_XT.to_sympy(beta_K)
     spec = _specialization_point(An.mul(QQ_XT.one / beta_K))
     if spec is None:
         return Outcome("Unsupported", "DP2", "b",
@@ -502,8 +495,11 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
         return Outcome("NoSolution", "DP2", "c",
                        "specialized sigma^n-system has no hypergeometric "
                        "solutions", report=report)
-    lams = sorted({c.standard_part for c in cands}, key=sp.default_sort_key)
-    report["candidate_ratios"] = lams
+    # lambda in K, ordered by its canonical expression: the order decides
+    # which gauge is found first
+    lams = sorted({c.standard_part for c in cands},
+                  key=lambda lam: sp.default_sort_key(QQ_XT.to_sympy(lam)))
+    report["candidate_ratios"] = [QQ_XT.to_sympy(lam) for lam in lams]
 
     # (d) least shift j0 with a rational sigma^n-solution, then the gauge.
     # Existence is periodic in j0 with period n (the systems for j0 and
@@ -512,10 +508,7 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
     stages.append("d")
     for lam in lams:
         # beta * lambda(x + s) for s = j0 + i < 2n - 1
-        beta_lam = DomainMatrix([[beta_K * QQ_XT.from_sympy(lam)]], (1, 1),
-                                QQ_XT)
-        shifted = [dm_shift(beta_lam, s)[0, 0].element
-                   for s in range(2 * n - 1)]
+        shifted = [k_shift(beta_K * lam, s) for s in range(2 * n - 1)]
         for j0 in range(n):
             R = DomainMatrix.diag(shifted[j0:j0 + n], QQ_XT)
             G = gauge_from_ratios(An, R, n)
@@ -529,14 +522,14 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
                                report=report)
             G, Bbar = _normalize_gauge_certificates(G, Bbar, TRIVIAL_TOWER)
             G, Bbar, R = dm_to_matrix(G), dm_to_matrix(Bbar), dm_to_matrix(R)
-            report["lambda"] = lam
+            report["lambda"] = QQ_XT.to_sympy(lam)
             report["j0"] = j0
             report["G"] = G
             report["Bbar"] = Bbar
             bhats = [treduce(Bbar[i, i] - delta(beta) / (n * beta) * x)
                      for i in range(n)]
-            nf = NormalForm(alpha=lam, betas=[beta] * n, bhats=bhats,
-                            j0=j0, ell=n)
+            nf = NormalForm(alpha=report["lambda"], betas=[beta] * n,
+                            bhats=bhats, j0=j0, ell=n)
             sols = []
             for i in range(n):
                 cert = HypCert(sigma_ratio=R[i, i], sigma_step=n,
@@ -553,15 +546,6 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
     return Outcome("NoSolution", "DP2", "d",
                    "no candidate ratio admits a rational sigma^n-solution "
                    "with an invertible gauge", report=report)
-
-
-def _splits_x_t(f) -> bool:
-    """Does f in K factor as (function of x) * (function of t)?  It does
-    when no irreducible factor in Q[x, t] of its numerator or denominator
-    involves both."""
-    return not any(fac.degree(_X) > 0 and fac.degree(_T) > 0
-                   for p in (f.numer, f.denom)
-                   for fac, _ in p.factor_list()[1])
 
 
 # 0, 1, -1, 2, -2, ...: the candidates of every rational-point search

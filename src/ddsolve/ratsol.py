@@ -13,14 +13,16 @@ residue mod m) in a finite window with explicit multiplicity bounds.
 Every function here takes and returns K-forms (see :mod:`ddsolve.fields`):
 a vector is the K-form of an n x 1 matrix, a scalar operator that of the
 row of its coefficients, and u an element of K = Q(x, t).  Denominators
-are read off K-entries.  The degree bound comes from the expansion of M at
-infinity, whose indicial determinant is taken over Q[t, d], or else from
-the indicial polynomials of the scalar operators, whose chains are
-sequences of K-matrices.  The polynomial ansatz clears the denominators of
-M with one q in Q[x, t] and solves q(x) Y(x+m) - N(x) Y(x) = 0 over Q(t)
-in the coefficients of Y, unknowns ordered by (coordinate, degree,
-theta-power).  The constant-span test is a rank test over Q(t) on
-coefficients in x.
+are read off K-entries, and their factors in Q[x, t] are grouped by
+:func:`ddsolve.difftools.shift_classes` (``fields.factor_in_x`` has no
+caller in the package; it stays for the tests and the tracer).  The
+degree bound comes from the expansion of M at infinity, whose indicial
+determinant is taken over Q[t, d], or else from the indicial polynomials
+of the scalar operators, whose chains are sequences of K-matrices.  The
+polynomial ansatz clears the denominators of M with one q in Q[x, t] and
+solves q(x) Y(x+m) - N(x) Y(x) = 0 over Q(t) in the coefficients of Y,
+unknowns ordered by (coordinate, degree, theta-power).  The constant-span
+test is a rank test over Q(t) on coefficients in x.
 """
 
 from __future__ import annotations
@@ -33,12 +35,11 @@ from sympy import QQ, ZZ
 from sympy.polys.densebasic import dup_from_raw_dict, dup_strip
 from sympy.polys.matrices import DomainMatrix
 
+from .difftools import shift_classes
 from .fields import (QQ_XT, TRIVIAL_TOWER, Tower, _modulus,
-                     common_integer_roots, dm_inv,
-                     dm_series_at_infinity, dm_shift, factor_in_x,
-                     from_regular, indicial_degrees, kernel, regular_matrix,
-                     shift, t, theta)
-from .difftools import shift_equivalent
+                     common_integer_roots, dm_inv, dm_series_at_infinity,
+                     dm_shift, from_regular, indicial_degrees, k_shift,
+                     kernel, regular_matrix, t, theta)
 from .sequences import VerificationError
 
 __all__ = ["RationalSolutionBasis", "UnsupportedCase",
@@ -103,36 +104,16 @@ def _coefficient_matrix(columns: list) -> DomainMatrix:
 # ---------------------------------------------------------------------------
 # universal denominator
 
-def _denominator_factors(D: DomainMatrix, tower: Tower) -> list:
-    """Monic irreducible factors in x over Q(t), with multiplicity, of the
-    lcm of the denominators of the entries of D."""
-    q = _common_denominator(D)
-    if q.degree(_X) <= 0:
-        return []
-    return factor_in_x(q.as_expr(), tower)[1]
-
-
-def universal_denominator(M: DomainMatrix, m: int = 1,
-                          tower: Tower = TRIVIAL_TOWER):
+def universal_denominator(M: DomainMatrix, m: int = 1):
     """Polynomial u(x) in K: every rational solution of sigma^m(Y) = MY
-    (M a K-form) has denominator dividing u."""
-    facA = _denominator_factors(M, tower)
-    facB = _denominator_factors(dm_inv(M), tower)
-    # group into shift classes across A and B factors
-    classes = []  # (base, {shift: multA}, {shift: multB})
-    for fac, mult, which in ([(f, mu, 0) for f, mu in facA]
-                             + [(f, mu, 1) for f, mu in facB]):
-        for entry in classes:
-            j = shift_equivalent(entry[0], fac, tower)
-            if j is not None:
-                entry[1 + which][j] = entry[1 + which].get(j, 0) + mult
-                break
-        else:
-            entry = [fac, {}, {}]
-            entry[1 + which][0] = mult
-            classes.append(entry)
+    (M a K-form) has denominator dividing u.  The entries of a K-form lie
+    in K, so their denominators never involve theta."""
+    _, classes = shift_classes([_common_denominator(M),
+                                _common_denominator(dm_inv(M))])
     u = QQ_XT.one
-    for base, SA, SB in classes:
+    for base, shifts in classes:
+        SA = {j: a for j, (a, _) in shifts.items() if a}
+        SB = {j: b for j, (_, b) in shifts.items() if b}
         residues = {a % m for a in SA} & {b % m for b in SB}
         for rho in residues:
             # a factor b(x+k) vanishes at root(b) - k: larger shift k means a
@@ -144,7 +125,7 @@ def universal_denominator(M: DomainMatrix, m: int = 1,
                 mult = min(sum(mu for a, mu in As.items() if a >= k + m),
                            sum(mu for b, mu in Bs.items() if b <= k))
                 if mult > 0:
-                    u = u * QQ_XT.from_sympy(shift(base, k)) ** mult
+                    u *= k_shift(base, k) ** mult
     return u
 
 
@@ -343,8 +324,8 @@ def rational_solutions(M: DomainMatrix, m: int = 1,
                        tower: Tower = TRIVIAL_TOWER) -> RationalSolutionBasis:
     """Complete basis of rational solutions of sigma^m(Y) = M Y, each
     verified by substitution."""
-    u = universal_denominator(M, m, tower)
-    su = dm_shift(DomainMatrix([[u]], (1, 1), QQ_XT), m)[0, 0].element
+    u = universal_denominator(M, m)
+    su = k_shift(u, m)
     polys = polynomial_solutions(M.mul(su / u), m, None, tower)
     inv_u = QQ_XT.one / u
     basis = []

@@ -2,10 +2,15 @@
 rational function with respect to sigma^m, and reference implementations
 that pin the results of the ones that replaced them."""
 
+from dataclasses import dataclass
+
 import sympy as sp
 
 from ddsolve.difftools import dispersion
-from ddsolve.fields import TRIVIAL_TOWER, Tower, delta, shift, treduce, x
+from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, Tower, delta, factor_in_x,
+                            k_shift, rank, series_at_infinity, shift, t,
+                            treduce, x)
+from ddsolve.moser import infinity_expansion
 
 
 def mat_eq(A: sp.Matrix, B: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> bool:
@@ -27,17 +32,134 @@ def mat_delta(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
 
 
 def is_standard(f, m: int) -> bool:
-    num, den = treduce(f).as_numer_denom()
-    return dispersion(sp.expand(num * den)) < m
+    """Is f in K standard with respect to sigma^m?"""
+    return dispersion(QQ_XT.new(f.numer * f.denom)) < m
 
 
-def reassemble(scd) -> sp.Expr:
-    """The rational function a ShiftClassDivisor describes."""
+def reassemble(scd):
+    """The element of K a ShiftClassDivisor describes."""
     out = scd.content
     for cls in scd.classes:
         for j, m in cls.entries:
-            out = out * shift(cls.base, j) ** m
-    return sp.cancel(out)
+            out *= k_shift(cls.base, j) ** m
+    return out
+
+
+# ---------------------------------------------------------------------------
+# reference shift classes: the SymPy Expr implementations that
+# difftools.shift_classes and the functions on top of it replaced, kept to
+# pin their results (srepr of the canonical form included)
+
+def reference_shift_equivalent(p, q, tower: Tower = TRIVIAL_TOWER):
+    """j with q(x) = p(x+j) for p, q monic in x, or None: the candidate from
+    the subleading coefficients, then the exact check."""
+    pp, pq = sp.Poly(p, x), sp.Poly(q, x)
+    d = pp.degree()
+    if d != pq.degree():
+        return None
+    if d == 0:
+        return 0 if treduce(p - q, tower) == 0 else None
+    cp = pp.all_coeffs()[1] if len(pp.all_coeffs()) > 1 else 0
+    cq = pq.all_coeffs()[1] if len(pq.all_coeffs()) > 1 else 0
+    cand = sp.cancel((sp.sympify(cq) - sp.sympify(cp)) / d)
+    if not cand.is_Integer:
+        return None
+    j = int(cand)
+    if treduce(sp.expand(shift(p, j) - q), tower) == 0:
+        return j
+    return None
+
+
+@dataclass
+class ReferenceShiftClass:
+    base: sp.Expr
+    entries: list
+
+
+@dataclass
+class ReferenceDivisor:
+    content: sp.Expr
+    classes: list
+
+
+def reference_shift_class_divisor(f) -> ReferenceDivisor:
+    f = treduce(f)
+    num, den = f.as_numer_denom()
+    cn, fn = factor_in_x(num)
+    cd, fd = factor_in_x(den)
+    classes = []
+    for fac, mult in [(p, m) for p, m in fn] + [(p, -m) for p, m in fd]:
+        for cls in classes:
+            j = reference_shift_equivalent(cls.base, fac)
+            if j is not None:
+                entries = dict(cls.entries)
+                entries[j] = entries.get(j, 0) + mult
+                cls.entries = list(entries.items())
+                break
+        else:
+            classes.append(ReferenceShiftClass(fac, [(0, mult)]))
+    out = []
+    for cls in classes:
+        entries = [(j, m) for j, m in cls.entries if m != 0]
+        if entries:
+            jmin = min(j for j, _ in entries)
+            out.append(ReferenceShiftClass(
+                sp.expand(shift(cls.base, jmin)),
+                sorted((j - jmin, m) for j, m in entries)))
+    return ReferenceDivisor(treduce(cn / cd), out)
+
+
+def reference_dispersion(P) -> int:
+    return max([max(j for j, _ in cls.entries)
+                for cls in reference_shift_class_divisor(P).classes],
+               default=0)
+
+
+def reference_standard_decompose(f, m: int):
+    """(g, standard part) in the canonical form of treduce."""
+    scd = reference_shift_class_divisor(f)
+    g, standard = sp.Integer(1), scd.content
+    for cls in scd.classes:
+        window: dict = {}
+        for k, e in cls.entries:
+            r, s = k % m, k // m
+            if s:
+                g = g * sp.prod([shift(cls.base, r + i * m)
+                                 for i in range(s)]) ** e
+            window[r] = window.get(r, 0) + e
+        for r, e in sorted(window.items()):
+            standard = standard * shift(cls.base, r) ** e
+    return treduce(g), treduce(standard)
+
+
+def reference_split_alpha_beta_power(a, n: int):
+    """(alpha, beta), alpha from sp.cancel, or None."""
+    scd = reference_shift_class_divisor(a)
+    alpha = sp.Integer(1)
+    for cls in scd.classes:
+        for j, e in cls.entries:
+            if e % n != 0:
+                return None
+            fac = sp.expand(shift(cls.base, j))
+            if fac.free_symbols - {x}:
+                return None
+            alpha = alpha * fac ** (e // n)
+    beta = treduce(scd.content)
+    if beta.free_symbols - {t}:
+        return None
+    return sp.cancel(alpha), beta
+
+
+def reference_leading_beta(detA, n: int):
+    _, (c0,) = series_at_infinity(detA, 1)
+    return treduce((-1) ** (n - 1) * c0)
+
+
+def ord_and_moser(M: sp.Matrix):
+    """(ord_oo(M), first Moser order m(M), H0) of a nonzero matrix."""
+    exp = infinity_expansion(M, 1)
+    H0 = exp.coeffs[0]
+    return exp.ord, sp.Rational(-exp.ord) + sp.Rational(rank(H0), M.rows), H0
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +290,7 @@ def _reference_degree_candidates(Q, m, x, rmax=80):
 def reference_universal_denominator(M, m=1, tower=TRIVIAL_TOWER):
     """Universal denominator from together/lcm on the treduced entries of M
     and M^-1, returned expanded."""
-    from ddsolve.difftools import shift_equivalent
-    from ddsolve.fields import factor_in_x, mat_inv, x
+    from ddsolve.fields import mat_inv
 
     facs = []
     for which, N in enumerate((M, mat_inv(M, tower))):
@@ -185,7 +306,7 @@ def reference_universal_denominator(M, m=1, tower=TRIVIAL_TOWER):
     classes = []
     for fac, mult, which in facs:
         for entry in classes:
-            j = shift_equivalent(entry[0], fac, tower)
+            j = reference_shift_equivalent(entry[0], fac, tower)
             if j is not None:
                 entry[1 + which][j] = entry[1 + which].get(j, 0) + mult
                 break

@@ -10,7 +10,8 @@ from ddsolve.fields import (AllEqual, Conjugate, FieldError, MixedSplit, Split,
                             QQ_XT, TRIVIAL_TOWER, delta, dm_conjugate,
                             dm_delta, dm_embed, dm_from_matrix,
                             dm_shift, dm_sigma_power, dm_to_matrix,
-                            factor_in_x, make_tower, mat_inv, mat_reduce,
+                            factor_in_x, k_shift, make_tower, mat_inv,
+                            mat_reduce,
                             nullspace, rank,
                             roots_over_coeff_field, series_at_infinity, shift,
                             sigma_power_matrix, t, teq, theta, tinv, treduce,
@@ -485,6 +486,20 @@ def test_domain_matrix_helpers_match_expr_operations():
     assert dm_to_matrix(D) == mat_reduce(M)
     assert dm_to_matrix(dm_shift(D, 3)) == mat_reduce(mat_shift(M, 3))
     assert dm_to_matrix(dm_delta(D)) == mat_delta(M)
+
+
+def test_k_shift_keeps_the_canonical_form():
+    """x -> x + j maps a reduced fraction to one that cancel leaves as it
+    is: same numerator and denominator, rational coefficients included."""
+    rng = random.Random(11)
+    for _ in range(200):
+        e = QQ_XT.from_sympy(random_ratfunc(rng, 2, 4)
+                             * sp.Rational(rng.randint(1, 5), 6))
+        j = rng.randint(-3, 3)
+        X = e.numer.ring.gens[0]
+        shifted = e.new(e.numer.compose(X, X + j), e.denom.compose(X, X + j))
+        got = k_shift(e, j)
+        assert (got.numer, got.denom) == (shifted.numer, shifted.denom)
 
 
 @settings(max_examples=25, deadline=None)

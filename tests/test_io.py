@@ -291,6 +291,58 @@ def test_cli_tools_hyperexp_zero_matrix_is_valid(tmp_path, capsys):
     assert capsys.readouterr().out.count("certificate = 0") == 2
 
 
+def _one_input_error(capsys) -> str:
+    """The single stderr line of a tool that exited 3, with no stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error:")
+    return lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["disp", "0"], ["standard", "0"], ["split", "0", "2"],
+    ["disp", "(x^2-1)/(x-1)-x-1"],
+    ["disp", "theta"], ["standard", "theta"], ["split", "theta", "2"],
+    ["split", "x", "abc"], ["split", "x", "0"],
+])
+def test_cli_tools_shift_tools_take_nonzero_elements_of_q_x_t(argv,
+                                                              capsys):
+    """disp, standard and split work on nonzero elements of Q(x, t) and
+    split on a positive integer n."""
+    assert cli_main(["tools", *argv]) == 3
+    _one_input_error(capsys)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--step", "0", "petkovsek", "x", "-1"], "--step must be >= 1"),
+    (["--step", "0", "ratsol", "M"], "--step must be >= 1"),
+    (["--step", "-2", "standard", "x"], "--step must be >= 1"),
+    (["standard", "x*(x+2)", "--step", "2"], "misplaced option --step"),
+    (["petkovsek", "x", "-1", "--step=2"], "misplaced option --step=2"),
+    (["split", "x"], "split takes 2 argument(s), got 1"),
+    (["split", "x^2", "2", "3"], "split takes 2 argument(s), got 3"),
+    (["disp", "x", "x+1"], "disp takes 1 argument(s), got 2"),
+    (["standard"], "standard takes 1 argument(s), got 0"),
+    (["moser", "M", "M"], "moser takes 1 argument(s), got 2"),
+    (["ratsol"], "ratsol takes 1 argument(s), got 0"),
+    (["hyperexp", "M", "2"], "hyperexp takes 1 argument(s), got 2"),
+    (["petkovsek"], "petkovsek takes at least 1 argument(s), got 0"),
+])
+def test_cli_tools_step_and_argument_counts(argv, message, tmp_path,
+                                            capsys):
+    """--step m >= 1 goes before the tool name, and each tool checks its
+    argument count; a count error points at a misplaced option."""
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps({"M": [["1", "0"], ["0", "1"]]}))
+    argv = [str(mat) if a == "M" else a for a in argv]
+    assert cli_main(["tools", *argv]) == 3
+    line = _one_input_error(capsys)
+    assert message in line
+    if "argument(s)" in message:
+        assert "--step" in line
+
+
 # ---------------------------------------------------------------------------
 # solution files
 

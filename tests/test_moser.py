@@ -4,13 +4,21 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from ddsolve.fields import (AllEqual, Conjugate, Split, mat_inv, mat_reduce,
-                            t, x)
-from ddsolve.moser import (infinity_expansion, leading_eigendata,
-                           moser_reduce, ord_and_moser)
-from helpers import mat_eq, mat_shift
+from ddsolve import moser
+from ddsolve.fields import (AllEqual, Conjugate, Split, dm_from_matrix,
+                            mat_inv, mat_reduce, t, x)
+from ddsolve.moser import infinity_expansion, leading_eigendata
+from helpers import mat_eq, mat_shift, ord_and_moser
 
 Y = sp.Symbol("Y")
+
+
+def moser_reduce(M: sp.Matrix):
+    """moser_reduce on the K-form of M; the report's ord is that of the
+    reduced matrix."""
+    rep = moser.moser_reduce(dm_from_matrix(M))
+    assert rep.ord == ord_and_moser(rep.reduced)[0]
+    return rep
 
 
 def test_infinity_expansion_orders():

@@ -316,6 +316,36 @@ def test_dp1_solves_gauged_example1():
         assert verify_certificates(sys, sol).ok
 
 
+def test_det_factored_once_per_solve(monkeypatch, example1_path):
+    """Stage a of both procedures reads the shift classes of det A that
+    DDSystem.det_standard computed: one solve of example1, and DP2 on the
+    same system after it, factor det A once, and nothing goes through
+    fields.factor_in_x."""
+    import ddsolve.difftools as difftools
+    import ddsolve.fields as fields
+
+    factored = []
+    shift_classes = difftools.shift_classes
+
+    def spy(polys):
+        factored.append(list(polys))
+        return shift_classes(polys)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("factor_in_x called")
+
+    monkeypatch.setattr(difftools, "shift_classes", spy)
+    monkeypatch.setattr(fields, "factor_in_x", forbidden)
+    system = read_system(example1_path)
+    assert solve_liouvillian(system).kind == "Solved"
+    decision_procedure_2(system)
+    det, standard = system.det_K, system.det_standard.standard_part
+    assert [det.numer, det.denom] in factored
+    assert sum(polys in ([det.numer, det.denom],
+                         [standard.numer, standard.denom])
+               for polys in factored) == 1
+
+
 def test_gauge_delta_part_matches_reference(monkeypatch):
     """B-bar from K-forms is srepr-identical to the Expr reference on
     every gauge the decision procedures build for the bundled systems and

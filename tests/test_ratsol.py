@@ -24,7 +24,7 @@ from helpers import (mat_eq, mat_shift, reference_polynomial_solutions,
 # ratsol takes and returns K-forms; these call it on sympy matrices
 
 def universal_denominator(M, m=1, tower=TRIVIAL_TOWER):
-    u = ratsol.universal_denominator(dm_from_matrix(M, tower), m, tower)
+    u = ratsol.universal_denominator(dm_from_matrix(M, tower), m)
     return dm_to_matrix(DomainMatrix([[u]], (1, 1), QQ_XT))[0]
 
 
@@ -307,15 +307,24 @@ def captured_calls(example1_path, example2_path):
              "scalar_operators", "rational_solutions")
     calls = {"example1": [], "example2": []}
     current = []
+    towers = []    # the tower of the innermost call that names one
     with pytest.MonkeyPatch.context() as mp:
         for name in names:
             orig = getattr(ratsol, name)
 
             def spy(M, *args, _name=name, _orig=orig, **kwargs):
-                tower = args[-1]   # the solver passes every argument
-                current[-1].append(
-                    (_name, (dm_to_matrix(M, tower), *args), kwargs))
-                return _orig(M, *args, **kwargs)
+                # the solver passes every argument; universal_denominator,
+                # called by rational_solutions, takes no tower
+                named = _name != "universal_denominator"
+                tower = args[-1] if named else towers[-1]
+                current[-1].append((_name, (dm_to_matrix(M, tower), *args)
+                                    + ((tower,) if not named else ()),
+                                    kwargs))
+                towers.append(tower)
+                try:
+                    return _orig(M, *args, **kwargs)
+                finally:
+                    towers.pop()
 
             for mod in (ratsol, closedform, procedures):
                 if getattr(mod, name, None) is orig:
