@@ -318,13 +318,13 @@ def _dispatch_tool(args) -> int:
                 print(sp.sstr(r))
         return EXIT_SOLVED
     if args.tool == "hyperexp":
-        cands = hyperexp_solutions(dm_to_matrix(
-            _read_matrix_file(args.expr[0])))
+        cands = hyperexp_solutions(_read_matrix_file(args.expr[0]))
         if not cands:
             print("no hyperexponential solutions")
             return EXIT_NO_SOLUTION
         for c in cands:
-            vec = "  ".join(print_ratfunc(e, c.tower) for e in c.V)
+            vec = "  ".join(print_ratfunc(e, c.tower)
+                            for e in dm_to_matrix(c.V, c.tower))
             print(f"certificate = {print_ratfunc(c.certificate, c.tower)}"
                   f"   V = [ {vec} ]")
         return EXIT_SOLVED

@@ -21,8 +21,17 @@ with lambda standard, and the solutions are recovered by rational
 back-substitution on K-forms.  Candidates are grouped by lambda; a g W in
 the constant span of the earlier ones of its group is dropped.
 
-The hyperexponential solver is deliberately restricted to diagonal,
-constant, and simple-pole matrices; anything else raises UnsupportedCase.
+hyperexp_solutions(Bhat: DomainMatrix) takes an x-free K-form and returns
+candidates whose V is the K-form over their tower ((n*deg) x deg) and
+whose certificate is an expression in the tower.  It is deliberately
+restricted to diagonal, constant, and simple-pole matrices; anything else
+raises UnsupportedCase.  The matrix is read over Q(t): its simple poles
+and residue matrices, and its value at t = infinity from numerator and
+denominator degrees.  Eigenvalues come from the factors over Q(t) of one
+characteristic polynomial (fields.charpoly_factors), eigenvectors over a
+tower from fields.kernel on K-forms.  The rational solutions of a
+simple-pole system come from one coefficient matrix over Q, and each
+candidate is checked as the K-form identity delta(V) + c V = Bhat V.
 """
 
 from __future__ import annotations
@@ -39,10 +48,10 @@ from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.polyerrors import CoercionFailed
 
-from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, Tower,
-                     _theta_reduction_table, dm_shift, dm_to_matrix,
-                     indicial_degrees, kernel, make_tower, nullspace, shift,
-                     t, theta, treduce, x)
+from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, Tower, charpoly_factors,
+                     dm_delta, dm_embed, dm_from_matrix, dm_over_qt,
+                     dm_shift, dm_to_matrix, indicial_degrees, kernel,
+                     make_tower, shift, theta, x)
 from .difftools import standard_decompose
 from .ratsol import (UnsupportedCase, _constant_span_reduce,
                      rational_solutions, scalar_operators)
@@ -66,8 +75,8 @@ class HypergeometricCandidate:
 
 @dataclass
 class HyperexpCandidate:
-    V: sp.Matrix          # rational vector part over the tower
-    certificate: sp.Expr  # delta(h) = certificate * h
+    V: DomainMatrix       # K-form over the tower of the vector part
+    certificate: sp.Expr  # delta(h) = certificate * h, in the tower
     tower: Tower = TRIVIAL_TOWER
 
 
@@ -281,174 +290,167 @@ def system_hypergeometric(M: DomainMatrix, m: int = 1):
 
 
 # ---------------------------------------------------------------------------
-# hyperexponential solutions of delta(Y) = Bhat Y over Q(t)
+# hyperexponential solutions of delta(Y) = Bhat Y over Q(t).  Bhat is an
+# x-free K-form; poles, values at infinity and the rational ansatz are
+# read on it over Q(t)
 
-def _is_diagonal(B):
-    n = B.shape[0]
-    return all(sp.cancel(B[i, j]) == 0 for i in range(n) for j in range(n) if i != j)
-
-
-def _eigen_candidates(C: sp.Matrix, allow_tower=True):
-    """(eigenvalue, eigenvector, tower) triples over Q(t) or one extension."""
-    Y = sp.Symbol("_Y")
-    cp = sp.cancel(sp.expand(C.charpoly(Y).as_expr()))
-    P = sp.Poly(cp, Y, domain=sp.QQ.frac_field(t))
-    pairs = []
-    for fac, _mult in P.factor_list()[1]:
-        if fac.degree() == 1:
-            lam = sp.cancel(-P.domain.to_sympy(fac.monic().all_coeffs()[1]))
-            pairs.append((lam, TRIVIAL_TOWER))
-        elif allow_tower:
-            tower = make_tower(fac.monic().as_expr().subs(Y, theta))
-            pairs.extend((conj, tower) for conj in tower.conjugates())
-    return [(lam, v, tower) for lam, tower in pairs
-            for v in nullspace(C - lam * sp.eye(C.shape[0]), tower)]
+_T = QQ_T.gens[0]                   # t in Q(t)
+_T_RING = QQ_T.field.ring           # Q[t]
+_T_POLY = _T_RING.gens[0]           # t in Q[t]
 
 
-def _collect_equations(expr, tower: Tower, var: sp.Symbol = x):
-    """Split a polynomial identity in var (and theta) into equations for
-    its coefficients, linear in whatever unknown symbols appear."""
-    expr = sp.expand(expr)
-    expr = _theta_reduction_table(expr, tower)
-    if expr == 0:
-        return []
-    gens = (var, theta) if theta in expr.free_symbols else (var,)
-    return [sp.sympify(c) for c in sp.Poly(expr, *gens).coeffs()]
-
-
-def _nullspace_over_Qt(equations, unknowns):
-    """Basis of the solutions of homogeneous linear equations, exact over
-    the field of their coefficients (Q, Q(t), Q(x, t) or a number field).
-
-    The basis is the one Matrix.nullspace returns, in the same order: the
-    reduced row echelon form is unique, and the vector of the k-th free
-    unknown has 1 there and -rref[i][k] at the i-th pivot unknown."""
-    eqs = [e for e in equations if e != 0]
-    if not eqs:
-        return [sp.eye(len(unknowns))[:, i] for i in range(len(unknowns))]
-    Amat, rhs = sp.linear_eq_to_matrix(eqs, unknowns)
-    if not rhs.is_zero_matrix:
-        raise VerificationError("equations are not homogeneous")
-    dm = DomainMatrix.from_list_sympy(*Amat.shape, Amat.tolist(),
-                                      field=True, extension=True)
-    K = dm.domain
-    if K.is_EX:
-        raise FieldError("linear equations are not over a field of "
-                         "rational functions or numbers")
-    return [sp.Matrix([K.to_sympy(c) for c in row])
-            for row in kernel(dm).to_list()]
-
-
-def _diff_rational_solutions(C: sp.Matrix, tower: Tower):
-    """Rational solutions of delta(V) = C V for C over Q(t) (or tower) with
-    at most simple finite poles; desk-scale ansatz solve."""
-    n = C.shape[0]
-    # poles and residue matrices
-    dens = sp.Integer(1)
-    for e in C:
-        dens = sp.lcm(dens, sp.together(sp.cancel(e)).as_numer_denom()[1])
-    _, facs = sp.factor_list(sp.expand(dens), t)
-    denom = sp.Integer(1)
-    degbound = 0
-    for fac, mult in [(f, m_) for f, m_ in facs if t in f.free_symbols]:
-        if mult > 1 or sp.degree(fac, t) != 1:
+def _simple_poles(C: DomainMatrix) -> list:
+    """(a, residue matrix of C at t = a) for each finite pole a of the
+    matrix C over Q(t), ordered as the primitive factors q*t - p of
+    factor_list on an expression (by q, then -p); UnsupportedCase when a
+    pole is not simple and rational."""
+    poles = []
+    for f, mult in C.clear_denoms()[0].element.factor_list()[1]:
+        if mult > 1 or f.degree() != 1:
             raise UnsupportedCase("finite pole not simple and rational")
-        a = sp.cancel(-fac.subs(t, 0) / sp.LC(fac, t))
-        R = ((t - a) * C).applyfunc(lambda e: sp.cancel(sp.cancel(e).subs(t, a)))
-        eigs = [lam for lam, _v, tw in _eigen_candidates(R, allow_tower=False)
-                if lam.is_Integer]
-        dk = max([0] + [-int(l) for l in eigs if l < 0])
-        denom = denom * (t - a) ** dk
-    # degree bound at infinity from the 1/t residue of C; when C has a
-    # nonzero finite part at infinity the residue analysis does not apply,
-    # so use a slack ansatz bound instead (returned solutions stay verified)
-    Cinf = (t * C).applyfunc(lambda e: sp.limit(sp.cancel(e), t, sp.oo))
-    if any(v.has(sp.oo, -sp.oo, sp.zoo) for v in Cinf):
-        degbound = sp.degree(sp.expand(denom), t) + n + 4
-    else:
-        eigs = [lam for lam, _v, tw in _eigen_candidates(Cinf, allow_tower=False)
-                if lam.is_Integer]
-        degbound = max([0] + [int(l) for l in eigs if l > 0]) + sp.degree(
-            sp.expand(denom), t)
-    cs = sp.symbols(f"_v0:{n * (degbound + 1) * tower.degree}")
-    def unk(i, dg, kk):
-        return cs[(i * (degbound + 1) + dg) * tower.degree + kk]
-    V = sp.Matrix([[sum(unk(i, dg, kk) * theta**kk * t**dg
-                        for dg in range(degbound + 1)
-                        for kk in range(tower.degree))] for i in range(n)])
-    dden = sp.diff(denom, t)
-    # delta(V/denom) = C V/denom  =>  delta(V) - (dden/denom) V = C V
-    expr = (V.applyfunc(lambda e: sp.diff(e, t))
-            + V.applyfunc(lambda e: sp.diff(e, theta)) * tower.dtheta
-            - (dden / denom) * V - C * V)
-    eqs = []
+        poles.append(-f.coeff(1) / f.LC)
+    poles.sort(key=lambda a: (a.denominator, -a.numerator))
+    return [(a, C.mul(_T - a).applyfunc(
+        lambda c: QQ_T(c.numer(a) / c.denom(a)))) for a in poles]
+
+
+def _at_infinity(C: DomainMatrix):
+    """The value at t = infinity of the matrix C over Q(t), read from the
+    degrees of numerator and denominator of each entry; None when an
+    entry grows there."""
+    if any(c.numer.degree() > c.denom.degree() for c in C.to_list_flat()):
+        return None
+    return C.applyfunc(lambda c: QQ_T(c.numer.LC / c.denom.LC)
+                       if c.numer.degree() == c.denom.degree()
+                       else QQ_T.zero)
+
+
+def _rational_eigenvalues(R: DomainMatrix) -> list:
+    """The distinct eigenvalues in Q of the constant matrix R over Q(t),
+    ascending."""
+    roots = (-f.rep.to_list()[1] for f, _ in charpoly_factors(R)
+             if f.degree() == 1)
+    return sorted({r.numer.LC / r.denom.LC for r in roots})
+
+
+def _eigen_candidates(C: DomainMatrix) -> list:
+    """The candidates of the constant K-form C: each eigenvalue over Q(t),
+    or over the tower of an irreducible factor of the characteristic
+    polynomial, with one eigenvector per kernel vector of C - lam*I over
+    its tower (see fields.kernel)."""
+    n = C.shape[0]
+    pairs = []
+    for f, _ in charpoly_factors(C):
+        if f.degree() == 1:
+            pairs.append((QQ_T.to_sympy(-f.rep.to_list()[1]), TRIVIAL_TOWER))
+        else:
+            tower = make_tower(f.as_expr(theta))
+            pairs.extend((conj, tower) for conj in tower.conjugates())
+    out = []
+    for lam, tower in pairs:
+        e = tower.degree
+        N = kernel(dm_embed(C, tower)
+                   - dm_from_matrix(lam * sp.eye(n), tower)).transpose()
+        out.extend(HyperexpCandidate(
+            N.extract(range(n * e), range(j * e, (j + 1) * e)), lam, tower)
+            for j in range(N.shape[1] // e))
+    return out
+
+
+def _t_coefficient_matrix(columns: list) -> DomainMatrix:
+    """The matrix over Q whose j-th column lists the coefficients in t of
+    the polynomials columns[j] (over Q[t]), one row per (position, power
+    of t) that occurs."""
+    rows: dict = {}
+    for j, col in enumerate(columns):
+        for a, p in enumerate(col):
+            for (k,), c in p.terms():
+                rows.setdefault((a, k), [QQ.zero] * len(columns))[j] = c
+    return DomainMatrix([rows[key] for key in sorted(rows)],
+                        (len(rows), len(columns)), QQ)
+
+
+def _diff_rational_solutions(C: DomainMatrix) -> list:
+    """Rational solutions of delta(V) = C V, C over Q(t) with at most
+    simple rational finite poles, as K-forms.
+
+    A pole a of V has order at most the largest -l over the negative
+    integer eigenvalues l of the residue of C at a, which gives the
+    denominator den of V.  At infinity, where C = R/t + O(1/t^2), deg V
+    is at most the largest positive integer eigenvalue of R; when C does
+    not vanish at infinity the residue analysis does not apply and a
+    slack bound is used (the solutions stay verified).  With C = N/d, the
+    numerators P of degree <= bound solve
+    d (den P' - den' P) - N den P = 0, linear over Q in the coefficients
+    of P, unknowns ordered by (coordinate, degree)."""
+    n = C.shape[0]
+    den = _T_RING.one
+    for a, R in _simple_poles(C):
+        den *= (_T_POLY - a) ** max([0] + [
+            -int(lam) for lam in _rational_eigenvalues(R)
+            if lam.denominator == 1 and lam < 0])
+    Cinf = _at_infinity(C.mul(_T))
+    bound = den.degree() + (n + 4 if Cinf is None else max([0] + [
+        int(lam) for lam in _rational_eigenvalues(Cinf)
+        if lam.denominator == 1 and lam > 0]))
+    d, N = C.clear_denoms(convert=True)
+    d, N, dden = d.element, N.to_list(), den.diff(_T_POLY)
+    columns = []
     for i in range(n):
-        num, _ = sp.together(expr[i]).as_numer_denom()
-        eqs.extend(_collect_equations(num, tower, t))
-    null = _nullspace_over_Qt(eqs, list(cs))
-    sols = []
-    for vec in null:
-        sub = {cs[i]: vec[i] for i in range(len(cs))}
-        Vv = (V.subs(sub) / denom).applyfunc(lambda e: treduce(e, tower))
-        if any(v != 0 for v in Vv):
-            sols.append(Vv)
+        for dg in range(bound + 1):
+            # the image of P = t^dg at coordinate i
+            p = _T_POLY**dg
+            own = d * (den * p.diff(_T_POLY) - dden * p)
+            columns.append([(own if a == i else 0) - den * N[a][i] * p
+                            for a in range(n)])
+    sols, b = [], bound + 1
+    for vec in kernel(_t_coefficient_matrix(columns)).to_list():
+        P = [_T_RING.from_list(vec[i * b:(i + 1) * b][::-1])
+             for i in range(n)]
+        sols.append(DomainMatrix([[QQ_XT.convert_from(
+            QQ_T.field.new(p, den), QQ_T)] for p in P], (n, 1), QQ_XT))
     return sols
 
 
-def hyperexp_solutions(Bhat: sp.Matrix):
-    """Hyperexponential solution candidates of delta(Y) = Bhat * Y over Q(t).
+def hyperexp_solutions(Bhat: DomainMatrix):
+    """Hyperexponential solution candidates of delta(Y) = Bhat * Y over
+    Q(t), Bhat an x-free K-form.
 
     Supported: diagonal Bhat; constant Bhat (eigen-decomposition, possibly
-    over a tower); Bhat with simple rational finite poles and a finite value
-    at infinity.  Raises UnsupportedCase otherwise.
+    over a tower); Bhat with simple rational finite poles and a finite
+    value at infinity, whose certificates are mu + sum lam_a/(t - a) over
+    the rational eigenvalues lam_a of the residues and mu of the value at
+    infinity.  Raises UnsupportedCase otherwise.  Each candidate's V is
+    the K-form over its tower of the vector part, (n*deg) x deg.
     """
     n = Bhat.shape[0]
-    B = Bhat.applyfunc(sp.cancel)
-    if x in B.free_symbols or theta in B.free_symbols:
+    B = dm_over_qt(Bhat)
+    if B is None:
         raise UnsupportedCase("matrix must be over Q(t)")
-    if _is_diagonal(B):
-        out = []
-        for i in range(n):
-            e = sp.zeros(n, 1)
-            e[i] = 1
-            out.append(HyperexpCandidate(V=e, certificate=sp.cancel(B[i, i])))
-        return out
-    if t not in B.free_symbols:
-        out = []
-        for lam, v, tw in _eigen_candidates(B):
-            out.append(HyperexpCandidate(V=v, certificate=lam, tower=tw))
-        if not out:
-            raise UnsupportedCase("no eigenvalues within Q(t) or one extension")
-        return out
-    # simple-pole class
-    out = []
-    dens = sp.Integer(1)
-    for e in B:
-        dens = sp.lcm(dens, sp.together(sp.cancel(e)).as_numer_denom()[1])
-    _, facs = sp.factor_list(sp.expand(dens), t)
-    poles = []
-    for fac, mult in [(f, m_) for f, m_ in facs if t in f.free_symbols]:
-        if mult > 1 or sp.degree(fac, t) != 1:
-            raise UnsupportedCase("finite pole not simple and rational")
-        poles.append(sp.cancel(-fac.subs(t, 0) / sp.LC(fac, t)))
-    Binf = B.applyfunc(lambda e: sp.limit(sp.cancel(e), t, sp.oo))
-    if any(v in (sp.oo, -sp.oo, sp.zoo) or v.has(sp.oo) for v in Binf):
+    if Bhat.is_diagonal:
+        return [HyperexpCandidate(
+            V=DomainMatrix.eye(n, QQ_XT).extract(range(n), [i]),
+            certificate=QQ_T.to_sympy(B[i, i].element)) for i in range(n)]
+    if all(c.numer.is_ground and c.denom.is_ground
+           for c in B.to_dok().values()):
+        return _eigen_candidates(Bhat)
+    poles = _simple_poles(B)
+    Binf = _at_infinity(B)
+    if Binf is None:
         raise UnsupportedCase("matrix grows at t = infinity")
-    cand_parts = []
-    for a in poles:
-        R = ((t - a) * B).applyfunc(lambda e: sp.cancel(sp.cancel(e).subs(t, a)))
-        lams = sorted({lam for lam, _v, tw in _eigen_candidates(R, allow_tower=False)
-                       if not lam.free_symbols},
-                      key=sp.default_sort_key)
-        cand_parts.append([(a, lam) for lam in lams])
-    mus = sorted({lam for lam, _v, tw in _eigen_candidates(Binf, allow_tower=False)
-                  if not lam.free_symbols}, key=sp.default_sort_key)
+    cand_parts = [[(a, lam) for lam in _rational_eigenvalues(R)]
+                  for a, R in poles]
+    out = []
     for picks in itertools.product(*cand_parts):
-        for mu in mus:
-            c = sp.cancel(mu + sum(lam / (t - a) for a, lam in picks))
-            for V in _diff_rational_solutions(B - c * sp.eye(n), TRIVIAL_TOWER):
-                resid = (V.applyfunc(lambda e: sp.diff(e, t)) + c * V - B * V)
-                if all(sp.cancel(r) == 0 for r in resid):
-                    if not any(sp.cancel(c - o.certificate) == 0 for o in out):
-                        out.append(HyperexpCandidate(V=V, certificate=c))
+        for mu in _rational_eigenvalues(Binf):
+            c = sum((lam / (_T - a) for a, lam in picks), QQ_T(mu))
+            cK = QQ_XT.convert_from(c, QQ_T)
+            for V in _diff_rational_solutions(
+                    B - DomainMatrix.eye(n, QQ_T).mul(c)):
+                if dm_delta(V) + V.mul(cK) != Bhat * V:
+                    raise VerificationError(
+                        "hyperexponential candidate failed substitution "
+                        "check")
+                out.append(HyperexpCandidate(V=V,
+                                             certificate=QQ_T.to_sympy(c)))
     return out

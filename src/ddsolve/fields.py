@@ -29,13 +29,15 @@ the trivial tower is the case of degree 1), converted at the boundary by
 inverses over the tower are those of the K-forms; sigma, and delta with
 :func:`dm_delta`, act on them too, and on the matrices over Q[x, t] of
 cleared numerators that the fraction-free cocycle (:func:`dm_sigma_power`)
-and integrability test multiply.  The ``Expr`` matrix helpers that
-remain serve what is still ``Expr``: :func:`nullspace` and :func:`rank`
-the hyperexponential side (the eigenvectors of ``closedform``, the
-independence test of DP1's residual candidates).  :func:`treduce` and
-:func:`shift` serve parsing and the places where a value enters or leaves
-as an expression; :func:`k_shift` is sigma on K.  :func:`mat_reduce`,
-:func:`mat_inv`, :func:`sigma_power_matrix`, :func:`factor_in_x` and
+and integrability test multiply.  An x-free K-matrix is read over
+Q(t) = ``QQ_T`` by :func:`dm_over_qt`, and :func:`charpoly_factors`
+factors its characteristic polynomial there, once, for the eigenvalues
+of ``closedform``'s delta-side and ``moser``'s classification.  A null
+space over the tower is :func:`kernel` of the K-form, whose basis is the
+K-form of one over the tower.  :func:`treduce` and :func:`shift` serve
+parsing and the places where a value enters or leaves as an expression;
+:func:`k_shift` is sigma on K.  :func:`mat_reduce`, :func:`mat_inv`,
+:func:`sigma_power_matrix`, :func:`factor_in_x` and
 :func:`series_at_infinity` have no caller in the package (``difftools``
 works on K and Q[x, t]); they stay for ``ddsolve``'s exports, the tests
 and the benchmark tracer (``ddbench/tracer.py``), which names all but
@@ -62,21 +64,24 @@ from sympy.polys.polyerrors import CoercionFailed
 
 x, t, theta = sp.symbols("x t theta")
 
-# K = Q(x, t), the coefficient field of the trivial tower
+# K = Q(x, t), the coefficient field of the trivial tower, and Q(t)
 QQ_XT = QQ.frac_field(x, t)
+QQ_T = QQ.frac_field(t)
 # Q(x, t, theta), theta an indeterminate: where treduce works on the
 # trivial tower
 _QQ_XTTH = QQ.frac_field(x, t, theta)
 _X, _T_RING = QQ_XT.field.ring.gens   # x and t in Q[x, t], K's numerators
 _T = QQ_XT.gens[1]                     # t in K
+# the variable of characteristic polynomials and the classification
+_Y = sp.Symbol("Y")
 
 __all__ = [
     "x", "t", "theta", "Tower", "TRIVIAL_TOWER", "make_tower",
     "treduce", "teq", "tinv", "shift", "delta",
-    "series_at_infinity", "factor_in_x", "roots_over_coeff_field",
+    "series_at_infinity", "factor_in_x", "charpoly_factors", "dm_over_qt",
     "AllEqual", "Split", "Conjugate", "MixedSplit",
     "mat_reduce", "mat_inv",
-    "nullspace", "rank", "kernel", "regular_matrix", "from_regular",
+    "kernel", "regular_matrix", "from_regular",
     "regular_rows", "theta_coords", "from_theta_coords",
     "common_integer_roots", "x_integer_roots",
     "indicial_degrees",
@@ -105,28 +110,28 @@ class Tower:
         return self.minpoly is None
 
     def conjugates(self) -> list[sp.Expr]:
-        """All roots of minpoly that lie inside the tower itself (theta first).
+        """The roots of minpoly that lie inside the tower itself, theta
+        first.
 
-        For degree 2 this is always both roots; for higher degree we search
-        for linear-in-theta roots and may come up short.
-        """
+        For degree 2 these are both roots.  For a higher degree and a
+        minpoly over Q they are read from the linear factors of minpoly
+        over Q(r), r a root, in powers of r = theta; over Q(t) only theta
+        is returned, and a caller that needs n roots gives up."""
         if self.trivial:
             return []
+        P = sp.Poly(self.minpoly, theta)
         if self.degree == 2:
             # theta' = -a1 - theta for m = Y^2 + a1*Y + a0
-            a1 = sp.Poly(self.minpoly, theta).all_coeffs()[1]
-            return [theta, treduce(-a1 - theta, self)]
+            return [theta, treduce(-P.all_coeffs()[1] - theta, self)]
+        if t in self.minpoly.free_symbols:
+            return [theta]
+        K = QQ.algebraic_field(sp.CRootOf(P, 0))
         found = [theta]
-        # linear-substitution root search: candidates u + v*theta
-        u, v = sp.symbols("_u _v")
-        cand = treduce(self.minpoly.subs(theta, u + v * theta), self)
-        sols = sp.solve(
-            [sp.numer(sp.cancel(c)) for c in sp.Poly(cand, theta).all_coeffs()],
-            [u, v], dict=True)
-        for s in sols:
-            if v in s and u in s:
-                root = treduce(s[u] + s[v] * theta, self)
-                if not any(teq(root, r, self) for r in found):
+        for f, _ in sp.Poly(P, theta, domain=K).factor_list()[1]:
+            if f.degree() == 1:     # f = theta - root, root in Q[r]
+                root = treduce(sp.Poly((-f.monic().rep.to_list()[1])
+                                       .to_list(), theta).as_expr(), self)
+                if root != theta:
                     found.append(root)
         return found
 
@@ -151,7 +156,7 @@ def make_tower(minpoly: sp.Expr, var: sp.Symbol = None) -> Tower:
     """
     if var is not None and var is not theta:
         minpoly = minpoly.subs(var, theta)
-    P = sp.Poly(sp.together(minpoly), theta, domain=QQ.frac_field(t))
+    P = sp.Poly(sp.together(minpoly), theta, domain=QQ_T)
     if not P.LC() == 1:
         raise FieldError("minimal polynomial must be monic")
     if P.degree() == 1:
@@ -315,22 +320,6 @@ def factor_in_x(p, tower: Tower = TRIVIAL_TOWER):
     return content, factors
 
 
-def _theta_reduction_table(expr, tower: Tower):
-    """Rewrite theta powers >= degree using the minimal polynomial."""
-    if tower.trivial or theta not in expr.free_symbols:
-        return expr
-    p = sp.Poly(expr, theta)
-    e = tower.degree
-    maxpow = p.degree()
-    red = {k: theta**k for k in range(min(maxpow, e - 1) + 1)}
-    for k in range(e, maxpow + 1):
-        red[k] = sp.expand(treduce(theta**k, tower))
-    out = sp.Integer(0)
-    for (k,), c in zip(p.monoms(), p.coeffs()):
-        out += sp.sympify(c) * red[k]
-    return sp.expand(out)
-
-
 def common_integer_roots(slices: list) -> list:
     """Sorted integers that are roots of every nonzero dense polynomial
     over Q in `slices`; the candidates are the rational roots of the
@@ -392,7 +381,7 @@ def indicial_degrees(Q: list, m: int, K, rmax: int = 80):
 
 
 # ---------------------------------------------------------------------------
-# classification of the beta-polynomial over Q(t)
+# classification of the eigenvalues of a matrix over Q(t)
 
 @dataclass(frozen=True)
 class AllEqual:
@@ -414,29 +403,20 @@ class MixedSplit:
     factors: tuple
 
 
-def roots_over_coeff_field(P, var: sp.Symbol, n: int):
-    """Classify a degree-n polynomial over Q(t): AllEqual / Split / Conjugate.
+def charpoly_factors(D: DomainMatrix) -> list:
+    """The factors over Q(t) of the characteristic polynomial of the
+    x-free square K-matrix D: (monic factor, multiplicity) pairs, the
+    factors as Polys in Y over Q(t), in the order of Poly.factor_list."""
+    P = sp.Poly(D.convert_to(QQ_T).charpoly(), _Y, domain=QQ_T)
+    return [(f.monic(), mult) for f, mult in P.factor_list()[1]]
 
-    Any other factorization shape is reported as MixedSplit (the caller
-    exits; n prime rules these out for genuine beta-polynomials).
-    """
-    Pp = sp.Poly(sp.cancel(sp.together(P)), var, domain=QQ.frac_field(t))
-    if Pp.degree() != n:
-        raise FieldError("degree mismatch in roots_over_coeff_field")
-    _, raw = Pp.factor_list()
-    if len(raw) == 1 and raw[0][0].degree() == n and raw[0][1] == 1 and n > 1:
-        return Conjugate(raw[0][0].monic().as_expr())
-    if all(fac.degree() == 1 for fac, _ in raw):
-        roots = []
-        dom = Pp.domain
-        for fac, mult in raw:
-            _, b = fac.monic().all_coeffs()
-            r = sp.cancel(-dom.to_sympy(b))
-            roots.extend([r] * mult)
-        if all(sp.cancel(r - roots[0]) == 0 for r in roots):
-            return AllEqual(roots[0])
-        return Split(tuple(roots))
-    return MixedSplit(tuple((fac.monic().as_expr(), mult) for fac, mult in raw))
+
+def dm_over_qt(D: DomainMatrix):
+    """The K-matrix D over Q(t), or None when an entry involves x."""
+    try:
+        return D.convert_to(QQ_T)
+    except CoercionFailed:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -451,30 +431,18 @@ def mat_inv(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
     return dm_to_matrix(dm_inv(dm_from_matrix(M, tower)), tower)
 
 
-def nullspace(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> list:
-    """Basis of {v : M v = 0} over the tower, in the canonical form of
-    treduce: the vectors Matrix.nullspace returns, in the same order.
-
-    In the reduced row echelon form of the regular representation the deg
-    columns of one tower column are all pivots or all free.  The K-basis
-    vector of free column (j, k) is then the coordinate vector of v_j *
-    theta^k, v_j being the basis vector over the tower with 1 at j and 0
-    at every other free column, so the K-basis, as columns, is the regular
-    representation of the matrix [v_1 ... v_f]."""
-    N = dm_to_matrix(kernel(dm_from_matrix(M, tower)).transpose(), tower)
-    return [N[:, j] for j in range(N.cols)]
-
-
-def rank(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> int:
-    """Rank of M over the tower."""
-    _, pivots = dm_from_matrix(M, tower).rref()
-    return len(pivots) // tower.degree
-
-
 def kernel(D: DomainMatrix) -> DomainMatrix:
     """Null-space basis of D, one vector per row, read off its reduced row
     echelon form: the k-th vector is 1 at the k-th free column and 0 at
-    the others."""
+    the others.
+
+    On the K-form of a matrix over a tower of degree deg, the deg columns
+    of one tower column are all pivots or all free.  The vector of free
+    column (j, k) is then the coordinate vector of v_j * theta^k, v_j
+    being the basis vector over the tower with 1 at j and 0 at every
+    other free column, so the basis, transposed, is the K-form of the
+    matrix [v_1 ... v_f] over the tower: v_j is its j-th block of deg
+    columns."""
     rref, pivots = D.rref()
     return rref.nullspace_from_rref(pivots)
 

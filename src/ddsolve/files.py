@@ -36,10 +36,11 @@ __all__ = ["SchemaError", "read_system", "write_system",
 
 
 class SchemaError(ValueError):
-    """Invalid file content, located by a JSON pointer."""
+    """Invalid file content, located by a JSON pointer; the empty pointer
+    (input that is not read from a file) gives the bare message."""
 
     def __init__(self, pointer: str, message: str):
-        super().__init__(f"{pointer}: {message}")
+        super().__init__(f"{pointer}: {message}" if pointer else message)
         self.pointer = pointer
 
 

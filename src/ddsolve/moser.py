@@ -18,6 +18,11 @@ Barkatou, ISSAC 1995; Barkatou-Pfluegel, JSC 44, 2009), over K = Q(x, t):
   null vector of the pencil, which maps them into a smaller space.
 * Each step must lower (q, r) lexicographically, checked exactly;
   ReductionStalled is raised when it does not.
+
+The report keeps the leading matrix as a K-form.
+``leading_eigendata(H0: DomainMatrix)`` classifies its eigenvalues from
+the factors over Q(t) of its characteristic polynomial
+(:func:`ddsolve.fields.charpoly_factors`).
 """
 
 from __future__ import annotations
@@ -25,12 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import sympy as sp
-from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from .fields import (QQ_XT, TRIVIAL_TOWER, Tower, dm_from_matrix, dm_inv,
-                     dm_series_at_infinity, dm_shift, dm_to_matrix, kernel,
-                     roots_over_coeff_field, t, x)
+from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, AllEqual, Conjugate,
+                     MixedSplit, Split, Tower, charpoly_factors,
+                     dm_from_matrix, dm_inv, dm_series_at_infinity, dm_shift,
+                     dm_to_matrix, kernel, x)
 from .sequences import VerificationError
 
 __all__ = ["InfinityExpansion", "MoserReport", "ReductionStalled",
@@ -38,7 +43,7 @@ __all__ = ["InfinityExpansion", "MoserReport", "ReductionStalled",
            "leading_eigendata"]
 
 # Q(t)[s, lam], where the Moser criterion's determinant is taken
-_THETA_RING = QQ.frac_field(t)[sp.Symbol("_s"), sp.Symbol("_lam")]
+_THETA_RING = QQ_T[sp.Symbol("_s"), sp.Symbol("_lam")]
 
 
 class ReductionStalled(Exception):
@@ -56,7 +61,7 @@ class MoserReport:
     gauge: sp.Matrix
     reduced: sp.Matrix
     moser_order: sp.Rational
-    leading: sp.Matrix
+    leading: DomainMatrix  # K-form of the leading matrix, over Q(t)
     ord: int               # order at infinity of the reduced matrix
 
 
@@ -143,11 +148,25 @@ def moser_reduce(D: DomainMatrix) -> MoserReport:
         raise VerificationError("gauge identity violated")
     return MoserReport(gauge=dm_to_matrix(gauge), reduced=dm_to_matrix(cur),
                        moser_order=sp.Rational(-ord_) + sp.Rational(r, n),
-                       leading=dm_to_matrix(H0), ord=ord_)
+                       leading=H0, ord=ord_)
 
 
-def leading_eigendata(H0: sp.Matrix, n: int, var: sp.Symbol = None):
-    """Classification of the eigenvalue multiset of H0 over Q(t)."""
-    Y = var if var is not None else sp.Symbol("Y")
-    cp = H0.charpoly(Y).as_expr()
-    return roots_over_coeff_field(cp, Y, n)
+def leading_eigendata(H0: DomainMatrix):
+    """Classification of the eigenvalue multiset over Q(t) of the leading
+    matrix H0 (an x-free K-form): Conjugate when the characteristic
+    polynomial is irreducible of degree n > 1, AllEqual or Split when it
+    splits into linear factors, MixedSplit for any other shape (the caller
+    exits; n prime rules these out for genuine beta-polynomials).  The
+    contents are expressions in Y."""
+    n = H0.shape[0]
+    factors = charpoly_factors(H0)
+    if n > 1 and len(factors) == 1 and factors[0][1] == 1 \
+            and factors[0][0].degree() == n:
+        return Conjugate(factors[0][0].as_expr())
+    if all(f.degree() == 1 for f, _ in factors):
+        roots = [-f.rep.to_list()[1] for f, mult in factors
+                 for _ in range(mult)]
+        if all(r == roots[0] for r in roots):
+            return AllEqual(QQ_T.to_sympy(roots[0]))
+        return Split(tuple(QQ_T.to_sympy(r) for r in roots))
+    return MixedSplit(tuple((f.as_expr(), mult) for f, mult in factors))

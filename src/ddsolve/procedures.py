@@ -44,9 +44,9 @@ from .difftools import (StandardDecomposition, leading_beta,
                         split_alpha_beta_power, standard_decompose)
 from .fields import (QQ_XT, Conjugate, FieldError, MixedSplit, Split,
                      TRIVIAL_TOWER, Tower, delta, dm_conjugate,
-                     dm_delta, dm_embed, dm_from_matrix, dm_inv, dm_shift,
-                     dm_sigma_power, dm_to_matrix, from_regular, k_shift,
-                     make_tower, rank, theta, treduce, x)
+                     dm_delta, dm_embed, dm_from_matrix, dm_inv, dm_over_qt,
+                     dm_shift, dm_sigma_power, dm_to_matrix, from_regular,
+                     k_shift, make_tower, theta, treduce, x)
 from .moser import (MoserReport, ReductionStalled, leading_eigendata,
                     moser_reduce)
 from .ratsol import (_invertible_selection, gauge_from_ratios,
@@ -312,7 +312,7 @@ def _decision_procedure_1(sys: DDSystem, report: dict) -> Outcome:
 
     # (c) classify the eigenvalue multiset of the leading matrix
     stages.append("c")
-    eig = leading_eigendata(mos.leading, n)
+    eig = leading_eigendata(mos.leading)
     report["beta_classification"] = eig
     if isinstance(eig, MixedSplit):
         return Outcome("NoSolution", "DP1", "c",
@@ -401,13 +401,12 @@ def _dp1_stage_d2(sys: DDSystem, alpha, beta1, report: dict) -> Outcome:
                        "no invertible gauge with ratio alpha*beta over "
                        "Q(x, t)", report=report)
     Bbar = _gauge_delta_part(G, sys.B_K, TRIVIAL_TOWER)
-    Bhat = dm_to_matrix(Bbar - dm_from_matrix(sp.eye(n) * x * delta(beta1)
-                                              / beta1))
-    if x in Bhat.free_symbols:
+    Bhat = Bbar - dm_from_matrix(sp.eye(n) * x * delta(beta1) / beta1)
+    if dm_over_qt(Bhat) is None:
         return Outcome("NoSolution", "DP1", "d2",
                        "residual delta-part is not over Q(t)", report=report)
     report["G"] = dm_to_matrix(G)
-    report["Bhat"] = Bhat
+    report["Bhat"] = dm_to_matrix(Bhat)
     cands = hyperexp_solutions(Bhat)
     indep = _independent_candidates(cands, n)
     if indep is None:
@@ -421,8 +420,7 @@ def _dp1_stage_d2(sys: DDSystem, alpha, beta1, report: dict) -> Outcome:
     sol_tower = next((tw for tw in towers if not tw.trivial), TRIVIAL_TOWER)
     cs = []
     for c in indep:
-        W = dm_to_matrix(dm_embed(G, c.tower)
-                         * dm_from_matrix(c.V, c.tower), c.tower)
+        W = dm_to_matrix(dm_embed(G, c.tower) * c.V, c.tower)
         dr = treduce(c.certificate + delta(beta1) / beta1 * x, c.tower)
         cs.append(c.certificate)
         cert = HypCert(sigma_ratio=ratio, sigma_step=1, delta_ratio=dr)
@@ -435,19 +433,22 @@ def _dp1_stage_d2(sys: DDSystem, alpha, beta1, report: dict) -> Outcome:
 
 
 def _independent_candidates(cands, n):
-    """n hyperexponential candidates with independent vectors, or None.
-
-    Independence is only meaningful per tower; candidates from different
-    certificate values are automatically independent, so a greedy scan
-    over exact column ranks suffices at this scale."""
-    chosen = []
+    """n hyperexponential candidates with vectors independent over their
+    tower, or None: a greedy scan over exact ranks of the hstacked K-forms,
+    trivial-tower vectors embedded into the tower of the others.  A
+    candidate over a second nontrivial tower shares no tower with the
+    chosen ones and is skipped."""
+    chosen, tower = [], TRIVIAL_TOWER
     for c in cands:
+        tw = c.tower if tower.trivial else tower
+        if c.tower not in (tw, TRIVIAL_TOWER):
+            continue
         trial = chosen + [c]
-        cols = sp.Matrix.hstack(*[cc.V for cc in trial])
-        tw = next((cc.tower for cc in trial if not cc.tower.trivial),
-                  TRIVIAL_TOWER)
-        if rank(cols, tw) == len(trial):
-            chosen = trial
+        cols = DomainMatrix.hstack(*(cc.V if cc.tower == tw
+                                     else dm_embed(cc.V, tw)
+                                     for cc in trial))
+        if cols.rank() == tw.degree * len(trial):
+            chosen, tower = trial, tw
         if len(chosen) == n:
             return chosen
     return None

@@ -36,7 +36,7 @@ from sympy.polys.densebasic import dup_from_raw_dict, dup_strip
 from sympy.polys.matrices import DomainMatrix
 
 from .difftools import shift_classes
-from .fields import (QQ_XT, TRIVIAL_TOWER, Tower, _modulus,
+from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, Tower, _modulus,
                      common_integer_roots, dm_inv, dm_series_at_infinity,
                      dm_shift, from_regular, indicial_degrees, k_shift,
                      kernel, regular_matrix, t, theta)
@@ -46,9 +46,8 @@ __all__ = ["RationalSolutionBasis", "UnsupportedCase",
            "universal_denominator", "polynomial_solutions",
            "rational_solutions", "gauge_from_ratios"]
 
-# Q(t), the field of the ansatz unknowns, and its polynomial ring
-_QT = QQ.frac_field(t)
-_QT_RING = _QT.field.ring
+# the polynomial ring of Q(t), the field of the ansatz unknowns
+_QT_RING = QQ_T.field.ring
 # Q[x, t], where numerators and denominators of K live, and its integer
 # version
 _XT_RING = QQ_XT.field.ring
@@ -94,11 +93,11 @@ def _coefficient_matrix(columns: list) -> DomainMatrix:
                 slots.setdefault((a, i), {}).setdefault(j, {})[(k,)] = c
     rows = []
     for key in sorted(slots):
-        row = [_QT.zero] * len(columns)
+        row = [QQ_T.zero] * len(columns)
         for j, terms in slots[key].items():
-            row[j] = _QT.new(_QT_RING.from_dict(terms))
+            row[j] = QQ_T.new(_QT_RING.from_dict(terms))
         rows.append(row)
-    return DomainMatrix(rows, (len(rows), len(columns)), _QT)
+    return DomainMatrix(rows, (len(rows), len(columns)), QQ_T)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +284,7 @@ def polynomial_solutions(M: DomainMatrix, m: int = 1,
     mod = _modulus(tower)
     sols = []
     for vec in kernel(_coefficient_matrix(columns)).to_list():
-        vec = [QQ_XT.convert_from(c, _QT) for c in vec]
+        vec = [QQ_XT.convert_from(c, QQ_T) for c in vec]
         sols.append(regular_matrix([
             dup_strip([
                 sum((vec[(i * deg + dg) * e + k] * xK**dg

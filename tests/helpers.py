@@ -2,15 +2,19 @@
 rational function with respect to sigma^m, and reference implementations
 that pin the results of the ones that replaced them."""
 
+import itertools
 from dataclasses import dataclass
 
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
 from ddsolve.difftools import dispersion
-from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, Tower, delta, factor_in_x,
-                            k_shift, rank, series_at_infinity, shift, t,
-                            treduce, x)
+from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, FieldError, Tower, delta,
+                            dm_from_matrix, dm_to_matrix, factor_in_x,
+                            k_shift, kernel, make_tower, series_at_infinity,
+                            shift, t, theta, treduce, x)
 from ddsolve.moser import infinity_expansion
+from ddsolve.sequences import VerificationError
 
 
 def mat_eq(A: sp.Matrix, B: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> bool:
@@ -29,6 +33,74 @@ def mat_shift(M: sp.Matrix, j: int = 1) -> sp.Matrix:
 def mat_delta(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
     """delta on every entry of a matrix over the tower."""
     return M.applyfunc(lambda e: delta(e, tower))
+
+
+# ---------------------------------------------------------------------------
+# reference Expr linear algebra: the null space, rank and coefficient
+# equations the K-form solvers replaced, kept for the references below
+
+def nullspace(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> list:
+    """Basis of {v : M v = 0} over the tower, in the canonical form of
+    treduce: the vectors Matrix.nullspace returns, in the same order (the
+    basis of fields.kernel on the K-form, read back over the tower)."""
+    N = dm_to_matrix(kernel(dm_from_matrix(M, tower)).transpose(), tower)
+    return [N[:, j] for j in range(N.cols)]
+
+
+def rank(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> int:
+    """Rank of M over the tower."""
+    _, pivots = dm_from_matrix(M, tower).rref()
+    return len(pivots) // tower.degree
+
+
+def theta_reduction_table(expr, tower: Tower):
+    """Rewrite theta powers >= degree using the minimal polynomial."""
+    if tower.trivial or theta not in expr.free_symbols:
+        return expr
+    p = sp.Poly(expr, theta)
+    e = tower.degree
+    maxpow = p.degree()
+    red = {k: theta**k for k in range(min(maxpow, e - 1) + 1)}
+    for k in range(e, maxpow + 1):
+        red[k] = sp.expand(treduce(theta**k, tower))
+    out = sp.Integer(0)
+    for (k,), c in zip(p.monoms(), p.coeffs()):
+        out += sp.sympify(c) * red[k]
+    return sp.expand(out)
+
+
+def collect_equations(expr, tower: Tower, var: sp.Symbol = x):
+    """Split a polynomial identity in var (and theta) into equations for
+    its coefficients, linear in whatever unknown symbols appear."""
+    expr = sp.expand(expr)
+    expr = theta_reduction_table(expr, tower)
+    if expr == 0:
+        return []
+    gens = (var, theta) if theta in expr.free_symbols else (var,)
+    return [sp.sympify(c) for c in sp.Poly(expr, *gens).coeffs()]
+
+
+def nullspace_over_Qt(equations, unknowns):
+    """Basis of the solutions of homogeneous linear equations, exact over
+    the field of their coefficients (Q, Q(t), Q(x, t) or a number field).
+
+    The basis is the one Matrix.nullspace returns, in the same order: the
+    reduced row echelon form is unique, and the vector of the k-th free
+    unknown has 1 there and -rref[i][k] at the i-th pivot unknown."""
+    eqs = [e for e in equations if e != 0]
+    if not eqs:
+        return [sp.eye(len(unknowns))[:, i] for i in range(len(unknowns))]
+    Amat, rhs = sp.linear_eq_to_matrix(eqs, unknowns)
+    if not rhs.is_zero_matrix:
+        raise VerificationError("equations are not homogeneous")
+    dm = DomainMatrix.from_list_sympy(*Amat.shape, Amat.tolist(),
+                                      field=True, extension=True)
+    K = dm.domain
+    if K.is_EX:
+        raise FieldError("linear equations are not over a field of "
+                         "rational functions or numbers")
+    return [sp.Matrix([K.to_sympy(c) for c in row])
+            for row in kernel(dm).to_list()]
 
 
 def is_standard(f, m: int) -> bool:
@@ -242,15 +314,13 @@ def _reference_algebraic_roots(poly_in_z, z):
 
 
 def _reference_polynomial_kernel(Q, m, degree_bound, x):
-    from ddsolve.closedform import _nullspace_over_Qt
-
     cs = sp.symbols(f"_k0:{degree_bound + 1}")
     C = sum(cs[j] * x**j for j in range(degree_bound + 1))
     expr = sp.expand(sum(Q[i] * C.subs(x, x + m * i) for i in range(len(Q))))
     if expr == 0:
         vec = [1] * len(cs)
     else:
-        null = _nullspace_over_Qt(sp.Poly(expr, x).coeffs(), list(cs))
+        null = nullspace_over_Qt(sp.Poly(expr, x).coeffs(), list(cs))
         if not null:
             return None
         vec = null[0]
@@ -330,7 +400,7 @@ def reference_universal_denominator(M, m=1, tower=TRIVIAL_TOWER):
 def reference_scalar_operators(M, m, tower):
     """Chain operators from nullspace on sp.Matrix rows, normalized by the
     lcm of the together-denominators."""
-    from ddsolve.fields import mat_reduce, nullspace
+    from ddsolve.fields import mat_reduce
 
     n = M.shape[0]
     ops = []
@@ -359,9 +429,9 @@ def integer_roots(p, var=x, tower=TRIVIAL_TOWER):
     from sympy import QQ
     from sympy.polys.densebasic import dup_from_raw_dict
 
-    from ddsolve.fields import _theta_reduction_table, common_integer_roots
+    from ddsolve.fields import common_integer_roots
 
-    p = _theta_reduction_table(sp.expand(p), tower)
+    p = theta_reduction_table(sp.expand(p), tower)
     num = sp.expand(sp.together(p).as_numer_denom()[0])
     if num == 0:
         return None
@@ -377,8 +447,6 @@ def integer_roots(p, var=x, tower=TRIVIAL_TOWER):
 def reference_degree_bound(M, m, tower):
     """Degree bound from the Expr infinity expansion, a Berkowitz det with
     a free symbol, and the reference scalar operators."""
-    from ddsolve.fields import nullspace, rank
-    from ddsolve.moser import infinity_expansion
     from ddsolve.ratsol import UnsupportedCase
 
     n = M.shape[0]
@@ -425,9 +493,6 @@ def reference_polynomial_solutions(M, m=1, degree_bound=None,
                                    tower=TRIVIAL_TOWER):
     """Polynomial solutions from an Expr ansatz with n*(deg+1)*e unknown
     symbols, together/as_numer_denom per row and coefficient collection."""
-    from ddsolve.closedform import _collect_equations, _nullspace_over_Qt
-    from ddsolve.fields import theta, x
-
     n = M.shape[0]
     if degree_bound is None:
         degree_bound = reference_degree_bound(M, m, tower)
@@ -446,9 +511,9 @@ def reference_polynomial_solutions(M, m=1, degree_bound=None,
     MP = M * P
     for i in range(n):
         num, _ = sp.together(shift(P[i], m) - MP[i]).as_numer_denom()
-        equations.extend(_collect_equations(num, tower))
+        equations.extend(collect_equations(num, tower))
     sols = []
-    for vec in _nullspace_over_Qt(equations, list(coeffs)):
+    for vec in nullspace_over_Qt(equations, list(coeffs)):
         V = P.subs({coeffs[i]: vec[i] for i in range(len(coeffs))})
         V = V.applyfunc(lambda q: treduce(q, tower))
         if any(v != 0 for v in V):
@@ -460,8 +525,7 @@ def reference_rational_solutions(M, m=1, tower=TRIVIAL_TOWER):
     """Rational solution basis from the reference universal denominator,
     the reference polynomial solutions and an Expr ansatz for the
     constant-span test."""
-    from ddsolve.closedform import _collect_equations, _nullspace_over_Qt
-    from ddsolve.fields import mat_reduce, theta
+    from ddsolve.fields import mat_reduce
 
     u = reference_universal_denominator(M, m, tower)
     Mp = mat_reduce(sp.sympify(shift(u, m)) / u * M, tower)
@@ -482,8 +546,8 @@ def reference_rational_solutions(M, m=1, tower=TRIVIAL_TOWER):
         eqs = []
         for i in range(V.shape[0]):
             num, _ = sp.together(s * V[i] - combo[i]).as_numer_denom()
-            eqs.extend(_collect_equations(num, tower))
-        if not any(v[-1] != 0 for v in _nullspace_over_Qt(eqs, [*lam, s])):
+            eqs.extend(collect_equations(num, tower))
+        if not any(v[-1] != 0 for v in nullspace_over_Qt(eqs, [*lam, s])):
             indep.append(V)
     return indep
 
@@ -670,3 +734,183 @@ def reference_check_pair(A, B, W, cert, tower, label):
     if not all(treduce(e, tower) == 0 for e in lhs):
         failures.append(f"{label}: delta identity delta(W) + c*W = B*W")
     return failures
+
+
+# ---------------------------------------------------------------------------
+# reference delta-side: the SymPy Expr implementations that
+# closedform.hyperexp_solutions and moser.leading_eigendata replaced, kept
+# to pin their results (srepr included).  reference_hyperexp_solutions is
+# the replaced code with one change: it keeps every verified V, where the
+# replaced code kept one V per certificate.
+
+@dataclass
+class ReferenceHyperexpCandidate:
+    V: sp.Matrix
+    certificate: sp.Expr
+    tower: Tower = TRIVIAL_TOWER
+
+
+def _reference_is_diagonal(B):
+    n = B.shape[0]
+    return all(sp.cancel(B[i, j]) == 0 for i in range(n) for j in range(n)
+               if i != j)
+
+
+def _reference_eigen_candidates(C: sp.Matrix, allow_tower=True):
+    """(eigenvalue, eigenvector, tower) triples over Q(t) or one extension."""
+    Y = sp.Symbol("_Y")
+    cp = sp.cancel(sp.expand(C.charpoly(Y).as_expr()))
+    P = sp.Poly(cp, Y, domain=sp.QQ.frac_field(t))
+    pairs = []
+    for fac, _mult in P.factor_list()[1]:
+        if fac.degree() == 1:
+            lam = sp.cancel(-P.domain.to_sympy(fac.monic().all_coeffs()[1]))
+            pairs.append((lam, TRIVIAL_TOWER))
+        elif allow_tower:
+            tower = make_tower(fac.monic().as_expr().subs(Y, theta))
+            pairs.extend((conj, tower) for conj in tower.conjugates())
+    return [(lam, v, tower) for lam, tower in pairs
+            for v in nullspace(C - lam * sp.eye(C.shape[0]), tower)]
+
+
+def _reference_diff_rational_solutions(C: sp.Matrix):
+    """Rational solutions of delta(V) = C V for C over Q(t) with at most
+    simple finite poles; an Expr ansatz with _v0: symbols."""
+    from ddsolve.ratsol import UnsupportedCase
+
+    n = C.shape[0]
+    dens = sp.Integer(1)
+    for e in C:
+        dens = sp.lcm(dens, sp.together(sp.cancel(e)).as_numer_denom()[1])
+    _, facs = sp.factor_list(sp.expand(dens), t)
+    denom = sp.Integer(1)
+    for fac, mult in [(f, m_) for f, m_ in facs if t in f.free_symbols]:
+        if mult > 1 or sp.degree(fac, t) != 1:
+            raise UnsupportedCase("finite pole not simple and rational")
+        a = sp.cancel(-fac.subs(t, 0) / sp.LC(fac, t))
+        R = ((t - a) * C).applyfunc(
+            lambda e: sp.cancel(sp.cancel(e).subs(t, a)))
+        eigs = [lam for lam, _v, tw
+                in _reference_eigen_candidates(R, allow_tower=False)
+                if lam.is_Integer]
+        dk = max([0] + [-int(l) for l in eigs if l < 0])
+        denom = denom * (t - a) ** dk
+    Cinf = (t * C).applyfunc(lambda e: sp.limit(sp.cancel(e), t, sp.oo))
+    if any(v.has(sp.oo, -sp.oo, sp.zoo) for v in Cinf):
+        degbound = sp.degree(sp.expand(denom), t) + n + 4
+    else:
+        eigs = [lam for lam, _v, tw
+                in _reference_eigen_candidates(Cinf, allow_tower=False)
+                if lam.is_Integer]
+        degbound = max([0] + [int(l) for l in eigs if l > 0]) + sp.degree(
+            sp.expand(denom), t)
+    cs = sp.symbols(f"_v0:{n * (degbound + 1)}")
+    V = sp.Matrix([[sum(cs[i * (degbound + 1) + dg] * t**dg
+                        for dg in range(degbound + 1))] for i in range(n)])
+    dden = sp.diff(denom, t)
+    # delta(V/denom) = C V/denom  =>  delta(V) - (dden/denom) V = C V
+    expr = (V.applyfunc(lambda e: sp.diff(e, t)) - (dden / denom) * V
+            - C * V)
+    eqs = []
+    for i in range(n):
+        num, _ = sp.together(expr[i]).as_numer_denom()
+        eqs.extend(collect_equations(num, TRIVIAL_TOWER, t))
+    sols = []
+    for vec in nullspace_over_Qt(eqs, list(cs)):
+        sub = {cs[i]: vec[i] for i in range(len(cs))}
+        Vv = (V.subs(sub) / denom).applyfunc(treduce)
+        if any(v != 0 for v in Vv):
+            sols.append(Vv)
+    return sols
+
+
+def reference_hyperexp_solutions(Bhat: sp.Matrix):
+    """Hyperexponential solution candidates of delta(Y) = Bhat * Y over
+    Q(t): diagonal, constant and simple-pole Bhat; UnsupportedCase
+    otherwise."""
+    from ddsolve.ratsol import UnsupportedCase
+
+    n = Bhat.shape[0]
+    B = Bhat.applyfunc(sp.cancel)
+    if x in B.free_symbols or theta in B.free_symbols:
+        raise UnsupportedCase("matrix must be over Q(t)")
+    if _reference_is_diagonal(B):
+        out = []
+        for i in range(n):
+            e = sp.zeros(n, 1)
+            e[i] = 1
+            out.append(ReferenceHyperexpCandidate(
+                V=e, certificate=sp.cancel(B[i, i])))
+        return out
+    if t not in B.free_symbols:
+        out = []
+        for lam, v, tw in _reference_eigen_candidates(B):
+            out.append(ReferenceHyperexpCandidate(V=v, certificate=lam,
+                                                  tower=tw))
+        if not out:
+            raise UnsupportedCase(
+                "no eigenvalues within Q(t) or one extension")
+        return out
+    out = []
+    dens = sp.Integer(1)
+    for e in B:
+        dens = sp.lcm(dens, sp.together(sp.cancel(e)).as_numer_denom()[1])
+    _, facs = sp.factor_list(sp.expand(dens), t)
+    poles = []
+    for fac, mult in [(f, m_) for f, m_ in facs if t in f.free_symbols]:
+        if mult > 1 or sp.degree(fac, t) != 1:
+            raise UnsupportedCase("finite pole not simple and rational")
+        poles.append(sp.cancel(-fac.subs(t, 0) / sp.LC(fac, t)))
+    Binf = B.applyfunc(lambda e: sp.limit(sp.cancel(e), t, sp.oo))
+    if any(v in (sp.oo, -sp.oo, sp.zoo) or v.has(sp.oo) for v in Binf):
+        raise UnsupportedCase("matrix grows at t = infinity")
+    cand_parts = []
+    for a in poles:
+        R = ((t - a) * B).applyfunc(
+            lambda e: sp.cancel(sp.cancel(e).subs(t, a)))
+        lams = sorted({lam for lam, _v, tw
+                       in _reference_eigen_candidates(R, allow_tower=False)
+                       if not lam.free_symbols},
+                      key=sp.default_sort_key)
+        cand_parts.append([(a, lam) for lam in lams])
+    mus = sorted({lam for lam, _v, tw
+                  in _reference_eigen_candidates(Binf, allow_tower=False)
+                  if not lam.free_symbols}, key=sp.default_sort_key)
+    for picks in itertools.product(*cand_parts):
+        for mu in mus:
+            c = sp.cancel(mu + sum(lam / (t - a) for a, lam in picks))
+            for V in _reference_diff_rational_solutions(B - c * sp.eye(n)):
+                resid = (V.applyfunc(lambda e: sp.diff(e, t)) + c * V
+                         - B * V)
+                if all(sp.cancel(r) == 0 for r in resid):
+                    out.append(ReferenceHyperexpCandidate(V=V,
+                                                          certificate=c))
+    return out
+
+
+def reference_leading_eigendata(H0: sp.Matrix, n: int):
+    """Classification of the eigenvalue multiset of H0 over Q(t): the Expr
+    charpoly, cancelled and factored over Q(t)."""
+    from ddsolve.fields import AllEqual, Conjugate, MixedSplit, Split
+
+    Y = sp.Symbol("Y")
+    Pp = sp.Poly(sp.cancel(sp.together(H0.charpoly(Y).as_expr())), Y,
+                 domain=sp.QQ.frac_field(t))
+    if Pp.degree() != n:
+        raise FieldError("degree mismatch in roots_over_coeff_field")
+    _, raw = Pp.factor_list()
+    if len(raw) == 1 and raw[0][0].degree() == n and raw[0][1] == 1 \
+            and n > 1:
+        return Conjugate(raw[0][0].monic().as_expr())
+    if all(fac.degree() == 1 for fac, _ in raw):
+        roots = []
+        dom = Pp.domain
+        for fac, mult in raw:
+            _, b = fac.monic().all_coeffs()
+            r = sp.cancel(-dom.to_sympy(b))
+            roots.extend([r] * mult)
+        if all(sp.cancel(r - roots[0]) == 0 for r in roots):
+            return AllEqual(roots[0])
+        return Split(tuple(roots))
+    return MixedSplit(tuple((fac.monic().as_expr(), mult)
+                            for fac, mult in raw))

@@ -15,7 +15,7 @@ from ddsolve.files import read_system
 from ddsolve.procedures import _specialization_point
 from ddsolve.ratsol import scalar_operators
 
-from helpers import reference_petkovsek
+from helpers import reference_hyperexp_solutions, reference_petkovsek
 
 
 def _recurrence_from_ratio(r, m=1):
@@ -281,9 +281,21 @@ def test_system_hypergeometric_one_candidate_per_standard_part(example2_A0):
 # ---------------------------------------------------------------------------
 # hyperexponential solutions of delta(Y) = C Y over Q(t)
 
+def _hyperexp(C: sp.Matrix):
+    return hyperexp_solutions(dm_from_matrix(C))
+
+
+def _hyperexp_solves(c, C: sp.Matrix) -> bool:
+    """delta(V) + certificate * V = C V over the candidate's tower."""
+    V = dm_to_matrix(c.V, c.tower)
+    lhs = mat_reduce(V.applyfunc(lambda e: delta(e, c.tower))
+                     + c.certificate * V - C * V, c.tower)
+    return all(treduce(e, c.tower) == 0 for e in lhs)
+
+
 def test_hyperexp_diagonal():
     C = sp.diag(1 / t, 2)
-    cands = hyperexp_solutions(C)
+    cands = _hyperexp(C)
     certs = [c.certificate for c in cands]
     assert any(teq(c, 1 / t) for c in certs)
     assert any(teq(c, 2) for c in certs)
@@ -291,36 +303,152 @@ def test_hyperexp_diagonal():
 
 def test_hyperexp_constant_rational_eigenvalues():
     C = sp.Matrix([[0, 1], [2, 1]])  # eigenvalues 2, -1
-    cands = hyperexp_solutions(C)
+    cands = _hyperexp(C)
     assert len(cands) >= 2
     for c in cands:
-        lhs = mat_reduce(c.V.applyfunc(lambda e: delta(e, c.tower))
-                         + c.certificate * c.V - C * c.V, c.tower)
-        assert all(treduce(e, c.tower) == 0 for e in lhs)
+        assert _hyperexp_solves(c, C)
 
 
 def test_hyperexp_constant_quadratic_eigenvalues():
     C = sp.Matrix([[0, 2], [1, 0]])  # eigenvalues +-sqrt(2)
-    cands = hyperexp_solutions(C)
+    cands = _hyperexp(C)
     assert cands
     for c in cands:
-        lhs = mat_reduce(c.V.applyfunc(lambda e: delta(e, c.tower))
-                         + c.certificate * c.V - C * c.V, c.tower)
-        assert all(treduce(e, c.tower) == 0 for e in lhs)
+        assert _hyperexp_solves(c, C)
 
 
 def test_hyperexp_simple_pole_matrix():
     # delta(Y) = C Y with a simple pole at 0; y = (t, 1)-style solutions
     C = sp.Matrix([[1 / t, 0], [0, 1 / t + 1]])
-    cands = hyperexp_solutions(C)
+    cands = _hyperexp(C)
     assert len(cands) >= 2
     for c in cands:
-        lhs = mat_reduce(c.V.applyfunc(lambda e: delta(e, c.tower))
-                         + c.certificate * c.V - C * c.V, c.tower)
-        assert all(treduce(e, c.tower) == 0 for e in lhs)
+        assert _hyperexp_solves(c, C)
 
 
 def test_hyperexp_unsupported_raises():
-    C = sp.Matrix([[1 / t**2, 1], [x, 0]])  # x-dependence: out of scope
-    with pytest.raises((UnsupportedCase, Exception)):
-        hyperexp_solutions(C)
+    """The three exits of the search, each with its message."""
+    for C, message in (
+            (sp.Matrix([[1 / t**2, 1], [x, 0]]), "matrix must be over Q(t)"),
+            (sp.Matrix([[1 / t**2, 1], [1, 0]]),
+             "finite pole not simple and rational"),
+            (sp.Matrix([[t, 1], [1, 0]]), "matrix grows at t = infinity")):
+        with pytest.raises(UnsupportedCase) as err:
+            _hyperexp(C)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("D, pinned", [
+    (sp.diag(1 / t, 0), [(0, [t, 0]), (0, [1, 1])]),
+    (sp.diag(2 / t, -1 / (t + 1)),
+     [(-1 / (t + 1), [t**3 + t**2, 0]), (-1 / (t + 1), [1, 1])]),
+])
+def test_hyperexp_keeps_every_solution_of_one_certificate(D, pinned):
+    """B = G D G^-1, G = [[1, 1], [0, 1]]: solutions that share a
+    certificate and are independent over Q are all kept, since they are
+    independent over Q(t) too (q V solves only for q' = 0)."""
+    G = sp.Matrix([[1, 1], [0, 1]])
+    C = mat_reduce(G * D * G.inv())
+    cands = _hyperexp(C)
+    got = [(c.certificate, list(dm_to_matrix(c.V))) for c in cands]
+    cert = pinned[0][0]
+    assert [g for g in got if teq(g[0], cert)] == pinned
+    for c in cands:
+        assert _hyperexp_solves(c, C)
+
+
+# ---------------------------------------------------------------------------
+# hyperexp_solutions against the Expr reference (tests/helpers.py): the same
+# candidates in the same order, srepr included, and the same exits
+
+# constant gauges: unimodular, so G^-1 stays over Z
+_GAUGES = [sp.Matrix(g) for g in ([[1, 0], [0, 1]], [[1, 1], [0, 1]],
+                                  [[2, 1], [1, 1]], [[0, 1], [1, 0]],
+                                  [[1, 0], [-2, 1]])]
+_POLES = [0, 1, -1, sp.Rational(1, 2), -2]
+_RESIDUES = [0, 1, -1, 2, -2, sp.Rational(1, 2), sp.Rational(-3, 2)]
+
+
+def _srepr_candidates(cands, as_matrix):
+    return [(sp.srepr(as_matrix(c)), sp.srepr(c.certificate),
+             sp.srepr(c.tower.minpoly)) for c in cands]
+
+
+def _same_as_reference(C: sp.Matrix):
+    """Run both on C: equal candidate lists, or the same exception class
+    with the same message."""
+    try:
+        want = _srepr_candidates(reference_hyperexp_solutions(C),
+                                 lambda c: c.V)
+    except UnsupportedCase as err:
+        with pytest.raises(UnsupportedCase) as got:
+            _hyperexp(C)
+        assert str(got.value) == str(err)
+        return
+    got = _hyperexp(C)
+    assert _srepr_candidates(got, lambda c: dm_to_matrix(c.V, c.tower)) \
+        == want
+    for c in got:
+        assert _hyperexp_solves(c, C)
+
+
+@st.composite
+def _constant_inputs(draw):
+    """Constant matrices with rational, quadratic or Jordan-block
+    eigenvalues, and diagonal ones over Q(t), gauged by a constant G."""
+    G = draw(st.sampled_from(_GAUGES))
+    a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    kind = draw(st.sampled_from(["diagonal", "rational", "quadratic",
+                                 "jordan"]))
+    if kind == "diagonal":
+        pole = draw(st.sampled_from(_POLES))
+        return sp.diag(a + b / (t - pole), b * t)
+    if kind == "quadratic":
+        d = draw(st.sampled_from([2, 3, -1, 5]))
+        D = sp.Matrix([[a, d], [1, a]])     # eigenvalues a +- sqrt(d)
+    elif kind == "jordan":
+        D = sp.Matrix([[a, 1], [0, a]])
+    else:
+        D = sp.diag(a, b)
+    return mat_reduce(G * D * G.inv())
+
+
+@st.composite
+def _simple_pole_inputs(draw):
+    """Constant gauges of diag(mu_i + sum_a lam_ia / (t - a)), residues
+    integer and not."""
+    G = draw(st.sampled_from(_GAUGES[1:]))
+    poles = draw(st.lists(st.sampled_from(_POLES), min_size=1, max_size=2,
+                          unique=True))
+    entries = [draw(st.sampled_from([0, 1, -1, sp.Rational(1, 2)]))
+               + sum(draw(st.sampled_from(_RESIDUES)) / (t - a)
+                     for a in poles) for _ in range(2)]
+    return mat_reduce(G * sp.diag(*entries) * G.inv())
+
+
+@st.composite
+def _unsupported_inputs(draw):
+    """Double-pole, irrational-pole, growing and x-dependent inputs."""
+    G = draw(st.sampled_from(_GAUGES[1:]))
+    c = draw(st.sampled_from([1, -1, 2]))
+    entry = draw(st.sampled_from([c / t**2, c / (t**2 - 2), c * t + 1,
+                                  c * x / (t + 1)]))
+    return mat_reduce(G * sp.diag(entry, 1 / (t + c)) * G.inv())
+
+
+@settings(max_examples=30, deadline=None)
+@given(_constant_inputs())
+def test_hyperexp_matches_reference_on_constant_and_diagonal(C):
+    _same_as_reference(C)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_simple_pole_inputs())
+def test_hyperexp_matches_reference_on_simple_poles(C):
+    _same_as_reference(C)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_unsupported_inputs())
+def test_hyperexp_matches_reference_on_unsupported_inputs(C):
+    _same_as_reference(C)

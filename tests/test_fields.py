@@ -11,14 +11,14 @@ from ddsolve.fields import (AllEqual, Conjugate, FieldError, MixedSplit, Split,
                             dm_delta, dm_embed, dm_from_matrix,
                             dm_shift, dm_sigma_power, dm_to_matrix,
                             factor_in_x, k_shift, make_tower, mat_inv,
-                            mat_reduce,
-                            nullspace, rank,
-                            roots_over_coeff_field, series_at_infinity, shift,
+                            mat_reduce, series_at_infinity, shift,
                             sigma_power_matrix, t, teq, theta, tinv, treduce,
                             x)
 from ddsolve.files import read_system
+from ddsolve.moser import leading_eigendata
 from conftest import SYSTEMS, random_ratfunc
-from helpers import integer_roots, mat_delta, mat_eq, mat_shift
+from helpers import (integer_roots, mat_delta, mat_eq, mat_shift, nullspace,
+                     rank)
 
 Y = sp.Symbol("Y")
 EX1_TOWER = make_tower(theta**2 - (t**2 + 1))
@@ -193,6 +193,18 @@ def test_tower_conjugates_degree_two():
         assert teq(tw.minpoly.subs(theta, c), 0, tw)
 
 
+def test_tower_conjugates_degree_three():
+    """A cubic over Q: all three roots when the tower is normal, theta
+    alone otherwise; over Q(t) theta alone."""
+    tw = make_tower(theta**3 - 3 * theta + 1)
+    roots = tw.conjugates()
+    assert roots == [theta, theta**2 - 2, -theta**2 - theta + 2]
+    for c in roots:
+        assert teq(tw.minpoly.subs(theta, c), 0, tw)
+    assert make_tower(theta**3 - 2).conjugates() == [theta]
+    assert make_tower(theta**3 - t).conjugates() == [theta]
+
+
 def test_delta_on_tower_is_derivation():
     tw = make_tower(theta**2 - (t**2 + 1))
     f = theta * t + x
@@ -335,14 +347,15 @@ def test_factor_in_x_reassembles():
 
 
 def test_roots_classification():
-    assert isinstance(roots_over_coeff_field((Y - t)**2, Y, 2), AllEqual)
-    assert isinstance(roots_over_coeff_field((Y - t) * (Y - t**2), Y, 2),
-                      Split)
-    assert isinstance(roots_over_coeff_field(Y**2 - (t**2 + 1), Y, 2),
-                      Conjugate)
-    assert isinstance(
-        roots_over_coeff_field((Y**2 - (t**2 + 1)) * (Y - 1), Y, 3),
-        MixedSplit)
+    """The classification of a companion matrix is that of its
+    polynomial."""
+    def classify(P):
+        return leading_eigendata(dm_from_matrix(
+            sp.Matrix.companion(sp.Poly(P, Y))))
+    assert isinstance(classify((Y - t)**2), AllEqual)
+    assert isinstance(classify((Y - t) * (Y - t**2)), Split)
+    assert isinstance(classify(Y**2 - (t**2 + 1)), Conjugate)
+    assert isinstance(classify((Y**2 - (t**2 + 1)) * (Y - 1)), MixedSplit)
 
 
 # ---------------------------------------------------------------------------

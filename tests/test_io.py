@@ -339,6 +339,7 @@ def test_cli_tools_step_and_argument_counts(argv, message, tmp_path,
     assert cli_main(["tools", *argv]) == 3
     line = _one_input_error(capsys)
     assert message in line
+    assert not line.startswith("input error: :")
     if "argument(s)" in message:
         assert "--step" in line
 

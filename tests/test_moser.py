@@ -8,7 +8,8 @@ from ddsolve import moser
 from ddsolve.fields import (AllEqual, Conjugate, Split, dm_from_matrix,
                             mat_inv, mat_reduce, t, x)
 from ddsolve.moser import infinity_expansion, leading_eigendata
-from helpers import mat_eq, mat_shift, ord_and_moser
+from helpers import (mat_eq, mat_shift, ord_and_moser,
+                     reference_leading_eigendata)
 
 Y = sp.Symbol("Y")
 
@@ -145,7 +146,48 @@ def test_moser_reduce_undoes_planted_unimodular_gauges(n, data):
 
 
 def test_leading_eigendata_classification():
-    assert isinstance(leading_eigendata(sp.diag(t, t), 2), AllEqual)
-    assert isinstance(leading_eigendata(sp.diag(t, t**2), 2), Split)
+    def classify(H):
+        return leading_eigendata(dm_from_matrix(H))
+    assert isinstance(classify(sp.diag(t, t)), AllEqual)
+    assert isinstance(classify(sp.diag(t, t**2)), Split)
     H = sp.Matrix([[0, t**2 + 1], [1, 0]])  # eigenvalues +-sqrt(t^2+1)
-    assert isinstance(leading_eigendata(H, 2), Conjugate)
+    assert isinstance(classify(H), Conjugate)
+
+
+# the classification against the Expr reference: srepr-identical on the
+# four shapes for n = 2 and 3, inputs gauged companion matrices over Q(t)
+
+_UNIMODULAR = {2: sp.Matrix([[1, 1], [0, 1]]),
+               3: sp.Matrix([[1, 1, 0], [0, 1, 2], [0, 0, 1]])}
+
+
+@st.composite
+def _classified_polys(draw):
+    n = draw(st.sampled_from([2, 3]))
+    root = st.builds(lambda a, b, c: a + b * t + c / (t + 1),
+                     st.integers(-2, 2), st.integers(-1, 1),
+                     st.integers(-1, 1))
+    k = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(["AllEqual", "Split", "Conjugate",
+                                  "MixedSplit"]))
+    if shape == "AllEqual":
+        return n, (Y - draw(root))**n
+    if shape == "Split":
+        return n, sp.prod([Y - draw(root) for _ in range(n)])
+    if shape == "Conjugate":
+        return n, (Y**2 - (t**2 + k) if n == 2 else Y**3 - (t + k))
+    return 3, (Y**2 - (t + k)) * (Y - draw(root))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_classified_polys(), st.booleans())
+def test_leading_eigendata_matches_reference(case, gauged):
+    n, P = case
+    H = sp.Matrix.companion(sp.Poly(P, Y))
+    if gauged:
+        G = _UNIMODULAR[n]
+        H = mat_reduce(G * H * G.inv())
+    def key(eig):   # srepr of a dataclass would print its fields by str
+        return type(eig).__name__, sp.srepr(vars(eig))
+    got = leading_eigendata(dm_from_matrix(H))
+    assert key(got) == key(reference_leading_eigendata(H, n))

@@ -448,6 +448,75 @@ def test_dp1_d2_without_hyperexponential_basis_is_inconclusive():
     assert "dp2" in out.report
 
 
+Y = sp.Symbol("Y")
+
+
+def _companion(P):
+    return sp.Matrix.companion(sp.Poly(P, Y))
+
+
+@pytest.mark.parametrize("B, minpoly, delta_ratios", [
+    (sp.Matrix([[0, 1], [2, 1]]), None, [2, -1]),
+    (sp.Matrix([[0, 2], [1, 0]]), theta**2 - 2, [theta, -theta]),
+    (sp.diag(1 / t, 2), None, [1 / t, 2]),
+    # B = G D G^-1, G = [[1, 1], [0, 1]]: two solutions of one certificate
+    (sp.Matrix([[1 / t, -1 / t], [0, 0]]), None, [0, 0]),
+    (sp.Matrix([[2 / t, -1 / (t + 1) - 2 / t], [0, -1 / (t + 1)]]), None,
+     [-1 / (t + 1), -1 / (t + 1)]),
+])
+def test_dp1_d2_solves_residual_hyperexponential_systems(B, minpoly,
+                                                         delta_ratios):
+    """A = x I: all leading eigenvalues are equal, the gauge is I and the
+    residual system is delta(Y) = B Y.  DP1 solves it at d2 with the
+    pinned delta-ratios, certificates verified."""
+    system = DDSystem(2, x * sp.eye(2), B, assume_irreducible=True)
+    out = solve_liouvillian(system)
+    assert (out.kind, out.provenance) == ("Solved", "DP1")
+    assert out.report["dp1"]["stages"][-1] == "d2"
+    assert [s.tower.minpoly for s in out.solutions] == [minpoly] * 2
+    for sol, ratio in zip(out.solutions, delta_ratios):
+        assert teq(sol.cert.delta_ratio, ratio, sol.tower)
+        assert verify_certificates(system, sol).ok
+
+
+def test_dp1_d2_double_pole_is_inconclusive():
+    """A = I, B = [[1/t^2, 1/t - 1], [0, 0]]: the residual system has a
+    double pole at t = 0, outside the hyperexponential search, so DP1
+    ends Unsupported at d2 and the verdict is Inconclusive."""
+    B = sp.Matrix([[1 / t**2, 1 / t - 1], [0, 0]])
+    out = solve_liouvillian(DDSystem(2, sp.eye(2), B,
+                                     assume_irreducible=True))
+    assert (out.kind, out.provenance, out.stage) == \
+        ("Inconclusive", "DP1", "d2")
+    assert out.report["dp1"]["reason"] == \
+        "finite pole not simple and rational"
+
+
+def test_cubic_towers_end_in_verdicts():
+    """Towers of degree 3 over Q: theta^3 - 3 theta + 1 is normal, so its
+    conjugates lie in the tower and DP1 d1 solves over it; theta^3 - 2 is
+    not, so d1 is Unsupported (DP2 then solves) and d2 finds too few
+    candidates (Inconclusive)."""
+    minpoly = theta**3 - 3 * theta + 1
+    system = DDSystem(3, _companion(Y**3 - 3 * Y + 1), sp.zeros(3, 3),
+                      assume_irreducible=True)
+    out = solve_liouvillian(system)
+    assert (out.kind, out.provenance) == ("Solved", "DP1")
+    assert out.report["dp1"]["stages"][-1] == "d1"
+    assert all(s.tower.minpoly == minpoly for s in out.solutions)
+    for sol in out.solutions:
+        assert verify_certificates(system, sol).ok
+    out = solve_liouvillian(DDSystem(3, _companion(Y**3 - 2), sp.zeros(3, 3),
+                                     assume_irreducible=True))
+    assert (out.kind, out.provenance) == ("Solved", "DP2")
+    assert (out.report["dp1"]["kind"], out.report["dp1"]["stages"][-1]) == \
+        ("Unsupported", "d1")
+    out = solve_liouvillian(DDSystem(3, x * sp.eye(3), _companion(Y**3 - 2),
+                                     assume_irreducible=True))
+    assert (out.kind, out.provenance, out.stage) == \
+        ("Inconclusive", "DP1", "d2")
+
+
 def test_unsupported_dp1_does_not_stop_dp2(monkeypatch, example2_path):
     """An Unsupported DP1 proves nothing, so DP2 still runs: with DP1
     planted Unsupported, example2 is Solved by DP2, certificates

@@ -7,7 +7,6 @@ from sympy.polys.matrices import DomainMatrix
 
 import ddsolve.closedform as closedform
 import ddsolve.procedures as procedures
-from ddsolve.closedform import _nullspace_over_Qt
 from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, dm_from_matrix,
                             dm_to_matrix, make_tower, mat_inv, mat_reduce,
                             shift, t, teq, theta, treduce, x)
@@ -15,7 +14,8 @@ from ddsolve.files import read_system
 import ddsolve.ratsol as ratsol
 from ddsolve.ratsol import RationalSolutionBasis, UnsupportedCase
 
-from helpers import (mat_eq, mat_shift, reference_polynomial_solutions,
+from helpers import (mat_eq, mat_shift, nullspace_over_Qt,
+                     reference_polynomial_solutions,
                      reference_rational_solutions,
                      reference_scalar_operators,
                      reference_universal_denominator)
@@ -213,7 +213,7 @@ def test_nullspace_matches_sympy_reference(nu, rank, ne, data):
         equations.append(sp.expand(sum(c[i] * base[i][j] * us[j]
                                        for i in range(rank)
                                        for j in range(nu))))
-    got = _nullspace_over_Qt(equations, list(us))
+    got = nullspace_over_Qt(equations, list(us))
     want = _reference_nullspace(equations, list(us))
     assert len(got) == len(want)
     for g, w in zip(got, want):
