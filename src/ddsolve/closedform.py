@@ -50,8 +50,8 @@ from sympy.polys.polyerrors import CoercionFailed
 
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, Tower, charpoly_factors,
                      dm_delta, dm_embed, dm_from_matrix, dm_over_qt,
-                     dm_shift, dm_to_matrix, indicial_degrees, kernel,
-                     make_tower, shift, theta, x)
+                     dm_same, dm_shift, dm_to_matrix, indicial_degrees,
+                     kernel, make_tower, shift, theta, x)
 from .difftools import standard_decompose
 from .ratsol import (UnsupportedCase, _constant_span_reduce,
                      rational_solutions, scalar_operators)
@@ -277,7 +277,7 @@ def system_hypergeometric(M: DomainMatrix, m: int = 1):
         span = spans.setdefault(sd.standard_part, [])
         for W in rational_solutions(M.mul(QQ_XT.one / r_K), m,
                                     TRIVIAL_TOWER).basis:
-            if dm_shift(W, m).mul(r_K) != M * W:
+            if not dm_same([(dm_shift(W, m), r_K)], [(M, W)]):
                 raise VerificationError(
                     "hypergeometric candidate failed substitution check")
             gW = W.mul(sd.g)
@@ -447,7 +447,7 @@ def hyperexp_solutions(Bhat: DomainMatrix):
             cK = QQ_XT.convert_from(c, QQ_T)
             for V in _diff_rational_solutions(
                     B - DomainMatrix.eye(n, QQ_T).mul(c)):
-                if dm_delta(V) + V.mul(cK) != Bhat * V:
+                if not dm_same([(dm_delta(V),), (V, cK)], [(Bhat, V)]):
                     raise VerificationError(
                         "hyperexponential candidate failed substitution "
                         "check")

@@ -27,16 +27,27 @@ K-form, the K-matrix of its regular representation (:func:`regular_matrix`;
 the trivial tower is the case of degree 1), converted at the boundary by
 :func:`dm_from_matrix` and :func:`dm_to_matrix`.  Sums, products and
 inverses over the tower are those of the K-forms; sigma, and delta with
-:func:`dm_delta`, act on them too, and on the matrices over Q[x, t] of
-cleared numerators that the fraction-free cocycle (:func:`dm_sigma_power`)
-and integrability test multiply.  An x-free K-matrix is read over
-Q(t) = ``QQ_T`` by :func:`dm_over_qt`, and :func:`charpoly_factors`
-factors its characteristic polynomial there, once, for the eigenvalues
-of ``closedform``'s delta-side and ``moser``'s classification.  A null
-space over the tower is :func:`kernel` of the K-form, whose basis is the
-K-form of one over the tower.  :func:`treduce` and :func:`shift` serve
-parsing and the places where a value enters or leaves as an expression;
-:func:`k_shift` is sigma on K.  :func:`mat_reduce`, :func:`mat_inv`,
+:func:`dm_delta`, act on them too, and on matrices over Q[x, t].
+
+Exact identities between K-matrices are decided fraction-free, so that no
+gcd runs inside a matrix product.  :func:`dm_clear` writes D = N/q, q the
+monic lcm of the distinct denominators and N over Q[x, t].
+:func:`dm_same` compares two sums of products of K-matrices and elements
+of K: it multiplies the cleared numerators over Q[x, t] and scales each
+term by lcm/den.  The certificate identities, the gauge identities and
+the substitution checks all go through it.  :func:`dm_delta_part` forms
+a gauge's delta-part G^-1 (B G - delta(G)) with one ``inv_den`` over
+Q[x, t] and one cancel per entry.  The cocycle (:func:`dm_sigma_power`)
+and the integrability test multiply cleared numerators too.
+
+An x-free K-matrix is read over Q(t) = ``QQ_T`` by :func:`dm_over_qt`,
+and :func:`charpoly_factors` factors its characteristic polynomial
+there, once, for the eigenvalues of ``closedform``'s delta-side and
+``moser``'s classification.  A null space over the tower is
+:func:`kernel` of the K-form, whose basis is the K-form of one over the
+tower.  :func:`treduce` and :func:`shift` serve parsing and the places
+where a value enters or leaves as an expression; :func:`k_shift` is
+sigma on K.  :func:`mat_reduce`, :func:`mat_inv`,
 :func:`sigma_power_matrix`, :func:`factor_in_x` and
 :func:`series_at_infinity` have no caller in the package (``difftools``
 works on K and Q[x, t]); they stay for ``ddsolve``'s exports, the tests
@@ -71,6 +82,8 @@ QQ_T = QQ.frac_field(t)
 # trivial tower
 _QQ_XTTH = QQ.frac_field(x, t, theta)
 _X, _T_RING = QQ_XT.field.ring.gens   # x and t in Q[x, t], K's numerators
+_XT_RING_ONE = QQ_XT.field.ring.one
+_QQ_XT_RING = QQ_XT.get_ring()         # Q[x, t] as a domain
 _T = QQ_XT.gens[1]                     # t in K
 # the variable of characteristic polynomials and the classification
 _Y = sp.Symbol("Y")
@@ -88,7 +101,7 @@ __all__ = [
     "sigma_power_matrix",
     "dm_from_matrix", "dm_to_matrix", "k_shift",
     "dm_shift", "dm_delta", "dm_inv", "dm_embed", "dm_conjugate",
-    "dm_sigma_power",
+    "dm_sigma_power", "dm_clear", "dm_same", "dm_delta_part",
     "dm_series_at_infinity",
 ]
 
@@ -577,6 +590,87 @@ def dm_inv(D: DomainMatrix) -> DomainMatrix:
         raise FieldError("matrix not invertible")
 
 
+def _lcm(polys):
+    """Monic lcm in Q[x, t] of the distinct polynomials among `polys`
+    (1 for none)."""
+    distinct = set(polys)
+    q = distinct.pop().monic() if distinct else _XT_RING_ONE
+    for d in distinct:
+        q = q.lcm(d)
+    return q
+
+
+def dm_clear(D: DomainMatrix):
+    """(q, N) with D = N/q for a matrix D over K: q the monic lcm in
+    Q[x, t] of the distinct denominators of the entries, N over Q[x, t]
+    (``QQ_XT.get_ring()``).  One lcm and one exact quotient per distinct
+    denominator, where ``DomainMatrix.clear_denoms`` takes an lcm per
+    entry."""
+    elems, data = D.to_flat_nz()
+    dens = {c.denom for c in elems}
+    q = _lcm(dens)
+    quo = {d: q.exquo(d) for d in dens}
+    return q, D.from_flat_nz([c.numer * quo[c.denom] for c in elems], data,
+                             _QQ_XT_RING)
+
+
+def _cleared_term(term):
+    """(numerator, denominator) of a product of K-matrices and elements of
+    K: the product of the cleared numerators over Q[x, t], in order, and
+    the product of the denominators."""
+    num, scale, den = None, _XT_RING_ONE, _XT_RING_ONE
+    for f in term:
+        if isinstance(f, DomainMatrix):
+            q, N = dm_clear(f)
+            num = N if num is None else num * N
+        else:
+            q = f.denom
+            scale = scale * f.numer
+        den = den * q
+    return num * scale, den
+
+
+def dm_same(lhs: list, rhs: list) -> bool:
+    """Whether two sums of products of K-matrices and elements of K are
+    equal.  A side is a list of terms, a term a tuple of factors
+    multiplied left to right, at least one of them a K-matrix.  Each
+    factor is cleared (:func:`dm_clear`), the numerators multiply over
+    Q[x, t] with no gcd, and each term is scaled by lcm/den, the lcm
+    taken over the denominators of all the terms, before the two sums are
+    compared."""
+    terms = [(_cleared_term(term), side) for side, ts in ((1, lhs), (-1, rhs))
+             for term in ts]
+    L = _lcm(den for (_, den), _ in terms)
+    total = None
+    for (num, den), side in terms:
+        part = num * (L.exquo(den) * side)
+        total = part if total is None else total + part
+    return total.is_zero_matrix
+
+
+def dm_delta_part(G: DomainMatrix, B: DomainMatrix,
+                  dG: DomainMatrix) -> DomainMatrix:
+    """G^-1 (B G - dG) over K (dG = delta(G) for the gauge's delta-part),
+    formed fraction-free: with G = N/g, B G - dG = R/L over Q[x, t] and
+    N^-1 = N'/e from one ``inv_den`` over Q[x, t], the result is
+    g N' R / (e L), cancelled once per entry.  FieldError when G is
+    singular."""
+    g, N = dm_clear(G)
+    b, M = dm_clear(B)
+    d, P = dm_clear(dG)
+    L = _lcm([b * g, d])
+    R = M * N * L.exquo(b * g) - P * L.exquo(d)
+    try:
+        Ninv, e = N.inv_den()
+    except DMNonInvertibleMatrixError:
+        raise FieldError("matrix not invertible")
+    X = Ninv * R
+    elems, data = X.to_flat_nz()
+    den = e * L
+    return X.from_flat_nz([QQ_XT.field.new(p * g, den) for p in elems], data,
+                          QQ_XT)
+
+
 def dm_series_at_infinity(D: DomainMatrix, terms: int):
     """Expansion D = (1/x)^ord * (C0 + C1/x + ...) of a nonzero matrix over
     K: (ord, [C0, ..., C_{terms-1}]) with entries in Q(t).  An entry
@@ -618,7 +712,7 @@ def sigma_power_matrix(A: sp.Matrix, m: int) -> sp.Matrix:
 def dm_sigma_power(D: DomainMatrix, m: int) -> DomainMatrix:
     """The cocycle A_m = sigma^{m-1}(A) ... sigma(A) A of the matrix A over
     K whose K-form is D (D itself for m = 1), formed fraction-free: with
-    A = N/a, N over Q[x, t] and a in Q[x, t] (one clear_denoms),
+    A = N/a, N over Q[x, t] and a in Q[x, t] (one :func:`dm_clear`),
     A_m = sigma^{m-1}(N) ... N / (sigma^{m-1}(a) ... a).  The shifted
     numerators multiply over Q[x, t] with no gcd, and each entry of the
     product is divided by the product of the shifted denominators once,
@@ -627,11 +721,11 @@ def dm_sigma_power(D: DomainMatrix, m: int) -> DomainMatrix:
         raise ValueError("m >= 1 required")
     if m == 1:
         return D
-    a, N = D.clear_denoms(convert=True)
-    num, den = N, a.element
+    a, N = dm_clear(D)
+    num, den = N, a
     for j in range(1, m):
         num = dm_shift(N, j) * num
-        den = den * a.element.compose(_X, _X + j)
+        den = den * a.compose(_X, _X + j)
     elems, data = num.to_flat_nz()
     return D.from_flat_nz([QQ_XT.field.new(p, den) for p in elems], data,
                           QQ_XT)

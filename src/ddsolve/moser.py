@@ -34,8 +34,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, AllEqual, Conjugate,
                      MixedSplit, Split, Tower, charpoly_factors,
-                     dm_from_matrix, dm_inv, dm_series_at_infinity, dm_shift,
-                     dm_to_matrix, kernel, x)
+                     dm_from_matrix, dm_inv, dm_same, dm_series_at_infinity,
+                     dm_shift, dm_to_matrix, kernel, x)
 from .sequences import VerificationError
 
 __all__ = ["InfinityExpansion", "MoserReport", "ReductionStalled",
@@ -144,7 +144,7 @@ def moser_reduce(D: DomainMatrix) -> MoserReport:
             raise ReductionStalled("Moser criterion fires but the Moser "
                                    "step does not decrease (-ord, rank)")
     # exact gauge identity check
-    if dm_shift(gauge) * D * dm_inv(gauge) != cur:
+    if not dm_same([(dm_shift(gauge), D)], [(cur, gauge)]):
         raise VerificationError("gauge identity violated")
     return MoserReport(gauge=dm_to_matrix(gauge), reduced=dm_to_matrix(cur),
                        moser_order=sp.Rational(-ord_) + sp.Rational(r, n),

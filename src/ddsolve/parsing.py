@@ -16,6 +16,7 @@ so that ``parse(print(f))`` equals ``f`` as a rational function.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -223,10 +224,12 @@ def _print_poly(p: sp.Poly) -> str:
     return out or "0"
 
 
+@functools.lru_cache(maxsize=4096)
 def print_ratfunc(f, tower: Tower = TRIVIAL_TOWER) -> str:
     """Canonical string: c * N / D with D monic (graded-lex leading
     coefficient 1), N primitive over the integers with positive leading
-    coefficient, and c a rational constant."""
+    coefficient, and c a rational constant.  Memoized on (f, tower): the
+    report and the solution file print the same entries."""
     f = treduce(f, tower)
     num, den = sp.together(f).as_numer_denom()
     pn = sp.Poly(sp.expand(num), *_GENS, domain=sp.QQ)

@@ -43,9 +43,10 @@ from .closedform import (UnsupportedCase, hyperexp_solutions,
 from .difftools import (StandardDecomposition, leading_beta,
                         split_alpha_beta_power, standard_decompose)
 from .fields import (QQ_XT, Conjugate, FieldError, MixedSplit, Split,
-                     TRIVIAL_TOWER, Tower, delta, dm_conjugate,
-                     dm_delta, dm_embed, dm_from_matrix, dm_inv, dm_over_qt,
-                     dm_shift, dm_sigma_power, dm_to_matrix, from_regular,
+                     TRIVIAL_TOWER, Tower, delta, dm_clear, dm_conjugate,
+                     dm_delta, dm_delta_part, dm_embed, dm_from_matrix,
+                     dm_inv, dm_over_qt, dm_same, dm_shift, dm_sigma_power,
+                     dm_to_matrix, from_regular,
                      k_shift, make_tower, theta, treduce, x)
 from .moser import (MoserReport, ReductionStalled, leading_eigendata,
                     moser_reduce)
@@ -198,9 +199,8 @@ def _integrable(Am: DomainMatrix, B: DomainMatrix, m: int) -> bool:
     sigma^m(M) N b a = (delta(N) a - N delta(a)) sigma^m(b) b
     + N M sigma^m(b) a, products of polynomial matrices with no inverse
     and no gcd in the products."""
-    a, N = Am.clear_denoms(convert=True)
-    b, M = B.clear_denoms(convert=True)
-    a, b = a.element, b.element
+    a, N = dm_clear(Am)
+    b, M = dm_clear(B)
     sb = b.compose(_X, _X + m)
     return (dm_shift(M, m) * N * (b * a)
             == (dm_delta(N) * a - N * a.diff(_T)) * (sb * b)
@@ -223,8 +223,9 @@ def _diag_offenders(D: DomainMatrix, tower: Tower) -> list:
 
 def _gauge_delta_part(G: DomainMatrix, B: DomainMatrix,
                       tower: Tower) -> DomainMatrix:
-    """B-bar = G^{-1} B G - G^{-1} delta(G) on K-forms over the tower."""
-    return dm_inv(G) * (B * G - dm_delta(G, tower))
+    """B-bar = G^{-1} B G - G^{-1} delta(G) on K-forms over the tower,
+    formed fraction-free by :func:`~ddsolve.fields.dm_delta_part`."""
+    return dm_delta_part(G, B, dm_delta(G, tower))
 
 
 def _certificate_normalizer(c):
@@ -364,7 +365,8 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
                        "rational solutions exist but assemble to no "
                        "invertible gauge", report=report)
     ratios = [treduce(alpha * b, tower) for b in betas]
-    if dm_shift(G) * dm_from_matrix(sp.diag(*ratios), tower) != A * G:
+    if not dm_same([(dm_shift(G), dm_from_matrix(sp.diag(*ratios), tower))],
+                   [(A, G)]):
         raise VerificationError("gauge identity violated")
     Bbar = _gauge_delta_part(G, dm_embed(sys.B_K, tower), tower)
     off = _diag_offenders(Bbar, tower)

@@ -18,11 +18,17 @@ are read off K-entries, and their factors in Q[x, t] are grouped by
 caller in the package; it stays for the tests and the tracer).  The
 degree bound comes from the expansion of M at infinity, whose indicial
 determinant is taken over Q[t, d], or else from the indicial polynomials
-of the scalar operators, whose chains are sequences of K-matrices.  The
-polynomial ansatz clears the denominators of M with one q in Q[x, t] and
-solves q(x) Y(x+m) - N(x) Y(x) = 0 over Q(t) in the coefficients of Y,
-unknowns ordered by (coordinate, degree, theta-power).  The constant-span
-test is a rank test over Q(t) on coefficients in x.
+of the scalar operators, whose chains are sequences of K-matrices.
+
+The polynomial ansatz clears the denominators of M with one q in Q[x, t]
+(:func:`ddsolve.fields.dm_clear`, the monic lcm of the distinct
+denominators) and solves q(x) Y(x+m) - N(x) Y(x) = 0 over Q(t) in the
+coefficients of Y, unknowns ordered by (coordinate, degree, theta-power).
+The constant-span test is a rank test over Q(t) on coefficients in x of
+the vectors cleared by one dm_clear.  The substitution check of every
+rational solution and the gauge postcondition sigma^m(G) R = A G are
+decided on cleared numerators by :func:`ddsolve.fields.dm_same`, with no
+product over K.
 """
 
 from __future__ import annotations
@@ -37,9 +43,10 @@ from sympy.polys.matrices import DomainMatrix
 
 from .difftools import shift_classes
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, Tower, _modulus,
-                     common_integer_roots, dm_inv, dm_series_at_infinity,
-                     dm_shift, from_regular, indicial_degrees, k_shift,
-                     kernel, regular_matrix, t, theta)
+                     common_integer_roots, dm_clear, dm_inv, dm_same,
+                     dm_series_at_infinity, dm_shift, from_regular,
+                     indicial_degrees, k_shift, kernel, regular_matrix, t,
+                     theta)
 from .sequences import VerificationError
 
 __all__ = ["RationalSolutionBasis", "UnsupportedCase",
@@ -67,14 +74,6 @@ class UnsupportedCase(Exception):
 class RationalSolutionBasis:
     m: int
     basis: list  # K-forms of the column vectors
-
-
-def _common_denominator(D: DomainMatrix):
-    """Monic lcm in Q[x, t] of the denominators of the entries of D."""
-    q = _XT_RING.one
-    for c in D.to_dok().values():
-        q = q.lcm(c.denom)
-    return q
 
 
 def _cleared(c, q):
@@ -107,8 +106,7 @@ def universal_denominator(M: DomainMatrix, m: int = 1):
     """Polynomial u(x) in K: every rational solution of sigma^m(Y) = MY
     (M a K-form) has denominator dividing u.  The entries of a K-form lie
     in K, so their denominators never involve theta."""
-    _, classes = shift_classes([_common_denominator(M),
-                                _common_denominator(dm_inv(M))])
+    _, classes = shift_classes([dm_clear(M)[0], dm_clear(dm_inv(M))[0]])
     u = QQ_XT.one
     for base, shifts in classes:
         SA = {j: a for j, (a, _) in shifts.items() if a}
@@ -266,8 +264,8 @@ def polynomial_solutions(M: DomainMatrix, m: int = 1,
         return []
     e, ne, deg = tower.degree, M.shape[0], degree_bound + 1
     n = ne // e
-    q = _common_denominator(M)
-    N = {ab: _cleared(c, q) for ab, c in M.to_dok().items()}
+    q, N = dm_clear(M)
+    N = N.to_dok()
     # column (i, dg, k) holds q(x) (x+m)^dg at coordinate b = i*e + k and
     # -N(x)_{ab} x^dg at every coordinate a
     qshift = [q * (_X + m)**dg for dg in range(deg)]
@@ -308,11 +306,11 @@ def _constant_span_reduce(vectors: list, tower: Tower) -> list:
     so V is new iff its first column raises the rank."""
     if not vectors:
         return []
-    q = _common_denominator(DomainMatrix.hstack(*vectors))
-    indep, span = [], []
+    columns = dm_clear(DomainMatrix.hstack(*vectors))[1].transpose()\
+        .to_list()
+    indep, span, j = [], [], 0
     for V in vectors:
-        cols = [[_cleared(c, q) for c in col]
-                for col in V.transpose().to_list()]
+        cols, j = columns[j:j + V.shape[1]], j + V.shape[1]
         if _coefficient_matrix(span + cols[:1]).rank() > len(span):
             indep.append(V)
             span.extend(cols)
@@ -330,7 +328,7 @@ def rational_solutions(M: DomainMatrix, m: int = 1,
     basis = []
     for P in polys:
         V = P.mul(inv_u)
-        if dm_shift(V, m) != M * V:
+        if not dm_same([(dm_shift(V, m),)], [(M, V)]):
             raise VerificationError(
                 "rational solution failed substitution check")
         basis.append(V)
@@ -376,6 +374,6 @@ def gauge_from_ratios(A: DomainMatrix, ratios: DomainMatrix, m: int):
     G = _invertible_selection(columns, TRIVIAL_TOWER)
     if G is None:
         return None
-    if dm_shift(G, m) * ratios != A * G:
+    if not dm_same([(dm_shift(G, m), ratios)], [(A, G)]):
         raise VerificationError("gauge postcondition violated")
     return G

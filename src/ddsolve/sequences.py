@@ -27,7 +27,7 @@ from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, Tower, _modulus,
                      common_integer_roots, dm_delta, dm_embed,
-                     dm_from_matrix, dm_shift, from_regular,
+                     dm_from_matrix, dm_same, dm_shift, from_regular,
                      from_theta_coords, regular_rows, t, theta,
                      theta_coords, x_integer_roots)
 
@@ -508,13 +508,16 @@ class VerifyResult:
 
 def _check_pair(system, part: Part, tower: Tower) -> list:
     """The sigma- and delta-identities of one hypergeometric part, as
-    equalities of K-forms over the tower."""
+    equalities of K-forms over the tower decided on cleared numerators
+    (:func:`~ddsolve.fields.dm_same`)."""
     failures = []
     W, m = part.W, part.m
-    if dm_shift(W, m) * part.r != dm_embed(system.cocycle(m), tower) * W:
+    if not dm_same([(dm_shift(W, m), part.r)],
+                   [(dm_embed(system.cocycle(m), tower), W)]):
         failures.append(
             f"{part.label}: sigma identity sigma^{m}(W)*r = A_{m}*W")
-    if dm_delta(W, tower) + W * part.c != dm_embed(system.B_K, tower) * W:
+    if not dm_same([(dm_delta(W, tower),), (W, part.c)],
+                   [(dm_embed(system.B_K, tower), W)]):
         failures.append(f"{part.label}: delta identity delta(W) + c*W = B*W")
     return failures
 

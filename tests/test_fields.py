@@ -5,10 +5,12 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 from sympy.polys.densearith import dup_mul, dup_rem
 from sympy.polys.euclidtools import dup_invert
+from sympy.polys.matrices import DomainMatrix
 
 from ddsolve.fields import (AllEqual, Conjugate, FieldError, MixedSplit, Split,
                             QQ_XT, TRIVIAL_TOWER, delta, dm_conjugate,
-                            dm_delta, dm_embed, dm_from_matrix,
+                            dm_delta, dm_delta_part, dm_embed,
+                            dm_from_matrix, dm_inv, dm_same,
                             dm_shift, dm_sigma_power, dm_to_matrix,
                             factor_in_x, k_shift, make_tower, mat_inv,
                             mat_reduce, series_at_infinity, shift,
@@ -593,3 +595,90 @@ def test_dm_sigma_power_telescopes(m):
     got = dm_sigma_power(D, m)
     assert got == dm_from_matrix(want)
     assert got == _k_product_sigma_power(D, m)
+
+
+# ---------------------------------------------------------------------------
+# fraction-free identities: dm_same and dm_delta_part against the products
+# over K they replace
+
+def _tower_entries(k):
+    """k elements a + b*theta of the degree-2 tower, a and b from
+    _ratfuncs_xt."""
+    return st.lists(st.tuples(_ratfuncs_xt(), _ratfuncs_xt()).map(
+        lambda ab: ab[0] + ab[1] * theta), min_size=k, max_size=k)
+
+
+def _k_sum(side):
+    """A side of dm_same evaluated by products and sums over K."""
+    total = None
+    for term in side:
+        prod = None
+        for f in term:
+            if isinstance(f, DomainMatrix):
+                prod = f if prod is None else prod * f
+            else:
+                prod = prod.mul(f)
+        total = prod if total is None else total + prod
+    return total
+
+
+def _perturbed(D, i, j):
+    """D with 1 added to one entry, (i, j) taken modulo the shape."""
+    rows = D.to_list()
+    i, j = i % D.shape[0], j % D.shape[1]
+    rows[i][j] += QQ_XT.one
+    return DomainMatrix(rows, D.shape, QQ_XT)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_tower_entries(4), _tower_entries(2), _tower_entries(1),
+       _ratfuncs_xt(), st.integers(0, 7), st.integers(0, 7))
+def test_dm_same_agrees_with_the_k_product_comparison(a, w, c, k, i, j):
+    """sigma(W) C + W k against A W and against its own K-product sum, on
+    K-forms over the degree-2 tower (k in K); one perturbed entry makes
+    the identity fail."""
+    A = dm_from_matrix(sp.Matrix(2, 2, a), EX1_TOWER)
+    W = dm_from_matrix(sp.Matrix(2, 1, w), EX1_TOWER)
+    C = dm_from_matrix(sp.Matrix(1, 1, c), EX1_TOWER)
+    k = QQ_XT.from_sympy(k)
+    lhs = [(dm_shift(W), C), (W, k)]
+    for rhs in ([(A, W)], [(_k_sum(lhs),)],
+                [(_perturbed(_k_sum(lhs), i, j),)]):
+        assert dm_same(lhs, rhs) == (_k_sum(lhs) == _k_sum(rhs))
+    assert dm_same(lhs, [(_k_sum(lhs),)])
+    assert not dm_same(lhs, [(_perturbed(_k_sum(lhs), i, j),)])
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.booleans(),
+       st.lists(st.tuples(_polys((x, t)), st.integers(-2, 2)),
+                min_size=4, max_size=4),
+       st.lists(_ratfuncs_xt(), min_size=4, max_size=4))
+def test_dm_delta_part_matches_the_k_products(over_tower, g, b):
+    """G^-1 (B G - delta(G)) on K-forms over the trivial or the degree-2
+    tower, entry by entry in the same reduced form; G has entries
+    p + c*theta, p in Q[x, t] and c in Z (c dropped on the trivial
+    tower)."""
+    tower = EX1_TOWER if over_tower else TRIVIAL_TOWER
+    th = theta if over_tower else 0
+    G = dm_from_matrix(sp.Matrix(2, 2, [p + c * th for p, c in g]), tower)
+    B = dm_from_matrix(sp.Matrix(2, 2, b), tower)
+    dG = dm_delta(G, tower)
+    if G.det() == 0:
+        with pytest.raises(FieldError):
+            dm_delta_part(G, B, dG)
+        return
+    got, want = dm_delta_part(G, B, dG), dm_inv(G) * (B * G - dG)
+    assert [(e.numer, e.denom) for e in got.to_list_flat()] == \
+        [(e.numer, e.denom) for e in want.to_list_flat()]
+
+
+@pytest.mark.parametrize("tower", [TRIVIAL_TOWER, EX1_TOWER])
+def test_dm_delta_part_rejects_a_singular_gauge(tower):
+    """The second row is the first times x/t (times theta on the
+    tower)."""
+    f = x / t if tower.trivial else theta
+    G = dm_from_matrix(sp.Matrix([[1, x + t], [f, f * (x + t)]]), tower)
+    B = dm_from_matrix(sp.Matrix([[1 / t, x], [0, 1]]), tower)
+    with pytest.raises(FieldError):
+        dm_delta_part(G, B, dm_delta(G, tower))
