@@ -30,8 +30,9 @@ and residue matrices, and its value at t = infinity from numerator and
 denominator degrees.  Eigenvalues come from the factors over Q(t) of one
 characteristic polynomial (fields.charpoly_factors), eigenvectors over a
 tower from fields.kernel on K-forms.  The rational solutions of a
-simple-pole system come from one coefficient matrix over Q, and each
-candidate is checked as the K-form identity delta(V) + c V = Bhat V.
+simple-pole system come from one coefficient matrix over Q (degrees from
+ratsol.degree_bound); each candidate is checked as the K-form identity
+delta(V) + c V = Bhat V.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, Tower, charpoly_factors,
                      dm_same, dm_shift, dm_to_matrix, indicial_degrees,
                      kernel, make_tower, shift, theta, x)
 from .difftools import standard_decompose
-from .ratsol import (UnsupportedCase, _constant_span_reduce,
+from .ratsol import (UnsupportedCase, _constant_span_reduce, degree_bound,
                      rational_solutions, scalar_operators)
 from .sequences import VerificationError
 
@@ -262,7 +263,7 @@ def system_hypergeometric(M: DomainMatrix, m: int = 1):
     span of the earlier ones with the same lambda adds nothing and is
     dropped."""
     ratios = {}                 # r in K -> r as petkovsek returns it
-    for op in scalar_operators(M, m, TRIVIAL_TOWER):
+    for op in scalar_operators(M, m):
         for r in petkovsek(list(dm_to_matrix(op)), m):
             try:
                 ratios.setdefault(QQ_XT.from_sympy(r), r)
@@ -376,40 +377,32 @@ def _diff_rational_solutions(C: DomainMatrix) -> list:
 
     A pole a of V has order at most the largest -l over the negative
     integer eigenvalues l of the residue of C at a, which gives the
-    denominator den of V.  At infinity, where C = R/t + O(1/t^2), deg V
-    is at most the largest positive integer eigenvalue of R; when C does
-    not vanish at infinity the residue analysis does not apply and a
-    slack bound is used (the solutions stay verified).  With C = N/d, the
-    numerators P of degree <= bound solve
-    d (den P' - den' P) - N den P = 0, linear over Q in the coefficients
-    of P, unknowns ordered by (coordinate, degree)."""
+    denominator den of V.  With C = N/d, the numerators P = den V solve
+    P1 P' + P0 P = 0, P1 = d den and P0 = -(d den' + den N), linear over Q
+    in the coefficients of P, unknowns ordered by (coordinate, degree);
+    :func:`ddsolve.ratsol.degree_bound` bounds deg P in the monomials t^k
+    (c = 1, s = 0)."""
     n = C.shape[0]
     den = _T_RING.one
     for a, R in _simple_poles(C):
         den *= (_T_POLY - a) ** max([0] + [
             -int(lam) for lam in _rational_eigenvalues(R)
             if lam.denominator == 1 and lam < 0])
-    Cinf = _at_infinity(C.mul(_T))
-    bound = den.degree() + (n + 4 if Cinf is None else max([0] + [
-        int(lam) for lam in _rational_eigenvalues(Cinf)
-        if lam.denominator == 1 and lam > 0]))
     d, N = C.clear_denoms(convert=True)
-    d, N, dden = d.element, N.to_list(), den.diff(_T_POLY)
-    columns = []
-    for i in range(n):
-        for dg in range(bound + 1):
-            # the image of P = t^dg at coordinate i
-            p = _T_POLY**dg
-            own = d * (den * p.diff(_T_POLY) - dden * p)
-            columns.append([(own if a == i else 0) - den * N[a][i] * p
-                            for a in range(n)])
-    sols, b = [], bound + 1
-    for vec in kernel(_t_coefficient_matrix(columns)).to_list():
-        P = [_T_RING.from_list(vec[i * b:(i + 1) * b][::-1])
-             for i in range(n)]
-        sols.append(DomainMatrix([[QQ_XT.convert_from(
-            QQ_T.field.new(p, den), QQ_T)] for p in P], (n, 1), QQ_XT))
-    return sols
+    eye, d = DomainMatrix.eye(n, N.domain), d.element
+    P1 = eye.mul(d * den)
+    P0 = -(eye.mul(d * den.diff(_T_POLY)) + N.mul(den))
+    bound = degree_bound(P1, P0, 1, 0)
+    P1, P0 = P1.to_list(), P0.to_list()
+    # the images of P = t^dg at coordinate i
+    columns = [[P1[a][i] * p.diff(_T_POLY) + P0[a][i] * p for a in range(n)]
+               for i in range(n)
+               for p in (_T_POLY**dg for dg in range(bound + 1))]
+    b = bound + 1
+    return [DomainMatrix([[QQ_XT.convert_from(QQ_T.field.new(
+        _T_RING.from_list(vec[i * b:(i + 1) * b][::-1]), den), QQ_T)]
+        for i in range(n)], (n, 1), QQ_XT)
+        for vec in kernel(_t_coefficient_matrix(columns)).to_list()]
 
 
 def hyperexp_solutions(Bhat: DomainMatrix):

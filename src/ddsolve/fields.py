@@ -344,11 +344,12 @@ def common_integer_roots(slices: list) -> list:
 
 
 def x_integer_roots(p) -> list:
-    """Sorted integer roots in x of a nonzero p in Q[x, t] (the ring of
-    K's numerators): the common roots of its slices by powers of t."""
+    """Sorted integer roots in its first generator (x in Q[x, t], the ring
+    of K's numerators) of a nonzero polynomial p over Q: the common roots
+    of its slices by the monomials in the other generators."""
     slices: dict = {}
-    for (i, k), c in p.terms():
-        slices.setdefault(k, {})[i] = c
+    for (i, *rest), c in p.terms():
+        slices.setdefault(tuple(rest), {})[i] = c
     return common_integer_roots([dup_from_raw_dict(s, QQ)
                                  for s in slices.values()])
 

@@ -2,8 +2,9 @@
 
 The pipeline is the classical one: an Abramov-style universal denominator
 from the shift-class analysis of den(M) against den(M^-1), then polynomial
-solutions with a degree bound read off the expansion at x = infinity, then
-exact substitution checks on everything returned.
+solutions with a degree bound from EG-eliminations on their coefficient
+recurrence (S. A. Abramov, J. Difference Eq. Appl. 5, 1999), then exact
+substitution checks on everything returned.
 
 A pole of a solution at c propagates through Y(x+m) = M(x)Y(x): going down
 there must be s >= 1 with den(M)(c - s*m) = 0, going up s >= 0 with
@@ -14,43 +15,43 @@ Every function here takes and returns K-forms (see :mod:`ddsolve.fields`):
 a vector is the K-form of an n x 1 matrix, a scalar operator that of the
 row of its coefficients, and u an element of K = Q(x, t).  Denominators
 are read off K-entries, and their factors in Q[x, t] are grouped by
-:func:`ddsolve.difftools.shift_classes` (``fields.factor_in_x`` has no
-caller in the package; it stays for the tests and the tracer).  The
-degree bound comes from the expansion of M at infinity, whose indicial
-determinant is taken over Q[t, d], or else from the indicial polynomials
-of the scalar operators, whose chains are sequences of K-matrices.
+:func:`ddsolve.difftools.shift_classes`.  :func:`degree_bound` is the
+one degree bound of polynomial solutions, sigma^m here and delta in
+``closedform``.
 
 The polynomial ansatz clears the denominators of M with one q in Q[x, t]
 (:func:`ddsolve.fields.dm_clear`, the monic lcm of the distinct
-denominators) and solves q(x) Y(x+m) - N(x) Y(x) = 0 over Q(t) in the
-coefficients of Y, unknowns ordered by (coordinate, degree, theta-power).
-The constant-span test is a rank test over Q(t) on coefficients in x of
-the vectors cleared by one dm_clear.  The substitution check of every
-rational solution and the gauge postcondition sigma^m(G) R = A G are
-decided on cleared numerators by :func:`ddsolve.fields.dm_same`, with no
-product over K.
+denominators), as the degree bound does, and solves
+q(x) Y(x+m) - N(x) Y(x) = 0 over Q(t) in the coefficients of Y, unknowns
+ordered by (coordinate, degree, theta-power).  The constant-span test is
+a rank test over Q(t) on coefficients in x of the vectors cleared by one
+dm_clear.  The substitution check of every rational solution P/u, taken
+on P and u, and the gauge postcondition sigma^m(G) R = A G are decided
+on cleared numerators by :func:`ddsolve.fields.dm_same`, with no product
+over K.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import sympy as sp
 from sympy import QQ, ZZ
-from sympy.polys.densebasic import dup_from_raw_dict, dup_strip
+from sympy.polys.densebasic import dup_strip
+from sympy.polys.densetools import dmp_shift
 from sympy.polys.matrices import DomainMatrix
 
 from .difftools import shift_classes
-from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, Tower, _modulus,
-                     common_integer_roots, dm_clear, dm_inv, dm_same,
-                     dm_series_at_infinity, dm_shift, from_regular,
-                     indicial_degrees, k_shift, kernel, regular_matrix, t,
-                     theta)
+from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower,
+                     _modulus, dm_clear, dm_inv, dm_same, dm_shift, k_shift,
+                     kernel, regular_matrix, x_integer_roots)
 from .sequences import VerificationError
 
 __all__ = ["RationalSolutionBasis", "UnsupportedCase",
-           "universal_denominator", "polynomial_solutions",
+           "universal_denominator", "degree_bound", "polynomial_solutions",
            "rational_solutions", "gauge_from_ratios"]
 
 # the polynomial ring of Q(t), the field of the ansatz unknowns
@@ -60,10 +61,6 @@ _QT_RING = QQ_T.field.ring
 _XT_RING = QQ_XT.field.ring
 _XT_ZZ = _XT_RING.clone(domain=ZZ)
 _X = _XT_RING.gens[0]
-# Q[t, theta], the coefficients in x of a scalar operator
-_OP_RING = QQ[t, theta]
-# Q[t, d], where the indicial determinant at infinity is taken
-_TD_RING = QQ[t, sp.Symbol("_d")]
 
 
 class UnsupportedCase(Exception):
@@ -76,11 +73,6 @@ class RationalSolutionBasis:
     basis: list  # K-forms of the column vectors
 
 
-def _cleared(c, q):
-    """c * q as a polynomial in Q[x, t], for q a multiple of den(c)."""
-    return c.numer * q.exquo(c.denom)
-
-
 def _coefficient_matrix(columns: list) -> DomainMatrix:
     """The matrix over Q(t) whose j-th column lists the coefficients in x
     of the polynomials columns[j] (over Q[x, t]), one row per (position,
@@ -90,13 +82,10 @@ def _coefficient_matrix(columns: list) -> DomainMatrix:
         for a, p in enumerate(col):
             for (i, k), c in p.items():
                 slots.setdefault((a, i), {}).setdefault(j, {})[(k,)] = c
-    rows = []
-    for key in sorted(slots):
-        row = [QQ_T.zero] * len(columns)
-        for j, terms in slots[key].items():
-            row[j] = QQ_T.new(_QT_RING.from_dict(terms))
-        rows.append(row)
-    return DomainMatrix(rows, (len(rows), len(columns)), QQ_T)
+    return DomainMatrix([[QQ_T.new(_QT_RING.from_dict(slots[key].get(j, {})))
+                          for j in range(len(columns))]
+                         for key in sorted(slots)],
+                        (len(slots), len(columns)), QQ_T)
 
 
 # ---------------------------------------------------------------------------
@@ -129,155 +118,171 @@ def universal_denominator(M: DomainMatrix, m: int = 1):
 # ---------------------------------------------------------------------------
 # polynomial solutions
 
-def scalar_operators(M: DomainMatrix, m: int, tower: Tower):
+def scalar_operators(M: DomainMatrix, m: int):
     """For each coordinate i a scalar relation sum_j p_j(x) y(x + m*j) = 0
     satisfied by y = (i-th coordinate of any solution of sigma^m(Y)=MY),
-    with polynomial p_j: the K-form of the row (p_0, ..., p_k).  Built
-    from the chain v_{k+1} = sigma^m(v_k) M."""
-    e = tower.degree
-    n = M.shape[0] // e
-    mod = _modulus(tower)
-    entries = from_regular(M, e)
+    M over K, with polynomial p_j: the K-matrix of the row (p_0, ..., p_k).
+    Built from the chain v_{k+1} = sigma^m(v_k) M."""
     # columns w_k = v_k^T, so w_{k+1} = M^T sigma^m(w_k)
-    MT = regular_matrix([entries[j * n + i] for i in range(n)
-                         for j in range(n)], (n, n), mod, QQ_XT)
-    ops = []
+    n, MT, ops = M.shape[0], M.transpose(), []
     for i in range(n):
-        chain = [regular_matrix([[QQ_XT.one] if r == i else []
-                                 for r in range(n)], (n, 1), mod, QQ_XT)]
+        chain = [DomainMatrix.eye(n, QQ_XT).extract(range(n), [i])]
         while True:
-            k = len(chain)
-            # the null space over the tower as a k x f matrix, row-major
-            null = from_regular(kernel(DomainMatrix.hstack(*chain))
-                                .transpose(), e)
-            f = len(null) // k
-            cand = next((j for j in range(f) if null[(k - 1) * f + j]),
-                        None)
+            cand = next((v for v in kernel(DomainMatrix.hstack(*chain))
+                         .to_list() if v[-1]), None)
             if cand is not None:
-                ops.append(regular_matrix(
-                    _cleared_row([null[r * f + cand] for r in range(k)]),
-                    (1, k), mod, QQ_XT))
+                # times the lcm over Z[x, t] of the denominators
+                den = functools.reduce(lambda d, c: d.lcm(c.denom.set_ring(
+                    _XT_ZZ)), cand, _XT_ZZ.one).set_ring(_XT_RING)
+                ops.append(DomainMatrix([[QQ_XT.new(c.numer * den.exquo(
+                    c.denom)) for c in cand]], (1, len(cand)), QQ_XT))
                 break
             chain.append(MT * dm_shift(chain[-1], m))
     return ops
 
 
-def _cleared_row(coeffs: list) -> list:
-    """Tower elements c_j (dense in theta over K) times the lcm over
-    Z[x, t] of their denominators."""
-    den = _XT_ZZ.one
-    for a in coeffs:
-        for c in a:
-            den = den.lcm(c.denom.set_ring(_XT_ZZ))
-    den = den.set_ring(_XT_RING)
-    return [[QQ_XT.new(_cleared(c, den)) for c in a] for a in coeffs]
+# ---------------------------------------------------------------------------
+# the degree bound: EG-eliminations on the coefficient recurrence.  A row
+# (length, coeff) is an equation sum_{i < length} coeff(i) y_{k+i} = 0 on
+# y = sum_k y_k phi_k, coeff(i) over Z[k, consts], that holds at every k
+
+@functools.lru_cache(maxsize=None)
+def _basis_product(kdom, s: int, i: int, j: int, a: int):
+    """S_ij(k + a), where x^i phi_k = sum_j S_ij(k) phi_{k+j}:
+    S_ij(k) = S_{i-1,j-1}(k) + s (k + j) S_{i-1,j}(k), S_00 = 1."""
+    if not 0 <= j <= i:
+        return kdom.zero
+    return kdom.one if j == i else (_basis_product(kdom, s, i - 1, j - 1, a)
+                                    + s * (kdom.gens[0] + a + j)
+                                    * _basis_product(kdom, s, i - 1, j, a))
 
 
-def _scalar_degree_candidates(op: DomainMatrix, m: int, tower: Tower):
-    """Degree candidates for polynomial solutions of the scalar operator
-    op (a K-form, see :func:`scalar_operators`) via the indicial analysis
-    at x = infinity, its coefficients read as polynomials in x over
-    Q[t, theta]."""
-    ring = _OP_RING.ring
-    Q = []
-    for a in from_regular(op, tower.degree):
-        coeffs: dict = {}
-        for k, c in enumerate(reversed(a)):
-            for (i, s), q in c.numer.terms():
-                coeffs.setdefault(i, {})[(s, k)] = q
-        Q.append(dup_from_raw_dict(
-            {i: ring.from_dict(cs) for i, cs in coeffs.items()}, _OP_RING))
-    return indicial_degrees(Q, m, _OP_RING)
+def _operator_rows(P1: DomainMatrix, P0: DomainMatrix, c: int, s: int,
+                   kdom) -> list:
+    """The rows of P1(x) d + P0(x), coeff formed on first use.  y_k adds
+    T_j(k) = sum_e (P0_e S_ej(k) + c k P1_e S_{e,j+1}(k-1)) to phi_{k+j},
+    P_e the coefficient of x^e.  Row r is read at phi_{k+h}, h = max(deg
+    P0, deg P1 - 1) on row r: coeff(i) is row r of T_{h-i}(k + i), and the
+    leading row coeff(0) = P0_h + c k P1_{h+1} is nonzero."""
+    X, k, rows = P0.domain.ring.gens[0], kdom.gens[0], []
+    for row0, row1 in zip(P0.to_list(), P1.to_list()):
+        # times a unit of Q that makes every coefficient an integer
+        den = math.lcm(*(QQ.denom(a) for p in row0 + row1 for a in p.coeffs()))
+        B, A = ({e: [(p.coeff_wrt(X, e) * den).set_ring(kdom.ring)
+                     for p in row]
+                 for e in range(max(-1, *(p.degree(X) for p in row)) + 1)}
+                for row in (row0, row1))
+        h = max([e for e in B] + [e - 1 for e in A])
+
+        def coeff(i, B=B, A=A, h=h):
+            out = [kdom.zero] * len(row0)
+            for part, j, a, scale in ((B, h - i, i, 1),
+                                      (A, h - i + 1, i - 1, c * (k + i))):
+                for e, vec in part.items():
+                    S = _basis_product(kdom, s, e, j, a) * scale
+                    out = [o + b * S for o, b in zip(out, vec)]
+            return out
+
+        rows.append((h + 2, functools.lru_cache(maxsize=None)(coeff)))
+    return rows
 
 
-def _indicial_roots(P1: DomainMatrix, P0: DomainMatrix, m: int):
-    """Sorted integer roots d of det(P1 - m*d*P0) for square P0, P1 over
-    Q(t) (held in K); None when the determinant vanishes identically.
-
-    Each row is cleared of its denominators first, which scales the
-    determinant by a unit of Q(t), so it is taken over Q[t, d]."""
-    ring, d = _TD_RING.ring, _TD_RING.gens[1]
-    rows = []
-    for r1, r0 in zip(P1.to_list(), P0.to_list()):
-        q = _XT_RING.one
-        for c in r1 + r0:
-            q = q.lcm(c.denom)
-        rows.append([_cleared(a, q).set_ring(ring)
-                     - m * d * _cleared(b, q).set_ring(ring)
-                     for a, b in zip(r1, r0)])
-    det = DomainMatrix(rows, P1.shape, _TD_RING).det()
-    if not det:
-        return None
-    slices: dict = {}      # power of t -> {power of d: coefficient}
-    for (s, k), c in det.items():
-        slices.setdefault(s, {})[k] = c
-    return common_integer_roots([dup_from_raw_dict(sl, QQ)
-                                 for sl in slices.values()])
+def _combined_row(v: list, rows: list) -> tuple:
+    """The row sum_r v_r(k - s) rows_r(k - s) / g, for v with
+    sum_r v_r rows_r.coeff(0) = 0: s >= 1 the least shift that leaves a
+    nonzero leading row, and g the k-free content of its coefficients."""
+    terms = [(a, row) for a, row in zip(v, rows) if a]
+    length, kring = max(row[0] for _, row in terms), terms[0][0].ring
+    combo = [[sum((a * coeff(i)[j] for a, (L, coeff) in terms if i < L),
+                  kring.zero) for j in range(len(v))] for i in range(length)]
+    s = next((s for s in range(1, length) if any(combo[s])), None)
+    if s is None:           # P1 d + P0 is singular: so is M
+        raise FieldError("matrix not invertible")
+    # k -> k - s, a Taylor shift of the dense forms
+    shift, u = [ZZ(-s)] + [ZZ(0)] * (kring.ngens - 1), kring.ngens - 1
+    combo = [kring.from_dense(dmp_shift(e.to_dense(), shift, u, ZZ))
+             for c in combo[s:] for e in c]
+    g = functools.reduce(lambda a, b: a.gcd(b), combo)
+    g = functools.reduce(lambda a, b: a.gcd(b), (
+        g.coeff_wrt(kring.gens[0], j) for j in range(g.degree() + 1)))
+    combo = [e.exquo(g) for e in combo]
+    return length - s, [combo[i:i + len(v)] for i in range(
+        0, len(combo), len(v))].__getitem__
 
 
-def _degree_bound(M: DomainMatrix, m: int, tower: Tower):
-    """Top-degree analysis at x = infinity; -1 means only the zero solution.
-    UnsupportedCase when the indicial analysis finds no bound.
+def degree_bound(P1: DomainMatrix, P0: DomainMatrix, c: int, s: int) -> int:
+    """The largest degree of a polynomial solution y of
+    P1(x) d(y) + P0(x) y = 0 (-1: y = 0 only), P1 and P0 square over
+    Q[x, consts], in a basis phi_k with d phi_k = c k phi_{k-1} and
+    x phi_k = phi_{k+1} + s k phi_k.  While the leading matrix L(k) of the
+    rows is singular over Q(consts)(k), each vector v of the rref basis of
+    its left null space (made primitive) combines the rows into one with
+    leading row 0, which replaces v's free row (:func:`_combined_row`).
+    The rows are sorted by length, then by the size of their leading row,
+    so that row, last in v's support, is a longest one there and the
+    small rows are the pivots.  The bound is the largest integer root
+    k >= 0 of det L(k), or -1.
 
-    On the regular representation the determinant of the indicial pencil
-    is the norm of the one over the tower times a unit of Q(t), so it has
-    the same integer roots."""
-    ne = M.shape[0]
-    ord_, (H0, H1) = dm_series_at_infinity(M, 2)
-    if ord_ > 0:
-        return -1
-    if ord_ == 0:
-        A = H0 - DomainMatrix.eye(ne, QQ_XT)
-        right = kernel(A)
-        if not right.shape[0]:
-            return -1
-        left = kernel(A.transpose())
-        C = right.transpose()
-        roots = _indicial_roots(left * H1 * C, left * C, m)
-        if roots is not None:
-            return max([-1] + roots)
-    elif H0.rank() == ne:
-        return -1
-    # fall back to scalar relations per coordinate (sound and complete:
-    # every coordinate of a solution is annihilated by its chain operator)
-    bounds = []
-    for op in scalar_operators(M, m, tower):
-        roots = _scalar_degree_candidates(op, m, tower)
-        if roots is None:
-            raise UnsupportedCase("degree bound: the indicial analysis of a "
-                                  "scalar operator found no equation")
-        bounds.append(max([-1] + roots))
-    return max(bounds)
+    *Validity:* every derived row is a Z[consts, k]-combination of
+    shifted original equations, divided by a content free of k (a unit of
+    Q(consts)), so it holds at every integer k.  A factor in k is never
+    divided out: the equations at its integer roots would be lost.  At
+    k = d, the top degree of a solution, every row involves y_d alone
+    (y_{d+i} = 0 for i > 0), so L(d) y_d = 0 with y_d != 0 and
+    det L(d) = 0.
+
+    *Termination:* a derived row is shorter than its pivot by s >= 1, so
+    the total row length strictly falls.  No row can vanish: the operator
+    is nonsingular (q sigma^m - N for invertible M; d I leading for delta)
+    and each step multiplies its matrix by one invertible over
+    Q(consts)(k)[S, S^-1], its pivot entries v_p S^-s / g units.  A k-free
+    nonsingular L has a determinant in Q(consts), with no root."""
+    kdom = ZZ[(sp.Symbol("_k"), *P0.domain.symbols[1:])]
+    rows = _operator_rows(P1, P0, c, s, kdom)
+    while True:
+        order = sorted(range(len(rows)), key=lambda r: (
+            rows[r][0], sum(len(e) for e in rows[r][1](0))))
+        lead = DomainMatrix([rows[r][1](0) for r in order], P0.shape, kdom)
+        if det := lead.det():
+            return max([-1] + [d for d in x_integer_roots(det) if d >= 0])
+        old = [rows[r] for r in order]
+        for v in lead.transpose().nullspace().to_list():
+            g = functools.reduce(lambda a, b: a.gcd(b), v)
+            rows[order[max(i for i, a in enumerate(v) if a)]] = \
+                _combined_row([a.exquo(g) for a in v], old)
+
+
+def _degree_bound(q, N: DomainMatrix, m: int) -> int:
+    """:func:`degree_bound` of q Y(x+m) = N Y, (q, N) = dm_clear(M), as
+    q Delta_m Y + (q - N) Y = 0 in the falling factorials x (x - m) ...
+    (x - (k-1) m), c = s = m; over a tower, on the regular representation."""
+    qI = DomainMatrix.eye(N.shape[0], N.domain).mul(q)
+    return degree_bound(qI, qI - N, m, m)
 
 
 def polynomial_solutions(M: DomainMatrix, m: int = 1,
                          degree_bound: int = None,
                          tower: Tower = TRIVIAL_TOWER):
     """All polynomial solution vectors of sigma^m(Y) = M Y with
-    deg <= degree_bound (computed from the infinity expansion if omitted).
+    deg <= degree_bound (:func:`_degree_bound` if omitted).
 
     The basis is the null-space basis of the coefficient system, unknowns
     ordered by (coordinate, degree, theta-power)."""
+    q, N = dm_clear(M)
     if degree_bound is None:
-        degree_bound = _degree_bound(M, m, tower)
+        degree_bound = _degree_bound(q, N, m)
     if degree_bound < 0:
         return []
     e, ne, deg = tower.degree, M.shape[0], degree_bound + 1
     n = ne // e
-    q, N = dm_clear(M)
     N = N.to_dok()
     # column (i, dg, k) holds q(x) (x+m)^dg at coordinate b = i*e + k and
     # -N(x)_{ab} x^dg at every coordinate a
     qshift = [q * (_X + m)**dg for dg in range(deg)]
-    columns = []
-    for i in range(n):
-        for dg in range(deg):
-            for k in range(e):
-                b = i * e + k
-                columns.append([
-                    (qshift[dg] if a == b else _XT_RING.zero)
-                    - N.get((a, b), _XT_RING.zero) * _X**dg
-                    for a in range(ne)])
+    columns = [[(qshift[dg] if a == b else _XT_RING.zero)
+                - N.get((a, b), _XT_RING.zero) * _X**dg for a in range(ne)]
+               for i in range(n) for dg in range(deg)
+               for b in range(i * e, (i + 1) * e)]
     xK = QQ_XT.gens[0]
     mod = _modulus(tower)
     sols = []
@@ -323,15 +328,14 @@ def rational_solutions(M: DomainMatrix, m: int = 1,
     verified by substitution."""
     u = universal_denominator(M, m)
     su = k_shift(u, m)
-    polys = polynomial_solutions(M.mul(su / u), m, None, tower)
     inv_u = QQ_XT.one / u
     basis = []
-    for P in polys:
-        V = P.mul(inv_u)
-        if not dm_same([(dm_shift(V, m),)], [(M, V)]):
+    for P in polynomial_solutions(M.mul(su / u), m, None, tower):
+        # sigma^m(P/u) = M P/u, decided on P and u
+        if not dm_same([(dm_shift(P, m), u)], [(M, P, su)]):
             raise VerificationError(
                 "rational solution failed substitution check")
-        basis.append(V)
+        basis.append(P.mul(inv_u))
     return RationalSolutionBasis(m=m,
                                  basis=_constant_span_reduce(basis, tower))
 

@@ -8,8 +8,8 @@ from ddsolve import closedform
 from ddsolve.closedform import (UnsupportedCase, hyperexp_solutions,
                                 petkovsek, system_hypergeometric)
 from ddsolve.difftools import standard_decompose
-from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, delta, dm_from_matrix,
-                            dm_shift, dm_to_matrix, mat_reduce, shift,
+from ddsolve.fields import (QQ_XT, delta, dm_from_matrix, dm_shift,
+                            dm_to_matrix, mat_reduce, shift,
                             sigma_power_matrix, t, teq, theta, treduce, x)
 from ddsolve.files import read_system
 from ddsolve.procedures import _specialization_point
@@ -167,7 +167,7 @@ def example2_A0(example2_path):
 def example2_operators(example2_A0):
     """Scalar operators of example2's specialized sigma^3-system."""
     return [list(dm_to_matrix(op))
-            for op in scalar_operators(example2_A0, 3, TRIVIAL_TOWER)]
+            for op in scalar_operators(example2_A0, 3)]
 
 
 def test_petkovsek_matches_reference_on_example2(example2_operators):

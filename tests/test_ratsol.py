@@ -7,13 +7,15 @@ from sympy.polys.matrices import DomainMatrix
 
 import ddsolve.closedform as closedform
 import ddsolve.procedures as procedures
-from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, dm_from_matrix,
+from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, dm_clear, dm_from_matrix,
                             dm_to_matrix, make_tower, mat_inv, mat_reduce,
                             shift, t, teq, theta, treduce, x)
 from ddsolve.files import read_system
+from ddsolve.sequences import verify_certificates
 import ddsolve.ratsol as ratsol
-from ddsolve.ratsol import RationalSolutionBasis, UnsupportedCase
+from ddsolve.ratsol import RationalSolutionBasis
 
+from gauged import gauged_system
 from helpers import (mat_eq, mat_shift, nullspace_over_Qt,
                      reference_polynomial_solutions,
                      reference_rational_solutions,
@@ -39,9 +41,9 @@ def rational_solutions(M, m=1, tower=TRIVIAL_TOWER):
     return RationalSolutionBasis(m, [dm_to_matrix(V, tower) for V in basis])
 
 
-def scalar_operators(M, m, tower):
-    return [list(dm_to_matrix(op, tower)) for op in ratsol.scalar_operators(
-        dm_from_matrix(M, tower), m, tower)]
+def scalar_operators(M, m):
+    return [list(dm_to_matrix(op)) for op in ratsol.scalar_operators(
+        dm_from_matrix(M), m)]
 
 
 def gauge_from_ratios(A, ratios, m):
@@ -51,7 +53,7 @@ def gauge_from_ratios(A, ratios, m):
 
 
 def _degree_bound(M, m, tower):
-    return ratsol._degree_bound(dm_from_matrix(M, tower), m, tower)
+    return ratsol._degree_bound(*dm_clear(dm_from_matrix(M, tower)), m)
 
 
 def _constant_span_reduce(vectors, tower):
@@ -143,7 +145,7 @@ def test_rational_solutions_step_two():
 def test_scalar_operators_annihilate_solution_coordinates():
     g = x + 1
     M = sp.Matrix([[shift(g) / g, 1], [0, 2]])
-    ops = scalar_operators(M, 1, TRIVIAL_TOWER)
+    ops = scalar_operators(M, 1)
     assert len(ops) == 2
     # y = first coordinate of Y = (g, 0) solves the first operator
     y = g
@@ -152,15 +154,21 @@ def test_scalar_operators_annihilate_solution_coordinates():
     assert sp.cancel(acc) == 0
 
 
-def test_degree_bound_failure_is_unsupported(monkeypatch):
-    """With ord -1 and a singular leading matrix the bound needs the scalar
-    relations; when their indicial analysis fails there is no bound."""
+def test_degree_bound_failure_is_unsupported():
+    """diag(x, 1) has order -1 at infinity and a singular leading
+    coefficient there; the leading matrix of its recurrence, diag(-1, k),
+    gives the bound 0."""
     M = sp.Matrix([[x, 0], [0, 1]])
     assert _degree_bound(M, 1, TRIVIAL_TOWER) == 0
-    monkeypatch.setattr(ratsol, "_scalar_degree_candidates",
-                        lambda op, m, tower: None)
-    with pytest.raises(UnsupportedCase):
-        _degree_bound(M, 1, TRIVIAL_TOWER)
+
+
+def test_degree_bound_keeps_the_equations_at_roots_in_k():
+    """Y = (1, x - 3) solves sigma^2(Y) = M Y.  The elimination derives a
+    row whose coefficients share a factor in k; dividing the row by it
+    would lose the equation at its root and give the bound -1."""
+    M = sp.Matrix([[1, 0], [(x + 3) / x, (x + 1) / x]])
+    assert _degree_bound(M, 2, TRIVIAL_TOWER) >= 1
+    assert polynomial_solutions(M, 2) == [sp.Matrix([1, x - 3])]
 
 
 def test_gauge_from_ratios_recovers_planted_gauge():
@@ -270,21 +278,20 @@ def test_ratsol_matches_reference_on_planted_systems(case):
     """Polynomial solutions are srepr-identical to the reference.  u is
     the reference's value in the canonical form of treduce (the reference
     returns it expanded).  Over the trivial tower the operators and the
-    rational basis are srepr-identical too.  Over a tower the reference
-    read a denominator off together(c_0 + c_1*theta), which repeats a
-    factor shared by den(c_0) and den(c_1); so there its operators may
-    carry an extra polynomial factor and its u may be a proper multiple.
-    The tower's rational bases are pinned by the calls of example1."""
+    rational basis are srepr-identical too (scalar operators are formed
+    over K only).  Over a tower the reference read a denominator off
+    together(c_0 + c_1*theta), which repeats a factor shared by den(c_0)
+    and den(c_1); so there its u may be a proper multiple.  The tower's
+    rational bases are pinned by the calls of example1."""
     M, m, tower = case
     _srepr_equal(polynomial_solutions(M, m, None, tower),
                  reference_polynomial_solutions(M, m, None, tower))
     u = universal_denominator(M, m, tower)
     u_ref = reference_universal_denominator(M, m, tower)
-    ops = scalar_operators(M, m, tower)
-    ops_ref = reference_scalar_operators(M, m, tower)
     if tower.trivial:
         _srepr_equal(u, treduce(u_ref))
-        _srepr_equal(ops, ops_ref)
+        _srepr_equal(scalar_operators(M, m),
+                     reference_scalar_operators(M, m, tower))
         _srepr_equal(rational_solutions(M, m).basis,
                      reference_rational_solutions(M, m))
         return
@@ -292,11 +299,6 @@ def test_ratsol_matches_reference_on_planted_systems(case):
     assert x not in sp.fraction(quotient)[1].free_symbols
     if x not in quotient.free_symbols:
         _srepr_equal(u, treduce(u_ref))
-    assert len(ops) == len(ops_ref)
-    for op, ref in zip(ops, ops_ref):
-        assert len(op) == len(ref)
-        assert all(treduce(op[j] * ref[0] - op[0] * ref[j], tower) == 0
-                   for j in range(len(op)))
 
 
 @pytest.fixture(scope="module")
@@ -314,12 +316,17 @@ def captured_calls(example1_path, example2_path):
 
             def spy(M, *args, _name=name, _orig=orig, **kwargs):
                 # the solver passes every argument; universal_denominator,
-                # called by rational_solutions, takes no tower
-                named = _name != "universal_denominator"
-                tower = args[-1] if named else towers[-1]
+                # called by rational_solutions, takes no tower, and
+                # scalar_operators works over K
+                if _name == "scalar_operators":
+                    tower, extra = TRIVIAL_TOWER, ()
+                elif _name == "universal_denominator":
+                    tower = towers[-1]
+                    extra = (tower,)
+                else:
+                    tower, extra = args[-1], ()
                 current[-1].append((_name, (dm_to_matrix(M, tower), *args)
-                                    + ((tower,) if not named else ()),
-                                    kwargs))
+                                    + extra, kwargs))
                 towers.append(tower)
                 try:
                     return _orig(M, *args, **kwargs)
@@ -342,7 +349,8 @@ _REFERENCES = {
     "universal_denominator": lambda *a, **k: treduce(
         reference_universal_denominator(*a, **k)),
     "polynomial_solutions": reference_polynomial_solutions,
-    "scalar_operators": reference_scalar_operators,
+    "scalar_operators": lambda M, m: reference_scalar_operators(
+        M, m, TRIVIAL_TOWER),
     "rational_solutions": reference_rational_solutions,
 }
 
@@ -360,6 +368,49 @@ def test_ratsol_matches_reference_on_captured_calls(captured_calls, name):
         _srepr_equal(got, _REFERENCES[fn](*args, **kwargs))
 
 
+def test_gauged_example2_bounds_degrees_without_scalar_operators(
+        example2_path, monkeypatch):
+    """Example2 under the seeded 3 x 3 gauge of tests/gauged.py (seed 0):
+    the eliminations bound every degree of the solve with no
+    scalar-operator chain, the polynomial solutions are srepr-identical
+    to the reference's, whose bound comes from the chain, and the solve
+    ends Solved with verified certificates."""
+    system = gauged_system(read_system(example2_path), 0)
+    bound, ops, poly = (ratsol._degree_bound, ratsol.scalar_operators,
+                        ratsol.polynomial_solutions)
+    depth, calls = [0], []
+
+    def bound_spy(*args):
+        depth[0] += 1
+        try:
+            return bound(*args)
+        finally:
+            depth[0] -= 1
+
+    def ops_spy(*args):
+        assert not depth[0], "scalar_operators called by _degree_bound"
+        return ops(*args)
+
+    def poly_spy(M, m, degree_bound, tower):
+        calls.append((dm_to_matrix(M, tower), m, degree_bound, tower))
+        return poly(M, m, degree_bound, tower)
+
+    monkeypatch.setattr(ratsol, "_degree_bound", bound_spy)
+    monkeypatch.setattr(ratsol, "scalar_operators", ops_spy)
+    monkeypatch.setattr(closedform, "scalar_operators", ops_spy)
+    monkeypatch.setattr(ratsol, "polynomial_solutions", poly_spy)
+    out = procedures.solve_liouvillian(system)
+    monkeypatch.undo()
+    assert out.kind == "Solved"
+    assert out.solutions and all(
+        verify_certificates(system, sol).ok for sol in out.solutions)
+    assert calls
+    for M, m, degree_bound, tower in calls:
+        _srepr_equal(polynomial_solutions(M, m, degree_bound, tower),
+                     reference_polynomial_solutions(M, m, degree_bound,
+                                                    tower))
+
+
 def test_universal_denominator_in_canonical_form():
     """t*x + 1 is x + 1/t as a monic factor over Q(t): u is returned in
     the canonical form of treduce, the reference expanded it."""
@@ -371,25 +422,9 @@ def test_universal_denominator_in_canonical_form():
     assert rational_solutions(M).basis == [sp.Matrix([t / g])]
 
 
-def test_scalar_operators_over_a_tower_clear_the_lcm_of_denominators():
-    """den(c_0) = x*(x + 1) and den(c_1) = (x + 1)*(x + 2): the reference's
-    together-denominator repeats x + 1, so its first operator is this one
-    times x + 1."""
-    c = 1 + 1 / (x**2 + x) + theta / ((x + 1) * (x + 2))
-    M = sp.Matrix([[treduce(c, TOWER1), 0], [0, 1]])
-    ops = scalar_operators(M, 1, TOWER1)
-    ref = reference_scalar_operators(M, 1, TOWER1)
-    assert ops[1] == ref[1]
-    assert all(treduce(a * (x + 1) - b, TOWER1) == 0
-               for a, b in zip(ops[0], ref[0]))
-    _srepr_equal(ops[0], [-theta * x - x**3 - 3 * x**2 - 3 * x - 2,
-                          x**3 + 3 * x**2 + 2 * x])
-
-
 def test_polynomial_solutions_run_without_together_and_expand(monkeypatch):
-    """The ansatz is solved on K-matrices: sp.together and Expr.expand do
-    not run, except in the Expr indicial polynomial of a scalar operator
-    (the degree-bound fallback, third case)."""
+    """The ansatz and the degree bound are solved on K-matrices and over
+    Z[k, t]: sp.together and Expr.expand do not run."""
     g = x * (x + 1)
     cases = [
         (mat_reduce(mat_shift(sp.Matrix([[1, x], [0, 1]]), 2)
@@ -400,8 +435,6 @@ def test_polynomial_solutions_run_without_together_and_expand(monkeypatch):
     ]
     want = [sp.srepr(reference_polynomial_solutions(M, m, None, tw))
             for M, m, tw in cases]
-    expand, together = sp.Expr.expand, sp.together
-    candidates = ratsol._scalar_degree_candidates
 
     def no_expand(self, *args, **kwargs):
         raise AssertionError("Expr.expand called")
@@ -409,17 +442,7 @@ def test_polynomial_solutions_run_without_together_and_expand(monkeypatch):
     def no_together(*args, **kwargs):
         raise AssertionError("sp.together called")
 
-    def boundary(*args):
-        monkeypatch.setattr(sp.Expr, "expand", expand)
-        monkeypatch.setattr(sp, "together", together)
-        try:
-            return candidates(*args)
-        finally:
-            monkeypatch.setattr(sp.Expr, "expand", no_expand)
-            monkeypatch.setattr(sp, "together", no_together)
-
     forms = [dm_from_matrix(M, tw) for M, m, tw in cases]
-    monkeypatch.setattr(ratsol, "_scalar_degree_candidates", boundary)
     monkeypatch.setattr(sp.Expr, "expand", no_expand)
     monkeypatch.setattr(sp, "together", no_together)
     try:
