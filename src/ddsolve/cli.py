@@ -21,8 +21,8 @@ import sys as _sys
 
 import sympy as sp
 
-from .closedform import (UnsupportedCase, hyperexp_solutions, petkovsek,
-                         recurrence_polys)
+from .closedform import (UnsupportedCase, hyper_ratios, hyperexp_solutions,
+                         ratio_expr, recurrence_polys)
 from .difftools import dispersion, split_alpha_beta_power, standard_decompose
 from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, dm_from_matrix,
                      dm_to_matrix)
@@ -303,19 +303,17 @@ def _dispatch_tool(args) -> int:
     if args.tool == "petkovsek":
         ps = [parse_ratfunc(s) for s in args.expr]
         try:
-            recurrence_polys(ps)
+            ps = recurrence_polys(ps)
         except ValueError as err:
             raise SchemaError("", str(err))
-        ratios = petkovsek(ps, args.step)
+        ratios = hyper_ratios(ps, args.step)
         if not ratios:
             print("no hypergeometric solutions")
             return EXIT_NO_SOLUTION
-        for r in ratios:
-            try:
-                print(print_ratfunc(r))
-            except FieldError:
-                # a quadratic constant, which the file grammar cannot express
-                print(sp.sstr(r))
+        for K, num, den in ratios:
+            r = ratio_expr(K, num, den)
+            # a quadratic constant is beyond the file grammar
+            print(print_ratfunc(r) if K == sp.QQ else sp.sstr(r))
         return EXIT_SOLVED
     if args.tool == "hyperexp":
         cands = hyperexp_solutions(_read_matrix_file(args.expr[0]))

@@ -1,25 +1,24 @@
 """Hypergeometric solutions of difference systems over Q(x) and
 hyperexponential solutions of differential systems over Q(t).
 
-petkovsek() is Petkovsek's Hyper with shift step m: it enumerates
+hyper_ratios() is Petkovsek's Hyper with shift step m: it enumerates
 Gosper-Petkovsek forms z * a(x)/b(x) * C(x+m)/C(x) with a | p_0 and
-b(x+(k-1)m) | p_k.  The search runs in dense polynomial arithmetic over a
-ground domain K: QQ, or QQ(z) when the constant z is a quadratic
-irrational (z is searched in Q and quadratic extensions of Q).  Degrees
-and leading coefficients of the P_i come from those of a and b, the
-indicial polynomial and the linear system for C are formed over K, and
-duplicate ratios are found by cross-multiplying over K.  SymPy
-expressions appear only at the boundary: the coefficients are read in
-from expressions, and each new ratio is built as an expression and
-checked by substitution into the recurrence.
+b(x+(k-1)m) | p_k, from start to finish in dense polynomial arithmetic
+over a ground domain K: QQ, or QQ(z) when the constant z is a quadratic
+irrational (z is searched in Q and quadratic extensions of Q).  The
+indicial polynomial and the linear system for C are formed over K,
+duplicate ratios are found by cross-multiplying over K, and each ratio
+leaves as (K, numerator, denominator), checked by substitution into the
+recurrence over K.  petkovsek() is the expression boundary around it.
 
 system_hypergeometric() takes the K-form of M (see :mod:`ddsolve.fields`)
 and reduces sigma^m(Y) = M Y to scalar recurrences through the chain
-v -> sigma^m(v) M, one per coordinate.  The ratios are deduplicated as
-elements of K = Q(x, t), each is decomposed once as sigma^m(g)/g * lambda
-with lambda standard, and the solutions are recovered by rational
-back-substitution on K-forms.  Candidates are grouped by lambda; a g W in
-the constant span of the earlier ones of its group is dropped.
+v -> sigma^m(v) M, one per coordinate, whose K-forms go into hyper_ratios.
+The ratios are deduplicated in K = Q(x, t), each is decomposed once as
+sigma^m(g)/g * lambda with lambda standard, and the solutions are
+recovered by rational back-substitution on K-forms.  Candidates are
+grouped by the sigma^m-class of lambda; a vector in the constant span of
+the earlier ones of its group is dropped.
 
 hyperexp_solutions(Bhat: DomainMatrix) takes an x-free K-form and returns
 candidates whose V is the K-form over their tower ((n*deg) x deg) and
@@ -51,16 +50,16 @@ from sympy.polys.polyerrors import CoercionFailed
 
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, Tower, charpoly_factors,
                      dm_delta, dm_embed, dm_from_matrix, dm_over_qt,
-                     dm_same, dm_shift, dm_to_matrix, indicial_degrees,
-                     kernel, make_tower, shift, theta, x)
+                     dm_same, dm_shift, indicial_degrees, kernel,
+                     make_tower, theta, x)
 from .difftools import standard_decompose
 from .ratsol import (UnsupportedCase, _constant_span_reduce, degree_bound,
                      rational_solutions, scalar_operators)
 from .sequences import VerificationError
 
 __all__ = ["HypergeometricCandidate", "HyperexpCandidate", "UnsupportedCase",
-           "petkovsek", "recurrence_polys", "system_hypergeometric",
-           "hyperexp_solutions"]
+           "hyper_ratios", "petkovsek", "ratio_expr", "recurrence_polys",
+           "system_hypergeometric", "hyperexp_solutions"]
 
 _Z = sp.Symbol("_z")
 _QQ_X = QQ.frac_field(x)
@@ -69,8 +68,8 @@ _QQ_X = QQ.frac_field(x)
 @dataclass
 class HypergeometricCandidate:
     W: DomainMatrix         # K-form of the rational vector part
-    ratio: sp.Expr          # sigma^m(h) = ratio * h, as petkovsek returns it
-    standard_part: object   # lambda in K: ratio = sigma^m(g)/g * lambda
+    ratio: object           # r in K: sigma^m(h) = r * h
+    standard_part: object   # lambda in K: r = sigma^m(g)/g * lambda
     m: int
 
 
@@ -115,23 +114,21 @@ def _monic_divisors(p: list) -> list:
 
 
 def _leading_roots(lead: list) -> list:
-    """(z, K, z in K) for each nonzero root z of `lead` (a dense
-    polynomial over Q) that is rational, K = QQ, or quadratic over Q, K =
-    QQ(z), in the order and the SymPy form (after radsimp) of
-    sp.roots(lead)."""
-    roots = []
+    """(K, z in K) for each nonzero root z of `lead` (a dense polynomial
+    over Q) that is rational, K = QQ, or quadratic over Q, K = QQ(z), in
+    the order sp.ordered gives the roots of sp.roots(lead): the rational
+    ones ascending (they have the fewest nodes), then the quadratic ones."""
+    rational, quadratic = [], {}        # a quadratic root -> its minpoly
     for f, _ in dup_factor_list(lead, QQ)[1]:
         if len(f) == 2 and f[1]:
-            r = -f[1] / f[0]
-            roots.append((QQ.to_sympy(r), QQ, r))
+            rational.append(-f[1] / f[0])
         elif len(f) == 3:
             q = sp.Poly(f, _Z, domain=QQ)
-            for r in sp.roots(q, multiple=True):
-                K = QQ.algebraic_field((q.monic(), sp.radsimp(r)))
-                roots.append((r, K, K.unit))
-    order = {e: i for i, e in enumerate(sp.ordered([r[0] for r in roots]))}
-    return [(sp.radsimp(r), K, z)
-            for r, K, z in sorted(roots, key=lambda r: order[r[0]])]
+            quadratic.update((r, q.monic())
+                             for r in sp.roots(q, multiple=True))
+    fields = (QQ.algebraic_field((quadratic[r], sp.radsimp(r)))
+              for r in sp.ordered(quadratic))
+    return [(QQ, z) for z in sorted(rational)] + [(K, K.unit) for K in fields]
 
 
 def _polynomial_kernel(Q: list, m: int, bound: int, K):
@@ -162,34 +159,46 @@ def _polynomial_kernel(Q: list, m: int, bound: int, K):
     return dup_strip(vec[::-1]) or None
 
 
-def _expr(p: list, K) -> sp.Expr:
-    return sp.expand(sp.Add(*(K.to_sympy(c) * x**k
-                              for k, c in enumerate(reversed(p)))))
+def _times(p: list, factors: list, K) -> list:
+    for f in factors:
+        p = dup_mul(p, f, K)
+    return p
 
 
-def petkovsek(pcoeffs, m: int = 1):
+def _check_ratio(ps: list, m: int, K, num: list, den: list):
+    """VerificationError unless r = num/den solves the recurrence:
+    sum_i p_i(x) prod_{j<i} num(x+jm) prod_{i<=j<k} den(x+jm) = 0."""
+    N, D = ([dup_shift(f, K(j * m), K) for j in range(len(ps) - 1)]
+            for f in (num, den))
+    resid = []
+    for i, p in enumerate(ps):
+        p = _times(dup_convert(p, QQ, K), N[:i] + D[i:], K)
+        resid = dup_add(resid, p, K)
+    if resid:
+        raise VerificationError(
+            "hypergeometric ratio failed substitution check")
+
+
+def hyper_ratios(ps: list, m: int = 1) -> list:
     """All rational ratios r with a nonzero solution of
-    sum_i p_i(x) y(x + m*i) = 0 satisfying sigma^m(y) = r*y.
+    sum_i p_i(x) y(x + m*i) = 0 satisfying sigma^m(y) = r*y, the p_i dense
+    polynomials over Q (see :func:`recurrence_polys`), not all zero.
 
-    Constants are searched in Q and quadratic extensions of Q; the p_i
-    must lie in Q[x] (ValueError otherwise, see :func:`recurrence_polys`).
-    """
-    ps = recurrence_polys(pcoeffs)
+    Each r is returned as (K, num, den), r = num/den with num and den
+    dense over K, checked by substitution into the recurrence.  Constants
+    are searched in Q and quadratic extensions of Q."""
     # drop zero coefficients at both ends: if p_0 = ... = p_{i0-1} = 0,
     # rewrite in x - m*i0 so that the trailing coefficient is nonzero
-    while not ps[-1]:
-        ps.pop()
-    i0 = next(i for i, p in enumerate(ps) if p)
-    ps = [dup_shift(p, QQ(-m * i0), QQ) for p in ps[i0:]]
-    k = len(ps) - 1
-    if k == 0:
-        return []
+    nonzero = [i for i, p in enumerate(ps) if p]
+    i0 = nonzero[0]
+    ps = [dup_shift(p, QQ(-m * i0), QQ) for p in ps[i0:nonzero[-1] + 1]]
+    k = len(ps) - 1             # k = 0: the leading constant has no roots
 
     def with_shifts(divisors):
         return [(f, [dup_shift(f, QQ(j * m), QQ) for j in range(k)])
                 for f in divisors]
 
-    found = []                  # (r, K, numerator, denominator of r)
+    found = []                  # (K, numerator, denominator of r)
     roots_of = {}               # leading polynomial -> _leading_roots
     bs = with_shifts(_monic_divisors(dup_shift(ps[k], QQ(-(k - 1) * m), QQ)))
     for a, A in with_shifts(_monic_divisors(ps[0])):
@@ -208,46 +217,37 @@ def petkovsek(pcoeffs, m: int = 1):
                 roots_of[lead] = _leading_roots(list(lead))
             if not roots_of[lead]:
                 continue
-            P = []
-            for i, p in enumerate(ps):
-                for f in A[:i] + B[i:]:
-                    p = dup_mul(p, f, QQ)
-                P.append(p)
-            for zexpr, K, z in roots_of[lead]:
-                Q, zi = [], K.one
-                for p in P:
-                    Q.append(dup_mul_ground(dup_convert(p, QQ, K), zi, K))
-                    zi = zi * z
+            P = [_times(p, A[:i] + B[i:], QQ) for i, p in enumerate(ps)]
+            for K, z in roots_of[lead]:
+                Q = [dup_mul_ground(dup_convert(p, QQ, K), z**i, K)
+                     for i, p in enumerate(P)]
                 bounds = indicial_degrees(Q, m, K)
                 if not bounds:
                     continue
                 C = _polynomial_kernel(Q, m, max(bounds), K)
                 if C is None:
                     continue
-                aK, bK = dup_convert(a, QQ, K), dup_convert(b, QQ, K)
-                num = dup_mul_ground(
-                    dup_mul(aK, dup_shift(C, K(m), K), K), z, K)
-                den = dup_mul(bK, C, K)
+                num = _times([z], [dup_convert(a, QQ, K),
+                                   dup_shift(C, K(m), K)], K)
+                den = dup_mul(dup_convert(b, QQ, K), C, K)
                 if any(K2 == K and dup_mul(num, d2, K) == dup_mul(n2, den, K)
-                       for _, K2, n2, d2 in found):
+                       for K2, n2, d2 in found):
                     continue
-                found.append((_ratio_expr(zexpr, a, b, C, K, ps, m),
-                              K, num, den))
-    return [r for r, *_ in found]
+                _check_ratio(ps, m, K, num, den)
+                found.append((K, num, den))
+    return found
 
 
-def _ratio_expr(zexpr, a, b, C, K, ps, m):
-    """The ratio z*a/b*C(x+m)/C as an expression, checked by substitution
-    into the recurrence."""
-    Ce = _expr(C, K)
-    r = sp.radsimp(sp.cancel(zexpr * _expr(a, QQ) / _expr(b, QQ)
-                             * shift(Ce, m) / Ce))
-    resid = sum(_expr(p, QQ) * sp.prod([shift(r, j * m) for j in range(i)])
-                for i, p in enumerate(ps))
-    if sp.simplify(sp.cancel(resid)) != 0:
-        raise VerificationError(
-            f"hypergeometric ratio failed substitution check: {r}")
-    return r
+def ratio_expr(K, num: list, den: list) -> sp.Expr:
+    """The ratio (K, num, den) of :func:`hyper_ratios` as an expression."""
+    n, d = (sp.Poly(p, x, domain=K).as_expr() for p in (num, den))
+    return sp.radsimp(sp.cancel(n / d))
+
+
+def petkovsek(pcoeffs, m: int = 1) -> list:
+    """:func:`hyper_ratios` on coefficients given as expressions, the
+    ratios as expressions (see :func:`recurrence_polys`)."""
+    return [ratio_expr(*r) for r in hyper_ratios(recurrence_polys(pcoeffs), m)]
 
 
 # ---------------------------------------------------------------------------
@@ -255,38 +255,49 @@ def _ratio_expr(zexpr, a, b, C, K, ps, m):
 
 def system_hypergeometric(M: DomainMatrix, m: int = 1):
     """Hypergeometric solution candidates (W, r) of sigma^m(Y) = MY over
-    Q(x), M a K-form: chain operators -> petkovsek ratios -> rational
+    Q(x), M a K-form: chain operators -> Hyper ratios -> rational
     back-substitution, every candidate verified.
 
     With r = sigma^m(g)/g * lambda, lambda standard, the candidate stands
-    for the solution g W h, sigma^m(h) = lambda h; a g W in the constant
-    span of the earlier ones with the same lambda adds nothing and is
-    dropped."""
-    ratios = {}                 # r in K -> r as petkovsek returns it
+    for the solution g W h, sigma^m(h) = lambda h.  A lambda with
+    lambda/lambda_1 = sigma^m(q)/q for the lambda_1 of an earlier group
+    joins that group, its solution written q g W h_1 with
+    sigma^m(h_1) = lambda_1 h_1.  A vector in the constant span of the
+    earlier ones of its group adds nothing and is dropped."""
+    ratios = {}                 # r in K, in the order Hyper finds them
     for op in scalar_operators(M, m):
-        for r in petkovsek(list(dm_to_matrix(op)), m):
-            try:
-                ratios.setdefault(QQ_XT.from_sympy(r), r)
-            except (CoercionFailed, ValueError):
+        # the entries of op are in Q[x]: drop t from their numerators
+        for K, num, den in hyper_ratios([c.numer.drop(1).quo_ground(
+                c.denom.LC).to_dense() for c in op.to_list_flat()], m):
+            if K != QQ:
                 # a quadratic constant: the back-substitution works over K
-                raise UnsupportedCase(
-                    f"hypergeometric ratio not in Q(x, t): {r}") from None
-    spans = {}                  # lambda -> the kept g W
+                raise UnsupportedCase("hypergeometric ratio not in Q(x, t): "
+                                      f"{ratio_expr(K, num, den)}")
+            ratios.setdefault(QQ_XT.field.new(*(QQ_XT.field.ring.from_list(
+                [[c] for c in p]) for p in (num, den))))
+    groups = []                 # (lambda_1, the kept g W of its class)
     out = []
-    for r_K, r in ratios.items():
-        sd = standard_decompose(r_K, m)
-        span = spans.setdefault(sd.standard_part, [])
-        for W in rational_solutions(M.mul(QQ_XT.one / r_K), m,
+    for r in ratios:
+        sd = standard_decompose(r, m)
+        lam, g = sd.standard_part, sd.g
+        for lam1, span in groups:
+            sq = standard_decompose(lam / lam1, m)
+            if sq.standard_part == QQ_XT.one:
+                lam, g = lam1, g * sq.g
+                break
+        else:
+            span = []
+            groups.append((lam, span))
+        for W in rational_solutions(M.mul(QQ_XT.one / r), m,
                                     TRIVIAL_TOWER).basis:
-            if not dm_same([(dm_shift(W, m), r_K)], [(M, W)]):
+            if not dm_same([(dm_shift(W, m), r)], [(M, W)]):
                 raise VerificationError(
                     "hypergeometric candidate failed substitution check")
-            gW = W.mul(sd.g)
+            gW = W.mul(g)
             kept = _constant_span_reduce(span + [gW], TRIVIAL_TOWER)
             if len(kept) > len(span):
                 span.append(gW)
-                out.append(HypergeometricCandidate(W, r, sd.standard_part,
-                                                   m))
+                out.append(HypergeometricCandidate(W, r, lam, m))
     return out
 
 

@@ -13,11 +13,12 @@ Decision procedure 2 works with the sigma^n-compressed system: it detects
 the interlacing normal form sigma^n-part beta(t) * diag(lambda(x + j0 + i))
 through hypergeometric candidates of a t-specialized system, then
 assembles the gauge and reads the diagonal delta-part.  Its stage c takes
-the candidates of the specialized sigma^n-system, one per standard part
-lambda and constant span (closedform.system_hypergeometric), and reads
-lambda off them.  Solutions are interlacings of hypergeometric vectors,
-returned with their sigma- and delta-certificates and lifted to sequences
-of the original system.
+the candidates of the specialized sigma^n-system, one per sigma^n-class
+of standard parts lambda and constant span
+(closedform.system_hypergeometric), and reads lambda off them.
+Solutions are interlacings of hypergeometric vectors, returned with their
+sigma- and delta-certificates and lifted to sequences of the original
+system.
 
 The gauge G, the identity sigma^m(G) diag(r) = A G, the delta-part
 B-bar = G^-1 B G - G^-1 delta(G) and the residue normal form of the
@@ -498,8 +499,13 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
         return Outcome("NoSolution", "DP2", "c",
                        "specialized sigma^n-system has no hypergeometric "
                        "solutions", report=report)
-    # lambda in K, ordered by its canonical expression: the order decides
-    # which gauge is found first
+    # lambda in K, one per sigma^n-class, ordered by its canonical
+    # expression: the order decides which gauge is found first.  One lambda
+    # per class is complete: for lambda_2 = sigma^n(q)/q * lambda_1 the
+    # gauge G_2 = G_1 diag(q(x + j0 + i))^-1 works for lambda_2 whenever G_1
+    # works for lambda_1, and its delta-part differs from G_1's by a
+    # conjugation with that diagonal and a diagonal log-derivative, so it
+    # is diagonal exactly when G_1's is (ROADMAP item 1)
     lams = sorted({c.standard_part for c in cands},
                   key=lambda lam: sp.default_sort_key(QQ_XT.to_sympy(lam)))
     report["candidate_ratios"] = [QQ_XT.to_sympy(lam) for lam in lams]

@@ -2,6 +2,8 @@ import random
 
 import pytest
 import sympy as sp
+from sympy import QQ
+from sympy.polys.densearith import dup_mul
 from hypothesis import example, given, settings, strategies as st
 
 from ddsolve import closedform
@@ -14,6 +16,7 @@ from ddsolve.fields import (QQ_XT, delta, dm_from_matrix, dm_shift,
 from ddsolve.files import read_system
 from ddsolve.procedures import _specialization_point
 from ddsolve.ratsol import scalar_operators
+from ddsolve.sequences import VerificationError
 
 from helpers import reference_hyperexp_solutions, reference_petkovsek
 
@@ -190,11 +193,12 @@ def test_petkovsek_matches_reference_on_quadratic_constants(ps, m):
 
 def test_petkovsek_search_runs_without_expand(monkeypatch):
     """Reading the coefficients, the divisor pairs, the leading roots, the
-    indicial polynomials and the solves for C work on dense polynomials:
-    Expr.expand only runs where a new ratio is built as an expression."""
+    indicial polynomials, the solves for C and the check of each ratio
+    work on dense polynomials: Expr.expand only runs where a ratio is
+    turned into an expression."""
     ps = [x + 1, -(2 * x + 3), x + 2]
     want = [sp.srepr(r) for r in reference_petkovsek(ps)]
-    expand, ratio_expr = sp.Expr.expand, closedform._ratio_expr
+    expand, ratio_expr = sp.Expr.expand, closedform.ratio_expr
 
     def no_expand(self, *args, **kwargs):
         raise AssertionError("Expr.expand called")
@@ -206,7 +210,7 @@ def test_petkovsek_search_runs_without_expand(monkeypatch):
         finally:
             monkeypatch.setattr(sp.Expr, "expand", no_expand)
 
-    monkeypatch.setattr(closedform, "_ratio_expr", boundary)
+    monkeypatch.setattr(closedform, "ratio_expr", boundary)
     monkeypatch.setattr(sp.Expr, "expand", no_expand)
     try:
         got = petkovsek(ps)
@@ -215,18 +219,36 @@ def test_petkovsek_search_runs_without_expand(monkeypatch):
     assert [sp.srepr(r) for r in got] == want
 
 
+def test_petkovsek_check_catches_a_corrupted_kernel(monkeypatch,
+                                                    example2_A0):
+    """The dense substitution check is not vacuous: every C made wrong by
+    the factor x + 1/2 makes both petkovsek and system_hypergeometric
+    raise."""
+    kernel = closedform._polynomial_kernel
+
+    def corrupted(Q, m, bound, K):
+        C = kernel(Q, m, bound, K)
+        return None if C is None else dup_mul(C, [K.one, K(QQ(1, 2))], K)
+
+    monkeypatch.setattr(closedform, "_polynomial_kernel", corrupted)
+    with pytest.raises(VerificationError, match="substitution check"):
+        petkovsek([-(x + 1), x])
+    with pytest.raises(VerificationError, match="substitution check"):
+        system_hypergeometric(example2_A0, 3)
+
+
 # ---------------------------------------------------------------------------
 # system-level hypergeometric candidates
 
 def _solves(c, M):
     """sigma^m(W) r = M W on K-forms."""
-    return dm_shift(c.W, c.m).mul(QQ_XT.from_sympy(c.ratio)) == M * c.W
+    return dm_shift(c.W, c.m).mul(c.ratio) == M * c.W
 
 
 def test_system_hypergeometric_diagonal():
     M = dm_from_matrix(sp.diag((x + 1) / x, 2))
     cands = system_hypergeometric(M)
-    ratios = [c.ratio for c in cands]
+    ratios = [QQ_XT.to_sympy(c.ratio) for c in cands]
     assert any(_ratio_matches(r, (x + 1) / x) for r in ratios)
     assert any(_ratio_matches(r, 2) for r in ratios)
     for c in cands:
@@ -254,14 +276,54 @@ def test_system_hypergeometric_drops_candidates_in_the_constant_span(
     standard part x.  For sigma(Y) = x Y the second gives the vectors
     x e_1 and x e_2, whose g W lie in the constant span of the first's
     e_1 and e_2: two candidates, not four."""
-    monkeypatch.setattr(closedform, "petkovsek",
-                        lambda op, m: [x, x**2 / (x + 1)])
+    monkeypatch.setattr(closedform, "hyper_ratios", lambda ps, m: [
+        (QQ, [QQ(1), QQ(0)], [QQ(1)]),
+        (QQ, [QQ(1), QQ(0), QQ(0)], [QQ(1), QQ(1)])])
     M = dm_from_matrix(sp.diag(x, x))
     cands = system_hypergeometric(M)
-    assert [(c.ratio, QQ_XT.to_sympy(c.standard_part)) for c in cands] \
-        == [(x, x), (x, x)]
+    assert [(QQ_XT.to_sympy(c.ratio), QQ_XT.to_sympy(c.standard_part))
+            for c in cands] == [(x, x), (x, x)]
     for c in cands:
         assert _solves(c, M)
+
+
+@pytest.mark.parametrize("m, groups", [(1, 1), (2, 2)])
+def test_system_hypergeometric_one_group_per_sigma_class(m, groups):
+    """x and x + 1 are both standard.  For m = 1, x + 1 = sigma(x)/x * x
+    puts them in one sigma-class, whose solution space is 2-dimensional,
+    so the ratio x + 1 adds no candidate to those of x.  For m = 2 they
+    lie in two sigma^2-classes with one candidate each."""
+    M = dm_from_matrix(sp.diag(x, x + 1))
+    cands = system_hypergeometric(M, m)
+    assert len(cands) == 2
+    assert len({c.standard_part for c in cands}) == groups
+    for c in cands:
+        assert _solves(c, M)
+
+
+def test_system_hypergeometric_builds_no_expr(example2_A0, monkeypatch):
+    """From the scalar operators to the candidates nothing is an
+    expression: the search, the ratios in K, the standard parts and the
+    back-substitution run with cancel, simplify, Expr.expand and
+    dm_to_matrix disabled."""
+    import ddsolve.fields as fields
+
+    def forbidden(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return fail
+
+    monkeypatch.setattr(sp, "cancel", forbidden("cancel"))
+    monkeypatch.setattr(sp, "simplify", forbidden("simplify"))
+    monkeypatch.setattr(sp.Expr, "expand", forbidden("Expr.expand"))
+    monkeypatch.setattr(fields, "dm_to_matrix", forbidden("dm_to_matrix"))
+    try:
+        cands = system_hypergeometric(example2_A0, 3)
+    finally:
+        monkeypatch.undo()
+    assert len(cands) == 3
+    for c in cands:
+        assert _solves(c, example2_A0)
 
 
 def test_system_hypergeometric_one_candidate_per_standard_part(example2_A0):

@@ -401,8 +401,9 @@ def test_quadratic_ratio_ends_dp2_inconclusive(monkeypatch):
     Unsupported at stage c, naming the ratio, not as an internal error."""
     import ddsolve.closedform as closedform
 
-    monkeypatch.setattr(closedform, "petkovsek",
-                        lambda op, m: [sp.sqrt(2) * x])
+    K = sp.QQ.algebraic_field(sp.sqrt(2))
+    monkeypatch.setattr(closedform, "hyper_ratios", lambda ps, m: [
+        (K, [K.unit, K.zero], [K.one])])
     sys = DDSystem(2, HERMITE_A, HERMITE_B, assume_irreducible=True)
     out = decision_procedure_2(sys)
     assert (out.kind, out.provenance, out.stage) == ("Unsupported", "DP2", "c")
