@@ -24,11 +24,11 @@ import sympy as sp
 from .closedform import (UnsupportedCase, hyper_ratios, hyperexp_solutions,
                          ratio_expr, recurrence_polys)
 from .difftools import dispersion, split_alpha_beta_power, standard_decompose
-from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, dm_from_matrix,
-                     dm_to_matrix)
+from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, dm_inv,
+                     dm_to_matrix, regular_matrix)
 from .files import SchemaError, read_solution, read_system, write_solution
 from .moser import ReductionStalled, moser_reduce
-from .parsing import ParseError, parse_ratfunc, print_ratfunc
+from .parsing import ParseError, parse_element, parse_ratfunc, print_ratfunc
 from .procedures import solve_liouvillian, verification_point_fault
 from .ratsol import rational_solutions
 from .sequences import verify_certificates, verify_numeric_window
@@ -159,6 +159,12 @@ def _cmd_verify(args) -> int:
     if not sols:
         print("no solutions in file")
         return EXIT_NO_SOLUTION
+    for k, sol in enumerate(sols):
+        if any(part.W.shape[0] != system.n * sol.tower.degree
+               for part in sol.parts):
+            print(f"input error: /solutions/{k}/W: expected {system.n} "
+                  "entries, the order of the system", file=_sys.stderr)
+            return EXIT_INPUT_ERROR
     t0 = None
     if args.t0 is not None:
         try:
@@ -197,16 +203,14 @@ def _read_matrix_file(path: str, invertible: bool = False):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        rows = [[parse_ratfunc(e) for e in row] for row in data["M"]]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError,
-            ParseError) as err:
+        rows = [[parse_element(e) for e in row] for row in data["M"]]
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ParseError,
+            FieldError) as err:
         raise SchemaError("/M", str(err))
     if not rows or any(len(row) != len(rows) for row in rows):
         raise SchemaError("/M", "matrix must be square and nonempty")
-    try:
-        D = dm_from_matrix(sp.Matrix(rows))
-    except FieldError as err:
-        raise SchemaError("/M", str(err))
+    D = regular_matrix([a for row in rows for a in row],
+                       (len(rows), len(rows)), None, QQ_XT)
     if invertible and D.rank() < D.shape[0]:
         raise SchemaError("/M", "matrix must be invertible")
     return D
@@ -246,12 +250,12 @@ def _check_tool_args(args):
 def _parse_K(s: str):
     """s as a nonzero element of K = Q(x, t); SchemaError otherwise."""
     try:
-        (f,) = dm_from_matrix(sp.Matrix([parse_ratfunc(s)])).to_list_flat()
+        a = parse_element(s)
     except FieldError as err:
         raise SchemaError("", str(err))
-    if not f:
+    if not a:
         raise SchemaError("", f"expression must be nonzero: {s}")
-    return f
+    return a[0]
 
 
 def _dispatch_tool(args) -> int:
@@ -289,9 +293,9 @@ def _dispatch_tool(args) -> int:
         _print_matrix("reduced", rep.reduced)
         return EXIT_SOLVED
     if args.tool == "ratsol":
-        basis = rational_solutions(
-            _read_matrix_file(args.expr[0], invertible=True), args.step,
-            TRIVIAL_TOWER).basis
+        D = _read_matrix_file(args.expr[0], invertible=True)
+        basis = rational_solutions(D, dm_inv(D), args.step,
+                                   TRIVIAL_TOWER).basis
         if not basis:
             print("no nonzero rational solutions")
             return EXIT_NO_SOLUTION

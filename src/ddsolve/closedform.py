@@ -49,9 +49,9 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.polyerrors import CoercionFailed
 
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, Tower, charpoly_factors,
-                     dm_delta, dm_embed, dm_from_matrix, dm_over_qt,
+                     dm_delta, dm_embed, dm_from_matrix, dm_inv, dm_over_qt,
                      dm_same, dm_shift, indicial_degrees, kernel,
-                     make_tower, theta, x)
+                     tower_from_modulus, x)
 from .difftools import standard_decompose
 from .ratsol import (UnsupportedCase, _constant_span_reduce, degree_bound,
                      rational_solutions, scalar_operators)
@@ -277,6 +277,7 @@ def system_hypergeometric(M: DomainMatrix, m: int = 1):
                 [[c] for c in p]) for p in (num, den))))
     groups = []                 # (lambda_1, the kept g W of its class)
     out = []
+    M_inv = dm_inv(M) if ratios else None
     for r in ratios:
         sd = standard_decompose(r, m)
         lam, g = sd.standard_part, sd.g
@@ -288,7 +289,7 @@ def system_hypergeometric(M: DomainMatrix, m: int = 1):
         else:
             span = []
             groups.append((lam, span))
-        for W in rational_solutions(M.mul(QQ_XT.one / r), m,
+        for W in rational_solutions(M.mul(QQ_XT.one / r), M_inv.mul(r), m,
                                     TRIVIAL_TOWER).basis:
             if not dm_same([(dm_shift(W, m), r)], [(M, W)]):
                 raise VerificationError(
@@ -345,6 +346,18 @@ def _rational_eigenvalues(R: DomainMatrix) -> list:
     return sorted({r.numer.LC / r.denom.LC for r in roots})
 
 
+def _first_per_integer_class(lams: list) -> list:
+    """The first of each class of lams modulo the integers.  Exponents at
+    a pole that differ by an integer k give the same hyperexponential
+    solutions, up to the rational factor (t - a)^k that the rational
+    solutions of the ansatz absorb."""
+    out = []
+    for lam in lams:
+        if all((lam - mu).denominator != 1 for mu in out):
+            out.append(lam)
+    return out
+
+
 def _eigen_candidates(C: DomainMatrix) -> list:
     """The candidates of the constant K-form C: each eigenvalue over Q(t),
     or over the tower of an irreducible factor of the characteristic
@@ -356,7 +369,8 @@ def _eigen_candidates(C: DomainMatrix) -> list:
         if f.degree() == 1:
             pairs.append((QQ_T.to_sympy(-f.rep.to_list()[1]), TRIVIAL_TOWER))
         else:
-            tower = make_tower(f.as_expr(theta))
+            tower = tower_from_modulus([QQ_XT.convert_from(c, QQ_T)
+                                        for c in f.rep.to_list()])
             pairs.extend((conj, tower) for conj in tower.conjugates())
     out = []
     for lam, tower in pairs:
@@ -424,7 +438,8 @@ def hyperexp_solutions(Bhat: DomainMatrix):
     over a tower); Bhat with simple rational finite poles and a finite
     value at infinity, whose certificates are mu + sum lam_a/(t - a) over
     the rational eigenvalues lam_a of the residues and mu of the value at
-    infinity.  Raises UnsupportedCase otherwise.  Each candidate's V is
+    infinity, one residue eigenvalue per class modulo the integers at
+    each pole.  Raises UnsupportedCase otherwise.  Each candidate's V is
     the K-form over its tower of the vector part, (n*deg) x deg.
     """
     n = Bhat.shape[0]
@@ -442,7 +457,8 @@ def hyperexp_solutions(Bhat: DomainMatrix):
     Binf = _at_infinity(B)
     if Binf is None:
         raise UnsupportedCase("matrix grows at t = infinity")
-    cand_parts = [[(a, lam) for lam in _rational_eigenvalues(R)]
+    cand_parts = [[(a, lam) for lam in
+                   _first_per_integer_class(_rational_eigenvalues(R))]
                   for a, R in poles]
     out = []
     for picks in itertools.product(*cand_parts):

@@ -1,11 +1,17 @@
 """Exact arithmetic for the coefficient tower Q < Q(t) < Q(t)[theta]/(m(theta)).
 
-Field elements cross the API as sympy expressions in the global symbols x,
-t, theta.  A :class:`Tower` carries the minimal polynomial of theta over
-Q(t) (or None for the trivial tower) together with delta(theta), obtained
-by implicit differentiation.  Canonical forms are produced by
-:func:`treduce`, which evaluates an expression straight into the field and
-reads the result back from the field's own reduced fraction; no SymPy
+Field elements and matrices are held as K-forms (below), from the file
+boundary on: :mod:`ddsolve.parsing` evaluates the entries of system and
+solution files straight into them.  Sympy expressions in the global
+symbols x, t, theta are the form of the expression API (:func:`treduce`,
+the sympy matrices of a system or a solution, the report), converted at
+that boundary.  A :class:`Tower` is held as its K-form too: the minimal
+polynomial of theta over Q(t) (None for the trivial tower) and
+delta(theta), obtained by implicit differentiation
+(:func:`tower_from_modulus`; :func:`make_tower` converts a sympy
+polynomial into it).  Canonical forms are produced by :func:`treduce`,
+which evaluates an expression straight into the field and reads the
+result back from the field's own reduced fraction; no SymPy
 simplification runs on the way:
 
 * trivial tower: into Q(x, t, theta), theta an indeterminate, so the
@@ -64,7 +70,8 @@ from typing import Optional
 import sympy as sp
 from sympy import QQ
 from sympy.polys.densearith import (dup_add, dup_lshift, dup_mul,
-                                    dup_mul_ground, dup_quo_ground, dup_rem)
+                                    dup_mul_ground, dup_neg, dup_quo_ground,
+                                    dup_rem)
 from sympy.polys.densebasic import dup_degree, dup_from_raw_dict, dup_strip
 from sympy.polys.densetools import dup_compose, dup_diff, dup_eval
 from sympy.polys.factortools import dup_factor_list
@@ -78,11 +85,12 @@ x, t, theta = sp.symbols("x t theta")
 # K = Q(x, t), the coefficient field of the trivial tower, and Q(t)
 QQ_XT = QQ.frac_field(x, t)
 QQ_T = QQ.frac_field(t)
-# Q(x, t, theta), theta an indeterminate: where treduce works on the
-# trivial tower
+# Q(x, t, theta), theta an indeterminate: where treduce, the parser and
+# print_ratfunc work on the trivial tower
 _QQ_XTTH = QQ.frac_field(x, t, theta)
-_X, _T_RING = QQ_XT.field.ring.gens   # x and t in Q[x, t], K's numerators
-_XT_RING_ONE = QQ_XT.field.ring.one
+_K_RING = QQ_XT.field.ring             # Q[x, t], K's numerators
+_X, _T_RING = _K_RING.gens             # x and t in Q[x, t]
+_XT_RING_ONE = _K_RING.one
 _QQ_XT_RING = QQ_XT.get_ring()         # Q[x, t] as a domain
 _T = QQ_XT.gens[1]                     # t in K
 # the variable of characteristic polynomials and the classification
@@ -90,6 +98,7 @@ _Y = sp.Symbol("Y")
 
 __all__ = [
     "x", "t", "theta", "Tower", "TRIVIAL_TOWER", "make_tower",
+    "tower_from_modulus", "theta_poly", "TowerArithmetic",
     "treduce", "teq", "tinv", "shift", "delta",
     "series_at_infinity", "factor_in_x", "charpoly_factors", "dm_over_qt",
     "AllEqual", "Split", "Conjugate", "MixedSplit",
@@ -112,15 +121,35 @@ class FieldError(Exception):
 
 @dataclass(frozen=True)
 class Tower:
-    """Q(t)[theta]/(minpoly); minpoly None encodes the trivial tower Q(t)."""
+    """Q(t)[theta]/(m), m monic and irreducible over Q(t), held as its
+    K-form: ``modulus`` is m and ``delta_theta`` is delta(theta) mod m, both
+    dense tuples over K = Q(x, t) (x-free), highest degree first.  The
+    trivial tower Q(t) has modulus None.  :func:`tower_from_modulus` builds
+    one; :attr:`minpoly` and :attr:`dtheta`, the same as sympy expressions,
+    are formed on first read."""
 
-    minpoly: Optional[sp.Expr]  # monic polynomial in theta over Q(t), or None
-    dtheta: sp.Expr             # delta(theta) as an element of the tower
+    modulus: Optional[tuple]
+    delta_theta: tuple
     degree: int
 
     @property
     def trivial(self) -> bool:
-        return self.minpoly is None
+        return self.modulus is None
+
+    @functools.cached_property
+    def minpoly(self) -> Optional[sp.Expr]:
+        """m as a polynomial in theta over Q(t), None for the trivial
+        tower."""
+        if self.trivial:
+            return None
+        return sp.Poly.from_list([QQ_T.convert_from(c, QQ_XT)
+                                  for c in self.modulus],
+                                 theta, domain=QQ_T).as_expr()
+
+    @functools.cached_property
+    def dtheta(self) -> sp.Expr:
+        """delta(theta), an element of the tower."""
+        return _tower_expr(list(self.delta_theta))
 
     def conjugates(self) -> list[sp.Expr]:
         """The roots of minpoly that lie inside the tower itself, theta
@@ -149,40 +178,77 @@ class Tower:
         return found
 
 
-TRIVIAL_TOWER = Tower(None, sp.Integer(0), 1)
+TRIVIAL_TOWER = Tower(None, (), 1)
 
 
-@functools.lru_cache(maxsize=None)
 def _modulus(tower: Tower):
     """The minimal polynomial of the tower as a dense list over K, highest
     degree first; None for the trivial tower."""
-    if tower.trivial:
-        return None
-    return sp.Poly(tower.minpoly, theta, domain=QQ_XT).rep.to_list()
+    return None if tower.trivial else list(tower.modulus)
+
+
+def _irreducible(mod: list) -> bool:
+    """Whether the polynomial mod over Q(t) (dense over K, x-free) is
+    irreducible over Q(t).  By Gauss's lemma it is when its numerator over
+    Q[t, theta], denominators cleared, has exactly one factor of positive
+    degree in theta, of multiplicity 1."""
+    q, deg, terms = _lcm(c.denom for c in mod if c), len(mod) - 1, {}
+    for k, c in enumerate(mod):
+        if c:
+            for (_, j), a in (c.numer * q.exquo(c.denom)).terms():
+                terms[(j, deg - k)] = a
+    _, factors = QQ.poly_ring(t, theta).ring.from_dict(terms).factor_list()
+    return [e for f, e in factors if f.degree(1) > 0] == [1]
+
+
+def tower_from_modulus(mod: list) -> Tower:
+    """The tower Q(t)[theta]/(m) of m, a dense polynomial in theta over K,
+    highest degree first, that is over Q(t), monic and irreducible there;
+    FieldError otherwise.  Degree 1 gives the trivial tower.  delta(theta)
+    solves m'(theta) delta(theta) + (dm/dt)(theta) = 0 mod m."""
+    mod = dup_strip(list(mod))
+    if any(c.numer.degree(_X) > 0 or c.denom.degree(_X) > 0 for c in mod):
+        raise FieldError("minimal polynomial must be over Q(t)")
+    if not mod or mod[0] != QQ_XT.one:
+        raise FieldError("minimal polynomial must be monic")
+    if len(mod) == 2:
+        # theta is rational: Y - r; the tower is trivial
+        return TRIVIAL_TOWER
+    if len(mod) < 2 or not _irreducible(mod):
+        raise FieldError("minimal polynomial is reducible over Q(t)")
+    mdt = dup_strip([c.diff(_T) for c in mod])
+    dtheta = dup_rem(dup_mul(dup_neg(mdt, QQ_XT), dup_invert(
+        dup_diff(mod, 1, QQ_XT), mod, QQ_XT), QQ_XT), mod, QQ_XT)
+    return Tower(tuple(mod), tuple(dtheta), len(mod) - 1)
+
+
+def theta_poly(f) -> list:
+    """An element f of Q(x, t, theta), theta an indeterminate, as a dense
+    polynomial in theta over K, highest degree first; FieldError when theta
+    occurs in its denominator."""
+    num, den = f.numer, f.denom
+    if den.degree(2) > 0:
+        raise FieldError("theta in a denominator: not a polynomial in theta")
+    den = _K_RING.from_dict({(i, j): c for (i, j, _), c in den.items()})
+    coeffs: dict = {}
+    for (i, j, k), c in num.items():
+        coeffs.setdefault(k, {})[(i, j)] = c
+    if list(coeffs) in ([], [0]):
+        # num and den are coprime: so is the theta-free part
+        return dup_strip([QQ_XT.field.raw_new(
+            _K_RING.from_dict(coeffs.get(0, {})), den)])
+    return dup_strip([QQ_XT.field.new(_K_RING.from_dict(coeffs.get(k, {})),
+                                      den)
+                      for k in range(max(coeffs), -1, -1)])
 
 
 def make_tower(minpoly: sp.Expr, var: sp.Symbol = None) -> Tower:
-    """Build the tower Q(t)[theta]/(m) for a monic irreducible m over Q(t).
-
-    Degree-1 input returns the trivial tower.  dtheta is computed from
-    m'(theta)*dtheta + (dm/dt)(theta) = 0.
-    """
+    """:func:`tower_from_modulus` of a sympy polynomial in theta (or in
+    var) over Q(t)."""
     if var is not None and var is not theta:
         minpoly = minpoly.subs(var, theta)
-    P = sp.Poly(sp.together(minpoly), theta, domain=QQ_T)
-    if not P.LC() == 1:
-        raise FieldError("minimal polynomial must be monic")
-    if P.degree() == 1:
-        # theta is rational: Y - r; the tower is trivial
-        return TRIVIAL_TOWER
-    factors = P.factor_list()[1]
-    if len(factors) != 1 or factors[0][1] != 1:
-        raise FieldError("minimal polynomial is reducible over Q(t)")
-    tower = Tower(P.as_expr(), sp.Integer(0), P.degree())
-    mprime = sp.diff(tower.minpoly, theta)
-    mdt = sp.diff(tower.minpoly, t)
-    dtheta = treduce(-mdt * tinv(mprime, tower), tower)
-    return Tower(tower.minpoly, dtheta, tower.degree)
+    return tower_from_modulus(theta_poly(
+        _field_element(_QQ_XTTH, minpoly, "Q(x, t, theta)")))
 
 
 def treduce(f, tower: Tower = TRIVIAL_TOWER):
@@ -218,39 +284,66 @@ def _frac_expr(c):
 def _tower_element(e, tower: Tower) -> list:
     """e as a dense polynomial in theta over K, highest degree first,
     reduced mod the minimal polynomial."""
-    mod = _modulus(tower)
-    if mod is None:
+    if tower.trivial:
         return dup_strip([_field_element(QQ_XT, e, "Q(x, t)")])
-    return _eval_mod(sp.sympify(e), mod)
+    return _eval_mod(sp.sympify(e), TowerArithmetic(tower))
 
 
-def _eval_mod(e, mod) -> list:
-    """Evaluate the expression tree e in K[theta]/(mod), bottom up."""
+class TowerArithmetic:
+    """K[theta]/(m) for a nontrivial tower: its elements are dense lists
+    over K = Q(x, t), highest degree first, reduced mod m.  It evaluates
+    :func:`treduce`'s expressions and the parsed entries of
+    :mod:`ddsolve.parsing`."""
+
+    def __init__(self, tower: Tower):
+        self.mod = _modulus(tower)
+
+    def integer(self, n: int) -> list:
+        return dup_strip([QQ_XT.convert(n)])
+
+    def var(self, name: str) -> list:
+        if name == "theta":
+            return [QQ_XT.one, QQ_XT.zero]   # deg m >= 2
+        return [QQ_XT.gens["xt".index(name)]]
+
+    def neg(self, a: list) -> list:
+        return dup_neg(a, QQ_XT)
+
+    def add(self, a: list, b: list) -> list:
+        return dup_add(a, b, QQ_XT)
+
+    def mul(self, a: list, b: list) -> list:
+        return dup_rem(dup_mul(a, b, QQ_XT), self.mod, QQ_XT)
+
+    def inv(self, a: list) -> list:
+        if not a:
+            raise ZeroDivisionError("denominator is zero in the tower")
+        if len(a) == 1:
+            return [QQ_XT.one / a[0]]
+        # m is irreducible and a is nonzero mod m: a is invertible
+        return dup_invert(a, self.mod, QQ_XT)
+
+    def pow(self, a: list, n: int) -> list:
+        if n < 0:
+            a, n = self.inv(a), -n
+        out = [QQ_XT.one]
+        for _ in range(n):
+            out = self.mul(out, a)
+        return out
+
+
+def _eval_mod(e, ar: TowerArithmetic) -> list:
+    """Evaluate the expression tree e in K[theta]/(m), bottom up."""
     if e == theta:
-        return [QQ_XT.one, QQ_XT.zero]   # deg mod >= 2
+        return ar.var("theta")
     if not e.has(theta):
         return dup_strip([_field_element(QQ_XT, e, "Q(x, t)")])
     if e.is_Add:
-        out = []
-        for a in e.args:
-            out = dup_add(out, _eval_mod(a, mod), QQ_XT)
-        return out
+        return functools.reduce(ar.add, (_eval_mod(a, ar) for a in e.args))
     if e.is_Mul:
-        out = [QQ_XT.one]
-        for a in e.args:
-            out = dup_rem(dup_mul(out, _eval_mod(a, mod), QQ_XT), mod, QQ_XT)
-        return out
+        return functools.reduce(ar.mul, (_eval_mod(a, ar) for a in e.args))
     if e.is_Pow and e.exp.is_Integer:
-        base, n = _eval_mod(e.base, mod), int(e.exp)
-        if n < 0:
-            if not base:
-                raise ZeroDivisionError("denominator is zero in the tower")
-            # m is irreducible and base is nonzero mod m: base is invertible
-            base, n = dup_invert(base, mod, QQ_XT), -n
-        out = [QQ_XT.one]
-        for _ in range(n):
-            out = dup_rem(dup_mul(out, base, QQ_XT), mod, QQ_XT)
-        return out
+        return ar.pow(_eval_mod(e.base, ar), int(e.exp))
     raise FieldError(f"entry not in Q(x, t)(theta): {e}")
 
 
@@ -559,7 +652,7 @@ def dm_delta(D: DomainMatrix, tower: Tower = TRIVIAL_TOWER) -> DomainMatrix:
     if tower.trivial:
         t_ = _T_RING if D.domain.is_PolynomialRing else _T
         return D.applyfunc(lambda e: e.diff(t_))
-    mod, dtheta = _modulus(tower), _tower_element(tower.dtheta, tower)
+    mod, dtheta = _modulus(tower), list(tower.delta_theta)
     entries = [dup_add(dup_strip([c.diff(_T) for c in a]), dup_rem(dup_mul(
         dup_diff(a, 1, QQ_XT), dtheta, QQ_XT), mod, QQ_XT), QQ_XT)
         for a in from_regular(D, tower.degree)]

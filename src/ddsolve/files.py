@@ -16,8 +16,16 @@ Solution files::
                        "delta_ratio": str, "shift": int } ],
       "report": { ... } }
 
+Both readers parse every entry straight into its K-form
+(:func:`~ddsolve.parsing.parse_element`): :func:`read_system` gives a
+:class:`~ddsolve.procedures.DDSystem` that holds A_K and B_K, and
+:func:`read_solution` a tower built from its modulus and solutions that
+hold the K-forms of their parts.  The sympy matrices and expressions of
+both are formed only when something reads them.
+
 Schema violations are reported with the JSON pointer of the offending
-location (e.g. a missing "B" key raises ``SchemaError('/B')``).
+location (e.g. a missing "B" key raises ``SchemaError('/B')``, and an
+entry that divides by zero ``SchemaError('/A/0/1')``).
 """
 
 from __future__ import annotations
@@ -25,11 +33,14 @@ from __future__ import annotations
 import json
 
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
-from .fields import TRIVIAL_TOWER, Tower, make_tower, theta
-from .parsing import ParseError, parse_ratfunc, print_ratfunc
+from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, Tower, _modulus,
+                     regular_matrix, tower_from_modulus)
+from .parsing import (ParseError, parse_element, parse_theta_poly,
+                      print_ratfunc)
 from .procedures import DDSystem, Outcome
-from .sequences import HypCert, LiouvilleSolution
+from .sequences import LiouvilleSolution, Part
 
 __all__ = ["SchemaError", "read_system", "write_system",
            "read_solution", "write_solution", "outcome_to_dict"]
@@ -54,7 +65,20 @@ def _require(obj: dict, key: str, typ, pointer: str):
     return val
 
 
-def _parse_matrix(rows, n: int, pointer: str) -> sp.Matrix:
+def _parse_entry(s, pointer: str, tower: Tower = TRIVIAL_TOWER) -> list:
+    """The entry string s as an element of the tower in its K-form (see
+    :func:`~ddsolve.parsing.parse_element`); SchemaError at `pointer`
+    otherwise."""
+    if not isinstance(s, str):
+        raise SchemaError(pointer, "expected an expression string")
+    try:
+        return parse_element(s, tower)
+    except (ParseError, ZeroDivisionError, FieldError) as err:
+        raise SchemaError(pointer, str(err))
+
+
+def _parse_matrix(rows, n: int, pointer: str) -> DomainMatrix:
+    """The n x n matrix over Q(x, t) at `pointer`, as its K-form."""
     if not isinstance(rows, list) or len(rows) != n:
         raise SchemaError(pointer, f"expected {n} rows")
     out = []
@@ -62,22 +86,12 @@ def _parse_matrix(rows, n: int, pointer: str) -> sp.Matrix:
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"{pointer}/{i}", f"expected {n} entries")
         for j, entry in enumerate(row):
-            if not isinstance(entry, str):
-                raise SchemaError(f"{pointer}/{i}/{j}",
-                                  "expected an expression string")
-            try:
-                e = parse_ratfunc(entry)
-            except (ParseError, ZeroDivisionError) as err:
-                raise SchemaError(f"{pointer}/{i}/{j}", str(err))
-            if theta in e.free_symbols:
-                raise SchemaError(f"{pointer}/{i}/{j}",
-                                  "system entries lie in Q(x, t); "
-                                  "theta is not allowed")
-            out.append(e)
-    return sp.Matrix(n, n, out)
+            out.append(_parse_entry(entry, f"{pointer}/{i}/{j}"))
+    return regular_matrix(out, (n, n), None, QQ_XT)
 
 
 def read_system(path: str) -> DDSystem:
+    """System file -> DDSystem, holding the K-forms of A and B."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -94,7 +108,7 @@ def read_system(path: str) -> DDSystem:
     if "assumptions" in data:
         asm = _require(data, "assumptions", dict, "")
         assume = _require(asm, "irreducible_over_k0", bool, "/assumptions")
-    return DDSystem(n, A, B, assume_irreducible=assume)
+    return DDSystem.from_forms(n, A, B, assume_irreducible=assume)
 
 
 def _matrix_strings(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER):
@@ -191,7 +205,9 @@ def write_solution(path: str, outcome: Outcome):
 
 
 def read_solution(path: str):
-    """Solution file -> (tower, [LiouvilleSolution], raw dict)."""
+    """Solution file -> (tower, [LiouvilleSolution], raw dict).  Each
+    solution holds the K-forms of its part (see
+    :meth:`~ddsolve.sequences.LiouvilleSolution.from_part`)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -206,9 +222,10 @@ def read_solution(path: str):
         tower = TRIVIAL_TOWER
     else:
         try:
-            tower = make_tower(parse_ratfunc(tower_str))
+            tower = tower_from_modulus(parse_theta_poly(tower_str))
         except Exception as err:
             raise SchemaError("/tower", str(err))
+    mod = _modulus(tower)
     sols = []
     raw_sols = _require(data, "solutions", list, "")
     for k, entry in enumerate(raw_sols):
@@ -216,24 +233,21 @@ def read_solution(path: str):
         if not isinstance(entry, dict):
             raise SchemaError(ptr, "expected an object")
         kind = _require(entry, "kind", str, ptr)
-        try:
-            W = sp.Matrix([parse_ratfunc(s, tower)
-                           for s in _require(entry, "W", list, ptr)])
-            cert = HypCert(
-                sigma_ratio=parse_ratfunc(
-                    _require(entry, "sigma_ratio", str, ptr), tower),
-                sigma_step=_require(entry, "sigma_step", int, ptr),
-                delta_ratio=parse_ratfunc(
-                    _require(entry, "delta_ratio", str, ptr), tower),
-            )
-        except (ParseError, ZeroDivisionError) as err:
-            raise SchemaError(ptr, str(err))
+        W = [_parse_entry(s, f"{ptr}/W/{i}", tower)
+             for i, s in enumerate(_require(entry, "W", list, ptr))]
+        r, c = (_parse_entry(_require(entry, key, str, ptr), f"{ptr}/{key}",
+                             tower) for key in ("sigma_ratio", "delta_ratio"))
+        if not W:
+            raise SchemaError(f"{ptr}/W", "expected a nonempty list")
+        m = _require(entry, "sigma_step", int, ptr)
+        if m < 1:
+            raise SchemaError(f"{ptr}/sigma_step", "expected an integer >= 1")
         shift_idx = _require(entry, "shift", int, ptr)
-        if kind == "Interlaced":
-            sols.append(LiouvilleSolution(
-                kind=kind, period=cert.sigma_step,
-                components=[(shift_idx, W, cert)], tower=tower))
-        else:
-            sols.append(LiouvilleSolution(kind=kind, W=W, cert=cert,
-                                          tower=tower))
+        label = (f"component {shift_idx}" if kind == "Interlaced"
+                 else "solution")
+        part = Part(label, regular_matrix(W, (len(W), 1), mod, QQ_XT),
+                    *(regular_matrix([a], (1, 1), mod, QQ_XT)
+                      for a in (r, c)), m)
+        sols.append(LiouvilleSolution.from_part(kind, part, tower,
+                                                shift_idx))
     return tower, sols, data

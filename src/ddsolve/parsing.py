@@ -8,26 +8,41 @@ Grammar (whitespace insensitive)::
     base   := integer | 'x' | 't' | 'theta' | '(' expr ')' | '-' base
 
 Exponents are (possibly negative) integers.  :func:`parse_expression`
-returns an :class:`ExprTree`; :func:`parse_ratfunc` evaluates it to a
-sympy expression.  :func:`print_ratfunc` writes a rational function back
-in the grammar with a monic denominator and integer-normalized content,
-so that ``parse(print(f))`` equals ``f`` as a rational function.
+returns an :class:`ExprTree`, and one evaluator reads it into the field,
+with no sympy expression on the way: into Q(x, t, theta), theta an
+indeterminate, as a fraction over Q[x, t, theta] cancelled once at the
+end (:class:`_Fractions`), or into K[theta]/(m) over a tower
+(:class:`~ddsolve.fields.TowerArithmetic`).  :func:`parse_element` gives
+an element of a tower in its K-form, the form the file readers hand to
+the procedures; :func:`parse_theta_poly` a minimal polynomial; and
+:func:`parse_ratfunc` the sympy expression in the canonical form of
+:func:`~ddsolve.fields.treduce`, converted from the same value.  A
+division by zero is a ZeroDivisionError, with ``0^-1`` and the
+denominators that vanish in the tower.
+
+:func:`print_ratfunc` writes a rational function back in the grammar with
+a monic denominator and integer-normalized content, so that
+``parse(print(f))`` equals ``f`` as a rational function.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Tuple
 
 import sympy as sp
 
-from .fields import TRIVIAL_TOWER, Tower, t, theta, treduce, x
+from .fields import (_QQ_XTTH, TRIVIAL_TOWER, FieldError, Tower,
+                     TowerArithmetic, _field_element, _frac_expr, _tower_expr,
+                     theta_poly, treduce)
 
-__all__ = ["ExprTree", "ParseError", "parse_expression", "parse_ratfunc",
-           "tree_to_sympy", "print_ratfunc"]
+__all__ = ["ExprTree", "ParseError", "parse_expression", "parse_element",
+           "parse_theta_poly", "parse_ratfunc", "print_ratfunc"]
 
-_VARS = {"x": x, "t": t, "theta": theta}
+_NAMES = ("x", "t", "theta")   # the generators of _RING, in its order
+_RING = _QQ_XTTH.field.ring     # Q[x, t, theta], lex order
 
 
 class ParseError(ValueError):
@@ -139,7 +154,7 @@ class _Parser:
             while self.pos < len(self.text) and self.text[self.pos].isalpha():
                 self.pos += 1
             name = self.text[start:self.pos]
-            if name not in _VARS:
+            if name not in _NAMES:
                 raise ParseError(f"unknown symbol '{name}'", start)
             return ExprTree("var", value=name)
         raise ParseError("expected a number, variable, or '('", self.pos)
@@ -149,71 +164,152 @@ def parse_expression(s: str) -> ExprTree:
     return _Parser(s).parse()
 
 
-def tree_to_sympy(tree: ExprTree) -> sp.Expr:
-    if tree.op == "int":
-        return sp.Integer(tree.value)
-    if tree.op == "var":
-        return _VARS[tree.value]
-    if tree.op == "neg":
-        return -tree_to_sympy(tree.args[0])
-    a = tree_to_sympy(tree.args[0])
-    b = tree_to_sympy(tree.args[1])
-    if tree.op == "+":
-        return a + b
-    if tree.op == "-":
-        return a - b
-    if tree.op == "*":
-        return a * b
-    if tree.op == "/":
-        if b == 0:
+class _Fractions:
+    """Q(x, t, theta), theta an indeterminate, as pairs (num, den) over
+    Q[x, t, theta]: no gcd on the way, the caller cancels once."""
+
+    def integer(self, n: int):
+        return _RING(n), _RING.one
+
+    def var(self, name: str):
+        return _RING.gens[_NAMES.index(name)], _RING.one
+
+    def neg(self, a):
+        return -a[0], a[1]
+
+    def add(self, a, b):
+        if a[1] == b[1]:
+            return a[0] + b[0], a[1]
+        return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+
+    def mul(self, a, b):
+        return a[0] * b[0], a[1] * b[1]
+
+    def inv(self, a):
+        if not a[0]:
             raise ZeroDivisionError("division by zero in expression")
-        return a / b
-    if tree.op == "^":
-        if not b.is_Integer:
-            raise ParseError("exponent must be an integer", 0)
-        return a ** int(b)
-    raise ValueError(f"unknown node {tree.op}")
+        return a[1], a[0]
+
+    def pow(self, a, n: int):
+        if n < 0:
+            a, n = self.inv(a), -n
+        if not n:
+            return _RING.one, _RING.one     # as sympy has it, 0^0 = 1
+        return a[0] ** n, a[1] ** n
+
+
+def _evaluate(tree: ExprTree, ar):
+    """The value of tree in the arithmetic ar (:class:`_Fractions` or
+    :class:`~ddsolve.fields.TowerArithmetic`), bottom up."""
+    op, args = tree.op, tree.args
+    if op == "int":
+        return ar.integer(tree.value)
+    if op == "var":
+        return ar.var(tree.value)
+    if op == "neg":
+        return ar.neg(_evaluate(args[0], ar))
+    if op == "^":
+        return ar.pow(_evaluate(args[0], ar), _exponent(args[1]))
+    a, b = _evaluate(args[0], ar), _evaluate(args[1], ar)
+    if op == "+":
+        return ar.add(a, b)
+    if op == "-":
+        return ar.add(a, ar.neg(b))
+    if op == "*":
+        return ar.mul(a, b)
+    if op == "/":
+        return ar.mul(a, ar.inv(b))
+    raise ValueError(f"unknown node {op}")
+
+
+def _exponent(tree: ExprTree) -> int:
+    """The value of an exponent; ParseError unless it is an integer."""
+    value = _power_value(tree)
+    if value.denominator != 1:
+        raise ParseError("exponent must be an integer", 0)
+    return int(value)
+
+
+def _power_value(tree: ExprTree) -> Fraction:
+    """The value of an integer power tower in an exponent, each of its own
+    exponents an integer."""
+    if tree.op == "int":
+        return Fraction(tree.value)
+    if tree.op == "neg":
+        return -_power_value(tree.args[0])
+    base, e = _power_value(tree.args[0]), _exponent(tree.args[1])
+    if not base and e < 0:
+        raise ParseError("exponent must be an integer", 0)
+    return base ** e
+
+
+def _fraction(s: str):
+    """s as an element of Q(x, t, theta), theta an indeterminate."""
+    num, den = _evaluate(parse_expression(s), _Fractions())
+    return _QQ_XTTH.field.new(num, den)
+
+
+def parse_theta_poly(s: str) -> list:
+    """s as a dense polynomial in theta over K = Q(x, t), highest degree
+    first: the form of a minimal polynomial.  FieldError when theta occurs
+    in a denominator."""
+    return theta_poly(_fraction(s))
+
+
+def parse_element(s: str, tower: Tower = TRIVIAL_TOWER) -> list:
+    """s as an element of the tower, in its K-form: a dense polynomial in
+    theta over K = Q(x, t), highest degree first, reduced mod the minimal
+    polynomial; on the trivial tower a list of at most one element of K.
+    ParseError, ZeroDivisionError for a division by zero in the tower, and
+    FieldError for theta in a value on the trivial tower."""
+    if not tower.trivial:
+        return _evaluate(parse_expression(s), TowerArithmetic(tower))
+    f = _fraction(s)
+    if f.numer.degree(2) > 0 or f.denom.degree(2) > 0:
+        raise FieldError(f"entry not in Q(x, t): {s}")
+    return theta_poly(f)
 
 
 def parse_ratfunc(s: str, tower: Tower = TRIVIAL_TOWER) -> sp.Expr:
-    return treduce(tree_to_sympy(parse_expression(s)), tower)
+    """s as a sympy expression in the canonical form of
+    :func:`~ddsolve.fields.treduce`; on the trivial tower theta is an
+    indeterminate."""
+    if tower.trivial:
+        return _frac_expr(_fraction(s))
+    return _tower_expr(parse_element(s, tower))
 
 
 # ---------------------------------------------------------------------------
 # canonical printing
 
-_GENS = (x, t, theta)
-
-
-def _print_monomial(coeff: sp.Rational, monom) -> str:
+def _print_monomial(coeff, monom) -> str:
     parts = []
-    for g, e in zip(_GENS, monom):
+    for g, e in zip(_NAMES, monom):
         if e == 1:
             parts.append(str(g))
         elif e > 1:
             parts.append(f"{g}^{e}")
-    c = sp.Rational(coeff)
     if not parts:
-        return _print_rational(c)
+        return _print_rational(coeff)
     body = "*".join(parts)
-    if c == 1:
+    if coeff == 1:
         return body
-    if c == -1:
+    if coeff == -1:
         return f"-{body}"
-    return f"{_print_rational(c)}*{body}"
+    return f"{_print_rational(coeff)}*{body}"
 
 
-def _print_rational(c: sp.Rational) -> str:
-    c = sp.Rational(c)
-    if c.q == 1:
-        return str(c.p)
-    return f"{c.p}/{c.q}" if c.p >= 0 else f"-{-c.p}/{c.q}"
+def _print_rational(c) -> str:
+    """A rational number (an element of QQ) in the grammar."""
+    p, q = int(c.numerator), int(c.denominator)
+    if q == 1:
+        return str(p)
+    return f"{p}/{q}" if p >= 0 else f"-{-p}/{q}"
 
 
-def _print_poly(p: sp.Poly) -> str:
-    terms = sorted(p.terms(), key=lambda kv: kv[0], reverse=True)
+def _print_poly(p) -> str:
     out = ""
-    for monom, coeff in terms:
+    for monom, coeff in sorted(p.terms(), reverse=True):
         s = _print_monomial(coeff, monom)
         if not out:
             out = s
@@ -226,24 +322,26 @@ def _print_poly(p: sp.Poly) -> str:
 
 @functools.lru_cache(maxsize=4096)
 def print_ratfunc(f, tower: Tower = TRIVIAL_TOWER) -> str:
-    """Canonical string: c * N / D with D monic (graded-lex leading
-    coefficient 1), N primitive over the integers with positive leading
-    coefficient, and c a rational constant.  Memoized on (f, tower): the
+    """Canonical string: c * N / D with D monic (lex leading coefficient
+    1), N primitive over the integers with positive leading coefficient,
+    and c a rational constant.  On the trivial tower N/D is the reduced
+    fraction of f in Q(x, t, theta); over a tower, the fraction of
+    sp.together of its canonical form.  Memoized on (f, tower): the
     report and the solution file print the same entries."""
-    f = treduce(f, tower)
-    num, den = sp.together(f).as_numer_denom()
-    pn = sp.Poly(sp.expand(num), *_GENS, domain=sp.QQ)
-    pd = sp.Poly(sp.expand(den), *_GENS, domain=sp.QQ)
-    if pn.is_zero:
+    if tower.trivial:
+        f = _field_element(_QQ_XTTH, f, "Q(x, t, theta)")
+        pn, pd = f.numer, f.denom
+    else:
+        num, den = sp.together(treduce(f, tower)).as_numer_denom()
+        pn, pd = _RING.from_expr(num), _RING.from_expr(den)
+    if not pn:
         return "0"
-    lc_d = pd.coeffs()[0]
-    pd = pd.mul_ground(1 / lc_d)
-    pn = pn.mul_ground(1 / lc_d)
-    cont, prim = pn.clear_denoms(convert=True)[1].primitive()
-    c = sp.Rational(cont, pn.clear_denoms()[0])
-    if prim.coeffs()[0] < 0:
-        prim = prim.mul_ground(-1)
-        c = -c
+    pd, pn = pd.quo_ground(pd.LC), pn.quo_ground(pd.LC)
+    q, pn = pn.clear_denoms()
+    cont = pn.content()
+    prim, c = pn.quo_ground(cont), cont / q
+    if prim.LC < 0:
+        prim, c = -prim, -c
     num_str = _print_poly(prim)
     den_str = _print_poly(pd)
     parts = []

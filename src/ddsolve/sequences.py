@@ -27,8 +27,8 @@ from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, Tower, _modulus,
                      common_integer_roots, dm_delta, dm_embed,
-                     dm_from_matrix, dm_same, dm_shift, from_regular,
-                     from_theta_coords, regular_rows, t, theta,
+                     dm_from_matrix, dm_same, dm_shift, dm_to_matrix,
+                     from_regular, from_theta_coords, regular_rows, t, theta,
                      theta_coords, x_integer_roots)
 
 __all__ = ["Seq", "FuncSeq", "SeqVec", "interlace", "section",
@@ -473,13 +473,45 @@ class LiouvilleSolution:
     lifts interlace to solutions of the sigma-system.
 
     The K-forms of its parts (:attr:`parts`) are formed on first use and
-    kept; the fields are not modified after construction."""
+    kept; the fields are not modified after construction.  A solution
+    made by :meth:`from_part` goes the other way: it holds the K-forms,
+    and W, cert and components are formed from them on first read."""
     kind: str
     W: Optional[sp.Matrix] = None
     cert: Optional[HypCert] = None
     period: int = 1
     components: list = field(default_factory=list)
     tower: Tower = TRIVIAL_TOWER
+
+    @classmethod
+    def from_part(cls, kind: str, part: Part, tower: Tower,
+                  shift: int = 0) -> "LiouvilleSolution":
+        """The solution of one hypergeometric part given by its K-forms
+        over the tower (as read from a file): kind 'Hypergeometric', or
+        kind 'Interlaced' with the one component of shift class `shift`
+        and period m."""
+        sol = cls.__new__(cls)
+        sol.__dict__.update(
+            kind=kind, tower=tower, _part=(part, shift),
+            period=part.m if kind == "Interlaced" else 1,
+            parts=[part] if kind in ("Hypergeometric", "Interlaced") else [])
+        return sol
+
+    def __getattr__(self, name):
+        # W, cert and components of a solution made by from_part
+        if name not in ("W", "cert", "components") or \
+                "_part" not in self.__dict__:
+            raise AttributeError(name)
+        (part, shift), tower = self._part, self.tower
+        W = dm_to_matrix(part.W, tower)
+        cert = HypCert(dm_to_matrix(part.r, tower)[0], part.m,
+                       dm_to_matrix(part.c, tower)[0])
+        if self.kind == "Interlaced":
+            self.__dict__.update(W=None, cert=None,
+                                 components=[(shift, W, cert)])
+        else:
+            self.__dict__.update(W=W, cert=cert, components=[])
+        return self.__dict__[name]
 
     @functools.cached_property
     def parts(self) -> list:
@@ -495,6 +527,11 @@ class LiouvilleSolution:
                        for e in (cert.sigma_ratio, cert.delta_ratio)),
                      cert.sigma_step)
                 for label, W, cert in raw]
+
+
+# no class-level default for W and cert, so that reading them on a
+# solution made by from_part reaches __getattr__
+del LiouvilleSolution.W, LiouvilleSolution.cert
 
 
 @dataclass

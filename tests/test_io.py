@@ -1,16 +1,25 @@
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from ddsolve.cli import main as cli_main
-from ddsolve.fields import make_tower, t, teq, theta, x
+from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, FieldError, _modulus,
+                            dm_from_matrix, make_tower, regular_matrix, t,
+                            teq, theta, x)
 from ddsolve.files import (SchemaError, read_solution, read_system,
                            write_system)
-from ddsolve.parsing import (ParseError, parse_expression, parse_ratfunc,
-                             print_ratfunc, tree_to_sympy)
+from ddsolve.parsing import (ParseError, parse_element, parse_expression,
+                             parse_ratfunc, print_ratfunc)
 from conftest import SYSTEMS, random_ratfunc
+from helpers import (reference_parse_ratfunc, reference_tower_exprs,
+                     tree_to_sympy)
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +64,129 @@ def test_parse_theta():
 def test_parse_rejects_unknown_symbol():
     with pytest.raises(ParseError):
         parse_expression("x + y")
+
+
+# ---------------------------------------------------------------------------
+# the K-form evaluator against the sympy reference (tests/helpers.py)
+
+EX1_TOWER = make_tower(theta**2 - t**2 - 1)
+
+_EXPRESSIONS = st.recursive(
+    st.builds("{}{}".format, st.sampled_from(["", "-"]),
+              st.sampled_from(["0", "1", "2", "3", "x", "t", "theta"])),
+    lambda inner: st.one_of(
+        st.builds("({}){}({})".format, inner, st.sampled_from("+-*/"),
+                  inner),
+        st.builds("({})^{}".format, inner, st.sampled_from(
+            ["0", "1", "2", "3", "-1", "-2", "2^2", "2^-1", "0^-1"]))),
+    max_leaves=8)
+
+
+def _value(parse, s, tower):
+    """parse(s, tower), or "input error" for the errors a file reader
+    turns into one."""
+    try:
+        return parse(s, tower)
+    except (ParseError, ZeroDivisionError, FieldError):
+        return "input error"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_EXPRESSIONS, st.sampled_from([TRIVIAL_TOWER, EX1_TOWER]))
+def test_k_evaluator_matches_sympy_reference(s, tower):
+    """parse_ratfunc equals the sympy evaluation of the tree followed by
+    treduce, srepr included, and fails where it fails; parse_element is
+    the K-form of the same value, and on the trivial tower it rejects
+    theta."""
+    want = _value(reference_parse_ratfunc, s, tower)
+    got = _value(parse_ratfunc, s, tower)
+    assert sp.srepr(got) == sp.srepr(want)
+    if want == "input error":
+        return
+    if tower.trivial and theta in want.free_symbols:
+        with pytest.raises(FieldError):
+            parse_element(s, tower)
+        return
+    assert regular_matrix([parse_element(s, tower)], (1, 1),
+                          _modulus(tower), QQ_XT) \
+        == dm_from_matrix(sp.Matrix([want]), tower)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "hermite"])
+def test_read_system_matches_reference_parse(name):
+    """A and B read from a system file, and their K-forms, are those of
+    the sympy reference parse of each entry."""
+    path = SYSTEMS / f"{name}.json"
+    data = json.loads(path.read_text())
+    system = read_system(str(path))
+    for key in ("A", "B"):
+        want = sp.Matrix([[reference_parse_ratfunc(e) for e in row]
+                          for row in data[key]])
+        assert getattr(system, f"{key}_K") == dm_from_matrix(want)
+        assert sp.srepr(getattr(system, key)) == sp.srepr(want)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_read_solution_matches_reference_parse(name):
+    """The tower, W and certificates read from a written solution file
+    are those of the sympy reference parse, and the tower's minpoly and
+    dtheta are those make_tower formed from the parsed minimal
+    polynomial."""
+    path = SYSTEMS.parent / "tests" / "golden" / f"{name}.json"
+    data = json.loads(path.read_text())
+    tower, sols, _ = read_solution(str(path))
+    if data["tower"] == "trivial":
+        assert tower == TRIVIAL_TOWER
+    else:
+        minpoly = reference_parse_ratfunc(data["tower"])
+        assert tower == make_tower(minpoly)
+        assert [sp.srepr(tower.minpoly), sp.srepr(tower.dtheta)] == \
+            [sp.srepr(e) for e in reference_tower_exprs(minpoly)]
+    assert len(sols) == len(data["solutions"])
+    for sol, entry in zip(sols, data["solutions"]):
+        if sol.kind == "Interlaced":
+            ((shift_idx, W, cert),) = sol.components
+            assert shift_idx == entry["shift"]
+            assert sol.period == entry["sigma_step"]
+        else:
+            W, cert = sol.W, sol.cert
+        assert sol.kind == entry["kind"]
+        assert sp.srepr(W) == sp.srepr(sp.Matrix(
+            [reference_parse_ratfunc(e, tower) for e in entry["W"]]))
+        for key in ("sigma_ratio", "delta_ratio"):
+            assert sp.srepr(getattr(cert, key)) == sp.srepr(
+                reference_parse_ratfunc(entry[key], tower))
+        assert cert.sigma_step == entry["sigma_step"]
+
+
+@pytest.mark.parametrize("minpoly", [
+    theta**2 - t**2 - 1, theta**2 - 1 / (2 * t), theta**2 - t,
+    theta**3 - t, theta**3 - 3 * theta + 1, theta**2 + theta / t + 1])
+def test_make_tower_matches_reference(minpoly):
+    assert [sp.srepr(e) for e in (make_tower(minpoly).minpoly,
+                                  make_tower(minpoly).dtheta)] == \
+        [sp.srepr(e) for e in reference_tower_exprs(minpoly)]
+
+
+def test_verify_builds_no_sympy_expression():
+    """verify goes from the files to its verdict on K-forms.  SymPy's
+    first Add imports sympy.tensor.tensor; a verify of example1 leaves it
+    unimported, and reading the system's A (an Expr) then imports it."""
+    golden = SYSTEMS.parent / "tests" / "golden" / "example1.json"
+    script = (
+        "import contextlib, io, sys\n"
+        "from ddsolve.cli import main\n"
+        "from ddsolve.files import read_system\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['verify', {str(SYSTEMS / 'example1.json')!r}, "
+        f"{str(golden)!r}, '--t0', '1', '--terms', '30'])\n"
+        "before = 'sympy.tensor.tensor' in sys.modules\n"
+        f"read_system({str(SYSTEMS / 'example1.json')!r}).A\n"
+        "print(code, before, 'sympy.tensor.tensor' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SYSTEMS.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0", "False", "True"]
 
 
 # ---------------------------------------------------------------------------
@@ -399,3 +531,86 @@ def test_cli_verify_mismatch_stays_failed(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "solution 0: FAILED" in out and "solution 1: ok" in out
+
+
+# ---------------------------------------------------------------------------
+# malformed entries are input errors, located by their JSON pointer
+
+def _edited(tmp_path, path, edit):
+    """A copy of the JSON file at path, changed in place by edit."""
+    data = json.loads(pathlib.Path(path).read_text())
+    edit(data)
+    out = tmp_path / pathlib.Path(path).name
+    out.write_text(json.dumps(data))
+    return str(out)
+
+
+def _set_a00(value):
+    def edit(data):
+        data["A"][0][0] = value
+    return edit
+
+
+def _set_w0(value):
+    def edit(data):
+        data["solutions"][0]["W"][0] = value
+    return edit
+
+
+def _set_solution0(key, value):
+    def edit(data):
+        data["solutions"][0][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("argv, pointer", [
+    # a system entry that divides by zero
+    (lambda tmp: ["solve", _edited(tmp, SYSTEMS / "example1.json",
+                                   _set_a00("0^-1"))], "/A/0/0"),
+    # a solution entry over the tower that divides by zero
+    (lambda tmp: ["verify", str(SYSTEMS / "example1.json"),
+                  _edited(tmp, GOLDEN / "example1.json", _set_w0("0^-1"))],
+     "/solutions/0/W/0"),
+    # theta in a solution file whose tower is trivial
+    (lambda tmp: ["verify", str(SYSTEMS / "example2.json"),
+                  _edited(tmp, GOLDEN / "example2.json", _set_w0("theta"))],
+     "/solutions/0/W/0"),
+    # a W shorter than the order of the system, an empty W, a step 0
+    (lambda tmp: ["verify", str(SYSTEMS / "example1.json"),
+                  _edited(tmp, GOLDEN / "example1.json",
+                          _set_solution0("W", ["1"]))], "/solutions/0/W"),
+    (lambda tmp: ["verify", str(SYSTEMS / "example1.json"),
+                  _edited(tmp, GOLDEN / "example1.json",
+                          _set_solution0("W", []))], "/solutions/0/W"),
+    (lambda tmp: ["verify", str(SYSTEMS / "example1.json"),
+                  _edited(tmp, GOLDEN / "example1.json",
+                          _set_solution0("sigma_step", 0))],
+     "/solutions/0/sigma_step"),
+])
+def test_malformed_entry_exits_as_input_error(argv, pointer, tmp_path,
+                                              capsys):
+    assert cli_main(argv(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {pointer}: ")
+    assert "internal error" not in err
+
+
+def test_theta_free_value_is_a_system_entry(tmp_path):
+    """An entry is read by its value: theta - theta + a is the entry a."""
+    path = SYSTEMS / "example1.json"
+    a00 = json.loads(path.read_text())["A"][0][0]
+    edited = read_system(_edited(tmp_path, path,
+                                 _set_a00(f"theta-theta+{a00}")))
+    assert edited.A_K == read_system(str(path)).A_K
+
+
+def test_cli_tools_hyperexp_one_exponent_per_integer_class(tmp_path,
+                                                           capsys):
+    """The residue eigenvalues 2, 0 at t = 0 and 0, -1 at t = -1 differ by
+    integers, so one certificate serves, with one candidate per dimension
+    of the 2-dimensional solution space."""
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps({"M": [["2/t", "-1/(t+1)-2/t"],
+                                     ["0", "-1/(t+1)"]]}))
+    assert cli_main(["tools", "hyperexp", str(mat)]) == 0
+    assert capsys.readouterr().out.count("certificate") == 2
