@@ -24,8 +24,8 @@ import sympy as sp
 from .closedform import (UnsupportedCase, hyper_ratios, hyperexp_solutions,
                          ratio_expr, recurrence_polys)
 from .difftools import dispersion, split_alpha_beta_power, standard_decompose
-from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, dm_inv,
-                     dm_to_matrix, regular_matrix)
+from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, dm_to_matrix,
+                     regular_matrix)
 from .files import SchemaError, read_solution, read_system, write_solution
 from .moser import ReductionStalled, moser_reduce
 from .parsing import ParseError, parse_element, parse_ratfunc, print_ratfunc
@@ -65,15 +65,16 @@ def _cmd_check(args) -> int:
     except SchemaError as err:
         print(f"input error: {err}", file=_sys.stderr)
         return EXIT_INPUT_ERROR
-    from .procedures import check_integrability
+    from .procedures import check_integrability_K
     try:
-        ok, residual = check_integrability(system.A, system.B)
+        ok, residual = check_integrability_K(system.A_K, system.B_K)
     except FieldError as err:   # singular A
         print(f"input error: {err}", file=_sys.stderr)
         return EXIT_INPUT_ERROR
     if ok:
         print("integrable: sigma(B) = delta(A)A^-1 + ABA^-1 holds")
         return EXIT_SOLVED
+    residual = dm_to_matrix(residual)
     try:
         system.validate()
     except ValueError:
@@ -293,9 +294,9 @@ def _dispatch_tool(args) -> int:
         _print_matrix("reduced", rep.reduced)
         return EXIT_SOLVED
     if args.tool == "ratsol":
-        D = _read_matrix_file(args.expr[0], invertible=True)
-        basis = rational_solutions(D, dm_inv(D), args.step,
-                                   TRIVIAL_TOWER).basis
+        basis = rational_solutions(
+            _read_matrix_file(args.expr[0], invertible=True), args.step,
+            TRIVIAL_TOWER).basis
         if not basis:
             print("no nonzero rational solutions")
             return EXIT_NO_SOLUTION

@@ -49,7 +49,7 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.polyerrors import CoercionFailed
 
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, Tower, charpoly_factors,
-                     dm_delta, dm_embed, dm_from_matrix, dm_inv, dm_over_qt,
+                     dm_delta, dm_embed, dm_from_matrix, dm_over_qt,
                      dm_same, dm_shift, indicial_degrees, kernel,
                      tower_from_modulus, x)
 from .difftools import standard_decompose
@@ -277,7 +277,6 @@ def system_hypergeometric(M: DomainMatrix, m: int = 1):
                 [[c] for c in p]) for p in (num, den))))
     groups = []                 # (lambda_1, the kept g W of its class)
     out = []
-    M_inv = dm_inv(M) if ratios else None
     for r in ratios:
         sd = standard_decompose(r, m)
         lam, g = sd.standard_part, sd.g
@@ -289,7 +288,7 @@ def system_hypergeometric(M: DomainMatrix, m: int = 1):
         else:
             span = []
             groups.append((lam, span))
-        for W in rational_solutions(M.mul(QQ_XT.one / r), M_inv.mul(r), m,
+        for W in rational_solutions(M.mul(QQ_XT.one / r), m,
                                     TRIVIAL_TOWER).basis:
             if not dm_same([(dm_shift(W, m), r)], [(M, W)]):
                 raise VerificationError(

@@ -1,18 +1,18 @@
 """Exact arithmetic for the coefficient tower Q < Q(t) < Q(t)[theta]/(m(theta)).
 
-Field elements and matrices are held as K-forms (below), from the file
-boundary on: :mod:`ddsolve.parsing` evaluates the entries of system and
-solution files straight into them.  Sympy expressions in the global
-symbols x, t, theta are the form of the expression API (:func:`treduce`,
-the sympy matrices of a system or a solution, the report), converted at
-that boundary.  A :class:`Tower` is held as its K-form too: the minimal
-polynomial of theta over Q(t) (None for the trivial tower) and
-delta(theta), obtained by implicit differentiation
-(:func:`tower_from_modulus`; :func:`make_tower` converts a sympy
-polynomial into it).  Canonical forms are produced by :func:`treduce`,
-which evaluates an expression straight into the field and reads the
-result back from the field's own reduced fraction; no SymPy
-simplification runs on the way:
+Field elements and matrices are held as K-forms (below) inside the
+procedures; :mod:`ddsolve.parsing` evaluates the entries of solution
+files straight into them.  Sympy expressions in the global symbols x, t,
+theta are the form of the expression API (:func:`treduce`, the entries
+of system files, the sympy matrices of a system or a solution, the
+report), converted at that boundary by :class:`Fractions`.  A
+:class:`Tower` is held as its K-form too: the minimal polynomial of theta
+over Q(t) (None for the trivial tower) and delta(theta), obtained by
+implicit differentiation (:func:`tower_from_modulus`; :func:`make_tower`
+converts a sympy polynomial into it).  Canonical forms are produced by
+:func:`treduce`, which evaluates an expression straight into the field
+and reads the result back from the field's own reduced fraction; no
+SymPy simplification runs on the way:
 
 * trivial tower: into Q(x, t, theta), theta an indeterminate, so the
   canonical form is the cancelled fraction num/den with the leading
@@ -85,7 +85,7 @@ x, t, theta = sp.symbols("x t theta")
 # K = Q(x, t), the coefficient field of the trivial tower, and Q(t)
 QQ_XT = QQ.frac_field(x, t)
 QQ_T = QQ.frac_field(t)
-# Q(x, t, theta), theta an indeterminate: where treduce, the parser and
+# Q(x, t, theta), theta an indeterminate: where treduce, parse_element and
 # print_ratfunc work on the trivial tower
 _QQ_XTTH = QQ.frac_field(x, t, theta)
 _K_RING = QQ_XT.field.ring             # Q[x, t], K's numerators
@@ -98,7 +98,7 @@ _Y = sp.Symbol("Y")
 
 __all__ = [
     "x", "t", "theta", "Tower", "TRIVIAL_TOWER", "make_tower",
-    "tower_from_modulus", "theta_poly", "TowerArithmetic",
+    "tower_from_modulus", "theta_poly", "Fractions", "TowerArithmetic",
     "treduce", "teq", "tinv", "shift", "delta",
     "series_at_infinity", "factor_in_x", "charpoly_factors", "dm_over_qt",
     "AllEqual", "Split", "Conjugate", "MixedSplit",
@@ -265,11 +265,79 @@ def treduce(f, tower: Tower = TRIVIAL_TOWER):
 
 
 def _field_element(field, e, name: str):
-    """e as an element of the rational function field `field`."""
+    """e as an element of the rational function field `field`: evaluated
+    by :class:`Fractions` with one cancel at the end, or, for a node it
+    does not read, by sympy's conversion (which cancels at every
+    operation)."""
     try:
-        return field.from_sympy(sp.sympify(e))
+        e = sp.sympify(e)
+        ar = Fractions(field)
+        try:
+            return ar.element(ar.from_expr(e))
+        except CoercionFailed:
+            return field.from_sympy(e)
     except (CoercionFailed, ValueError):
         raise FieldError(f"entry not in {name}: {e}")
+
+
+class Fractions:
+    """A field of rational functions over Q (Q(x, t), or Q(x, t, theta)
+    with theta an indeterminate) as pairs (num, den) over its polynomial
+    ring: no gcd on the way, :meth:`element` cancels once.  It evaluates
+    :func:`treduce`'s expressions and the parsed entries of
+    :mod:`ddsolve.parsing`."""
+
+    def __init__(self, field):
+        self.field, self.symbols = field.field, field.symbols
+        self.ring = self.field.ring
+        self.gens = dict(zip(map(str, self.symbols), self.ring.gens))
+
+    def element(self, a):
+        return self.field.new(*a)
+
+    def integer(self, n: int):
+        return self.ring(n), self.ring.one
+
+    def var(self, name: str):
+        return self.gens[name], self.ring.one
+
+    def neg(self, a):
+        return -a[0], a[1]
+
+    def add(self, a, b):
+        if a[1] == b[1]:
+            return a[0] + b[0], a[1]
+        return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+
+    def mul(self, a, b):
+        return a[0] * b[0], a[1] * b[1]
+
+    def inv(self, a):
+        if not a[0]:
+            raise ZeroDivisionError("division by zero in expression")
+        return a[1], a[0]
+
+    def pow(self, a, n: int):
+        if n < 0:
+            a, n = self.inv(a), -n
+        if not n:
+            return self.ring.one, self.ring.one   # as sympy has it, 0^0 = 1
+        return a[0] ** n, a[1] ** n
+
+    def from_expr(self, e):
+        """The sympy expression e built from the field's symbols and
+        rationals by +, * and integer powers; CoercionFailed for any other
+        node."""
+        if e.is_Rational:
+            return self.ring(e.p), self.ring(e.q)
+        if e.is_Symbol and e in self.symbols:
+            return self.var(e.name)
+        if e.is_Add or e.is_Mul:
+            op = self.add if e.is_Add else self.mul
+            return functools.reduce(op, map(self.from_expr, e.args))
+        if e.is_Pow and e.exp.is_Integer:
+            return self.pow(self.from_expr(e.base), int(e.exp))
+        raise CoercionFailed(e)
 
 
 def _frac_expr(c):

@@ -16,12 +16,12 @@ Solution files::
                        "delta_ratio": str, "shift": int } ],
       "report": { ... } }
 
-Both readers parse every entry straight into its K-form
-(:func:`~ddsolve.parsing.parse_element`): :func:`read_system` gives a
-:class:`~ddsolve.procedures.DDSystem` that holds A_K and B_K, and
-:func:`read_solution` a tower built from its modulus and solutions that
-hold the K-forms of their parts.  The sympy matrices and expressions of
-both are formed only when something reads them.
+:func:`read_system` reads the entries of A and B as sympy expressions
+(:func:`~ddsolve.parsing.parse_ratfunc`).  :func:`read_solution` parses
+every entry straight into its K-form
+(:func:`~ddsolve.parsing.parse_element`): it gives a tower built from its
+modulus and solutions that hold the K-forms of their parts, whose sympy
+expressions are formed only when something reads them.
 
 Schema violations are reported with the JSON pointer of the offending
 location (e.g. a missing "B" key raises ``SchemaError('/B')``, and an
@@ -33,12 +33,11 @@ from __future__ import annotations
 import json
 
 import sympy as sp
-from sympy.polys.matrices import DomainMatrix
 
 from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, Tower, _modulus,
-                     regular_matrix, tower_from_modulus)
-from .parsing import (ParseError, parse_element, parse_theta_poly,
-                      print_ratfunc)
+                     regular_matrix, theta, tower_from_modulus)
+from .parsing import (ParseError, parse_element, parse_ratfunc,
+                      parse_theta_poly, print_ratfunc)
 from .procedures import DDSystem, Outcome
 from .sequences import LiouvilleSolution, Part
 
@@ -77,8 +76,7 @@ def _parse_entry(s, pointer: str, tower: Tower = TRIVIAL_TOWER) -> list:
         raise SchemaError(pointer, str(err))
 
 
-def _parse_matrix(rows, n: int, pointer: str) -> DomainMatrix:
-    """The n x n matrix over Q(x, t) at `pointer`, as its K-form."""
+def _parse_matrix(rows, n: int, pointer: str) -> sp.Matrix:
     if not isinstance(rows, list) or len(rows) != n:
         raise SchemaError(pointer, f"expected {n} rows")
     out = []
@@ -86,12 +84,22 @@ def _parse_matrix(rows, n: int, pointer: str) -> DomainMatrix:
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"{pointer}/{i}", f"expected {n} entries")
         for j, entry in enumerate(row):
-            out.append(_parse_entry(entry, f"{pointer}/{i}/{j}"))
-    return regular_matrix(out, (n, n), None, QQ_XT)
+            if not isinstance(entry, str):
+                raise SchemaError(f"{pointer}/{i}/{j}",
+                                  "expected an expression string")
+            try:
+                e = parse_ratfunc(entry)
+            except (ParseError, ZeroDivisionError, FieldError) as err:
+                raise SchemaError(f"{pointer}/{i}/{j}", str(err))
+            if theta in e.free_symbols:
+                raise SchemaError(f"{pointer}/{i}/{j}",
+                                  "system entries lie in Q(x, t); "
+                                  "theta is not allowed")
+            out.append(e)
+    return sp.Matrix(n, n, out)
 
 
 def read_system(path: str) -> DDSystem:
-    """System file -> DDSystem, holding the K-forms of A and B."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -108,7 +116,7 @@ def read_system(path: str) -> DDSystem:
     if "assumptions" in data:
         asm = _require(data, "assumptions", dict, "")
         assume = _require(asm, "irreducible_over_k0", bool, "/assumptions")
-    return DDSystem.from_forms(n, A, B, assume_irreducible=assume)
+    return DDSystem(n, A, B, assume_irreducible=assume)
 
 
 def _matrix_strings(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER):

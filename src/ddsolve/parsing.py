@@ -8,17 +8,19 @@ Grammar (whitespace insensitive)::
     base   := integer | 'x' | 't' | 'theta' | '(' expr ')' | '-' base
 
 Exponents are (possibly negative) integers.  :func:`parse_expression`
-returns an :class:`ExprTree`, and one evaluator reads it into the field,
-with no sympy expression on the way: into Q(x, t, theta), theta an
-indeterminate, as a fraction over Q[x, t, theta] cancelled once at the
-end (:class:`_Fractions`), or into K[theta]/(m) over a tower
-(:class:`~ddsolve.fields.TowerArithmetic`).  :func:`parse_element` gives
-an element of a tower in its K-form, the form the file readers hand to
-the procedures; :func:`parse_theta_poly` a minimal polynomial; and
-:func:`parse_ratfunc` the sympy expression in the canonical form of
-:func:`~ddsolve.fields.treduce`, converted from the same value.  A
-division by zero is a ZeroDivisionError, with ``0^-1`` and the
-denominators that vanish in the tower.
+returns an :class:`ExprTree`, which is read into the field in one of two
+ways.  :func:`parse_element` evaluates it with no sympy expression on
+the way: into Q(x, t, theta), theta an indeterminate, as a fraction over
+Q[x, t, theta] cancelled once at the end
+(:class:`~ddsolve.fields.Fractions`), or into K[theta]/(m) over a tower
+(:class:`~ddsolve.fields.TowerArithmetic`).  It gives an element of a
+tower in its K-form, the form in which solution files reach the
+procedures; :func:`parse_theta_poly` gives a minimal polynomial the same
+way.  :func:`parse_ratfunc` evaluates the tree to a sympy expression
+(:func:`tree_to_sympy`) and reduces it with
+:func:`~ddsolve.fields.treduce`: the path of system files and of the
+sympy-facing API.  A division by zero is a ZeroDivisionError, with
+``0^-1`` and the denominators that vanish in the tower.
 
 :func:`print_ratfunc` writes a rational function back in the grammar with
 a monic denominator and integer-normalized content, so that
@@ -34,15 +36,17 @@ from typing import Optional, Tuple
 
 import sympy as sp
 
-from .fields import (_QQ_XTTH, TRIVIAL_TOWER, FieldError, Tower,
-                     TowerArithmetic, _field_element, _frac_expr, _tower_expr,
-                     theta_poly, treduce)
+from .fields import (_QQ_XTTH, TRIVIAL_TOWER, FieldError, Fractions, Tower,
+                     TowerArithmetic, _field_element, t, theta, theta_poly,
+                     treduce, x)
 
 __all__ = ["ExprTree", "ParseError", "parse_expression", "parse_element",
-           "parse_theta_poly", "parse_ratfunc", "print_ratfunc"]
+           "parse_theta_poly", "parse_ratfunc", "tree_to_sympy",
+           "print_ratfunc"]
 
 _NAMES = ("x", "t", "theta")   # the generators of _RING, in its order
 _RING = _QQ_XTTH.field.ring     # Q[x, t, theta], lex order
+_VARS = {"x": x, "t": t, "theta": theta}
 
 
 class ParseError(ValueError):
@@ -164,42 +168,9 @@ def parse_expression(s: str) -> ExprTree:
     return _Parser(s).parse()
 
 
-class _Fractions:
-    """Q(x, t, theta), theta an indeterminate, as pairs (num, den) over
-    Q[x, t, theta]: no gcd on the way, the caller cancels once."""
-
-    def integer(self, n: int):
-        return _RING(n), _RING.one
-
-    def var(self, name: str):
-        return _RING.gens[_NAMES.index(name)], _RING.one
-
-    def neg(self, a):
-        return -a[0], a[1]
-
-    def add(self, a, b):
-        if a[1] == b[1]:
-            return a[0] + b[0], a[1]
-        return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
-
-    def mul(self, a, b):
-        return a[0] * b[0], a[1] * b[1]
-
-    def inv(self, a):
-        if not a[0]:
-            raise ZeroDivisionError("division by zero in expression")
-        return a[1], a[0]
-
-    def pow(self, a, n: int):
-        if n < 0:
-            a, n = self.inv(a), -n
-        if not n:
-            return _RING.one, _RING.one     # as sympy has it, 0^0 = 1
-        return a[0] ** n, a[1] ** n
-
-
 def _evaluate(tree: ExprTree, ar):
-    """The value of tree in the arithmetic ar (:class:`_Fractions` or
+    """The value of tree in the arithmetic ar
+    (:class:`~ddsolve.fields.Fractions` or
     :class:`~ddsolve.fields.TowerArithmetic`), bottom up."""
     op, args = tree.op, tree.args
     if op == "int":
@@ -245,8 +216,8 @@ def _power_value(tree: ExprTree) -> Fraction:
 
 def _fraction(s: str):
     """s as an element of Q(x, t, theta), theta an indeterminate."""
-    num, den = _evaluate(parse_expression(s), _Fractions())
-    return _QQ_XTTH.field.new(num, den)
+    ar = Fractions(_QQ_XTTH)
+    return ar.element(_evaluate(parse_expression(s), ar))
 
 
 def parse_theta_poly(s: str) -> list:
@@ -270,13 +241,41 @@ def parse_element(s: str, tower: Tower = TRIVIAL_TOWER) -> list:
     return theta_poly(f)
 
 
+def tree_to_sympy(tree: ExprTree) -> sp.Expr:
+    """The value of tree as a sympy expression, not reduced."""
+    if tree.op == "int":
+        return sp.Integer(tree.value)
+    if tree.op == "var":
+        return _VARS[tree.value]
+    if tree.op == "neg":
+        return -tree_to_sympy(tree.args[0])
+    a = tree_to_sympy(tree.args[0])
+    b = tree_to_sympy(tree.args[1])
+    if tree.op == "+":
+        return a + b
+    if tree.op == "-":
+        return a - b
+    if tree.op == "*":
+        return a * b
+    if tree.op == "/":
+        if b == 0:
+            raise ZeroDivisionError("division by zero in expression")
+        return a / b
+    if tree.op == "^":
+        if not b.is_Integer:
+            raise ParseError("exponent must be an integer", 0)
+        if a == 0 and b < 0:
+            # sympy's zoo, which a later operation may absorb
+            raise ZeroDivisionError("division by zero in expression")
+        return a ** int(b)
+    raise ValueError(f"unknown node {tree.op}")
+
+
 def parse_ratfunc(s: str, tower: Tower = TRIVIAL_TOWER) -> sp.Expr:
     """s as a sympy expression in the canonical form of
     :func:`~ddsolve.fields.treduce`; on the trivial tower theta is an
     indeterminate."""
-    if tower.trivial:
-        return _frac_expr(_fraction(s))
-    return _tower_expr(parse_element(s, tower))
+    return treduce(tree_to_sympy(parse_expression(s)), tower)
 
 
 # ---------------------------------------------------------------------------

@@ -73,31 +73,12 @@ class DDSystem:
     The forms over K derived from A and B (:attr:`A_K`, :attr:`B_K`,
     :attr:`det_K`, :attr:`det_standard` and the cocycles of
     :meth:`cocycle`) are computed on first use and kept; A and B are not
-    modified after construction.  A system made by :meth:`from_forms` goes
-    the other way: it holds A_K and B_K, and A and B are formed from them
-    on first read."""
+    modified after construction."""
     n: int
     A: sp.Matrix
     B: sp.Matrix
     assume_irreducible: bool = False
     integrability_level: int = 0   # set by validate(): 1 or n
-
-    @classmethod
-    def from_forms(cls, n: int, A_K: DomainMatrix, B_K: DomainMatrix,
-                   assume_irreducible: bool = False) -> "DDSystem":
-        """The system whose A and B have the K-forms A_K and B_K (as read
-        from a file)."""
-        sys = cls.__new__(cls)
-        sys.__dict__.update(n=n, A_K=A_K, B_K=B_K, integrability_level=0,
-                            assume_irreducible=assume_irreducible)
-        return sys
-
-    def __getattr__(self, name):
-        # A and B of a system made by from_forms
-        if name not in ("A", "B") or f"{name}_K" not in self.__dict__:
-            raise AttributeError(name)
-        M = self.__dict__[name] = dm_to_matrix(self.__dict__[f"{name}_K"])
-        return M
 
     @functools.cached_property
     def A_K(self) -> DomainMatrix:
@@ -142,10 +123,7 @@ class DDSystem:
         only for the message when both fail.  ValueError otherwise."""
         if not sp.isprime(self.n):
             raise ValueError(f"order n = {self.n} must be prime")
-        # A and B as given: sympy matrices, or K-forms (from_forms)
-        given = [self.__dict__.get(m, self.__dict__.get(f"{m}_K"))
-                 for m in "AB"]
-        if any(M.shape != (self.n, self.n) for M in given):
+        if self.A.shape != (self.n, self.n) or self.B.shape != (self.n, self.n):
             raise ValueError("A and B must be n x n")
         try:
             A, B = self.A_K, self.B_K
@@ -207,12 +185,18 @@ def check_integrability(A: sp.Matrix, B: sp.Matrix):
     the residual over K, which needs A^{-1}, is formed only when the test
     fails (the zero matrix otherwise).  Returns (ok, residual matrix).
     FieldError when A is singular or an entry lies outside K."""
-    A_K, B_K = dm_from_matrix(A), dm_from_matrix(B)
+    ok, residual = check_integrability_K(dm_from_matrix(A), dm_from_matrix(B))
+    return ok, dm_to_matrix(residual)
+
+
+def check_integrability_K(A_K: DomainMatrix, B_K: DomainMatrix):
+    """:func:`check_integrability` on the K-forms of A and B; the residual
+    is a K-form."""
     if A_K.det() == 0:
         raise FieldError("matrix not invertible")
     if _integrable(A_K, B_K, 1):
-        return True, sp.zeros(*B.shape)
-    return False, dm_to_matrix(_integrability_residual(A_K, B_K, 1))
+        return True, DomainMatrix.zeros(B_K.shape, QQ_XT)
+    return False, _integrability_residual(A_K, B_K, 1)
 
 
 def _integrable(Am: DomainMatrix, B: DomainMatrix, m: int) -> bool:
@@ -365,7 +349,7 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
         A = dm_embed(sys.A_K, tower)
         # one rational solve; the remaining columns are conjugates
         M0 = A * dm_from_matrix(sp.eye(n) / (alpha * betas[0]), tower)
-        basis = rational_solutions(M0, dm_inv(M0), 1, tower).basis
+        basis = rational_solutions(M0, 1, tower).basis
         if not basis:
             return Outcome("NoSolution", "DP1", "d1",
                            "no rational solution for the ratio alpha*beta_1",
@@ -418,7 +402,7 @@ def _dp1_stage_d2(sys: DDSystem, alpha, beta1, report: dict) -> Outcome:
     n = sys.n
     ratio = treduce(alpha * beta1)
     M0 = sys.A_K * dm_from_matrix(sp.eye(n) / ratio)
-    basis = rational_solutions(M0, dm_inv(M0), 1, TRIVIAL_TOWER).basis
+    basis = rational_solutions(M0, 1, TRIVIAL_TOWER).basis
     G = _invertible_selection([basis] * n, TRIVIAL_TOWER) if basis else None
     if G is None:
         # complete, by the argument at ratsol._invertible_selection

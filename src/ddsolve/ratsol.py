@@ -91,12 +91,11 @@ def _coefficient_matrix(columns: list) -> DomainMatrix:
 # ---------------------------------------------------------------------------
 # universal denominator
 
-def universal_denominator(M: DomainMatrix, M_inv: DomainMatrix, m: int = 1):
+def universal_denominator(M: DomainMatrix, m: int = 1):
     """Polynomial u(x) in K: every rational solution of sigma^m(Y) = MY
-    (M a K-form, M_inv its inverse) has denominator dividing u.  The
-    entries of a K-form lie in K, so their denominators never involve
-    theta."""
-    _, classes = shift_classes([dm_clear(M)[0], dm_clear(M_inv)[0]])
+    (M a K-form) has denominator dividing u.  The entries of a K-form lie
+    in K, so their denominators never involve theta."""
+    _, classes = shift_classes([dm_clear(M)[0], dm_clear(dm_inv(M))[0]])
     u = QQ_XT.one
     for base, shifts in classes:
         SA = {j: a for j, (a, _) in shifts.items() if a}
@@ -323,12 +322,11 @@ def _constant_span_reduce(vectors: list, tower: Tower) -> list:
     return indep
 
 
-def rational_solutions(M: DomainMatrix, M_inv: DomainMatrix, m: int = 1,
+def rational_solutions(M: DomainMatrix, m: int = 1,
                        tower: Tower = TRIVIAL_TOWER) -> RationalSolutionBasis:
     """Complete basis of rational solutions of sigma^m(Y) = M Y, each
-    verified by substitution; M_inv is M^-1, which a caller solving for
-    several multiples M/r of one matrix forms once (r M^-1 = (M/r)^-1)."""
-    u = universal_denominator(M, M_inv, m)
+    verified by substitution."""
+    u = universal_denominator(M, m)
     su = k_shift(u, m)
     inv_u = QQ_XT.one / u
     basis = []
@@ -370,11 +368,10 @@ def gauge_from_ratios(A: DomainMatrix, ratios: DomainMatrix, m: int):
     None is a complete negative answer: either some ratio has no rational
     solution, or no constant combination per slot is invertible (see
     :func:`_invertible_selection`)."""
-    columns, A_inv = [], dm_inv(A)
+    columns = []
     for i in range(A.shape[0]):
-        r = ratios[i, i].element
-        basis = rational_solutions(A.mul(QQ_XT.one / r), A_inv.mul(r), m,
-                                   TRIVIAL_TOWER).basis
+        basis = rational_solutions(A.mul(QQ_XT.one / ratios[i, i].element),
+                                   m, TRIVIAL_TOWER).basis
         if not basis:
             return None
         columns.append(basis)

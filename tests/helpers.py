@@ -14,7 +14,6 @@ from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, FieldError, Tower, delta,
                             k_shift, kernel, make_tower, series_at_infinity,
                             shift, t, theta, treduce, x)
 from ddsolve.moser import infinity_expansion
-from ddsolve.parsing import ExprTree, ParseError, parse_expression
 from ddsolve.sequences import VerificationError
 
 
@@ -37,46 +36,8 @@ def mat_delta(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
 
 
 # ---------------------------------------------------------------------------
-# reference parser: the sympy evaluation of a parse tree that the K-form
-# evaluator of ddsolve.parsing replaced
-
-_VARS = {"x": x, "t": t, "theta": theta}
-
-
-def tree_to_sympy(tree: ExprTree) -> sp.Expr:
-    if tree.op == "int":
-        return sp.Integer(tree.value)
-    if tree.op == "var":
-        return _VARS[tree.value]
-    if tree.op == "neg":
-        return -tree_to_sympy(tree.args[0])
-    a = tree_to_sympy(tree.args[0])
-    b = tree_to_sympy(tree.args[1])
-    if tree.op == "+":
-        return a + b
-    if tree.op == "-":
-        return a - b
-    if tree.op == "*":
-        return a * b
-    if tree.op == "/":
-        if b == 0:
-            raise ZeroDivisionError("division by zero in expression")
-        return a / b
-    if tree.op == "^":
-        if not b.is_Integer:
-            raise ParseError("exponent must be an integer", 0)
-        if a == 0 and b < 0:
-            # sympy's zoo, which a later operation may absorb
-            raise ZeroDivisionError("division by zero in expression")
-        return a ** int(b)
-    raise ValueError(f"unknown node {tree.op}")
-
-
-def reference_parse_ratfunc(s: str, tower: Tower = TRIVIAL_TOWER):
-    """parse_ratfunc as it was: the tree as a sympy expression, then
-    treduce."""
-    return treduce(tree_to_sympy(parse_expression(s)), tower)
-
+# reference tower: the sympy forms make_tower built before Tower held its
+# K-form
 
 def reference_tower_exprs(minpoly: sp.Expr) -> tuple:
     """(minpoly, dtheta) of make_tower(minpoly) as make_tower formed them:

@@ -8,8 +8,10 @@ from sympy.polys.euclidtools import dup_invert
 from sympy.matrices.utilities import dotprodsimp
 from sympy.polys.matrices import DomainMatrix
 
-from ddsolve.fields import (AllEqual, Conjugate, FieldError, MixedSplit, Split,
-                            QQ_XT, TRIVIAL_TOWER, delta, dm_conjugate,
+from ddsolve.fields import (_QQ_XTTH, AllEqual, Conjugate, FieldError,
+                            Fractions, MixedSplit, Split, QQ_XT,
+                            TRIVIAL_TOWER, _field_element, delta,
+                            dm_conjugate,
                             dm_delta, dm_delta_part, dm_embed,
                             dm_from_matrix, dm_inv, dm_same,
                             dm_shift, dm_sigma_power, dm_to_matrix,
@@ -123,6 +125,31 @@ def test_treduce_tower_matches_reference(cubic, e):
 def test_treduce_rejects_input_outside_the_field(tower, e):
     with pytest.raises(FieldError):
         treduce(e, TRIVIAL_TOWER if tower == "trivial" else EX1_TOWER)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tower_exprs())
+def test_fractions_match_sympy_conversion(e):
+    """fields.Fractions evaluates an expression into Q(x, t, theta) with
+    one cancel; it gives the element of sympy's conversion, which cancels
+    at every operation, or its ZeroDivisionError."""
+    if e.has(sp.zoo, sp.nan):
+        return
+    try:
+        want = _QQ_XTTH.from_sympy(e)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            _field_element(_QQ_XTTH, e, "Q(x, t, theta)")
+        return
+    ar = Fractions(_QQ_XTTH)
+    assert ar.element(ar.from_expr(e)) == want
+    assert _field_element(_QQ_XTTH, e, "Q(x, t, theta)") == want
+
+
+def test_fractions_leave_other_nodes_to_sympy():
+    # a Float is not read by Fractions; sympy's conversion makes it exact
+    assert _field_element(QQ_XT, sp.Float(0.5) * x, "Q(x, t)") \
+        == QQ_XT.from_sympy(x / 2)
 
 
 def test_treduce_zero_denominator_in_tower():

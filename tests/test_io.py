@@ -16,10 +16,9 @@ from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, FieldError, _modulus,
 from ddsolve.files import (SchemaError, read_solution, read_system,
                            write_system)
 from ddsolve.parsing import (ParseError, parse_element, parse_expression,
-                             parse_ratfunc, print_ratfunc)
+                             parse_ratfunc, print_ratfunc, tree_to_sympy)
 from conftest import SYSTEMS, random_ratfunc
-from helpers import (reference_parse_ratfunc, reference_tower_exprs,
-                     tree_to_sympy)
+from helpers import reference_tower_exprs
 
 
 # ---------------------------------------------------------------------------
@@ -93,52 +92,32 @@ def _value(parse, s, tower):
 
 @settings(max_examples=150, deadline=None)
 @given(_EXPRESSIONS, st.sampled_from([TRIVIAL_TOWER, EX1_TOWER]))
-def test_k_evaluator_matches_sympy_reference(s, tower):
-    """parse_ratfunc equals the sympy evaluation of the tree followed by
-    treduce, srepr included, and fails where it fails; parse_element is
-    the K-form of the same value, and on the trivial tower it rejects
-    theta."""
-    want = _value(reference_parse_ratfunc, s, tower)
-    got = _value(parse_ratfunc, s, tower)
-    assert sp.srepr(got) == sp.srepr(want)
-    if want == "input error":
+def test_k_evaluator_matches_sympy_parse(s, tower):
+    """parse_element is the K-form of the value of parse_ratfunc (the
+    sympy evaluation of the tree, then treduce) and fails where it fails;
+    on the trivial tower it rejects theta."""
+    want = _value(parse_ratfunc, s, tower)
+    got = _value(parse_element, s, tower)
+    if want == "input error" or (tower.trivial
+                                 and theta in want.free_symbols):
+        assert got == "input error"
         return
-    if tower.trivial and theta in want.free_symbols:
-        with pytest.raises(FieldError):
-            parse_element(s, tower)
-        return
-    assert regular_matrix([parse_element(s, tower)], (1, 1),
-                          _modulus(tower), QQ_XT) \
+    assert regular_matrix([got], (1, 1), _modulus(tower), QQ_XT) \
         == dm_from_matrix(sp.Matrix([want]), tower)
-
-
-@pytest.mark.parametrize("name", ["example1", "example2", "hermite"])
-def test_read_system_matches_reference_parse(name):
-    """A and B read from a system file, and their K-forms, are those of
-    the sympy reference parse of each entry."""
-    path = SYSTEMS / f"{name}.json"
-    data = json.loads(path.read_text())
-    system = read_system(str(path))
-    for key in ("A", "B"):
-        want = sp.Matrix([[reference_parse_ratfunc(e) for e in row]
-                          for row in data[key]])
-        assert getattr(system, f"{key}_K") == dm_from_matrix(want)
-        assert sp.srepr(getattr(system, key)) == sp.srepr(want)
 
 
 @pytest.mark.parametrize("name", ["example1", "example2"])
 def test_read_solution_matches_reference_parse(name):
     """The tower, W and certificates read from a written solution file
-    are those of the sympy reference parse, and the tower's minpoly and
-    dtheta are those make_tower formed from the parsed minimal
-    polynomial."""
+    are those of parse_ratfunc, and the tower's minpoly and dtheta are
+    those make_tower formed from the parsed minimal polynomial."""
     path = SYSTEMS.parent / "tests" / "golden" / f"{name}.json"
     data = json.loads(path.read_text())
     tower, sols, _ = read_solution(str(path))
     if data["tower"] == "trivial":
         assert tower == TRIVIAL_TOWER
     else:
-        minpoly = reference_parse_ratfunc(data["tower"])
+        minpoly = parse_ratfunc(data["tower"])
         assert tower == make_tower(minpoly)
         assert [sp.srepr(tower.minpoly), sp.srepr(tower.dtheta)] == \
             [sp.srepr(e) for e in reference_tower_exprs(minpoly)]
@@ -152,10 +131,10 @@ def test_read_solution_matches_reference_parse(name):
             W, cert = sol.W, sol.cert
         assert sol.kind == entry["kind"]
         assert sp.srepr(W) == sp.srepr(sp.Matrix(
-            [reference_parse_ratfunc(e, tower) for e in entry["W"]]))
+            [parse_ratfunc(e, tower) for e in entry["W"]]))
         for key in ("sigma_ratio", "delta_ratio"):
             assert sp.srepr(getattr(cert, key)) == sp.srepr(
-                reference_parse_ratfunc(entry[key], tower))
+                parse_ratfunc(entry[key], tower))
         assert cert.sigma_step == entry["sigma_step"]
 
 
@@ -168,25 +147,23 @@ def test_make_tower_matches_reference(minpoly):
         [sp.srepr(e) for e in reference_tower_exprs(minpoly)]
 
 
-def test_verify_builds_no_sympy_expression():
-    """verify goes from the files to its verdict on K-forms.  SymPy's
-    first Add imports sympy.tensor.tensor; a verify of example1 leaves it
-    unimported, and reading the system's A (an Expr) then imports it."""
+def test_read_solution_builds_no_sympy_expression():
+    """A solution file is read into K-forms.  SymPy's first Add imports
+    sympy.tensor.tensor; reading the solutions of example1 leaves it
+    unimported, and reading a solution's W (an Expr) then imports it."""
     golden = SYSTEMS.parent / "tests" / "golden" / "example1.json"
     script = (
-        "import contextlib, io, sys\n"
-        "from ddsolve.cli import main\n"
-        "from ddsolve.files import read_system\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main(['verify', {str(SYSTEMS / 'example1.json')!r}, "
-        f"{str(golden)!r}, '--t0', '1', '--terms', '30'])\n"
+        "import sys\n"
+        "from ddsolve.files import read_solution\n"
+        f"tower, sols, _ = read_solution({str(golden)!r})\n"
+        "parts = [part for sol in sols for part in sol.parts]\n"
         "before = 'sympy.tensor.tensor' in sys.modules\n"
-        f"read_system({str(SYSTEMS / 'example1.json')!r}).A\n"
-        "print(code, before, 'sympy.tensor.tensor' in sys.modules)\n")
+        "sols[0].W\n"
+        "print(len(parts), before, 'sympy.tensor.tensor' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(SYSTEMS.parent / "src"))
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["0", "False", "True"]
+    assert out.split() == ["2", "False", "True"]
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from sympy.polys.matrices import DomainMatrix
 import ddsolve.closedform as closedform
 import ddsolve.procedures as procedures
 from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, dm_clear, dm_from_matrix,
-                            dm_inv, dm_to_matrix, make_tower, mat_inv,
-                            mat_reduce, shift, t, teq, theta, treduce, x)
+                            dm_to_matrix, make_tower, mat_inv, mat_reduce,
+                            shift, t, teq, theta, treduce, x)
 from ddsolve.files import read_system
 from ddsolve.sequences import verify_certificates
 import ddsolve.ratsol as ratsol
@@ -26,8 +26,7 @@ from helpers import (mat_eq, mat_shift, nullspace_over_Qt,
 # ratsol takes and returns K-forms; these call it on sympy matrices
 
 def universal_denominator(M, m=1, tower=TRIVIAL_TOWER):
-    D = dm_from_matrix(M, tower)
-    u = ratsol.universal_denominator(D, dm_inv(D), m)
+    u = ratsol.universal_denominator(dm_from_matrix(M, tower), m)
     return dm_to_matrix(DomainMatrix([[u]], (1, 1), QQ_XT))[0]
 
 
@@ -37,8 +36,8 @@ def polynomial_solutions(M, m=1, degree_bound=None, tower=TRIVIAL_TOWER):
 
 
 def rational_solutions(M, m=1, tower=TRIVIAL_TOWER):
-    D = dm_from_matrix(M, tower)
-    basis = ratsol.rational_solutions(D, dm_inv(D), m, tower).basis
+    basis = ratsol.rational_solutions(dm_from_matrix(M, tower), m,
+                                      tower).basis
     return RationalSolutionBasis(m, [dm_to_matrix(V, tower) for V in basis])
 
 
@@ -318,12 +317,7 @@ def captured_calls(example1_path, example2_path):
             def spy(M, *args, _name=name, _orig=orig, **kwargs):
                 # the solver passes every argument; universal_denominator,
                 # called by rational_solutions, takes no tower, and
-                # scalar_operators works over K.  The wrappers form the
-                # inverse that the solver passes in, which must be M^-1
-                inverse = ()
-                if _name in ("universal_denominator", "rational_solutions"):
-                    inverse, args = args[:1], args[1:]
-                    assert inverse[0] == dm_inv(M)
+                # scalar_operators works over K
                 if _name == "scalar_operators":
                     tower, extra = TRIVIAL_TOWER, ()
                 elif _name == "universal_denominator":
@@ -335,7 +329,7 @@ def captured_calls(example1_path, example2_path):
                                     + extra, kwargs))
                 towers.append(tower)
                 try:
-                    return _orig(M, *inverse, *args, **kwargs)
+                    return _orig(M, *args, **kwargs)
                 finally:
                     towers.pop()
 
