@@ -24,7 +24,7 @@ import sympy as sp
 from .closedform import (UnsupportedCase, hyper_ratios, hyperexp_solutions,
                          ratio_expr, recurrence_polys)
 from .difftools import dispersion, split_alpha_beta_power, standard_decompose
-from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, dm_to_matrix,
+from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, dm_inv, dm_to_matrix,
                      regular_matrix)
 from .files import SchemaError, read_solution, read_system, write_solution
 from .moser import ReductionStalled, moser_reduce
@@ -198,9 +198,9 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # tools
 
-def _read_matrix_file(path: str, invertible: bool = False):
-    """The K-form of the square matrix over Q(x, t) in the file's "M" field
-    (an invertible one when `invertible` is set); SchemaError otherwise."""
+def _read_matrix_file(path: str):
+    """The K-form of the square matrix over Q(x, t) in the file's "M" field;
+    SchemaError otherwise."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -210,11 +210,8 @@ def _read_matrix_file(path: str, invertible: bool = False):
         raise SchemaError("/M", str(err))
     if not rows or any(len(row) != len(rows) for row in rows):
         raise SchemaError("/M", "matrix must be square and nonempty")
-    D = regular_matrix([a for row in rows for a in row],
-                       (len(rows), len(rows)), None, QQ_XT)
-    if invertible and D.rank() < D.shape[0]:
-        raise SchemaError("/M", "matrix must be invertible")
-    return D
+    return regular_matrix([a for row in rows for a in row],
+                          (len(rows), len(rows)), None, QQ_XT)
 
 
 def _cmd_tools(args) -> int:
@@ -294,9 +291,12 @@ def _dispatch_tool(args) -> int:
         _print_matrix("reduced", rep.reduced)
         return EXIT_SOLVED
     if args.tool == "ratsol":
-        basis = rational_solutions(
-            _read_matrix_file(args.expr[0], invertible=True), args.step,
-            TRIVIAL_TOWER).basis
+        M = _read_matrix_file(args.expr[0])
+        try:
+            M_inv = dm_inv(M)
+        except FieldError:
+            raise SchemaError("/M", "matrix must be invertible")
+        basis = rational_solutions(M, M_inv, args.step, TRIVIAL_TOWER).basis
         if not basis:
             print("no nonzero rational solutions")
             return EXIT_NO_SOLUTION

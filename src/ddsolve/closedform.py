@@ -49,7 +49,7 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.polyerrors import CoercionFailed
 
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, Tower, charpoly_factors,
-                     dm_delta, dm_embed, dm_from_matrix, dm_over_qt,
+                     dm_delta, dm_embed, dm_from_matrix, dm_inv, dm_over_qt,
                      dm_same, dm_shift, indicial_degrees, kernel,
                      tower_from_modulus, x)
 from .difftools import standard_decompose
@@ -275,6 +275,10 @@ def system_hypergeometric(M: DomainMatrix, m: int = 1):
                                       f"{ratio_expr(K, num, den)}")
             ratios.setdefault(QQ_XT.field.new(*(QQ_XT.field.ring.from_list(
                 [[c] for c in p]) for p in (num, den))))
+    if not ratios:
+        return []
+    # (M/r)^-1 = r M^-1: one inverse for the rational solves of all ratios
+    M_inv = dm_inv(M)
     groups = []                 # (lambda_1, the kept g W of its class)
     out = []
     for r in ratios:
@@ -288,7 +292,7 @@ def system_hypergeometric(M: DomainMatrix, m: int = 1):
         else:
             span = []
             groups.append((lam, span))
-        for W in rational_solutions(M.mul(QQ_XT.one / r), m,
+        for W in rational_solutions(M.mul(QQ_XT.one / r), M_inv.mul(r), m,
                                     TRIVIAL_TOWER).basis:
             if not dm_same([(dm_shift(W, m), r)], [(M, W)]):
                 raise VerificationError(

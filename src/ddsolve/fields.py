@@ -46,6 +46,14 @@ a gauge's delta-part G^-1 (B G - delta(G)) with one ``inv_den`` over
 Q[x, t] and one cancel per entry.  The cocycle (:func:`dm_sigma_power`)
 and the integrability test multiply cleared numerators too.
 
+:func:`common_integer_roots` is the one integer-root routine (degree
+bounds, indicial polynomials, the pole scans of the lift and the numeric
+window): a rational-root test over the divisors of a trailing
+coefficient, with no polynomial factored.  The objects a system derives
+from A are formed once on ``procedures.DDSystem``, not here: det A of
+its K-form, and the inverse A_m^-1 of each cocycle (:func:`dm_inv`),
+from which a rational solve reads (A_m/r)^-1 as r A_m^-1.
+
 An x-free K-matrix is read over Q(t) = ``QQ_T`` by :func:`dm_over_qt`,
 and :func:`charpoly_factors` factors its characteristic polynomial
 there, once, for the eigenvalues of ``closedform``'s delta-side and
@@ -64,17 +72,18 @@ and the benchmark tracer (``ddbench/tracer.py``), which names all but
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import sympy as sp
-from sympy import QQ
+from sympy import QQ, ZZ
 from sympy.polys.densearith import (dup_add, dup_lshift, dup_mul,
                                     dup_mul_ground, dup_neg, dup_quo_ground,
                                     dup_rem)
 from sympy.polys.densebasic import dup_degree, dup_from_raw_dict, dup_strip
-from sympy.polys.densetools import dup_compose, dup_diff, dup_eval
-from sympy.polys.factortools import dup_factor_list
+from sympy.polys.densetools import (dup_clear_denoms, dup_compose, dup_diff,
+                                    dup_eval, dup_primitive)
 from sympy.polys.euclidtools import dup_invert
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
@@ -496,12 +505,26 @@ def factor_in_x(p, tower: Tower = TRIVIAL_TOWER):
 
 def common_integer_roots(slices: list) -> list:
     """Sorted integers that are roots of every nonzero dense polynomial
-    over Q in `slices`; the candidates are the rational roots of the
-    first."""
-    _, factors = dup_factor_list(slices[0], QQ)
-    cands = [-f[1] / f[0] for f, _ in factors if len(f) == 2]
-    return sorted(int(r) for r in cands if r.denominator == 1
-                  and all(not dup_eval(s, r, QQ) for s in slices))
+    over Q in `slices`, found with no factoring.  The candidates come from
+    the rational-root test on the first, cleared to a primitive
+    polynomial over Z: 0 when x divides it, and the divisors c of the
+    trailing coefficient a_0 of its quotient by x^k, of either sign, no
+    larger than the Cauchy bound 1 + max |a_i| / |a_n| on its roots.  The
+    divisors come in pairs (c, a_0 / c) with c <= sqrt|a_0|, so the scan
+    takes min(bound, sqrt|a_0|) steps."""
+    f = dup_primitive(dup_clear_denoms(slices[0], QQ, convert=True)[1],
+                      ZZ)[1]
+    g = dup_strip(f[::-1])[::-1]            # f / x^k
+    cands = {0} if len(g) < len(f) else set()
+    a0 = abs(g[-1])
+    bound = 1 + max(map(abs, g[1:]), default=0) // abs(g[0])
+    for c in range(1, min(bound, math.isqrt(a0)) + 1):
+        if not a0 % c:
+            cands |= {r for d in (c, a0 // c) if d <= bound
+                      for r in (d, -d)}
+    roots = [r for r in cands if not r or not dup_eval(g, r, ZZ)]
+    return sorted(r for r in roots
+                  if all(not dup_eval(s, QQ(r), QQ) for s in slices[1:]))
 
 
 def x_integer_roots(p) -> list:

@@ -7,12 +7,13 @@ Grammar (whitespace insensitive)::
     factor := base ('^' exponent)?          # '^' right-associative
     base   := integer | 'x' | 't' | 'theta' | '(' expr ')' | '-' base
 
-Exponents are (possibly negative) integers.  :func:`parse_expression`
-returns an :class:`ExprTree`, which is read into the field in one of two
-ways.  :func:`parse_element` evaluates it with no sympy expression on
-the way: into Q(x, t, theta), theta an indeterminate, as a fraction over
-Q[x, t, theta] cancelled once at the end
-(:class:`~ddsolve.fields.Fractions`), or into K[theta]/(m) over a tower
+Exponents are (possibly negative) integers, checked where they are
+parsed, so a ParseError points at the offending exponent.
+:func:`parse_expression` returns an :class:`ExprTree`, which is read
+into the field in one of two ways.  :func:`parse_element` evaluates it
+with no sympy expression on the way: into Q(x, t, theta), theta an
+indeterminate, as a fraction over Q[x, t, theta] cancelled once at the
+end (:class:`~ddsolve.fields.Fractions`), or into K[theta]/(m) over a tower
 (:class:`~ddsolve.fields.TowerArithmetic`).  It gives an element of a
 tower in its K-form, the form in which solution files reach the
 procedures; :func:`parse_theta_poly` gives a minimal polynomial the same
@@ -63,7 +64,8 @@ class ExprTree:
 
     op is one of 'int', 'var', '+', '-', '*', '/', '^', 'neg'; leaves
     carry their value in ``value``; inner nodes their operands in
-    ``args``.
+    ``args``.  The exponent of a '^' node is an 'int' leaf: the parser
+    evaluates it and rejects a value that is not an integer.
     """
 
     op: str
@@ -115,22 +117,30 @@ class _Parser:
         node = self.base()
         if self._peek() == "^":
             self.pos += 1
-            node = ExprTree("^", args=(node, self.exponent()))
+            node = ExprTree("^", args=(node, ExprTree(
+                "int", value=self.exponent())))
         return node
 
-    def exponent(self) -> ExprTree:
-        # integer, or integer '^' exponent (right-associative)
-        node = self.integer_or_sign()
+    def exponent(self) -> int:
+        """The value of an exponent: an integer, or an integer '^' an
+        exponent (right-associative).  ParseError at its offset unless the
+        value is an integer (``2^-1``, ``0^-1``)."""
+        self._skip_ws()
+        start = self.pos
+        value = Fraction(self.integer_or_sign())
         if self._peek() == "^":
             self.pos += 1
-            node = ExprTree("^", args=(node, self.exponent()))
-        return node
+            e = self.exponent()
+            value = value ** e if value or e >= 0 else None
+        if value is None or value.denominator != 1:
+            raise ParseError("exponent must be an integer", start)
+        return int(value)
 
-    def integer_or_sign(self) -> ExprTree:
+    def integer_or_sign(self) -> int:
         if self._peek() == "-":
             self.pos += 1
-            return ExprTree("neg", args=(self.integer(),))
-        return self.integer()
+            return -self.integer().value
+        return self.integer().value
 
     def integer(self) -> ExprTree:
         self._skip_ws()
@@ -180,7 +190,7 @@ def _evaluate(tree: ExprTree, ar):
     if op == "neg":
         return ar.neg(_evaluate(args[0], ar))
     if op == "^":
-        return ar.pow(_evaluate(args[0], ar), _exponent(args[1]))
+        return ar.pow(_evaluate(args[0], ar), args[1].value)
     a, b = _evaluate(args[0], ar), _evaluate(args[1], ar)
     if op == "+":
         return ar.add(a, b)
@@ -191,27 +201,6 @@ def _evaluate(tree: ExprTree, ar):
     if op == "/":
         return ar.mul(a, ar.inv(b))
     raise ValueError(f"unknown node {op}")
-
-
-def _exponent(tree: ExprTree) -> int:
-    """The value of an exponent; ParseError unless it is an integer."""
-    value = _power_value(tree)
-    if value.denominator != 1:
-        raise ParseError("exponent must be an integer", 0)
-    return int(value)
-
-
-def _power_value(tree: ExprTree) -> Fraction:
-    """The value of an integer power tower in an exponent, each of its own
-    exponents an integer."""
-    if tree.op == "int":
-        return Fraction(tree.value)
-    if tree.op == "neg":
-        return -_power_value(tree.args[0])
-    base, e = _power_value(tree.args[0]), _exponent(tree.args[1])
-    if not base and e < 0:
-        raise ParseError("exponent must be an integer", 0)
-    return base ** e
 
 
 def _fraction(s: str):
@@ -262,8 +251,6 @@ def tree_to_sympy(tree: ExprTree) -> sp.Expr:
             raise ZeroDivisionError("division by zero in expression")
         return a / b
     if tree.op == "^":
-        if not b.is_Integer:
-            raise ParseError("exponent must be an integer", 0)
         if a == 0 and b < 0:
             # sympy's zoo, which a later operation may absorb
             raise ZeroDivisionError("division by zero in expression")

@@ -54,9 +54,9 @@ from .moser import (MoserReport, ReductionStalled, leading_eigendata,
 from .ratsol import (_invertible_selection, gauge_from_ratios,
                      rational_solutions)
 from .sequences import (CompiledMatrix, HypCert, LiouvilleSolution,
-                        PointEvaluator, VerificationError,
-                        lift_sigma_d_to_sigma, verify_certificates,
-                        verify_numeric_window)
+                        PointEvaluator, VerificationError, first_regular_index,
+                        first_safe_index, lift_sigma_d_to_sigma,
+                        verify_certificates, verify_numeric_window)
 
 __all__ = ["DDSystem", "Outcome", "NormalForm", "check_integrability",
            "decision_procedure_1", "decision_procedure_2",
@@ -71,9 +71,13 @@ class DDSystem:
     """Integrable system sigma(Y) = A Y, delta(Y) = B Y over Q(x, t).
 
     The forms over K derived from A and B (:attr:`A_K`, :attr:`B_K`,
-    :attr:`det_K`, :attr:`det_standard` and the cocycles of
-    :meth:`cocycle`) are computed on first use and kept; A and B are not
-    modified after construction."""
+    :attr:`det_K`, :attr:`det_standard`, the cocycles of :meth:`cocycle`
+    and their inverses, :meth:`cocycle_inverse`) are computed on first use
+    and kept, so each is formed once per system: validation, stage a of
+    both procedures and the lifts' pole scan read the one det A, and every
+    rational solve of sigma^m(W) = (A_m/r) W gets the inverse its
+    universal denominator reads as r A_m^-1.  A and B are not modified
+    after construction."""
     n: int
     A: sp.Matrix
     B: sp.Matrix
@@ -111,6 +115,16 @@ class DDSystem:
         if m not in self._cocycles:
             self._cocycles[m] = dm_sigma_power(self.A_K, m)
         return self._cocycles[m]
+
+    @functools.cached_property
+    def _cocycle_inverses(self) -> dict:
+        return {}
+
+    def cocycle_inverse(self, m: int) -> DomainMatrix:
+        """A_m^-1 over K (m >= 1), the one inverse of the cocycle."""
+        if m not in self._cocycle_inverses:
+            self._cocycle_inverses[m] = dm_inv(self.cocycle(m))
+        return self._cocycle_inverses[m]
 
     def validate(self):
         """Check that (A, B) is a system the procedures accept and set
@@ -331,7 +345,7 @@ def _decision_procedure_1(sys: DDSystem, report: dict) -> Outcome:
         stages.append("d1")
         return _dp1_stage_d1(sys, alpha, eig, report)
     stages.append("d2")
-    return _dp1_stage_d2(sys, alpha, eig.root, report)
+    return _dp1_stage_d2(sys, alpha, alpha_K, eig.root, report)
 
 
 def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
@@ -348,8 +362,11 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
                            report=report)
         A = dm_embed(sys.A_K, tower)
         # one rational solve; the remaining columns are conjugates
-        M0 = A * dm_from_matrix(sp.eye(n) / (alpha * betas[0]), tower)
-        basis = rational_solutions(M0, 1, tower).basis
+        ratio = alpha * betas[0]
+        M0 = A * dm_from_matrix(sp.eye(n) / ratio, tower)
+        M0_inv = (dm_from_matrix(sp.eye(n) * ratio, tower)
+                  * dm_embed(sys.cocycle_inverse(1), tower))
+        basis = rational_solutions(M0, M0_inv, 1, tower).basis
         if not basis:
             return Outcome("NoSolution", "DP1", "d1",
                            "no rational solution for the ratio alpha*beta_1",
@@ -362,7 +379,8 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
         tower = TRIVIAL_TOWER
         A = sys.A_K
         betas = [treduce(r) for r in eig.roots]
-        G = gauge_from_ratios(A, dm_from_matrix(sp.diag(*betas) * alpha), 1)
+        G = gauge_from_ratios(A, sys.cocycle_inverse(1),
+                              dm_from_matrix(sp.diag(*betas) * alpha), 1)
     if G is None:
         # complete: _invertible_selection tries every one-vector-per-slot
         # choice, and a minor of any constant combination per slot is a
@@ -398,11 +416,14 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
                    report=report)
 
 
-def _dp1_stage_d2(sys: DDSystem, alpha, beta1, report: dict) -> Outcome:
+def _dp1_stage_d2(sys: DDSystem, alpha, alpha_K, beta1,
+                  report: dict) -> Outcome:
     n = sys.n
     ratio = treduce(alpha * beta1)
-    M0 = sys.A_K * dm_from_matrix(sp.eye(n) / ratio)
-    basis = rational_solutions(M0, 1, TRIVIAL_TOWER).basis
+    ratio_K = alpha_K * QQ_XT.from_sympy(beta1)
+    basis = rational_solutions(sys.A_K.mul(QQ_XT.one / ratio_K),
+                               sys.cocycle_inverse(1).mul(ratio_K), 1,
+                               TRIVIAL_TOWER).basis
     G = _invertible_selection([basis] * n, TRIVIAL_TOWER) if basis else None
     if G is None:
         # complete, by the argument at ratsol._invertible_selection
@@ -526,7 +547,7 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
         shifted = [k_shift(beta_K * lam, s) for s in range(2 * n - 1)]
         for j0 in range(n):
             R = DomainMatrix.diag(shifted[j0:j0 + n], QQ_XT)
-            G = gauge_from_ratios(An, R, n)
+            G = gauge_from_ratios(An, sys.cocycle_inverse(n), R, n)
             if G is None:
                 continue
             Bbar = _gauge_delta_part(G, sys.B_K, TRIVIAL_TOWER)
@@ -658,13 +679,16 @@ def _timed(timings: dict, key: str, fn, *args):
 
 def _lifts(sys: DDSystem, out: Outcome) -> list:
     """The sigma-sequence lifts of DP2's interlaced solutions."""
-    # N(j), d(j) and the inverses of A = N/d, shared by the lifts
+    # N(j), d(j) and the inverses of A = N/d, and the poles of A, B and
+    # det A, shared by the lifts
     steps = CompiledMatrix(sys.A_K)
+    start = first_regular_index(sys.A_K, sys.B_K, sys.det_K)
     lifts = []
     for sol in out.solutions:
         part = sol.parts[0]
-        lifts.append(lift_sigma_d_to_sigma(part.W, part.r, sys.n, sys.A_K,
-                                           sys.B_K, steps=steps))
+        lifts.append(lift_sigma_d_to_sigma(
+            part.W, part.r, sys.n, sys.A_K, sys.B_K,
+            N=first_safe_index(start, part.W), steps=steps))
     return lifts
 
 

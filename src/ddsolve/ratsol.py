@@ -11,6 +11,11 @@ there must be s >= 1 with den(M)(c - s*m) = 0, going up s >= 0 with
 den(M^-1)(c + s*m) = 0.  That traps candidate poles (per shift class and
 residue mod m) in a finite window with explicit multiplicity bounds.
 
+M^-1 is an argument.  The procedures solve sigma^m(W) = (A_m/r) W for
+ratios r, so they pass the exact product r A_m^-1 and invert A_m once
+for all ratios (``procedures.DDSystem.cocycle_inverse``; M. A. Barkatou,
+ISSAC 1999, for the universal denominator of a system).
+
 Every function here takes and returns K-forms (see :mod:`ddsolve.fields`):
 a vector is the K-form of an n x 1 matrix, a scalar operator that of the
 row of its coefficients, and u an element of K = Q(x, t).  Denominators
@@ -46,7 +51,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from .difftools import shift_classes
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower,
-                     _modulus, dm_clear, dm_inv, dm_same, dm_shift, k_shift,
+                     _modulus, dm_clear, dm_same, dm_shift, k_shift,
                      kernel, regular_matrix, x_integer_roots)
 from .sequences import VerificationError
 
@@ -91,11 +96,12 @@ def _coefficient_matrix(columns: list) -> DomainMatrix:
 # ---------------------------------------------------------------------------
 # universal denominator
 
-def universal_denominator(M: DomainMatrix, m: int = 1):
+def universal_denominator(M: DomainMatrix, M_inv: DomainMatrix, m: int = 1):
     """Polynomial u(x) in K: every rational solution of sigma^m(Y) = MY
-    (M a K-form) has denominator dividing u.  The entries of a K-form lie
-    in K, so their denominators never involve theta."""
-    _, classes = shift_classes([dm_clear(M)[0], dm_clear(dm_inv(M))[0]])
+    (M a K-form, M_inv its inverse) has denominator dividing u.  The
+    entries of a K-form lie in K, so their denominators never involve
+    theta."""
+    _, classes = shift_classes([dm_clear(M)[0], dm_clear(M_inv)[0]])
     u = QQ_XT.one
     for base, shifts in classes:
         SA = {j: a for j, (a, _) in shifts.items() if a}
@@ -322,11 +328,12 @@ def _constant_span_reduce(vectors: list, tower: Tower) -> list:
     return indep
 
 
-def rational_solutions(M: DomainMatrix, m: int = 1,
+def rational_solutions(M: DomainMatrix, M_inv: DomainMatrix, m: int = 1,
                        tower: Tower = TRIVIAL_TOWER) -> RationalSolutionBasis:
     """Complete basis of rational solutions of sigma^m(Y) = M Y, each
-    verified by substitution."""
-    u = universal_denominator(M, m)
+    verified by substitution; M_inv is M^-1, which the universal
+    denominator reads."""
+    u = universal_denominator(M, M_inv, m)
     su = k_shift(u, m)
     inv_u = QQ_XT.one / u
     basis = []
@@ -360,18 +367,21 @@ def _invertible_selection(columns: list, tower: Tower):
     return None
 
 
-def gauge_from_ratios(A: DomainMatrix, ratios: DomainMatrix, m: int):
+def gauge_from_ratios(A: DomainMatrix, A_inv: DomainMatrix,
+                      ratios: DomainMatrix, m: int):
     """G over K with sigma^m(G) * diag(r_1, ..., r_n) = A * G, `ratios` that
     diagonal over K, assembled column-by-column from rational solutions of
-    sigma^m(W) = (A/r_i) W; None on failure.
+    sigma^m(W) = (A/r_i) W; None on failure.  A_inv is A^-1, so the
+    inverse of A/r_i is the product r_i A_inv.
 
     None is a complete negative answer: either some ratio has no rational
     solution, or no constant combination per slot is invertible (see
     :func:`_invertible_selection`)."""
     columns = []
     for i in range(A.shape[0]):
-        basis = rational_solutions(A.mul(QQ_XT.one / ratios[i, i].element),
-                                   m, TRIVIAL_TOWER).basis
+        r = ratios[i, i].element
+        basis = rational_solutions(A.mul(QQ_XT.one / r), A_inv.mul(r), m,
+                                   TRIVIAL_TOWER).basis
         if not basis:
             return None
         columns.append(basis)

@@ -35,8 +35,8 @@ __all__ = ["Seq", "FuncSeq", "SeqVec", "interlace", "section",
            "seq_from_recurrence", "lift_sigma_d_to_sigma",
            "HypCert", "Part", "LiouvilleSolution", "VerifyResult",
            "verify_certificates", "verify_numeric_window",
-           "first_safe_index", "PoleError", "PointEvaluator",
-           "CompiledMatrix", "VerificationError"]
+           "first_regular_index", "first_safe_index", "PoleError",
+           "PointEvaluator", "CompiledMatrix", "VerificationError"]
 
 
 class PoleError(Exception):
@@ -349,23 +349,30 @@ def section(seq: Seq, d: int, i: int) -> Seq:
     return FuncSeq(fn)
 
 
-def first_safe_index(A: DomainMatrix, B: DomainMatrix, V: DomainMatrix,
-                     tower: Tower = TRIVIAL_TOWER) -> int:
-    """Least N >= 1 with A(j), B(j) defined, det A(j) != 0 for all j >= N,
-    V defined at N and V(N) != 0, for A, B and V given by their K-forms
-    over the tower.
+def first_regular_index(A: DomainMatrix, B: DomainMatrix, det) -> int:
+    """Least N >= 1 with A(j), B(j) defined and det A(j) != 0 for all
+    j >= N, for A and B given by their K-forms over a tower and det the
+    determinant of A's (an element of K).
 
     Found by scanning the integer roots (in x) of every denominator of the
-    K-forms and of the numerator and denominator of the determinant of A's.
-    That determinant is the norm of det A, so its integer roots include
-    those of det A.  t and theta stay symbolic, so a root must be a genuine
+    K-forms and of the numerator and denominator of det.  That determinant
+    is the norm of det A, so its integer roots include those of det A.
+    t and theta stay symbolic, so a root must be a genuine
     rational-integer root of a coefficient-wise zero polynomial.
     """
-    detA = A.det()
-    polys = ([e.denom for D in (A, B, V) for e in D.to_list_flat()]
-             + [detA.numer, detA.denom])
-    N = max(1, 1 + max((r for p in polys for r in x_integer_roots(p)),
-                       default=0))
+    polys = ([e.denom for D in (A, B) for e in D.to_list_flat()]
+             + [det.numer, det.denom])
+    return 1 + max((r for p in polys for r in x_integer_roots(p)
+                    if r > 0), default=0)
+
+
+def first_safe_index(start: int, V: DomainMatrix) -> int:
+    """Least N >= start with V defined at every j >= N and V(N) != 0, for
+    V given by its K-form over a tower and `start` the
+    :func:`first_regular_index` of the system: the first index at which a
+    solution through V can start."""
+    N = max(start, 1 + max((r for e in V.to_list_flat()
+                            for r in x_integer_roots(e.denom)), default=0))
     # V(N) is defined, so it is zero when every numerator vanishes at x = N
     while not any(e.numer.evaluate(_X, N) for e in V.to_list_flat()):
         N += 1
@@ -402,12 +409,16 @@ def lift_sigma_d_to_sigma(V: DomainMatrix, ratio: DomainMatrix, d: int,
     X(j) / den(j) is the fraction-free inverse of N(j), and U(j) = W(j) is
     tested by cross-multiplication.
 
-    `steps`, the CompiledMatrix of A over the tower with t symbolic, lets
-    the lifts of several solutions of one system share N(j), d(j) and the
-    inverses; it is built here when not given.
+    N defaults to the :func:`first_safe_index` of V after the
+    :func:`first_regular_index` of A, B and det A.  `steps`, the
+    CompiledMatrix of A over the tower with t symbolic, lets the lifts of
+    several solutions of one system share N(j), d(j) and the inverses; it
+    is built here when not given.  A caller lifting several solutions of
+    one system passes both, so that det A and the poles of A and B are
+    read once.
     """
     if N is None:
-        N = first_safe_index(A, B, V, tower)
+        N = first_safe_index(first_regular_index(A, B, A.det()), V)
     deg = tower.degree
     if steps is None:
         steps = CompiledMatrix(A, tower, deg=deg)

@@ -433,6 +433,21 @@ def reference_scalar_operators(M, m, tower):
     return ops
 
 
+def reference_common_integer_roots(slices: list) -> list:
+    """The integer roots common to the dense polynomials over Q in
+    `slices`, as :func:`ddsolve.fields.common_integer_roots` found them by
+    factoring: the candidates are the rational roots of the linear factors
+    of the first slice over Q (Zassenhaus)."""
+    from sympy import QQ
+    from sympy.polys.densetools import dup_eval
+    from sympy.polys.factortools import dup_factor_list
+
+    _, factors = dup_factor_list(slices[0], QQ)
+    cands = [-f[1] / f[0] for f, _ in factors if len(f) == 2]
+    return sorted(int(r) for r in cands if r.denominator == 1
+                  and all(not dup_eval(s, r, QQ) for s in slices))
+
+
 def integer_roots(p, var=x, tower=TRIVIAL_TOWER):
     """Sorted integer roots in var of the numerator of p, whose
     coefficients may involve t and theta; None when p is zero.

@@ -3,6 +3,7 @@ import random
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
+from sympy import QQ
 from sympy.polys.densearith import dup_mul, dup_rem
 from sympy.polys.euclidtools import dup_invert
 from sympy.matrices.utilities import dotprodsimp
@@ -10,7 +11,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from ddsolve.fields import (_QQ_XTTH, AllEqual, Conjugate, FieldError,
                             Fractions, MixedSplit, Split, QQ_XT,
-                            TRIVIAL_TOWER, _field_element, delta,
+                            TRIVIAL_TOWER, _field_element,
+                            common_integer_roots, delta,
                             dm_conjugate,
                             dm_delta, dm_delta_part, dm_embed,
                             dm_from_matrix, dm_inv, dm_same,
@@ -23,7 +25,7 @@ from ddsolve.files import read_system
 from ddsolve.moser import leading_eigendata
 from conftest import SYSTEMS, random_ratfunc
 from helpers import (integer_roots, mat_delta, mat_eq, mat_shift, nullspace,
-                     rank)
+                     rank, reference_common_integer_roots)
 
 Y = sp.Symbol("Y")
 EX1_TOWER = make_tower(theta**2 - (t**2 + 1))
@@ -452,6 +454,53 @@ def test_integer_roots_are_common_to_every_slice():
     assert integer_roots(d * theta**2 - d * (t**2 + 1), d, EX1_TOWER) is None
     assert integer_roots((d + 1) * (d - 4) * theta**3 + (d - 4) * t, d,
                          EX1_TOWER) == [4]
+
+
+@st.composite
+def _slices_with_integer_roots(draw):
+    """1-3 dense polynomials over Q with a few integer roots in common:
+    rational, often huge, content; x^k for the root 0; monic and
+    non-monic linear factors, whose rational roots are no integer roots;
+    and a cofactor that may have no integer root at all."""
+    ints = st.integers
+    shared = draw(st.lists(ints(-30, 30), max_size=3))
+    slices = []
+    for _ in range(draw(ints(1, 3))):
+        p = [QQ(draw(ints(1, 10**40)) * draw(st.sampled_from([1, -1])),
+                draw(ints(1, 10**25)))]
+        for r in shared + draw(st.lists(ints(-30, 30), max_size=2)):
+            p = dup_mul(p, [QQ(1), QQ(-r)], QQ)
+        for a, b in draw(st.lists(st.tuples(ints(2, 6), ints(-20, 20)),
+                                  max_size=2)):
+            p = dup_mul(p, [QQ(a), QQ(b)], QQ)
+        cofactor = [QQ(c, draw(ints(1, 9))) for c in draw(st.lists(
+            ints(-100, 100), min_size=1, max_size=3))]
+        if cofactor[0]:
+            p = dup_mul(p, cofactor, QQ)
+        slices.append(p + [QQ(0)] * draw(ints(0, 3)))
+    return slices
+
+
+@settings(max_examples=150, deadline=None)
+@given(_slices_with_integer_roots())
+def test_common_integer_roots_matches_factoring_reference(slices):
+    """The rational-root scan finds the integer roots the factoring
+    reference found, in the same order."""
+    assert common_integer_roots(slices) == \
+        reference_common_integer_roots(slices)
+
+
+def test_common_integer_roots_examples():
+    """Root 0 with multiplicity, a large root, rational non-integer roots
+    and no integer root at all."""
+    def dense(expr):
+        return [QQ.convert(c) for c in sp.Poly(expr, x).all_coeffs()]
+
+    assert common_integer_roots([dense(x**3 * (x - 2) / 7)]) == [0, 2]
+    assert common_integer_roots([dense(x - 10**9)]) == [10**9]
+    assert common_integer_roots([dense((3 * x - 2) * (x + 4))]) == [-4]
+    assert common_integer_roots([dense(x**2 + 1), dense(x)]) == []
+    assert common_integer_roots([dense(x * (x - 1)), dense(x - 1)]) == [1]
 
 
 def test_mat_inv_matches_adjugate_formula_over_tower():

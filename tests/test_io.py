@@ -42,6 +42,18 @@ def test_parse_error_offset():
     assert err.value.position == 2
 
 
+@pytest.mark.parametrize("s, offset", [
+    ("x^2^-1", 2),          # x^(1/2)
+    ("x^2^2^-1", 4),        # the exponent of 2 is 1/2
+    ("t + x ^ 0^-1", 8),    # 0^-1 is no integer either
+])
+def test_parse_non_integer_exponent_offset(s, offset):
+    with pytest.raises(ParseError) as err:
+        parse_expression(s)
+    assert err.value.position == offset
+    assert "exponent must be an integer" in str(err.value)
+
+
 def test_parse_whitespace_insensitive():
     assert teq(parse_ratfunc("  x + t * 2 "), x + 2 * t)
 

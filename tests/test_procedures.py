@@ -589,6 +589,8 @@ ratsol._invertible_selection = lambda columns, tower: dm_from_matrix(
     sp.Matrix([[0, 1], [1, 0]]))
 try:
     ratsol.gauge_from_ratios(dm_from_matrix(sp.diag(2, 3)),
+                             dm_from_matrix(sp.diag(sp.Rational(1, 2),
+                                                    sp.Rational(1, 3))),
                              dm_from_matrix(sp.diag(2, 3)), 1)
 except VerificationError as err:
     print("raised:", err)
@@ -646,3 +648,58 @@ def test_verification_point_respects_solution_tower(tmp_path):
     assert out.kind == "Solved" and out.provenance == "DP1"
     assert out.solutions[0].tower.minpoly == theta**2 - t
     assert out.report["verification"] == "30-term numeric window at t = 2"
+
+
+def test_example2_forms_each_derived_object_once(example2_path,
+                                                 monkeypatch):
+    """One solve of example2 inverts its sigma^3-cocycle once (up to a
+    factor in K: the rational solves of sigma^3(W) = (A_3/r) W read
+    (A_3/r)^-1 as r A_3^-1), computes det A once (validation and the
+    lifts share DDSystem.det_K) and finds every integer root with no
+    polynomial factoring."""
+    import ddsolve.fields as fields
+    from sympy.polys import factortools
+
+    system = read_system(example2_path)
+    A, A3 = system.A_K, system.cocycle(3)
+    inverted, dets, factored = [], [], []
+    inv, det, factor = (DomainMatrix.inv, DomainMatrix.det,
+                        factortools.dup_factor_list)
+
+    def inv_spy(D):
+        inverted.append(D)
+        return inv(D)
+
+    def det_spy(D):
+        dets.append(D)
+        return det(D)
+
+    def factor_spy(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code is fields.common_integer_roots.__code__:
+                factored.append(args)
+                break
+            frame = frame.f_back
+        return factor(*args, **kwargs)
+
+    def multiple_of(D, M):
+        """D = c M for some c in K."""
+        if D.shape != M.shape or D.domain != M.domain:
+            return False
+        k, a = next((k, a) for k, a in enumerate(M.to_list_flat()) if a)
+        c = D.to_list_flat()[k] / a
+        return D.to_list_flat() == M.mul(c).to_list_flat()
+
+    monkeypatch.setattr(DomainMatrix, "inv", inv_spy)
+    monkeypatch.setattr(DomainMatrix, "det", det_spy)
+    monkeypatch.setattr(factortools, "dup_factor_list", factor_spy)
+    if hasattr(fields, "dup_factor_list"):
+        monkeypatch.setattr(fields, "dup_factor_list", factor_spy)
+    out = solve_liouvillian(system)
+    monkeypatch.undo()
+    assert out.kind == "Solved" and out.provenance == "DP2"
+    assert sum(multiple_of(D, A3) for D in inverted) == 1
+    assert sum(D.shape == A.shape
+               and D.to_list_flat() == A.to_list_flat() for D in dets) == 1
+    assert not factored

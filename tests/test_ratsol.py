@@ -8,8 +8,8 @@ from sympy.polys.matrices import DomainMatrix
 import ddsolve.closedform as closedform
 import ddsolve.procedures as procedures
 from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, dm_clear, dm_from_matrix,
-                            dm_to_matrix, make_tower, mat_inv, mat_reduce,
-                            shift, t, teq, theta, treduce, x)
+                            dm_inv, dm_to_matrix, make_tower, mat_inv,
+                            mat_reduce, shift, t, teq, theta, treduce, x)
 from ddsolve.files import read_system
 from ddsolve.sequences import verify_certificates
 import ddsolve.ratsol as ratsol
@@ -26,7 +26,8 @@ from helpers import (mat_eq, mat_shift, nullspace_over_Qt,
 # ratsol takes and returns K-forms; these call it on sympy matrices
 
 def universal_denominator(M, m=1, tower=TRIVIAL_TOWER):
-    u = ratsol.universal_denominator(dm_from_matrix(M, tower), m)
+    D = dm_from_matrix(M, tower)
+    u = ratsol.universal_denominator(D, dm_inv(D), m)
     return dm_to_matrix(DomainMatrix([[u]], (1, 1), QQ_XT))[0]
 
 
@@ -36,8 +37,8 @@ def polynomial_solutions(M, m=1, degree_bound=None, tower=TRIVIAL_TOWER):
 
 
 def rational_solutions(M, m=1, tower=TRIVIAL_TOWER):
-    basis = ratsol.rational_solutions(dm_from_matrix(M, tower), m,
-                                      tower).basis
+    D = dm_from_matrix(M, tower)
+    basis = ratsol.rational_solutions(D, dm_inv(D), m, tower).basis
     return RationalSolutionBasis(m, [dm_to_matrix(V, tower) for V in basis])
 
 
@@ -47,7 +48,8 @@ def scalar_operators(M, m):
 
 
 def gauge_from_ratios(A, ratios, m):
-    G = ratsol.gauge_from_ratios(dm_from_matrix(A),
+    D = dm_from_matrix(A)
+    G = ratsol.gauge_from_ratios(D, dm_inv(D),
                                  dm_from_matrix(sp.diag(*ratios)), m)
     return None if G is None else dm_to_matrix(G)
 
@@ -317,7 +319,10 @@ def captured_calls(example1_path, example2_path):
             def spy(M, *args, _name=name, _orig=orig, **kwargs):
                 # the solver passes every argument; universal_denominator,
                 # called by rational_solutions, takes no tower, and
-                # scalar_operators works over K
+                # scalar_operators works over K.  The inverse of M that
+                # universal_denominator and rational_solutions take is not
+                # recorded: the wrappers form it from M, and the
+                # references invert M themselves
                 if _name == "scalar_operators":
                     tower, extra = TRIVIAL_TOWER, ()
                 elif _name == "universal_denominator":
@@ -325,7 +330,9 @@ def captured_calls(example1_path, example2_path):
                     extra = (tower,)
                 else:
                     tower, extra = args[-1], ()
-                current[-1].append((_name, (dm_to_matrix(M, tower), *args)
+                rest = args[1:] if _name in ("universal_denominator",
+                                             "rational_solutions") else args
+                current[-1].append((_name, (dm_to_matrix(M, tower), *rest)
                                     + extra, kwargs))
                 towers.append(tower)
                 try:
