@@ -48,8 +48,8 @@ and the integrability test multiply cleared numerators too.
 
 :func:`common_integer_roots` is the one integer-root routine (degree
 bounds, indicial polynomials, the pole scans of the lift and the numeric
-window): a rational-root test over the divisors of a trailing
-coefficient, with no polynomial factored.  The objects a system derives
+window): Hensel lifting of the roots mod a small prime, with no
+polynomial factored, so its cost follows the bit size of the input.  The objects a system derives
 from A are formed once on ``procedures.DDSystem``, not here: det A of
 its K-form, and the inverse A_m^-1 of each cocycle (:func:`dm_inv`),
 from which a rational solve reads (A_m/r)^-1 as r A_m^-1.
@@ -72,12 +72,11 @@ and the benchmark tracer (``ddbench/tracer.py``), which names all but
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import sympy as sp
-from sympy import QQ, ZZ
+from sympy import QQ, ZZ, nextprime
 from sympy.polys.densearith import (dup_add, dup_lshift, dup_mul,
                                     dup_mul_ground, dup_neg, dup_quo_ground,
                                     dup_rem)
@@ -85,9 +84,11 @@ from sympy.polys.densebasic import dup_degree, dup_from_raw_dict, dup_strip
 from sympy.polys.densetools import (dup_clear_denoms, dup_compose, dup_diff,
                                     dup_eval, dup_primitive)
 from sympy.polys.euclidtools import dup_invert
+from sympy.polys.galoistools import gf_from_int_poly, gf_sqf_p
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 from sympy.polys.polyerrors import CoercionFailed
+from sympy.polys.sqfreetools import dup_sqf_part
 
 x, t, theta = sp.symbols("x t theta")
 
@@ -117,7 +118,7 @@ __all__ = [
     "common_integer_roots", "x_integer_roots",
     "indicial_degrees",
     "sigma_power_matrix",
-    "dm_from_matrix", "dm_to_matrix", "k_shift",
+    "dm_from_matrix", "dm_to_matrix", "dm_scalar", "k_shift",
     "dm_shift", "dm_delta", "dm_inv", "dm_embed", "dm_conjugate",
     "dm_sigma_power", "dm_clear", "dm_same", "dm_delta_part",
     "dm_series_at_infinity",
@@ -503,26 +504,48 @@ def factor_in_x(p, tower: Tower = TRIVIAL_TOWER):
     return content, factors
 
 
+def _mod_eval(f: list, r: int, mod: int) -> int:
+    """f(r) mod `mod` for a dense polynomial f over Z (Horner)."""
+    v = 0
+    for c in f:
+        v = (v * r + int(c)) % mod
+    return v
+
+
 def common_integer_roots(slices: list) -> list:
     """Sorted integers that are roots of every nonzero dense polynomial
-    over Q in `slices`, found with no factoring.  The candidates come from
-    the rational-root test on the first, cleared to a primitive
-    polynomial over Z: 0 when x divides it, and the divisors c of the
-    trailing coefficient a_0 of its quotient by x^k, of either sign, no
-    larger than the Cauchy bound 1 + max |a_i| / |a_n| on its roots.  The
-    divisors come in pairs (c, a_0 / c) with c <= sqrt|a_0|, so the scan
-    takes min(bound, sqrt|a_0|) steps."""
+    over Q in `slices`, found with no factoring.  The candidates are the
+    integer roots of the first, cleared to a primitive polynomial f over
+    Z: 0 when x divides f, and the roots of the square-free part h of
+    f / x^k, found p-adically.  For the least prime p that keeps h's
+    degree and square-freeness mod p, each root of h mod p is simple and
+    Newton (Hensel) lifting carries it to p^(2^j) > 2 B, B the Cauchy
+    bound 1 + max |h_i| / |h_n| on the roots of h; its symmetric residue
+    is the one integer in [-B, B] it can be, kept when h vanishes there.
+    The cost grows with the degree and bit size of f, not with the size
+    of its roots or coefficients."""
     f = dup_primitive(dup_clear_denoms(slices[0], QQ, convert=True)[1],
                       ZZ)[1]
     g = dup_strip(f[::-1])[::-1]            # f / x^k
-    cands = {0} if len(g) < len(f) else set()
-    a0 = abs(g[-1])
-    bound = 1 + max(map(abs, g[1:]), default=0) // abs(g[0])
-    for c in range(1, min(bound, math.isqrt(a0)) + 1):
-        if not a0 % c:
-            cands |= {r for d in (c, a0 // c) if d <= bound
-                      for r in (d, -d)}
-    roots = [r for r in cands if not r or not dup_eval(g, r, ZZ)]
+    roots = [0] if len(g) < len(f) else []
+    h = dup_sqf_part(g, ZZ)
+    if len(h) > 1:
+        bound = 1 + max(map(abs, h[1:])) // abs(h[0])
+        p = 2
+        while not h[0] % p or not gf_sqf_p(gf_from_int_poly(h, p), p, ZZ):
+            p = nextprime(p)
+        dh = dup_diff(h, 1, ZZ)
+        for r0 in range(p):
+            if _mod_eval(h, r0, p):
+                continue
+            r, mod = r0, p
+            while mod <= 2 * bound:
+                mod *= mod
+                r = (r - _mod_eval(h, r, mod)
+                     * pow(_mod_eval(dh, r, mod), -1, mod)) % mod
+            c = r - mod if 2 * r > mod else r
+            if not dup_eval(h, ZZ(c), ZZ):
+                roots.append(c)
     return sorted(r for r in roots
                   if all(not dup_eval(s, QQ(r), QQ) for s in slices[1:]))
 
@@ -711,6 +734,14 @@ def dm_from_matrix(M: sp.Matrix,
     the tower."""
     return regular_matrix([_tower_element(e, tower) for e in M], M.shape,
                           _modulus(tower), QQ_XT)
+
+
+def dm_scalar(e, n: int, tower: Tower = TRIVIAL_TOWER) -> DomainMatrix:
+    """The K-form over the tower of e I_n, e an element of the tower read
+    once; FieldError for e outside the tower."""
+    a = _tower_element(e, tower)
+    return regular_matrix([a if i == j else [] for i in range(n)
+                           for j in range(n)], (n, n), _modulus(tower), QQ_XT)
 
 
 def dm_to_matrix(D: DomainMatrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:

@@ -46,8 +46,8 @@ from .difftools import (StandardDecomposition, leading_beta,
 from .fields import (QQ_XT, Conjugate, FieldError, MixedSplit, Split,
                      TRIVIAL_TOWER, Tower, delta, dm_clear, dm_conjugate,
                      dm_delta, dm_delta_part, dm_embed, dm_from_matrix,
-                     dm_inv, dm_over_qt, dm_same, dm_shift, dm_sigma_power,
-                     dm_to_matrix, from_regular,
+                     dm_inv, dm_over_qt, dm_same, dm_scalar, dm_shift,
+                     dm_sigma_power, dm_to_matrix, from_regular,
                      k_shift, make_tower, theta, treduce, x)
 from .moser import (MoserReport, ReductionStalled, leading_eigendata,
                     moser_reduce)
@@ -345,7 +345,7 @@ def _decision_procedure_1(sys: DDSystem, report: dict) -> Outcome:
         stages.append("d1")
         return _dp1_stage_d1(sys, alpha, eig, report)
     stages.append("d2")
-    return _dp1_stage_d2(sys, alpha, alpha_K, eig.root, report)
+    return _dp1_stage_d2(sys, alpha_K, eig.root, report)
 
 
 def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
@@ -363,10 +363,10 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
         A = dm_embed(sys.A_K, tower)
         # one rational solve; the remaining columns are conjugates
         ratio = alpha * betas[0]
-        M0 = A * dm_from_matrix(sp.eye(n) / ratio, tower)
-        M0_inv = (dm_from_matrix(sp.eye(n) * ratio, tower)
-                  * dm_embed(sys.cocycle_inverse(1), tower))
-        basis = rational_solutions(M0, M0_inv, 1, tower).basis
+        basis = rational_solutions(
+            A * dm_scalar(1 / ratio, n, tower),
+            dm_scalar(ratio, n, tower) * dm_embed(sys.cocycle_inverse(1),
+                                                  tower), 1, tower).basis
         if not basis:
             return Outcome("NoSolution", "DP1", "d1",
                            "no rational solution for the ratio alpha*beta_1",
@@ -416,10 +416,8 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
                    report=report)
 
 
-def _dp1_stage_d2(sys: DDSystem, alpha, alpha_K, beta1,
-                  report: dict) -> Outcome:
+def _dp1_stage_d2(sys: DDSystem, alpha_K, beta1, report: dict) -> Outcome:
     n = sys.n
-    ratio = treduce(alpha * beta1)
     ratio_K = alpha_K * QQ_XT.from_sympy(beta1)
     basis = rational_solutions(sys.A_K.mul(QQ_XT.one / ratio_K),
                                sys.cocycle_inverse(1).mul(ratio_K), 1,
@@ -445,6 +443,7 @@ def _dp1_stage_d2(sys: DDSystem, alpha, alpha_K, beta1,
         return Outcome("Unsupported", "DP1", "d2",
                        "no hyperexponential fundamental matrix of the "
                        "residual system found over Q(t)", report=report)
+    ratio = treduce(QQ_XT.to_sympy(ratio_K))
     sols = []
     towers = [c.tower for c in indep]
     sol_tower = next((tw for tw in towers if not tw.trivial), TRIVIAL_TOWER)
@@ -456,8 +455,8 @@ def _dp1_stage_d2(sys: DDSystem, alpha, alpha_K, beta1,
         cert = HypCert(sigma_ratio=ratio, sigma_step=1, delta_ratio=dr)
         sols.append(LiouvilleSolution(kind="Hypergeometric", W=W, cert=cert,
                                       tower=c.tower))
-    nf = NormalForm(alpha=alpha, betas=[beta1] * n, cs=cs, ell=1,
-                    tower=sol_tower)
+    nf = NormalForm(alpha=QQ_XT.to_sympy(alpha_K), betas=[beta1] * n,
+                    cs=cs, ell=1, tower=sol_tower)
     return Outcome("Solved", "DP1", solutions=sols, normal_form=nf,
                    report=report)
 

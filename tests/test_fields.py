@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 import sympy as sp
@@ -458,23 +459,25 @@ def test_integer_roots_are_common_to_every_slice():
 
 @st.composite
 def _slices_with_integer_roots(draw):
-    """1-3 dense polynomials over Q with a few integer roots in common:
-    rational, often huge, content; x^k for the root 0; monic and
-    non-monic linear factors, whose rational roots are no integer roots;
-    and a cofactor that may have no integer root at all."""
+    """1-3 dense polynomials over Q with a few integer roots in common,
+    small or huge, and repeated: rational, often huge, content; x^k for
+    the root 0; monic and non-monic linear factors, whose rational roots
+    are no integer roots; and a cofactor, with small or huge
+    coefficients, that may have no integer root at all."""
     ints = st.integers
-    shared = draw(st.lists(ints(-30, 30), max_size=3))
+    root = st.one_of(ints(-30, 30), ints(-10**25, 10**25))
+    shared = draw(st.lists(root, max_size=3))
     slices = []
     for _ in range(draw(ints(1, 3))):
         p = [QQ(draw(ints(1, 10**40)) * draw(st.sampled_from([1, -1])),
                 draw(ints(1, 10**25)))]
-        for r in shared + draw(st.lists(ints(-30, 30), max_size=2)):
+        for r in shared + draw(st.lists(root, max_size=2)):
             p = dup_mul(p, [QQ(1), QQ(-r)], QQ)
-        for a, b in draw(st.lists(st.tuples(ints(2, 6), ints(-20, 20)),
-                                  max_size=2)):
+        for a, b in draw(st.lists(st.tuples(ints(2, 6), root), max_size=2)):
             p = dup_mul(p, [QQ(a), QQ(b)], QQ)
+        coeffs = st.one_of(ints(-100, 100), ints(-10**30, 10**30))
         cofactor = [QQ(c, draw(ints(1, 9))) for c in draw(st.lists(
-            ints(-100, 100), min_size=1, max_size=3))]
+            coeffs, min_size=1, max_size=3))]
         if cofactor[0]:
             p = dup_mul(p, cofactor, QQ)
         slices.append(p + [QQ(0)] * draw(ints(0, 3)))
@@ -484,23 +487,42 @@ def _slices_with_integer_roots(draw):
 @settings(max_examples=150, deadline=None)
 @given(_slices_with_integer_roots())
 def test_common_integer_roots_matches_factoring_reference(slices):
-    """The rational-root scan finds the integer roots the factoring
-    reference found, in the same order."""
+    """Hensel lifting finds the integer roots the factoring reference
+    found, in the same order."""
     assert common_integer_roots(slices) == \
         reference_common_integer_roots(slices)
 
 
-def test_common_integer_roots_examples():
-    """Root 0 with multiplicity, a large root, rational non-integer roots
-    and no integer root at all."""
-    def dense(expr):
-        return [QQ.convert(c) for c in sp.Poly(expr, x).all_coeffs()]
+def _dense(expr):
+    return [QQ.convert(c) for c in sp.Poly(expr, x).all_coeffs()]
 
-    assert common_integer_roots([dense(x**3 * (x - 2) / 7)]) == [0, 2]
-    assert common_integer_roots([dense(x - 10**9)]) == [10**9]
-    assert common_integer_roots([dense((3 * x - 2) * (x + 4))]) == [-4]
-    assert common_integer_roots([dense(x**2 + 1), dense(x)]) == []
-    assert common_integer_roots([dense(x * (x - 1)), dense(x - 1)]) == [1]
+
+def test_common_integer_roots_examples():
+    """Root 0 with multiplicity, a large root, rational non-integer roots,
+    no integer root at all, and twelve roots that rule out every prime up
+    to 11."""
+    assert common_integer_roots([_dense(x**3 * (x - 2) / 7)]) == [0, 2]
+    assert common_integer_roots([_dense(x - 10**9)]) == [10**9]
+    assert common_integer_roots([_dense((3 * x - 2) * (x + 4))]) == [-4]
+    assert common_integer_roots([_dense(x**2 + 1), _dense(x)]) == []
+    assert common_integer_roots([_dense(x * (x - 1)), _dense(x - 1)]) == [1]
+    assert common_integer_roots(
+        [_dense(sp.prod(x - r for r in range(1, 13)))]) == list(range(1, 13))
+
+
+@pytest.mark.parametrize("expr, roots", [
+    (x**2 + 10**30, []),
+    ((x - 10**20) * (x + 3), [-3, 10**20]),
+    (x**2 - 10**14, [-10**7, 10**7]),
+    ((x - 10**40)**2 * (7 * x - 10**39), [10**40]),
+])
+def test_common_integer_roots_cost_follows_bit_size(expr, roots):
+    """Huge coefficients and roots: a scan over the divisors of the
+    trailing coefficient would take up to 10^15 steps here; lifting
+    takes a few per root."""
+    start = time.perf_counter()
+    assert common_integer_roots([_dense(expr)]) == roots
+    assert time.perf_counter() - start < 0.5
 
 
 def test_mat_inv_matches_adjugate_formula_over_tower():
