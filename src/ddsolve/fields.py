@@ -84,7 +84,7 @@ from sympy.polys.densebasic import dup_degree, dup_from_raw_dict, dup_strip
 from sympy.polys.densetools import (dup_clear_denoms, dup_compose, dup_diff,
                                     dup_eval, dup_primitive)
 from sympy.polys.euclidtools import dup_invert
-from sympy.polys.galoistools import gf_from_int_poly, gf_sqf_p
+from sympy.polys.galoistools import gf_eval, gf_from_int_poly, gf_sqf_p
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 from sympy.polys.polyerrors import CoercionFailed
@@ -504,14 +504,6 @@ def factor_in_x(p, tower: Tower = TRIVIAL_TOWER):
     return content, factors
 
 
-def _mod_eval(f: list, r: int, mod: int) -> int:
-    """f(r) mod `mod` for a dense polynomial f over Z (Horner)."""
-    v = 0
-    for c in f:
-        v = (v * r + int(c)) % mod
-    return v
-
-
 def common_integer_roots(slices: list) -> list:
     """Sorted integers that are roots of every nonzero dense polynomial
     over Q in `slices`, found with no factoring.  The candidates are the
@@ -536,13 +528,13 @@ def common_integer_roots(slices: list) -> list:
             p = nextprime(p)
         dh = dup_diff(h, 1, ZZ)
         for r0 in range(p):
-            if _mod_eval(h, r0, p):
+            if gf_eval(h, r0, p, ZZ):
                 continue
             r, mod = r0, p
             while mod <= 2 * bound:
                 mod *= mod
-                r = (r - _mod_eval(h, r, mod)
-                     * pow(_mod_eval(dh, r, mod), -1, mod)) % mod
+                r = (r - gf_eval(h, r, mod, ZZ)
+                     * pow(int(gf_eval(dh, r, mod, ZZ)), -1, mod)) % mod
             c = r - mod if 2 * r > mod else r
             if not dup_eval(h, ZZ(c), ZZ):
                 roots.append(c)
