@@ -49,10 +49,12 @@ and the integrability test multiply cleared numerators too.
 :func:`common_integer_roots` is the one integer-root routine (degree
 bounds, indicial polynomials, the pole scans of the lift and the numeric
 window): Hensel lifting of the roots mod a small prime, with no
-polynomial factored, so its cost follows the bit size of the input.  The objects a system derives
-from A are formed once on ``procedures.DDSystem``, not here: det A of
-its K-form, and the inverse A_m^-1 of each cocycle (:func:`dm_inv`),
-from which a rational solve reads (A_m/r)^-1 as r A_m^-1.
+polynomial factored, so its cost follows the bit size of the input.
+The objects a system derives from A are formed once on
+``procedures.DDSystem``, not here: det A of its K-form, and the inverse
+A_m^-1 of each cocycle (:func:`dm_inv`), from which a rational solve
+reads (A_m/r)^-1 as r A_m^-1 (:func:`dm_scalar` forms r I_n over a
+tower).
 
 An x-free K-matrix is read over Q(t) = ``QQ_T`` by :func:`dm_over_qt`,
 and :func:`charpoly_factors` factors its characteristic polynomial
