@@ -40,18 +40,18 @@ import itertools
 from dataclasses import dataclass
 
 import sympy as sp
-from sympy import QQ
+from sympy import QQ, ZZ
 from sympy.polys.densearith import dup_add, dup_mul, dup_mul_ground, dup_pow
 from sympy.polys.densebasic import dup_convert, dup_degree, dup_strip
-from sympy.polys.densetools import dup_monic, dup_shift
+from sympy.polys.densetools import dup_clear_denoms, dup_monic, dup_shift
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.polyerrors import CoercionFailed
 
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, Tower, charpoly_factors,
                      dm_delta, dm_embed, dm_from_matrix, dm_inv, dm_over_qt,
-                     dm_same, dm_shift, indicial_degrees, kernel,
-                     tower_from_modulus, x)
+                     dense_fraction, dm_same, dm_shift, indicial_degrees,
+                     kernel, t_value, tower_from_modulus, x)
 from .difftools import standard_decompose
 from .ratsol import (UnsupportedCase, _constant_span_reduce, degree_bound,
                      rational_solutions, scalar_operators)
@@ -267,14 +267,14 @@ def system_hypergeometric(M: DomainMatrix, m: int = 1):
     ratios = {}                 # r in K, in the order Hyper finds them
     for op in scalar_operators(M, m):
         # the entries of op are in Q[x]: drop t from their numerators
-        for K, num, den in hyper_ratios([c.numer.drop(1).quo_ground(
-                c.denom.LC).to_dense() for c in op.to_list_flat()], m):
+        for K, num, den in hyper_ratios([[QQ(a, c.denom.LC) for a in
+                                          c.numer.drop(1).to_dense()]
+                                         for c in op.to_list_flat()], m):
             if K != QQ:
                 # a quadratic constant: the back-substitution works over K
                 raise UnsupportedCase("hypergeometric ratio not in Q(x, t): "
                                       f"{ratio_expr(K, num, den)}")
-            ratios.setdefault(QQ_XT.field.new(*(QQ_XT.field.ring.from_list(
-                [[c] for c in p]) for p in (num, den))))
+            ratios.setdefault(dense_fraction(QQ_XT, num, den))
     if not ratios:
         return []
     # (M/r)^-1 = r M^-1: one inverse for the rational solves of all ratios
@@ -311,8 +311,8 @@ def system_hypergeometric(M: DomainMatrix, m: int = 1):
 # read on it over Q(t)
 
 _T = QQ_T.gens[0]                   # t in Q(t)
-_T_RING = QQ_T.field.ring           # Q[t]
-_T_POLY = _T_RING.gens[0]           # t in Q[t]
+_T_RING = QQ_T.field.ring           # Z[t]
+_T_POLY = _T_RING.gens[0]           # t in Z[t]
 
 
 def _simple_poles(C: DomainMatrix) -> list:
@@ -324,10 +324,11 @@ def _simple_poles(C: DomainMatrix) -> list:
     for f, mult in C.clear_denoms()[0].element.factor_list()[1]:
         if mult > 1 or f.degree() != 1:
             raise UnsupportedCase("finite pole not simple and rational")
-        poles.append(-f.coeff(1) / f.LC)
+        poles.append(QQ(-f.coeff(1), f.LC))
     poles.sort(key=lambda a: (a.denominator, -a.numerator))
     return [(a, C.mul(_T - a).applyfunc(
-        lambda c: QQ_T(c.numer(a) / c.denom(a)))) for a in poles]
+        lambda c: QQ_T(t_value(c.numer, a) / t_value(c.denom, a))))
+        for a in poles]
 
 
 def _at_infinity(C: DomainMatrix):
@@ -336,7 +337,7 @@ def _at_infinity(C: DomainMatrix):
     entry grows there."""
     if any(c.numer.degree() > c.denom.degree() for c in C.to_list_flat()):
         return None
-    return C.applyfunc(lambda c: QQ_T(c.numer.LC / c.denom.LC)
+    return C.applyfunc(lambda c: QQ_T(QQ(c.numer.LC, c.denom.LC))
                        if c.numer.degree() == c.denom.degree()
                        else QQ_T.zero)
 
@@ -346,7 +347,7 @@ def _rational_eigenvalues(R: DomainMatrix) -> list:
     ascending."""
     roots = (-f.rep.to_list()[1] for f, _ in charpoly_factors(R)
              if f.degree() == 1)
-    return sorted({r.numer.LC / r.denom.LC for r in roots})
+    return sorted({QQ(r.numer.LC, r.denom.LC) for r in roots})
 
 
 def _first_per_integer_class(lams: list) -> list:
@@ -394,7 +395,7 @@ def _t_coefficient_matrix(columns: list) -> DomainMatrix:
     for j, col in enumerate(columns):
         for a, p in enumerate(col):
             for (k,), c in p.terms():
-                rows.setdefault((a, k), [QQ.zero] * len(columns))[j] = c
+                rows.setdefault((a, k), [QQ.zero] * len(columns))[j] = QQ(c)
     return DomainMatrix([rows[key] for key in sorted(rows)],
                         (len(rows), len(columns)), QQ)
 
@@ -411,11 +412,13 @@ def _diff_rational_solutions(C: DomainMatrix) -> list:
     :func:`ddsolve.ratsol.degree_bound` bounds deg P in the monomials t^k
     (c = 1, s = 0)."""
     n = C.shape[0]
-    den = _T_RING.one
+    den_q = [QQ.one]                 # den, dense over Q
     for a, R in _simple_poles(C):
-        den *= (_T_POLY - a) ** max([0] + [
+        den_q = dup_mul(den_q, dup_pow([QQ.one, -a], max([0] + [
             -int(lam) for lam in _rational_eigenvalues(R)
-            if lam.denominator == 1 and lam < 0])
+            if lam.denominator == 1 and lam < 0]), QQ), QQ)
+    # an integer multiple of den over Z[t] gives the same P up to scale
+    den = _T_RING.from_list(dup_clear_denoms(den_q, QQ, ZZ, convert=True)[1])
     d, N = C.clear_denoms(convert=True)
     eye, d = DomainMatrix.eye(n, N.domain), d.element
     P1 = eye.mul(d * den)
@@ -427,8 +430,8 @@ def _diff_rational_solutions(C: DomainMatrix) -> list:
                for i in range(n)
                for p in (_T_POLY**dg for dg in range(bound + 1))]
     b = bound + 1
-    return [DomainMatrix([[QQ_XT.convert_from(QQ_T.field.new(
-        _T_RING.from_list(vec[i * b:(i + 1) * b][::-1]), den), QQ_T)]
+    return [DomainMatrix([[QQ_XT.convert_from(dense_fraction(
+        QQ_T, vec[i * b:(i + 1) * b][::-1], den_q), QQ_T)]
         for i in range(n)], (n, 1), QQ_XT)
         for vec in kernel(_t_coefficient_matrix(columns)).to_list()]
 

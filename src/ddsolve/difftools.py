@@ -11,7 +11,7 @@ canonical for a given f, but not within a similarity class: x and x + 1
 are both standard for sigma, and each is its own representative.
 
 :func:`shift_classes`, the one routine behind this module and the
-universal denominator of :mod:`ddsolve.ratsol`, works in Q[x, t], the
+universal denominator of :mod:`ddsolve.ratsol`, works in Z[x, t], the
 ring of K's numerators: PolyElement.factor_list() gives the irreducible
 factors, and each one involving x becomes a base monic in x over Q(t), an
 element of K.  Every function here takes and returns elements of K; the
@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from .fields import QQ_XT, dm_series_at_infinity, k_shift
@@ -34,7 +35,7 @@ __all__ = [
     "standard_decompose", "split_alpha_beta_power", "leading_beta",
 ]
 
-# x and t in Q[x, t], the ring of K's numerators
+# x and t in Z[x, t], the ring of K's numerators
 _X, _T = QQ_XT.field.ring.gens
 
 
@@ -63,23 +64,24 @@ class StandardDecomposition:
 
 def _shift_between(p, q) -> Optional[int]:
     """The integer j with q(x) = p(x + j), or None, for irreducible p and q
-    in Q[x, t] normalized alike (as factor_list returns them): a shift
+    in Z[x, t] normalized alike (as factor_list returns them): a shift
     keeps the leading coefficient a_d in x, so it maps one onto the other
     exactly.  The subleading coefficient of p(x + j) is a_{d-1} + d*j*a_d,
-    which gives the candidate j."""
+    which gives the candidate j, a quotient of integers formed in QQ."""
     d = p.degree(_X)
     if d != q.degree(_X):
         return None
     diff = q.coeff_wrt(_X, d - 1) - p.coeff_wrt(_X, d - 1)
-    j = diff.LC / (d * p.coeff_wrt(_X, d).LC)
-    if j.denominator != 1 or p.compose(_X, _X + j) != q:
+    j = QQ(diff.LC, d * p.coeff_wrt(_X, d).LC)
+    if j.denominator != 1:
         return None
-    return int(j)
+    j = int(j)
+    return j if p.compose(_X, _X + j) == q else None
 
 
 def shift_classes(polys: list):
     """The shift classes of the irreducible factors of nonzero p_0, ...,
-    p_k in Q[x, t].
+    p_k in Z[x, t].
 
     Returns (contents, classes).  contents[i] is the x-free cofactor of
     p_i in K; classes lists (base, {j: [multiplicity in p_0, ..., in

@@ -27,23 +27,36 @@ zero mod m raises ZeroDivisionError.
 The shift sigma acts by x -> x+1 and the derivation delta by d/dt with
 delta(x) = 0.
 
+K = Q(x, t) (``QQ_XT``) and Q(t) (``QQ_T``) are built as the fields of
+fractions of Z[x, t] and Z[t]: the same fields, with every numerator and
+denominator over the integers, so that a coefficient is a Python int and
+a cancel takes its gcd over Z directly.  Two rules follow.  A quotient
+of two ground coefficients is formed in QQ, ``QQ(p, q)``, never with
+``/``, which on two ints gives a float that a domain would silently
+rationalize; :func:`t_value` evaluates at a rational t in QQ, and
+:func:`dense_fraction` brings a fraction of polynomials over QQ into
+the field.  And an lcm over Z keeps its integer content
+(:func:`_lcm`).  The heuristic gcd behind every cancel can fail on valid
+input; :func:`_gcd_ZZ`, installed as SymPy's ``PolyElement._gcd_ZZ``
+for the whole process, falls back to a PRS gcd.
+
 All exact linear algebra runs on :class:`~sympy.polys.matrices.DomainMatrix`
-over K = Q(x, t) (``QQ_XT``).  A matrix over the tower is held as its
+over K.  A matrix over the tower is held as its
 K-form, the K-matrix of its regular representation (:func:`regular_matrix`;
 the trivial tower is the case of degree 1), converted at the boundary by
 :func:`dm_from_matrix` and :func:`dm_to_matrix`.  Sums, products and
 inverses over the tower are those of the K-forms; sigma, and delta with
-:func:`dm_delta`, act on them too, and on matrices over Q[x, t].
+:func:`dm_delta`, act on them too, and on matrices over Z[x, t].
 
 Exact identities between K-matrices are decided fraction-free, so that no
 gcd runs inside a matrix product.  :func:`dm_clear` writes D = N/q, q the
-monic lcm of the distinct denominators and N over Q[x, t].
+lcm over Z[x, t] of the distinct denominators and N over Z[x, t].
 :func:`dm_same` compares two sums of products of K-matrices and elements
-of K: it multiplies the cleared numerators over Q[x, t] and scales each
+of K: it multiplies the cleared numerators over Z[x, t] and scales each
 term by lcm/den.  The certificate identities, the gauge identities and
 the substitution checks all go through it.  :func:`dm_delta_part` forms
 a gauge's delta-part G^-1 (B G - delta(G)) with one ``inv_den`` over
-Q[x, t] and one cancel per entry.  The cocycle (:func:`dm_sigma_power`)
+Z[x, t] and one cancel per entry.  The cocycle (:func:`dm_sigma_power`)
 and the integrability test multiply cleared numerators too.
 
 :func:`common_integer_roots` is the one integer-root routine (degree
@@ -66,7 +79,7 @@ where a value enters or leaves as an expression; :func:`k_shift` is
 sigma on K.  :func:`mat_reduce`, :func:`mat_inv`,
 :func:`sigma_power_matrix`, :func:`factor_in_x` and
 :func:`series_at_infinity` have no caller in the package (``difftools``
-works on K and Q[x, t]); they stay for ``ddsolve``'s exports, the tests
+works on K and Z[x, t]); they stay for ``ddsolve``'s exports, the tests
 and the benchmark tracer (``ddbench/tracer.py``), which names all but
 :func:`mat_reduce`.
 """
@@ -89,21 +102,24 @@ from sympy.polys.euclidtools import dup_invert
 from sympy.polys.galoistools import gf_eval, gf_from_int_poly, gf_sqf_p
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
-from sympy.polys.polyerrors import CoercionFailed
+from sympy.polys.heuristicgcd import heugcd
+from sympy.polys.polyerrors import CoercionFailed, HeuristicGCDFailed
+from sympy.polys.rings import PolyElement
 from sympy.polys.sqfreetools import dup_sqf_part
 
 x, t, theta = sp.symbols("x t theta")
 
-# K = Q(x, t), the coefficient field of the trivial tower, and Q(t)
-QQ_XT = QQ.frac_field(x, t)
-QQ_T = QQ.frac_field(t)
+# K = Q(x, t), the coefficient field of the trivial tower, and Q(t), built
+# as Frac(Z[x, t]) and Frac(Z[t]): numerators and denominators over Z
+QQ_XT = ZZ.frac_field(x, t)
+QQ_T = ZZ.frac_field(t)
 # Q(x, t, theta), theta an indeterminate: where treduce, parse_element and
 # print_ratfunc work on the trivial tower
-_QQ_XTTH = QQ.frac_field(x, t, theta)
-_K_RING = QQ_XT.field.ring             # Q[x, t], K's numerators
-_X, _T_RING = _K_RING.gens             # x and t in Q[x, t]
+_QQ_XTTH = ZZ.frac_field(x, t, theta)
+_K_RING = QQ_XT.field.ring             # Z[x, t], K's numerators
+_X, _T_RING = _K_RING.gens             # x and t in Z[x, t]
 _XT_RING_ONE = _K_RING.one
-_QQ_XT_RING = QQ_XT.get_ring()         # Q[x, t] as a domain
+_QQ_XT_RING = QQ_XT.get_ring()         # Z[x, t] as a domain
 _T = QQ_XT.gens[1]                     # t in K
 # the variable of characteristic polynomials and the classification
 _Y = sp.Symbol("Y")
@@ -117,7 +133,7 @@ __all__ = [
     "mat_reduce", "mat_inv",
     "kernel", "regular_matrix", "from_regular",
     "regular_rows", "theta_coords", "from_theta_coords",
-    "common_integer_roots", "x_integer_roots",
+    "common_integer_roots", "x_integer_roots", "t_value", "dense_fraction",
     "indicial_degrees",
     "sigma_power_matrix",
     "dm_from_matrix", "dm_to_matrix", "dm_scalar", "k_shift",
@@ -125,6 +141,26 @@ __all__ = [
     "dm_sigma_power", "dm_clear", "dm_same", "dm_delta_part",
     "dm_series_at_infinity",
 ]
+
+
+def _gcd_ZZ(f, g):
+    """(gcd, f / gcd, g / gcd) for f and g over Z.  SymPy's sparse
+    polynomials take it from the heuristic gcd alone (Char, Geddes and
+    Gonnet, JSC 7, 1989), which can raise HeuristicGCDFailed on valid
+    input; the dense ``dmp_inner_gcd`` then retries with a subresultant
+    PRS.  The gcd is unique up to sign, made positive in its leading
+    coefficient here; ``cancel`` normalizes the denominator's sign after
+    it, so no value changes."""
+    try:
+        return heugcd(f, g)
+    except HeuristicGCDFailed:
+        h, cff, cfg = f.ring.dmp_inner_gcd(f, g)
+        return (-h, -cff, -cfg) if h.LC < 0 else (h, cff, cfg)
+
+
+# every product and quotient in K and Q(t) cancels through this gcd.  The
+# patch applies to all of SymPy's sparse polynomials over Z in the process
+PolyElement._gcd_ZZ = _gcd_ZZ
 
 
 class FieldError(Exception):
@@ -202,14 +238,14 @@ def _modulus(tower: Tower):
 def _irreducible(mod: list) -> bool:
     """Whether the polynomial mod over Q(t) (dense over K, x-free) is
     irreducible over Q(t).  By Gauss's lemma it is when its numerator over
-    Q[t, theta], denominators cleared, has exactly one factor of positive
+    Z[t, theta], denominators cleared, has exactly one factor of positive
     degree in theta, of multiplicity 1."""
     q, deg, terms = _lcm(c.denom for c in mod if c), len(mod) - 1, {}
     for k, c in enumerate(mod):
         if c:
             for (_, j), a in (c.numer * q.exquo(c.denom)).terms():
                 terms[(j, deg - k)] = a
-    _, factors = QQ.poly_ring(t, theta).ring.from_dict(terms).factor_list()
+    _, factors = ZZ.poly_ring(t, theta).ring.from_dict(terms).factor_list()
     return [e for f, e in factors if f.degree(1) > 0] == [1]
 
 
@@ -508,10 +544,12 @@ def factor_in_x(p, tower: Tower = TRIVIAL_TOWER):
 
 def common_integer_roots(slices: list) -> list:
     """Sorted integers that are roots of every nonzero dense polynomial
-    over Q in `slices`, found with no factoring.  The candidates are the
-    integer roots of the first, cleared to a primitive polynomial f over
-    Z: 0 when x divides f, and the roots of the square-free part h of
-    f / x^k, found p-adically.  For the least prime p that keeps h's
+    over Q (or Z) in `slices`, found with no factoring.  The candidates
+    are the integer roots of the first, cleared to a primitive polynomial
+    f over Z (slices over Q come from the indicial polynomials and the
+    denominators specialized at t0): 0 when x divides f, and the roots of
+    the square-free part h of f / x^k, found p-adically.  For the least
+    prime p that keeps h's
     degree and square-freeness mod p, each root of h mod p is simple and
     Newton (Hensel) lifting carries it to p^(2^j) > 2 B, B the Cauchy
     bound 1 + max |h_i| / |h_n| on the roots of h; its symmetric residue
@@ -544,14 +582,34 @@ def common_integer_roots(slices: list) -> list:
                   if all(not dup_eval(s, QQ(r), QQ) for s in slices[1:]))
 
 
+def dense_fraction(field, num: list, den: list):
+    """num / den in `field` (K or Q(t)) for num and den dense polynomials
+    over QQ in the field's first generator, highest degree first.  Each
+    is cleared to Z, and the two integer scales cross over: cn n / (cd d)
+    = (n cd) / (d cn)."""
+    ring = field.field.ring
+    (cn, n), (cd, d) = (dup_clear_denoms(p, QQ, ZZ, convert=True)
+                        for p in (num, den))
+    zeros = (0,) * (ring.ngens - 1)
+    n, d = (ring.from_dict({(k,) + zeros: c for k, c in enumerate(p[::-1])})
+            for p in (n, d))
+    return field.field.new(n * cd, d * cn)
+
+
+def t_value(p, a):
+    """The value in QQ at t = a, a in QQ, of p in Z[t] or of an x-free p
+    in Z[x, t]."""
+    return sum((c * a**k[-1] for k, c in p.terms()), QQ.zero)
+
+
 def x_integer_roots(p) -> list:
-    """Sorted integer roots in its first generator (x in Q[x, t], the ring
-    of K's numerators) of a nonzero polynomial p over Q: the common roots
+    """Sorted integer roots in its first generator (x in Z[x, t], the ring
+    of K's numerators) of a nonzero polynomial p over Z: the common roots
     of its slices by the monomials in the other generators."""
     slices: dict = {}
     for (i, *rest), c in p.terms():
         slices.setdefault(tuple(rest), {})[i] = c
-    return common_integer_roots([dup_from_raw_dict(s, QQ)
+    return common_integer_roots([dup_from_raw_dict(s, ZZ)
                                  for s in slices.values()])
 
 
@@ -755,7 +813,7 @@ def k_shift(e, j: int = 1):
 
 
 def dm_shift(D: DomainMatrix, j: int = 1) -> DomainMatrix:
-    """sigma^j over K, or over Q[x, t]: x -> x + j in every entry."""
+    """sigma^j over K, or over Z[x, t]: x -> x + j in every entry."""
     if D.domain.is_PolynomialRing:
         return D.applyfunc(lambda p: p.compose(_X, _X + j))
     return D.applyfunc(lambda e: k_shift(e, j))
@@ -764,7 +822,7 @@ def dm_shift(D: DomainMatrix, j: int = 1) -> DomainMatrix:
 def dm_delta(D: DomainMatrix, tower: Tower = TRIVIAL_TOWER) -> DomainMatrix:
     """delta on a K-form over the tower: an entry sum_k a_k theta^k goes to
     sum_k (d/dt a_k) theta^k + a'(theta) delta(theta) mod m.  Over the
-    trivial tower D may also be a matrix over Q[x, t]."""
+    trivial tower D may also be a matrix over Z[x, t]."""
     if tower.trivial:
         t_ = _T_RING if D.domain.is_PolynomialRing else _T
         return D.applyfunc(lambda e: e.diff(t_))
@@ -801,21 +859,22 @@ def dm_inv(D: DomainMatrix) -> DomainMatrix:
 
 
 def _lcm(polys):
-    """Monic lcm in Q[x, t] of the distinct polynomials among `polys`
-    (1 for none)."""
+    """The lcm in Z[x, t] of the distinct polynomials among `polys`, with
+    positive leading coefficient (1 for none).  It keeps the integer
+    content: the lcm of 9 and 12 is 36."""
     distinct = set(polys)
-    q = distinct.pop().monic() if distinct else _XT_RING_ONE
+    q = distinct.pop() if distinct else _XT_RING_ONE
     for d in distinct:
         q = q.lcm(d)
-    return q
+    return -q if q.LC < 0 else q
 
 
 def dm_clear(D: DomainMatrix):
-    """(q, N) with D = N/q for a matrix D over K: q the monic lcm in
-    Q[x, t] of the distinct denominators of the entries, N over Q[x, t]
-    (``QQ_XT.get_ring()``).  One lcm and one exact quotient per distinct
-    denominator, where ``DomainMatrix.clear_denoms`` takes an lcm per
-    entry."""
+    """(q, N) with D = N/q for a matrix D over K: q the lcm in Z[x, t] of
+    the distinct denominators of the entries (:func:`_lcm`, integer
+    content kept), N over Z[x, t] (``QQ_XT.get_ring()``).  One lcm and
+    one exact quotient per distinct denominator, where
+    ``DomainMatrix.clear_denoms`` takes an lcm per entry."""
     elems, data = D.to_flat_nz()
     dens = {c.denom for c in elems}
     q = _lcm(dens)
@@ -826,7 +885,7 @@ def dm_clear(D: DomainMatrix):
 
 def _cleared_term(term):
     """(numerator, denominator) of a product of K-matrices and elements of
-    K: the product of the cleared numerators over Q[x, t], in order, and
+    K: the product of the cleared numerators over Z[x, t], in order, and
     the product of the denominators."""
     num, scale, den = None, _XT_RING_ONE, _XT_RING_ONE
     for f in term:
@@ -845,7 +904,7 @@ def dm_same(lhs: list, rhs: list) -> bool:
     equal.  A side is a list of terms, a term a tuple of factors
     multiplied left to right, at least one of them a K-matrix.  Each
     factor is cleared (:func:`dm_clear`), the numerators multiply over
-    Q[x, t] with no gcd, and each term is scaled by lcm/den, the lcm
+    Z[x, t] with no gcd, and each term is scaled by lcm/den, the lcm
     taken over the denominators of all the terms, before the two sums are
     compared."""
     terms = [(_cleared_term(term), side) for side, ts in ((1, lhs), (-1, rhs))
@@ -861,8 +920,8 @@ def dm_same(lhs: list, rhs: list) -> bool:
 def dm_delta_part(G: DomainMatrix, B: DomainMatrix,
                   dG: DomainMatrix) -> DomainMatrix:
     """G^-1 (B G - dG) over K (dG = delta(G) for the gauge's delta-part),
-    formed fraction-free: with G = N/g, B G - dG = R/L over Q[x, t] and
-    N^-1 = N'/e from one ``inv_den`` over Q[x, t], the result is
+    formed fraction-free: with G = N/g, B G - dG = R/L over Z[x, t] and
+    N^-1 = N'/e from one ``inv_den`` over Z[x, t], the result is
     g N' R / (e L), cancelled once per entry.  FieldError when G is
     singular."""
     g, N = dm_clear(G)
@@ -922,9 +981,9 @@ def sigma_power_matrix(A: sp.Matrix, m: int) -> sp.Matrix:
 def dm_sigma_power(D: DomainMatrix, m: int) -> DomainMatrix:
     """The cocycle A_m = sigma^{m-1}(A) ... sigma(A) A of the matrix A over
     K whose K-form is D (D itself for m = 1), formed fraction-free: with
-    A = N/a, N over Q[x, t] and a in Q[x, t] (one :func:`dm_clear`),
+    A = N/a, N over Z[x, t] and a in Z[x, t] (one :func:`dm_clear`),
     A_m = sigma^{m-1}(N) ... N / (sigma^{m-1}(a) ... a).  The shifted
-    numerators multiply over Q[x, t] with no gcd, and each entry of the
+    numerators multiply over Z[x, t] with no gcd, and each entry of the
     product is divided by the product of the shifted denominators once,
     where m - 1 products over K would cancel every entry of each."""
     if m < 1:

@@ -36,6 +36,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 import sympy as sp
+from sympy import QQ
 
 from .fields import (_QQ_XTTH, TRIVIAL_TOWER, FieldError, Fractions, Tower,
                      TowerArithmetic, _field_element, t, theta, theta_poly,
@@ -45,8 +46,7 @@ __all__ = ["ExprTree", "ParseError", "parse_expression", "parse_element",
            "parse_theta_poly", "parse_ratfunc", "tree_to_sympy",
            "print_ratfunc"]
 
-_NAMES = ("x", "t", "theta")   # the generators of _RING, in its order
-_RING = _QQ_XTTH.field.ring     # Q[x, t, theta], lex order
+_NAMES = ("x", "t", "theta")   # the generators of _QQ_XTTH, in its order
 _VARS = {"x": x, "t": t, "theta": theta}
 
 
@@ -293,10 +293,11 @@ def _print_rational(c) -> str:
     return f"{p}/{q}" if p >= 0 else f"-{-p}/{q}"
 
 
-def _print_poly(p) -> str:
+def _print_poly(p, den: int = 1) -> str:
+    """p / den, p over Z[x, t, theta]."""
     out = ""
     for monom, coeff in sorted(p.terms(), reverse=True):
-        s = _print_monomial(coeff, monom)
+        s = _print_monomial(QQ(coeff, den), monom)
         if not out:
             out = s
         elif s.startswith("-"):
@@ -318,18 +319,21 @@ def print_ratfunc(f, tower: Tower = TRIVIAL_TOWER) -> str:
         f = _field_element(_QQ_XTTH, f, "Q(x, t, theta)")
         pn, pd = f.numer, f.denom
     else:
-        num, den = sp.together(treduce(f, tower)).as_numer_denom()
-        pn, pd = _RING.from_expr(num), _RING.from_expr(den)
+        # the numerator and denominator over Z, each with an integer
+        # denominator: (a/b) / (c/d) = (a d) / (b c)
+        ar = Fractions(_QQ_XTTH)
+        (a, b), (c, d) = map(ar.from_expr, sp.together(
+            treduce(f, tower)).as_numer_denom())
+        pn, pd = a * d, b * c
     if not pn:
         return "0"
-    pd, pn = pd.quo_ground(pd.LC), pn.quo_ground(pd.LC)
-    q, pn = pn.clear_denoms()
-    cont = pn.content()
-    prim, c = pn.quo_ground(cont), cont / q
+    # pn / pd = c * prim / (pd / lc), pd / lc monic and prim primitive
+    lc, cont = pd.LC, pn.content()
+    prim, c = pn.quo_ground(cont), QQ(cont, lc)
     if prim.LC < 0:
         prim, c = -prim, -c
     num_str = _print_poly(prim)
-    den_str = _print_poly(pd)
+    den_str = _print_poly(pd, lc)
     parts = []
     if c != 1 or (num_str == "1" and den_str == "1"):
         parts.append(_print_rational(c))

@@ -48,7 +48,7 @@ from .fields import (QQ_XT, Conjugate, FieldError, MixedSplit, Split,
                      dm_delta, dm_delta_part, dm_embed, dm_from_matrix,
                      dm_inv, dm_over_qt, dm_same, dm_scalar, dm_shift,
                      dm_sigma_power, dm_to_matrix, from_regular,
-                     k_shift, make_tower, theta, treduce, x)
+                     k_shift, make_tower, t_value, theta, treduce, x)
 from .moser import (MoserReport, ReductionStalled, leading_eigendata,
                     moser_reduce)
 from .ratsol import (_invertible_selection, gauge_from_ratios,
@@ -62,7 +62,7 @@ __all__ = ["DDSystem", "Outcome", "NormalForm", "check_integrability",
            "decision_procedure_1", "decision_procedure_2",
            "solve_liouvillian", "verification_point_fault"]
 
-# x and t in the ring Q[x, t] of K's numerators
+# x and t in the ring Z[x, t] of K's numerators
 _X, _T = QQ_XT.field.ring.gens
 
 
@@ -267,11 +267,11 @@ def _certificate_normalizer(c):
     for fac, mult in c0.denom.factor_list()[1]:
         if mult != 1 or fac.degree(_T) != 1:
             continue
-        a = -fac.coeff(1) / fac.coeff(_T)
-        res = (c0.numer.subs(_T, a).LC
-               / (c0.denom.exquo(fac).subs(_T, a).LC * fac.coeff(_T)))
+        a = QQ(-fac.coeff(1), fac.coeff(_T))
+        res = t_value(c0.numer, a) / (t_value(c0.denom.exquo(fac), a)
+                                      * fac.coeff(_T))
         if res and res.denominator == 1:
-            gamma *= QQ_XT.field.new(_T - a) ** int(res)
+            gamma *= (QQ_XT.gens[1] - a) ** int(res)
     return gamma
 
 
@@ -589,10 +589,10 @@ RATIONAL_POINTS = tuple(sp.Integer((k + 1) // 2 * (-1) ** (k + 1))
 
 
 def _at_point(D: DomainMatrix, p):
-    """The entries of the K-matrix D at t = p, as (num, den) pairs of
-    polynomials in x over Q (held in Q[x, t]); None when some denominator
-    vanishes identically there."""
-    p = QQ.from_sympy(p)
+    """The entries of the K-matrix D at the integer t = p, as (num, den)
+    pairs of polynomials in x over Z (held in Z[x, t]); None when some
+    denominator vanishes identically there."""
+    p = int(p)
     out = []
     for e in D.to_list_flat():
         den = e.denom.subs(_T, p)

@@ -19,19 +19,19 @@ ISSAC 1999, for the universal denominator of a system).
 Every function here takes and returns K-forms (see :mod:`ddsolve.fields`):
 a vector is the K-form of an n x 1 matrix, a scalar operator that of the
 row of its coefficients, and u an element of K = Q(x, t).  Denominators
-are read off K-entries, and their factors in Q[x, t] are grouped by
+are read off K-entries, and their factors in Z[x, t] are grouped by
 :func:`ddsolve.difftools.shift_classes`.  :func:`degree_bound` is the
 one degree bound of polynomial solutions, sigma^m here and delta in
 ``closedform``.
 
-The polynomial ansatz clears the denominators of M with one q in Q[x, t]
-(:func:`ddsolve.fields.dm_clear`, the monic lcm of the distinct
-denominators), as the degree bound does, and solves
-q(x) Y(x+m) - N(x) Y(x) = 0 over Q(t) in the coefficients of Y, unknowns
-ordered by (coordinate, degree, theta-power).  The constant-span test is
-a rank test over Q(t) on coefficients in x of the vectors cleared by one
-dm_clear.  The substitution check of every rational solution P/u, taken
-on P and u, and the gauge postcondition sigma^m(G) R = A G are decided
+The polynomial ansatz clears the denominators of M with one q in Z[x, t]
+(:func:`ddsolve.fields.dm_clear`, the lcm of the distinct denominators),
+as the degree bound does, and solves q(x) Y(x+m) - N(x) Y(x) = 0 over
+Q(t) in the coefficients of Y, unknowns ordered by (coordinate, degree,
+theta-power).  The constant-span test is a rank test over Q(t) on
+coefficients in x of the vectors cleared by one dm_clear.  The
+substitution check of every rational solution P/u, taken on P and u,
+and the gauge postcondition sigma^m(G) R = A G are decided
 on cleared numerators by :func:`ddsolve.fields.dm_same`, with no product
 over K.
 """
@@ -40,11 +40,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import sympy as sp
-from sympy import QQ, ZZ
+from sympy import ZZ
 from sympy.polys.densebasic import dup_strip
 from sympy.polys.densetools import dmp_shift
 from sympy.polys.matrices import DomainMatrix
@@ -61,10 +60,8 @@ __all__ = ["RationalSolutionBasis", "UnsupportedCase",
 
 # the polynomial ring of Q(t), the field of the ansatz unknowns
 _QT_RING = QQ_T.field.ring
-# Q[x, t], where numerators and denominators of K live, and its integer
-# version
+# Z[x, t], where numerators and denominators of K live
 _XT_RING = QQ_XT.field.ring
-_XT_ZZ = _XT_RING.clone(domain=ZZ)
 _X = _XT_RING.gens[0]
 
 
@@ -80,7 +77,7 @@ class RationalSolutionBasis:
 
 def _coefficient_matrix(columns: list) -> DomainMatrix:
     """The matrix over Q(t) whose j-th column lists the coefficients in x
-    of the polynomials columns[j] (over Q[x, t]), one row per (position,
+    of the polynomials columns[j] (over Z[x, t]), one row per (position,
     power of x) that occurs."""
     slots: dict = {}
     for j, col in enumerate(columns):
@@ -138,8 +135,8 @@ def scalar_operators(M: DomainMatrix, m: int):
                          .to_list() if v[-1]), None)
             if cand is not None:
                 # times the lcm over Z[x, t] of the denominators
-                den = functools.reduce(lambda d, c: d.lcm(c.denom.set_ring(
-                    _XT_ZZ)), cand, _XT_ZZ.one).set_ring(_XT_RING)
+                den = functools.reduce(lambda d, c: d.lcm(c.denom), cand,
+                                       _XT_RING.one)
                 ops.append(DomainMatrix([[QQ_XT.new(c.numer * den.exquo(
                     c.denom)) for c in cand]], (1, len(cand)), QQ_XT))
                 break
@@ -172,10 +169,7 @@ def _operator_rows(P1: DomainMatrix, P0: DomainMatrix, c: int, s: int,
     leading row coeff(0) = P0_h + c k P1_{h+1} is nonzero."""
     X, k, rows = P0.domain.ring.gens[0], kdom.gens[0], []
     for row0, row1 in zip(P0.to_list(), P1.to_list()):
-        # times a unit of Q that makes every coefficient an integer
-        den = math.lcm(*(QQ.denom(a) for p in row0 + row1 for a in p.coeffs()))
-        B, A = ({e: [(p.coeff_wrt(X, e) * den).set_ring(kdom.ring)
-                     for p in row]
+        B, A = ({e: [p.coeff_wrt(X, e).set_ring(kdom.ring) for p in row]
                  for e in range(max(-1, *(p.degree(X) for p in row)) + 1)}
                 for row in (row0, row1))
         h = max([e for e in B] + [e - 1 for e in A])
@@ -219,7 +213,7 @@ def _combined_row(v: list, rows: list) -> tuple:
 def degree_bound(P1: DomainMatrix, P0: DomainMatrix, c: int, s: int) -> int:
     """The largest degree of a polynomial solution y of
     P1(x) d(y) + P0(x) y = 0 (-1: y = 0 only), P1 and P0 square over
-    Q[x, consts], in a basis phi_k with d phi_k = c k phi_{k-1} and
+    Z[x, consts], in a basis phi_k with d phi_k = c k phi_{k-1} and
     x phi_k = phi_{k+1} + s k phi_k.  While the leading matrix L(k) of the
     rows is singular over Q(consts)(k), each vector v of the rref basis of
     its left null space (made primitive) combines the rows into one with

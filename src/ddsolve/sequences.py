@@ -12,7 +12,6 @@ tower generator with t specialized).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -25,7 +24,7 @@ from sympy.polys.factortools import dup_irreducible_p
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
-from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, Tower, _modulus,
+from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower, _modulus,
                      common_integer_roots, dm_delta, dm_embed,
                      dm_from_matrix, dm_same, dm_shift, dm_to_matrix,
                      from_regular, from_theta_coords, regular_rows, t, theta,
@@ -56,9 +55,8 @@ class VerificationError(AssertionError):
 # evaluation at integer points
 
 _ZZ_T = ZZ[t]
-_QQ_T = QQ.frac_field(t)
-_QQ_XT_RING = QQ_XT.field.ring   # Q[x, t], where K's numerators live
-_X = _QQ_XT_RING.gens[0]
+_XT_RING = QQ_XT.field.ring   # Z[x, t], where K's numerators live
+_X = _XT_RING.gens[0]
 
 
 class PointEvaluator:
@@ -78,15 +76,15 @@ class PointEvaluator:
 
     :meth:`compile` takes a matrix's K-form (its regular representation
     over K = Q(x, t)) and reads numerators over one common denominator
-    straight off the Q[x, t] numerators and denominators of the entries,
-    specialized at t0 or scaled by one integer into Z[t]; :meth:`at`
+    straight off the Z[x, t] numerators and denominators of the entries,
+    specialized at t0 or kept over Z[t]; :meth:`at`
     evaluates them at x = j by Horner's rule over R.
     """
 
     def __init__(self, tower: Tower = TRIVIAL_TOWER, t0=None):
         self.t0 = t0
         self.R = _ZZ_T if t0 is None else QQ
-        self.K = _QQ_T if t0 is None else QQ   # where values are read out
+        self.K = QQ_T if t0 is None else QQ   # where values are read out
         self.degree = tower.degree
         self.mod, self.lcf = None, self.R.one
         if tower.trivial:
@@ -153,7 +151,7 @@ class PointEvaluator:
         return self._compile(from_regular(D, deg))
 
     def _compile(self, entries: list):
-        den = _QQ_XT_RING.one
+        den = _XT_RING.one
         for a in entries:
             for c in a:
                 den = den.lcm(c.denom)
@@ -170,9 +168,8 @@ class PointEvaluator:
         return out, den
 
     def _dense_in_x(self, polys: list) -> list:
-        """Polynomials in Q[x, t] as dense polynomials in x over R: at
-        t = t0, or all scaled by the one positive integer that makes their
-        coefficients integral."""
+        """Polynomials in Z[x, t] as dense polynomials in x over R: at
+        t = t0, or over Z[t]."""
         out = []
         if self.t0 is not None:
             t0 = QQ.from_sympy(self.t0)
@@ -182,15 +179,11 @@ class PointEvaluator:
                     coeffs[i] = coeffs.get(i, QQ.zero) + c * t0**k
                 out.append(dup_from_raw_dict(coeffs, QQ))
             return out
-        scale = 1
-        for p in polys:
-            for c in p.values():
-                scale = math.lcm(scale, c.denominator)
         ring = _ZZ_T.ring
         for p in polys:
             coeffs = {}
             for (i, k), c in p.terms():
-                coeffs.setdefault(i, {})[(k,)] = int(c * scale)
+                coeffs.setdefault(i, {})[(k,)] = c
             out.append(dup_from_raw_dict(
                 {i: ring.from_dict(cs) for i, cs in coeffs.items()}, _ZZ_T))
         return out

@@ -10,8 +10,8 @@ from ddsolve import closedform
 from ddsolve.closedform import (UnsupportedCase, hyperexp_solutions,
                                 petkovsek, system_hypergeometric)
 from ddsolve.difftools import standard_decompose
-from ddsolve.fields import (QQ_XT, delta, dm_from_matrix, dm_shift,
-                            dm_to_matrix, mat_reduce, shift,
+from ddsolve.fields import (QQ_XT, delta, dm_from_matrix, dm_over_qt,
+                            dm_shift, dm_to_matrix, mat_reduce, shift,
                             sigma_power_matrix, t, teq, theta, treduce, x)
 from ddsolve.files import read_system
 from ddsolve.procedures import _specialization_point
@@ -514,3 +514,66 @@ def test_hyperexp_matches_reference_on_simple_poles(C):
 @given(_unsupported_inputs())
 def test_hyperexp_matches_reference_on_unsupported_inputs(C):
     _same_as_reference(C)
+
+
+def test_simple_poles_are_rationals_in_qq():
+    """The poles 1/2 and -1/3 of diag(1/(2t - 1), 1/(3t + 1)) are
+    quotients of integer coefficients, formed in QQ, and ordered by
+    denominator; the residue matrices are read at those rationals."""
+    C = dm_over_qt(dm_from_matrix(sp.diag(1 / (2 * t - 1), 1 / (3 * t + 1))))
+    poles = closedform._simple_poles(C)
+    assert [a for a, _ in poles] == [QQ(1, 2), QQ(-1, 3)]
+    assert [R.to_Matrix() for _, R in poles] == [
+        sp.diag(sp.Rational(1, 2), 0), sp.diag(0, sp.Rational(1, 3))]
+
+
+# the inputs of the hyperexp tests above, and two of the shape that
+# _simple_pole_inputs draws, with rational poles and values at infinity
+_HYPEREXP_INPUTS = [
+    sp.diag(1 / t, 2), sp.Matrix([[0, 1], [2, 1]]),
+    sp.Matrix([[0, 2], [1, 0]]), sp.Matrix([[1 / t, 0], [0, 1 / t + 1]]),
+    sp.Matrix([[1 / t**2, 1], [x, 0]]), sp.Matrix([[1 / t**2, 1], [1, 0]]),
+    sp.Matrix([[t, 1], [1, 0]]),
+    *(mat_reduce(sp.Matrix([[1, 1], [0, 1]]) * D
+                 * sp.Matrix([[1, -1], [0, 1]]))
+      for D in (sp.diag(1 / t, 0), sp.diag(2 / t, -1 / (t + 1)),
+                sp.diag(sp.Rational(1, 2) + 1 / (t - sp.Rational(1, 2)),
+                        -1 + sp.Rational(-3, 2) / (t + 2)),
+                sp.diag(1 + 2 / (t - sp.Rational(1, 2)) - 1 / t,
+                        sp.Rational(1, 2) / t)))]
+
+
+def _hyperexp_outcome(C):
+    try:
+        return _srepr_candidates(_hyperexp(C),
+                                 lambda c: dm_to_matrix(c.V, c.tower))
+    except UnsupportedCase as err:
+        return str(err)
+
+
+def test_no_float_reaches_a_domain(monkeypatch, example1_path,
+                                   example2_path, hermite_path):
+    """K and Q(t) have integer coefficients, so a quotient of two of them
+    written with / would be a float, which SymPy's domains rationalize
+    silently.  With that conversion made to raise, the bundled systems, a
+    gauged example2 and the hyperexp inputs above keep their verdicts and
+    candidates."""
+    from sympy.polys.domains import IntegerRing, RationalField
+
+    from ddsolve.procedures import solve_liouvillian
+    from gauged import gauged_system
+
+    hyperexp = [_hyperexp_outcome(C) for C in _HYPEREXP_INPUTS]
+
+    def no_float(self, a, K0):
+        raise AssertionError(f"float {a!r} converted into {self}")
+
+    for domain in (IntegerRing, RationalField):
+        monkeypatch.setattr(domain, "from_RealField", no_float)
+    systems = [read_system(p) for p in (example1_path, example2_path,
+                                        hermite_path)]
+    systems.append(gauged_system(systems[1], 0))
+    assert [(o.kind, o.provenance) for o in map(solve_liouvillian, systems)] \
+        == [("Solved", "DP1"), ("Solved", "DP2"),
+            ("NoLiouvillianSolutions", "DP1+DP2"), ("Solved", "DP2")]
+    assert [_hyperexp_outcome(C) for C in _HYPEREXP_INPUTS] == hyperexp

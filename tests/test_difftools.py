@@ -4,7 +4,8 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from ddsolve.difftools import (dispersion, leading_beta, shift_class_divisor,
+from ddsolve.difftools import (_shift_between, dispersion, leading_beta,
+                               shift_class_divisor,
                                shift_classes, split_alpha_beta_power,
                                standard_decompose)
 from ddsolve.fields import QQ_XT, k_shift, shift, t, treduce, x
@@ -51,6 +52,16 @@ def test_shift_is_an_integer():
     assert dispersion(K(x * (2 * x + 1))) == 0
     assert len(shift_class_divisor(K(x * (x + sp.Rational(1, 2))))
                .classes) == 2
+
+
+def test_shift_between_forms_the_candidate_shift_in_qq():
+    """The candidate j of p = 2x + 1, q = 2x + 2 is the quotient 1/2 of two
+    integers, formed in QQ: not an integer, so no shift.  For q = 2x + 5
+    it is 2."""
+    X, _ = QQ_XT.field.ring.gens
+    assert _shift_between(2 * X + 1, 2 * X + 2) is None
+    assert _shift_between(2 * X + 1, 2 * X + 5) == 2
+    assert _shift_between(2 * X + 5, 2 * X + 1) == -2
 
 
 def test_shift_classes_content_and_monic_bases():

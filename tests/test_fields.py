@@ -4,18 +4,20 @@ import time
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
-from sympy import QQ
+from sympy import QQ, ZZ
 from sympy.polys.densearith import dup_mul, dup_rem
+from sympy.polys.heuristicgcd import heugcd
+from sympy.polys.polyerrors import HeuristicGCDFailed
 from sympy.polys.euclidtools import dup_invert
 from sympy.matrices.utilities import dotprodsimp
 from sympy.polys.matrices import DomainMatrix
 
 from ddsolve.fields import (_QQ_XTTH, AllEqual, Conjugate, FieldError,
-                            Fractions, MixedSplit, Split, QQ_XT,
+                            Fractions, MixedSplit, Split, QQ_T, QQ_XT,
                             TRIVIAL_TOWER, _field_element,
                             common_integer_roots, delta,
                             dm_conjugate,
-                            dm_delta, dm_delta_part, dm_embed,
+                            dm_clear, dm_delta, dm_delta_part, dm_embed,
                             dm_from_matrix, dm_inv, dm_same,
                             dm_shift, dm_sigma_power, dm_to_matrix,
                             factor_in_x, k_shift, make_tower, mat_inv,
@@ -786,3 +788,42 @@ def test_dm_delta_part_rejects_a_singular_gauge(tower):
     B = dm_from_matrix(sp.Matrix([[1 / t, x], [0, 1]]), tower)
     with pytest.raises(FieldError):
         dm_delta_part(G, B, dm_delta(G, tower))
+
+
+# ---------------------------------------------------------------------------
+# K and Q(t) over Z
+
+def test_k_and_q_t_have_integer_coefficients():
+    assert QQ_XT.field.ring.domain == ZZ
+    assert QQ_T.field.ring.domain == ZZ
+    assert _QQ_XTTH.field.ring.domain == ZZ
+
+
+def test_dm_clear_keeps_the_integer_content():
+    """The lcm of the denominators 9 and 12 is 36 over Z (a monic lcm
+    over Q would be 1): N = diag(4, 3) and N / q is D exactly."""
+    D = dm_from_matrix(sp.diag(sp.Rational(1, 9), sp.Rational(1, 12)))
+    q, N = dm_clear(D)
+    assert q == QQ_XT.field.ring(36)
+    assert N.to_Matrix() == sp.diag(4, 3)
+    assert N.convert_to(QQ_XT).mul(QQ_XT.one / QQ_XT.new(q)) == D
+    row = dm_from_matrix(sp.Matrix([[1 / (2 * x), 1 / (-3 * x)]]))
+    assert dm_clear(row)[0] == 6 * QQ_XT.field.ring.gens[0]
+
+
+def test_k_gcd_survives_a_heuristic_gcd_failure():
+    """SymPy's heuristic gcd raises HeuristicGCDFailed on this pair, met
+    in a lift's products of shifts; K falls back to a PRS gcd, so
+    F * (1/G) is F/G, as sp.cancel has it."""
+    F = (2 * t**12 - 25 * t**11 + 108 * t**10 - 235 * t**9 + 290 * t**8
+         - 207 * t**7 + 80 * t**6 - 13 * t**5)
+    G = (t**11 + 99 * t**10 + 4400 * t**9 + 115830 * t**8 + 2005773 * t**7
+         + 23977107 * t**6 + 201790490 * t**5 + 1194928020 * t**4
+         + 4876196776 * t**3 + 13051234944 * t**2 + 20606463360 * t
+         + 14529715200)
+    f, g = QQ_XT.from_sympy(F), QQ_XT.from_sympy(G)
+    with pytest.raises(HeuristicGCDFailed):
+        heugcd(f.numer, g.numer)
+    got = f * (1 / g)
+    assert (got.numer, got.denom) == (f.numer, g.numer)
+    assert QQ_XT.to_sympy(got) == sp.cancel(F / G)

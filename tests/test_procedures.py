@@ -257,6 +257,21 @@ def test_certificate_normalizer_ignores_nonintegers():
     assert _normalizer(t**3 + x / t) == 1
 
 
+@pytest.mark.parametrize("c, gamma", [
+    (1 / (2 * t - 1), 1),
+    (3 / (2 * t - 1), 1),
+    (2 / (2 * t - 1), t - sp.Rational(1, 2)),
+    (-4 / (2 * t - 1) + x, (t - sp.Rational(1, 2))**-2),
+    (1 / (2 * t - 1) + 2 / t, t**2),
+])
+def test_certificate_normalizer_at_a_rational_pole(c, gamma):
+    """At the pole 1/2 of 2t - 1 the residues 1/2, 3/2, 1 and -2 are
+    quotients of integers, formed in QQ: the two non-integers are left,
+    the integers stripped by (t - 1/2)^res."""
+    gam = _normalizer(c)
+    assert sp.cancel(gam - gamma) == 0
+
+
 def test_normalize_gauge_certificates_on_immutable_matrices():
     """The gauge and delta-part arrive as K-forms; rescaling a column
     returns new ones and leaves the arguments as they are (on immutable

@@ -299,6 +299,20 @@ def test_fraction_free_lift_matches_reference(case):
     assert verdicts == [True, False]
 
 
+def test_fraction_free_lift_matches_reference_past_a_gcd_failure():
+    """A case of the property above on which the reference's products of
+    shifts once raised SymPy's HeuristicGCDFailed; K's gcd now falls back
+    to a PRS gcd, for the reference too."""
+    A = sp.Matrix([
+        [(-2 * t**2 + t * x + t - x + 1) / (t + x), (1 - t) / (t + x)],
+        [(4 * t**3 - 4 * t**2 * x - 2 * t**2 + t * x**2 + 3 * t * x - t
+          - x**2 + x) / (t + x), (2 * t**2 - t * x - 2 * t + x) / (t + x)]])
+    V = sp.Matrix([1, -2 * t + x - 1])
+    ratio = (t - t**2) / ((t + x) * (t + x + 1))
+    test_fraction_free_lift_matches_reference.hypothesis.inner_test(
+        (2, TRIVIAL_TOWER, A, V, ratio))
+
+
 def test_lift_over_non_monic_tower():
     """Over theta^2 = 1/(2t) the modulus in Z[t][theta] is 2t theta^2 - 1:
     reduction is a pseudo-remainder whose factor 2t goes into the
