@@ -64,6 +64,9 @@ __all__ = ["DDSystem", "Outcome", "NormalForm", "check_integrability",
 
 # x and t in the ring Z[x, t] of K's numerators
 _X, _T = QQ_XT.field.ring.gens
+# Q[x, t] and t in it, where a denominator is evaluated at a rational t
+_Q_XT_RING = QQ_XT.field.ring.clone(domain=QQ)
+_Q_T = _Q_XT_RING.gens[1]
 
 
 @dataclass
@@ -602,6 +605,15 @@ def _at_point(D: DomainMatrix, p):
     return out
 
 
+def _defined_at(D: DomainMatrix, p) -> bool:
+    """Whether no denominator of the K-matrix D vanishes identically at the
+    rational t = p, substituted over Q in the denominators brought into
+    Q[x, t]."""
+    p = QQ.from_sympy(p)
+    return all(e.denom.set_ring(_Q_XT_RING).subs(_Q_T, p)
+               for e in D.to_list_flat())
+
+
 def _specialization_point(Atil: DomainMatrix):
     """First p of RATIONAL_POINTS with Atil (a K-matrix) defined at t = p
     and Atil|_{t=p} invertible; returns (p, the K-form of Atil|_{t=p})."""
@@ -731,7 +743,7 @@ def _point_fault(forms: list, towers: list, p) -> Optional[str]:
             PointEvaluator(tower, p)
         except FieldError as err:
             return str(err)
-    if any(_at_point(D, p) is None for D in forms):
+    if not all(_defined_at(D, p) for D in forms):
         return f"a denominator of A, B or a solution vanishes at t = {p}"
     return None
 

@@ -509,6 +509,39 @@ def test_cli_verify_rejects_bad_t0(name, t0, why, capsys):
     assert "FAILED" not in out
 
 
+@pytest.mark.parametrize("t0", ["1/2", "-1/2"])
+def test_cli_verify_runs_at_rational_t0(t0, capsys):
+    """example2's poles are at t = 0: a non-integer t0 is checked at t0
+    itself, not at a rounded point."""
+    code = cli_main(["verify", str(SYSTEMS / "example2.json"),
+                     str(GOLDEN / "example2.json"), f"--t0={t0}",
+                     "--terms", "5"])
+    out, err = capsys.readouterr()
+    assert code == 0, out + err
+    assert "solution 0: ok" in out
+
+
+def test_cli_verify_rejects_rational_pole(tmp_path, capsys):
+    """A pole at 2t - 1 rejects --t0 1/2 and no other point."""
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps({
+        "n": 2, "A": [["x+1", "0"], ["0", "x+1"]],
+        "B": [["2/(2*t-1)", "0"], ["0", "2/(2*t-1)"]],
+        "assumptions": {"irreducible_over_k0": False}}))
+    sol = tmp_path / "pole_sol.json"
+    assert cli_main(["solve", str(path), "--json", str(sol)]) == 0
+    capsys.readouterr()
+    code = cli_main(["verify", str(path), str(sol), "--t0", "1/2"])
+    out, err = capsys.readouterr()
+    assert code == 3, out + err
+    assert err.startswith("input error: --t0")
+    assert "vanishes at t = 1/2" in err
+    code = cli_main(["verify", str(path), str(sol), "--t0", "1/3",
+                     "--terms", "5"])
+    out, err = capsys.readouterr()
+    assert code == 0, out + err
+
+
 def test_cli_verify_mismatch_stays_failed(tmp_path, capsys):
     """A doubled sigma-ratio is a failed verification, exit 1."""
     data = json.loads((GOLDEN / "example1.json").read_text())
