@@ -370,6 +370,49 @@ def test_cli_tools_moser(tmp_path, capsys):
     assert "ord = 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("M, want", [
+    # one shearing step lowers the order from -2 to -1
+    ([["0", "1"], ["-x*(x+1)", "2*x+1"]],
+     "ord = -1\n"
+     "moser_order = 2\n"
+     "gauge =\n"
+     "  [ 1  0 ]\n"
+     "  [ 0  1/x ]\n"
+     "reduced =\n"
+     "  [ 0  x ]\n"
+     "  [ -1*x  (2*x^2+x)/(x+1) ]\n"),
+    # a gauged diag(t, 2t, 3t): Moser's lemma, not the plain shearing
+    ([["3*t", "-1*(2*x*t+4*t^2+t)", "-1*(x*t+t^2-t)"], ["0", "t", "0"],
+      ["0", "0", "2*t"]],
+     "ord = 0\n"
+     "moser_order = 1\n"
+     "gauge =\n"
+     "  [ 0  1  1/2 ]\n"
+     "  [ 0  0  1 ]\n"
+     "  [ 1/x  0  0 ]\n"
+     "reduced =\n"
+     "  [ t  1/2*t  0 ]\n"
+     "  [ 0  2*t  0 ]\n"
+     "  [ -1*(2*x*t+4*t^2+t)/(x+1)  1/2*(2*t^2+3*t)/(x+1)  3*(x*t)/(x+1) ]\n"),
+])
+def test_cli_tools_moser_prints_gauge_and_reduced_matrix(M, want, tmp_path,
+                                                         capsys):
+    """The full stdout of tools moser on matrices with a nontrivial gauge."""
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps({"M": M}))
+    assert cli_main(["tools", "moser", str(mat)]) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "hermite"])
+def test_cli_solve_stdout_matches_golden(name, capsys):
+    """The human report of solve, byte for byte, is tests/golden/NAME.stdout."""
+    cli_main(["solve", str(SYSTEMS / f"{name}.json")])
+    out = capsys.readouterr().out
+    golden = SYSTEMS.parent / "tests" / "golden" / f"{name}.stdout"
+    assert out.encode() == golden.read_bytes()
+
+
 @pytest.mark.parametrize("coeffs, message", [
     (["1/x", "1"], "not in Q[x]: 1/x"),
     (["0", "0"], "only zero coefficients"),
