@@ -2,7 +2,7 @@
 difference-differential systems {sigma(Y)=AY, delta(Y)=BY} of prime order
 over Q(x,t), with sigma: x -> x+1 and delta = d/dt."""
 
-from .fields import (TRIVIAL_TOWER, Tower, make_tower, mat_inv, mat_reduce,
+from .fields import (TRIVIAL_TOWER, Tower, make_tower, mat_inv,
                      sigma_power_matrix, t, theta, treduce, x)
 from .difftools import (dispersion, leading_beta, split_alpha_beta_power,
                         standard_decompose)

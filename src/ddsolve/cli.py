@@ -25,7 +25,7 @@ from .closedform import (UnsupportedCase, hyper_ratios, hyperexp_solutions,
                          ratio_expr, recurrence_polys)
 from .difftools import dispersion, split_alpha_beta_power, standard_decompose
 from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, dm_inv, dm_to_matrix,
-                     regular_matrix)
+                     element_expr, regular_matrix)
 from .files import SchemaError, read_solution, read_system, write_solution
 from .moser import ReductionStalled, moser_reduce
 from .parsing import ParseError, parse_element, parse_ratfunc, print_ratfunc
@@ -115,18 +115,14 @@ def _human_report(outcome):
         if "Bbar" in rep:
             _print_matrix("Bbar", rep["Bbar"], tw)
     for k, sol in enumerate(outcome.solutions or []):
-        if sol.kind == "Interlaced":
-            for i, W, cert in sol.components:
-                print(f"solution {k} (interlaced, class {i} mod "
-                      f"{cert.sigma_step}): sigma-ratio "
-                      f"{print_ratfunc(cert.sigma_ratio, sol.tower)}, "
-                      f"delta-ratio "
-                      f"{print_ratfunc(cert.delta_ratio, sol.tower)}")
-        else:
-            print(f"solution {k} (hypergeometric): sigma-ratio "
-                  f"{print_ratfunc(sol.cert.sigma_ratio, sol.tower)}, "
+        for i, _, cert in (sol.components if sol.kind == "Interlaced"
+                           else [(None, sol.W, sol.cert)]):
+            what = ("hypergeometric" if i is None else
+                    f"interlaced, class {i} mod {cert.sigma_step}")
+            print(f"solution {k} ({what}): sigma-ratio "
+                  f"{print_ratfunc(cert.sigma_ratio, sol.tower)}, "
                   f"delta-ratio "
-                  f"{print_ratfunc(sol.cert.delta_ratio, sol.tower)}")
+                  f"{print_ratfunc(cert.delta_ratio, sol.tower)}")
     if "verification" in rep:
         print(f"verified: {rep['verification']}")
 
@@ -287,8 +283,8 @@ def _dispatch_tool(args) -> int:
         rep = moser_reduce(D)
         print(f"ord = {rep.ord}")
         print(f"moser_order = {rep.moser_order}")
-        _print_matrix("gauge", rep.gauge)
-        _print_matrix("reduced", rep.reduced)
+        _print_matrix("gauge", dm_to_matrix(rep.gauge))
+        _print_matrix("reduced", dm_to_matrix(rep.reduced))
         return EXIT_SOLVED
     if args.tool == "ratsol":
         M = _read_matrix_file(args.expr[0])
@@ -328,8 +324,8 @@ def _dispatch_tool(args) -> int:
         for c in cands:
             vec = "  ".join(print_ratfunc(e, c.tower)
                             for e in dm_to_matrix(c.V, c.tower))
-            print(f"certificate = {print_ratfunc(c.certificate, c.tower)}"
-                  f"   V = [ {vec} ]")
+            cert = print_ratfunc(element_expr(c.certificate), c.tower)
+            print(f"certificate = {cert}   V = [ {vec} ]")
         return EXIT_SOLVED
     raise SchemaError("", f"unknown tool {args.tool}")
 

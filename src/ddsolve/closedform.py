@@ -22,11 +22,11 @@ the earlier ones of its group is dropped.
 
 hyperexp_solutions(Bhat: DomainMatrix) takes an x-free K-form and returns
 candidates whose V is the K-form over their tower ((n*deg) x deg) and
-whose certificate is an expression in the tower.  It is deliberately
-restricted to diagonal, constant, and simple-pole matrices; anything else
-raises UnsupportedCase.  The matrix is read over Q(t): its simple poles
-and residue matrices, and its value at t = infinity from numerator and
-denominator degrees.  Eigenvalues come from the factors over Q(t) of one
+whose certificate is an element of the tower (a dense list over K).  It
+is deliberately restricted to diagonal, constant, and simple-pole
+matrices; anything else raises UnsupportedCase.  The matrix is read over
+Q(t): its simple poles and residue matrices, and its value at
+t = infinity from numerator and denominator degrees.  Eigenvalues come from the factors over Q(t) of one
 characteristic polynomial (fields.charpoly_factors), eigenvectors over a
 tower from fields.kernel on K-forms.  The rational solutions of a
 simple-pole system come from one coefficient matrix over Q (degrees from
@@ -49,7 +49,7 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.polyerrors import CoercionFailed
 
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, Tower, charpoly_factors,
-                     dm_delta, dm_embed, dm_from_matrix, dm_inv, dm_over_qt,
+                     dm_delta, dm_diag, dm_embed, dm_inv, dm_over_qt,
                      dense_fraction, dm_same, dm_shift, indicial_degrees,
                      kernel, t_value, tower_from_modulus, x)
 from .difftools import standard_decompose
@@ -76,7 +76,7 @@ class HypergeometricCandidate:
 @dataclass
 class HyperexpCandidate:
     V: DomainMatrix       # K-form over the tower of the vector part
-    certificate: sp.Expr  # delta(h) = certificate * h, in the tower
+    certificate: list     # delta(h) = certificate * h, in the tower
     tower: Tower = TRIVIAL_TOWER
 
 
@@ -370,17 +370,16 @@ def _eigen_candidates(C: DomainMatrix) -> list:
     n = C.shape[0]
     pairs = []
     for f, _ in charpoly_factors(C):
+        coeffs = [QQ_XT.convert_from(c, QQ_T) for c in f.rep.to_list()]
         if f.degree() == 1:
-            pairs.append((QQ_T.to_sympy(-f.rep.to_list()[1]), TRIVIAL_TOWER))
+            pairs.append((dup_strip([-coeffs[1]]), TRIVIAL_TOWER))
         else:
-            tower = tower_from_modulus([QQ_XT.convert_from(c, QQ_T)
-                                        for c in f.rep.to_list()])
+            tower = tower_from_modulus(coeffs)
             pairs.extend((conj, tower) for conj in tower.conjugates())
     out = []
     for lam, tower in pairs:
         e = tower.degree
-        N = kernel(dm_embed(C, tower)
-                   - dm_from_matrix(lam * sp.eye(n), tower)).transpose()
+        N = kernel(dm_embed(C, tower) - dm_diag([lam] * n, tower)).transpose()
         out.extend(HyperexpCandidate(
             N.extract(range(n * e), range(j * e, (j + 1) * e)), lam, tower)
             for j in range(N.shape[1] // e))
@@ -455,7 +454,7 @@ def hyperexp_solutions(Bhat: DomainMatrix):
     if Bhat.is_diagonal:
         return [HyperexpCandidate(
             V=DomainMatrix.eye(n, QQ_XT).extract(range(n), [i]),
-            certificate=QQ_T.to_sympy(B[i, i].element)) for i in range(n)]
+            certificate=dup_strip([Bhat[i, i].element])) for i in range(n)]
     if all(c.numer.is_ground and c.denom.is_ground
            for c in B.to_dok().values()):
         return _eigen_candidates(Bhat)
@@ -478,5 +477,5 @@ def hyperexp_solutions(Bhat: DomainMatrix):
                         "hyperexponential candidate failed substitution "
                         "check")
                 out.append(HyperexpCandidate(V=V,
-                                             certificate=QQ_T.to_sympy(c)))
+                                             certificate=dup_strip([cK])))
     return out

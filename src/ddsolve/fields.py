@@ -66,7 +66,7 @@ polynomial factored, so its cost follows the bit size of the input.
 The objects a system derives from A are formed once on
 ``procedures.DDSystem``, not here: det A of its K-form, and the inverse
 A_m^-1 of each cocycle (:func:`dm_inv`), from which a rational solve
-reads (A_m/r)^-1 as r A_m^-1 (:func:`dm_scalar` forms r I_n over a
+reads (A_m/r)^-1 as r A_m^-1 (:func:`dm_diag` forms r I_n over a
 tower).
 
 An x-free K-matrix is read over Q(t) = ``QQ_T`` by :func:`dm_over_qt`,
@@ -74,14 +74,16 @@ and :func:`charpoly_factors` factors its characteristic polynomial
 there, once, for the eigenvalues of ``closedform``'s delta-side and
 ``moser``'s classification.  A null space over the tower is
 :func:`kernel` of the K-form, whose basis is the K-form of one over the
-tower.  :func:`treduce` and :func:`shift` serve parsing and the places
-where a value enters or leaves as an expression; :func:`k_shift` is
-sigma on K.  :func:`mat_reduce`, :func:`mat_inv`,
-:func:`sigma_power_matrix`, :func:`factor_in_x` and
-:func:`series_at_infinity` have no caller in the package (``difftools``
-works on K and Z[x, t]); they stay for ``ddsolve``'s exports, the tests
-and the benchmark tracer (``ddbench/tracer.py``), which names all but
-:func:`mat_reduce`.
+tower.  An element of a tower is a dense list over K (highest power of
+theta first, reduced mod m), and :func:`dm_diag` forms the K-form of a
+diagonal matrix of them; :func:`element_expr` and :func:`dm_to_matrix`
+form the expressions of the report and of the expression API, and
+:func:`treduce` serves parsing and printing.  :func:`k_shift` is sigma
+on K.  :func:`mat_inv`, :func:`sigma_power_matrix`, :func:`factor_in_x`
+and :func:`series_at_infinity` have no caller in the package
+(``difftools`` works on K and Z[x, t]); they stay for ``ddsolve``'s
+exports, the tests and the benchmark tracer (``ddbench/tracer.py``),
+which names them.
 """
 
 from __future__ import annotations
@@ -127,16 +129,16 @@ _Y = sp.Symbol("Y")
 __all__ = [
     "x", "t", "theta", "Tower", "TRIVIAL_TOWER", "make_tower",
     "tower_from_modulus", "theta_poly", "Fractions", "TowerArithmetic",
-    "treduce", "teq", "tinv", "shift", "delta",
+    "treduce", "element_expr",
     "series_at_infinity", "factor_in_x", "charpoly_factors", "dm_over_qt",
     "AllEqual", "Split", "Conjugate", "MixedSplit",
-    "mat_reduce", "mat_inv",
+    "mat_inv",
     "kernel", "regular_matrix", "from_regular",
     "regular_rows", "theta_coords", "from_theta_coords",
     "common_integer_roots", "x_integer_roots", "t_value", "dense_fraction",
     "indicial_degrees",
     "sigma_power_matrix",
-    "dm_from_matrix", "dm_to_matrix", "dm_scalar", "k_shift",
+    "dm_from_matrix", "dm_to_matrix", "dm_diag", "k_shift",
     "dm_shift", "dm_delta", "dm_inv", "dm_embed", "dm_conjugate",
     "dm_sigma_power", "dm_clear", "dm_same", "dm_delta_part",
     "dm_series_at_infinity",
@@ -197,11 +199,11 @@ class Tower:
     @functools.cached_property
     def dtheta(self) -> sp.Expr:
         """delta(theta), an element of the tower."""
-        return _tower_expr(list(self.delta_theta))
+        return element_expr(list(self.delta_theta))
 
-    def conjugates(self) -> list[sp.Expr]:
+    def conjugates(self) -> list:
         """The roots of minpoly that lie inside the tower itself, theta
-        first.
+        first, as elements of the tower (dense lists over K).
 
         For degree 2 these are both roots.  For a higher degree and a
         minpoly over Q they are read from the linear factors of minpoly
@@ -209,19 +211,22 @@ class Tower:
         is returned, and a caller that needs n roots gives up."""
         if self.trivial:
             return []
-        P = sp.Poly(self.minpoly, theta)
+        th = [QQ_XT.one, QQ_XT.zero]
         if self.degree == 2:
             # theta' = -a1 - theta for m = Y^2 + a1*Y + a0
-            return [theta, treduce(-P.all_coeffs()[1] - theta, self)]
-        if t in self.minpoly.free_symbols:
-            return [theta]
+            return [th, [-QQ_XT.one, -self.modulus[1]]]
+        if any(not (c.numer.is_ground and c.denom.is_ground)
+               for c in self.modulus):
+            return [th]
+        P = sp.Poly([QQ(c.numer.LC, c.denom.LC) for c in self.modulus],
+                    theta, domain=QQ)
         K = QQ.algebraic_field(sp.CRootOf(P, 0))
-        found = [theta]
-        for f, _ in sp.Poly(P, theta, domain=K).factor_list()[1]:
+        found = [th]
+        for f, _ in P.set_domain(K).factor_list()[1]:
             if f.degree() == 1:     # f = theta - root, root in Q[r]
-                root = treduce(sp.Poly((-f.monic().rep.to_list()[1])
-                                       .to_list(), theta).as_expr(), self)
-                if root != theta:
+                root = [QQ_XT.convert_from(c, QQ) for c in
+                        (-f.monic().rep.to_list()[1]).to_list()]
+                if root != th:
                     found.append(root)
         return found
 
@@ -309,7 +314,7 @@ def treduce(f, tower: Tower = TRIVIAL_TOWER):
     is zero in the tower."""
     if tower.trivial:
         return _frac_expr(_field_element(_QQ_XTTH, f, "Q(x, t, theta)"))
-    return _tower_expr(_tower_element(f, tower))
+    return element_expr(_tower_element(f, tower))
 
 
 def _field_element(field, e, name: str):
@@ -409,7 +414,7 @@ class TowerArithmetic:
     """K[theta]/(m) for a nontrivial tower: its elements are dense lists
     over K = Q(x, t), highest degree first, reduced mod m.  It evaluates
     :func:`treduce`'s expressions and the parsed entries of
-    :mod:`ddsolve.parsing`."""
+    :mod:`ddsolve.parsing`, and forms DP1's ratios over a tower."""
 
     def __init__(self, tower: Tower):
         self.mod = _modulus(tower)
@@ -463,33 +468,11 @@ def _eval_mod(e, ar: TowerArithmetic) -> list:
     raise FieldError(f"entry not in Q(x, t)(theta): {e}")
 
 
-def _tower_expr(a: list):
-    """A dense polynomial in theta over K in the canonical form of
-    treduce."""
+def element_expr(a: list):
+    """The element a of a tower (a dense polynomial in theta over K) as an
+    expression in the canonical form of :func:`treduce`."""
     return sp.Add(*(_frac_expr(c) * theta**k
                     for k, c in enumerate(reversed(a))))
-
-
-def teq(a, b, tower: Tower = TRIVIAL_TOWER) -> bool:
-    return treduce(sp.sympify(a) - sp.sympify(b), tower) == 0
-
-
-def tinv(f, tower: Tower = TRIVIAL_TOWER):
-    return treduce(1 / sp.sympify(f), tower)
-
-
-def shift(f, j: int = 1):
-    """sigma^j: f(x) -> f(x+j)."""
-    return sp.sympify(f).subs(x, x + j)
-
-
-def delta(f, tower: Tower = TRIVIAL_TOWER):
-    """d/dt with delta(x) = 0 and delta(theta) = tower.dtheta."""
-    f = sp.sympify(f)
-    df = sp.diff(f, t)
-    if not tower.trivial:
-        df = df + sp.diff(f, theta) * tower.dtheta
-    return treduce(df, tower)
 
 
 def series_at_infinity(f, terms: int, tower: Tower = TRIVIAL_TOWER):
@@ -658,22 +641,23 @@ def indicial_degrees(Q: list, m: int, K, rmax: int = 80):
 
 @dataclass(frozen=True)
 class AllEqual:
-    root: sp.Expr
+    root: object      # the one eigenvalue, in Q(t)
 
 
 @dataclass(frozen=True)
 class Split:
-    roots: tuple
+    roots: tuple      # the eigenvalues in Q(t), with multiplicity
 
 
 @dataclass(frozen=True)
 class Conjugate:
-    minpoly: sp.Expr  # irreducible over Q(t), in the classification variable
+    modulus: tuple    # the characteristic polynomial, irreducible over
+                      # Q(t): dense over K, the input of tower_from_modulus
 
 
 @dataclass(frozen=True)
 class MixedSplit:
-    factors: tuple
+    factors: tuple    # (factor, multiplicity), expressions in Y
 
 
 def charpoly_factors(D: DomainMatrix) -> list:
@@ -694,10 +678,6 @@ def dm_over_qt(D: DomainMatrix):
 
 # ---------------------------------------------------------------------------
 # matrix helpers
-
-def mat_reduce(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
-    return M.applyfunc(lambda e: treduce(e, tower))
-
 
 def mat_inv(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
     """M^-1 over the tower; FieldError when M is singular."""
@@ -788,11 +768,11 @@ def dm_from_matrix(M: sp.Matrix,
                           _modulus(tower), QQ_XT)
 
 
-def dm_scalar(e, n: int, tower: Tower = TRIVIAL_TOWER) -> DomainMatrix:
-    """The K-form over the tower of e I_n, e an element of the tower read
-    once; FieldError for e outside the tower."""
-    a = _tower_element(e, tower)
-    return regular_matrix([a if i == j else [] for i in range(n)
+def dm_diag(entries: list, tower: Tower = TRIVIAL_TOWER) -> DomainMatrix:
+    """The K-form over the tower of the diagonal matrix of `entries`,
+    elements of the tower."""
+    n = len(entries)
+    return regular_matrix([entries[i] if i == j else [] for i in range(n)
                            for j in range(n)], (n, n), _modulus(tower), QQ_XT)
 
 
@@ -801,7 +781,7 @@ def dm_to_matrix(D: DomainMatrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
     entries in the canonical form of treduce."""
     deg = tower.degree
     return sp.Matrix(D.shape[0] // deg, D.shape[1] // deg,
-                     [_tower_expr(a) for a in from_regular(D, deg)])
+                     [element_expr(a) for a in from_regular(D, deg)])
 
 
 def k_shift(e, j: int = 1):
@@ -836,9 +816,9 @@ def dm_delta(D: DomainMatrix, tower: Tower = TRIVIAL_TOWER) -> DomainMatrix:
 
 def dm_conjugate(D: DomainMatrix, conj, tower: Tower) -> DomainMatrix:
     """A K-form over the tower with theta replaced by conj, a root of the
-    minimal polynomial in the tower."""
-    mod, root = _modulus(tower), _tower_element(conj, tower)
-    entries = [dup_rem(dup_compose(a, root, QQ_XT), mod, QQ_XT)
+    minimal polynomial in the tower (an element of it)."""
+    mod = _modulus(tower)
+    entries = [dup_rem(dup_compose(a, conj, QQ_XT), mod, QQ_XT)
                for a in from_regular(D, tower.degree)]
     return regular_matrix(entries, (D.shape[0] // tower.degree,
                                     D.shape[1] // tower.degree), mod, QQ_XT)

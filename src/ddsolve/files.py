@@ -172,26 +172,16 @@ def outcome_to_dict(outcome: Outcome) -> dict:
     tower = TRIVIAL_TOWER
     sols = []
     for sol in outcome.solutions or []:
-        if sol.kind == "Interlaced":
-            for shift_idx, col, cert in sol.components:
-                tower = sol.tower if not sol.tower.trivial else tower
-                sols.append({
-                    "kind": sol.kind,
-                    "W": [print_ratfunc(e, sol.tower) for e in col],
-                    "sigma_ratio": print_ratfunc(cert.sigma_ratio, sol.tower),
-                    "sigma_step": cert.sigma_step,
-                    "delta_ratio": print_ratfunc(cert.delta_ratio, sol.tower),
-                    "shift": shift_idx,
-                })
-        else:
-            tower = sol.tower if not sol.tower.trivial else tower
+        tower = sol.tower if not sol.tower.trivial else tower
+        for shift_idx, col, cert in (sol.components if sol.kind == "Interlaced"
+                                     else [(0, sol.W, sol.cert)]):
             sols.append({
                 "kind": sol.kind,
-                "W": [print_ratfunc(e, sol.tower) for e in sol.W],
-                "sigma_ratio": print_ratfunc(sol.cert.sigma_ratio, sol.tower),
-                "sigma_step": sol.cert.sigma_step,
-                "delta_ratio": print_ratfunc(sol.cert.delta_ratio, sol.tower),
-                "shift": 0,
+                "W": [print_ratfunc(e, sol.tower) for e in col],
+                "sigma_ratio": print_ratfunc(cert.sigma_ratio, sol.tower),
+                "sigma_step": cert.sigma_step,
+                "delta_ratio": print_ratfunc(cert.delta_ratio, sol.tower),
+                "shift": shift_idx,
             })
     tower_str = ("trivial" if tower.trivial
                  else print_ratfunc(tower.minpoly, TRIVIAL_TOWER))
@@ -215,7 +205,7 @@ def write_solution(path: str, outcome: Outcome):
 def read_solution(path: str):
     """Solution file -> (tower, [LiouvilleSolution], raw dict).  Each
     solution holds the K-forms of its part (see
-    :meth:`~ddsolve.sequences.LiouvilleSolution.from_part`)."""
+    :class:`~ddsolve.sequences.LiouvilleSolution`)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -251,11 +241,12 @@ def read_solution(path: str):
         if m < 1:
             raise SchemaError(f"{ptr}/sigma_step", "expected an integer >= 1")
         shift_idx = _require(entry, "shift", int, ptr)
-        label = (f"component {shift_idx}" if kind == "Interlaced"
-                 else "solution")
-        part = Part(label, regular_matrix(W, (len(W), 1), mod, QQ_XT),
+        part = Part(regular_matrix(W, (len(W), 1), mod, QQ_XT),
                     *(regular_matrix([a], (1, 1), mod, QQ_XT)
-                      for a in (r, c)), m)
-        sols.append(LiouvilleSolution.from_part(kind, part, tower,
-                                                shift_idx))
+                      for a in (r, c)), m,
+                    shift_idx if kind == "Interlaced" else None)
+        # a solution of unknown kind has no parts to check
+        sols.append(LiouvilleSolution(
+            kind, [part] if kind in ("Hypergeometric", "Interlaced") else [],
+            tower))
     return tower, sols, data

@@ -19,9 +19,9 @@ Barkatou, ISSAC 1995; Barkatou-Pfluegel, JSC 44, 2009), over K = Q(x, t):
 * Each step must lower (q, r) lexicographically, checked exactly;
   ReductionStalled is raised when it does not.
 
-The report keeps the leading matrix as a K-form.
-``leading_eigendata(H0: DomainMatrix)`` classifies its eigenvalues from
-the factors over Q(t) of its characteristic polynomial
+The report keeps the gauge, the reduced matrix and its leading matrix as
+K-forms.  ``leading_eigendata(H0: DomainMatrix)`` classifies its
+eigenvalues from the factors over Q(t) of its characteristic polynomial
 (:func:`ddsolve.fields.charpoly_factors`).
 """
 
@@ -35,7 +35,7 @@ from sympy.polys.matrices import DomainMatrix
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, AllEqual, Conjugate,
                      MixedSplit, Split, Tower, charpoly_factors,
                      dm_from_matrix, dm_inv, dm_same, dm_series_at_infinity,
-                     dm_shift, dm_to_matrix, kernel, x)
+                     dm_shift, dm_to_matrix, kernel)
 from .sequences import VerificationError
 
 __all__ = ["InfinityExpansion", "MoserReport", "ReductionStalled",
@@ -58,8 +58,8 @@ class InfinityExpansion:
 
 @dataclass
 class MoserReport:
-    gauge: sp.Matrix
-    reduced: sp.Matrix
+    gauge: DomainMatrix    # K-form of the gauge G
+    reduced: DomainMatrix  # K-form of sigma(G) M G^-1
     moser_order: sp.Rational
     leading: DomainMatrix  # K-form of the leading matrix, over Q(t)
     ord: int               # order at infinity of the reduced matrix
@@ -121,7 +121,7 @@ def _moser_step(H0: DomainMatrix, H1: DomainMatrix) -> DomainMatrix:
     _, pivots = X.transpose().rref()
     P = X.extract(list(reversed(pivots)), range(n)).transpose()
     s = sum(1 for p in pivots if p < N2.shape[0])
-    inv_x = QQ_XT.one / QQ_XT.from_sympy(x)
+    inv_x = QQ_XT.one / QQ_XT.gens[0]
     S = DomainMatrix.diag([QQ_XT.one] * (n - s) + [inv_x] * s, QQ_XT)
     return S * dm_inv(P)
 
@@ -146,7 +146,7 @@ def moser_reduce(D: DomainMatrix) -> MoserReport:
     # exact gauge identity check
     if not dm_same([(dm_shift(gauge), D)], [(cur, gauge)]):
         raise VerificationError("gauge identity violated")
-    return MoserReport(gauge=dm_to_matrix(gauge), reduced=dm_to_matrix(cur),
+    return MoserReport(gauge=gauge, reduced=cur,
                        moser_order=sp.Rational(-ord_) + sp.Rational(r, n),
                        leading=H0, ord=ord_)
 
@@ -157,16 +157,18 @@ def leading_eigendata(H0: DomainMatrix):
     polynomial is irreducible of degree n > 1, AllEqual or Split when it
     splits into linear factors, MixedSplit for any other shape (the caller
     exits; n prime rules these out for genuine beta-polynomials).  The
-    contents are expressions in Y."""
+    eigenvalues are elements of Q(t), and the irreducible characteristic
+    polynomial of Conjugate is dense over K, highest degree first."""
     n = H0.shape[0]
     factors = charpoly_factors(H0)
     if n > 1 and len(factors) == 1 and factors[0][1] == 1 \
             and factors[0][0].degree() == n:
-        return Conjugate(factors[0][0].as_expr())
+        return Conjugate(tuple(QQ_XT.convert_from(c, QQ_T)
+                               for c in factors[0][0].rep.to_list()))
     if all(f.degree() == 1 for f, _ in factors):
         roots = [-f.rep.to_list()[1] for f, mult in factors
                  for _ in range(mult)]
         if all(r == roots[0] for r in roots):
-            return AllEqual(QQ_T.to_sympy(roots[0]))
-        return Split(tuple(QQ_T.to_sympy(r) for r in roots))
+            return AllEqual(roots[0])
+        return Split(tuple(roots))
     return MixedSplit(tuple((f.as_expr(), mult) for f, mult in factors))

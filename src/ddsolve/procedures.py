@@ -24,8 +24,10 @@ The gauge G, the identity sigma^m(G) diag(r) = A G, the delta-part
 B-bar = G^-1 B G - G^-1 delta(G) and the residue normal form of the
 certificates are formed on K-forms (see :mod:`ddsolve.fields`), from the
 ones of A and B a :class:`DDSystem` holds, and so are DP2's specialized
-system and its ratios beta * lambda(x + j0 + i); G and B-bar become sympy
-matrices once, for certificates and report.
+system and its ratios beta * lambda(x + j0 + i).  A solution's part is a
+column of G with its ratio and diagonal entry of B-bar, as K-forms; no
+expression is converted into K inside a solve, and the report and the
+:class:`NormalForm` are formed once, from K, as expressions.
 """
 
 from __future__ import annotations
@@ -37,23 +39,25 @@ from typing import Optional
 
 import sympy as sp
 from sympy import QQ
+from sympy.polys.densearith import dup_add
+from sympy.polys.densebasic import dup_strip
 from sympy.polys.matrices import DomainMatrix
 
 from .closedform import (UnsupportedCase, hyperexp_solutions,
                          system_hypergeometric)
 from .difftools import (StandardDecomposition, leading_beta,
                         split_alpha_beta_power, standard_decompose)
-from .fields import (QQ_XT, Conjugate, FieldError, MixedSplit, Split,
-                     TRIVIAL_TOWER, Tower, delta, dm_clear, dm_conjugate,
-                     dm_delta, dm_delta_part, dm_embed, dm_from_matrix,
-                     dm_inv, dm_over_qt, dm_same, dm_scalar, dm_shift,
-                     dm_sigma_power, dm_to_matrix, from_regular,
-                     k_shift, make_tower, t_value, theta, treduce, x)
+from .fields import (QQ_T, QQ_XT, Conjugate, FieldError, MixedSplit, Split,
+                     TRIVIAL_TOWER, Tower, TowerArithmetic, dm_clear,
+                     dm_conjugate, dm_delta, dm_delta_part, dm_diag,
+                     dm_embed, dm_from_matrix, dm_inv, dm_over_qt, dm_same,
+                     dm_shift, dm_sigma_power, dm_to_matrix, element_expr,
+                     from_regular, k_shift, t_value, tower_from_modulus)
 from .moser import (MoserReport, ReductionStalled, leading_eigendata,
                     moser_reduce)
 from .ratsol import (_invertible_selection, gauge_from_ratios,
                      rational_solutions)
-from .sequences import (CompiledMatrix, HypCert, LiouvilleSolution,
+from .sequences import (CompiledMatrix, LiouvilleSolution, Part,
                         PointEvaluator, VerificationError, first_regular_index,
                         first_safe_index, lift_sigma_d_to_sigma,
                         verify_certificates, verify_numeric_window)
@@ -62,8 +66,9 @@ __all__ = ["DDSystem", "Outcome", "NormalForm", "check_integrability",
            "decision_procedure_1", "decision_procedure_2",
            "solve_liouvillian", "verification_point_fault"]
 
-# x and t in the ring Z[x, t] of K's numerators
+# x and t in the ring Z[x, t] of K's numerators, and in K
 _X, _T = QQ_XT.field.ring.gens
+_XK, _TK = QQ_XT.gens
 # Q[x, t] and t in it, where a denominator is evaluated at a rational t
 _Q_XT_RING = QQ_XT.field.ring.clone(domain=QQ)
 _Q_T = _Q_XT_RING.gens[1]
@@ -325,7 +330,7 @@ def _decision_procedure_1(sys: DDSystem, report: dict) -> Outcome:
                        "standard part of det A is not of the form "
                        "alpha(x)^n * beta(t)", report=report)
     alpha_K = split[0]
-    report["alpha"] = alpha = QQ_XT.to_sympy(alpha_K)
+    report["alpha"] = QQ_XT.to_sympy(alpha_K)
 
     # (b) Moser-reduce A/alpha; order at infinity must be 0
     stages.append("b")
@@ -346,30 +351,41 @@ def _decision_procedure_1(sys: DDSystem, report: dict) -> Outcome:
 
     if isinstance(eig, (Conjugate, Split)):
         stages.append("d1")
-        return _dp1_stage_d1(sys, alpha, eig, report)
+        return _dp1_stage_d1(sys, alpha_K, eig, report)
     stages.append("d2")
-    return _dp1_stage_d2(sys, alpha_K, eig.root, report)
+    return _dp1_stage_d2(sys, alpha_K, QQ_XT.convert_from(eig.root, QQ_T),
+                         report)
 
 
-def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
+def _column_part(G: DomainMatrix, r, Bbar: DomainMatrix, i: int,
+                 tower: Tower, m: int = 1, shift=None) -> Part:
+    """The :class:`Part` of column i of the gauge G with sigma-ratio r (an
+    element of the tower) and delta-ratio the diagonal entry i of its
+    delta-part Bbar, G and Bbar K-forms over the tower."""
+    block = range(i * tower.degree, (i + 1) * tower.degree)
+    return Part(G.extract(range(G.shape[0]), block), dm_diag([r], tower),
+                Bbar.extract(block, block), m, shift)
+
+
+def _dp1_stage_d1(sys: DDSystem, alpha_K, eig, report: dict) -> Outcome:
     n = sys.n
     if isinstance(eig, Conjugate):
-        mp = eig.minpoly.subs(sp.Symbol("Y"), theta)
-        tower = make_tower(mp)
+        tower = tower_from_modulus(eig.modulus)
         betas = tower.conjugates()
-        report["beta_minpoly"] = sp.expand(mp)
+        report["beta_minpoly"] = sp.expand(tower.minpoly)
         if len(betas) != n:
             return Outcome("Unsupported", "DP1", "d1",
                            "splitting field required: not all conjugate "
                            "eigenvalues lie in the degree-n tower",
                            report=report)
         A = dm_embed(sys.A_K, tower)
+        ar = TowerArithmetic(tower)
+        ratios = [ar.mul([alpha_K], b) for b in betas]
         # one rational solve; the remaining columns are conjugates
-        ratio = alpha * betas[0]
         basis = rational_solutions(
-            A * dm_scalar(1 / ratio, n, tower),
-            dm_scalar(ratio, n, tower) * dm_embed(sys.cocycle_inverse(1),
-                                                  tower), 1, tower).basis
+            A * dm_diag([ar.inv(ratios[0])] * n, tower),
+            dm_diag([ratios[0]] * n, tower)
+            * dm_embed(sys.cocycle_inverse(1), tower), 1, tower).basis
         if not basis:
             return Outcome("NoSolution", "DP1", "d1",
                            "no rational solution for the ratio alpha*beta_1",
@@ -381,9 +397,10 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
     else:  # Split over Q(t)
         tower = TRIVIAL_TOWER
         A = sys.A_K
-        betas = [treduce(r) for r in eig.roots]
-        G = gauge_from_ratios(A, sys.cocycle_inverse(1),
-                              dm_from_matrix(sp.diag(*betas) * alpha), 1)
+        roots = [QQ_XT.convert_from(r, QQ_T) for r in eig.roots]
+        betas = [[b] for b in roots]
+        ratios = [[alpha_K * b] for b in roots]
+        G = gauge_from_ratios(A, sys.cocycle_inverse(1), dm_diag(ratios), 1)
     if G is None:
         # complete: _invertible_selection tries every one-vector-per-slot
         # choice, and a minor of any constant combination per slot is a
@@ -392,9 +409,7 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
         return Outcome("NoSolution", "DP1", "d1",
                        "rational solutions exist but assemble to no "
                        "invertible gauge", report=report)
-    ratios = [treduce(alpha * b, tower) for b in betas]
-    if not dm_same([(dm_shift(G), dm_from_matrix(sp.diag(*ratios), tower))],
-                   [(A, G)]):
+    if not dm_same([(dm_shift(G), dm_diag(ratios, tower))], [(A, G)]):
         raise VerificationError("gauge identity violated")
     Bbar = _gauge_delta_part(G, dm_embed(sys.B_K, tower), tower)
     off = _diag_offenders(Bbar, tower)
@@ -402,26 +417,27 @@ def _dp1_stage_d1(sys: DDSystem, alpha, eig, report: dict) -> Outcome:
         return Outcome("NoSolution", "DP1", "d1",
                        f"delta-part not diagonal at {off}", report=report)
     G, Bbar = _normalize_gauge_certificates(G, Bbar, tower)
-    G, Bbar = dm_to_matrix(G, tower), dm_to_matrix(Bbar, tower)
-    report["G"] = G
-    report["Bbar"] = Bbar
-    cs = [treduce(Bbar[i, i] - delta(betas[i], tower) / betas[i] * x, tower)
-          for i in range(n)]
-    nf = NormalForm(alpha=alpha, betas=betas, cs=cs, ell=1,
+    report["G"] = dm_to_matrix(G, tower)
+    report["Bbar"] = dm_to_matrix(Bbar, tower)
+    sols = [LiouvilleSolution("Hypergeometric", [_column_part(
+        G, ratios[i], Bbar, i, tower)], tower) for i in range(n)]
+    # c_i = Bbar_ii - delta(beta_i)/beta_i * x, on 1 x 1 K-forms
+    cs = []
+    for b, sol in zip(betas, sols):
+        D = dm_diag([b], tower)
+        cs.append(dm_to_matrix(sol.parts[0].c - (dm_delta(D, tower)
+                                                 * dm_inv(D)).mul(_XK),
+                               tower)[0])
+    nf = NormalForm(alpha=report["alpha"],
+                    betas=[element_expr(b) for b in betas], cs=cs, ell=1,
                     tower=tower)
-    sols = []
-    for i in range(n):
-        cert = HypCert(sigma_ratio=ratios[i], sigma_step=1,
-                       delta_ratio=treduce(Bbar[i, i], tower))
-        sols.append(LiouvilleSolution(kind="Hypergeometric", W=G[:, i],
-                                      cert=cert, tower=tower))
     return Outcome("Solved", "DP1", solutions=sols, normal_form=nf,
                    report=report)
 
 
 def _dp1_stage_d2(sys: DDSystem, alpha_K, beta1, report: dict) -> Outcome:
     n = sys.n
-    ratio_K = alpha_K * QQ_XT.from_sympy(beta1)
+    ratio_K = alpha_K * beta1
     basis = rational_solutions(sys.A_K.mul(QQ_XT.one / ratio_K),
                                sys.cocycle_inverse(1).mul(ratio_K), 1,
                                TRIVIAL_TOWER).basis
@@ -432,7 +448,9 @@ def _dp1_stage_d2(sys: DDSystem, alpha_K, beta1, report: dict) -> Outcome:
                        "no invertible gauge with ratio alpha*beta over "
                        "Q(x, t)", report=report)
     Bbar = _gauge_delta_part(G, sys.B_K, TRIVIAL_TOWER)
-    Bhat = Bbar - dm_from_matrix(sp.eye(n) * x * delta(beta1) / beta1)
+    # delta(beta_1)/beta_1 * x, the delta-ratio of beta_1^x
+    dlog = beta1.diff(_TK) / beta1 * _XK
+    Bhat = Bbar - DomainMatrix.eye(n, QQ_XT).mul(dlog)
     if dm_over_qt(Bhat) is None:
         return Outcome("NoSolution", "DP1", "d2",
                        "residual delta-part is not over Q(t)", report=report)
@@ -446,20 +464,17 @@ def _dp1_stage_d2(sys: DDSystem, alpha_K, beta1, report: dict) -> Outcome:
         return Outcome("Unsupported", "DP1", "d2",
                        "no hyperexponential fundamental matrix of the "
                        "residual system found over Q(t)", report=report)
-    ratio = treduce(QQ_XT.to_sympy(ratio_K))
-    sols = []
     towers = [c.tower for c in indep]
     sol_tower = next((tw for tw in towers if not tw.trivial), TRIVIAL_TOWER)
-    cs = []
+    sols = []
     for c in indep:
-        W = dm_to_matrix(dm_embed(G, c.tower) * c.V, c.tower)
-        dr = treduce(c.certificate + delta(beta1) / beta1 * x, c.tower)
-        cs.append(c.certificate)
-        cert = HypCert(sigma_ratio=ratio, sigma_step=1, delta_ratio=dr)
-        sols.append(LiouvilleSolution(kind="Hypergeometric", W=W, cert=cert,
-                                      tower=c.tower))
-    nf = NormalForm(alpha=QQ_XT.to_sympy(alpha_K), betas=[beta1] * n,
-                    cs=cs, ell=1, tower=sol_tower)
+        dr = dup_add(c.certificate, dup_strip([dlog]), QQ_XT)
+        sols.append(LiouvilleSolution("Hypergeometric", [Part(
+            dm_embed(G, c.tower) * c.V, dm_diag([[ratio_K]], c.tower),
+            dm_diag([dr], c.tower), 1)], c.tower))
+    nf = NormalForm(alpha=report["alpha"], betas=[QQ_XT.to_sympy(beta1)] * n,
+                    cs=[element_expr(c.certificate) for c in indep], ell=1,
+                    tower=sol_tower)
     return Outcome("Solved", "DP1", solutions=sols, normal_form=nf,
                    report=report)
 
@@ -559,22 +574,19 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
                                f"delta-part not diagonal at {off}",
                                report=report)
             G, Bbar = _normalize_gauge_certificates(G, Bbar, TRIVIAL_TOWER)
-            G, Bbar, R = dm_to_matrix(G), dm_to_matrix(Bbar), dm_to_matrix(R)
             report["lambda"] = QQ_XT.to_sympy(lam)
             report["j0"] = j0
-            report["G"] = G
-            report["Bbar"] = Bbar
-            bhats = [treduce(Bbar[i, i] - delta(beta) / (n * beta) * x)
+            report["G"] = dm_to_matrix(G)
+            report["Bbar"] = dm_to_matrix(Bbar)
+            # delta(beta)/(n beta) * x, the delta-ratio of beta^(x/n)
+            dlog = beta_K.diff(_TK) / (n * beta_K) * _XK
+            bhats = [QQ_XT.to_sympy(Bbar[i, i].element - dlog)
                      for i in range(n)]
             nf = NormalForm(alpha=report["lambda"], betas=[beta] * n,
                             bhats=bhats, j0=j0, ell=n)
-            sols = []
-            for i in range(n):
-                cert = HypCert(sigma_ratio=R[i, i], sigma_step=n,
-                               delta_ratio=treduce(Bbar[i, i]))
-                sols.append(LiouvilleSolution(
-                    kind="Interlaced", period=n,
-                    components=[(i, G[:, i], cert)]))
+            sols = [LiouvilleSolution("Interlaced", [_column_part(
+                G, [shifted[j0 + i]], Bbar, i, TRIVIAL_TOWER, n, i)])
+                for i in range(n)]
             return Outcome("Solved", "DP2", solutions=sols, normal_form=nf,
                            report=report)
     # complete for the candidate ratios: gauge_from_ratios returns None

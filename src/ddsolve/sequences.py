@@ -12,7 +12,7 @@ tower generator with t specialized).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import sympy as sp
@@ -26,7 +26,7 @@ from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower, _modulus,
                      common_integer_roots, dm_delta, dm_embed,
-                     dm_from_matrix, dm_same, dm_shift, dm_to_matrix,
+                     dm_same, dm_shift, dm_to_matrix,
                      from_regular, from_theta_coords, regular_rows, t, theta,
                      theta_coords, x_integer_roots)
 
@@ -461,81 +461,63 @@ class HypCert:
 class Part(NamedTuple):
     """One hypergeometric part W*h of a solution, sigma^m(h) = r*h and
     delta(h) = c*h, with W, the 1 x 1 matrices [r] and [c] as K-forms over
-    the solution's tower."""
-    label: str
+    the solution's tower.  The component of an interlaced solution lives
+    on the class j = shift mod m; shift is None for a hypergeometric one."""
     W: DomainMatrix
     r: DomainMatrix
     c: DomainMatrix
     m: int
+    shift: Optional[int] = None
+
+    @property
+    def label(self) -> str:
+        return "solution" if self.shift is None else f"component {self.shift}"
 
 
 @dataclass
 class LiouvilleSolution:
-    """kind 'Hypergeometric': W, cert describe W*h with sigma^m(h) =
-    sigma_ratio*h and delta(h) = delta_ratio*h.  kind 'Interlaced':
-    components [(shift class i, W_i, cert_i)] of sigma^d-solutions whose
-    lifts interlace to solutions of the sigma-system.
+    """A solution by the K-forms of its hypergeometric parts over its
+    tower, what the certificate check, the numeric window and the lift
+    read.  kind 'Hypergeometric': one part W*h.  kind 'Interlaced':
+    sigma^m-solutions on the classes j = shift mod m, whose lifts
+    interlace to solutions of the sigma-system.
 
-    The K-forms of its parts (:attr:`parts`) are formed on first use and
-    kept; the fields are not modified after construction.  A solution
-    made by :meth:`from_part` goes the other way: it holds the K-forms,
-    and W, cert and components are formed from them on first read."""
+    :attr:`W`, :attr:`cert` and :attr:`components` are the same data as
+    sympy expressions, formed on first read for the report, the solution
+    file and the expression API; the parts are not modified after
+    construction."""
     kind: str
-    W: Optional[sp.Matrix] = None
-    cert: Optional[HypCert] = None
-    period: int = 1
-    components: list = field(default_factory=list)
+    parts: list
     tower: Tower = TRIVIAL_TOWER
 
-    @classmethod
-    def from_part(cls, kind: str, part: Part, tower: Tower,
-                  shift: int = 0) -> "LiouvilleSolution":
-        """The solution of one hypergeometric part given by its K-forms
-        over the tower (as read from a file): kind 'Hypergeometric', or
-        kind 'Interlaced' with the one component of shift class `shift`
-        and period m."""
-        sol = cls.__new__(cls)
-        sol.__dict__.update(
-            kind=kind, tower=tower, _part=(part, shift),
-            period=part.m if kind == "Interlaced" else 1,
-            parts=[part] if kind in ("Hypergeometric", "Interlaced") else [])
-        return sol
-
-    def __getattr__(self, name):
-        # W, cert and components of a solution made by from_part
-        if name not in ("W", "cert", "components") or \
-                "_part" not in self.__dict__:
-            raise AttributeError(name)
-        (part, shift), tower = self._part, self.tower
-        W = dm_to_matrix(part.W, tower)
-        cert = HypCert(dm_to_matrix(part.r, tower)[0], part.m,
-                       dm_to_matrix(part.c, tower)[0])
-        if self.kind == "Interlaced":
-            self.__dict__.update(W=None, cert=None,
-                                 components=[(shift, W, cert)])
-        else:
-            self.__dict__.update(W=W, cert=cert, components=[])
-        return self.__dict__[name]
+    @property
+    def period(self) -> int:
+        return self.parts[0].m if self.kind == "Interlaced" else 1
 
     @functools.cached_property
-    def parts(self) -> list:
-        """The :class:`Part` of each hypergeometric part, what the
-        certificate check, the numeric window and the lift read; FieldError
-        for an entry outside the tower."""
-        if self.kind == "Hypergeometric":
-            raw = [("solution", self.W, self.cert)]
-        else:
-            raw = [(f"component {i}", W, c) for i, W, c in self.components]
-        return [Part(label, dm_from_matrix(W, self.tower),
-                     *(dm_from_matrix(sp.Matrix([e]), self.tower)
-                       for e in (cert.sigma_ratio, cert.delta_ratio)),
-                     cert.sigma_step)
-                for label, W, cert in raw]
+    def _exprs(self) -> list:
+        """(W, cert) of each part, by dm_to_matrix."""
+        return [(dm_to_matrix(p.W, self.tower),
+                 HypCert(dm_to_matrix(p.r, self.tower)[0], p.m,
+                         dm_to_matrix(p.c, self.tower)[0]))
+                for p in self.parts]
 
+    @property
+    def W(self) -> Optional[sp.Matrix]:
+        """The vector part of a Hypergeometric solution."""
+        return self._exprs[0][0] if self.kind == "Hypergeometric" else None
 
-# no class-level default for W and cert, so that reading them on a
-# solution made by from_part reaches __getattr__
-del LiouvilleSolution.W, LiouvilleSolution.cert
+    @property
+    def cert(self) -> Optional[HypCert]:
+        """The certificates of a Hypergeometric solution."""
+        return self._exprs[0][1] if self.kind == "Hypergeometric" else None
+
+    @property
+    def components(self) -> list:
+        """[(shift class, W, cert)] of an Interlaced solution."""
+        if self.kind != "Interlaced":
+            return []
+        return [(p.shift, *e) for p, e in zip(self.parts, self._exprs)]
 
 
 @dataclass
@@ -587,9 +569,10 @@ def verify_numeric_window(system, sol: LiouvilleSolution, t0, terms: int = 30) -
     failures = []
     deg = sol.tower.degree
     pts = PointEvaluator(sol.tower, t0)
-    for label, W, ratio, _, m in sol.parts:
-        Am, Wc, rc = (pts.compile(system.cocycle(m)), pts.compile(W, deg),
-                      pts.compile(ratio, deg))
+    for part in sol.parts:
+        label, m = part.label, part.m
+        Am, Wc, rc = (pts.compile(system.cocycle(m)), pts.compile(part.W, deg),
+                      pts.compile(part.r, deg))
         # start past every pole visible after the specialization t = t0
         N = max([1] + [r + m + 1 for _, den in (Am, Wc, rc) if len(den) > 1
                        for r in common_integer_roots([den])])

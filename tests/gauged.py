@@ -13,8 +13,9 @@ import random
 
 import sympy as sp
 
-from ddsolve.fields import mat_reduce, shift, t, x
+from ddsolve.fields import t, x
 from ddsolve.procedures import DDSystem
+from helpers import mat_reduce, shift
 
 
 def gauge3(seed: int) -> sp.Matrix:

@@ -9,12 +9,66 @@ import sympy as sp
 from sympy.polys.matrices import DomainMatrix
 
 from ddsolve.difftools import dispersion
-from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, FieldError, Tower, delta,
-                            dm_from_matrix, dm_to_matrix, factor_in_x,
-                            k_shift, kernel, make_tower, series_at_infinity,
-                            shift, t, theta, treduce, x)
+from ddsolve.fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, AllEqual, Conjugate,
+                            FieldError, MixedSplit, Split, Tower,
+                            dm_from_matrix, dm_to_matrix, element_expr,
+                            factor_in_x, k_shift, kernel, make_tower,
+                            series_at_infinity, t, theta, treduce, x)
 from ddsolve.moser import infinity_expansion
-from ddsolve.sequences import VerificationError
+from ddsolve.sequences import LiouvilleSolution, Part, VerificationError
+
+
+# ---------------------------------------------------------------------------
+# expression helpers: field arithmetic on sympy expressions in the
+# canonical form of treduce
+
+def teq(a, b, tower: Tower = TRIVIAL_TOWER) -> bool:
+    return treduce(sp.sympify(a) - sp.sympify(b), tower) == 0
+
+
+def tinv(f, tower: Tower = TRIVIAL_TOWER):
+    return treduce(1 / sp.sympify(f), tower)
+
+
+def shift(f, j: int = 1):
+    """sigma^j: f(x) -> f(x+j)."""
+    return sp.sympify(f).subs(x, x + j)
+
+
+def delta(f, tower: Tower = TRIVIAL_TOWER):
+    """d/dt with delta(x) = 0 and delta(theta) = tower.dtheta."""
+    f = sp.sympify(f)
+    df = sp.diff(f, t)
+    if not tower.trivial:
+        df = df + sp.diff(f, theta) * tower.dtheta
+    return treduce(df, tower)
+
+
+def mat_reduce(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
+    return M.applyfunc(lambda e: treduce(e, tower))
+
+
+def solution(W: sp.Matrix, cert, tower: Tower = TRIVIAL_TOWER):
+    """The Hypergeometric LiouvilleSolution W*h whose certificates are
+    cert (a HypCert), given as sympy expressions over the tower."""
+    r, c = (dm_from_matrix(sp.Matrix([e]), tower)
+            for e in (cert.sigma_ratio, cert.delta_ratio))
+    return LiouvilleSolution("Hypergeometric", [Part(
+        dm_from_matrix(W, tower), r, c, cert.sigma_step)], tower)
+
+
+def eigendata_expr(eig):
+    """moser.leading_eigendata's classification with its contents as
+    expressions in Y, the form of reference_leading_eigendata."""
+    if isinstance(eig, Conjugate):
+        return Conjugate(sp.Poly.from_list(
+            [QQ_T.convert_from(c, QQ_XT) for c in eig.modulus],
+            sp.Symbol("Y"), domain=QQ_T).as_expr())
+    if isinstance(eig, AllEqual):
+        return AllEqual(QQ_T.to_sympy(eig.root))
+    if isinstance(eig, Split):
+        return Split(tuple(QQ_T.to_sympy(r) for r in eig.roots))
+    return eig
 
 
 def mat_eq(A: sp.Matrix, B: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> bool:
@@ -256,7 +310,6 @@ def reference_petkovsek(pcoeffs, m: int = 1):
     """All ratios of hypergeometric solutions of
     sum_i p_i(x) y(x + m*i) = 0, by Expr products, expand, degree and LC
     on every divisor pair, and sp.roots for the leading constant."""
-    from ddsolve.fields import shift, x
 
     ps = [sp.expand(p) for p in pcoeffs]
     while ps and ps[-1] == 0:
@@ -414,7 +467,6 @@ def reference_universal_denominator(M, m=1, tower=TRIVIAL_TOWER):
 def reference_scalar_operators(M, m, tower):
     """Chain operators from nullspace on sp.Matrix rows, normalized by the
     lcm of the together-denominators."""
-    from ddsolve.fields import mat_reduce
 
     n = M.shape[0]
     ops = []
@@ -554,7 +606,6 @@ def reference_rational_solutions(M, m=1, tower=TRIVIAL_TOWER):
     """Rational solution basis from the reference universal denominator,
     the reference polynomial solutions and an Expr ansatz for the
     constant-span test."""
-    from ddsolve.fields import mat_reduce
 
     u = reference_universal_denominator(M, m, tower)
     Mp = mat_reduce(sp.sympify(shift(u, m)) / u * M, tower)
@@ -743,7 +794,7 @@ def reference_lift(V, ratio, d: int, A, N: int, tower: Tower = TRIVIAL_TOWER,
 
 def reference_gauge_delta_part(G, B, tower=TRIVIAL_TOWER):
     """B-bar = G^{-1} B G - G^{-1} delta(G)."""
-    from ddsolve.fields import mat_inv, mat_reduce
+    from ddsolve.fields import mat_inv
 
     Ginv = mat_inv(G, tower)
     return mat_reduce(Ginv * B * G - Ginv * mat_delta(G, tower), tower)
@@ -797,7 +848,8 @@ def _reference_eigen_candidates(C: sp.Matrix, allow_tower=True):
             pairs.append((lam, TRIVIAL_TOWER))
         elif allow_tower:
             tower = make_tower(fac.monic().as_expr().subs(Y, theta))
-            pairs.extend((conj, tower) for conj in tower.conjugates())
+            pairs.extend((element_expr(conj), tower)
+                         for conj in tower.conjugates())
     return [(lam, v, tower) for lam, tower in pairs
             for v in nullspace(C - lam * sp.eye(C.shape[0]), tower)]
 
@@ -923,8 +975,6 @@ def reference_hyperexp_solutions(Bhat: sp.Matrix):
 def reference_leading_eigendata(H0: sp.Matrix, n: int):
     """Classification of the eigenvalue multiset of H0 over Q(t): the Expr
     charpoly, cancelled and factored over Q(t)."""
-    from ddsolve.fields import AllEqual, Conjugate, MixedSplit, Split
-
     Y = sp.Symbol("Y")
     Pp = sp.Poly(sp.cancel(sp.together(H0.charpoly(Y).as_expr())), Y,
                  domain=sp.QQ.frac_field(t))

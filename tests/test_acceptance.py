@@ -25,11 +25,12 @@ import pytest
 import sympy as sp
 
 from ddsolve.cli import main as cli_main
-from ddsolve.fields import mat_reduce, shift, t, teq, theta, treduce, x
+from ddsolve.fields import t, theta, treduce, x
 from ddsolve.files import read_solution, read_system, write_solution
 from ddsolve.procedures import solve_liouvillian
 from ddsolve.sequences import verify_certificates, verify_numeric_window
-from helpers import mat_eq, mat_shift, reference_gauge_delta_part
+from helpers import (mat_eq, mat_reduce, mat_shift, reference_gauge_delta_part,
+                     teq)
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -10,15 +11,16 @@ from ddsolve import closedform
 from ddsolve.closedform import (UnsupportedCase, hyperexp_solutions,
                                 petkovsek, system_hypergeometric)
 from ddsolve.difftools import standard_decompose
-from ddsolve.fields import (QQ_XT, delta, dm_from_matrix, dm_over_qt,
-                            dm_shift, dm_to_matrix, mat_reduce, shift,
-                            sigma_power_matrix, t, teq, theta, treduce, x)
+from ddsolve.fields import (QQ_XT, dm_from_matrix, dm_over_qt, dm_shift,
+                            dm_to_matrix, element_expr, sigma_power_matrix, t,
+                            theta, treduce, x)
 from ddsolve.files import read_system
 from ddsolve.procedures import _specialization_point
 from ddsolve.ratsol import scalar_operators
 from ddsolve.sequences import VerificationError
 
-from helpers import reference_hyperexp_solutions, reference_petkovsek
+from helpers import (delta, mat_reduce, reference_hyperexp_solutions,
+                     reference_petkovsek, shift, teq)
 
 
 def _recurrence_from_ratio(r, m=1):
@@ -344,7 +346,10 @@ def test_system_hypergeometric_one_candidate_per_standard_part(example2_A0):
 # hyperexponential solutions of delta(Y) = C Y over Q(t)
 
 def _hyperexp(C: sp.Matrix):
-    return hyperexp_solutions(dm_from_matrix(C))
+    """hyperexp_solutions on the K-form of C, each certificate read back as
+    an expression."""
+    return [dataclasses.replace(c, certificate=element_expr(c.certificate))
+            for c in hyperexp_solutions(dm_from_matrix(C))]
 
 
 def _hyperexp_solves(c, C: sp.Matrix) -> bool:

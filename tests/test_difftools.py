@@ -8,11 +8,11 @@ from ddsolve.difftools import (_shift_between, dispersion, leading_beta,
                                shift_class_divisor,
                                shift_classes, split_alpha_beta_power,
                                standard_decompose)
-from ddsolve.fields import QQ_XT, k_shift, shift, t, treduce, x
+from ddsolve.fields import QQ_XT, k_shift, t, treduce, x
 from conftest import random_poly_x
 from helpers import (is_standard, reassemble, reference_dispersion,
                      reference_leading_beta, reference_split_alpha_beta_power,
-                     reference_standard_decompose)
+                     reference_standard_decompose, shift)
 
 # difftools works on K; the tests write their cases as expressions
 K, E = QQ_XT.from_sympy, QQ_XT.to_sympy

@@ -15,20 +15,18 @@ from sympy.polys.matrices import DomainMatrix
 from ddsolve.fields import (_QQ_XTTH, AllEqual, Conjugate, FieldError,
                             Fractions, MixedSplit, Split, QQ_T, QQ_XT,
                             TRIVIAL_TOWER, _field_element,
-                            common_integer_roots, delta,
-                            dm_conjugate,
-                            dm_clear, dm_delta, dm_delta_part, dm_embed,
-                            dm_from_matrix, dm_inv, dm_same,
-                            dm_shift, dm_sigma_power, dm_to_matrix,
-                            factor_in_x, k_shift, make_tower, mat_inv,
-                            mat_reduce, series_at_infinity, shift,
-                            sigma_power_matrix, t, teq, theta, tinv, treduce,
-                            x)
+                            common_integer_roots, dm_conjugate, dm_clear,
+                            dm_delta, dm_delta_part, dm_embed, dm_from_matrix,
+                            dm_inv, dm_same, dm_shift, dm_sigma_power,
+                            dm_to_matrix, element_expr, factor_in_x, k_shift,
+                            make_tower, mat_inv, series_at_infinity,
+                            sigma_power_matrix, t, theta, treduce, x)
 from ddsolve.files import read_system
 from ddsolve.moser import leading_eigendata
 from conftest import SYSTEMS, random_ratfunc
-from helpers import (integer_roots, mat_delta, mat_eq, mat_shift, nullspace,
-                     rank, reference_common_integer_roots)
+from helpers import (delta, integer_roots, mat_delta, mat_eq, mat_reduce,
+                     mat_shift, nullspace, rank,
+                     reference_common_integer_roots, shift, teq, tinv)
 
 Y = sp.Symbol("Y")
 EX1_TOWER = make_tower(theta**2 - (t**2 + 1))
@@ -221,7 +219,7 @@ def test_make_tower_rejects_reducible():
 
 def test_tower_conjugates_degree_two():
     tw = make_tower(theta**2 - (t**2 + 1))
-    c1, c2 = tw.conjugates()
+    c1, c2 = map(element_expr, tw.conjugates())
     assert teq(c1, theta, tw) and teq(c2, -theta, tw)
     # both are roots of the minimal polynomial
     for c in (c1, c2):
@@ -232,12 +230,13 @@ def test_tower_conjugates_degree_three():
     """A cubic over Q: all three roots when the tower is normal, theta
     alone otherwise; over Q(t) theta alone."""
     tw = make_tower(theta**3 - 3 * theta + 1)
-    roots = tw.conjugates()
+    roots = [element_expr(c) for c in tw.conjugates()]
     assert roots == [theta, theta**2 - 2, -theta**2 - theta + 2]
     for c in roots:
         assert teq(tw.minpoly.subs(theta, c), 0, tw)
-    assert make_tower(theta**3 - 2).conjugates() == [theta]
-    assert make_tower(theta**3 - t).conjugates() == [theta]
+    for minpoly in (theta**3 - 2, theta**3 - t):
+        assert [element_expr(c) for c in
+                make_tower(minpoly).conjugates()] == [theta]
 
 
 def test_delta_on_tower_is_derivation():
@@ -655,7 +654,7 @@ def test_tower_k_form_helpers_match_expr_operations():
     got = dm_to_matrix(dm_conjugate(dm_from_matrix(N, EX1_TOWER), conj,
                                     EX1_TOWER), EX1_TOWER)
     assert sp.srepr(got) == sp.srepr(N.applyfunc(
-        lambda e: treduce(e.subs(theta, conj), EX1_TOWER)))
+        lambda e: treduce(e.subs(theta, element_expr(conj)), EX1_TOWER)))
 
 
 def test_dm_from_matrix_rejects_entries_outside_Qxt():
@@ -827,3 +826,32 @@ def test_k_gcd_survives_a_heuristic_gcd_failure():
     got = f * (1 / g)
     assert (got.numer, got.denom) == (f.numer, g.numer)
     assert QQ_XT.to_sympy(got) == sp.cancel(F / G)
+
+
+# polynomials in Z[x, t] with x-degree <= 2, t-degree <= 1 and
+# coefficients in [-3, 3]; sets of 1 or 2 shifts x -> x + j, j <= 4, of a
+# product's own factor, and of at most one of the other's
+_XT_POLYS = st.lists(st.integers(-3, 3), min_size=6, max_size=6).map(
+    lambda cs: sp.Add(*(c * x**(k // 2) * t**(k % 2)
+                        for k, c in enumerate(cs)))).filter(
+    lambda p: p.has(x))
+_SHIFTS, _SOME_SHIFTS = (st.lists(st.integers(0, 4), min_size=k,
+                                  max_size=k + 1, unique=True)
+                         for k in (0, 1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_XT_POLYS, _XT_POLYS, _SOME_SHIFTS, _SHIFTS, _SOME_SHIFTS, _SHIFTS)
+def test_k_quotient_of_shifted_products_is_cancel(p, q, fp, fq, gq, gp):
+    """F = prod p(x + j) prod q(x + k) and G = prod q(x + j) prod p(x + k),
+    products of shifts as a lift forms them, sharing some factors.  In K,
+    F * (1/G) is sp.cancel(F/G): the same value, and the same numerator
+    and denominator, cancelled over Z with the denominator's leading
+    coefficient positive."""
+    F, G = (sp.expand(sp.Mul(*(a.subs(x, x + j) for j in ja),
+                             *(b.subs(x, x + j) for j in jb)))
+            for a, ja, b, jb in ((p, fp, q, fq), (q, gq, p, gp)))
+    got = QQ_XT.from_sympy(F) * (1 / QQ_XT.from_sympy(G))
+    num, den = got.numer.as_expr(), got.denom.as_expr()
+    assert sp.Poly(num * G - F * den, x, t).is_zero
+    assert (num, den) == tuple(map(sp.expand, sp.fraction(sp.cancel(F / G))))

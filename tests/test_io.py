@@ -12,13 +12,13 @@ from hypothesis import given, settings, strategies as st
 from ddsolve.cli import main as cli_main
 from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, FieldError, _modulus,
                             dm_from_matrix, make_tower, regular_matrix, t,
-                            teq, theta, x)
+                            theta, x)
 from ddsolve.files import (SchemaError, read_solution, read_system,
                            write_system)
 from ddsolve.parsing import (ParseError, parse_element, parse_expression,
                              parse_ratfunc, print_ratfunc, tree_to_sympy)
 from conftest import SYSTEMS, random_ratfunc
-from helpers import reference_tower_exprs
+from helpers import reference_tower_exprs, solution, teq
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +406,8 @@ def test_cli_tools_moser_prints_gauge_and_reduced_matrix(M, want, tmp_path,
 
 @pytest.mark.parametrize("name", ["example1", "example2", "hermite"])
 def test_cli_solve_stdout_matches_golden(name, capsys):
-    """The human report of solve, byte for byte, is tests/golden/NAME.stdout."""
+    """The human report of solve is tests/golden/NAME.stdout, byte for
+    byte."""
     cli_main(["solve", str(SYSTEMS / f"{name}.json")])
     out = capsys.readouterr().out
     golden = SYSTEMS.parent / "tests" / "golden" / f"{name}.stdout"
@@ -515,10 +516,9 @@ def test_solution_file_roundtrip(tmp_path, hermite_path):
     # build a tiny synthetic solution file and re-read it
     from ddsolve.files import write_solution
     from ddsolve.procedures import Outcome
-    from ddsolve.sequences import HypCert, LiouvilleSolution
-    sol = LiouvilleSolution(
-        kind="Hypergeometric", W=sp.Matrix([1, x]),
-        cert=HypCert(sigma_ratio=x + 1, sigma_step=1, delta_ratio=1 / t))
+    from ddsolve.sequences import HypCert
+    sol = solution(sp.Matrix([1, x]),
+                   HypCert(sigma_ratio=x + 1, sigma_step=1, delta_ratio=1 / t))
     outcome = Outcome("Solved", "DP1", solutions=[sol])
     out = tmp_path / "sol.json"
     write_solution(str(out), outcome)

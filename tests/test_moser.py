@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,18 +7,21 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ddsolve import moser
 from ddsolve.fields import (AllEqual, Conjugate, Split, dm_from_matrix,
-                            mat_inv, mat_reduce, t, x)
+                            dm_to_matrix, mat_inv, t, x)
 from ddsolve.moser import infinity_expansion, leading_eigendata
-from helpers import (mat_eq, mat_shift, ord_and_moser,
-                     reference_leading_eigendata)
+from helpers import (eigendata_expr, mat_eq, mat_reduce, mat_shift,
+                     ord_and_moser, reference_leading_eigendata)
 
 Y = sp.Symbol("Y")
 
 
 def moser_reduce(M: sp.Matrix):
-    """moser_reduce on the K-form of M; the report's ord is that of the
+    """moser_reduce on the K-form of M, with the gauge and the reduced
+    matrix read back as sympy matrices; the report's ord is that of the
     reduced matrix."""
     rep = moser.moser_reduce(dm_from_matrix(M))
+    rep = dataclasses.replace(rep, gauge=dm_to_matrix(rep.gauge),
+                              reduced=dm_to_matrix(rep.reduced))
     assert rep.ord == ord_and_moser(rep.reduced)[0]
     return rep
 
@@ -189,5 +193,5 @@ def test_leading_eigendata_matches_reference(case, gauged):
         H = mat_reduce(G * H * G.inv())
     def key(eig):   # srepr of a dataclass would print its fields by str
         return type(eig).__name__, sp.srepr(vars(eig))
-    got = leading_eigendata(dm_from_matrix(H))
+    got = eigendata_expr(leading_eigendata(dm_from_matrix(H)))
     assert key(got) == key(reference_leading_eigendata(H, n))

@@ -9,10 +9,10 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, delta, dm_delta,
-                            dm_from_matrix, dm_shift, dm_sigma_power,
-                            dm_to_matrix, make_tower, mat_inv, mat_reduce, t,
-                            teq, theta, treduce, x)
+from ddsolve import fields
+from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, dm_delta, dm_from_matrix,
+                            dm_shift, dm_sigma_power, dm_to_matrix, make_tower,
+                            mat_inv, t, theta, treduce, x)
 from ddsolve.procedures import (DDSystem, _certificate_normalizer,
                                 _first_verification_point, _integrable,
                                 _normalize_gauge_certificates,
@@ -23,8 +23,8 @@ from ddsolve.sequences import VerificationError, verify_certificates
 from ddsolve.cli import main as cli_main
 from ddsolve.files import read_system, write_system
 from conftest import ROOT, SYSTEMS, random_invertible_matrix, random_ratfunc
-from helpers import (mat_delta, mat_eq, mat_shift,
-                     reference_gauge_delta_part)
+from helpers import (delta, mat_delta, mat_eq, mat_reduce, mat_shift,
+                     reference_gauge_delta_part, teq)
 
 HERMITE_A = sp.Matrix([[0, 1], [-2 * x, 2 * t]])
 HERMITE_B = sp.Matrix([[2 * t, -1], [2 * x, 0]])
@@ -471,7 +471,7 @@ def _companion(P):
     return sp.Matrix.companion(sp.Poly(P, Y))
 
 
-@pytest.mark.parametrize("B, minpoly, delta_ratios", [
+RESIDUAL_HYPEREXPONENTIAL = [
     (sp.Matrix([[0, 1], [2, 1]]), None, [2, -1]),
     (sp.Matrix([[0, 2], [1, 0]]), theta**2 - 2, [theta, -theta]),
     (sp.diag(1 / t, 2), None, [1 / t, 2]),
@@ -479,7 +479,10 @@ def _companion(P):
     (sp.Matrix([[1 / t, -1 / t], [0, 0]]), None, [0, 0]),
     (sp.Matrix([[2 / t, -1 / (t + 1) - 2 / t], [0, -1 / (t + 1)]]), None,
      [-1 / (t + 1), -1 / (t + 1)]),
-])
+]
+
+
+@pytest.mark.parametrize("B, minpoly, delta_ratios", RESIDUAL_HYPEREXPONENTIAL)
 def test_dp1_d2_solves_residual_hyperexponential_systems(B, minpoly,
                                                          delta_ratios):
     """A = x I: all leading eigenvalues are equal, the gauge is I and the
@@ -559,13 +562,13 @@ import sys
 import sympy as sp
 from ddsolve.fields import t
 from ddsolve.procedures import DDSystem, Outcome, _verify_solved
-from ddsolve.sequences import HypCert, LiouvilleSolution, VerificationError
+from ddsolve.sequences import HypCert, VerificationError
+from helpers import solution
 
 assert sys.flags.optimize, "run under python -O"
 # sigma(Y) = 2 Y, delta(Y) = Y / t: the sigma-ratio 3 is wrong
 system = DDSystem(1, sp.Matrix([[2]]), sp.Matrix([[1 / t]]))
-bad = LiouvilleSolution(kind="Hypergeometric", W=sp.Matrix([1]),
-                        cert=HypCert(sp.Integer(3), 1, 1 / t))
+bad = solution(sp.Matrix([1]), HypCert(sp.Integer(3), 1, 1 / t))
 try:
     _verify_solved(system, Outcome("Solved", solutions=[bad]))
 except VerificationError as err:
@@ -579,8 +582,8 @@ sys.exit(1)
 def _run_optimized(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                               else []))
+        [str(ROOT / "src"), str(ROOT / "tests")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
 
@@ -718,3 +721,41 @@ def test_example2_forms_each_derived_object_once(example2_path,
     assert sum(D.shape == A.shape
                and D.to_list_flat() == A.to_list_flat() for D in dets) == 1
     assert not factored
+
+
+# ---------------------------------------------------------------------------
+# no expression enters K inside a solve
+
+def _read(name):
+    return lambda: read_system(str(SYSTEMS / f"{name}.json"))
+
+
+@pytest.mark.parametrize("make, want", [
+    (_read("example1"), ("Solved", "DP1")),
+    (_read("example2"), ("Solved", "DP2")),
+    (_read("hermite"), ("NoLiouvillianSolutions", "DP1+DP2")),
+    # DP1 d1 with split eigenvalues x and t*x
+    (lambda: DDSystem(2, sp.diag(x, t * x), sp.diag(1, x / t)),
+     ("Solved", "DP1")),
+] + [(lambda B=B: DDSystem(2, x * sp.eye(2), B, assume_irreducible=True),
+      ("Solved", "DP1")) for B, _, _ in RESIDUAL_HYPEREXPONENTIAL],
+    ids=["example1", "example2", "hermite", "dp1-d1-split"]
+    + [f"dp1-d2-{k}" for k in range(len(RESIDUAL_HYPEREXPONENTIAL))])
+def test_solve_converts_no_expression_into_K(make, want, monkeypatch):
+    """Once the system is read and validated, the procedures, the
+    certificate check, the window and the lift work on K-forms: the
+    Expr -> K conversions of fields raise, and the verdict stands."""
+    system = make()
+    system.validate()
+
+    def refuse(*args):
+        raise AssertionError(f"Expr -> K conversion inside a solve: {args}")
+
+    monkeypatch.setattr(fields, "_field_element", refuse)
+    monkeypatch.setattr(fields, "_tower_element", refuse)
+    out = solve_liouvillian(system)
+    assert (out.kind, out.provenance) == want
+    if out.kind == "Solved":
+        assert out.report["verification"].startswith("30-term numeric window")
+        assert all(verify_certificates(system, sol).ok
+                   for sol in out.solutions)

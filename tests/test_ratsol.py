@@ -8,19 +8,18 @@ from sympy.polys.matrices import DomainMatrix
 import ddsolve.closedform as closedform
 import ddsolve.procedures as procedures
 from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, dm_clear, dm_from_matrix,
-                            dm_inv, dm_to_matrix, make_tower, mat_inv,
-                            mat_reduce, shift, t, teq, theta, treduce, x)
+                            dm_inv, dm_to_matrix, make_tower, mat_inv, t,
+                            theta, treduce, x)
 from ddsolve.files import read_system
 from ddsolve.sequences import verify_certificates
 import ddsolve.ratsol as ratsol
 from ddsolve.ratsol import RationalSolutionBasis
 
 from gauged import gauged_system
-from helpers import (mat_eq, mat_shift, nullspace_over_Qt,
+from helpers import (mat_eq, mat_reduce, mat_shift, nullspace_over_Qt,
                      reference_polynomial_solutions,
-                     reference_rational_solutions,
-                     reference_scalar_operators,
-                     reference_universal_denominator)
+                     reference_rational_solutions, reference_scalar_operators,
+                     reference_universal_denominator, shift, teq)
 
 
 # ratsol takes and returns K-forms; these call it on sympy matrices
