@@ -207,7 +207,7 @@ def _read_matrix_file(path: str):
     if not rows or any(len(row) != len(rows) for row in rows):
         raise SchemaError("/M", "matrix must be square and nonempty")
     return regular_matrix([a for row in rows for a in row],
-                          (len(rows), len(rows)), None, QQ_XT)
+                          (len(rows), len(rows)))
 
 
 def _cmd_tools(args) -> int:

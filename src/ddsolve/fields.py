@@ -48,6 +48,13 @@ the trivial tower is the case of degree 1), converted at the boundary by
 inverses over the tower are those of the K-forms; sigma, and delta with
 :func:`dm_delta`, act on them too, and on matrices over Z[x, t].
 
+Every product in K[theta]/(m) is reduced by one theta-power table per
+tower (:meth:`Tower.reduce`): theta^j mod m for j >= deg m, formed once
+and extended when a higher power is needed, so a reduction is a sum of
+coefficient times row, with no polynomial division over K.  The columns
+of :func:`regular_matrix` (entry * theta^k), :func:`dm_delta`,
+:func:`dm_conjugate` and :meth:`TowerArithmetic.mul` all reduce this way.
+
 Exact identities between K-matrices are decided fraction-free, so that no
 gcd runs inside a matrix product.  :func:`dm_clear` writes D = N/q, q the
 lcm over Z[x, t] of the distinct denominators and N over Z[x, t].
@@ -88,6 +95,7 @@ which names them.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Optional
@@ -95,8 +103,7 @@ from typing import Optional
 import sympy as sp
 from sympy import QQ, ZZ, nextprime
 from sympy.polys.densearith import (dup_add, dup_lshift, dup_mul,
-                                    dup_mul_ground, dup_neg, dup_quo_ground,
-                                    dup_rem)
+                                    dup_mul_ground, dup_neg, dup_quo_ground)
 from sympy.polys.densebasic import dup_degree, dup_from_raw_dict, dup_strip
 from sympy.polys.densetools import (dup_clear_denoms, dup_compose, dup_diff,
                                     dup_eval, dup_primitive)
@@ -176,7 +183,8 @@ class Tower:
     dense tuples over K = Q(x, t) (x-free), highest degree first.  The
     trivial tower Q(t) has modulus None.  :func:`tower_from_modulus` builds
     one; :attr:`minpoly` and :attr:`dtheta`, the same as sympy expressions,
-    are formed on first read."""
+    are formed on first read, and so is the table of theta powers through
+    which :meth:`reduce` reduces mod m."""
 
     modulus: Optional[tuple]
     delta_theta: tuple
@@ -230,6 +238,30 @@ class Tower:
                     found.append(root)
         return found
 
+    @functools.cached_property
+    def _theta_powers(self) -> list:
+        """[theta^deg mod m, theta^(deg+1) mod m, ...] (deg = deg m) as
+        dense lists over K: theta^deg = -(m_1 theta^(deg-1) + ... + m_deg)
+        once per tower, extended by :meth:`reduce` when a longer
+        polynomial needs a higher power."""
+        return [dup_strip([-c for c in self.modulus[1:]])]
+
+    def reduce(self, a: list) -> list:
+        """a mod m for a dense polynomial a in theta over K, highest degree
+        first: the part of degree below deg m plus each coefficient of a
+        power theta^j, j >= deg m, times the reduced theta^j.  No division
+        and no polynomial remainder over K."""
+        n = len(a) - self.degree
+        if n <= 0:
+            return a
+        rows = self._theta_powers
+        while len(rows) < n:
+            rows.append(self.reduce(dup_lshift(rows[-1], 1, QQ_XT)))
+        out = dup_strip(a[n:])
+        for c, row in zip(a, reversed(rows[:n])):
+            out = dup_add(out, dup_mul_ground(row, c, QQ_XT), QQ_XT)
+        return out
+
 
 TRIVIAL_TOWER = Tower(None, (), 1)
 
@@ -270,9 +302,10 @@ def tower_from_modulus(mod: list) -> Tower:
     if len(mod) < 2 or not _irreducible(mod):
         raise FieldError("minimal polynomial is reducible over Q(t)")
     mdt = dup_strip([c.diff(_T) for c in mod])
-    dtheta = dup_rem(dup_mul(dup_neg(mdt, QQ_XT), dup_invert(
-        dup_diff(mod, 1, QQ_XT), mod, QQ_XT), QQ_XT), mod, QQ_XT)
-    return Tower(tuple(mod), tuple(dtheta), len(mod) - 1)
+    tower = Tower(tuple(mod), (), len(mod) - 1)
+    dtheta = tower.reduce(dup_mul(dup_neg(mdt, QQ_XT), dup_invert(
+        dup_diff(mod, 1, QQ_XT), mod, QQ_XT), QQ_XT))
+    return dataclasses.replace(tower, delta_theta=tuple(dtheta))
 
 
 def theta_poly(f) -> list:
@@ -328,7 +361,10 @@ def _field_element(field, e, name: str):
         try:
             return ar.element(ar.from_expr(e))
         except CoercionFailed:
-            return field.from_sympy(e)
+            # sympy's conversion can leave a negative power's denominator
+            # with a negative leading coefficient; new() normalizes it
+            f = field.from_sympy(e)
+            return f.new(f.numer, f.denom)
     except (CoercionFailed, ValueError):
         raise FieldError(f"entry not in {name}: {e}")
 
@@ -417,7 +453,7 @@ class TowerArithmetic:
     :mod:`ddsolve.parsing`, and forms DP1's ratios over a tower."""
 
     def __init__(self, tower: Tower):
-        self.mod = _modulus(tower)
+        self.tower, self.mod = tower, _modulus(tower)
 
     def integer(self, n: int) -> list:
         return dup_strip([QQ_XT.convert(n)])
@@ -434,7 +470,7 @@ class TowerArithmetic:
         return dup_add(a, b, QQ_XT)
 
     def mul(self, a: list, b: list) -> list:
-        return dup_rem(dup_mul(a, b, QQ_XT), self.mod, QQ_XT)
+        return self.tower.reduce(dup_mul(a, b, QQ_XT))
 
     def inv(self, a: list) -> list:
         if not a:
@@ -732,22 +768,24 @@ def regular_rows(entries: list, shape: tuple, deg: int, times_theta,
     return rows
 
 
-def regular_matrix(entries: list, shape: tuple, mod, K) -> DomainMatrix:
-    """The K-matrix of the regular representation of a matrix over
-    L = K[theta]/(mod), or over K itself when mod is None (degree 1).
+def regular_matrix(entries: list, shape: tuple,
+                   tower: Tower = TRIVIAL_TOWER) -> DomainMatrix:
+    """The K-matrix of the regular representation of a matrix over the
+    tower L = K[theta]/(m), or over K itself for the trivial tower.
 
     `entries` lists the matrix row-major as dense polynomials in theta
-    over K, highest degree first, reduced mod `mod` (layout in
-    :func:`regular_rows`).  The map is a ring homomorphism, so products,
-    inverses and solves over L are those of the K-matrices;
+    over K, highest degree first, reduced mod m (layout in
+    :func:`regular_rows`); entry * theta^k is reduced through the tower's
+    theta powers (:meth:`Tower.reduce`).  The map is a ring homomorphism,
+    so products, inverses and solves over L are those of the K-matrices;
     :func:`from_regular` reads the result back."""
-    deg = 1 if mod is None else len(mod) - 1
+    deg = tower.degree
 
     def times_theta(a, k):
-        return dup_rem(dup_lshift(a, k, K), mod, K) if k else a
+        return tower.reduce(dup_lshift(a, k, QQ_XT)) if k else a
 
-    rows = regular_rows(entries, shape, deg, times_theta, K.zero)
-    return DomainMatrix(rows, (shape[0] * deg, shape[1] * deg), K)
+    rows = regular_rows(entries, shape, deg, times_theta, QQ_XT.zero)
+    return DomainMatrix(rows, (shape[0] * deg, shape[1] * deg), QQ_XT)
 
 
 def from_regular(R: DomainMatrix, deg: int) -> list:
@@ -765,7 +803,7 @@ def dm_from_matrix(M: sp.Matrix,
     itself over K for the trivial tower); FieldError for an entry outside
     the tower."""
     return regular_matrix([_tower_element(e, tower) for e in M], M.shape,
-                          _modulus(tower), QQ_XT)
+                          tower)
 
 
 def dm_diag(entries: list, tower: Tower = TRIVIAL_TOWER) -> DomainMatrix:
@@ -773,7 +811,7 @@ def dm_diag(entries: list, tower: Tower = TRIVIAL_TOWER) -> DomainMatrix:
     elements of the tower."""
     n = len(entries)
     return regular_matrix([entries[i] if i == j else [] for i in range(n)
-                           for j in range(n)], (n, n), _modulus(tower), QQ_XT)
+                           for j in range(n)], (n, n), tower)
 
 
 def dm_to_matrix(D: DomainMatrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
@@ -806,28 +844,28 @@ def dm_delta(D: DomainMatrix, tower: Tower = TRIVIAL_TOWER) -> DomainMatrix:
     if tower.trivial:
         t_ = _T_RING if D.domain.is_PolynomialRing else _T
         return D.applyfunc(lambda e: e.diff(t_))
-    mod, dtheta = _modulus(tower), list(tower.delta_theta)
-    entries = [dup_add(dup_strip([c.diff(_T) for c in a]), dup_rem(dup_mul(
-        dup_diff(a, 1, QQ_XT), dtheta, QQ_XT), mod, QQ_XT), QQ_XT)
-        for a in from_regular(D, tower.degree)]
-    return regular_matrix(entries, (D.shape[0] // tower.degree,
-                                    D.shape[1] // tower.degree), mod, QQ_XT)
+    dtheta, deg = list(tower.delta_theta), tower.degree
+    entries = [dup_add(dup_strip([c.diff(_T) for c in a]), tower.reduce(
+        dup_mul(dup_diff(a, 1, QQ_XT), dtheta, QQ_XT)), QQ_XT)
+        for a in from_regular(D, deg)]
+    return regular_matrix(entries, (D.shape[0] // deg, D.shape[1] // deg),
+                          tower)
 
 
 def dm_conjugate(D: DomainMatrix, conj, tower: Tower) -> DomainMatrix:
     """A K-form over the tower with theta replaced by conj, a root of the
     minimal polynomial in the tower (an element of it)."""
-    mod = _modulus(tower)
-    entries = [dup_rem(dup_compose(a, conj, QQ_XT), mod, QQ_XT)
-               for a in from_regular(D, tower.degree)]
-    return regular_matrix(entries, (D.shape[0] // tower.degree,
-                                    D.shape[1] // tower.degree), mod, QQ_XT)
+    deg = tower.degree
+    entries = [tower.reduce(dup_compose(a, conj, QQ_XT))
+               for a in from_regular(D, deg)]
+    return regular_matrix(entries, (D.shape[0] // deg, D.shape[1] // deg),
+                          tower)
 
 
 def dm_embed(D: DomainMatrix, tower: Tower) -> DomainMatrix:
     """The K-form over the tower of a matrix D over K."""
     return regular_matrix([[a] if a else [] for a in D.to_list_flat()],
-                          D.shape, _modulus(tower), QQ_XT)
+                          D.shape, tower)
 
 
 def dm_inv(D: DomainMatrix) -> DomainMatrix:

@@ -34,8 +34,8 @@ import json
 
 import sympy as sp
 
-from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, Tower, _modulus,
-                     regular_matrix, theta, tower_from_modulus)
+from .fields import (TRIVIAL_TOWER, FieldError, Tower, regular_matrix, theta,
+                     tower_from_modulus)
 from .parsing import (ParseError, parse_element, parse_ratfunc,
                       parse_theta_poly, print_ratfunc)
 from .procedures import DDSystem, Outcome
@@ -223,7 +223,6 @@ def read_solution(path: str):
             tower = tower_from_modulus(parse_theta_poly(tower_str))
         except Exception as err:
             raise SchemaError("/tower", str(err))
-    mod = _modulus(tower)
     sols = []
     raw_sols = _require(data, "solutions", list, "")
     for k, entry in enumerate(raw_sols):
@@ -241,8 +240,8 @@ def read_solution(path: str):
         if m < 1:
             raise SchemaError(f"{ptr}/sigma_step", "expected an integer >= 1")
         shift_idx = _require(entry, "shift", int, ptr)
-        part = Part(regular_matrix(W, (len(W), 1), mod, QQ_XT),
-                    *(regular_matrix([a], (1, 1), mod, QQ_XT)
+        part = Part(regular_matrix(W, (len(W), 1), tower),
+                    *(regular_matrix([a], (1, 1), tower)
                       for a in (r, c)), m,
                     shift_idx if kind == "Interlaced" else None)
         # a solution of unknown kind has no parts to check

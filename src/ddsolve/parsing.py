@@ -311,20 +311,15 @@ def _print_poly(p, den: int = 1) -> str:
 def print_ratfunc(f, tower: Tower = TRIVIAL_TOWER) -> str:
     """Canonical string: c * N / D with D monic (lex leading coefficient
     1), N primitive over the integers with positive leading coefficient,
-    and c a rational constant.  On the trivial tower N/D is the reduced
-    fraction of f in Q(x, t, theta); over a tower, the fraction of
-    sp.together of its canonical form.  Memoized on (f, tower): the
-    report and the solution file print the same entries."""
-    if tower.trivial:
-        f = _field_element(_QQ_XTTH, f, "Q(x, t, theta)")
-        pn, pd = f.numer, f.denom
-    else:
-        # the numerator and denominator over Z, each with an integer
-        # denominator: (a/b) / (c/d) = (a d) / (b c)
-        ar = Fractions(_QQ_XTTH)
-        (a, b), (c, d) = map(ar.from_expr, sp.together(
-            treduce(f, tower)).as_numer_denom())
-        pn, pd = a * d, b * c
+    and c a rational constant, N/D the reduced fraction in Q(x, t, theta)
+    (theta an indeterminate) of f, reduced mod the minimal polynomial
+    first over a tower (:func:`~ddsolve.fields.treduce`).  Memoized on
+    (f, tower): the report and the solution file print the same
+    entries."""
+    if not tower.trivial:
+        f = treduce(f, tower)
+    f = _field_element(_QQ_XTTH, f, "Q(x, t, theta)")
+    pn, pd = f.numer, f.denom
     if not pn:
         return "0"
     # pn / pd = c * prim / (pd / lc), pd / lc monic and prim primitive

@@ -50,7 +50,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from .difftools import shift_classes
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower,
-                     _modulus, dm_clear, dm_same, dm_shift, k_shift,
+                     dm_clear, dm_same, dm_shift, k_shift,
                      kernel, regular_matrix, x_integer_roots)
 from .sequences import VerificationError
 
@@ -284,7 +284,6 @@ def polynomial_solutions(M: DomainMatrix, m: int = 1,
                for i in range(n) for dg in range(deg)
                for b in range(i * e, (i + 1) * e)]
     xK = QQ_XT.gens[0]
-    mod = _modulus(tower)
     sols = []
     for vec in kernel(_coefficient_matrix(columns)).to_list():
         vec = [QQ_XT.convert_from(c, QQ_T) for c in vec]
@@ -293,7 +292,7 @@ def polynomial_solutions(M: DomainMatrix, m: int = 1,
                 sum((vec[(i * deg + dg) * e + k] * xK**dg
                      for dg in range(deg)), QQ_XT.zero)
                 for k in reversed(range(e))])
-            for i in range(n)], (n, 1), mod, QQ_XT))
+            for i in range(n)], (n, 1), tower))
     return sols
 
 

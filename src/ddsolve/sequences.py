@@ -63,42 +63,39 @@ class PointEvaluator:
     """Evaluation of matrices over Q(x, t)(theta) at integer x, with no
     gcd on the way.
 
-    Arithmetic is over a ground ring R: Q when t is specialized to t0,
-    Z[t] otherwise.  A tower element is a dense list of coefficients in
-    theta over R (highest first, [] for zero) of degree below that of the
-    modulus m: the minimal polynomial at t0 (monic over Q), or its
-    multiple with coefficients in Z[t], whose leading coefficient lc may
-    depend on t.  :meth:`reduce` is the pseudo-remainder of lcf * a with
-    the fixed factor lcf = lc^(deg m - 1), the most a product of two
-    reduced elements needs; a reduced product thus stands for lcf times
-    the true one, and callers carry lcf in a denominator (lcf = 1 at t0
-    and for monic m).
+    Arithmetic is over a ground ring R: Z[t], or Z when t is specialized
+    to a rational t0 = a/b.  A tower element is a dense list of
+    coefficients in theta over R (highest first, [] for zero) of degree
+    below that of the modulus m, the minimal polynomial cleared to
+    coefficients in R, whose leading coefficient lc need not be 1.
+    :meth:`reduce` is the pseudo-remainder of lcf * a with the fixed
+    factor lcf = lc^(deg m - 1), the most a product of two reduced
+    elements needs; a reduced product thus stands for lcf times the true
+    one, and callers carry lcf in a denominator (lcf = 1 for monic m).
 
     :meth:`compile` takes a matrix's K-form (its regular representation
     over K = Q(x, t)) and reads numerators over one common denominator
     straight off the Z[x, t] numerators and denominators of the entries,
-    specialized at t0 or kept over Z[t]; :meth:`at`
-    evaluates them at x = j by Horner's rule over R.
+    kept over Z[t] or, at t0, homogenized to Z (:meth:`_dense_in_x`);
+    :meth:`at` evaluates them at x = j by Horner's rule over R.  No
+    rational arithmetic runs at t0.
     """
 
     def __init__(self, tower: Tower = TRIVIAL_TOWER, t0=None):
-        self.t0 = t0
-        self.R = _ZZ_T if t0 is None else QQ
+        self.t0 = None if t0 is None else QQ.from_sympy(t0)
+        self.R = _ZZ_T if t0 is None else ZZ
         self.K = QQ_T if t0 is None else QQ   # where values are read out
         self.degree = tower.degree
         self.mod, self.lcf = None, self.R.one
         if tower.trivial:
             return
         (m,), den = self._compile([_modulus(tower)])
-        if t0 is None:
-            self.mod = m[0]
-            self.lcf = self.mod[0] ** (self.degree - 1)
-            return
         if not den:
             raise FieldError(f"minimal polynomial has a pole at t = {t0}")
-        self.mod = [c / den[0] for c in m[0]]
-        if not dup_irreducible_p(self.mod, QQ):
+        self.mod = m[0]
+        if t0 is not None and not dup_irreducible_p(self.mod, ZZ):
             raise FieldError(f"minimal polynomial is reducible at t = {t0}")
+        self.lcf = self.mod[0] ** (self.degree - 1)
 
     # tower arithmetic
     def reduce(self, a: list) -> list:
@@ -168,16 +165,19 @@ class PointEvaluator:
         return out, den
 
     def _dense_in_x(self, polys: list) -> list:
-        """Polynomials in Z[x, t] as dense polynomials in x over R: at
-        t = t0, or over Z[t]."""
+        """Polynomials in Z[x, t] as dense polynomials in x over R: over
+        Z[t], or at t0 = a/b homogenized by b^D, D the largest degree in t
+        among them, as b^D p(x, a/b) over Z.  The common factor b^D leaves
+        the quotients of a compiled set unchanged."""
         out = []
         if self.t0 is not None:
-            t0 = QQ.from_sympy(self.t0)
+            a, b = self.t0.numerator, self.t0.denominator
+            D = max(p.degree(1) for p in polys if p)
             for p in polys:
                 coeffs: dict = {}
                 for (i, k), c in p.terms():
-                    coeffs[i] = coeffs.get(i, QQ.zero) + c * t0**k
-                out.append(dup_from_raw_dict(coeffs, QQ))
+                    coeffs[i] = coeffs.get(i, 0) + c * a**k * b**(D - k)
+                out.append(dup_from_raw_dict(coeffs, ZZ))
             return out
         ring = _ZZ_T.ring
         for p in polys:

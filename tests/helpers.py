@@ -15,7 +15,8 @@ from ddsolve.fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, AllEqual, Conjugate,
                             factor_in_x, k_shift, kernel, make_tower,
                             series_at_infinity, t, theta, treduce, x)
 from ddsolve.moser import infinity_expansion
-from ddsolve.sequences import LiouvilleSolution, Part, VerificationError
+from ddsolve.sequences import (LiouvilleSolution, Part, PointEvaluator,
+                               VerificationError)
 
 
 # ---------------------------------------------------------------------------
@@ -684,11 +685,12 @@ class ReferencePointEvaluator:
     def solve(self, M, b):
         from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
-        from ddsolve.fields import FieldError, from_regular, regular_matrix
+        from ddsolve.fields import FieldError, from_regular
         n = len(b)
-        R = regular_matrix(M, (n, n), self.mod, self.K)
+        R = reference_regular_matrix(M, (n, n), self.mod, self.K)
         try:
-            sol = R.lu_solve(regular_matrix(b, (n, 1), self.mod, self.K))
+            sol = R.lu_solve(reference_regular_matrix(b, (n, 1), self.mod,
+                                                      self.K))
         except DMNonInvertibleMatrixError:
             raise FieldError("matrix not invertible")
         return from_regular(sol, self.degree)
@@ -785,6 +787,97 @@ def reference_lift(V, ratio, d: int, A, N: int, tower: Tower = TRIVIAL_TOWER,
                     f"lift cross-check failed at index {j}: recurrence and "
                     "section-sum constructions disagree")
     return [sp.Matrix([pts.to_sympy(a) for a in w]) for w in Ws]
+
+
+# ---------------------------------------------------------------------------
+# reference tower products: theta^k * a, a'(theta) delta(theta), a(conj) and
+# a * b reduced by dup_rem over the coefficient field, the forms that the
+# tower's theta-power table (Tower.reduce) replaced
+
+def reference_regular_matrix(entries: list, shape: tuple, mod, K):
+    """The regular representation over K[theta]/(mod), each entry *
+    theta^k reduced by dup_rem (mod None: over K itself)."""
+    from sympy.polys.densearith import dup_lshift, dup_rem
+
+    from ddsolve.fields import regular_rows
+    deg = 1 if mod is None else len(mod) - 1
+
+    def times_theta(a, k):
+        return dup_rem(dup_lshift(a, k, K), mod, K) if k else a
+
+    rows = regular_rows(entries, shape, deg, times_theta, K.zero)
+    return DomainMatrix(rows, (shape[0] * deg, shape[1] * deg), K)
+
+
+def reference_tower_mul(a: list, b: list, tower: Tower) -> list:
+    from sympy.polys.densearith import dup_mul, dup_rem
+    return dup_rem(dup_mul(a, b, QQ_XT), list(tower.modulus), QQ_XT)
+
+
+def _reference_entrywise(D, tower: Tower, fn):
+    from ddsolve.fields import from_regular
+    deg, mod = tower.degree, list(tower.modulus)
+    return reference_regular_matrix(
+        [fn(a, mod) for a in from_regular(D, deg)],
+        (D.shape[0] // deg, D.shape[1] // deg), mod, QQ_XT)
+
+
+def reference_dm_delta(D, tower: Tower):
+    """delta on a K-form over a nontrivial tower."""
+    from sympy.polys.densearith import dup_add, dup_mul, dup_rem
+    from sympy.polys.densebasic import dup_strip
+    from sympy.polys.densetools import dup_diff
+    dtheta, T = list(tower.delta_theta), QQ_XT.gens[1]
+    return _reference_entrywise(D, tower, lambda a, mod: dup_add(
+        dup_strip([c.diff(T) for c in a]), dup_rem(dup_mul(
+            dup_diff(a, 1, QQ_XT), dtheta, QQ_XT), mod, QQ_XT), QQ_XT))
+
+
+def reference_dm_conjugate(D, conj: list, tower: Tower):
+    """theta -> conj on every entry of a K-form over a tower."""
+    from sympy.polys.densearith import dup_rem
+    from sympy.polys.densetools import dup_compose
+    return _reference_entrywise(D, tower, lambda a, mod: dup_rem(
+        dup_compose(a, conj, QQ_XT), mod, QQ_XT))
+
+
+# ---------------------------------------------------------------------------
+# reference numeric window: the evaluator at a rational t0 over Q, with the
+# minimal polynomial made monic there, that the one over Z replaced
+
+class ReferenceQQPointEvaluator(PointEvaluator):
+    """PointEvaluator at t0 over R = Q: every compiled polynomial is
+    specialized at t0 in Q and the minimal polynomial is divided by its
+    leading coefficient there (lcf = 1).  Reduction, products and Horner
+    evaluation are the shared ones."""
+
+    def __init__(self, tower: Tower = TRIVIAL_TOWER, t0=None):
+        from sympy import QQ
+        from sympy.polys.factortools import dup_irreducible_p
+
+        from ddsolve.fields import _modulus
+        self.t0, self.R, self.K = QQ.from_sympy(t0), QQ, QQ
+        self.degree = tower.degree
+        self.mod, self.lcf = None, QQ.one
+        if tower.trivial:
+            return
+        (m,), den = self._compile([_modulus(tower)])
+        if not den:
+            raise FieldError(f"minimal polynomial has a pole at t = {t0}")
+        self.mod = [c / den[0] for c in m[0]]
+        if not dup_irreducible_p(self.mod, QQ):
+            raise FieldError(f"minimal polynomial is reducible at t = {t0}")
+
+    def _dense_in_x(self, polys: list) -> list:
+        from sympy import QQ
+        from sympy.polys.densebasic import dup_from_raw_dict
+        out = []
+        for p in polys:
+            coeffs: dict = {}
+            for (i, k), c in p.terms():
+                coeffs[i] = coeffs.get(i, QQ.zero) + c * self.t0**k
+            out.append(dup_from_raw_dict(coeffs, QQ))
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ import time
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import QQ, ZZ
 from sympy.polys.densearith import dup_mul, dup_rem
+from sympy.polys.densebasic import dup_strip
 from sympy.polys.heuristicgcd import heugcd
 from sympy.polys.polyerrors import HeuristicGCDFailed
 from sympy.polys.euclidtools import dup_invert
@@ -14,19 +15,22 @@ from sympy.polys.matrices import DomainMatrix
 
 from ddsolve.fields import (_QQ_XTTH, AllEqual, Conjugate, FieldError,
                             Fractions, MixedSplit, Split, QQ_T, QQ_XT,
-                            TRIVIAL_TOWER, _field_element,
+                            TRIVIAL_TOWER, TowerArithmetic, _field_element,
                             common_integer_roots, dm_conjugate, dm_clear,
                             dm_delta, dm_delta_part, dm_embed, dm_from_matrix,
                             dm_inv, dm_same, dm_shift, dm_sigma_power,
                             dm_to_matrix, element_expr, factor_in_x, k_shift,
-                            make_tower, mat_inv, series_at_infinity,
-                            sigma_power_matrix, t, theta, treduce, x)
+                            make_tower, mat_inv, regular_matrix,
+                            series_at_infinity, sigma_power_matrix, t, theta,
+                            treduce, x)
 from ddsolve.files import read_system
 from ddsolve.moser import leading_eigendata
 from conftest import SYSTEMS, random_ratfunc
 from helpers import (delta, integer_roots, mat_delta, mat_eq, mat_reduce,
                      mat_shift, nullspace, rank,
-                     reference_common_integer_roots, shift, teq, tinv)
+                     reference_common_integer_roots, reference_dm_conjugate,
+                     reference_dm_delta, reference_regular_matrix,
+                     reference_tower_mul, shift, teq, tinv)
 
 Y = sp.Symbol("Y")
 EX1_TOWER = make_tower(theta**2 - (t**2 + 1))
@@ -132,14 +136,19 @@ def test_treduce_rejects_input_outside_the_field(tower, e):
 
 @settings(max_examples=60, deadline=None)
 @given(_tower_exprs())
+@example(1 / (-t + theta))
 def test_fractions_match_sympy_conversion(e):
     """fields.Fractions evaluates an expression into Q(x, t, theta) with
     one cancel; it gives the element of sympy's conversion, which cancels
-    at every operation, or its ZeroDivisionError."""
+    at every operation, or its ZeroDivisionError.  That conversion leaves
+    a negative power as it is (1/(-t + theta), denominator -t + theta),
+    so the reference is taken with its denominator's sign normalized, as
+    every element the program builds has it."""
     if e.has(sp.zoo, sp.nan):
         return
     try:
         want = _QQ_XTTH.from_sympy(e)
+        want = want.new(want.numer, want.denom)
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
             _field_element(_QQ_XTTH, e, "Q(x, t, theta)")
@@ -153,6 +162,10 @@ def test_fractions_leave_other_nodes_to_sympy():
     # a Float is not read by Fractions; sympy's conversion makes it exact
     assert _field_element(QQ_XT, sp.Float(0.5) * x, "Q(x, t)") \
         == QQ_XT.from_sympy(x / 2)
+    # and its negative power comes out with the denominator normalized
+    got = _field_element(QQ_XT, (sp.Float(1.0) * t - x)**-1, "Q(x, t)")
+    assert got == _field_element(QQ_XT, 1 / (t - x), "Q(x, t)")
+    assert got.denom.LC > 0
 
 
 def test_treduce_zero_denominator_in_tower():
@@ -655,6 +668,41 @@ def test_tower_k_form_helpers_match_expr_operations():
                                     EX1_TOWER), EX1_TOWER)
     assert sp.srepr(got) == sp.srepr(N.applyfunc(
         lambda e: treduce(e.subs(theta, element_expr(conj)), EX1_TOWER)))
+
+
+HALF_T_TOWER = make_tower(theta**2 - 1 / (2 * t))
+CUBIC_T_TOWER = make_tower(theta**3 - t * theta - 1)
+
+
+def _k_elements():
+    """Small elements of K whose denominators may share factors."""
+    return st.tuples(_polys((x, t)), st.sampled_from(
+        [1, t, x + 1, x + t, 2 * t + 1, t * (x + t)])).map(
+        lambda nd: _field_element(QQ_XT, nd[0] / nd[1], "Q(x, t)"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([EX1_TOWER, HALF_T_TOWER, CUBIC_T_TOWER]), st.data())
+def test_theta_power_reduction_matches_dup_rem(tower, data):
+    """Tower.reduce, and the tower products that reduce through it, agree
+    with the dup_rem forms they replaced (helpers), entry for entry in the
+    same reduced form: a polynomial of degree up to 3 deg - 1, a product in
+    TowerArithmetic, and regular_matrix, dm_delta and dm_conjugate on a
+    2 x 2 matrix.  Any element serves as conj, since both forms reduce
+    a(conj) mod m."""
+    deg, mod = tower.degree, list(tower.modulus)
+    dense = st.lists(_k_elements(), max_size=deg).map(dup_strip)
+    entries = data.draw(st.lists(dense, min_size=4, max_size=4))
+    p = data.draw(st.lists(_k_elements(), max_size=3 * deg).map(dup_strip))
+    assert tower.reduce(p) == dup_rem(p, mod, QQ_XT)
+    a, b, _, conj = entries
+    assert TowerArithmetic(tower).mul(a, b) == \
+        reference_tower_mul(a, b, tower)
+    D = regular_matrix(entries, (2, 2), tower)
+    assert D == reference_regular_matrix(entries, (2, 2), mod, QQ_XT)
+    assert dm_delta(D, tower) == reference_dm_delta(D, tower)
+    assert dm_conjugate(D, conj, tower) == \
+        reference_dm_conjugate(D, conj, tower)
 
 
 def test_dm_from_matrix_rejects_entries_outside_Qxt():

@@ -10,7 +10,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from ddsolve.cli import main as cli_main
-from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, FieldError, _modulus,
+from ddsolve.fields import (TRIVIAL_TOWER, FieldError, _tower_element,
                             dm_from_matrix, make_tower, regular_matrix, t,
                             theta, x)
 from ddsolve.files import (SchemaError, read_solution, read_system,
@@ -114,7 +114,7 @@ def test_k_evaluator_matches_sympy_parse(s, tower):
                                  and theta in want.free_symbols):
         assert got == "input error"
         return
-    assert regular_matrix([got], (1, 1), _modulus(tower), QQ_XT) \
+    assert regular_matrix([got], (1, 1), tower) \
         == dm_from_matrix(sp.Matrix([want]), tower)
 
 
@@ -195,6 +195,25 @@ def test_print_is_deterministic_and_canonical():
     assert print_ratfunc(f) == print_ratfunc(sp.cancel((x + 1) / (2 * t)))
     # denominator comes out monic, content as a rational prefactor
     assert print_ratfunc(f) == "1/2*(x+1)/t"
+
+
+def test_print_over_a_tower_is_the_reduced_fraction():
+    """Over theta^2 = t^2 + 1 the theta-coefficients of this entry have
+    denominators with the common factor t x + 3 x - 3.  The printed
+    fraction is the reduced one of Q(x, t, theta) (sp.together of the
+    canonical form kept that factor twice, a denominator of degree 4 in
+    x), and it parses back to the same element."""
+    tower = EX1_TOWER
+    e = (theta * (-2*t*x - 2*t + x + 1)
+         / ((-t*x - 3*x + 3) * (-3*t*x - 2*t + 3*x - 1))
+         + (3*t*x + 1) / ((-t*x - t + 3) * (-t*x - 3*x + 3)))
+    s = print_ratfunc(e, tower)
+    assert s == (
+        "-1/3*(2*x^2*t^2*theta-9*x^2*t^2-x^2*t*theta+9*x^2*t+4*x*t^2*theta"
+        "-6*x*t^2-8*x*t*theta-6*x*t+3*x*theta+3*x+2*t^2*theta-7*t*theta-2*t"
+        "+3*theta-1)/(x^3*t^3+2*x^3*t^2-3*x^3*t+5/3*x^2*t^3-5/3*x^2*t^2"
+        "-5*x^2*t+9*x^2+2/3*x*t^3-14/3*x*t^2+5*x*t-12*x-2*t^2+5*t+3)")
+    assert parse_element(s, tower) == _tower_element(e, tower)
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,18 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from ddsolve.fields import (TRIVIAL_TOWER, dm_from_matrix, make_tower, mat_inv,
-                            t, theta, treduce, x)
+import ddsolve.sequences as sequences
+from conftest import SYSTEMS
+from ddsolve.fields import (TRIVIAL_TOWER, FieldError, dm_from_matrix,
+                            make_tower, mat_inv, t, theta, treduce, x)
 from ddsolve.files import read_system
-from helpers import (mat_reduce, mat_shift, reference_check_pair,
-                     reference_lift, shift, solution)
+from helpers import (ReferenceQQPointEvaluator, mat_reduce, mat_shift,
+                     reference_check_pair, reference_lift, shift, solution)
 from ddsolve.parsing import parse_ratfunc
 from ddsolve.procedures import DDSystem, solve_liouvillian
-from ddsolve.sequences import (FuncSeq, HypCert, PoleError, PointEvaluator,
-                               SeqVec, VerificationError,
+from ddsolve.sequences import (FuncSeq, HypCert, LiouvilleSolution,
+                               PoleError, PointEvaluator, SeqVec,
+                               VerificationError,
                                first_regular_index, first_safe_index,
                                interlace,
                                lift_sigma_d_to_sigma, section,
@@ -462,6 +465,77 @@ def test_point_evaluator_clears_denominators_in_t():
     for j in range(-2, 4):
         (got,), d = pts.at(compiled, j)
         assert treduce(pts.to_sympy(got, d) - e.subs(x, j), tower) == 0, j
+
+
+# example1's tower theta^2 = t^2 + 1 stays irreducible at each of these; at
+# t0 = a/b its cleared modulus b^2 theta^2 - a^2 - b^2 is monic only for b = 1
+WINDOW_T0S = [sp.Integer(1), sp.Integer(2), sp.Rational(1, 2),
+              sp.Rational(-1, 2), sp.Rational(2, 3)]
+
+
+def test_recurrence_at_a_rational_t0_over_a_tower_is_the_symbolic_one():
+    """At t0 = a/b the modulus cleared over Z is b^2 theta^2 - a^2 - b^2,
+    so each step of a recurrence over the tower carries lcf = b^2 in its
+    denominator; its values are those of the recurrence with t symbolic,
+    specialized at t0."""
+    A = kform(sp.Matrix([[0, theta / (t + 1)], [x + 1, t * theta]]),
+              EX1_TOWER)
+    V = kform(sp.Matrix([1, theta + x]), EX1_TOWER)
+    symbolic = seq_from_recurrence(A, 1, V, tower=EX1_TOWER)
+    for t0 in WINDOW_T0S:
+        at_t0 = seq_from_recurrence(A, 1, V, t0, EX1_TOWER)
+        etower = make_tower(sp.expand(EX1_TOWER.minpoly.subs(t, t0)))
+        for j in range(1, 7):
+            want = symbolic.value(j).subs(t, t0)
+            assert all(treduce(g - w, etower) == 0
+                       for g, w in zip(at_t0.value(j), want)), (t0, j)
+
+
+def _window_result(system, sol, t0, evaluator, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(sequences, "PointEvaluator", evaluator)
+        try:
+            return verify_numeric_window(system, sol, t0)
+        except FieldError as err:
+            return str(err)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_numeric_window_over_Z_matches_the_QQ_reference(name, monkeypatch):
+    """The window at t0 = a/b runs over Z, homogenized by b^D, and gives
+    the VerifyResult of the evaluator over Q that it replaced
+    (helpers.ReferenceQQPointEvaluator) on every solution of example1 and
+    example2 at five rational points; with a doubled sigma-ratio both
+    fail, at the same index."""
+    system = read_system(str(SYSTEMS / f"{name}.json"))
+    out = solve_liouvillian(system)
+    assert out.kind == "Solved"
+    for sol in out.solutions:
+        part = sol.parts[0]
+        bad = LiouvilleSolution(sol.kind, [part._replace(r=part.r + part.r)]
+                                + sol.parts[1:], sol.tower)
+        for t0 in WINDOW_T0S:
+            got, want = (_window_result(system, sol, t0, ev, monkeypatch)
+                         for ev in (PointEvaluator, ReferenceQQPointEvaluator))
+            assert got == want and got.ok, (name, t0)
+            got, want = (_window_result(system, bad, t0, ev, monkeypatch)
+                         for ev in (PointEvaluator, ReferenceQQPointEvaluator))
+            assert got == want and not got.ok, (name, t0)
+            assert "sigma relation fails at x=" in got.failures[0]
+
+
+@pytest.mark.parametrize("tower, t0, message", [
+    (make_tower(theta**2 - 1 / (2 * t)), sp.Integer(0),
+     "minimal polynomial has a pole at t = 0"),
+    (EX1_TOWER, sp.Rational(3, 4),
+     "minimal polynomial is reducible at t = 3/4"),
+])
+def test_point_evaluator_faults_at_t0_match_the_QQ_reference(tower, t0,
+                                                             message):
+    for evaluator in (PointEvaluator, ReferenceQQPointEvaluator):
+        with pytest.raises(FieldError) as err:
+            evaluator(tower, t0)
+        assert str(err.value) == message
 
 
 def test_numeric_window_reports_doubled_example1_ratio(example1_path):
