@@ -423,6 +423,57 @@ def test_cli_tools_moser_prints_gauge_and_reduced_matrix(M, want, tmp_path,
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("M, want", [
+    ([["1/t", "1"], ["0", "-1/(2*t-1)"]],
+     "certificate = 0   V = [ t  0 ]\n"),
+    # [[2, 1], [1, 1]] diag(1/2 + 2/(t - 1/2), -1 - 1/(t - 1/2)) G^-1
+    ([["2*(t+2)/(t-1/2)", "-3/2*(2*t+3)/(t-1/2)"],
+      ["3/4*(2*t+3)/(t-1/2)", "-1/4*(10*t+11)/(t-1/2)"]],
+     "certificate = -1/2*(2*t+1)/(t-1/2)   V = [ 1  1 ]\n"
+     "certificate = 1/4*(2*t-5)/(t-1/2)   V = [ 1/4*(8*t^3-12*t^2+6*t-1)  "
+     "1/8*(8*t^3-12*t^2+6*t-1) ]\n"),
+    # [[1, 0], [-2, 1]] diag(1 + 1/(t - 1/2) - 3/2/(t + 2),
+    # 1/2/(t - 1/2) + 1/(t + 2)) G^-1
+    ([["1/4*(4*t^2+4*t+7)/(t^2+3/2*t-1)", "0"],
+      ["-1/2*(4*t^2-2*t+5)/(t^2+3/2*t-1)", "1/2*(3*t+1)/(t^2+3/2*t-1)"]],
+     "certificate = 1/4*(4*t^2+4*t+7)/(t^2+3/2*t-1)   V = [ -1/2  1 ]\n"
+     "certificate = 1/2*(3*t+1)/(t^2+3/2*t-1)   V = [ 0  1 ]\n"),
+])
+def test_cli_tools_hyperexp_prints_simple_pole_solutions(M, want, tmp_path,
+                                                         capsys):
+    """The full stdout of tools hyperexp on simple-pole matrices, whose
+    vectors come from the polynomial ansatz in t."""
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps({"M": M}))
+    assert cli_main(["tools", "hyperexp", str(mat)]) == 0
+    assert capsys.readouterr().out == want
+
+
+_GAUGED_STEP_2 = [["(x+2)/x", "2*(x+2)/(x^2+x)"],
+                  ["0", "(x^2+5*x+6)/(x^2+x)"]]
+
+
+@pytest.mark.parametrize("step, M, want", [
+    # [[1, x], [0, t]] gauges diag(1, (x+1)/x)
+    (1, [["1", "(2*x+1)/(x*t)"], ["0", "(x+1)/x"]],
+     "V_0 = [ 1  0 ]\n"
+     "V_1 = [ x^2/t  x ]\n"),
+    # [[1, 1], [0, 1]] gauges diag((x+2)/x, (x+2)(x+3)/(x(x+1)))
+    (2, _GAUGED_STEP_2,
+     "V_0 = [ x  0 ]\n"
+     "V_1 = [ x^2  (x^2+x) ]\n"),
+    (1, _GAUGED_STEP_2,
+     "V_0 = [ (x^2+x)  0 ]\n"
+     "V_1 = [ (x^4+4*x^3-3*x)  (x^4+4*x^3+5*x^2+2*x) ]\n"),
+])
+def test_cli_tools_ratsol_prints_basis(step, M, want, tmp_path, capsys):
+    """The full stdout of tools ratsol at steps 1 and 2."""
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps({"M": M}))
+    assert cli_main(["tools", "--step", str(step), "ratsol", str(mat)]) == 0
+    assert capsys.readouterr().out == want
+
+
 @pytest.mark.parametrize("name", ["example1", "example2", "hermite"])
 def test_cli_solve_stdout_matches_golden(name, capsys):
     """The human report of solve is tests/golden/NAME.stdout, byte for

@@ -16,7 +16,7 @@ from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, dm_delta, dm_from_matrix,
 from ddsolve.procedures import (DDSystem, _certificate_normalizer,
                                 _first_verification_point, _integrable,
                                 _normalize_gauge_certificates,
-                                check_integrability, decision_procedure_1,
+                                _specialization_point, check_integrability, decision_procedure_1,
                                 decision_procedure_2, solve_liouvillian)
 from ddsolve.ratsol import UnsupportedCase
 from ddsolve.sequences import VerificationError, verify_certificates
@@ -622,6 +622,14 @@ def test_gauge_postcondition_raises_under_python_O():
     proc = _run_optimized(_PLANTED_BAD_GAUGE)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "gauge postcondition violated" in proc.stdout
+
+
+def test_specialization_point_skips_pole_and_singular_point():
+    """diag(1/t, t - 1) has a pole at t = 0 and is singular at t = 1, so
+    the search ends at t = -1 with diag(-1, -2)."""
+    p, A0 = _specialization_point(dm_from_matrix(sp.diag(1 / t, t - 1)))
+    assert p == -1
+    assert dm_to_matrix(A0) == sp.diag(-1, -2)
 
 
 def test_first_verification_point_rejects_vanishing_x_denominator():
