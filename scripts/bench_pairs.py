@@ -5,7 +5,7 @@ Usage:
     python3 scripts/bench_pairs.py BASE CHANGE [--workloads W ...]
         [--first-seed S] [--pairs N]
 
-Checks BASE and CHANGE out with ``git worktree`` into a temporary
+Extracts BASE and CHANGE with ``git archive`` into a temporary
 directory and runs
 
     python3 ddbench/run.py --workload W --seed S --seconds SECONDS --trace 0
@@ -19,12 +19,15 @@ For each workload and each end-to-end metric of the base's
 number of pairs the change won (ties count for neither).  ``claim`` reads
 ``yes`` when the change won at least 9 of every 10 pairs and the medians
 differ by more than the base's q1-q3 spread: the evidence a speed claim
-needs.  Every run is printed as it ends, with ``correct`` and the counts
-of attempted and failed operations.
+needs.  ``regress`` reads ``yes`` when the change's median is worse than
+the base's by more than the metric's ``bound`` (a fraction of the base's
+median): the evidence that a change claiming no gain costs nothing.
+Each workload also prints the share of failed operations, failed over
+attempted summed over its runs, of both sides.  Every run is printed as
+it ends, with ``correct`` and the counts of attempted and failed
+operations.
 
-The worktrees are registered in the repository's git directory while
-the script runs, and removed and pruned at the end; the working tree it
-runs from is not touched.
+The working tree and the git directory are not touched.
 """
 
 from __future__ import annotations
@@ -70,6 +73,20 @@ def summary(base: list, change: list, better: str) -> dict:
                       and sign * (bq[1] - cq[1]) > bq[2] - bq[0])}
 
 
+def regress(base_median: float, change_median: float, better: str,
+            bound: float) -> bool:
+    """Whether the change's median is worse than the base's by more than
+    `bound`, a fraction of the base's median."""
+    sign = 1 if better == "lower" else -1
+    return sign * (change_median - base_median) > bound * abs(base_median)
+
+
+def failed_share(runs: list) -> str:
+    """failed/attempted over the runs, summed."""
+    return (f"{sum(r['failed'] for r in runs)}/"
+            f"{sum(r['attempted'] for r in runs)}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("base")
@@ -87,49 +104,50 @@ def main(argv=None) -> int:
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         dirs = {side: pathlib.Path(tmp) / side for side in revs}
-        try:
-            for side, rev in revs.items():
-                git("worktree", "add", "--detach", str(dirs[side]), rev)
-            spec = json.loads((dirs["base"] / "BENCHMARK.json").read_text())
-            workloads = args.workloads or [w["name"]
-                                           for w in spec["workloads"]]
-            for workload in workloads:
-                for i in range(args.pairs):
-                    seed = args.first_seed + i
-                    order = ("base", "change") if i % 2 == 0 else \
-                        ("change", "base")
-                    for side in order:
-                        out = bench(dirs[side], workload, seed,
-                                    spec["run_seconds"])
-                        runs.append({"workload": workload, "pair": i,
-                                     "seed": seed, "side": side, **out})
-                        values = " ".join(
-                            f"{k}={v['value']:.4f}"
-                            for k, v in out["metrics"].items())
-                        print(f"{workload} pair {i} seed {seed} {side}: "
-                              f"correct={out['correct']} attempted="
-                              f"{out['attempted']} failed={out['failed']} "
-                              f"{values}", flush=True)
-        finally:
-            for side in revs:
-                if dirs[side].exists():
-                    git("worktree", "remove", "--force", str(dirs[side]))
-            git("worktree", "prune")
+        for side, rev in revs.items():
+            dirs[side].mkdir()
+            archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                                     check=True, capture_output=True).stdout
+            subprocess.run(["tar", "-x", "-C", str(dirs[side])],
+                           input=archive, check=True)
+        spec = json.loads((dirs["base"] / "BENCHMARK.json").read_text())
+        workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+        for workload in workloads:
+            for i in range(args.pairs):
+                seed = args.first_seed + i
+                order = ("base", "change") if i % 2 == 0 else \
+                    ("change", "base")
+                for side in order:
+                    out = bench(dirs[side], workload, seed,
+                                spec["run_seconds"])
+                    runs.append({"workload": workload, "pair": i,
+                                 "seed": seed, "side": side, **out})
+                    values = " ".join(f"{k}={v['value']:.4f}"
+                                      for k, v in out["metrics"].items())
+                    print(f"{workload} pair {i} seed {seed} {side}: "
+                          f"correct={out['correct']} attempted="
+                          f"{out['attempted']} failed={out['failed']} "
+                          f"{values}", flush=True)
 
     print(f"\nbase {revs['base'][:10]}, change {revs['change'][:10]}; "
           "median (q1-q3), wins of the change")
     for workload in workloads:
+        sides = {side: [r for r in runs if r["workload"] == workload
+                        and r["side"] == side] for side in revs}
+        print(f"{workload:16} failed/attempted base "
+              f"{failed_share(sides['base'])} -> change "
+              f"{failed_share(sides['change'])}")
         for metric in spec["end_to_end"]:
             name = metric["name"]
-            base, change = ([r["metrics"][name]["value"]
-                             for r in runs if r["workload"] == workload
-                             and r["side"] == side]
+            base, change = ([r["metrics"][name]["value"] for r in sides[side]]
                             for side in ("base", "change"))
             s = summary(base, change, metric["better"])
             (b1, b2, b3), (c1, c2, c3) = s["base"], s["change"]
+            worse = regress(b2, c2, metric["better"], metric["bound"])
             print(f"{workload:16} {name:12} {b2:.4f} ({b1:.4f}-{b3:.4f}) -> "
                   f"{c2:.4f} ({c1:.4f}-{c3:.4f})  wins {s['wins']}/"
-                  f"{s['pairs']}  claim {'yes' if s['claim'] else 'no'}")
+                  f"{s['pairs']}  claim {'yes' if s['claim'] else 'no'}  "
+                  f"regress {'yes' if worse else 'no'}")
     return 0
 
 

@@ -148,6 +148,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
+        if args.terms < 1:
+            raise SchemaError("", f"--terms must be >= 1, got {args.terms}")
         system = read_system(args.file)
         _, sols, _ = read_solution(args.solfile)
     except SchemaError as err:

@@ -29,7 +29,8 @@ Q(t): its simple poles and residue matrices, and its value at
 t = infinity from numerator and denominator degrees.  Eigenvalues come from the factors over Q(t) of one
 characteristic polynomial (fields.charpoly_factors), eigenvectors over a
 tower from fields.kernel on K-forms.  The rational solutions of a
-simple-pole system come from one coefficient matrix over Q (degrees from
+simple-pole system come from ratsol.ansatz_kernel, the polynomial ansatz
+of the sigma-side, here in t with D = d/dt (its degree bound
 ratsol.degree_bound); each candidate is checked as the K-form identity
 delta(V) + c V = Bhat V.
 """
@@ -53,7 +54,7 @@ from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, Tower, charpoly_factors,
                      dense_fraction, dm_same, dm_shift, indicial_degrees,
                      kernel, t_value, tower_from_modulus, x)
 from .difftools import standard_decompose
-from .ratsol import (UnsupportedCase, _constant_span_reduce, degree_bound,
+from .ratsol import (UnsupportedCase, _constant_span_reduce, ansatz_kernel,
                      rational_solutions, scalar_operators)
 from .sequences import VerificationError
 
@@ -386,19 +387,6 @@ def _eigen_candidates(C: DomainMatrix) -> list:
     return out
 
 
-def _t_coefficient_matrix(columns: list) -> DomainMatrix:
-    """The matrix over Q whose j-th column lists the coefficients in t of
-    the polynomials columns[j] (over Q[t]), one row per (position, power
-    of t) that occurs."""
-    rows: dict = {}
-    for j, col in enumerate(columns):
-        for a, p in enumerate(col):
-            for (k,), c in p.terms():
-                rows.setdefault((a, k), [QQ.zero] * len(columns))[j] = QQ(c)
-    return DomainMatrix([rows[key] for key in sorted(rows)],
-                        (len(rows), len(columns)), QQ)
-
-
 def _diff_rational_solutions(C: DomainMatrix) -> list:
     """Rational solutions of delta(V) = C V, C over Q(t) with at most
     simple rational finite poles, as K-forms.
@@ -406,10 +394,10 @@ def _diff_rational_solutions(C: DomainMatrix) -> list:
     A pole a of V has order at most the largest -l over the negative
     integer eigenvalues l of the residue of C at a, which gives the
     denominator den of V.  With C = N/d, the numerators P = den V solve
-    P1 P' + P0 P = 0, P1 = d den and P0 = -(d den' + den N), linear over Q
-    in the coefficients of P, unknowns ordered by (coordinate, degree);
-    :func:`ddsolve.ratsol.degree_bound` bounds deg P in the monomials t^k
-    (c = 1, s = 0)."""
+    P1 P' + P0 P = 0, P1 = d den and P0 = -(d den' + den N), which
+    :func:`ddsolve.ratsol.ansatz_kernel` solves over Q in the
+    coefficients of P, unknowns ordered by (coordinate, degree), its
+    degree bound in the monomials t^k (c = 1, s = 0)."""
     n = C.shape[0]
     den_q = [QQ.one]                 # den, dense over Q
     for a, R in _simple_poles(C):
@@ -422,17 +410,13 @@ def _diff_rational_solutions(C: DomainMatrix) -> list:
     eye, d = DomainMatrix.eye(n, N.domain), d.element
     P1 = eye.mul(d * den)
     P0 = -(eye.mul(d * den.diff(_T_POLY)) + N.mul(den))
-    bound = degree_bound(P1, P0, 1, 0)
-    P1, P0 = P1.to_list(), P0.to_list()
-    # the images of P = t^dg at coordinate i
-    columns = [[P1[a][i] * p.diff(_T_POLY) + P0[a][i] * p for a in range(n)]
-               for i in range(n)
-               for p in (_T_POLY**dg for dg in range(bound + 1))]
-    b = bound + 1
-    return [DomainMatrix([[QQ_XT.convert_from(dense_fraction(
-        QQ_T, vec[i * b:(i + 1) * b][::-1], den_q), QQ_T)]
-        for i in range(n)], (n, 1), QQ_XT)
-        for vec in kernel(_t_coefficient_matrix(columns)).to_list()]
+    out = []
+    for vec in ansatz_kernel(P1, P0, 0):
+        b = len(vec) // n
+        out.append(DomainMatrix([[QQ_XT.convert_from(dense_fraction(
+            QQ_T, vec[i * b:(i + 1) * b][::-1], den_q), QQ_T)]
+            for i in range(n)], (n, 1), QQ_XT))
+    return out
 
 
 def hyperexp_solutions(Bhat: DomainMatrix):

@@ -28,6 +28,10 @@ system and its ratios beta * lambda(x + j0 + i).  A solution's part is a
 column of G with its ratio and diagonal entry of B-bar, as K-forms; no
 expression is converted into K inside a solve, and the report and the
 :class:`NormalForm` are formed once, from K, as expressions.
+
+Every gauge comes from ``ratsol.assemble_gauge``, which checks it once.
+A K-matrix is specialized at t = p by K's own ``subs``, and
+:func:`_defined_at` is the one definedness test at a rational point.
 """
 
 from __future__ import annotations
@@ -50,13 +54,12 @@ from .difftools import (StandardDecomposition, leading_beta,
 from .fields import (QQ_T, QQ_XT, Conjugate, FieldError, MixedSplit, Split,
                      TRIVIAL_TOWER, Tower, TowerArithmetic, dm_clear,
                      dm_conjugate, dm_delta, dm_delta_part, dm_diag,
-                     dm_embed, dm_from_matrix, dm_inv, dm_over_qt, dm_same,
+                     dm_embed, dm_from_matrix, dm_inv, dm_over_qt,
                      dm_shift, dm_sigma_power, dm_to_matrix, element_expr,
                      from_regular, k_shift, t_value, tower_from_modulus)
 from .moser import (MoserReport, ReductionStalled, leading_eigendata,
                     moser_reduce)
-from .ratsol import (_invertible_selection, gauge_from_ratios,
-                     rational_solutions)
+from .ratsol import assemble_gauge, gauge_from_ratios, rational_solutions
 from .sequences import (CompiledMatrix, LiouvilleSolution, Part,
                         PointEvaluator, VerificationError, first_regular_index,
                         first_safe_index, lift_sigma_d_to_sigma,
@@ -390,17 +393,17 @@ def _dp1_stage_d1(sys: DDSystem, alpha_K, eig, report: dict) -> Outcome:
             return Outcome("NoSolution", "DP1", "d1",
                            "no rational solution for the ratio alpha*beta_1",
                            report=report)
-        columns = [basis]
-        for b in betas[1:]:
-            columns.append([dm_conjugate(V, b, tower) for V in basis])
-        G = _invertible_selection(columns, tower)
+        columns = [[dm_conjugate(V, b, tower) for V in basis]
+                   for b in betas[1:]]
+        G = assemble_gauge([basis] + columns, A, dm_diag(ratios, tower), 1,
+                           tower)
     else:  # Split over Q(t)
         tower = TRIVIAL_TOWER
-        A = sys.A_K
         roots = [QQ_XT.convert_from(r, QQ_T) for r in eig.roots]
         betas = [[b] for b in roots]
         ratios = [[alpha_K * b] for b in roots]
-        G = gauge_from_ratios(A, sys.cocycle_inverse(1), dm_diag(ratios), 1)
+        G = gauge_from_ratios(sys.A_K, sys.cocycle_inverse(1),
+                              dm_diag(ratios), 1)
     if G is None:
         # complete: _invertible_selection tries every one-vector-per-slot
         # choice, and a minor of any constant combination per slot is a
@@ -409,8 +412,6 @@ def _dp1_stage_d1(sys: DDSystem, alpha_K, eig, report: dict) -> Outcome:
         return Outcome("NoSolution", "DP1", "d1",
                        "rational solutions exist but assemble to no "
                        "invertible gauge", report=report)
-    if not dm_same([(dm_shift(G), dm_diag(ratios, tower))], [(A, G)]):
-        raise VerificationError("gauge identity violated")
     Bbar = _gauge_delta_part(G, dm_embed(sys.B_K, tower), tower)
     off = _diag_offenders(Bbar, tower)
     if off:
@@ -441,7 +442,7 @@ def _dp1_stage_d2(sys: DDSystem, alpha_K, beta1, report: dict) -> Outcome:
     basis = rational_solutions(sys.A_K.mul(QQ_XT.one / ratio_K),
                                sys.cocycle_inverse(1).mul(ratio_K), 1,
                                TRIVIAL_TOWER).basis
-    G = _invertible_selection([basis] * n, TRIVIAL_TOWER) if basis else None
+    G = assemble_gauge([basis] * n, sys.A_K, dm_diag([[ratio_K]] * n), 1)
     if G is None:
         # complete, by the argument at ratsol._invertible_selection
         return Outcome("NoSolution", "DP1", "d2",
@@ -603,20 +604,6 @@ RATIONAL_POINTS = tuple(sp.Integer((k + 1) // 2 * (-1) ** (k + 1))
                         for k in range(50))
 
 
-def _at_point(D: DomainMatrix, p):
-    """The entries of the K-matrix D at the integer t = p, as (num, den)
-    pairs of polynomials in x over Z (held in Z[x, t]); None when some
-    denominator vanishes identically there."""
-    p = int(p)
-    out = []
-    for e in D.to_list_flat():
-        den = e.denom.subs(_T, p)
-        if not den:
-            return None
-        out.append((e.numer.subs(_T, p), den))
-    return out
-
-
 def _defined_at(D: DomainMatrix, p) -> bool:
     """Whether no denominator of the K-matrix D vanishes identically at the
     rational t = p, substituted over Q in the denominators brought into
@@ -628,14 +615,15 @@ def _defined_at(D: DomainMatrix, p) -> bool:
 
 def _specialization_point(Atil: DomainMatrix):
     """First p of RATIONAL_POINTS with Atil (a K-matrix) defined at t = p
-    and Atil|_{t=p} invertible; returns (p, the K-form of Atil|_{t=p})."""
+    and Atil|_{t=p} invertible; returns (p, the K-form of Atil|_{t=p}).
+    K's ``subs`` cancels each entry and raises ZeroDivisionError at a pole."""
     for p in RATIONAL_POINTS:
-        entries = _at_point(Atil, p)
-        if entries is None:
+        try:
+            A0 = DomainMatrix.from_list_flat(
+                [e.subs(_TK, p) for e in Atil.to_list_flat()], Atil.shape,
+                QQ_XT)
+        except ZeroDivisionError:
             continue
-        A0 = DomainMatrix.from_list_flat(
-            [QQ_XT.field.new(num, den) for num, den in entries], Atil.shape,
-            QQ_XT)
         if A0.rank() == A0.shape[0]:
             return p, A0
     return None
@@ -735,26 +723,13 @@ def verification_point_fault(sys, solutions, p) -> Optional[str]:
     None when it can: the minimal polynomial of a solution's tower has a
     pole or is reducible there, or a denominator of A, B, a W or a
     sigma-ratio (read off their K-forms) vanishes identically there."""
-    return _point_fault(*_verification_forms(sys, solutions), p)
-
-
-def _verification_forms(sys, solutions) -> tuple:
-    """(K-forms of A, B and of every W and sigma-ratio, distinct towers of
-    the solutions): what :func:`_point_fault` reads at each point."""
-    forms = [sys.A_K, sys.B_K]
-    towers = {}
-    for sol in solutions:
-        towers[sol.tower] = None
-        forms += [D for part in sol.parts for D in (part.W, part.r)]
-    return forms, list(towers)
-
-
-def _point_fault(forms: list, towers: list, p) -> Optional[str]:
-    for tower in towers:
+    for tower in dict.fromkeys(sol.tower for sol in solutions):
         try:
             PointEvaluator(tower, p)
         except FieldError as err:
             return str(err)
+    forms = [sys.A_K, sys.B_K] + [D for sol in solutions for part in sol.parts
+                                  for D in (part.W, part.r)]
     if not all(_defined_at(D, p) for D in forms):
         return f"a denominator of A, B or a solution vanishes at t = {p}"
     return None
@@ -763,9 +738,8 @@ def _point_fault(forms: list, towers: list, p) -> Optional[str]:
 def _first_verification_point(sys: DDSystem, solutions=()):
     """First positive p of RATIONAL_POINTS at which the numeric window of
     the solutions can run (see :func:`verification_point_fault`)."""
-    forms, towers = _verification_forms(sys, solutions)
     for p in RATIONAL_POINTS:
-        if p > 0 and _point_fault(forms, towers, p) is None:
+        if p > 0 and verification_point_fault(sys, solutions, p) is None:
             return p
     raise VerificationError("no verification point: at every positive "
                             "candidate t a denominator vanishes or a "

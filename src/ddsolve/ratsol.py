@@ -20,20 +20,18 @@ Every function here takes and returns K-forms (see :mod:`ddsolve.fields`):
 a vector is the K-form of an n x 1 matrix, a scalar operator that of the
 row of its coefficients, and u an element of K = Q(x, t).  Denominators
 are read off K-entries, and their factors in Z[x, t] are grouped by
-:func:`ddsolve.difftools.shift_classes`.  :func:`degree_bound` is the
-one degree bound of polynomial solutions, sigma^m here and delta in
-``closedform``.
+:func:`ddsolve.difftools.shift_classes`.
 
-The polynomial ansatz clears the denominators of M with one q in Z[x, t]
-(:func:`ddsolve.fields.dm_clear`, the lcm of the distinct denominators),
-as the degree bound does, and solves q(x) Y(x+m) - N(x) Y(x) = 0 over
-Q(t) in the coefficients of Y, unknowns ordered by (coordinate, degree,
-theta-power).  The constant-span test is a rank test over Q(t) on
-coefficients in x of the vectors cleared by one dm_clear.  The
-substitution check of every rational solution P/u, taken on P and u,
-and the gauge postcondition sigma^m(G) R = A G are decided
-on cleared numerators by :func:`ddsolve.fields.dm_same`, with no product
-over K.
+Polynomial solutions of P1 D(y) + P0 y = 0, D = sigma^m - 1 here and
+d/dt in ``closedform``, have one degree bound (:func:`degree_bound`) and
+one ansatz (:func:`ansatz_kernel`): the kernel of one coefficient matrix
+over the constants.  sigma^m clears M with one q in Z[x, t]
+(:func:`ddsolve.fields.dm_clear`) and solves q Delta_m Y + (q - N) Y = 0.
+The constant-span test is a rank test on the same coefficient matrix.
+The substitution check of every rational solution P/u, taken on P and u,
+and the postcondition sigma^m(G) R = A G of every gauge, which
+:func:`assemble_gauge` alone assembles, are decided on cleared numerators
+by :func:`ddsolve.fields.dm_same`, with no product over K.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ import itertools
 from dataclasses import dataclass
 
 import sympy as sp
-from sympy import ZZ
+from sympy import QQ, ZZ
 from sympy.polys.densebasic import dup_strip
 from sympy.polys.densetools import dmp_shift
 from sympy.polys.matrices import DomainMatrix
@@ -55,14 +53,12 @@ from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower,
 from .sequences import VerificationError
 
 __all__ = ["RationalSolutionBasis", "UnsupportedCase",
-           "universal_denominator", "degree_bound", "polynomial_solutions",
-           "rational_solutions", "gauge_from_ratios"]
+           "universal_denominator", "degree_bound", "ansatz_kernel",
+           "polynomial_solutions", "rational_solutions", "assemble_gauge",
+           "gauge_from_ratios"]
 
-# the polynomial ring of Q(t), the field of the ansatz unknowns
-_QT_RING = QQ_T.field.ring
 # Z[x, t], where numerators and denominators of K live
 _XT_RING = QQ_XT.field.ring
-_X = _XT_RING.gens[0]
 
 
 class UnsupportedCase(Exception):
@@ -76,18 +72,23 @@ class RationalSolutionBasis:
 
 
 def _coefficient_matrix(columns: list) -> DomainMatrix:
-    """The matrix over Q(t) whose j-th column lists the coefficients in x
-    of the polynomials columns[j] (over Z[x, t]), one row per (position,
-    power of x) that occurs."""
+    """The matrix over the constants of the polynomials columns[j] (Q(t)
+    over Z[x, t], Q over Z[t]) whose j-th column lists their coefficients
+    in the ring's first generator, one row per (position, power) that
+    occurs."""
     slots: dict = {}
     for j, col in enumerate(columns):
         for a, p in enumerate(col):
-            for (i, k), c in p.items():
-                slots.setdefault((a, i), {}).setdefault(j, {})[(k,)] = c
-    return DomainMatrix([[QQ_T.new(_QT_RING.from_dict(slots[key].get(j, {})))
+            for (i, *k), c in p.items():
+                slots.setdefault((a, i), {}).setdefault(j, {})[tuple(k)] = c
+    if columns[0][0].ring.ngens == 1:
+        K, entry = QQ, lambda cs: QQ(cs.get((), 0))
+    else:
+        K, entry = QQ_T, lambda cs: QQ_T.new(QQ_T.field.ring.from_dict(cs))
+    return DomainMatrix([[entry(slots[key].get(j, {}))
                           for j in range(len(columns))]
                          for key in sorted(slots)],
-                        (len(slots), len(columns)), QQ_T)
+                        (len(slots), len(columns)), K)
 
 
 # ---------------------------------------------------------------------------
@@ -252,40 +253,44 @@ def degree_bound(P1: DomainMatrix, P0: DomainMatrix, c: int, s: int) -> int:
                 _combined_row([a.exquo(g) for a in v], old)
 
 
-def _degree_bound(q, N: DomainMatrix, m: int) -> int:
-    """:func:`degree_bound` of q Y(x+m) = N Y, (q, N) = dm_clear(M), as
-    q Delta_m Y + (q - N) Y = 0 in the falling factorials x (x - m) ...
-    (x - (k-1) m), c = s = m; over a tower, on the regular representation."""
-    qI = DomainMatrix.eye(N.shape[0], N.domain).mul(q)
-    return degree_bound(qI, qI - N, m, m)
+def ansatz_kernel(P1: DomainMatrix, P0: DomainMatrix, step: int,
+                  bound: int = None, e: int = 1) -> list:
+    """Kernel basis of the coefficient matrix of P1 D(y) + P0 y = 0 in the
+    first generator v of the ring of P1 and P0, D = sigma^step - 1 in v
+    (step >= 1) or d/dv (step = 0), y of degree <= bound (by default
+    :func:`degree_bound`).  Column (i*(bound + 1) + dg)*e + k is the image
+    of v^dg at position i*e + k: coordinate i, theta-power k on a tower of
+    degree e."""
+    if bound is None:
+        bound = degree_bound(P1, P0, step or 1, step)
+    if bound < 0:
+        return []
+    v, ne = P0.domain.ring.gens[0], P0.shape[0]
+    powers = [v**dg for dg in range(bound + 1)]
+    diffs = [(v + step)**dg - p if step else p.diff(v)
+             for dg, p in enumerate(powers)]
+    P1, P0 = P1.to_list(), P0.to_list()
+    columns = [[P1[a][b] * diffs[dg] + P0[a][b] * powers[dg]
+                for a in range(ne)]
+               for i in range(ne // e) for dg in range(bound + 1)
+               for b in range(i * e, (i + 1) * e)]
+    return kernel(_coefficient_matrix(columns)).to_list()
 
 
 def polynomial_solutions(M: DomainMatrix, m: int = 1,
                          degree_bound: int = None,
                          tower: Tower = TRIVIAL_TOWER):
     """All polynomial solution vectors of sigma^m(Y) = M Y with
-    deg <= degree_bound (:func:`_degree_bound` if omitted).
-
-    The basis is the null-space basis of the coefficient system, unknowns
-    ordered by (coordinate, degree, theta-power)."""
+    deg <= degree_bound: :func:`ansatz_kernel` of q Delta_m Y + (q - N) Y,
+    (q, N) = dm_clear(M), over a tower on the regular representation."""
     q, N = dm_clear(M)
-    if degree_bound is None:
-        degree_bound = _degree_bound(q, N, m)
-    if degree_bound < 0:
-        return []
-    e, ne, deg = tower.degree, M.shape[0], degree_bound + 1
+    qI = DomainMatrix.eye(N.shape[0], N.domain).mul(q)
+    e, ne = tower.degree, M.shape[0]
     n = ne // e
-    N = N.to_dok()
-    # column (i, dg, k) holds q(x) (x+m)^dg at coordinate b = i*e + k and
-    # -N(x)_{ab} x^dg at every coordinate a
-    qshift = [q * (_X + m)**dg for dg in range(deg)]
-    columns = [[(qshift[dg] if a == b else _XT_RING.zero)
-                - N.get((a, b), _XT_RING.zero) * _X**dg for a in range(ne)]
-               for i in range(n) for dg in range(deg)
-               for b in range(i * e, (i + 1) * e)]
     xK = QQ_XT.gens[0]
     sols = []
-    for vec in kernel(_coefficient_matrix(columns)).to_list():
+    for vec in ansatz_kernel(qI, qI - N, m, degree_bound, e):
+        deg = len(vec) // ne
         vec = [QQ_XT.convert_from(c, QQ_T) for c in vec]
         sols.append(regular_matrix([
             dup_strip([
@@ -360,12 +365,23 @@ def _invertible_selection(columns: list, tower: Tower):
     return None
 
 
+def assemble_gauge(columns: list, A: DomainMatrix, R: DomainMatrix, m: int,
+                   tower: Tower = TRIVIAL_TOWER):
+    """G from one vector per slot (:func:`_invertible_selection`), or None;
+    VerificationError, whatever the interpreter flags, unless
+    sigma^m(G) R = A G for R the K-form of the diagonal of ratios."""
+    G = _invertible_selection(columns, tower)
+    if G is not None and not dm_same([(dm_shift(G, m), R)], [(A, G)]):
+        raise VerificationError("gauge postcondition violated")
+    return G
+
+
 def gauge_from_ratios(A: DomainMatrix, A_inv: DomainMatrix,
                       ratios: DomainMatrix, m: int):
     """G over K with sigma^m(G) * diag(r_1, ..., r_n) = A * G, `ratios` that
     diagonal over K, assembled column-by-column from rational solutions of
-    sigma^m(W) = (A/r_i) W; None on failure.  A_inv is A^-1, so the
-    inverse of A/r_i is the product r_i A_inv.
+    sigma^m(W) = (A/r_i) W (:func:`assemble_gauge`); None on failure.
+    A_inv is A^-1, so the inverse of A/r_i is the product r_i A_inv.
 
     None is a complete negative answer: either some ratio has no rational
     solution, or no constant combination per slot is invertible (see
@@ -378,9 +394,4 @@ def gauge_from_ratios(A: DomainMatrix, A_inv: DomainMatrix,
         if not basis:
             return None
         columns.append(basis)
-    G = _invertible_selection(columns, TRIVIAL_TOWER)
-    if G is None:
-        return None
-    if not dm_same([(dm_shift(G, m), ratios)], [(A, G)]):
-        raise VerificationError("gauge postcondition violated")
-    return G
+    return assemble_gauge(columns, A, ratios, m)

@@ -566,6 +566,8 @@ def verify_numeric_window(system, sol: LiouvilleSolution, t0, terms: int = 30) -
     All arithmetic is exact over Q (extended by the tower generator with t
     specialized when the solution lives in an extension); the delta
     relation is checked symbolically by verify_certificates."""
+    if terms < 1:
+        raise ValueError(f"numeric window needs terms >= 1, got {terms}")
     failures = []
     deg = sol.tower.degree
     pts = PointEvaluator(sol.tower, t0)

@@ -622,6 +622,18 @@ def test_cli_verify_rejects_bad_t0(name, t0, why, capsys):
     assert "FAILED" not in out
 
 
+@pytest.mark.parametrize("terms", ["0", "-3"])
+def test_cli_verify_rejects_empty_window(terms, capsys):
+    """--terms below 1 would check nothing and print ok: an input error."""
+    code = cli_main(["verify", str(SYSTEMS / "example1.json"),
+                     str(SYSTEMS.parent / "ddbench" / "solutions"
+                         / "example1.json"), "--t0", "1", "--terms", terms])
+    out, err = capsys.readouterr()
+    assert code == 3, out + err
+    assert err == f"input error: --terms must be >= 1, got {terms}\n"
+    assert not out
+
+
 @pytest.mark.parametrize("t0", ["1/2", "-1/2"])
 def test_cli_verify_runs_at_rational_t0(t0, capsys):
     """example2's poles are at t = 0: a non-integer t0 is checked at t0

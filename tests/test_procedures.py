@@ -624,6 +624,31 @@ def test_gauge_postcondition_raises_under_python_O():
     assert "gauge postcondition violated" in proc.stdout
 
 
+_PLANTED_BAD_CONJUGATE_GAUGE = f"""
+import sys
+import sympy as sp
+import ddsolve.ratsol as ratsol
+from ddsolve.cli import main
+from ddsolve.fields import dm_from_matrix
+
+assert sys.flags.optimize, "run under python -O"
+# example1 is diagonalized over its tower by conjugate columns; the swap
+# planted here is invertible there but no gauge of example1
+ratsol._invertible_selection = lambda columns, tower: dm_from_matrix(
+    sp.Matrix([[0, 1], [1, 0]]), tower)
+sys.exit(main(["solve", {str(SYSTEMS / "example1.json")!r}]))
+"""
+
+
+def test_conjugate_gauge_postcondition_raises_under_python_O():
+    """DP1 d1's conjugate branch checks its gauge with the same routine
+    as gauge_from_ratios: a wrong gauge is an internal error, exit 4."""
+    proc = _run_optimized(_PLANTED_BAD_CONJUGATE_GAUGE)
+    assert proc.returncode == 4, proc.stdout + proc.stderr
+    assert "gauge postcondition violated" in proc.stderr
+    assert "verdict" not in proc.stdout
+
+
 def test_specialization_point_skips_pole_and_singular_point():
     """diag(1/t, t - 1) has a pole at t = 0 and is singular at t = 1, so
     the search ends at t = -1 with diag(-1, -2)."""

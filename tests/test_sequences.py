@@ -392,6 +392,13 @@ def test_verify_numeric_window_pass():
     assert verify_numeric_window(system, sol, sp.Rational(2), terms=10).ok
 
 
+@pytest.mark.parametrize("terms", [0, -3])
+def test_verify_numeric_window_rejects_empty_window(terms):
+    system, sol = _toy_solved_system()
+    with pytest.raises(ValueError, match="terms >= 1"):
+        verify_numeric_window(system, sol, sp.Rational(2), terms=terms)
+
+
 def test_verify_numeric_window_catches_mismatch():
     system, sol = _toy_solved_system()
     bad = solution(sp.Matrix([x]),
