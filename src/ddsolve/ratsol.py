@@ -71,9 +71,19 @@ class RationalSolutionBasis:
     basis: list  # K-forms of the column vectors
 
 
-def _coefficient_matrix(columns: list) -> DomainMatrix:
-    """The matrix over the constants of the polynomials columns[j] (Q(t)
-    over Z[x, t], Q over Z[t]) whose j-th column lists their coefficients
+def _constants(ring) -> tuple:
+    """The constants of a polynomial ring Z[v, ...] in its first generator
+    v: the field K (Q(t) over Z[x, t], Q over Z[t], the only two rings
+    here) and the map from a coefficient in v, a dict over the monomials
+    in the other generators, into K."""
+    if ring.ngens == 1:
+        return QQ, lambda cs: QQ(cs.get((), 0))
+    return QQ_T, lambda cs: QQ_T.new(QQ_T.field.ring.from_dict(cs))
+
+
+def _coefficient_matrix(columns: list, constants: tuple) -> DomainMatrix:
+    """The matrix over K, constants = (K, entry) of :func:`_constants`, of
+    the polynomials columns[j] whose j-th column lists their coefficients
     in the ring's first generator, one row per (position, power) that
     occurs."""
     slots: dict = {}
@@ -81,10 +91,7 @@ def _coefficient_matrix(columns: list) -> DomainMatrix:
         for a, p in enumerate(col):
             for (i, *k), c in p.items():
                 slots.setdefault((a, i), {}).setdefault(j, {})[tuple(k)] = c
-    if columns[0][0].ring.ngens == 1:
-        K, entry = QQ, lambda cs: QQ(cs.get((), 0))
-    else:
-        K, entry = QQ_T, lambda cs: QQ_T.new(QQ_T.field.ring.from_dict(cs))
+    K, entry = constants
     return DomainMatrix([[entry(slots[key].get(j, {}))
                           for j in range(len(columns))]
                          for key in sorted(slots)],
@@ -254,18 +261,18 @@ def degree_bound(P1: DomainMatrix, P0: DomainMatrix, c: int, s: int) -> int:
 
 
 def ansatz_kernel(P1: DomainMatrix, P0: DomainMatrix, step: int,
-                  bound: int = None, e: int = 1) -> list:
+                  e: int = 1) -> list:
     """Kernel basis of the coefficient matrix of P1 D(y) + P0 y = 0 in the
     first generator v of the ring of P1 and P0, D = sigma^step - 1 in v
-    (step >= 1) or d/dv (step = 0), y of degree <= bound (by default
-    :func:`degree_bound`).  Column (i*(bound + 1) + dg)*e + k is the image
+    (step >= 1) or d/dv (step = 0), y of degree <= bound, the
+    :func:`degree_bound`.  Column (i*(bound + 1) + dg)*e + k is the image
     of v^dg at position i*e + k: coordinate i, theta-power k on a tower of
     degree e."""
-    if bound is None:
-        bound = degree_bound(P1, P0, step or 1, step)
+    bound = degree_bound(P1, P0, step or 1, step)
     if bound < 0:
         return []
-    v, ne = P0.domain.ring.gens[0], P0.shape[0]
+    ring, ne = P0.domain.ring, P0.shape[0]
+    v = ring.gens[0]
     powers = [v**dg for dg in range(bound + 1)]
     diffs = [(v + step)**dg - p if step else p.diff(v)
              for dg, p in enumerate(powers)]
@@ -274,22 +281,21 @@ def ansatz_kernel(P1: DomainMatrix, P0: DomainMatrix, step: int,
                 for a in range(ne)]
                for i in range(ne // e) for dg in range(bound + 1)
                for b in range(i * e, (i + 1) * e)]
-    return kernel(_coefficient_matrix(columns)).to_list()
+    return kernel(_coefficient_matrix(columns, _constants(ring))).to_list()
 
 
 def polynomial_solutions(M: DomainMatrix, m: int = 1,
-                         degree_bound: int = None,
                          tower: Tower = TRIVIAL_TOWER):
-    """All polynomial solution vectors of sigma^m(Y) = M Y with
-    deg <= degree_bound: :func:`ansatz_kernel` of q Delta_m Y + (q - N) Y,
-    (q, N) = dm_clear(M), over a tower on the regular representation."""
+    """All polynomial solution vectors of sigma^m(Y) = M Y:
+    :func:`ansatz_kernel` of q Delta_m Y + (q - N) Y, (q, N) = dm_clear(M),
+    over a tower on the regular representation."""
     q, N = dm_clear(M)
     qI = DomainMatrix.eye(N.shape[0], N.domain).mul(q)
     e, ne = tower.degree, M.shape[0]
     n = ne // e
     xK = QQ_XT.gens[0]
     sols = []
-    for vec in ansatz_kernel(qI, qI - N, m, degree_bound, e):
+    for vec in ansatz_kernel(qI, qI - N, m, e):
         deg = len(vec) // ne
         vec = [QQ_XT.convert_from(c, QQ_T) for c in vec]
         sols.append(regular_matrix([
@@ -320,7 +326,8 @@ def _constant_span_reduce(vectors: list, tower: Tower) -> list:
     indep, span, j = [], [], 0
     for V in vectors:
         cols, j = columns[j:j + V.shape[1]], j + V.shape[1]
-        if _coefficient_matrix(span + cols[:1]).rank() > len(span):
+        if _coefficient_matrix(span + cols[:1],
+                               _constants(_XT_RING)).rank() > len(span):
             indep.append(V)
             span.extend(cols)
     return indep
@@ -335,7 +342,7 @@ def rational_solutions(M: DomainMatrix, M_inv: DomainMatrix, m: int = 1,
     su = k_shift(u, m)
     inv_u = QQ_XT.one / u
     basis = []
-    for P in polynomial_solutions(M.mul(su / u), m, None, tower):
+    for P in polynomial_solutions(M.mul(su / u), m, tower):
         # sigma^m(P/u) = M P/u, decided on P and u
         if not dm_same([(dm_shift(P, m), u)], [(M, P, su)]):
             raise VerificationError(

@@ -16,8 +16,9 @@ from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, dm_delta, dm_from_matrix,
 from ddsolve.procedures import (DDSystem, _certificate_normalizer,
                                 _first_verification_point, _integrable,
                                 _normalize_gauge_certificates,
-                                _specialization_point, check_integrability, decision_procedure_1,
-                                decision_procedure_2, solve_liouvillian)
+                                _specialization_point, check_integrability,
+                                decision_procedure_1, decision_procedure_2,
+                                solve_liouvillian)
 from ddsolve.ratsol import UnsupportedCase
 from ddsolve.sequences import VerificationError, verify_certificates
 from ddsolve.cli import main as cli_main

@@ -30,9 +30,9 @@ def universal_denominator(M, m=1, tower=TRIVIAL_TOWER):
     return dm_to_matrix(DomainMatrix([[u]], (1, 1), QQ_XT))[0]
 
 
-def polynomial_solutions(M, m=1, degree_bound=None, tower=TRIVIAL_TOWER):
+def polynomial_solutions(M, m=1, tower=TRIVIAL_TOWER):
     return [dm_to_matrix(P, tower) for P in ratsol.polynomial_solutions(
-        dm_from_matrix(M, tower), m, degree_bound, tower)]
+        dm_from_matrix(M, tower), m, tower)]
 
 
 def rational_solutions(M, m=1, tower=TRIVIAL_TOWER):
@@ -108,9 +108,8 @@ def test_polynomial_solutions_degree_bound_over_tower():
     no polynomial solution (its exponent theta is not an integer), and
     y = x solves y(x+1) = (x+1)/x y(x)."""
     tw = make_tower(theta**2 - (t**2 + 1))
-    assert polynomial_solutions(sp.Matrix([[1 + theta / x]]), 1, None,
-                                tw) == []
-    sols = polynomial_solutions(sp.Matrix([[(x + 1) / x]]), 1, None, tw)
+    assert polynomial_solutions(sp.Matrix([[1 + theta / x]]), 1, tw) == []
+    sols = polynomial_solutions(sp.Matrix([[(x + 1) / x]]), 1, tw)
     assert sols == [sp.Matrix([x]), sp.Matrix([theta * x])]
 
 
@@ -287,7 +286,7 @@ def test_ratsol_matches_reference_on_planted_systems(case):
     and den(c_1); so there its u may be a proper multiple.  The tower's
     rational bases are pinned by the calls of example1."""
     M, m, tower = case
-    _srepr_equal(polynomial_solutions(M, m, None, tower),
+    _srepr_equal(polynomial_solutions(M, m, tower),
                  reference_polynomial_solutions(M, m, None, tower))
     u = universal_denominator(M, m, tower)
     u_ref = reference_universal_denominator(M, m, tower)
@@ -356,7 +355,8 @@ def captured_calls(example1_path, example2_path):
 _REFERENCES = {
     "universal_denominator": lambda *a, **k: treduce(
         reference_universal_denominator(*a, **k)),
-    "polynomial_solutions": reference_polynomial_solutions,
+    "polynomial_solutions": lambda M, m, tower:
+        reference_polynomial_solutions(M, m, None, tower),
     "scalar_operators": lambda M, m: reference_scalar_operators(
         M, m, TRIVIAL_TOWER),
     "rational_solutions": reference_rational_solutions,
@@ -399,9 +399,9 @@ def test_gauged_example2_bounds_degrees_without_scalar_operators(
         assert not depth[0], "scalar_operators called by degree_bound"
         return ops(*args)
 
-    def poly_spy(M, m, degree_bound, tower):
-        calls.append((dm_to_matrix(M, tower), m, degree_bound, tower))
-        return poly(M, m, degree_bound, tower)
+    def poly_spy(M, m, tower):
+        calls.append((dm_to_matrix(M, tower), m, tower))
+        return poly(M, m, tower)
 
     monkeypatch.setattr(ratsol, "degree_bound", bound_spy)
     monkeypatch.setattr(ratsol, "scalar_operators", ops_spy)
@@ -413,10 +413,9 @@ def test_gauged_example2_bounds_degrees_without_scalar_operators(
     assert out.solutions and all(
         verify_certificates(system, sol).ok for sol in out.solutions)
     assert calls
-    for M, m, degree_bound, tower in calls:
-        _srepr_equal(polynomial_solutions(M, m, degree_bound, tower),
-                     reference_polynomial_solutions(M, m, degree_bound,
-                                                    tower))
+    for M, m, tower in calls:
+        _srepr_equal(polynomial_solutions(M, m, tower),
+                     reference_polynomial_solutions(M, m, None, tower))
 
 
 def test_universal_denominator_in_canonical_form():
@@ -454,7 +453,7 @@ def test_polynomial_solutions_run_without_together_and_expand(monkeypatch):
     monkeypatch.setattr(sp.Expr, "expand", no_expand)
     monkeypatch.setattr(sp, "together", no_together)
     try:
-        got = [ratsol.polynomial_solutions(D, m, None, tw)
+        got = [ratsol.polynomial_solutions(D, m, tw)
                for D, (_, m, tw) in zip(forms, cases)]
     finally:
         monkeypatch.undo()
