@@ -50,13 +50,12 @@ _VERDICT_EXIT = {
 }
 
 
-def _print_matrix(name: str, M: sp.Matrix, tower=TRIVIAL_TOWER, out=None):
-    out = out or _sys.stdout
-    print(f"{name} =", file=out)
+def _print_matrix(name: str, M: sp.Matrix, tower=TRIVIAL_TOWER):
+    print(f"{name} =")
     for i in range(M.shape[0]):
         row = "  ".join(print_ratfunc(M[i, j], tower)
                         for j in range(M.shape[1]))
-        print(f"  [ {row} ]", file=out)
+        print(f"  [ {row} ]")
 
 
 def _cmd_check(args) -> int:
@@ -65,23 +64,20 @@ def _cmd_check(args) -> int:
     except SchemaError as err:
         print(f"input error: {err}", file=_sys.stderr)
         return EXIT_INPUT_ERROR
-    from .procedures import check_integrability_K
     try:
-        ok, residual = check_integrability_K(system.A_K, system.B_K)
+        level = system.integrability_level
     except FieldError as err:   # singular A
         print(f"input error: {err}", file=_sys.stderr)
         return EXIT_INPUT_ERROR
-    if ok:
+    if level == 1:
         print("integrable: sigma(B) = delta(A)A^-1 + ABA^-1 holds")
         return EXIT_SOLVED
-    residual = dm_to_matrix(residual)
-    try:
-        system.validate()
-    except ValueError:
+    residual = dm_to_matrix(system.integrability_residual())
+    if not level:
         print("not integrable; residual sigma(B) - delta(A)A^-1 - ABA^-1:")
         _print_matrix("residual", residual)
         return EXIT_INPUT_ERROR
-    print(f"integrable at the sigma^{system.integrability_level} level only;"
+    print(f"integrable at the sigma^{level} level only;"
           " residual of the sigma-level identity:")
     _print_matrix("residual", residual)
     return EXIT_SOLVED
@@ -294,7 +290,7 @@ def _dispatch_tool(args) -> int:
             M_inv = dm_inv(M)
         except FieldError:
             raise SchemaError("/M", "matrix must be invertible")
-        basis = rational_solutions(M, M_inv, args.step, TRIVIAL_TOWER).basis
+        basis = rational_solutions(M, M_inv, args.step, TRIVIAL_TOWER)
         if not basis:
             print("no nonzero rational solutions")
             return EXIT_NO_SOLUTION

@@ -16,9 +16,11 @@ and reduces sigma^m(Y) = M Y to scalar recurrences through the chain
 v -> sigma^m(v) M, one per coordinate, whose K-forms go into hyper_ratios.
 The ratios are deduplicated in K = Q(x, t), each is decomposed once as
 sigma^m(g)/g * lambda with lambda standard, and the solutions are
-recovered by rational back-substitution on K-forms.  Candidates are
-grouped by the sigma^m-class of lambda; a vector in the constant span of
-the earlier ones of its group is dropped.
+recovered by rational back-substitution on K-forms.  Each W solves
+sigma^m(W) r = M W by the substitution check ratsol.rational_solutions
+makes on its numerator and denominator; it is not checked again here.
+Candidates are grouped by the sigma^m-class of lambda; a vector in the
+constant span of the earlier ones of its group is dropped.
 
 hyperexp_solutions(Bhat: DomainMatrix) takes an x-free K-form and returns
 candidates whose V is the K-form over their tower ((n*deg) x deg) and
@@ -51,7 +53,7 @@ from sympy.polys.polyerrors import CoercionFailed
 
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, Tower, charpoly_factors,
                      dm_delta, dm_diag, dm_embed, dm_inv, dm_over_qt,
-                     dense_fraction, dm_same, dm_shift, indicial_degrees,
+                     dense_fraction, dm_same, indicial_degrees,
                      kernel, t_value, tower_from_modulus, x)
 from .difftools import standard_decompose
 from .ratsol import (UnsupportedCase, _constant_span_reduce, ansatz_kernel,
@@ -293,11 +295,10 @@ def system_hypergeometric(M: DomainMatrix, m: int = 1):
         else:
             span = []
             groups.append((lam, span))
+        # sigma^m(W) r = M W is the substitution check rational_solutions
+        # made on P and u, W = P/u
         for W in rational_solutions(M.mul(QQ_XT.one / r), M_inv.mul(r), m,
-                                    TRIVIAL_TOWER).basis:
-            if not dm_same([(dm_shift(W, m), r)], [(M, W)]):
-                raise VerificationError(
-                    "hypergeometric candidate failed substitution check")
+                                    TRIVIAL_TOWER):
             gW = W.mul(g)
             kept = _constant_span_reduce(span + [gW], TRIVIAL_TOWER)
             if len(kept) > len(span):

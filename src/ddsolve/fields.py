@@ -62,9 +62,11 @@ lcm over Z[x, t] of the distinct denominators and N over Z[x, t].
 of K: it multiplies the cleared numerators over Z[x, t] and scales each
 term by lcm/den.  The certificate identities, the gauge identities and
 the substitution checks all go through it.  :func:`dm_delta_part` forms
-a gauge's delta-part G^-1 (B G - delta(G)) with one ``inv_den`` over
-Z[x, t] and one cancel per entry.  The cocycle (:func:`dm_sigma_power`)
-and the integrability test multiply cleared numerators too.
+a gauge's delta-part G^-1 (B G - delta(G)) from G, B and their tower: it
+takes delta(G) itself (:func:`dm_delta`), so no caller forms it, and
+inverts with one ``inv_den`` over Z[x, t] and one cancel per entry.  The
+cocycle (:func:`dm_sigma_power`) and the integrability test multiply
+cleared numerators too.
 
 :func:`common_integer_roots` is the one integer-root routine (degree
 bounds, indicial polynomials, the pole scans of the lift and the numeric
@@ -328,11 +330,9 @@ def theta_poly(f) -> list:
                       for k in range(max(coeffs), -1, -1)])
 
 
-def make_tower(minpoly: sp.Expr, var: sp.Symbol = None) -> Tower:
-    """:func:`tower_from_modulus` of a sympy polynomial in theta (or in
-    var) over Q(t)."""
-    if var is not None and var is not theta:
-        minpoly = minpoly.subs(var, theta)
+def make_tower(minpoly: sp.Expr) -> Tower:
+    """:func:`tower_from_modulus` of a sympy polynomial in theta over
+    Q(t)."""
     return tower_from_modulus(theta_poly(
         _field_element(_QQ_XTTH, minpoly, "Q(x, t, theta)")))
 
@@ -647,15 +647,20 @@ def _slices(p: list, K) -> list:
                         for j in range(deg)) if s]
 
 
-def indicial_degrees(Q: list, m: int, K, rmax: int = 80):
+# the last order r at which indicial_degrees looks for a nonzero indicial
+# polynomial
+_INDICIAL_RMAX = 80
+
+
+def indicial_degrees(Q: list, m: int, K):
     """Degree candidates for polynomial solutions of
     sum_i Q_i(x) C(x + m*i) = 0, the Q_i dense in x over K (see
     :func:`_slices`): the nonnegative integer roots of the first nonzero
     indicial polynomial at x = infinity, None when there is none up to
-    rmax."""
+    order _INDICIAL_RMAX."""
     D = max(dup_degree(q) for q in Q)
     binom = [[K.one]]          # binomial(d, s) as a polynomial in d
-    for r in range(rmax + 1):
+    for r in range(_INDICIAL_RMAX + 1):
         if r:
             binom.append(dup_quo_ground(
                 dup_mul(binom[-1], [K.one, K(-(r - 1))], K), K(r), K))
@@ -936,15 +941,15 @@ def dm_same(lhs: list, rhs: list) -> bool:
 
 
 def dm_delta_part(G: DomainMatrix, B: DomainMatrix,
-                  dG: DomainMatrix) -> DomainMatrix:
-    """G^-1 (B G - dG) over K (dG = delta(G) for the gauge's delta-part),
-    formed fraction-free: with G = N/g, B G - dG = R/L over Z[x, t] and
-    N^-1 = N'/e from one ``inv_den`` over Z[x, t], the result is
-    g N' R / (e L), cancelled once per entry.  FieldError when G is
+                  tower: Tower) -> DomainMatrix:
+    """The gauge's delta-part G^-1 (B G - delta(G)) on K-forms over the
+    tower, formed fraction-free: with G = N/g, B G - delta(G) = R/L over
+    Z[x, t] and N^-1 = N'/e from one ``inv_den`` over Z[x, t], the result
+    is g N' R / (e L), cancelled once per entry.  FieldError when G is
     singular."""
     g, N = dm_clear(G)
     b, M = dm_clear(B)
-    d, P = dm_clear(dG)
+    d, P = dm_clear(dm_delta(G, tower))
     L = _lcm([b * g, d])
     R = M * N * L.exquo(b * g) - P * L.exquo(d)
     try:

@@ -99,7 +99,9 @@ def _parse_matrix(rows, n: int, pointer: str) -> sp.Matrix:
     return sp.Matrix(n, n, out)
 
 
-def read_system(path: str) -> DDSystem:
+def _read_object(path: str) -> dict:
+    """The JSON object in the file; SchemaError when the file cannot be
+    read, is not JSON, or holds no object at its top level."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -109,6 +111,11 @@ def read_system(path: str) -> DDSystem:
         raise SchemaError("", f"invalid JSON: {err}")
     if not isinstance(data, dict):
         raise SchemaError("", "top level must be an object")
+    return data
+
+
+def read_system(path: str) -> DDSystem:
+    data = _read_object(path)
     n = _require(data, "n", int, "")
     A = _parse_matrix(_require(data, "A", list, ""), n, "/A")
     B = _parse_matrix(_require(data, "B", list, ""), n, "/B")
@@ -206,15 +213,7 @@ def read_solution(path: str):
     """Solution file -> (tower, [LiouvilleSolution], raw dict).  Each
     solution holds the K-forms of its part (see
     :class:`~ddsolve.sequences.LiouvilleSolution`)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as err:
-        raise SchemaError("", f"cannot read file: {err}")
-    except json.JSONDecodeError as err:
-        raise SchemaError("", f"invalid JSON: {err}")
-    if not isinstance(data, dict):
-        raise SchemaError("", "top level must be an object")
+    data = _read_object(path)
     tower_str = _require(data, "tower", str, "")
     if tower_str == "trivial":
         tower = TRIVIAL_TOWER

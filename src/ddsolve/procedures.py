@@ -32,6 +32,12 @@ expression is converted into K inside a solve, and the report and the
 Every gauge comes from ``ratsol.assemble_gauge``, which checks it once.
 A K-matrix is specialized at t = p by K's own ``subs``, and
 :func:`_defined_at` is the one definedness test at a rational point.
+
+:attr:`DDSystem.integrability_level` is the one integrability routine:
+:meth:`DDSystem.validate`, :func:`check_integrability` and ``ddsolve
+check`` read it.  :func:`_first_point` is the one search over
+``RATIONAL_POINTS``, for DP2's specialization point and for the first
+point of the numeric window.
 """
 
 from __future__ import annotations
@@ -93,7 +99,6 @@ class DDSystem:
     A: sp.Matrix
     B: sp.Matrix
     assume_irreducible: bool = False
-    integrability_level: int = 0   # set by validate(): 1 or n
 
     @functools.cached_property
     def A_K(self) -> DomainMatrix:
@@ -137,36 +142,48 @@ class DDSystem:
             self._cocycle_inverses[m] = dm_inv(self.cocycle(m))
         return self._cocycle_inverses[m]
 
+    @functools.cached_property
+    def integrability_level(self) -> int:
+        """1 when sigma(B) A = delta(A) + A B, else n when sigma^n(B) A_n =
+        delta(A_n) + A_n B for the cocycle A_n, else 0.  Both identities
+        are tested fraction-free on cleared numerators (see
+        :func:`_integrable`); since A, and so A_n, is invertible, each is
+        the integrability condition sigma^m(B) = (delta(A_m) + A_m B)
+        A_m^{-1}.  FieldError when A is singular."""
+        if self.det_K == 0:
+            raise FieldError("matrix not invertible")
+        if _integrable(self.A_K, self.B_K, 1):
+            return 1
+        # a system whose sigma^n-compressed companion is integrable: every
+        # certificate emitted downstream is verified against the sigma^n-
+        # and delta-relations, which are exactly the ones that hold
+        return self.n if _integrable(self.cocycle(self.n), self.B_K,
+                                     self.n) else 0
+
+    def integrability_residual(self) -> DomainMatrix:
+        """sigma(B) - delta(A) A^{-1} - A B A^{-1} over K, the residual of
+        the sigma-level identity."""
+        A = self.A_K
+        return dm_shift(self.B_K, 1) - (dm_delta(A) + A * self.B_K) * dm_inv(A)
+
     def validate(self):
-        """Check that (A, B) is a system the procedures accept and set
-        :attr:`integrability_level`: 1 when sigma(B) A = delta(A) + A B,
-        else n when sigma^n(B) A_n = delta(A_n) + A_n B for the cocycle
-        A_n.  Both identities are tested fraction-free on cleared
-        numerators (see :func:`_integrable`); since A, and so A_n, is
-        invertible, each is the integrability condition sigma^m(B) =
-        (delta(A_m) + A_m B) A_m^{-1}, whose residual over K is formed
-        only for the message when both fail.  ValueError otherwise."""
+        """Check that (A, B) is a system the procedures accept: n prime,
+        A and B n x n over Q(x, t), A invertible, and
+        :attr:`integrability_level` 1 or n; the residual over K is formed
+        only for the message when it is 0.  ValueError otherwise."""
         if not sp.isprime(self.n):
             raise ValueError(f"order n = {self.n} must be prime")
         if self.A.shape != (self.n, self.n) or self.B.shape != (self.n, self.n):
             raise ValueError("A and B must be n x n")
         try:
-            A, B = self.A_K, self.B_K
+            self.A_K, self.B_K
         except FieldError as err:
             raise ValueError(f"A and B must be over Q(x, t): {err}")
         if self.det_K == 0:
             raise ValueError("A must be invertible")
-        if _integrable(A, B, 1):
-            self.integrability_level = 1
-            return
-        # accept systems whose sigma^n-compressed companion is integrable:
-        # every certificate emitted downstream is verified against the
-        # sigma^n- and delta-relations, which are exactly the ones that hold
-        if _integrable(self.cocycle(self.n), B, self.n):
-            self.integrability_level = self.n
-            return
-        raise ValueError("integrability fails; residual = "
-                         f"{dm_to_matrix(_integrability_residual(A, B, 1))}")
+        if not self.integrability_level:
+            raise ValueError("integrability fails; residual = "
+                             f"{dm_to_matrix(self.integrability_residual())}")
 
 
 @dataclass
@@ -205,23 +222,14 @@ def check_integrability(A: sp.Matrix, B: sp.Matrix):
     """Exact test of sigma(B) = delta(A) A^{-1} + A B A^{-1} over
     K = Q(x, t).
 
-    ok is decided fraction-free, by the test of :meth:`DDSystem.validate`
-    on sigma(B) A = delta(A) + A B, which is equivalent for invertible A;
+    ok is :attr:`DDSystem.integrability_level` == 1, decided fraction-free;
     the residual over K, which needs A^{-1}, is formed only when the test
     fails (the zero matrix otherwise).  Returns (ok, residual matrix).
     FieldError when A is singular or an entry lies outside K."""
-    ok, residual = check_integrability_K(dm_from_matrix(A), dm_from_matrix(B))
-    return ok, dm_to_matrix(residual)
-
-
-def check_integrability_K(A_K: DomainMatrix, B_K: DomainMatrix):
-    """:func:`check_integrability` on the K-forms of A and B; the residual
-    is a K-form."""
-    if A_K.det() == 0:
-        raise FieldError("matrix not invertible")
-    if _integrable(A_K, B_K, 1):
-        return True, DomainMatrix.zeros(B_K.shape, QQ_XT)
-    return False, _integrability_residual(A_K, B_K, 1)
+    system = DDSystem(A.shape[0], A, B)
+    if system.integrability_level == 1:
+        return True, sp.zeros(*B.shape)
+    return False, dm_to_matrix(system.integrability_residual())
 
 
 def _integrable(Am: DomainMatrix, B: DomainMatrix, m: int) -> bool:
@@ -239,11 +247,6 @@ def _integrable(Am: DomainMatrix, B: DomainMatrix, m: int) -> bool:
             + N * M * (sb * a))
 
 
-def _integrability_residual(Am: DomainMatrix, B: DomainMatrix, m: int):
-    """sigma^m(B) - delta(Am) Am^{-1} - Am B Am^{-1} over K."""
-    return dm_shift(B, m) - (dm_delta(Am) + Am * B) * dm_inv(Am)
-
-
 def _diag_offenders(D: DomainMatrix, tower: Tower) -> list:
     """The off-diagonal positions of nonzero entries of the matrix over the
     tower whose K-form is D."""
@@ -251,13 +254,6 @@ def _diag_offenders(D: DomainMatrix, tower: Tower) -> list:
     entries = from_regular(D, tower.degree)
     return [(i, j) for i in range(n) for j in range(n)
             if i != j and entries[i * n + j]]
-
-
-def _gauge_delta_part(G: DomainMatrix, B: DomainMatrix,
-                      tower: Tower) -> DomainMatrix:
-    """B-bar = G^{-1} B G - G^{-1} delta(G) on K-forms over the tower,
-    formed fraction-free by :func:`~ddsolve.fields.dm_delta_part`."""
-    return dm_delta_part(G, B, dm_delta(G, tower))
 
 
 def _certificate_normalizer(c):
@@ -298,7 +294,7 @@ def _normalize_gauge_certificates(G: DomainMatrix, Bbar: DomainMatrix,
     gammas = [_certificate_normalizer(Bbar[i, i].element)
               for i in range(0, Bbar.shape[0], deg)]
     S = DomainMatrix.diag([g for g in gammas for _ in range(deg)], QQ_XT)
-    return G * S, _gauge_delta_part(S, Bbar, tower)
+    return G * S, dm_delta_part(S, Bbar, tower)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +384,7 @@ def _dp1_stage_d1(sys: DDSystem, alpha_K, eig, report: dict) -> Outcome:
         basis = rational_solutions(
             A * dm_diag([ar.inv(ratios[0])] * n, tower),
             dm_diag([ratios[0]] * n, tower)
-            * dm_embed(sys.cocycle_inverse(1), tower), 1, tower).basis
+            * dm_embed(sys.cocycle_inverse(1), tower), 1, tower)
         if not basis:
             return Outcome("NoSolution", "DP1", "d1",
                            "no rational solution for the ratio alpha*beta_1",
@@ -412,7 +408,7 @@ def _dp1_stage_d1(sys: DDSystem, alpha_K, eig, report: dict) -> Outcome:
         return Outcome("NoSolution", "DP1", "d1",
                        "rational solutions exist but assemble to no "
                        "invertible gauge", report=report)
-    Bbar = _gauge_delta_part(G, dm_embed(sys.B_K, tower), tower)
+    Bbar = dm_delta_part(G, dm_embed(sys.B_K, tower), tower)
     off = _diag_offenders(Bbar, tower)
     if off:
         return Outcome("NoSolution", "DP1", "d1",
@@ -441,14 +437,14 @@ def _dp1_stage_d2(sys: DDSystem, alpha_K, beta1, report: dict) -> Outcome:
     ratio_K = alpha_K * beta1
     basis = rational_solutions(sys.A_K.mul(QQ_XT.one / ratio_K),
                                sys.cocycle_inverse(1).mul(ratio_K), 1,
-                               TRIVIAL_TOWER).basis
+                               TRIVIAL_TOWER)
     G = assemble_gauge([basis] * n, sys.A_K, dm_diag([[ratio_K]] * n), 1)
     if G is None:
         # complete, by the argument at ratsol._invertible_selection
         return Outcome("NoSolution", "DP1", "d2",
                        "no invertible gauge with ratio alpha*beta over "
                        "Q(x, t)", report=report)
-    Bbar = _gauge_delta_part(G, sys.B_K, TRIVIAL_TOWER)
+    Bbar = dm_delta_part(G, sys.B_K, TRIVIAL_TOWER)
     # delta(beta_1)/beta_1 * x, the delta-ratio of beta_1^x
     dlog = beta1.diff(_TK) / beta1 * _XK
     Bhat = Bbar - DomainMatrix.eye(n, QQ_XT).mul(dlog)
@@ -568,7 +564,7 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
             G = gauge_from_ratios(An, sys.cocycle_inverse(n), R, n)
             if G is None:
                 continue
-            Bbar = _gauge_delta_part(G, sys.B_K, TRIVIAL_TOWER)
+            Bbar = dm_delta_part(G, sys.B_K, TRIVIAL_TOWER)
             off = _diag_offenders(Bbar, TRIVIAL_TOWER)
             if off:
                 return Outcome("NoSolution", "DP2", "d",
@@ -613,20 +609,25 @@ def _defined_at(D: DomainMatrix, p) -> bool:
                for e in D.to_list_flat())
 
 
+def _first_point(at):
+    """The first value at(p) that is not None, p running over
+    RATIONAL_POINTS; None when there is none."""
+    return next((v for v in map(at, RATIONAL_POINTS) if v is not None), None)
+
+
 def _specialization_point(Atil: DomainMatrix):
     """First p of RATIONAL_POINTS with Atil (a K-matrix) defined at t = p
     and Atil|_{t=p} invertible; returns (p, the K-form of Atil|_{t=p}).
     K's ``subs`` cancels each entry and raises ZeroDivisionError at a pole."""
-    for p in RATIONAL_POINTS:
+    def at(p):
         try:
             A0 = DomainMatrix.from_list_flat(
                 [e.subs(_TK, p) for e in Atil.to_list_flat()], Atil.shape,
                 QQ_XT)
         except ZeroDivisionError:
-            continue
-        if A0.rank() == A0.shape[0]:
-            return p, A0
-    return None
+            return None
+        return (p, A0) if A0.rank() == A0.shape[0] else None
+    return _first_point(at)
 
 
 # ---------------------------------------------------------------------------
@@ -738,9 +739,10 @@ def verification_point_fault(sys, solutions, p) -> Optional[str]:
 def _first_verification_point(sys: DDSystem, solutions=()):
     """First positive p of RATIONAL_POINTS at which the numeric window of
     the solutions can run (see :func:`verification_point_fault`)."""
-    for p in RATIONAL_POINTS:
-        if p > 0 and verification_point_fault(sys, solutions, p) is None:
-            return p
-    raise VerificationError("no verification point: at every positive "
-                            "candidate t a denominator vanishes or a "
-                            "minimal polynomial is reducible")
+    p = _first_point(lambda p: p if p > 0 and verification_point_fault(
+        sys, solutions, p) is None else None)
+    if p is None:
+        raise VerificationError("no verification point: at every positive "
+                                "candidate t a denominator vanishes or a "
+                                "minimal polynomial is reducible")
+    return p

@@ -32,13 +32,14 @@ The substitution check of every rational solution P/u, taken on P and u,
 and the postcondition sigma^m(G) R = A G of every gauge, which
 :func:`assemble_gauge` alone assembles, are decided on cleared numerators
 by :func:`ddsolve.fields.dm_same`, with no product over K.
+:func:`rational_solutions` returns its basis as a plain list of K-forms,
+each checked once, so a caller takes the vectors as they are.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import sympy as sp
 from sympy import QQ, ZZ
@@ -52,10 +53,9 @@ from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower,
                      kernel, regular_matrix, x_integer_roots)
 from .sequences import VerificationError
 
-__all__ = ["RationalSolutionBasis", "UnsupportedCase",
-           "universal_denominator", "degree_bound", "ansatz_kernel",
-           "polynomial_solutions", "rational_solutions", "assemble_gauge",
-           "gauge_from_ratios"]
+__all__ = ["UnsupportedCase", "universal_denominator", "degree_bound",
+           "ansatz_kernel", "polynomial_solutions", "rational_solutions",
+           "assemble_gauge", "gauge_from_ratios"]
 
 # Z[x, t], where numerators and denominators of K live
 _XT_RING = QQ_XT.field.ring
@@ -63,12 +63,6 @@ _XT_RING = QQ_XT.field.ring
 
 class UnsupportedCase(Exception):
     """Outside the documented desk-scale scope of a subroutine."""
-
-
-@dataclass
-class RationalSolutionBasis:
-    m: int
-    basis: list  # K-forms of the column vectors
 
 
 def _constants(ring) -> tuple:
@@ -334,10 +328,10 @@ def _constant_span_reduce(vectors: list, tower: Tower) -> list:
 
 
 def rational_solutions(M: DomainMatrix, M_inv: DomainMatrix, m: int = 1,
-                       tower: Tower = TRIVIAL_TOWER) -> RationalSolutionBasis:
-    """Complete basis of rational solutions of sigma^m(Y) = M Y, each
-    verified by substitution; M_inv is M^-1, which the universal
-    denominator reads."""
+                       tower: Tower = TRIVIAL_TOWER) -> list:
+    """Complete basis of rational solutions of sigma^m(Y) = M Y, the list
+    of their K-forms, each verified by substitution; M_inv is M^-1, which
+    the universal denominator reads."""
     u = universal_denominator(M, M_inv, m)
     su = k_shift(u, m)
     inv_u = QQ_XT.one / u
@@ -348,8 +342,7 @@ def rational_solutions(M: DomainMatrix, M_inv: DomainMatrix, m: int = 1,
             raise VerificationError(
                 "rational solution failed substitution check")
         basis.append(P.mul(inv_u))
-    return RationalSolutionBasis(m=m,
-                                 basis=_constant_span_reduce(basis, tower))
+    return _constant_span_reduce(basis, tower)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +390,7 @@ def gauge_from_ratios(A: DomainMatrix, A_inv: DomainMatrix,
     for i in range(A.shape[0]):
         r = ratios[i, i].element
         basis = rational_solutions(A.mul(QQ_XT.one / r), A_inv.mul(r), m,
-                                   TRIVIAL_TOWER).basis
+                                   TRIVIAL_TOWER)
         if not basis:
             return None
         columns.append(basis)

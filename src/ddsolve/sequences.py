@@ -525,9 +525,6 @@ class VerifyResult:
     ok: bool
     failures: list  # human-readable identity names
 
-    def __bool__(self):
-        return self.ok
-
 
 def _check_pair(system, part: Part, tower: Tower) -> list:
     """The sigma- and delta-identities of one hypergeometric part, as

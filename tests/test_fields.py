@@ -819,9 +819,9 @@ def test_dm_delta_part_matches_the_k_products(over_tower, g, b):
     dG = dm_delta(G, tower)
     if G.det() == 0:
         with pytest.raises(FieldError):
-            dm_delta_part(G, B, dG)
+            dm_delta_part(G, B, tower)
         return
-    got, want = dm_delta_part(G, B, dG), dm_inv(G) * (B * G - dG)
+    got, want = dm_delta_part(G, B, tower), dm_inv(G) * (B * G - dG)
     assert [(e.numer, e.denom) for e in got.to_list_flat()] == \
         [(e.numer, e.denom) for e in want.to_list_flat()]
 
@@ -834,7 +834,7 @@ def test_dm_delta_part_rejects_a_singular_gauge(tower):
     G = dm_from_matrix(sp.Matrix([[1, x + t], [f, f * (x + t)]]), tower)
     B = dm_from_matrix(sp.Matrix([[1 / t, x], [0, 1]]), tower)
     with pytest.raises(FieldError):
-        dm_delta_part(G, B, dm_delta(G, tower))
+        dm_delta_part(G, B, tower)
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,26 @@ def test_cli_check_singular_A_exit3(tmp_path, capsys):
     assert "internal error" not in err
 
 
+def test_cli_check_composite_order_sigma_n_level(tmp_path, capsys):
+    """check reads the integrability level without asking for a prime
+    order: A the cyclic permutation of order 4, so A_4 = I, and B
+    constant, so sigma^4(B) A_4 = A_4 B while sigma(B) A != A B.  solve
+    still rejects n = 4."""
+    path = tmp_path / "cyclic4.json"
+    n = 4
+    path.write_text(json.dumps({
+        "n": n,
+        "A": [["1" if j == (i + 1) % n else "0" for j in range(n)]
+              for i in range(n)],
+        "B": [[str(i + 1) if i == j else "0" for j in range(n)]
+              for i in range(n)]}))
+    assert cli_main(["check", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("integrable at the sigma^4 level only;")
+    assert cli_main(["solve", str(path)]) == 3
+    assert "must be prime" in capsys.readouterr().err
+
+
 def test_cli_solve_hermite_exit1(hermite_path):
     assert cli_main(["solve", hermite_path, "--assume-irreducible"]) == 1
 

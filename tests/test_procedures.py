@@ -377,13 +377,13 @@ def test_gauge_delta_part_matches_reference(monkeypatch):
                for name in ("example1", "example2", "hermite")}
     systems["gauged example1"] = gauged
     calls = []
-    orig = procedures._gauge_delta_part
+    orig = procedures.dm_delta_part
 
     def spy(G, B, tower):
         calls.append((name, G, B, tower, orig(G, B, tower)))
         return calls[-1][-1]
 
-    monkeypatch.setattr(procedures, "_gauge_delta_part", spy)
+    monkeypatch.setattr(procedures, "dm_delta_part", spy)
     for name, system in systems.items():
         if decision_procedure_1(system).kind != "Solved":
             decision_procedure_2(system)
