@@ -5,10 +5,15 @@ hyper_ratios() is Petkovsek's Hyper with shift step m: it enumerates
 Gosper-Petkovsek forms z * a(x)/b(x) * C(x+m)/C(x) with a | p_0 and
 b(x+(k-1)m) | p_k, from start to finish in dense polynomial arithmetic
 over a ground domain K: QQ, or QQ(z) when the constant z is a quadratic
-irrational (z is searched in Q and quadratic extensions of Q).  The
-indicial polynomial and the linear system for C are formed over K,
-duplicate ratios are found by cross-multiplying over K, and each ratio
-leaves as (K, numerator, denominator), checked by substitution into the
+irrational.  The equation for C is the sigma-side's polynomial ansatz,
+ratsol.ansatz_kernel with its degree bound ratsol.degree_bound, on
+sum_j R_j Delta_m^j C = 0 over the regular representation of
+Q(z) = Q[theta]/(f), f the minimal polynomial of z: 1 x 1 for a
+rational z, e x e for z of degree e.  A constant of degree e >= 3 is
+decided the same way: when its C-equation has a nonzero solution,
+UnsupportedCase names f, since the ratios would need QQ(z).  Duplicate
+ratios are found by cross-multiplying over K, and each ratio leaves as
+(K, numerator, denominator), checked by substitution into the
 recurrence over K.  petkovsek() is the expression boundary around it.
 
 system_hypergeometric() takes the K-form of M (see :mod:`ddsolve.fields`)
@@ -28,11 +33,11 @@ whose certificate is an element of the tower (a dense list over K).  It
 is deliberately restricted to diagonal, constant, and simple-pole
 matrices; anything else raises UnsupportedCase.  The matrix is read over
 Q(t): its simple poles and residue matrices, and its value at
-t = infinity from numerator and denominator degrees.  Eigenvalues come from the factors over Q(t) of one
-characteristic polynomial (fields.charpoly_factors), eigenvectors over a
-tower from fields.kernel on K-forms.  The rational solutions of a
-simple-pole system come from ratsol.ansatz_kernel, the polynomial ansatz
-of the sigma-side, here in t with D = d/dt (its degree bound
+t = infinity from numerator and denominator degrees.  Eigenvalues come
+from the factors over Q(t) of one characteristic polynomial
+(fields.charpoly_factors), eigenvectors over a tower from fields.kernel
+on K-forms.  The rational solutions of a simple-pole system come from
+the same ratsol.ansatz_kernel, here in t with D = d/dt (its degree bound
 ratsol.degree_bound); each candidate is checked as the K-form identity
 delta(V) + c V = Bhat V.
 """
@@ -41,10 +46,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb, lcm
 
 import sympy as sp
 from sympy import QQ, ZZ
-from sympy.polys.densearith import dup_add, dup_mul, dup_mul_ground, dup_pow
+from sympy.polys.densearith import (dup_add, dup_lshift, dup_mul, dup_pow,
+                                   dup_rem)
 from sympy.polys.densebasic import dup_convert, dup_degree, dup_strip
 from sympy.polys.densetools import dup_clear_denoms, dup_monic, dup_shift
 from sympy.polys.factortools import dup_factor_list
@@ -53,7 +60,7 @@ from sympy.polys.polyerrors import CoercionFailed
 
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, Tower, charpoly_factors,
                      dm_delta, dm_diag, dm_embed, dm_inv, dm_over_qt,
-                     dense_fraction, dm_same, indicial_degrees,
+                     dense_fraction, dm_same, regular_rows,
                      kernel, t_value, tower_from_modulus, x)
 from .difftools import standard_decompose
 from .ratsol import (UnsupportedCase, _constant_span_reduce, ansatz_kernel,
@@ -66,6 +73,8 @@ __all__ = ["HypergeometricCandidate", "HyperexpCandidate", "UnsupportedCase",
 
 _Z = sp.Symbol("_z")
 _QQ_X = QQ.frac_field(x)
+_X_DOMAIN = ZZ[x]               # Z[x], where Hyper's C-equation is cleared
+_X_RING = _X_DOMAIN.ring
 
 
 @dataclass
@@ -117,11 +126,13 @@ def _monic_divisors(p: list) -> list:
 
 
 def _leading_roots(lead: list) -> list:
-    """(K, z in K) for each nonzero root z of `lead` (a dense polynomial
-    over Q) that is rational, K = QQ, or quadratic over Q, K = QQ(z), in
-    the order sp.ordered gives the roots of sp.roots(lead): the rational
-    ones ascending (they have the fewest nodes), then the quadratic ones."""
-    rational, quadratic = [], {}        # a quadratic root -> its minpoly
+    """(K, z, f), f the monic minimal polynomial of z, for each nonzero
+    root z of `lead` (a dense polynomial over Q) that is rational, K = QQ,
+    or quadratic, K = QQ(z), in the order sp.ordered gives the roots of
+    sp.roots(lead): the rational ones ascending (they have the fewest
+    nodes), then the quadratic ones; then (None, None, f) for each
+    irreducible factor f of higher degree."""
+    rational, quadratic, higher = [], {}, []    # a quadratic root -> f
     for f, _ in dup_factor_list(lead, QQ)[1]:
         if len(f) == 2 and f[1]:
             rational.append(-f[1] / f[0])
@@ -129,37 +140,40 @@ def _leading_roots(lead: list) -> list:
             q = sp.Poly(f, _Z, domain=QQ)
             quadratic.update((r, q.monic())
                              for r in sp.roots(q, multiple=True))
+        elif len(f) > 3:
+            higher.append((None, None, dup_monic(f, QQ)))
     fields = (QQ.algebraic_field((quadratic[r], sp.radsimp(r)))
               for r in sp.ordered(quadratic))
-    return [(QQ, z) for z in sorted(rational)] + [(K, K.unit) for K in fields]
+    return ([(QQ, z, [QQ.one, -z]) for z in sorted(rational)]
+            + [(K, K.unit, K.mod.to_list()) for K in fields] + higher)
 
 
-def _polynomial_kernel(Q: list, m: int, bound: int, K):
-    """A nonzero C over K of degree <= bound with
-    sum_i Q_i(x) C(x + m*i) = 0, or None: the first vector of the
-    null-space basis of the coefficient equations (all ones when every
-    equation is zero)."""
-    cols = []
-    terms = list(Q)             # Q_i(x) (x + m*i)^j for j = 0, 1, ...
-    for j in range(bound + 1):
-        if j:
-            terms = [dup_mul(q, [K.one, K(m * i)], K)
-                     for i, q in enumerate(terms)]
-        col = []
-        for q in terms:
-            col = dup_add(col, q, K)
-        cols.append(col[::-1])
-    rows = max(len(c) for c in cols)
-    if not rows:
-        vec = [K.one] * (bound + 1)
-    else:
-        M = DomainMatrix([[c[e] if e < len(c) else K.zero for c in cols]
-                          for e in range(rows)], (rows, bound + 1), K)
-        null = kernel(M).to_list()
-        if not null:
-            return None
-        vec = null[0]
-    return dup_strip(vec[::-1]) or None
+def _c_kernel(P: list, m: int, f: list) -> list:
+    """The kernel of sum_i z^i P_i(x) C(x + m*i) = 0 for C, the P_i dense
+    over Q and z a root of f, monic and irreducible over Q of degree e:
+    by sigma^(m*i) = sum_j binomial(i, j) Delta_m^j, the
+    :func:`ddsolve.ratsol.ansatz_kernel` of sum_j R_j Delta_m^j C,
+    R_j = sum_{i >= j} binomial(i, j) z^i P_i as e x e regular
+    representations over Q[theta]/(f), theta -> z, cleared to Z[x].
+    Column dg*e + k of a vector is the coefficient of theta^k x^dg."""
+    e = len(f) - 1
+
+    def times_theta(a, k):
+        return dup_rem(dup_lshift(a, k, QQ), f, QQ)
+
+    powers = [[QQ.one]]                 # z^i, reduced
+    for _ in P[1:]:
+        powers.append(times_theta(powers[-1], 1))
+    regs = [regular_rows([zi], (1, 1), e, times_theta, QQ.zero)
+            for zi in powers]
+    # over Z: the z^i times one integer, the P_i times another
+    dz = lcm(*(c.denominator for reg in regs for row in reg for c in row))
+    dp = lcm(*(c.denominator for p in P for c in p))
+    P = [_X_RING.from_list([int(c * dp) for c in p]) for p in P]
+    return ansatz_kernel([DomainMatrix([[sum(
+        (P[i] * int(comb(i, j) * regs[i][r][col] * dz)
+         for i in range(j, len(P))), _X_RING.zero) for col in range(e)]
+        for r in range(e)], (e, e), _X_DOMAIN) for j in range(len(P))], m, e)
 
 
 def _times(p: list, factors: list, K) -> list:
@@ -189,7 +203,8 @@ def hyper_ratios(ps: list, m: int = 1) -> list:
 
     Each r is returned as (K, num, den), r = num/den with num and den
     dense over K, checked by substitution into the recurrence.  Constants
-    are searched in Q and quadratic extensions of Q."""
+    are searched in Q and quadratic extensions of Q; UnsupportedCase when
+    a constant of higher degree has a polynomial C (:func:`_c_kernel`)."""
     # drop zero coefficients at both ends: if p_0 = ... = p_{i0-1} = 0,
     # rewrite in x - m*i0 so that the trailing coefficient is nonzero
     nonzero = [i for i, p in enumerate(ps) if p]
@@ -221,15 +236,21 @@ def hyper_ratios(ps: list, m: int = 1) -> list:
             if not roots_of[lead]:
                 continue
             P = [_times(p, A[:i] + B[i:], QQ) for i, p in enumerate(ps)]
-            for K, z in roots_of[lead]:
-                Q = [dup_mul_ground(dup_convert(p, QQ, K), z**i, K)
-                     for i, p in enumerate(P)]
-                bounds = indicial_degrees(Q, m, K)
-                if not bounds:
+            for K, z, f in roots_of[lead]:
+                null, e = _c_kernel(P, m, f), len(f) - 1
+                if not null:
                     continue
-                C = _polynomial_kernel(Q, m, max(bounds), K)
-                if C is None:
-                    continue
+                if K is None:
+                    raise UnsupportedCase(
+                        f"hypergeometric constant of degree {e}, a root of "
+                        f"{sp.Poly(f, sp.Symbol('z'), domain=QQ).as_expr()}")
+                # all ones when every equation is zero, else the first
+                # kernel vector, read in K
+                C = ([K.one] * (len(null) // e) if len(null) == len(null[0])
+                     else dup_strip([sum((K(null[0][dg * e + j]) * z**j
+                                          for j in range(e)), K.zero)
+                                     for dg in reversed(range(
+                                         len(null[0]) // e))]))
                 num = _times([z], [dup_convert(a, QQ, K),
                                    dup_shift(C, K(m), K)], K)
                 den = dup_mul(dup_convert(b, QQ, K), C, K)
@@ -412,7 +433,7 @@ def _diff_rational_solutions(C: DomainMatrix) -> list:
     P1 = eye.mul(d * den)
     P0 = -(eye.mul(d * den.diff(_T_POLY)) + N.mul(den))
     out = []
-    for vec in ansatz_kernel(P1, P0, 0):
+    for vec in ansatz_kernel([P0, P1], 0):
         b = len(vec) // n
         out.append(DomainMatrix([[QQ_XT.convert_from(dense_fraction(
             QQ_T, vec[i * b:(i + 1) * b][::-1], den_q), QQ_T)]

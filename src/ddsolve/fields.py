@@ -68,10 +68,11 @@ inverts with one ``inv_den`` over Z[x, t] and one cancel per entry.  The
 cocycle (:func:`dm_sigma_power`) and the integrability test multiply
 cleared numerators too.
 
-:func:`common_integer_roots` is the one integer-root routine (degree
-bounds, indicial polynomials, the pole scans of the lift and the numeric
-window): Hensel lifting of the roots mod a small prime, with no
-polynomial factored, so its cost follows the bit size of the input.
+:func:`common_integer_roots` is the one integer-root routine (the
+degree bounds of every polynomial ansatz, Hyper's included, and the pole
+scans of the lift and the numeric window): Hensel lifting of the roots
+mod a small prime, with no polynomial factored, so its cost follows the
+bit size of the input.
 The objects a system derives from A are formed once on
 ``procedures.DDSystem``, not here: det A of its K-form, and the inverse
 A_m^-1 of each cocycle (:func:`dm_inv`), from which a rational solve
@@ -105,8 +106,8 @@ from typing import Optional
 import sympy as sp
 from sympy import QQ, ZZ, nextprime
 from sympy.polys.densearith import (dup_add, dup_lshift, dup_mul,
-                                    dup_mul_ground, dup_neg, dup_quo_ground)
-from sympy.polys.densebasic import dup_degree, dup_from_raw_dict, dup_strip
+                                    dup_mul_ground, dup_neg)
+from sympy.polys.densebasic import dup_from_raw_dict, dup_strip
 from sympy.polys.densetools import (dup_clear_denoms, dup_compose, dup_diff,
                                     dup_eval, dup_primitive)
 from sympy.polys.euclidtools import dup_invert
@@ -145,7 +146,6 @@ __all__ = [
     "kernel", "regular_matrix", "from_regular",
     "regular_rows", "theta_coords", "from_theta_coords",
     "common_integer_roots", "x_integer_roots", "t_value", "dense_fraction",
-    "indicial_degrees",
     "sigma_power_matrix",
     "dm_from_matrix", "dm_to_matrix", "dm_diag", "k_shift",
     "dm_shift", "dm_delta", "dm_inv", "dm_embed", "dm_conjugate",
@@ -565,10 +565,10 @@ def common_integer_roots(slices: list) -> list:
     """Sorted integers that are roots of every nonzero dense polynomial
     over Q (or Z) in `slices`, found with no factoring.  The candidates
     are the integer roots of the first, cleared to a primitive polynomial
-    f over Z (slices over Q come from the indicial polynomials and the
-    denominators specialized at t0): 0 when x divides f, and the roots of
-    the square-free part h of f / x^k, found p-adically.  For the least
-    prime p that keeps h's
+    f over Z (the slices of a determinant over Z[k, t] by the monomials
+    in t, :func:`x_integer_roots`, or one denominator specialized at t0):
+    0 when x divides f, and the roots of the square-free part h of
+    f / x^k, found p-adically.  For the least prime p that keeps h's
     degree and square-freeness mod p, each root of h mod p is simple and
     Newton (Hensel) lifting carries it to p^(2^j) > 2 B, B the Cauchy
     bound 1 + max |h_i| / |h_n| on the roots of h; its symmetric residue
@@ -630,51 +630,6 @@ def x_integer_roots(p) -> list:
         slices.setdefault(tuple(rest), {})[i] = c
     return common_integer_roots([dup_from_raw_dict(s, ZZ)
                                  for s in slices.values()])
-
-
-def _slices(p: list, K) -> list:
-    """The nonzero coordinate polynomials over Q of a polynomial over K:
-    K is QQ, a number field QQ(z) (coordinates in its power basis) or a
-    polynomial ring over QQ (the coefficients of its monomials)."""
-    if K == QQ:
-        return [p]
-    if K.is_PolynomialRing:
-        monoms = sorted({mon for c in p for mon in c})
-        return [dup_strip([c.get(mon, QQ.zero) for c in p]) for mon in monoms]
-    deg = K.mod.degree()
-    coords = [[QQ.zero] * (deg - len(c.to_list())) + c.to_list() for c in p]
-    return [s for s in (dup_strip([c[j] for c in coords])
-                        for j in range(deg)) if s]
-
-
-# the last order r at which indicial_degrees looks for a nonzero indicial
-# polynomial
-_INDICIAL_RMAX = 80
-
-
-def indicial_degrees(Q: list, m: int, K):
-    """Degree candidates for polynomial solutions of
-    sum_i Q_i(x) C(x + m*i) = 0, the Q_i dense in x over K (see
-    :func:`_slices`): the nonnegative integer roots of the first nonzero
-    indicial polynomial at x = infinity, None when there is none up to
-    order _INDICIAL_RMAX."""
-    D = max(dup_degree(q) for q in Q)
-    binom = [[K.one]]          # binomial(d, s) as a polynomial in d
-    for r in range(_INDICIAL_RMAX + 1):
-        if r:
-            binom.append(dup_quo_ground(
-                dup_mul(binom[-1], [K.one, K(-(r - 1))], K), K(r), K))
-        phi = []
-        for i, q in enumerate(Q):
-            for s in range(r + 1):
-                e = dup_degree(q) - (D - r + s)   # index of x^(D-r+s)
-                if 0 <= e < len(q) and q[e] and (i or not s):
-                    phi = dup_add(phi, dup_mul_ground(
-                        binom[s], q[e] * K((m * i) ** s), K), K)
-        if phi:
-            return [d for d in common_integer_roots(_slices(phi, K))
-                    if d >= 0]
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,10 @@ A K-matrix is specialized at t = p by K's own ``subs``, and
 :func:`_defined_at` is the one definedness test at a rational point.
 
 :attr:`DDSystem.integrability_level` is the one integrability routine:
-:meth:`DDSystem.validate`, :func:`check_integrability` and ``ddsolve
-check`` read it.  :func:`_first_point` is the one search over
-``RATIONAL_POINTS``, for DP2's specialization point and for the first
-point of the numeric window.
+:meth:`DDSystem.validate` and ``ddsolve check`` read it, and
+:func:`check_integrability` its first step alone.  :func:`_first_point`
+is the one search over ``RATIONAL_POINTS``, for DP2's specialization
+point and for the first point of the numeric window.
 """
 
 from __future__ import annotations
@@ -143,16 +143,21 @@ class DDSystem:
         return self._cocycle_inverses[m]
 
     @functools.cached_property
-    def integrability_level(self) -> int:
-        """1 when sigma(B) A = delta(A) + A B, else n when sigma^n(B) A_n =
-        delta(A_n) + A_n B for the cocycle A_n, else 0.  Both identities
-        are tested fraction-free on cleared numerators (see
-        :func:`_integrable`); since A, and so A_n, is invertible, each is
-        the integrability condition sigma^m(B) = (delta(A_m) + A_m B)
-        A_m^{-1}.  FieldError when A is singular."""
+    def sigma_integrable(self) -> bool:
+        """sigma(B) A = delta(A) + A B, tested fraction-free on cleared
+        numerators (see :func:`_integrable`).  FieldError when A is
+        singular."""
         if self.det_K == 0:
             raise FieldError("matrix not invertible")
-        if _integrable(self.A_K, self.B_K, 1):
+        return _integrable(self.A_K, self.B_K, 1)
+
+    @functools.cached_property
+    def integrability_level(self) -> int:
+        """1 when :attr:`sigma_integrable`, else n when sigma^n(B) A_n =
+        delta(A_n) + A_n B for the cocycle A_n, tested the same way, else
+        0.  Since A, and so A_n, is invertible, each is the integrability
+        condition sigma^m(B) = (delta(A_m) + A_m B) A_m^{-1}."""
+        if self.sigma_integrable:
             return 1
         # a system whose sigma^n-compressed companion is integrable: every
         # certificate emitted downstream is verified against the sigma^n-
@@ -222,12 +227,12 @@ def check_integrability(A: sp.Matrix, B: sp.Matrix):
     """Exact test of sigma(B) = delta(A) A^{-1} + A B A^{-1} over
     K = Q(x, t).
 
-    ok is :attr:`DDSystem.integrability_level` == 1, decided fraction-free;
-    the residual over K, which needs A^{-1}, is formed only when the test
+    ok is :attr:`DDSystem.sigma_integrable`, decided fraction-free; the
+    residual over K, which needs A^{-1}, is formed only when the test
     fails (the zero matrix otherwise).  Returns (ok, residual matrix).
     FieldError when A is singular or an entry lies outside K."""
     system = DDSystem(A.shape[0], A, B)
-    if system.integrability_level == 1:
+    if system.sigma_integrable:
         return True, sp.zeros(*B.shape)
     return False, dm_to_matrix(system.integrability_residual())
 

@@ -22,11 +22,12 @@ row of its coefficients, and u an element of K = Q(x, t).  Denominators
 are read off K-entries, and their factors in Z[x, t] are grouped by
 :func:`ddsolve.difftools.shift_classes`.
 
-Polynomial solutions of P1 D(y) + P0 y = 0, D = sigma^m - 1 here and
-d/dt in ``closedform``, have one degree bound (:func:`degree_bound`) and
-one ansatz (:func:`ansatz_kernel`): the kernel of one coefficient matrix
-over the constants.  sigma^m clears M with one q in Z[x, t]
-(:func:`ddsolve.fields.dm_clear`) and solves q Delta_m Y + (q - N) Y = 0.
+Polynomial solutions of sum_j P_j D^j(y) = 0, D = sigma^m - 1 here and
+for Hyper's C in ``closedform``, d/dt on its delta-side, have one degree
+bound (:func:`degree_bound`) and one ansatz (:func:`ansatz_kernel`): the
+kernel of one coefficient matrix over the constants.  sigma^m clears M
+with one q in Z[x, t] (:func:`ddsolve.fields.dm_clear`) and solves
+q Delta_m Y + (q - N) Y = 0.
 The constant-span test is a rank test on the same coefficient matrix.
 The substitution check of every rational solution P/u, taken on P and u,
 and the postcondition sigma^m(G) R = A G of every gauge, which
@@ -95,7 +96,7 @@ def _coefficient_matrix(columns: list, constants: tuple) -> DomainMatrix:
 # ---------------------------------------------------------------------------
 # universal denominator
 
-def universal_denominator(M: DomainMatrix, M_inv: DomainMatrix, m: int = 1):
+def universal_denominator(M: DomainMatrix, M_inv: DomainMatrix, m: int):
     """Polynomial u(x) in K: every rational solution of sigma^m(Y) = MY
     (M a K-form, M_inv its inverse) has denominator dividing u.  The
     entries of a K-form lie in K, so their denominators never involve
@@ -152,6 +153,12 @@ def scalar_operators(M: DomainMatrix, m: int):
 # y = sum_k y_k phi_k, coeff(i) over Z[k, consts], that holds at every k
 
 @functools.lru_cache(maxsize=None)
+def _k_domain(consts: tuple):
+    """Z[k, consts], where the rows of :func:`degree_bound` live."""
+    return ZZ[(sp.Symbol("_k"), *consts)]
+
+
+@functools.lru_cache(maxsize=None)
 def _basis_product(kdom, s: int, i: int, j: int, a: int):
     """S_ij(k + a), where x^i phi_k = sum_j S_ij(k) phi_{k+j}:
     S_ij(k) = S_{i-1,j-1}(k) + s (k + j) S_{i-1,j}(k), S_00 = 1."""
@@ -162,30 +169,38 @@ def _basis_product(kdom, s: int, i: int, j: int, a: int):
                                     * _basis_product(kdom, s, i - 1, j, a))
 
 
-def _operator_rows(P1: DomainMatrix, P0: DomainMatrix, c: int, s: int,
-                   kdom) -> list:
-    """The rows of P1(x) d + P0(x), coeff formed on first use.  y_k adds
-    T_j(k) = sum_e (P0_e S_ej(k) + c k P1_e S_{e,j+1}(k-1)) to phi_{k+j},
-    P_e the coefficient of x^e.  Row r is read at phi_{k+h}, h = max(deg
-    P0, deg P1 - 1) on row r: coeff(i) is row r of T_{h-i}(k + i), and the
-    leading row coeff(0) = P0_h + c k P1_{h+1} is nonzero."""
-    X, k, rows = P0.domain.ring.gens[0], kdom.gens[0], []
-    for row0, row1 in zip(P0.to_list(), P1.to_list()):
-        B, A = ({e: [p.coeff_wrt(X, e).set_ring(kdom.ring) for p in row]
-                 for e in range(max(-1, *(p.degree(X) for p in row)) + 1)}
-                for row in (row0, row1))
-        h = max([e for e in B] + [e - 1 for e in A])
+def _operator_rows(Ps: list, c: int, s: int, kdom) -> list:
+    """The rows of sum_j P_j(x) d^j, coeff formed on first use.  y_k adds
+    T_l(k) = sum_{j, e} c^j k^(j) P_je S_{e,l+j}(k - j) to phi_{k+l},
+    k^(j) = k (k - 1) ... (k - j + 1) and P_je the coefficient of x^e in
+    P_j.  Row r is read at phi_{k+h}, h = max_j(deg P_j - j) on row r:
+    coeff(i), i < h + len(Ps), is row r of T_{h-i}(k + i), and the
+    leading row coeff(0) = sum_j c^j k^(j) P_{j,h+j} is nonzero."""
+    k, kring, width, rows = kdom.gens[0], kdom.ring, Ps[0].shape[1], []
+    for row in zip(*(P.to_list() for P in Ps)):
+        # (j, e) -> the coefficients of x^e in row j over Z[k, consts],
+        # formed in one pass over the terms
+        parts: dict = {}
+        for j, entries in enumerate(row):
+            for b, p in enumerate(entries):
+                for (e, *rest), a in p.terms():
+                    parts.setdefault((j, e), [{} for _ in range(width)])[b][
+                        (0, *rest)] = a
+        parts = {je: [kring.from_dict(d) for d in vec]
+                 for je, vec in parts.items()}
+        h = max(e - j for j, e in parts)
 
-        def coeff(i, B=B, A=A, h=h):
-            out = [kdom.zero] * len(row0)
-            for part, j, a, scale in ((B, h - i, i, 1),
-                                      (A, h - i + 1, i - 1, c * (k + i))):
-                for e, vec in part.items():
-                    S = _basis_product(kdom, s, e, j, a) * scale
+        def coeff(i, parts=parts, h=h):
+            out = [kdom.zero] * width
+            for (j, e), vec in parts.items():
+                S = _basis_product(kdom, s, e, h - i + j, i - j)
+                if S:
+                    for l in range(j):
+                        S = S * c * (k + i - l)
                     out = [o + b * S for o, b in zip(out, vec)]
             return out
 
-        rows.append((h + 2, functools.lru_cache(maxsize=None)(coeff)))
+        rows.append((h + len(Ps), functools.lru_cache(maxsize=None)(coeff)))
     return rows
 
 
@@ -198,7 +213,7 @@ def _combined_row(v: list, rows: list) -> tuple:
     combo = [[sum((a * coeff(i)[j] for a, (L, coeff) in terms if i < L),
                   kring.zero) for j in range(len(v))] for i in range(length)]
     s = next((s for s in range(1, length) if any(combo[s])), None)
-    if s is None:           # P1 d + P0 is singular: so is M
+    if s is None:           # the operator is singular: so is M
         raise FieldError("matrix not invertible")
     # k -> k - s, a Taylor shift of the dense forms
     shift, u = [ZZ(-s)] + [ZZ(0)] * (kring.ngens - 1), kring.ngens - 1
@@ -212,10 +227,10 @@ def _combined_row(v: list, rows: list) -> tuple:
         0, len(combo), len(v))].__getitem__
 
 
-def degree_bound(P1: DomainMatrix, P0: DomainMatrix, c: int, s: int) -> int:
+def degree_bound(Ps: list, c: int, s: int) -> int:
     """The largest degree of a polynomial solution y of
-    P1(x) d(y) + P0(x) y = 0 (-1: y = 0 only), P1 and P0 square over
-    Z[x, consts], in a basis phi_k with d phi_k = c k phi_{k-1} and
+    sum_j P_j(x) d^j(y) = 0 (-1: y = 0 only), Ps = [P_0, ..., P_k] square
+    over Z[x, consts], in a basis phi_k with d phi_k = c k phi_{k-1} and
     x phi_k = phi_{k+1} + s k phi_k.  While the leading matrix L(k) of the
     rows is singular over Q(consts)(k), each vector v of the rref basis of
     its left null space (made primitive) combines the rows into one with
@@ -235,16 +250,18 @@ def degree_bound(P1: DomainMatrix, P0: DomainMatrix, c: int, s: int) -> int:
 
     *Termination:* a derived row is shorter than its pivot by s >= 1, so
     the total row length strictly falls.  No row can vanish: the operator
-    is nonsingular (q sigma^m - N for invertible M; d I leading for delta)
-    and each step multiplies its matrix by one invertible over
-    Q(consts)(k)[S, S^-1], its pivot entries v_p S^-s / g units.  A k-free
-    nonsingular L has a determinant in Q(consts), with no root."""
-    kdom = ZZ[(sp.Symbol("_k"), *P0.domain.symbols[1:])]
-    rows = _operator_rows(P1, P0, c, s, kdom)
+    is nonsingular (q sigma^m - N for invertible M; d I leading for delta;
+    Hyper's C-equation, a nonzero element of Q(z)[x] leading) and each
+    step multiplies its matrix by one invertible over Q(consts)(k)[S, S^-1],
+    its pivot entries v_p S^-s / g units.  A k-free nonsingular L has a
+    determinant in Q(consts), with no root."""
+    kdom = _k_domain(Ps[0].domain.symbols[1:])
+    rows = _operator_rows(Ps, c, s, kdom)
     while True:
         order = sorted(range(len(rows)), key=lambda r: (
             rows[r][0], sum(len(e) for e in rows[r][1](0))))
-        lead = DomainMatrix([rows[r][1](0) for r in order], P0.shape, kdom)
+        lead = DomainMatrix([rows[r][1](0) for r in order], Ps[0].shape,
+                            kdom)
         if det := lead.det():
             return max([-1] + [d for d in x_integer_roots(det) if d >= 0])
         old = [rows[r] for r in order]
@@ -254,32 +271,31 @@ def degree_bound(P1: DomainMatrix, P0: DomainMatrix, c: int, s: int) -> int:
                 _combined_row([a.exquo(g) for a in v], old)
 
 
-def ansatz_kernel(P1: DomainMatrix, P0: DomainMatrix, step: int,
-                  e: int = 1) -> list:
-    """Kernel basis of the coefficient matrix of P1 D(y) + P0 y = 0 in the
-    first generator v of the ring of P1 and P0, D = sigma^step - 1 in v
-    (step >= 1) or d/dv (step = 0), y of degree <= bound, the
-    :func:`degree_bound`.  Column (i*(bound + 1) + dg)*e + k is the image
-    of v^dg at position i*e + k: coordinate i, theta-power k on a tower of
-    degree e."""
-    bound = degree_bound(P1, P0, step or 1, step)
+def ansatz_kernel(Ps: list, step: int, e: int = 1) -> list:
+    """Kernel basis of the coefficient matrix of sum_j P_j D^j(y) = 0,
+    Ps = [P_0, ..., P_k], in the first generator v of the ring of the
+    P_j, D = sigma^step - 1 in v (step >= 1) or d/dv (step = 0), y of
+    degree <= bound, the :func:`degree_bound`.  Column
+    (i*(bound + 1) + dg)*e + k is the image of v^dg at position i*e + k:
+    coordinate i, theta-power k on a tower of degree e."""
+    bound = degree_bound(Ps, step or 1, step)
     if bound < 0:
         return []
-    ring, ne = P0.domain.ring, P0.shape[0]
+    ring, ne = Ps[0].domain.ring, Ps[0].shape[0]
     v = ring.gens[0]
-    powers = [v**dg for dg in range(bound + 1)]
-    diffs = [(v + step)**dg - p if step else p.diff(v)
-             for dg, p in enumerate(powers)]
-    P1, P0 = P1.to_list(), P0.to_list()
-    columns = [[P1[a][b] * diffs[dg] + P0[a][b] * powers[dg]
-                for a in range(ne)]
+    images = [[v**dg for dg in range(bound + 1)]]      # D^j(v^dg)
+    for _ in Ps[1:]:
+        images.append([p.compose(v, v + step) - p if step else p.diff(v)
+                       for p in images[-1]])
+    Ps = [P.to_list() for P in Ps]
+    columns = [[sum((P[a][b] * D[dg] for P, D in zip(Ps, images)),
+                    ring.zero) for a in range(ne)]
                for i in range(ne // e) for dg in range(bound + 1)
                for b in range(i * e, (i + 1) * e)]
     return kernel(_coefficient_matrix(columns, _constants(ring))).to_list()
 
 
-def polynomial_solutions(M: DomainMatrix, m: int = 1,
-                         tower: Tower = TRIVIAL_TOWER):
+def polynomial_solutions(M: DomainMatrix, m: int, tower: Tower):
     """All polynomial solution vectors of sigma^m(Y) = M Y:
     :func:`ansatz_kernel` of q Delta_m Y + (q - N) Y, (q, N) = dm_clear(M),
     over a tower on the regular representation."""
@@ -289,7 +305,7 @@ def polynomial_solutions(M: DomainMatrix, m: int = 1,
     n = ne // e
     xK = QQ_XT.gens[0]
     sols = []
-    for vec in ansatz_kernel(qI, qI - N, m, e):
+    for vec in ansatz_kernel([qI - N, qI], m, e):
         deg = len(vec) // ne
         vec = [QQ_XT.convert_from(c, QQ_T) for c in vec]
         sols.append(regular_matrix([
@@ -327,8 +343,8 @@ def _constant_span_reduce(vectors: list, tower: Tower) -> list:
     return indep
 
 
-def rational_solutions(M: DomainMatrix, M_inv: DomainMatrix, m: int = 1,
-                       tower: Tower = TRIVIAL_TOWER) -> list:
+def rational_solutions(M: DomainMatrix, M_inv: DomainMatrix, m: int,
+                       tower: Tower) -> list:
     """Complete basis of rational solutions of sigma^m(Y) = M Y, the list
     of their K-forms, each verified by substitution; M_inv is M^-1, which
     the universal denominator reads."""

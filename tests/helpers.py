@@ -6,11 +6,16 @@ import itertools
 from dataclasses import dataclass
 
 import sympy as sp
+from sympy import QQ
+from sympy.polys.densearith import (dup_add, dup_mul, dup_mul_ground,
+                                    dup_quo_ground)
+from sympy.polys.densebasic import dup_degree, dup_strip
 from sympy.polys.matrices import DomainMatrix
 
 from ddsolve.difftools import dispersion
 from ddsolve.fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, AllEqual, Conjugate,
                             FieldError, MixedSplit, Split, Tower,
+                            common_integer_roots,
                             dm_from_matrix, dm_to_matrix, element_expr,
                             factor_in_x, k_shift, kernel, make_tower,
                             series_at_infinity, t, theta, treduce, x)
@@ -562,13 +567,50 @@ def reference_degree_bound(M, m, tower):
 def _reference_scalar_degree_candidates(pcoeffs, m):
     """Degree candidates of sum_j p_j(x) y(x+m*j) = 0, the p_j read from
     expressions as polynomials in x over Q[t, theta]."""
-    from sympy import QQ
-
-    from ddsolve.fields import indicial_degrees, t, theta, x
-
     ring = QQ[t, theta][x]
-    return indicial_degrees([ring.ring.from_expr(p).to_dense()
-                             for p in pcoeffs], m, ring.domain)
+    return reference_indicial_degrees([ring.ring.from_expr(p).to_dense()
+                                       for p in pcoeffs], m, ring.domain)
+
+
+def _reference_slices(p: list, K) -> list:
+    """The nonzero coordinate polynomials over Q of a polynomial over K:
+    K is QQ, a number field QQ(z) (coordinates in its power basis) or a
+    polynomial ring over QQ (the coefficients of its monomials)."""
+    if K == QQ:
+        return [p]
+    if K.is_PolynomialRing:
+        monoms = sorted({mon for c in p for mon in c})
+        return [dup_strip([c.get(mon, QQ.zero) for c in p]) for mon in monoms]
+    deg = K.mod.degree()
+    coords = [[QQ.zero] * (deg - len(c.to_list())) + c.to_list() for c in p]
+    return [s for s in (dup_strip([c[j] for c in coords])
+                        for j in range(deg)) if s]
+
+
+def reference_indicial_degrees(Q: list, m: int, K, rmax: int = 80):
+    """Degree candidates for polynomial solutions of
+    sum_i Q_i(x) C(x + m*i) = 0, the Q_i dense in x over K (see
+    :func:`_reference_slices`): the nonnegative integer roots of the
+    first nonzero indicial polynomial at x = infinity, None when there is
+    none up to order rmax.  The degree bound Hyper used before its
+    C-equation went through ``ratsol.degree_bound``."""
+    D = max(dup_degree(q) for q in Q)
+    binom = [[K.one]]          # binomial(d, s) as a polynomial in d
+    for r in range(rmax + 1):
+        if r:
+            binom.append(dup_quo_ground(
+                dup_mul(binom[-1], [K.one, K(-(r - 1))], K), K(r), K))
+        phi = []
+        for i, q in enumerate(Q):
+            for s in range(r + 1):
+                e = dup_degree(q) - (D - r + s)   # index of x^(D-r+s)
+                if 0 <= e < len(q) and q[e] and (i or not s):
+                    phi = dup_add(phi, dup_mul_ground(
+                        binom[s], q[e] * K((m * i) ** s), K), K)
+        if phi:
+            return [d for d in common_integer_roots(_reference_slices(phi, K))
+                    if d >= 0]
+    return None
 
 
 def reference_polynomial_solutions(M, m=1, degree_bound=None,

@@ -4,7 +4,8 @@ import random
 import pytest
 import sympy as sp
 from sympy import QQ
-from sympy.polys.densearith import dup_mul
+from sympy.polys.densearith import dup_mul_ground
+from sympy.polys.densebasic import dup_convert
 from hypothesis import example, given, settings, strategies as st
 
 from ddsolve import closedform
@@ -16,11 +17,13 @@ from ddsolve.fields import (QQ_XT, dm_from_matrix, dm_over_qt, dm_shift,
                             theta, treduce, x)
 from ddsolve.files import read_system
 from ddsolve.procedures import _specialization_point
+from ddsolve import ratsol
 from ddsolve.ratsol import scalar_operators
 from ddsolve.sequences import VerificationError
 
 from helpers import (delta, mat_reduce, reference_hyperexp_solutions,
-                     reference_petkovsek, shift, teq)
+                     reference_indicial_degrees, reference_petkovsek, shift,
+                     teq)
 
 
 def _recurrence_from_ratio(r, m=1):
@@ -158,6 +161,48 @@ def test_petkovsek_matches_reference_on_planted_recurrences(case):
                == 1 for g in got)
 
 
+@settings(max_examples=25, deadline=None)
+@given(_planted_recurrences())
+@example(([1, -2, 1], 1, sp.Integer(1)))
+@example(([-2, 0, 1], 1, None))
+@example(([-1, -1, 1], 1, None))
+@example(([0, -1, -1, 1, 0], 1, None))
+@example(([x - 2, -2 * x, x + 2], 2, (x - 2) / x))
+def test_hyper_degree_bound_matches_the_reference_indicial_roots(case):
+    """On every (pair, z) Hyper searches, rational or quadratic z, the
+    degree bound of its C-equation, ratsol.degree_bound on the regular
+    representation, is the largest nonnegative integer root of the first
+    nonzero indicial polynomial over Q(z), or -1."""
+    ps, m, _ = case
+    seen = []
+    c_kernel, ansatz_kernel = closedform._c_kernel, closedform.ansatz_kernel
+
+    def c_spy(P, m, f):
+        seen.append([P, m, f])
+        return c_kernel(P, m, f)
+
+    def ansatz_spy(Ps, step, e):
+        seen[-1].append(ratsol.degree_bound(Ps, step, step))
+        return ansatz_kernel(Ps, step, e)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(closedform, "_c_kernel", c_spy)
+        mp.setattr(closedform, "ansatz_kernel", ansatz_spy)
+        petkovsek(ps, m)
+    assert seen
+    for P, m, f, bound in seen:
+        if len(f) == 2:
+            K, z = QQ, -f[1]
+        else:
+            q = sp.Poly(f, sp.Symbol("_z"), domain=QQ)
+            K = QQ.algebraic_field((q, sp.roots(q, multiple=True)[0]))
+            z = K.unit
+        Q = [dup_mul_ground(dup_convert(p, QQ, K), z**i, K)
+             for i, p in enumerate(P)]
+        assert bound == max([-1] + (reference_indicial_degrees(Q, m, K)
+                                    or []))
+
+
 @pytest.fixture(scope="module")
 def example2_A0(example2_path):
     """The K-form of the sigma^3-system of example2 specialized at t = 0,
@@ -195,9 +240,9 @@ def test_petkovsek_matches_reference_on_quadratic_constants(ps, m):
 
 def test_petkovsek_search_runs_without_expand(monkeypatch):
     """Reading the coefficients, the divisor pairs, the leading roots, the
-    indicial polynomials, the solves for C and the check of each ratio
-    work on dense polynomials: Expr.expand only runs where a ratio is
-    turned into an expression."""
+    degree bounds, the solves for C and the check of each ratio
+    work on polynomials, not expressions: Expr.expand only runs where a
+    ratio is turned into an expression."""
     ps = [x + 1, -(2 * x + 3), x + 2]
     want = [sp.srepr(r) for r in reference_petkovsek(ps)]
     expand, ratio_expr = sp.Expr.expand, closedform.ratio_expr
@@ -226,13 +271,15 @@ def test_petkovsek_check_catches_a_corrupted_kernel(monkeypatch,
     """The dense substitution check is not vacuous: every C made wrong by
     the factor x + 1/2 makes both petkovsek and system_hypergeometric
     raise."""
-    kernel = closedform._polynomial_kernel
+    c_kernel = closedform._c_kernel
 
-    def corrupted(Q, m, bound, K):
-        C = kernel(Q, m, bound, K)
-        return None if C is None else dup_mul(C, [K.one, K(QQ(1, 2))], K)
+    def corrupted(P, m, f):
+        # each kernel vector times x + 1/2, in its coordinates dg*e + k
+        zeros = [QQ(0)] * (len(f) - 1)
+        return [[QQ(1, 2) * a + b for a, b in zip(v + zeros, zeros + v)]
+                for v in c_kernel(P, m, f)]
 
-    monkeypatch.setattr(closedform, "_polynomial_kernel", corrupted)
+    monkeypatch.setattr(closedform, "_c_kernel", corrupted)
     with pytest.raises(VerificationError, match="substitution check"):
         petkovsek([-(x + 1), x])
     with pytest.raises(VerificationError, match="substitution check"):

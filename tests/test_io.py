@@ -388,6 +388,23 @@ def test_cli_tools_petkovsek_quadratic_constants(coeffs, want, capsys):
     assert sorted(capsys.readouterr().out.split()) == want
 
 
+@pytest.mark.parametrize("coeffs, code, want", [
+    # y(x + 3) = 2 y(x): its ratios are the cube roots of 2, whose C = 1
+    # the ansatz over Q[theta]/(theta^3 - 2) finds
+    (["-2", "0", "0", "1"], 2,
+     "unsupported: hypergeometric constant of degree 3, a root of "
+     "z**3 - 2\n"),
+    # the same cubic constants, but no pair has a nonnegative indicial
+    # root
+    (["-2*x", "0", "0", "x+5"], 1, "no hypergeometric solutions\n"),
+], ids=["cube-roots-of-2", "no-nonnegative-root"])
+def test_cli_tools_petkovsek_cubic_constants_are_decided(coeffs, code, want,
+                                                         capsys):
+    assert cli_main(["tools", "petkovsek", "--", *coeffs]) == code
+    out = capsys.readouterr()
+    assert (out.err if code == 2 else out.out) == want
+
+
 def test_cli_tools_ratsol(tmp_path, capsys):
     mat = tmp_path / "m.json"
     mat.write_text(json.dumps({"M": [["(x+1)/x", "0"], ["0", "1"]]}))

@@ -53,6 +53,30 @@ def test_check_integrability_rejects_random_pair():
     assert any(treduce(e) != 0 for e in residual)
 
 
+def test_check_integrability_runs_one_test_on_a_failing_pair(monkeypatch):
+    """A pair that fails at the sigma level is reported at once: the
+    sigma^n test, whose result check_integrability does not report, does
+    not run."""
+    import ddsolve.procedures as procedures
+
+    calls = []
+
+    def spy(Am, B, m):
+        calls.append(m)
+        return _integrable(Am, B, m)
+
+    monkeypatch.setattr(procedures, "_integrable", spy)
+    ok, _ = check_integrability(sp.Matrix([[x, 0], [0, 1]]),
+                                sp.Matrix([[t, 1], [0, t]]))
+    assert not ok
+    assert calls == [1]
+
+
+def test_check_integrability_rejects_a_singular_matrix():
+    with pytest.raises(fields.FieldError, match="not invertible"):
+        check_integrability(sp.Matrix([[1, 1], [1, 1]]), sp.zeros(2, 2))
+
+
 def test_check_integrability_residual_matches_reference():
     """The residual computed over Q(x, t) is, entry by entry, the
     reference formula sigma(B) - delta(A)A^-1 - ABA^-1 reduced by

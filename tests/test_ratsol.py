@@ -2,7 +2,7 @@ import random
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 import ddsolve.closedform as closedform
@@ -55,7 +55,7 @@ def gauge_from_ratios(A, ratios, m):
 def _degree_bound(M, m, tower):
     q, N = dm_clear(dm_from_matrix(M, tower))
     qI = DomainMatrix.eye(N.shape[0], N.domain).mul(q)
-    return ratsol.degree_bound(qI, qI - N, m, m)
+    return ratsol.degree_bound([qI - N, qI], m, m)
 
 
 def _constant_span_reduce(vectors, tower):
@@ -170,6 +170,61 @@ def test_degree_bound_keeps_the_equations_at_roots_in_k():
     M = sp.Matrix([[1, 0], [(x + 3) / x, (x + 1) / x]])
     assert _degree_bound(M, 2, TRIVIAL_TOWER) >= 1
     assert polynomial_solutions(M, 2) == [sp.Matrix([1, x - 3])]
+
+
+@st.composite
+def _planted_order_two(draw):
+    """(Ps, c, s, d): an operator P_0 + P_1 D + P_2 D^2, n x n over Z[v]
+    with n <= 2, that kills a planted polynomial vector y of degree d.
+    D is Delta_m on Z[x] (c = s = m) or d/dt on Z[t] (c = 1, s = 0).  With
+    g a nonzero coordinate y_i, P_j = g R_j for j = 1, 2 and
+    P_0 = u e_i^T + w (-y_2, y_1), u = -(R_1 D(y) + R_2 D^2(y)), so
+    P_0 y = g u; R_2 is invertible, so the operator is nonsingular."""
+    m = draw(st.sampled_from([0, 1, 2]))
+    dom = sp.ZZ[t] if m == 0 else sp.ZZ[x]
+    ring = dom.ring
+    v = ring.gens[0]
+    n = draw(st.integers(1, 2))
+
+    def poly(deg):
+        return sum((draw(st.integers(-3, 3)) * v**k for k in range(deg + 1)),
+                   ring.zero)
+
+    def D(p):
+        return p.compose(v, v + m) - p if m else p.diff(v)
+
+    d = draw(st.integers(0, 3))
+    y = [poly(d) for _ in range(n)]
+    top = draw(st.integers(0, n - 1))
+    y[top] += draw(st.sampled_from([-2, -1, 1, 2])) * v**d - \
+        y[top].coeff_wrt(v, d) * v**d
+    i = next(k for k, p in enumerate(y) if p)
+    R1, R2 = ([[poly(1) for _ in range(n)] for _ in range(n)]
+              for _ in range(2))
+    assume(DomainMatrix(R2, (n, n), dom).det())
+    Dy = [D(p) for p in y]
+    D2y = [D(p) for p in Dy]
+    u = [-sum((R1[a][b] * Dy[b] + R2[a][b] * D2y[b] for b in range(n)),
+              ring.zero) for a in range(n)]
+    w = [poly(1) for _ in range(n)] if n == 2 else [ring.zero]
+    perp = [-y[1], y[0]] if n == 2 else [ring.zero]
+    P0 = [[(u[a] if b == i else ring.zero) + w[a] * perp[b]
+           for b in range(n)] for a in range(n)]
+    Ps = [DomainMatrix(P, (n, n), dom)
+          for P in (P0, [[y[i] * e for e in row] for row in R1],
+                    [[y[i] * e for e in row] for row in R2])]
+    return Ps, m or 1, m, d
+
+
+@settings(max_examples=40, deadline=None)
+@given(_planted_order_two())
+def test_degree_bound_of_order_two_covers_the_planted_degree(case):
+    """The general-order bound is at least the degree of a planted
+    solution of an order-2 operator, for sigma and for delta, and the
+    ansatz below it finds a solution."""
+    Ps, c, s, d = case
+    assert ratsol.degree_bound(Ps, c, s) >= d
+    assert ratsol.ansatz_kernel(Ps, s)
 
 
 def test_gauge_from_ratios_recovers_planted_gauge():
