@@ -9,7 +9,8 @@ irrational.  The equation for C is the sigma-side's polynomial ansatz,
 ratsol.ansatz_kernel with its degree bound ratsol.degree_bound, on
 sum_j R_j Delta_m^j C = 0 over the regular representation of
 Q(z) = Q[theta]/(f), f the minimal polynomial of z: 1 x 1 for a
-rational z, e x e for z of degree e.  A constant of degree e >= 3 is
+rational z, e x e for z of degree e, solved once per f, since
+conjugate roots share it.  A constant of degree e >= 3 is
 decided the same way: when its C-equation has a nonzero solution,
 UnsupportedCase names f, since the ratios would need QQ(z).  Duplicate
 ratios are found by cross-multiplying over K, and each ratio leaves as
@@ -236,8 +237,12 @@ def hyper_ratios(ps: list, m: int = 1) -> list:
             if not roots_of[lead]:
                 continue
             P = [_times(p, A[:i] + B[i:], QQ) for i, p in enumerate(ps)]
+            kernels = {}        # conjugate roots share f and its kernel
             for K, z, f in roots_of[lead]:
-                null, e = _c_kernel(P, m, f), len(f) - 1
+                key = tuple(f)
+                if key not in kernels:
+                    kernels[key] = _c_kernel(P, m, f)
+                null, e = kernels[key], len(f) - 1
                 if not null:
                     continue
                 if K is None:

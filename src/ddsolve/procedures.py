@@ -696,8 +696,8 @@ def _timed(timings: dict, key: str, fn, *args):
 
 def _lifts(sys: DDSystem, out: Outcome) -> list:
     """The sigma-sequence lifts of DP2's interlaced solutions."""
-    # N(j), d(j) and the inverses of A = N/d, and the poles of A, B and
-    # det A, shared by the lifts
+    # N(j), d(j) of A = N/d and the poles of A, B and det A, shared by
+    # the lifts
     steps = CompiledMatrix(sys.A_K)
     start = first_regular_index(sys.A_K, sys.B_K, sys.det_K)
     lifts = []

@@ -1,6 +1,9 @@
 """Sequence semantics: interlacing, sections, recurrence-generated
 sequences, lifting sigma^d-solutions to sigma-solutions, and exact
-verification of solution certificates.
+verification of solution certificates.  The lift and the certificate
+check decide one sigma-identity, sigma^m(W) r = A_m W, through one
+routine; the lift is then the recurrence itself, computed only as its
+values are read.
 
 Transcendental prefactors (Gamma-products, t^x, exp-integrals) are never
 evaluated: a solution is carried as a rational vector part plus a
@@ -17,18 +20,15 @@ from typing import Callable, NamedTuple, Optional
 
 import sympy as sp
 from sympy import QQ, ZZ
-from sympy.polys.densearith import (dup_add, dup_lshift, dup_mul,
-                                    dup_mul_ground, dup_prem)
+from sympy.polys.densearith import dup_add, dup_mul, dup_mul_ground, dup_prem
 from sympy.polys.densebasic import dup_degree, dup_from_raw_dict, dup_strip
 from sympy.polys.factortools import dup_irreducible_p
 from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower, _modulus,
-                     common_integer_roots, dm_delta, dm_embed,
-                     dm_same, dm_shift, dm_to_matrix,
-                     from_regular, from_theta_coords, regular_rows, t, theta,
-                     theta_coords, x_integer_roots)
+                     common_integer_roots, dm_delta, dm_embed, dm_same,
+                     dm_shift, dm_sigma_power, dm_to_matrix, from_regular, t,
+                     theta, x_integer_roots)
 
 __all__ = ["Seq", "FuncSeq", "SeqVec", "interlace", "section",
            "seq_from_recurrence", "lift_sigma_d_to_sigma",
@@ -206,61 +206,27 @@ class PointEvaluator:
             out.append(acc)
         return out, d
 
-    def regular(self, M: list, n: int) -> list:
-        """lcf times the regular representation over R of the n x n matrix
-        M of tower elements (row-major), as rows (see
-        :func:`fields.regular_rows`)."""
-        R = self.R
-        return regular_rows(M, (n, n), self.degree,
-                            lambda a, k: self.reduce(dup_lshift(a, k, R)),
-                            R.zero)
-
 
 class CompiledMatrix:
     """A square matrix A over Q(x, t)(theta), compiled once by a
     :class:`PointEvaluator` over the tower at t = t0 from its K-form D (a
     regular representation of degree `deg`) as A = N / d.
 
-    Its value (N(j), d(j)) at each integer is computed once, and so, for
-    the section-sum construction, is the fraction-free inverse of the
-    regular representation of N(j).  Sequences built on one recurrence
-    share it; the values are read, never modified."""
+    Its value (N(j), d(j)) at each integer is computed once; sequences
+    built on one recurrence share it, and read the values, never modify
+    them."""
 
     def __init__(self, D: DomainMatrix, tower: Tower = TRIVIAL_TOWER,
                  t0=None, deg: int = 1):
         self.points = PointEvaluator(tower, t0)
         self.compiled = self.points.compile(D, deg)
-        self.n = D.shape[0] // deg
         self._values: dict = {}
-        self._inverses: dict = {}
 
     def at(self, j: int):
         """(N(j), d(j))."""
         if j not in self._values:
             self._values[j] = self.points.at(self.compiled, j)
         return self._values[j]
-
-    def solve(self, j: int, v: list, dv):
-        """A(j)^-1 (v / dv) as (u, du): u = lcf d(j) X v and du = den dv,
-        where X / den is the inverse of the regular representation of N(j)
-        (which holds lcf N(j)), computed fraction-free over R;
-        FieldError when A(j) is singular."""
-        pts = self.points
-        R, deg = pts.R, pts.degree
-        if j not in self._inverses:
-            N, d = self.at(j)
-            size = self.n * deg
-            try:
-                X, den = DomainMatrix(pts.regular(N, self.n), (size, size),
-                                      R).inv_den()
-            except DMNonInvertibleMatrixError:
-                raise FieldError("matrix not invertible") from None
-            self._inverses[j] = X.to_list(), den, d * pts.lcf
-        X, den, scale = self._inverses[j]
-        c = theta_coords(v, deg, R.zero)
-        u = [sum((a * b for a, b in zip(row, c) if a and b), R.zero) * scale
-             for row in X]
-        return from_theta_coords(u, deg), den * dv
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +255,9 @@ class SeqVec(Seq):
     the ground ring of the :class:`CompiledMatrix` A = N / d: W(j) is
     carried as (w(j), D(j)), a vector over the ring and one common
     denominator, with w(j+1) = N(j) w(j) and D(j+1) = d(j) D(j) (times
-    the tower's lcf), and no gcd.  `base` is such a pair.  Steps are
-    cached; a single SeqVec is not safe for concurrent mutation.
+    the tower's lcf), and no gcd.  `base` is such a pair.  A step runs
+    when a value past it is first read, and is cached; a single SeqVec is
+    not safe for concurrent mutation.
     """
 
     def __init__(self, steps: CompiledMatrix, N: int, base: tuple):
@@ -385,67 +352,45 @@ def lift_sigma_d_to_sigma(V: DomainMatrix, ratio: DomainMatrix, d: int,
                           A: DomainMatrix, B: DomainMatrix,
                           N: Optional[int] = None,
                           tower: Tower = TRIVIAL_TOWER,
-                          check_terms: int = 30,
                           steps: Optional[CompiledMatrix] = None) -> SeqVec:
     """Lift a hypergeometric solution V*h (sigma^d(h) = ratio*h) of the
     sigma^d-system to a solution sequence of the sigma-system:
     W(N) = V(N) (prefactor normalized to h(N) = 1), W(j+1) = A(j) W(j).
     V, the 1 x 1 matrix [ratio], A and B are given by their K-forms over
-    the tower.
+    the tower.  VerificationError unless sigma^d(V) ratio = A_d V holds
+    exactly (:func:`_sigma_identity`, A_d = sigma^{d-1}(A) ... A); no
+    term is computed before a value is read.
 
-    Cross-checked against the section-sum construction
-    U = V_0 + ... + V_{d-1}, V_i(j) = A(j)^{-1} V_{i-1}(j+1), on a
-    check_terms window; disagreement raises VerificationError.  V_0 lives
-    on the class j = N mod d, so U(j) = V_i(j) for i = (N - j) mod d.
-    Both constructions run fraction-free over Z[t] with t symbolic:
-    V_i(j) = d(j) X(j) V_{i-1}(j+1) / den(j) for A = N / d, where
-    X(j) / den(j) is the fraction-free inverse of N(j), and U(j) = W(j) is
-    tested by cross-multiplication.
+    Why W is the lift.  Take h with sigma^d(h) = ratio*h and h(N) = 1.  By
+    induction on s, W(N + sd) = A_d(N + (s-1)d) W(N + (s-1)d)
+    = A_d(N + (s-1)d) V(N + (s-1)d) h(N + (s-1)d) = V(N + sd) h(N + sd),
+    the identity read at x = N + (s-1)d wherever V and ratio are defined.
+    Every A(j) with j >= N is defined and invertible when
+    N >= :func:`first_regular_index`, so on each other index j the
+    section sum A(j)^-1 ... A(N + sd - 1)^-1 V(N + sd) h(N + sd) equals
+    W(j): W is the interlacing of the d sections of V*h.
 
     N defaults to the :func:`first_safe_index` of V after the
-    :func:`first_regular_index` of A, B and det A.  `steps`, the
-    CompiledMatrix of A over the tower with t symbolic, lets the lifts of
-    several solutions of one system share N(j), d(j) and the inverses; it
-    is built here when not given.  A caller lifting several solutions of
-    one system passes both, so that det A and the poles of A and B are
-    read once.
+    :func:`first_regular_index` of A, B and det A, which guarantees all
+    of the above: A(j) is defined and invertible and V(j) defined for
+    j >= N, and V(N) != 0.  A given N is taken as it is; the caller
+    vouches for those conditions, and a pole of A met on the way raises
+    PoleError when the value is read.  `steps`, the CompiledMatrix of A
+    over the tower with t symbolic, lets the lifts of several solutions
+    of one system share N(j) and d(j); it is built here when not given.
+    A caller lifting several solutions of one system passes both, so
+    that det A and the poles of A and B are read once.
     """
+    if not _sigma_identity(V, ratio, dm_sigma_power(A, d), d):
+        raise VerificationError(
+            f"lift precondition fails: sigma^{d}(V)*r != A_{d}*V")
     if N is None:
         N = first_safe_index(first_regular_index(A, B, A.det()), V)
     deg = tower.degree
     if steps is None:
         steps = CompiledMatrix(A, tower, deg=deg)
     pts = steps.points
-    Vc = pts.compile(V, deg)
-    W = SeqVec(steps, N, pts.at(Vc, N))
-    if d == 1:
-        return W
-    rc = pts.compile(ratio, deg)
-    one = pts.R.one
-    hs = [([one], one)]   # h(N + d*s) = num / den, normalized by h(N) = 1
-    comps: dict = {}
-
-    def comp(i, j):
-        if (i, j) not in comps:
-            if i == 0:
-                s = (j - N) // d
-                while len(hs) <= s:
-                    (r,), dr = pts.at(rc, N + d * (len(hs) - 1))
-                    h, dh = hs[-1]
-                    hs.append((pts.mul(h, r), dh * dr * pts.lcf))
-                h, dh = hs[s]
-                v, dv = pts.at(Vc, j)
-                comps[i, j] = ([pts.mul(a, h) for a in v], dv * dh * pts.lcf)
-            else:
-                comps[i, j] = steps.solve(j, *comp(i - 1, j + 1))
-        return comps[i, j]
-
-    for j in range(N, N + check_terms):
-        if not pts.same(*comp((N - j) % d, j), *W.point(j)):
-            raise VerificationError(
-                f"lift cross-check failed at index {j}: recurrence and "
-                "section-sum constructions disagree")
-    return W
+    return SeqVec(steps, N, pts.at(pts.compile(V, deg), N))
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +471,21 @@ class VerifyResult:
     failures: list  # human-readable identity names
 
 
+def _sigma_identity(W: DomainMatrix, r: DomainMatrix, Am: DomainMatrix,
+                    m: int) -> bool:
+    """Whether sigma^m(W) r = A_m W, for K-forms over one tower, decided on
+    cleared numerators (:func:`~ddsolve.fields.dm_same`): the sigma half
+    of a certificate and the precondition of the lift."""
+    return dm_same([(dm_shift(W, m), r)], [(Am, W)])
+
+
 def _check_pair(system, part: Part, tower: Tower) -> list:
     """The sigma- and delta-identities of one hypergeometric part, as
     equalities of K-forms over the tower decided on cleared numerators
     (:func:`~ddsolve.fields.dm_same`)."""
     failures = []
     W, m = part.W, part.m
-    if not dm_same([(dm_shift(W, m), part.r)],
-                   [(dm_embed(system.cocycle(m), tower), W)]):
+    if not _sigma_identity(W, part.r, dm_embed(system.cocycle(m), tower), m):
         failures.append(
             f"{part.label}: sigma identity sigma^{m}(W)*r = A_{m}*W")
     if not dm_same([(dm_delta(W, tower),), (W, part.c)],

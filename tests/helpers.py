@@ -678,8 +678,8 @@ def reference_rational_solutions(M, m=1, tower=TRIVIAL_TOWER):
 # ---------------------------------------------------------------------------
 # reference lift: the Expr compile (cancel, together, Poly) and the lift over
 # Q(t) with FracElement arithmetic and LU solves that the K-form compile and
-# the fraction-free lift replaced, kept to pin W(j) and the cross-check's
-# verdict
+# the fraction-free lift replaced, with the section-sum construction that the
+# lift's exact check replaced, kept to pin W(j) and the verdict
 
 class ReferencePointEvaluator:
     """Entries cancelled into dense (num, den) polynomials in x with tower
@@ -788,9 +788,11 @@ class ReferencePointEvaluator:
 
 def reference_lift(V, ratio, d: int, A, N: int, tower: Tower = TRIVIAL_TOWER,
                    check_terms: int = 30) -> list:
-    """W(N), ..., W(N + check_terms - 1) of the lift of V*h, with the
-    section-sum cross-check by LU solves over Q(t); VerificationError as
-    lift_sigma_d_to_sigma raises it."""
+    """W(N), ..., W(N + check_terms - 1) of the lift of V*h, by the
+    recurrence and cross-checked against the section-sum construction
+    U = V_0 + ... + V_{d-1}, V_i(j) = A(j)^-1 V_{i-1}(j+1), by LU solves
+    over Q(t); V_0 lives on the class j = N mod d, so U(j) = V_i(j) for
+    i = (N - j) mod d.  VerificationError where the two disagree."""
     from ddsolve.fields import x
     from ddsolve.sequences import VerificationError
 

@@ -238,6 +238,23 @@ def test_petkovsek_matches_reference_on_quadratic_constants(ps, m):
     assert _same_ratios(ps, m)
 
 
+@pytest.mark.parametrize("ps", [[-2, 0, 1], [0, -1, -1, 1, 0]])
+def test_petkovsek_solves_for_c_once_per_quadratic_factor(monkeypatch, ps):
+    """Conjugate roots of a quadratic leading factor share f and so the
+    kernel of their C-equation: Hyper solves it once per (P, m, f)."""
+    calls = []
+    c_kernel = closedform._c_kernel
+
+    def spy(P, m, f):
+        calls.append((tuple(map(tuple, P)), m, tuple(f)))
+        return c_kernel(P, m, f)
+
+    monkeypatch.setattr(closedform, "_c_kernel", spy)
+    petkovsek(ps)
+    assert any(len(f) == 3 for _, _, f in calls)
+    assert len(calls) == len(set(calls))
+
+
 def test_petkovsek_search_runs_without_expand(monkeypatch):
     """Reading the coefficients, the divisor pairs, the leading roots, the
     degree bounds, the solves for C and the check of each ratio

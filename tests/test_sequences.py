@@ -109,7 +109,7 @@ def test_section_bounds():
 
 
 # ---------------------------------------------------------------------------
-# lift: recurrence vs section-sum (the constructor cross-checks 30 terms)
+# lift: the recurrence, behind the exact check sigma^d(V) r = A_d V
 
 def test_lift_step_two_cross_check_30_terms():
     # sigma^2-system: sigma^2(y) = (x+2)(x+3)/((x)(x+1)) y with rational
@@ -119,7 +119,7 @@ def test_lift_step_two_cross_check_30_terms():
     B = sp.Matrix([[0]])
     V = sp.Matrix([1])
     # sigma^2-ratio of W: W(j+2)/W(j) = (j+3)(j+2)
-    W = lift(V, sp.expand((x + 3) * (x + 2)), 2, A, B, N=1, check_terms=30)
+    W = lift(V, sp.expand((x + 3) * (x + 2)), 2, A, B, N=1)
     assert W.value(1) == sp.Matrix([1])
     assert W.value(3) == sp.Matrix([4 * 3])
 
@@ -129,7 +129,23 @@ def test_lift_cross_check_failure_is_loud():
     B = sp.Matrix([[0]])
     V = sp.Matrix([1])
     with pytest.raises(AssertionError):
-        lift(V, sp.Integer(7), 2, A, B, N=1, check_terms=10)
+        lift(V, sp.Integer(7), 2, A, B, N=1)
+
+
+def test_lift_check_reaches_past_the_section_sum_window():
+    """A ratio that agrees with the planted (x + 3)(x + 2) at every
+    class-0 index a 30-term section-sum window reads, 1 + 2s for s < 15,
+    passes that window (the reference's) but fails
+    sigma^2(V) r = A_2 V, so the lift raises."""
+    A = sp.Matrix([[x + 2]])
+    V = sp.Matrix([1])
+    planted = sp.expand((x + 3) * (x + 2))
+    ratio = sp.expand(planted * (1 + sp.prod([x - 1 - 2 * s
+                                              for s in range(15)])))
+    assert reference_lift(V, ratio, 2, A, 1) == \
+        reference_lift(V, planted, 2, A, 1)
+    with pytest.raises(VerificationError):
+        lift(V, ratio, 2, A, sp.Matrix([[0]]), N=1)
 
 
 def test_lift_over_tower_cross_checks():
@@ -138,18 +154,17 @@ def test_lift_over_tower_cross_checks():
     A = sp.Matrix([[0, theta], [x + 1, 0]])
     B = sp.zeros(2, 2)
     V = sp.Matrix([1, 0])
-    W = lift(V, theta * (x + 1), 2, A, B, N=1, tower=EX1_TOWER,
-             check_terms=12)
+    W = lift(V, theta * (x + 1), 2, A, B, N=1, tower=EX1_TOWER)
     assert W.value(3) == sp.Matrix([2 * theta, 0])
     with pytest.raises(VerificationError):
-        lift(V, 2 * theta * (x + 1), 2, A, B, N=1, tower=EX1_TOWER,
-             check_terms=12)
+        lift(V, 2 * theta * (x + 1), 2, A, B, N=1, tower=EX1_TOWER)
 
 
 def test_lifts_of_example2_evaluate_A_once_per_index(example2_path,
                                                      monkeypatch):
-    """The three lifts of one solve share A(j) between the recurrence and
-    the section-sum cross-check, and with each other."""
+    """The solve evaluates A(j) at no index for its three lifts; reading
+    their 30-term windows evaluates each A(j) once, through the one
+    CompiledMatrix the lifts share."""
     system = read_system(example2_path)
     calls = []
     at = PointEvaluator.at
@@ -160,15 +175,19 @@ def test_lifts_of_example2_evaluate_A_once_per_index(example2_path,
 
     monkeypatch.setattr(PointEvaluator, "at", spy)
     out = solve_liouvillian(system)
-    monkeypatch.undo()
     lifts = out.report["lifts"]
     steps = lifts[0].steps
     assert len(lifts) == 3 and all(W.steps is steps for W in lifts)
     assert steps.compiled == PointEvaluator().compile(system.A_K)
+    assert not any(c is steps.compiled for c, _ in calls)
+    for W in lifts:
+        for j in range(W.N, W.N + 30):
+            W.point(j)
+    monkeypatch.undo()
     per_index = Counter(j for c, j in calls if c is steps.compiled)
     assert set(per_index.values()) == {1}
     assert all(j in per_index for W in lifts for j in range(W.N, W.N + 29))
-    # the cross-check keeps its strength: a doubled ratio is caught
+    # the exact check keeps its strength: a doubled ratio is caught
     _, W, cert = out.solutions[0].components[0]
     with pytest.raises(VerificationError):
         lift(W, 2 * cert.sigma_ratio, system.n, system.A, system.B)
@@ -277,8 +296,9 @@ def _planted_lifts(draw):
 @given(_planted_lifts())
 def test_fraction_free_lift_matches_reference(case):
     """On planted sigma^d systems the fraction-free lift gives the W(j) of
-    the reference Q(t) lift and the same cross-check verdict, for the
-    planted ratio (which passes) and the doubled one (which raises)."""
+    the reference Q(t) lift and the same verdict, for the planted ratio
+    (which passes) and the doubled one (which raises VerificationError on
+    both sides)."""
     d, tower, A, V, ratio = case
     B = sp.zeros(d, d)
     # the poles of A and of the ratio and the integer zeros of det A lie
@@ -288,15 +308,15 @@ def test_fraction_free_lift_matches_reference(case):
     for r in (ratio, treduce(2 * ratio, tower)):
         try:
             want = reference_lift(V, r, d, A, N, tower, terms)
-        except VerificationError as err:
-            want = str(err)
+        except VerificationError:
+            want = None
         try:
-            W = lift(V, r, d, A, B, N=N, tower=tower, check_terms=terms)
+            W = lift(V, r, d, A, B, N=N, tower=tower)
             got = [W.value(j) for j in range(N, N + terms)]
-        except VerificationError as err:
-            got = str(err)
+        except VerificationError:
+            got = None
         assert got == want
-        verdicts.append(isinstance(got, list))
+        verdicts.append(got is not None)
     assert verdicts == [True, False]
 
 
@@ -594,8 +614,8 @@ def test_lift_over_tower_finds_its_start_index():
     A = sp.Matrix([[0, theta], [x + 1, 0]])
     V = sp.Matrix([1, 0])
     args = (V, theta * (x + 1), 2, A, sp.zeros(2, 2))
-    W = lift(*args, tower=EX1_TOWER, check_terms=12)
-    ref = lift(*args, N=1, tower=EX1_TOWER, check_terms=12)
+    W = lift(*args, tower=EX1_TOWER)
+    ref = lift(*args, N=1, tower=EX1_TOWER)
     assert W.N == 1
     assert [W.value(j) for j in range(1, 13)] == \
         [ref.value(j) for j in range(1, 13)]
