@@ -60,12 +60,12 @@ gcd runs inside a matrix product.  :func:`dm_clear` writes D = N/q, q the
 lcm over Z[x, t] of the distinct denominators and N over Z[x, t].
 :func:`dm_same` compares two sums of products of K-matrices and elements
 of K: it multiplies the cleared numerators over Z[x, t] and scales each
-term by lcm/den.  The certificate identities, the gauge identities and
-the substitution checks all go through it.  :func:`dm_delta_part` forms
-a gauge's delta-part G^-1 (B G - delta(G)) from G, B and their tower: it
-takes delta(G) itself (:func:`dm_delta`), so no caller forms it, and
-inverts with one ``inv_den`` over Z[x, t] and one cancel per entry.  The
-cocycle (:func:`dm_sigma_power`) and the integrability test multiply
+term by lcm/den.  The certificate identities, the gauge identities,
+the substitution checks and the integrability test all go through it.
+:func:`dm_delta_part` forms a gauge's delta-part G^-1 (B G - delta(G))
+from G, B and their tower: it takes delta(G) itself (:func:`dm_delta`),
+so no caller forms it, and inverts with one ``inv_den`` over Z[x, t] and
+one cancel per entry.  The cocycle (:func:`dm_sigma_power`) multiplies
 cleared numerators too.
 
 :func:`common_integer_roots` is the one integer-root routine (the

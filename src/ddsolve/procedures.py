@@ -30,8 +30,9 @@ expression is converted into K inside a solve, and the report and the
 :class:`NormalForm` are formed once, from K, as expressions.
 
 Every gauge comes from ``ratsol.assemble_gauge``, which checks it once.
-A K-matrix is specialized at t = p by K's own ``subs``, and
-:func:`_defined_at` is the one definedness test at a rational point.
+A K-matrix is specialized at t = p by K's own ``subs``, and is defined
+at a rational point when its K-form compiles there
+(:func:`verification_point_fault`).
 
 :attr:`DDSystem.integrability_level` is the one integrability routine:
 :meth:`DDSystem.validate` and ``ddsolve check`` read it, and
@@ -58,17 +59,17 @@ from .closedform import (UnsupportedCase, hyperexp_solutions,
 from .difftools import (StandardDecomposition, leading_beta,
                         split_alpha_beta_power, standard_decompose)
 from .fields import (QQ_T, QQ_XT, Conjugate, FieldError, MixedSplit, Split,
-                     TRIVIAL_TOWER, Tower, TowerArithmetic, dm_clear,
-                     dm_conjugate, dm_delta, dm_delta_part, dm_diag,
-                     dm_embed, dm_from_matrix, dm_inv, dm_over_qt,
-                     dm_shift, dm_sigma_power, dm_to_matrix, element_expr,
+                     TRIVIAL_TOWER, Tower, TowerArithmetic, dm_conjugate,
+                     dm_delta, dm_delta_part, dm_diag, dm_embed,
+                     dm_from_matrix, dm_inv, dm_over_qt, dm_same, dm_shift,
+                     dm_sigma_power, dm_to_matrix, element_expr,
                      from_regular, k_shift, t_value, tower_from_modulus)
 from .moser import (MoserReport, ReductionStalled, leading_eigendata,
                     moser_reduce)
 from .ratsol import assemble_gauge, gauge_from_ratios, rational_solutions
 from .sequences import (CompiledMatrix, LiouvilleSolution, Part,
                         PointEvaluator, VerificationError, first_regular_index,
-                        first_safe_index, lift_sigma_d_to_sigma,
+                        first_safe_index, lift_sigma_d_to_sigma, tower_fault,
                         verify_certificates, verify_numeric_window)
 
 __all__ = ["DDSystem", "Outcome", "NormalForm", "check_integrability",
@@ -78,9 +79,6 @@ __all__ = ["DDSystem", "Outcome", "NormalForm", "check_integrability",
 # x and t in the ring Z[x, t] of K's numerators, and in K
 _X, _T = QQ_XT.field.ring.gens
 _XK, _TK = QQ_XT.gens
-# Q[x, t] and t in it, where a denominator is evaluated at a rational t
-_Q_XT_RING = QQ_XT.field.ring.clone(domain=QQ)
-_Q_T = _Q_XT_RING.gens[1]
 
 
 @dataclass
@@ -238,18 +236,10 @@ def check_integrability(A: sp.Matrix, B: sp.Matrix):
 
 
 def _integrable(Am: DomainMatrix, B: DomainMatrix, m: int) -> bool:
-    """sigma^m(B) Am = delta(Am) + Am B over K, tested on cleared
-    numerators: with Am = N/a and B = M/b (N, M over Q[x, t], a, b in
-    Q[x, t]), the identity times a^2 b sigma^m(b) reads
-    sigma^m(M) N b a = (delta(N) a - N delta(a)) sigma^m(b) b
-    + N M sigma^m(b) a, products of polynomial matrices with no inverse
-    and no gcd in the products."""
-    a, N = dm_clear(Am)
-    b, M = dm_clear(B)
-    sb = b.compose(_X, _X + m)
-    return (dm_shift(M, m) * N * (b * a)
-            == (dm_delta(N) * a - N * a.diff(_T)) * (sb * b)
-            + N * M * (sb * a))
+    """sigma^m(B) Am = delta(Am) + Am B over K, decided on cleared
+    numerators (:func:`~ddsolve.fields.dm_same`), with no inverse and no
+    gcd in the products."""
+    return dm_same([(dm_shift(B, m), Am)], [(dm_delta(Am),), (Am, B)])
 
 
 def _diag_offenders(D: DomainMatrix, tower: Tower) -> list:
@@ -605,15 +595,6 @@ RATIONAL_POINTS = tuple(sp.Integer((k + 1) // 2 * (-1) ** (k + 1))
                         for k in range(50))
 
 
-def _defined_at(D: DomainMatrix, p) -> bool:
-    """Whether no denominator of the K-matrix D vanishes identically at the
-    rational t = p, substituted over Q in the denominators brought into
-    Q[x, t]."""
-    p = QQ.from_sympy(p)
-    return all(e.denom.set_ring(_Q_XT_RING).subs(_Q_T, p)
-               for e in D.to_list_flat())
-
-
 def _first_point(at):
     """The first value at(p) that is not None, p running over
     RATIONAL_POINTS; None when there is none."""
@@ -727,16 +708,18 @@ def _verify_solved(sys: DDSystem, out: Outcome):
 def verification_point_fault(sys, solutions, p) -> Optional[str]:
     """Why the numeric window of these solutions cannot run at t = p, or
     None when it can: the minimal polynomial of a solution's tower has a
-    pole or is reducible there, or a denominator of A, B, a W or a
-    sigma-ratio (read off their K-forms) vanishes identically there."""
+    pole or is reducible there (:func:`tower_fault`), or a denominator of
+    A, B, a W or a sigma-ratio vanishes identically there, which is when
+    the common denominator of its K-form compiles to zero at p (that lcm
+    vanishes at t = p exactly when one of its factors does)."""
     for tower in dict.fromkeys(sol.tower for sol in solutions):
-        try:
-            PointEvaluator(tower, p)
-        except FieldError as err:
-            return str(err)
+        fault = tower_fault(tower, p)
+        if fault is not None:
+            return fault
     forms = [sys.A_K, sys.B_K] + [D for sol in solutions for part in sol.parts
                                   for D in (part.W, part.r)]
-    if not all(_defined_at(D, p) for D in forms):
+    pts = PointEvaluator(p)
+    if not all(pts.compile(D)[1] for D in forms):
         return f"a denominator of A, B or a solution vanishes at t = {p}"
     return None
 

@@ -8,8 +8,11 @@ values are read.
 Transcendental prefactors (Gamma-products, t^x, exp-integrals) are never
 evaluated: a solution is carried as a rational vector part plus a
 certificate pair (sigma-ratio, delta-ratio), so every check below is a
-rational identity or exact evaluation over Q (possibly extended by the
-tower generator with t specialized).
+rational identity or an exact evaluation.  A matrix over a tower is
+evaluated at points as its K-form, whose values multiply as plain
+matrices over Z[t], or over Z with t specialized: the regular
+representation carries the tower's products to the points, so no second
+tower arithmetic runs there.
 """
 
 from __future__ import annotations
@@ -20,22 +23,22 @@ from typing import Callable, NamedTuple, Optional
 
 import sympy as sp
 from sympy import QQ, ZZ
-from sympy.polys.densearith import dup_add, dup_mul, dup_mul_ground, dup_prem
-from sympy.polys.densebasic import dup_degree, dup_from_raw_dict, dup_strip
+from sympy.polys.densebasic import dup_from_raw_dict
 from sympy.polys.factortools import dup_irreducible_p
 from sympy.polys.matrices import DomainMatrix
 
-from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower, _modulus,
-                     common_integer_roots, dm_delta, dm_embed, dm_same,
-                     dm_shift, dm_sigma_power, dm_to_matrix, from_regular, t,
-                     theta, x_integer_roots)
+from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower,
+                     common_integer_roots, dm_clear, dm_delta, dm_embed,
+                     dm_same, dm_shift, dm_sigma_power, dm_to_matrix,
+                     from_theta_coords, t, theta, x_integer_roots)
 
 __all__ = ["Seq", "FuncSeq", "SeqVec", "interlace", "section",
            "seq_from_recurrence", "lift_sigma_d_to_sigma",
            "HypCert", "Part", "LiouvilleSolution", "VerifyResult",
            "verify_certificates", "verify_numeric_window",
            "first_regular_index", "first_safe_index", "PoleError",
-           "PointEvaluator", "CompiledMatrix", "VerificationError"]
+           "PointEvaluator", "CompiledMatrix", "VerificationError",
+           "tower_fault"]
 
 
 class PoleError(Exception):
@@ -55,114 +58,59 @@ class VerificationError(AssertionError):
 # evaluation at integer points
 
 _ZZ_T = ZZ[t]
-_XT_RING = QQ_XT.field.ring   # Z[x, t], where K's numerators live
-_X = _XT_RING.gens[0]
+_X = QQ_XT.field.ring.gens[0]   # x in Z[x, t], where K's numerators live
 
 
 class PointEvaluator:
-    """Evaluation of matrices over Q(x, t)(theta) at integer x, with no
-    gcd on the way.
+    """Evaluation of K-matrices at integer x, with no gcd on the way.
 
-    Arithmetic is over a ground ring R: Z[t], or Z when t is specialized
-    to a rational t0 = a/b.  A tower element is a dense list of
-    coefficients in theta over R (highest first, [] for zero) of degree
-    below that of the modulus m, the minimal polynomial cleared to
-    coefficients in R, whose leading coefficient lc need not be 1.
-    :meth:`reduce` is the pseudo-remainder of lcf * a with the fixed
-    factor lcf = lc^(deg m - 1), the most a product of two reduced
-    elements needs; a reduced product thus stands for lcf times the true
-    one, and callers carry lcf in a denominator (lcf = 1 for monic m).
+    A matrix over the tower Q(x, t)(theta) is evaluated as its K-form, the
+    K-matrix of its regular representation over K = Q(x, t): the values of
+    K-forms multiply as plain matrices over a ground ring R, Z[t], or Z
+    when t is specialized to a rational t0 = a/b, and those products are
+    the tower's products at the point.  A vector over the tower is carried
+    as its coordinates over R, the first column of its K-form.
 
-    :meth:`compile` takes a matrix's K-form (its regular representation
-    over K = Q(x, t)) and reads numerators over one common denominator
-    straight off the Z[x, t] numerators and denominators of the entries,
-    kept over Z[t] or, at t0, homogenized to Z (:meth:`_dense_in_x`);
-    :meth:`at` evaluates them at x = j by Horner's rule over R.  No
-    rational arithmetic runs at t0.
+    :meth:`compile` clears a K-form's denominators once (one lcm per
+    distinct denominator, :func:`~ddsolve.fields.dm_clear`) and reads its
+    numerators and their common denominator as dense polynomials in x
+    over R, kept over Z[t] or, at t0, homogenized to Z
+    (:meth:`_dense_in_x`); :meth:`at` evaluates them at x = j by Horner's
+    rule over R.  No rational arithmetic runs at t0.
     """
 
-    def __init__(self, tower: Tower = TRIVIAL_TOWER, t0=None):
+    def __init__(self, t0=None):
         self.t0 = None if t0 is None else QQ.from_sympy(t0)
         self.R = _ZZ_T if t0 is None else ZZ
         self.K = QQ_T if t0 is None else QQ   # where values are read out
-        self.degree = tower.degree
-        self.mod, self.lcf = None, self.R.one
-        if tower.trivial:
-            return
-        (m,), den = self._compile([_modulus(tower)])
-        if not den:
-            raise FieldError(f"minimal polynomial has a pole at t = {t0}")
-        self.mod = m[0]
-        if t0 is not None and not dup_irreducible_p(self.mod, ZZ):
-            raise FieldError(f"minimal polynomial is reducible at t = {t0}")
-        self.lcf = self.mod[0] ** (self.degree - 1)
-
-    # tower arithmetic
-    def reduce(self, a: list) -> list:
-        """lcf * a mod m, for a of degree at most 2 (deg m - 1)."""
-        if self.mod is None:
-            return a
-        R, e = self.R, dup_degree(a) - len(self.mod) + 2
-        if e > 0:
-            a = dup_prem(a, self.mod, R)   # lc^e * a mod m
-        return dup_mul_ground(a, self.mod[0] ** (self.degree - 1 - max(e, 0)),
-                              R)
-
-    def mul(self, a: list, b: list) -> list:
-        return self.reduce(dup_mul(a, b, self.R))
 
     def matvec(self, M: list, v: list) -> list:
-        """M v (times lcf) for M a flat row-major list of len(M) // len(v)
+        """M v over R, for M a flat row-major list of len(M) // len(v)
         rows."""
-        n, R = len(v), self.R
-        out = []
-        for i in range(0, len(M), n):
-            acc = []
-            for a, b in zip(M[i:i + n], v):
-                if a and b:
-                    acc = dup_add(acc, dup_mul(a, b, R), R)
-            out.append(self.reduce(acc))
-        return out
+        n, zero = len(v), self.R.zero
+        return [sum((a * b for a, b in zip(M[i:i + n], v) if a and b), zero)
+                for i in range(0, len(M), n)]
 
-    def same(self, u: list, du, w: list, dw) -> bool:
+    @staticmethod
+    def same(u: list, du, w: list, dw) -> bool:
         """Do the vectors u / du and w / dw agree?  By cross-multiplication."""
-        R = self.R
-        return all(dup_mul_ground(a, dw, R) == dup_mul_ground(b, du, R)
-                   for a, b in zip(u, w))
+        return all(a * dw == b * du for a, b in zip(u, w))
 
     def to_sympy(self, a: list, den) -> sp.Expr:
-        """The tower element a / den, its coefficients in the canonical
-        form of Q(t) (of Q at t0)."""
+        """The tower element a / den, a a dense polynomial in theta over R,
+        its coefficients in the canonical form of Q(t) (of Q at t0)."""
         K, R = self.K, self.R
         d = K.convert_from(den, R)
         return sp.Add(*(K.to_sympy(K.convert_from(c, R) / d) * theta**k
                         for k, c in enumerate(reversed(a))))
 
-    # compiled matrices
-    def compile(self, D: DomainMatrix, deg: int = 1):
-        """(nums, den) for the matrix whose K-form is D, a regular
-        representation of degree `deg` (1 for a matrix over K): entry i
-        (row-major) is nums[i] / den, nums[i] a dense polynomial in x
-        (highest degree first) with tower coefficients over R, den a dense
-        polynomial in x over R."""
-        return self._compile(from_regular(D, deg))
-
-    def _compile(self, entries: list):
-        den = _XT_RING.one
-        for a in entries:
-            for c in a:
-                den = den.lcm(c.denom)
-        nums = [[c.numer * den.exquo(c.denom) for c in a] for a in entries]
-        dense = iter(self._dense_in_x([den] + [p for a in nums for p in a]))
-        den = next(dense)
-        out = []
-        for a in nums:
-            coeffs = [next(dense) for _ in a]
-            size = max(map(len, coeffs), default=0)
-            coeffs = [[self.R.zero] * (size - len(c)) + c for c in coeffs]
-            out.append(dup_strip([dup_strip([c[i] for c in coeffs])
-                                  for i in range(size)]))
-        return out, den
+    def compile(self, D: DomainMatrix):
+        """(nums, den) for the K-matrix D: entry i (row-major) is
+        nums[i] / den, nums[i] and den dense polynomials in x over R,
+        highest degree first."""
+        q, N = dm_clear(D)
+        den, *nums = self._dense_in_x([q] + N.to_list_flat())
+        return nums, den
 
     def _dense_in_x(self, polys: list) -> list:
         """Polynomials in Z[x, t] as dense polynomials in x over R: over
@@ -192,34 +140,46 @@ class PointEvaluator:
         """(values, d): the compiled entries at x = j are values[i] / d;
         PoleError where the common denominator d is zero."""
         nums, den = compiled
-        R = self.R
-        d = R.zero
-        for c in den:
-            d = d * j + c
-        if not d:
-            raise PoleError("denominator vanishes", j)
+        zero = self.R.zero
         out = []
-        for p in nums:
-            acc = []
+        for p in [den] + nums:
+            acc = zero
             for c in p:
-                acc = dup_add(dup_mul_ground(acc, j, R), c, R)
+                acc = acc * j + c
             out.append(acc)
-        return out, d
+        if not out[0]:
+            raise PoleError("denominator vanishes", j)
+        return out[1:], out[0]
+
+
+def tower_fault(tower: Tower, t0) -> Optional[str]:
+    """Why the tower does not specialize at the rational t = t0, or None
+    when it does: its minimal polynomial has a pole there, or is reducible
+    over Q there."""
+    if tower.trivial:
+        return None
+    pts = PointEvaluator(t0)
+    m = DomainMatrix([list(tower.modulus)], (1, tower.degree + 1), QQ_XT)
+    try:
+        mod, _ = pts.at(pts.compile(m), 0)
+    except PoleError:
+        return f"minimal polynomial has a pole at t = {t0}"
+    if not dup_irreducible_p(mod, ZZ):
+        return f"minimal polynomial is reducible at t = {t0}"
+    return None
 
 
 class CompiledMatrix:
-    """A square matrix A over Q(x, t)(theta), compiled once by a
-    :class:`PointEvaluator` over the tower at t = t0 from its K-form D (a
-    regular representation of degree `deg`) as A = N / d.
+    """A square K-matrix A, the K-form of a matrix over a tower, compiled
+    once by a :class:`PointEvaluator` at t = t0 as A = N / d.
 
     Its value (N(j), d(j)) at each integer is computed once; sequences
     built on one recurrence share it, and read the values, never modify
     them."""
 
-    def __init__(self, D: DomainMatrix, tower: Tower = TRIVIAL_TOWER,
-                 t0=None, deg: int = 1):
-        self.points = PointEvaluator(tower, t0)
-        self.compiled = self.points.compile(D, deg)
+    def __init__(self, D: DomainMatrix, t0=None):
+        self.points = PointEvaluator(t0)
+        self.compiled = self.points.compile(D)
         self._values: dict = {}
 
     def at(self, j: int):
@@ -248,40 +208,44 @@ class FuncSeq(Seq):
 
 
 class SeqVec(Seq):
-    """Vector sequence generated by W(j+1) = A(j) W(j) from W(N) = base.
+    """Vector sequence generated by W(j+1) = A(j) W(j) from W(N) = V(N),
+    for A and V given by their K-forms over a tower of degree `deg`.
 
     Values below the start index are zero (the lift construction only
     constrains a sequence from some index on).  Steps run fraction-free in
     the ground ring of the :class:`CompiledMatrix` A = N / d: W(j) is
-    carried as (w(j), D(j)), a vector over the ring and one common
-    denominator, with w(j+1) = N(j) w(j) and D(j+1) = d(j) D(j) (times
-    the tower's lcf), and no gcd.  `base` is such a pair.  A step runs
+    carried as (w(j), D(j)), its coordinates over the ring (the first
+    column of its K-form) and one common denominator, with
+    w(j+1) = N(j) w(j) and D(j+1) = d(j) D(j), and no gcd.  A step runs
     when a value past it is first read, and is cached; a single SeqVec is
     not safe for concurrent mutation.
     """
 
-    def __init__(self, steps: CompiledMatrix, N: int, base: tuple):
+    def __init__(self, steps: CompiledMatrix, N: int, V: DomainMatrix,
+                 deg: int = 1):
         self.steps = steps
-        self.points = steps.points
-        self.N = N
-        self._cache = [base]
+        self.points = pts = steps.points
+        self.N, self.deg = N, deg
+        v, d = pts.at(pts.compile(V), N)
+        self._cache = [(v[::deg], d)]
 
     def point(self, j: int) -> tuple:
-        """(w, D): W(j) = w / D, w a list of tower elements of
-        :attr:`points`."""
+        """(w, D): W(j) = w / D, w the coordinates of W(j) over the ground
+        ring of :attr:`points`."""
         if j < self.N:
-            return [[] for _ in self._cache[0][0]], self.points.R.one
+            R = self.points.R
+            return [R.zero] * len(self._cache[0][0]), R.one
         k = j - self.N
         while len(self._cache) <= k:
             w, D = self._cache[-1]
             Nj, dj = self.steps.at(self.N + len(self._cache) - 1)
-            self._cache.append((self.points.matvec(Nj, w),
-                                D * dj * self.points.lcf))
+            self._cache.append((self.points.matvec(Nj, w), D * dj))
         return self._cache[k]
 
     def value(self, j: int) -> sp.Matrix:
         w, D = self.point(j)
-        return sp.Matrix([self.points.to_sympy(a, D) for a in w])
+        return sp.Matrix([self.points.to_sympy(a, D)
+                          for a in from_theta_coords(w, self.deg)])
 
 
 def interlace(seqs: list) -> Seq:
@@ -330,7 +294,10 @@ def first_safe_index(start: int, V: DomainMatrix) -> int:
     """Least N >= start with V defined at every j >= N and V(N) != 0, for
     V given by its K-form over a tower and `start` the
     :func:`first_regular_index` of the system: the first index at which a
-    solution through V can start."""
+    solution through V can start.  ValueError for V = 0, which is zero
+    at every index."""
+    if V.is_zero_matrix:
+        raise ValueError("a zero V has no start index")
     N = max(start, 1 + max((r for e in V.to_list_flat()
                             for r in x_integer_roots(e.denom)), default=0))
     # V(N) is defined, so it is zero when every numerator vanishes at x = N
@@ -343,9 +310,7 @@ def seq_from_recurrence(A: DomainMatrix, N: int, V_N: DomainMatrix,
                         t0=None, tower: Tower = TRIVIAL_TOWER) -> SeqVec:
     """SeqVec with W(N) = V_N and W(j+1) = A(j) W(j), for A and V_N given
     by their K-forms over the tower."""
-    steps = CompiledMatrix(A, tower, t0, tower.degree)
-    pts = steps.points
-    return SeqVec(steps, N, pts.at(pts.compile(V_N, tower.degree), N))
+    return SeqVec(CompiledMatrix(A, t0), N, V_N, tower.degree)
 
 
 def lift_sigma_d_to_sigma(V: DomainMatrix, ratio: DomainMatrix, d: int,
@@ -386,11 +351,9 @@ def lift_sigma_d_to_sigma(V: DomainMatrix, ratio: DomainMatrix, d: int,
             f"lift precondition fails: sigma^{d}(V)*r != A_{d}*V")
     if N is None:
         N = first_safe_index(first_regular_index(A, B, A.det()), V)
-    deg = tower.degree
     if steps is None:
-        steps = CompiledMatrix(A, tower, deg=deg)
-    pts = steps.points
-    return SeqVec(steps, N, pts.at(pts.compile(V, deg), N))
+        steps = CompiledMatrix(A)
+    return SeqVec(steps, N, V, tower.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +446,10 @@ def _check_pair(system, part: Part, tower: Tower) -> list:
     """The sigma- and delta-identities of one hypergeometric part, as
     equalities of K-forms over the tower decided on cleared numerators
     (:func:`~ddsolve.fields.dm_same`)."""
-    failures = []
     W, m = part.W, part.m
+    if W.is_zero_matrix:
+        return [f"{part.label}: W is zero"]
+    failures = []
     if not _sigma_identity(W, part.r, dm_embed(system.cocycle(m), tower), m):
         failures.append(
             f"{part.label}: sigma identity sigma^{m}(W)*r = A_{m}*W")
@@ -512,31 +477,37 @@ def verify_certificates(system, sol: LiouvilleSolution) -> VerifyResult:
 def verify_numeric_window(system, sol: LiouvilleSolution, t0, terms: int = 30) -> VerifyResult:
     """Evaluate the sigma-relation at t = t0 for `terms` integer points.
 
-    All arithmetic is exact over Q (extended by the tower generator with t
-    specialized when the solution lives in an extension); the delta
-    relation is checked symbolically by verify_certificates."""
+    All arithmetic is exact over Z, on the values of the K-forms at the
+    points with t specialized (:class:`PointEvaluator`): W(j+m) r(j) is W's
+    K-form at j+m applied to the coordinates of r(j), and A_m(j) W(j) the
+    K-form of A_m over the tower applied to those of W(j).  FieldError
+    when the tower does not specialize at t0 (:func:`tower_fault`); the
+    delta relation is checked symbolically by verify_certificates."""
     if terms < 1:
         raise ValueError(f"numeric window needs terms >= 1, got {terms}")
+    fault = tower_fault(sol.tower, t0)
+    if fault is not None:
+        raise FieldError(fault)
     failures = []
     deg = sol.tower.degree
-    pts = PointEvaluator(sol.tower, t0)
+    pts = PointEvaluator(t0)
     for part in sol.parts:
         label, m = part.label, part.m
-        Am, Wc, rc = (pts.compile(system.cocycle(m)), pts.compile(part.W, deg),
-                      pts.compile(part.r, deg))
+        Am, Wc, rc = (pts.compile(dm_embed(system.cocycle(m), sol.tower)),
+                      pts.compile(part.W), pts.compile(part.r))
         # start past every pole visible after the specialization t = t0
         N = max([1] + [r + m + 1 for _, den in (Am, Wc, rc) if len(den) > 1
                        for r in common_integer_roots([den])])
         for j in range(N, N + terms):
             try:
-                (Wjm, dWjm), ((rj,), dr) = pts.at(Wc, j + m), pts.at(rc, j)
+                (Wjm, dWjm), (rj, dr) = pts.at(Wc, j + m), pts.at(rc, j)
                 (Aj, dA), (Wj, dW) = pts.at(Am, j), pts.at(Wc, j)
             except PoleError:
                 failures.append(f"{label}: pole during numeric verification "
                                 f"at index {j}")
                 break
-            lhs = [pts.mul(w, rj) for w in Wjm]
-            if not pts.same(lhs, dWjm * dr, pts.matvec(Aj, Wj), dA * dW):
+            if not pts.same(pts.matvec(Wjm, rj[::deg]), dWjm * dr,
+                            pts.matvec(Aj, Wj[::deg]), dA * dW):
                 failures.append(
                     f"{label}: sigma relation fails at x={j}, t={t0}")
                 break

@@ -21,7 +21,7 @@ from ddsolve.fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, AllEqual, Conjugate,
                             series_at_infinity, t, theta, treduce, x)
 from ddsolve.moser import infinity_expansion
 from ddsolve.sequences import (LiouvilleSolution, Part, PointEvaluator,
-                               VerificationError)
+                               PoleError, VerificationError)
 
 
 # ---------------------------------------------------------------------------
@@ -886,34 +886,19 @@ def reference_dm_conjugate(D, conj: list, tower: Tower):
 
 
 # ---------------------------------------------------------------------------
-# reference numeric window: the evaluator at a rational t0 over Q, with the
-# minimal polynomial made monic there, that the one over Z replaced
+# reference numeric window: the evaluator at a rational t0 over Q, and the
+# check of the minimal polynomial made monic there, that the ones over Z
+# replaced
 
 class ReferenceQQPointEvaluator(PointEvaluator):
     """PointEvaluator at t0 over R = Q: every compiled polynomial is
-    specialized at t0 in Q and the minimal polynomial is divided by its
-    leading coefficient there (lcf = 1).  Reduction, products and Horner
-    evaluation are the shared ones."""
+    specialized at t0 in Q.  Products and Horner evaluation are the shared
+    ones."""
 
-    def __init__(self, tower: Tower = TRIVIAL_TOWER, t0=None):
-        from sympy import QQ
-        from sympy.polys.factortools import dup_irreducible_p
-
-        from ddsolve.fields import _modulus
+    def __init__(self, t0=None):
         self.t0, self.R, self.K = QQ.from_sympy(t0), QQ, QQ
-        self.degree = tower.degree
-        self.mod, self.lcf = None, QQ.one
-        if tower.trivial:
-            return
-        (m,), den = self._compile([_modulus(tower)])
-        if not den:
-            raise FieldError(f"minimal polynomial has a pole at t = {t0}")
-        self.mod = [c / den[0] for c in m[0]]
-        if not dup_irreducible_p(self.mod, QQ):
-            raise FieldError(f"minimal polynomial is reducible at t = {t0}")
 
     def _dense_in_x(self, polys: list) -> list:
-        from sympy import QQ
         from sympy.polys.densebasic import dup_from_raw_dict
         out = []
         for p in polys:
@@ -922,6 +907,24 @@ class ReferenceQQPointEvaluator(PointEvaluator):
                 coeffs[i] = coeffs.get(i, QQ.zero) + c * self.t0**k
             out.append(dup_from_raw_dict(coeffs, QQ))
         return out
+
+
+def reference_tower_fault(tower: Tower, t0):
+    """Why the tower does not specialize at t = t0, by its minimal
+    polynomial specialized in Q and divided by its leading coefficient
+    there; None when it does."""
+    from sympy.polys.factortools import dup_irreducible_p
+    if tower.trivial:
+        return None
+    pts = ReferenceQQPointEvaluator(t0)
+    m = DomainMatrix([list(tower.modulus)], (1, tower.degree + 1), QQ_XT)
+    try:
+        mod, _ = pts.at(pts.compile(m), 0)
+    except PoleError:
+        return f"minimal polynomial has a pole at t = {t0}"
+    if not dup_irreducible_p([c / mod[0] for c in mod], QQ):
+        return f"minimal polynomial is reducible at t = {t0}"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -717,6 +717,24 @@ def test_cli_verify_mismatch_stays_failed(tmp_path, capsys):
     assert "solution 0: FAILED" in out and "solution 1: ok" in out
 
 
+@pytest.mark.parametrize("t0", [[], ["--t0", "1"]])
+def test_cli_verify_fails_an_all_zero_solution(tmp_path, capsys, t0):
+    """W = 0 satisfies both identities and every window; each solution of
+    example1 with its W set to 0 fails on its own message, exit 1, with
+    the numeric window or without it."""
+    data = json.loads((GOLDEN / "example1.json").read_text())
+    for sol in data["solutions"]:
+        sol["W"] = ["0"] * len(sol["W"])
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(data))
+    code = cli_main(["verify", str(SYSTEMS / "example1.json"), str(path),
+                     *t0])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out == "".join(f"solution {k}: FAIL solution: W is zero\n"
+                          f"solution {k}: FAILED\n" for k in range(2))
+
+
 # ---------------------------------------------------------------------------
 # malformed entries are input errors, located by their JSON pointer
 

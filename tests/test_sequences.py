@@ -8,20 +8,23 @@ from hypothesis import given, settings, strategies as st
 import ddsolve.sequences as sequences
 from conftest import SYSTEMS
 from ddsolve.fields import (TRIVIAL_TOWER, FieldError, dm_from_matrix,
-                            make_tower, mat_inv, t, theta, treduce, x)
+                            from_theta_coords, make_tower, mat_inv, t, theta,
+                            treduce, x)
 from ddsolve.files import read_system
 from helpers import (ReferenceQQPointEvaluator, mat_reduce, mat_shift,
-                     reference_check_pair, reference_lift, shift, solution)
+                     reference_check_pair, reference_lift,
+                     reference_tower_fault, shift, solution)
 from ddsolve.parsing import parse_ratfunc
-from ddsolve.procedures import DDSystem, solve_liouvillian
+from ddsolve.procedures import (DDSystem, solve_liouvillian,
+                                verification_point_fault)
 from ddsolve.sequences import (FuncSeq, HypCert, LiouvilleSolution,
                                PoleError, PointEvaluator, SeqVec,
                                VerificationError,
                                first_regular_index, first_safe_index,
                                interlace,
                                lift_sigma_d_to_sigma, section,
-                               seq_from_recurrence, verify_certificates,
-                               verify_numeric_window)
+                               seq_from_recurrence, tower_fault,
+                               verify_certificates, verify_numeric_window)
 
 
 def kform(M, tower=TRIVIAL_TOWER):
@@ -383,6 +386,17 @@ def test_first_safe_index_skips_zero_start_vector():
     assert treduce(V[0].subs(x, N)) != 0
 
 
+def test_first_safe_index_rejects_a_zero_V():
+    """V = 0 is zero at every index, so no start index exists: a
+    ValueError, also from a lift of V = 0 with N left to its default,
+    whose exact check 0 = 0 passes."""
+    A, B, V = sp.Matrix([[2]]), sp.Matrix([[0]]), sp.Matrix([0])
+    with pytest.raises(ValueError, match="zero V"):
+        _first_safe_index(A, B, V)
+    with pytest.raises(ValueError, match="zero V"):
+        lift(V, sp.Integer(2), 1, A, B)
+
+
 # ---------------------------------------------------------------------------
 # certificate verification
 
@@ -405,6 +419,17 @@ def test_verify_certificates_pass_and_fail():
                            delta_ratio=1 / t))
     res = verify_certificates(system, bad)
     assert not res.ok and res.failures
+
+
+def test_verify_certificates_fails_a_zero_W():
+    """W = 0 satisfies both identities; a part with a zero W fails on its
+    own message."""
+    system, _ = _toy_solved_system()
+    zero = solution(sp.Matrix([0]),
+                    HypCert(sigma_ratio=sp.Integer(2), sigma_step=1,
+                            delta_ratio=1 / t))
+    assert verify_certificates(system, zero).failures == \
+        ["solution: W is zero"]
 
 
 def test_verify_numeric_window_pass():
@@ -459,6 +484,15 @@ def _entries(draw):
     return tower, t0, sp.cancel(num / den), j
 
 
+def _coordinates_at(pts, compiled, j, deg):
+    """(a, d): the element over the tower whose K-form is compiled, at x = j,
+    is a / d, a read off the coordinates in the first column of the
+    K-form's value."""
+    values, d = pts.at(compiled, j)
+    (a,) = from_theta_coords(values[::deg], deg)
+    return a, d
+
+
 @settings(max_examples=60, deadline=None)
 @given(_entries())
 def test_point_evaluator_matches_sympy_reference(case):
@@ -466,31 +500,28 @@ def test_point_evaluator_matches_sympy_reference(case):
     sub = {x: j} if t0 is None else {x: j, t: t0}
     etower = (tower if t0 is None or tower.trivial
               else make_tower(sp.expand(tower.minpoly.subs(t, t0))))
-    pts = PointEvaluator(tower, t0)
-    compiled = pts.compile(dm_from_matrix(sp.Matrix([e]), tower),
-                           tower.degree)
+    pts = PointEvaluator(t0)
+    compiled = pts.compile(dm_from_matrix(sp.Matrix([e]), tower))
     den = sp.fraction(sp.together(sp.cancel(e)))[1]
     if treduce(den.subs(sub), etower) == 0:
         with pytest.raises(PoleError):
             pts.at(compiled, j)
         return
-    (got,), d = pts.at(compiled, j)
+    got, d = _coordinates_at(pts, compiled, j, tower.degree)
     want = treduce(e.subs(sub), etower)
     assert len(got) <= tower.degree
     assert treduce(pts.to_sympy(got, d) - want, etower) == 0, (e, j, t0)
 
 
 def test_point_evaluator_clears_denominators_in_t():
-    """Over theta^2 = 1/(2t) the reduction mod m leaves coefficients with
-    denominators in t, which compile clears before Horner's rule runs in
-    Z[t]."""
+    """Over theta^2 = 1/(2t) the K-form has entries with denominators in
+    t, which compile clears before Horner's rule runs in Z[t]."""
     tower = make_tower(theta**2 - 1 / (2 * t))
     e = (x * theta**3 + 3 * x**2 + t) / (x + theta + 1)
-    pts = PointEvaluator(tower)
-    compiled = pts.compile(dm_from_matrix(sp.Matrix([e]), tower),
-                           tower.degree)
+    pts = PointEvaluator()
+    compiled = pts.compile(dm_from_matrix(sp.Matrix([e]), tower))
     for j in range(-2, 4):
-        (got,), d = pts.at(compiled, j)
+        got, d = _coordinates_at(pts, compiled, j, tower.degree)
         assert treduce(pts.to_sympy(got, d) - e.subs(x, j), tower) == 0, j
 
 
@@ -501,10 +532,9 @@ WINDOW_T0S = [sp.Integer(1), sp.Integer(2), sp.Rational(1, 2),
 
 
 def test_recurrence_at_a_rational_t0_over_a_tower_is_the_symbolic_one():
-    """At t0 = a/b the modulus cleared over Z is b^2 theta^2 - a^2 - b^2,
-    so each step of a recurrence over the tower carries lcf = b^2 in its
-    denominator; its values are those of the recurrence with t symbolic,
-    specialized at t0."""
+    """At t0 = a/b the steps of a recurrence over the tower multiply the
+    values of K-forms over Z, homogenized by powers of b; its values are
+    those of the recurrence with t symbolic, specialized at t0."""
     A = kform(sp.Matrix([[0, theta / (t + 1)], [x + 1, t * theta]]),
               EX1_TOWER)
     V = kform(sp.Matrix([1, theta + x]), EX1_TOWER)
@@ -518,9 +548,10 @@ def test_recurrence_at_a_rational_t0_over_a_tower_is_the_symbolic_one():
                        for g, w in zip(at_t0.value(j), want)), (t0, j)
 
 
-def _window_result(system, sol, t0, evaluator, monkeypatch):
+def _window_result(system, sol, t0, evaluator, fault, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(sequences, "PointEvaluator", evaluator)
+        patch.setattr(sequences, "tower_fault", fault)
         try:
             return verify_numeric_window(system, sol, t0)
         except FieldError as err:
@@ -531,9 +562,12 @@ def _window_result(system, sol, t0, evaluator, monkeypatch):
 def test_numeric_window_over_Z_matches_the_QQ_reference(name, monkeypatch):
     """The window at t0 = a/b runs over Z, homogenized by b^D, and gives
     the VerifyResult of the evaluator over Q that it replaced
-    (helpers.ReferenceQQPointEvaluator) on every solution of example1 and
-    example2 at five rational points; with a doubled sigma-ratio both
-    fail, at the same index."""
+    (helpers.ReferenceQQPointEvaluator, with the reference's check of the
+    minimal polynomial) on every solution of example1 and example2 at
+    five rational points; with a doubled sigma-ratio both fail, at the
+    same index."""
+    evaluators = ((PointEvaluator, tower_fault),
+                  (ReferenceQQPointEvaluator, reference_tower_fault))
     system = read_system(str(SYSTEMS / f"{name}.json"))
     out = solve_liouvillian(system)
     assert out.kind == "Solved"
@@ -542,11 +576,11 @@ def test_numeric_window_over_Z_matches_the_QQ_reference(name, monkeypatch):
         bad = LiouvilleSolution(sol.kind, [part._replace(r=part.r + part.r)]
                                 + sol.parts[1:], sol.tower)
         for t0 in WINDOW_T0S:
-            got, want = (_window_result(system, sol, t0, ev, monkeypatch)
-                         for ev in (PointEvaluator, ReferenceQQPointEvaluator))
+            got, want = (_window_result(system, sol, t0, *ev, monkeypatch)
+                         for ev in evaluators)
             assert got == want and got.ok, (name, t0)
-            got, want = (_window_result(system, bad, t0, ev, monkeypatch)
-                         for ev in (PointEvaluator, ReferenceQQPointEvaluator))
+            got, want = (_window_result(system, bad, t0, *ev, monkeypatch)
+                         for ev in evaluators)
             assert got == want and not got.ok, (name, t0)
             assert "sigma relation fails at x=" in got.failures[0]
 
@@ -559,10 +593,17 @@ def test_numeric_window_over_Z_matches_the_QQ_reference(name, monkeypatch):
 ])
 def test_point_evaluator_faults_at_t0_match_the_QQ_reference(tower, t0,
                                                              message):
-    for evaluator in (PointEvaluator, ReferenceQQPointEvaluator):
-        with pytest.raises(FieldError) as err:
-            evaluator(tower, t0)
-        assert str(err.value) == message
+    """tower_fault gives the reference's message (the minimal polynomial
+    made monic over Q at t0), and so do the window, as a FieldError, and
+    verification_point_fault, which reads the tower before any form."""
+    system, _ = _toy_solved_system()
+    sol = solution(sp.Matrix([theta]), HypCert(2, 1, 1 / t), tower)
+    assert tower_fault(tower, t0) == reference_tower_fault(tower, t0) == \
+        message
+    assert verification_point_fault(system, [sol], t0) == message
+    with pytest.raises(FieldError) as err:
+        verify_numeric_window(system, sol, t0)
+    assert str(err.value) == message
 
 
 def test_numeric_window_reports_doubled_example1_ratio(example1_path):
@@ -619,3 +660,21 @@ def test_lift_over_tower_finds_its_start_index():
     assert W.N == 1
     assert [W.value(j) for j in range(1, 13)] == \
         [ref.value(j) for j in range(1, 13)]
+
+
+@pytest.mark.parametrize("tower, c", [(TRIVIAL_TOWER, t), (EX1_TOWER, theta)])
+def test_lift_value_at_N_is_V_at_N(tower, c):
+    """W(N) = V(N): V = (c x, 0) solves the sigma^2-system of
+    A = [[0, c], [x + 1, 0]] with ratio c x (x + 1)/(x + 2), and its lift
+    starts at V(N), N given or found, and steps on to
+    W(N + 2) = A(N + 1) A(N) V(N)."""
+    A = sp.Matrix([[0, c], [x + 1, 0]])
+    V = sp.Matrix([c * x, 0])
+    ratio = treduce(c * x * (x + 1) / (x + 2), tower)
+    for N in (3, None):
+        W = lift(V, ratio, 2, A, sp.zeros(2, 2), N=N, tower=tower)
+        assert W.N == (N or 1)
+        assert mat_reduce(W.value(W.N) - V.subs(x, W.N), tower) == \
+            sp.zeros(2, 1)
+        step = A.subs(x, W.N + 1) * A.subs(x, W.N) * V.subs(x, W.N)
+        assert mat_reduce(W.value(W.N + 2) - step, tower) == sp.zeros(2, 1)
