@@ -31,7 +31,7 @@ expression is converted into K inside a solve, and the report and the
 
 Every gauge comes from ``ratsol.assemble_gauge``, which checks it once.
 A K-matrix is specialized at t = p by K's own ``subs``, and is defined
-at a rational point when its K-form compiles there
+at a rational point when none of its denominators reads as zero there
 (:func:`verification_point_fault`).
 
 :attr:`DDSystem.integrability_level` is the one integrability routine:
@@ -710,16 +710,16 @@ def verification_point_fault(sys, solutions, p) -> Optional[str]:
     None when it can: the minimal polynomial of a solution's tower has a
     pole or is reducible there (:func:`tower_fault`), or a denominator of
     A, B, a W or a sigma-ratio vanishes identically there, which is when
-    the common denominator of its K-form compiles to zero at p (that lcm
-    vanishes at t = p exactly when one of its factors does)."""
+    it reads as the zero polynomial in x at p (then the common
+    denominator of its K-form, the lcm of these, compiles to zero)."""
     for tower in dict.fromkeys(sol.tower for sol in solutions):
         fault = tower_fault(tower, p)
         if fault is not None:
             return fault
     forms = [sys.A_K, sys.B_K] + [D for sol in solutions for part in sol.parts
                                   for D in (part.W, part.r)]
-    pts = PointEvaluator(p)
-    if not all(pts.compile(D)[1] for D in forms):
+    dens = {e.denom for D in forms for e in D.to_flat_nz()[0]}
+    if not all(PointEvaluator(p).dense_in_x(list(dens))):
         return f"a denominator of A, B or a solution vanishes at t = {p}"
     return None
 

@@ -75,7 +75,7 @@ class PointEvaluator:
     distinct denominator, :func:`~ddsolve.fields.dm_clear`) and reads its
     numerators and their common denominator as dense polynomials in x
     over R, kept over Z[t] or, at t0, homogenized to Z
-    (:meth:`_dense_in_x`); :meth:`at` evaluates them at x = j by Horner's
+    (:meth:`dense_in_x`); :meth:`at` evaluates them at x = j by Horner's
     rule over R.  No rational arithmetic runs at t0.
     """
 
@@ -109,10 +109,10 @@ class PointEvaluator:
         nums[i] / den, nums[i] and den dense polynomials in x over R,
         highest degree first."""
         q, N = dm_clear(D)
-        den, *nums = self._dense_in_x([q] + N.to_list_flat())
+        den, *nums = self.dense_in_x([q] + N.to_list_flat())
         return nums, den
 
-    def _dense_in_x(self, polys: list) -> list:
+    def dense_in_x(self, polys: list) -> list:
         """Polynomials in Z[x, t] as dense polynomials in x over R: over
         Z[t], or at t0 = a/b homogenized by b^D, D the largest degree in t
         among them, as b^D p(x, a/b) over Z.  The common factor b^D leaves
@@ -209,7 +209,8 @@ class FuncSeq(Seq):
 
 class SeqVec(Seq):
     """Vector sequence generated by W(j+1) = A(j) W(j) from W(N) = V(N),
-    for A and V given by their K-forms over a tower of degree `deg`.
+    for A and V given by their K-forms over a tower, whose degree is the
+    number of columns of V's.
 
     Values below the start index are zero (the lift construction only
     constrains a sequence from some index on).  Steps run fraction-free in
@@ -221,13 +222,12 @@ class SeqVec(Seq):
     not safe for concurrent mutation.
     """
 
-    def __init__(self, steps: CompiledMatrix, N: int, V: DomainMatrix,
-                 deg: int = 1):
+    def __init__(self, steps: CompiledMatrix, N: int, V: DomainMatrix):
         self.steps = steps
         self.points = pts = steps.points
-        self.N, self.deg = N, deg
+        self.N, self.deg = N, V.shape[1]
         v, d = pts.at(pts.compile(V), N)
-        self._cache = [(v[::deg], d)]
+        self._cache = [(v[::self.deg], d)]
 
     def point(self, j: int) -> tuple:
         """(w, D): W(j) = w / D, w the coordinates of W(j) over the ground
@@ -307,22 +307,21 @@ def first_safe_index(start: int, V: DomainMatrix) -> int:
 
 
 def seq_from_recurrence(A: DomainMatrix, N: int, V_N: DomainMatrix,
-                        t0=None, tower: Tower = TRIVIAL_TOWER) -> SeqVec:
+                        t0=None) -> SeqVec:
     """SeqVec with W(N) = V_N and W(j+1) = A(j) W(j), for A and V_N given
-    by their K-forms over the tower."""
-    return SeqVec(CompiledMatrix(A, t0), N, V_N, tower.degree)
+    by their K-forms over a tower."""
+    return SeqVec(CompiledMatrix(A, t0), N, V_N)
 
 
 def lift_sigma_d_to_sigma(V: DomainMatrix, ratio: DomainMatrix, d: int,
                           A: DomainMatrix, B: DomainMatrix,
                           N: Optional[int] = None,
-                          tower: Tower = TRIVIAL_TOWER,
                           steps: Optional[CompiledMatrix] = None) -> SeqVec:
     """Lift a hypergeometric solution V*h (sigma^d(h) = ratio*h) of the
     sigma^d-system to a solution sequence of the sigma-system:
     W(N) = V(N) (prefactor normalized to h(N) = 1), W(j+1) = A(j) W(j).
     V, the 1 x 1 matrix [ratio], A and B are given by their K-forms over
-    the tower.  VerificationError unless sigma^d(V) ratio = A_d V holds
+    one tower.  VerificationError unless sigma^d(V) ratio = A_d V holds
     exactly (:func:`_sigma_identity`, A_d = sigma^{d-1}(A) ... A); no
     term is computed before a value is read.
 
@@ -341,7 +340,7 @@ def lift_sigma_d_to_sigma(V: DomainMatrix, ratio: DomainMatrix, d: int,
     j >= N, and V(N) != 0.  A given N is taken as it is; the caller
     vouches for those conditions, and a pole of A met on the way raises
     PoleError when the value is read.  `steps`, the CompiledMatrix of A
-    over the tower with t symbolic, lets the lifts of several solutions
+    with t symbolic, lets the lifts of several solutions
     of one system share N(j) and d(j); it is built here when not given.
     A caller lifting several solutions of one system passes both, so
     that det A and the poles of A and B are read once.
@@ -353,7 +352,7 @@ def lift_sigma_d_to_sigma(V: DomainMatrix, ratio: DomainMatrix, d: int,
         N = first_safe_index(first_regular_index(A, B, A.det()), V)
     if steps is None:
         steps = CompiledMatrix(A)
-    return SeqVec(steps, N, V, tower.degree)
+    return SeqVec(steps, N, V)
 
 
 # ---------------------------------------------------------------------------

@@ -898,7 +898,7 @@ class ReferenceQQPointEvaluator(PointEvaluator):
     def __init__(self, t0=None):
         self.t0, self.R, self.K = QQ.from_sympy(t0), QQ, QQ
 
-    def _dense_in_x(self, polys: list) -> list:
+    def dense_in_x(self, polys: list) -> list:
         from sympy.polys.densebasic import dup_from_raw_dict
         out = []
         for p in polys:

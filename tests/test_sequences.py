@@ -38,7 +38,7 @@ def lift(V, ratio, d, A, B, tower=TRIVIAL_TOWER, **kwargs):
     """lift_sigma_d_to_sigma on the K-forms of Expr arguments."""
     return lift_sigma_d_to_sigma(*(kform(M, tower) for M in (V, ratio)), d,
                                  *(kform(M, tower) for M in (A, B)),
-                                 tower=tower, **kwargs)
+                                 **kwargs)
 
 
 def seq(A, N, V_N, t0=None):
@@ -538,9 +538,9 @@ def test_recurrence_at_a_rational_t0_over_a_tower_is_the_symbolic_one():
     A = kform(sp.Matrix([[0, theta / (t + 1)], [x + 1, t * theta]]),
               EX1_TOWER)
     V = kform(sp.Matrix([1, theta + x]), EX1_TOWER)
-    symbolic = seq_from_recurrence(A, 1, V, tower=EX1_TOWER)
+    symbolic = seq_from_recurrence(A, 1, V)
     for t0 in WINDOW_T0S:
-        at_t0 = seq_from_recurrence(A, 1, V, t0, EX1_TOWER)
+        at_t0 = seq_from_recurrence(A, 1, V, t0)
         etower = make_tower(sp.expand(EX1_TOWER.minpoly.subs(t, t0)))
         for j in range(1, 7):
             want = symbolic.value(j).subs(t, t0)
