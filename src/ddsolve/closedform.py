@@ -57,9 +57,9 @@ from sympy.polys.densebasic import dup_convert, dup_degree, dup_strip
 from sympy.polys.densetools import dup_clear_denoms, dup_monic, dup_shift
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
-from sympy.polys.polyerrors import CoercionFailed
 
-from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, Tower, charpoly_factors,
+from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower,
+                     _field_element, charpoly_factors,
                      dm_delta, dm_diag, dm_embed, dm_inv, dm_over_qt,
                      dense_fraction, dm_same, regular_rows,
                      kernel, t_value, tower_from_modulus, x)
@@ -73,7 +73,6 @@ __all__ = ["HypergeometricCandidate", "HyperexpCandidate", "UnsupportedCase",
            "system_hypergeometric", "hyperexp_solutions"]
 
 _Z = sp.Symbol("_z")
-_QQ_X = QQ.frac_field(x)
 _X_DOMAIN = ZZ[x]               # Z[x], where Hyper's C-equation is cleared
 _X_RING = _X_DOMAIN.ring
 
@@ -99,17 +98,18 @@ class HyperexpCandidate:
 # first.
 
 def recurrence_polys(pcoeffs) -> list:
-    """The coefficients p_i as dense polynomials in x over Q.  ValueError
-    names a coefficient outside Q[x] and an all-zero recurrence."""
+    """The coefficients p_i as dense polynomials in x over Q, read into K
+    (:func:`~ddsolve.fields.expr_value`).  ValueError names a coefficient
+    outside Q[x] and an all-zero recurrence."""
     ps = []
     for p in pcoeffs:
         try:
-            f = _QQ_X.from_sympy(sp.sympify(p))
-        except (CoercionFailed, ValueError):
+            f = _field_element(QQ_XT, p)
+        except FieldError:
             f = None
-        if f is None or not f.denom.is_ground:
+        if f is None or not f.denom.is_ground or f.numer.degree(1) > 0:
             raise ValueError(f"recurrence coefficient not in Q[x]: {p}")
-        ps.append(f.numer.quo_ground(f.denom.LC).to_dense())
+        ps.append([QQ(a, f.denom.LC) for a in f.numer.drop(1).to_dense()])
     if not any(ps):
         raise ValueError("recurrence has only zero coefficients")
     return ps

@@ -5,7 +5,11 @@ procedures; :mod:`ddsolve.parsing` evaluates the entries of solution
 files straight into them.  Sympy expressions in the global symbols x, t,
 theta are the form of the expression API (:func:`treduce`, the entries
 of system files, the sympy matrices of a system or a solution, the
-report), converted at that boundary by :class:`Fractions`.  A
+recurrence coefficients of ``petkovsek``, the report).  They enter K
+through one walker, :func:`expr_value`, in :class:`Fractions` (Q(x, t),
+Q(x, t, theta)) or :class:`TowerArithmetic` (K[theta]/(m)): it reads
+rationals and x, t, theta under +, * and integer powers, and a Float or
+any other node raises :class:`FieldError`, never approximated.  A
 :class:`Tower` is held as its K-form too: the minimal polynomial of theta
 over Q(t) (None for the trivial tower) and delta(theta), obtained by
 implicit differentiation (:func:`tower_from_modulus`; :func:`make_tower`
@@ -22,7 +26,7 @@ SymPy simplification runs on the way:
   whose coefficients are cancelled fractions in the same form.
 
 Input outside the field raises :class:`FieldError`; a denominator that is
-zero mod m raises ZeroDivisionError.
+zero (mod m on a tower) raises ZeroDivisionError.
 
 The shift sigma acts by x -> x+1 and the derivation delta by d/dt with
 delta(x) = 0.
@@ -139,7 +143,7 @@ _Y = sp.Symbol("Y")
 __all__ = [
     "x", "t", "theta", "Tower", "TRIVIAL_TOWER", "make_tower",
     "tower_from_modulus", "theta_poly", "Fractions", "TowerArithmetic",
-    "treduce", "element_expr",
+    "expr_value", "treduce", "element_expr",
     "series_at_infinity", "factor_in_x", "charpoly_factors", "dm_over_qt",
     "AllEqual", "Split", "Conjugate", "MixedSplit",
     "mat_inv",
@@ -298,10 +302,12 @@ def tower_from_modulus(mod: list) -> Tower:
         raise FieldError("minimal polynomial must be over Q(t)")
     if not mod or mod[0] != QQ_XT.one:
         raise FieldError("minimal polynomial must be monic")
+    if len(mod) == 1:
+        raise FieldError("minimal polynomial must have positive degree")
     if len(mod) == 2:
         # theta is rational: Y - r; the tower is trivial
         return TRIVIAL_TOWER
-    if len(mod) < 2 or not _irreducible(mod):
+    if not _irreducible(mod):
         raise FieldError("minimal polynomial is reducible over Q(t)")
     mdt = dup_strip([c.diff(_T) for c in mod])
     tower = Tower(tuple(mod), (), len(mod) - 1)
@@ -333,8 +339,7 @@ def theta_poly(f) -> list:
 def make_tower(minpoly: sp.Expr) -> Tower:
     """:func:`tower_from_modulus` of a sympy polynomial in theta over
     Q(t)."""
-    return tower_from_modulus(theta_poly(
-        _field_element(_QQ_XTTH, minpoly, "Q(x, t, theta)")))
+    return tower_from_modulus(theta_poly(_field_element(_QQ_XTTH, minpoly)))
 
 
 def treduce(f, tower: Tower = TRIVIAL_TOWER):
@@ -346,40 +351,54 @@ def treduce(f, tower: Tower = TRIVIAL_TOWER):
     for input outside the field, ZeroDivisionError for a denominator that
     is zero in the tower."""
     if tower.trivial:
-        return _frac_expr(_field_element(_QQ_XTTH, f, "Q(x, t, theta)"))
+        return _frac_expr(_field_element(_QQ_XTTH, f))
     return element_expr(_tower_element(f, tower))
 
 
-def _field_element(field, e, name: str):
-    """e as an element of the rational function field `field`: evaluated
-    by :class:`Fractions` with one cancel at the end, or, for a node it
-    does not read, by sympy's conversion (which cancels at every
-    operation)."""
+def _field_element(field, e):
+    """e as an element of the rational function field `field`, evaluated
+    by :class:`Fractions` with one cancel at the end."""
+    ar = Fractions(field)
+    return ar.element(expr_value(e, ar))
+
+
+def expr_value(e, ar):
+    """The value in the arithmetic ar (:class:`Fractions` or
+    :class:`TowerArithmetic`) of the sympy expression e: rationals and
+    ar's symbols under +, * and integer powers, bottom up.  FieldError
+    for any other node, a Float included, and for input sympify does not
+    read; ZeroDivisionError for a zero denominator."""
+    def walk(e):
+        if e.is_Rational:
+            a = ar.integer(e.p)
+            return a if e.q == 1 else ar.mul(a, ar.inv(ar.integer(e.q)))
+        if e.is_Symbol and e in ar.symbols:
+            return ar.var(e.name)
+        if e.is_Add or e.is_Mul:
+            return functools.reduce(ar.add if e.is_Add else ar.mul,
+                                    map(walk, e.args))
+        if e.is_Pow and e.exp.is_Integer:
+            return ar.pow(walk(e.base), int(e.exp))
+        raise CoercionFailed(e)
+
     try:
-        e = sp.sympify(e)
-        ar = Fractions(field)
-        try:
-            return ar.element(ar.from_expr(e))
-        except CoercionFailed:
-            # sympy's conversion can leave a negative power's denominator
-            # with a negative leading coefficient; new() normalizes it
-            f = field.from_sympy(e)
-            return f.new(f.numer, f.denom)
-    except (CoercionFailed, ValueError):
-        raise FieldError(f"entry not in {name}: {e}")
+        return walk(sp.sympify(e))
+    except (CoercionFailed, sp.SympifyError):
+        raise FieldError(f"entry not in {ar.name}: {e}")
 
 
 class Fractions:
     """A field of rational functions over Q (Q(x, t), or Q(x, t, theta)
     with theta an indeterminate) as pairs (num, den) over its polynomial
     ring: no gcd on the way, :meth:`element` cancels once.  It evaluates
-    :func:`treduce`'s expressions and the parsed entries of
+    sympy expressions (:func:`expr_value`) and the parsed entries of
     :mod:`ddsolve.parsing`."""
 
     def __init__(self, field):
         self.field, self.symbols = field.field, field.symbols
         self.ring = self.field.ring
         self.gens = dict(zip(map(str, self.symbols), self.ring.gens))
+        self.name = f"Q({', '.join(self.gens)})"
 
     def element(self, a):
         return self.field.new(*a)
@@ -413,21 +432,6 @@ class Fractions:
             return self.ring.one, self.ring.one   # as sympy has it, 0^0 = 1
         return a[0] ** n, a[1] ** n
 
-    def from_expr(self, e):
-        """The sympy expression e built from the field's symbols and
-        rationals by +, * and integer powers; CoercionFailed for any other
-        node."""
-        if e.is_Rational:
-            return self.ring(e.p), self.ring(e.q)
-        if e.is_Symbol and e in self.symbols:
-            return self.var(e.name)
-        if e.is_Add or e.is_Mul:
-            op = self.add if e.is_Add else self.mul
-            return functools.reduce(op, map(self.from_expr, e.args))
-        if e.is_Pow and e.exp.is_Integer:
-            return self.pow(self.from_expr(e.base), int(e.exp))
-        raise CoercionFailed(e)
-
 
 def _frac_expr(c):
     """A reduced fraction as num/den, negated so that the leading
@@ -442,15 +446,17 @@ def _tower_element(e, tower: Tower) -> list:
     """e as a dense polynomial in theta over K, highest degree first,
     reduced mod the minimal polynomial."""
     if tower.trivial:
-        return dup_strip([_field_element(QQ_XT, e, "Q(x, t)")])
-    return _eval_mod(sp.sympify(e), TowerArithmetic(tower))
+        return dup_strip([_field_element(QQ_XT, e)])
+    return expr_value(e, TowerArithmetic(tower))
 
 
 class TowerArithmetic:
     """K[theta]/(m) for a nontrivial tower: its elements are dense lists
     over K = Q(x, t), highest degree first, reduced mod m.  It evaluates
-    :func:`treduce`'s expressions and the parsed entries of
+    sympy expressions (:func:`expr_value`) and the parsed entries of
     :mod:`ddsolve.parsing`, and forms DP1's ratios over a tower."""
+
+    symbols, name = (x, t, theta), "Q(x, t)(theta)"
 
     def __init__(self, tower: Tower):
         self.tower, self.mod = tower, _modulus(tower)
@@ -487,21 +493,6 @@ class TowerArithmetic:
         for _ in range(n):
             out = self.mul(out, a)
         return out
-
-
-def _eval_mod(e, ar: TowerArithmetic) -> list:
-    """Evaluate the expression tree e in K[theta]/(m), bottom up."""
-    if e == theta:
-        return ar.var("theta")
-    if not e.has(theta):
-        return dup_strip([_field_element(QQ_XT, e, "Q(x, t)")])
-    if e.is_Add:
-        return functools.reduce(ar.add, (_eval_mod(a, ar) for a in e.args))
-    if e.is_Mul:
-        return functools.reduce(ar.mul, (_eval_mod(a, ar) for a in e.args))
-    if e.is_Pow and e.exp.is_Integer:
-        return ar.pow(_eval_mod(e.base, ar), int(e.exp))
-    raise FieldError(f"entry not in Q(x, t)(theta): {e}")
 
 
 def element_expr(a: list):

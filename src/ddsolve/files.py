@@ -220,7 +220,7 @@ def read_solution(path: str):
     else:
         try:
             tower = tower_from_modulus(parse_theta_poly(tower_str))
-        except Exception as err:
+        except (ParseError, FieldError, ZeroDivisionError) as err:
             raise SchemaError("/tower", str(err))
     sols = []
     raw_sols = _require(data, "solutions", list, "")

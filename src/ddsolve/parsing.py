@@ -318,7 +318,7 @@ def print_ratfunc(f, tower: Tower = TRIVIAL_TOWER) -> str:
     entries."""
     if not tower.trivial:
         f = treduce(f, tower)
-    f = _field_element(_QQ_XTTH, f, "Q(x, t, theta)")
+    f = _field_element(_QQ_XTTH, f)
     pn, pd = f.numer, f.denom
     if not pn:
         return "0"

@@ -68,8 +68,8 @@ from .moser import (MoserReport, ReductionStalled, leading_eigendata,
                     moser_reduce)
 from .ratsol import assemble_gauge, gauge_from_ratios, rational_solutions
 from .sequences import (CompiledMatrix, LiouvilleSolution, Part,
-                        PointEvaluator, VerificationError, first_regular_index,
-                        first_safe_index, lift_sigma_d_to_sigma, tower_fault,
+                        PointEvaluator, SeqVec, VerificationError,
+                        first_regular_index, first_safe_index, tower_fault,
                         verify_certificates, verify_numeric_window)
 
 __all__ = ["DDSystem", "Outcome", "NormalForm", "check_integrability",
@@ -337,7 +337,6 @@ def _decision_procedure_1(sys: DDSystem, report: dict) -> Outcome:
     # (c) classify the eigenvalue multiset of the leading matrix
     stages.append("c")
     eig = leading_eigendata(mos.leading)
-    report["beta_classification"] = eig
     if isinstance(eig, MixedSplit):
         return Outcome("NoSolution", "DP1", "c",
                        "leading eigenvalues neither conjugate nor all "
@@ -525,7 +524,6 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
                        "candidates", report=report)
     p, A0 = spec
     report["specialization_point"] = int(p)
-    report["A0"] = dm_to_matrix(A0)
 
     # (c) hypergeometric candidates of the specialized sigma^n-system,
     # one per standard part and constant span
@@ -676,18 +674,17 @@ def _timed(timings: dict, key: str, fn, *args):
 
 
 def _lifts(sys: DDSystem, out: Outcome) -> list:
-    """The sigma-sequence lifts of DP2's interlaced solutions."""
+    """The sigma-sequence lifts of DP2's interlaced solutions, whose
+    identity sigma^n(W) r = A_n W :func:`_verify_solved` has decided:
+    each is the recurrence W(j+1) = A(j) W(j) from W's value at its
+    :func:`first_safe_index` (see :func:`lift_sigma_d_to_sigma` for why
+    that is the lift)."""
     # N(j), d(j) of A = N/d and the poles of A, B and det A, shared by
     # the lifts
     steps = CompiledMatrix(sys.A_K)
     start = first_regular_index(sys.A_K, sys.B_K, sys.det_K)
-    lifts = []
-    for sol in out.solutions:
-        part = sol.parts[0]
-        lifts.append(lift_sigma_d_to_sigma(
-            part.W, part.r, sys.n, sys.A_K, sys.B_K,
-            N=first_safe_index(start, part.W), steps=steps))
-    return lifts
+    return [SeqVec(steps, first_safe_index(start, sol.parts[0].W),
+                   sol.parts[0].W) for sol in out.solutions]
 
 
 def _verify_solved(sys: DDSystem, out: Outcome):

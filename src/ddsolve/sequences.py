@@ -2,8 +2,9 @@
 sequences, lifting sigma^d-solutions to sigma-solutions, and exact
 verification of solution certificates.  The lift and the certificate
 check decide one sigma-identity, sigma^m(W) r = A_m W, through one
-routine; the lift is then the recurrence itself, computed only as its
-values are read.
+routine, and a solve decides it once, in the certificate check, before
+it lifts the parts it verified; the lift is then the recurrence itself,
+computed only as its values are read.
 
 Transcendental prefactors (Gamma-products, t^x, exp-integrals) are never
 evaluated: a solution is carried as a rational vector part plus a
@@ -76,11 +77,14 @@ class PointEvaluator:
     numerators and their common denominator as dense polynomials in x
     over R, kept over Z[t] or, at t0, homogenized to Z
     (:meth:`dense_in_x`); :meth:`at` evaluates them at x = j by Horner's
-    rule over R.  No rational arithmetic runs at t0.
+    rule over R.  No rational arithmetic runs at t0, which is a SymPy
+    Rational (FieldError for any other value, a Float included).
     """
 
     def __init__(self, t0=None):
-        self.t0 = None if t0 is None else QQ.from_sympy(t0)
+        if t0 is not None and not isinstance(t0, sp.Rational):
+            raise FieldError(f"t0 must be a rational number: {t0}")
+        self.t0 = None if t0 is None else QQ(t0.p, t0.q)
         self.R = _ZZ_T if t0 is None else ZZ
         self.K = QQ_T if t0 is None else QQ   # where values are read out
 
@@ -315,8 +319,7 @@ def seq_from_recurrence(A: DomainMatrix, N: int, V_N: DomainMatrix,
 
 def lift_sigma_d_to_sigma(V: DomainMatrix, ratio: DomainMatrix, d: int,
                           A: DomainMatrix, B: DomainMatrix,
-                          N: Optional[int] = None,
-                          steps: Optional[CompiledMatrix] = None) -> SeqVec:
+                          N: Optional[int] = None) -> SeqVec:
     """Lift a hypergeometric solution V*h (sigma^d(h) = ratio*h) of the
     sigma^d-system to a solution sequence of the sigma-system:
     W(N) = V(N) (prefactor normalized to h(N) = 1), W(j+1) = A(j) W(j).
@@ -339,20 +342,14 @@ def lift_sigma_d_to_sigma(V: DomainMatrix, ratio: DomainMatrix, d: int,
     of the above: A(j) is defined and invertible and V(j) defined for
     j >= N, and V(N) != 0.  A given N is taken as it is; the caller
     vouches for those conditions, and a pole of A met on the way raises
-    PoleError when the value is read.  `steps`, the CompiledMatrix of A
-    with t symbolic, lets the lifts of several solutions
-    of one system share N(j) and d(j); it is built here when not given.
-    A caller lifting several solutions of one system passes both, so
-    that det A and the poles of A and B are read once.
+    PoleError when the value is read.
     """
     if not _sigma_identity(V, ratio, dm_sigma_power(A, d), d):
         raise VerificationError(
             f"lift precondition fails: sigma^{d}(V)*r != A_{d}*V")
     if N is None:
         N = first_safe_index(first_regular_index(A, B, A.det()), V)
-    if steps is None:
-        steps = CompiledMatrix(A)
-    return SeqVec(steps, N, V)
+    return SeqVec(CompiledMatrix(A), N, V)
 
 
 # ---------------------------------------------------------------------------

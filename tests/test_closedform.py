@@ -103,6 +103,12 @@ def test_petkovsek_rejects_input_outside_q_x():
         petkovsek([0, 0])
 
 
+def test_petkovsek_rejects_a_float():
+    """A Float coefficient is not rationalized into Q[x]."""
+    with pytest.raises(ValueError, match=r"not in Q\[x\]: 0\.5\*x"):
+        petkovsek([sp.Float(0.5) * x, -1])
+
+
 # ---------------------------------------------------------------------------
 # Petkovsek against the Expr reference: same ratios, same order, same srepr
 

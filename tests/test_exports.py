@@ -2,7 +2,8 @@
 ddsolve/__init__ imports, and the functions the benchmark tracer wraps
 (``TRACED`` in ddbench/tracer.py, read from its text so that nothing of
 ddbench is imported).  Deleting or renaming one of them would otherwise
-break only ``import ddsolve`` users or a traced benchmark run."""
+break only ``import ddsolve`` users or a traced benchmark run.  And no
+source file calls a domain's ``from_sympy``, the side door into K."""
 
 import ast
 import functools
@@ -59,3 +60,13 @@ def test_traced_names_resolve():
         mod = importlib.import_module(f"ddsolve.{module}")
         for name in names:
             assert callable(_resolve(mod, name)), f"ddsolve.{module}.{name}"
+
+
+def test_no_from_sympy_in_src():
+    """SymPy values enter K through fields.expr_value alone: a domain's
+    ``from_sympy`` would turn a Float into a nearby rational."""
+    found = [f"{path.name}:{k}"
+             for path in sorted((ROOT / "src" / "ddsolve").glob("*.py"))
+             for k, line in enumerate(path.read_text().splitlines(), 1)
+             if "from_sympy" in line]
+    assert not found, found

@@ -16,7 +16,7 @@ from sympy.polys.matrices import DomainMatrix
 from ddsolve.fields import (_QQ_XTTH, AllEqual, Conjugate, FieldError,
                             Fractions, MixedSplit, Split, QQ_T, QQ_XT,
                             TRIVIAL_TOWER, TowerArithmetic, _field_element,
-                            common_integer_roots, dm_conjugate, dm_clear,
+                            common_integer_roots, expr_value, dm_conjugate, dm_clear,
                             dm_delta, dm_delta_part, dm_embed, dm_from_matrix,
                             dm_inv, dm_same, dm_shift, dm_sigma_power,
                             dm_to_matrix, element_expr, factor_in_x, k_shift,
@@ -138,12 +138,13 @@ def test_treduce_rejects_input_outside_the_field(tower, e):
 @given(_tower_exprs())
 @example(1 / (-t + theta))
 def test_fractions_match_sympy_conversion(e):
-    """fields.Fractions evaluates an expression into Q(x, t, theta) with
-    one cancel; it gives the element of sympy's conversion, which cancels
-    at every operation, or its ZeroDivisionError.  That conversion leaves
-    a negative power as it is (1/(-t + theta), denominator -t + theta),
-    so the reference is taken with its denominator's sign normalized, as
-    every element the program builds has it."""
+    """fields.expr_value evaluates an expression into Q(x, t, theta) by
+    Fractions, with one cancel; it gives the element of sympy's
+    conversion, which cancels at every operation, or its
+    ZeroDivisionError.  That conversion leaves a negative power as it is
+    (1/(-t + theta), denominator -t + theta), so the reference is taken
+    with its denominator's sign normalized, as every element the program
+    builds has it."""
     if e.has(sp.zoo, sp.nan):
         return
     try:
@@ -151,21 +152,28 @@ def test_fractions_match_sympy_conversion(e):
         want = want.new(want.numer, want.denom)
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
-            _field_element(_QQ_XTTH, e, "Q(x, t, theta)")
+            _field_element(_QQ_XTTH, e)
         return
     ar = Fractions(_QQ_XTTH)
-    assert ar.element(ar.from_expr(e)) == want
-    assert _field_element(_QQ_XTTH, e, "Q(x, t, theta)") == want
+    assert ar.element(expr_value(e, ar)) == want
+    assert _field_element(_QQ_XTTH, e) == want
 
 
-def test_fractions_leave_other_nodes_to_sympy():
-    # a Float is not read by Fractions; sympy's conversion makes it exact
-    assert _field_element(QQ_XT, sp.Float(0.5) * x, "Q(x, t)") \
-        == QQ_XT.from_sympy(x / 2)
-    # and its negative power comes out with the denominator normalized
-    got = _field_element(QQ_XT, (sp.Float(1.0) * t - x)**-1, "Q(x, t)")
-    assert got == _field_element(QQ_XT, 1 / (t - x), "Q(x, t)")
-    assert got.denom.LC > 0
+def test_expr_value_rejects_a_float():
+    """A Float is read by no arithmetic, over Q(x, t) or a tower, nor by
+    its negative power: the field is exact, so it is an error, not a
+    nearby rational."""
+    for e in (sp.Float(0.5) * x, (sp.Float(1.0) * t - x)**-1):
+        for ar in (Fractions(QQ_XT), TowerArithmetic(EX1_TOWER)):
+            with pytest.raises(FieldError, match="entry not in"):
+                expr_value(e, ar)
+
+
+@pytest.mark.parametrize("tower", ["trivial", "ex1"])
+def test_treduce_rejects_a_float(tower):
+    with pytest.raises(FieldError):
+        treduce(sp.Float(0.3333) * x,
+                TRIVIAL_TOWER if tower == "trivial" else EX1_TOWER)
 
 
 def test_treduce_zero_denominator_in_tower():
@@ -678,7 +686,7 @@ def _k_elements():
     """Small elements of K whose denominators may share factors."""
     return st.tuples(_polys((x, t)), st.sampled_from(
         [1, t, x + 1, x + t, 2 * t + 1, t * (x + t)])).map(
-        lambda nd: _field_element(QQ_XT, nd[0] / nd[1], "Q(x, t)"))
+        lambda nd: _field_element(QQ_XT, nd[0] / nd[1]))
 
 
 @settings(max_examples=30, deadline=None)

@@ -9,6 +9,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from ddsolve import files
 from ddsolve.cli import main as cli_main
 from ddsolve.fields import (TRIVIAL_TOWER, FieldError, _tower_element,
                             dm_from_matrix, make_tower, regular_matrix, t,
@@ -231,6 +232,26 @@ def test_system_file_roundtrip(tmp_path, example1_path):
     write_system(str(tmp_path / "copy2.json"), sys2)
     assert (tmp_path / "copy.json").read_bytes() == \
         (tmp_path / "copy2.json").read_bytes()
+
+
+@pytest.mark.parametrize("tower, why", [
+    ("1", "must have positive degree"),
+    ("0", "must be monic"),
+    ("2*theta^2+1", "must be monic"),
+    ("theta^2-x", "must be over Q(t)"),
+    ("(theta^2-t)^2", "reducible over Q(t)"),
+    ("1/theta", "theta in a denominator"),
+    ("theta^2-1/0", "division by zero"),
+    ("theta^2+", "expected a number"),
+])
+def test_malformed_solution_tower_is_a_schema_error(tmp_path, tower, why):
+    data = json.loads((GOLDEN / "example1.json").read_text())
+    data["tower"] = tower
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(SchemaError) as err:
+        read_solution(str(bad))
+    assert err.value.pointer == "/tower" and why in str(err.value)
 
 
 def test_missing_B_key_error(tmp_path):
@@ -715,6 +736,20 @@ def test_cli_verify_mismatch_stays_failed(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "solution 0: FAILED" in out and "solution 1: ok" in out
+
+
+def test_cli_verify_internal_tower_error_exits_4(monkeypatch, capsys):
+    """A failure inside the tower construction is internal, exit 4, not
+    an input error (exit 3)."""
+    def broken(mod):
+        raise RuntimeError("broken tower construction")
+
+    monkeypatch.setattr(files, "tower_from_modulus", broken)
+    code = cli_main(["verify", str(SYSTEMS / "example1.json"),
+                     str(GOLDEN / "example1.json")])
+    out, err = capsys.readouterr()
+    assert code == 4, out + err
+    assert err.startswith("internal error: RuntimeError")
 
 
 @pytest.mark.parametrize("t0", [[], ["--t0", "1"]])

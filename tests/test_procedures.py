@@ -97,6 +97,14 @@ def test_validate_rejects_entries_outside_Qxt():
         DDSystem(2, sp.Matrix([[theta, 0], [0, 1]]), sp.zeros(2, 2)).validate()
 
 
+def test_validate_rejects_a_float():
+    """A Float entry is not rationalized: the system is decided as it is
+    written, or not at all."""
+    A = sp.Matrix([[sp.Float(0.5) * x, 0], [0, 1]])
+    with pytest.raises(ValueError, match=r"must be over Q\(x, t\)"):
+        DDSystem(2, A, sp.zeros(2, 2)).validate()
+
+
 def test_integrability_invariant_under_gauge():
     """Criterion: transform (A, B) by random gauges G and re-check.
     A -> sigma(G) A G^-1, B -> G B G^-1 + delta(G) G^-1 preserves the

@@ -298,7 +298,7 @@ def test_constant_span_reduce_keeps_x_dependent_multiples():
 # the tower of example1, theta^2 = t^2 + 1
 TOWER1 = make_tower(theta**2 - (t**2 + 1))
 
-_FACTORS = [1, x, x + 1, x - 2, x + t, t * x + 1]
+_FACTORS = [sp.Integer(1), x, x + 1, x - 2, x + t, t * x + 1]
 
 
 @st.composite

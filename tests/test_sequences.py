@@ -219,7 +219,8 @@ def test_verification_and_lift_share_one_k_form_per_part(solved_example2,
     """Verifying and lifting example2's three solutions converts nothing
     to K: the solutions hold the K-forms W, r and c of their parts, and
     the certificate check, the numeric window and the lift all read those
-    same K-forms."""
+    same K-forms: the lift builds each sequence from the part whose
+    identity the certificate check decided."""
     import dataclasses
     import sys
 
@@ -249,8 +250,7 @@ def test_verification_and_lift_share_one_k_form_per_part(solved_example2,
                         spy("compile", PointEvaluator.compile))
     procedures._verify_solved(system, out)
     window = [args[1] for args in log["compile"]]
-    monkeypatch.setattr(procedures, "lift_sigma_d_to_sigma",
-                        spy("lift", procedures.lift_sigma_d_to_sigma))
+    monkeypatch.setattr(procedures, "SeqVec", spy("lift", procedures.SeqVec))
     procedures._lifts(system, out)
 
     parts = [part for sol in out.solutions for part in sol.parts]
@@ -261,8 +261,36 @@ def test_verification_and_lift_share_one_k_form_per_part(solved_example2,
     for part, args in zip(parts, log["lift"]):
         assert any(D is part.W for D in window)
         assert any(D is part.r for D in window)
-        assert args[0] is part.W and args[1] is part.r
+        assert args[2] is part.W
     assert len(log["lift"]) == 3
+
+
+def test_lifts_reuse_the_verified_identity(solved_example2, monkeypatch):
+    """The solve's lifts form no cocycle: the identity sigma^n(W) r = A_n W
+    was decided by the certificate check.  Their first 30 values are those
+    of lift_sigma_d_to_sigma, which decides it again for a direct
+    caller."""
+    import sys
+
+    import ddsolve.procedures as procedures
+
+    system, out = solved_example2
+
+    def refuse(*args):
+        raise AssertionError("dm_sigma_power called")
+
+    direct = [lift_sigma_d_to_sigma(sol.parts[0].W, sol.parts[0].r,
+                                    system.n, system.A_K, system.B_K)
+              for sol in out.solutions]
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ddsolve") and hasattr(mod, "dm_sigma_power"):
+            monkeypatch.setattr(mod, "dm_sigma_power", refuse)
+    lifts = procedures._lifts(system, out)
+    assert len(lifts) == len(direct) == 3
+    for got, want in zip(lifts, direct):
+        assert got.N == want.N
+        assert all(got.value(j) == want.value(j)
+                   for j in range(got.N, got.N + 30))
 
 
 def _ratfunc(draw, tower):
@@ -604,6 +632,13 @@ def test_point_evaluator_faults_at_t0_match_the_QQ_reference(tower, t0,
     with pytest.raises(FieldError) as err:
         verify_numeric_window(system, sol, t0)
     assert str(err.value) == message
+
+
+def test_numeric_window_rejects_a_float_t0(solved_example2):
+    """t0 is a SymPy Rational; a Float is not rationalized."""
+    system, out = solved_example2
+    with pytest.raises(FieldError, match="t0 must be a rational number"):
+        verify_numeric_window(system, out.solutions[0], sp.Float(0.5))
 
 
 def test_numeric_window_reports_doubled_example1_ratio(example1_path):
