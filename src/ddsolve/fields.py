@@ -72,6 +72,21 @@ so no caller forms it, and inverts with one ``inv_den`` over Z[x, t] and
 one cancel per entry.  The cocycle (:func:`dm_sigma_power`) multiplies
 cleared numerators too.
 
+A full rank is decided at a point first (S. Cabay, SYMSAC 1971; von zur
+Gathen and Gerhard, *Modern Computer Algebra*, ch. 5).
+:func:`point_rank` evaluates a matrix over K, Q(t) or Z[v, ...] at one
+fixed point mod one fixed word-size prime (``_POINT`` and ``_PRIME``,
+constants, not options).  Each minor of the value is the value of the
+same minor, so the rank there is at most the rank over the field: a full
+rank at the point proves a full rank, and a nonzero determinant there a
+nonzero determinant.  A rank drop at the point proves nothing, and
+:func:`has_rank` then takes the exact rank, so every answer is the exact
+one.  The gauge selection, the specialization point, the choice of
+hyperexponential candidates, Moser's shearing test and the constant-span
+test ask :func:`has_rank`; ``ratsol.degree_bound`` asks
+:func:`point_rank` of a leading matrix over Z[k, t] and decides a drop by
+the exact null space.
+
 :func:`common_integer_roots` is the one integer-root routine (the
 degree bounds of every polynomial ansatz, Hyper's included, and the pole
 scans of the lift and the numeric window): Hensel lifting of the roots
@@ -108,7 +123,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import sympy as sp
-from sympy import QQ, ZZ, nextprime
+from sympy import GF, QQ, ZZ, nextprime
 from sympy.polys.densearith import (dup_add, dup_lshift, dup_mul,
                                     dup_mul_ground, dup_neg)
 from sympy.polys.densebasic import dup_from_raw_dict, dup_strip
@@ -146,7 +161,7 @@ __all__ = [
     "expr_value", "treduce", "element_expr",
     "series_at_infinity", "factor_in_x", "charpoly_factors", "dm_over_qt",
     "AllEqual", "Split", "Conjugate", "MixedSplit",
-    "mat_inv",
+    "mat_inv", "point_rank", "has_rank",
     "kernel", "regular_matrix", "from_regular",
     "regular_rows", "theta_coords", "from_theta_coords",
     "common_integer_roots", "x_integer_roots", "t_value", "dense_fraction",
@@ -669,6 +684,43 @@ def dm_over_qt(D: DomainMatrix):
 def mat_inv(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
     """M^-1 over the tower; FieldError when M is singular."""
     return dm_to_matrix(dm_inv(dm_from_matrix(M, tower)), tower)
+
+
+# the point and the prime of every rank test at a point: the i-th
+# generator of a ring takes the value _POINT[i], mod _PRIME
+_PRIME = 2**31 - 1
+_POINT = (1_234_577, 7_654_337, 2_718_283)
+_GF = GF(_PRIME)
+
+
+def _point_value(p) -> int:
+    """The value at _POINT mod _PRIME of a polynomial p over Z."""
+    return sum(c * functools.reduce(lambda a, b: a * b % _PRIME, (
+        pow(v, e, _PRIME) for v, e in zip(_POINT, m)), 1)
+        for m, c in p.items()) % _PRIME
+
+
+def point_rank(M: DomainMatrix) -> int:
+    """The rank mod _PRIME of the value at _POINT of M, a matrix over a
+    field of fractions of Z[v, ...] (K, Q(t)) or over Z[v, ...] itself;
+    0 when a denominator vanishes there.  It is at most rank M: each
+    minor of the value is the value of the same minor of M."""
+    frac = M.domain.is_FractionField
+    try:
+        vals = [_point_value(e.numer) * pow(_point_value(e.denom), -1,
+                                            _PRIME) if frac
+                else _point_value(e) for e in M.to_list_flat()]
+    except ValueError:      # a pole at the point
+        return 0
+    return DomainMatrix.from_list_flat(list(map(_GF, vals)), M.shape,
+                                       _GF).rank()
+
+
+def has_rank(M: DomainMatrix, r: int) -> bool:
+    """Whether rank M >= r, for M as in :func:`point_rank`: True when the
+    value at the point has rank r, which proves it; otherwise the exact
+    rank decides."""
+    return point_rank(M) >= r or M.rank() >= r
 
 
 def kernel(D: DomainMatrix) -> DomainMatrix:

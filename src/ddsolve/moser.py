@@ -35,7 +35,7 @@ from sympy.polys.matrices import DomainMatrix
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, AllEqual, Conjugate,
                      MixedSplit, Split, Tower, charpoly_factors,
                      dm_from_matrix, dm_inv, dm_same, dm_series_at_infinity,
-                     dm_shift, dm_to_matrix, kernel)
+                     dm_shift, dm_to_matrix, has_rank, kernel)
 from .sequences import VerificationError
 
 __all__ = ["InfinityExpansion", "MoserReport", "ReductionStalled",
@@ -112,7 +112,7 @@ def _moser_step(H0: DomainMatrix, H1: DomainMatrix) -> DomainMatrix:
     J = W * N.transpose()
     B = W * H1 * N.transpose()
     N2 = N
-    if B.hstack(J).rank() == N.shape[0]:   # the plain shearing keeps the rank
+    if has_rank(B.hstack(J), N.shape[0]):  # the plain shearing keeps the rank
         V = _pencil_null_vector(B, J)
         if V is not None:
             N2 = V * N

@@ -63,7 +63,8 @@ from .fields import (QQ_T, QQ_XT, Conjugate, FieldError, MixedSplit, Split,
                      dm_delta, dm_delta_part, dm_diag, dm_embed,
                      dm_from_matrix, dm_inv, dm_over_qt, dm_same, dm_shift,
                      dm_sigma_power, dm_to_matrix, element_expr,
-                     from_regular, k_shift, t_value, tower_from_modulus)
+                     from_regular, has_rank, k_shift, t_value,
+                     tower_from_modulus)
 from .moser import (MoserReport, ReductionStalled, leading_eigendata,
                     moser_reduce)
 from .ratsol import assemble_gauge, gauge_from_ratios, rational_solutions
@@ -288,6 +289,8 @@ def _normalize_gauge_certificates(G: DomainMatrix, Bbar: DomainMatrix,
     deg = tower.degree
     gammas = [_certificate_normalizer(Bbar[i, i].element)
               for i in range(0, Bbar.shape[0], deg)]
+    if all(g == QQ_XT.one for g in gammas):
+        return G, Bbar
     S = DomainMatrix.diag([g for g in gammas for _ in range(deg)], QQ_XT)
     return G * S, dm_delta_part(S, Bbar, tower)
 
@@ -472,8 +475,9 @@ def _dp1_stage_d2(sys: DDSystem, alpha_K, beta1, report: dict) -> Outcome:
 
 def _independent_candidates(cands, n):
     """n hyperexponential candidates with vectors independent over their
-    tower, or None: a greedy scan over exact ranks of the hstacked K-forms,
-    trivial-tower vectors embedded into the tower of the others.  A
+    tower, or None: a greedy scan over the ranks (``has_rank``) of the
+    hstacked K-forms, trivial-tower vectors embedded into the tower of the
+    others.  A
     candidate over a second nontrivial tower shares no tower with the
     chosen ones and is skipped."""
     chosen, tower = [], TRIVIAL_TOWER
@@ -485,7 +489,7 @@ def _independent_candidates(cands, n):
         cols = DomainMatrix.hstack(*(cc.V if cc.tower == tw
                                      else dm_embed(cc.V, tw)
                                      for cc in trial))
-        if cols.rank() == tw.degree * len(trial):
+        if has_rank(cols, tw.degree * len(trial)):
             chosen, tower = trial, tw
         if len(chosen) == n:
             return chosen
@@ -610,7 +614,7 @@ def _specialization_point(Atil: DomainMatrix):
                 QQ_XT)
         except ZeroDivisionError:
             return None
-        return (p, A0) if A0.rank() == A0.shape[0] else None
+        return (p, A0) if has_rank(A0, A0.shape[0]) else None
     return _first_point(at)
 
 

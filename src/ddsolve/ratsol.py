@@ -50,8 +50,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from .difftools import shift_classes
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower,
-                     dm_clear, dm_same, dm_shift, k_shift,
-                     kernel, regular_matrix, x_integer_roots)
+                     dm_clear, dm_same, dm_shift, has_rank, k_shift,
+                     kernel, point_rank, regular_matrix, x_integer_roots)
 from .sequences import VerificationError
 
 __all__ = ["UnsupportedCase", "universal_denominator", "degree_bound",
@@ -227,6 +227,36 @@ def _combined_row(v: list, rows: list) -> tuple:
         0, len(combo), len(v))].__getitem__
 
 
+def _slices(m: int):
+    """Every point of Z^m, by growing max-norm: a nonzero polynomial in m
+    variables is nonzero at one of them."""
+    for r in itertools.count():
+        for c in itertools.product(range(-r, r + 1), repeat=m):
+            if max(map(abs, c)) == r:
+                yield c
+
+
+def _nonsingular_bound(L: DomainMatrix) -> int:
+    """The largest integer root k >= 0 of det L, or -1, for L square and
+    nonsingular over Z[k, consts], consts nonempty, with no determinant
+    over Z[k, consts]: the candidates are the integer roots of
+    det L(k, c) over Z[k] at the first slice c of :func:`_slices` where it
+    is nonzero, and each, largest first, is kept when det L(k0, consts)
+    = 0 over Z[consts]."""
+    k, *consts = L.domain.ring.gens
+    entries = L.to_list_flat()
+
+    def det_at(values):
+        vals = [e.evaluate(values) for e in entries]
+        return DomainMatrix.from_list_flat(
+            vals, L.shape, vals[0].ring.to_domain()).det()
+
+    det = next(d for c in _slices(len(consts))
+               if (d := det_at(list(zip(consts, c)))))
+    return next((k0 for k0 in sorted(x_integer_roots(det), reverse=True)
+                 if k0 >= 0 and not det_at([(k, k0)])), -1)
+
+
 def degree_bound(Ps: list, c: int, s: int) -> int:
     """The largest degree of a polynomial solution y of
     sum_j P_j(x) d^j(y) = 0 (-1: y = 0 only), Ps = [P_0, ..., P_k] square
@@ -240,13 +270,27 @@ def degree_bound(Ps: list, c: int, s: int) -> int:
     small rows are the pivots.  The bound is the largest integer root
     k >= 0 of det L(k), or -1.
 
+    Over Z[k] (Hyper's C-equation, the delta side) det L is taken
+    exactly, where a point would only add cost.  Over Z[k, consts] no
+    determinant is formed: L full-rank at the point of
+    :func:`ddsolve.fields.point_rank` is nonsingular; otherwise its exact
+    left null space decides, and an empty one means nonsingular.  The
+    bound of a nonsingular L is read by :func:`_nonsingular_bound` from
+    one slice consts = c.
+
     *Validity:* every derived row is a Z[consts, k]-combination of
     shifted original equations, divided by a content free of k (a unit of
     Q(consts)), so it holds at every integer k.  A factor in k is never
     divided out: the equations at its integer roots would be lost.  At
     k = d, the top degree of a solution, every row involves y_d alone
     (y_{d+i} = 0 for i > 0), so L(d) y_d = 0 with y_d != 0 and
-    det L(d) = 0.
+    det L(d) = 0.  The point only proves: a minor nonzero at the point
+    is nonzero, so nonsingular there implies nonsingular, and a
+    singularity is decided by the exact null space.  Every integer root
+    k0 of det L, det L(k0, consts) = 0 over Z[consts], is a root of the
+    nonzero slice det L(k, c), so it is among the candidates, and a
+    candidate is kept only when det L(k0, consts) = 0 exactly: the
+    bound is the largest nonnegative integer root of det L.
 
     *Termination:* a derived row is shorter than its pivot by s >= 1, so
     the total row length strictly falls.  No row can vanish: the operator
@@ -262,10 +306,16 @@ def degree_bound(Ps: list, c: int, s: int) -> int:
             rows[r][0], sum(len(e) for e in rows[r][1](0))))
         lead = DomainMatrix([rows[r][1](0) for r in order], Ps[0].shape,
                             kdom)
-        if det := lead.det():
-            return max([-1] + [d for d in x_integer_roots(det) if d >= 0])
+        if kdom.ngens == 1:
+            if det := lead.det():
+                return max([-1] + [d for d in x_integer_roots(det) if d >= 0])
+        elif point_rank(lead) == lead.shape[0]:
+            return _nonsingular_bound(lead)
+        null = lead.transpose().nullspace().to_list()
+        if not null:        # nonsingular, singular at the point only
+            return _nonsingular_bound(lead)
         old = [rows[r] for r in order]
-        for v in lead.transpose().nullspace().to_list():
+        for v in null:
             g = functools.reduce(lambda a, b: a.gcd(b), v)
             rows[order[max(i for i, a in enumerate(v) if a)]] = \
                 _combined_row([a.exquo(g) for a in v], old)
@@ -336,8 +386,9 @@ def _constant_span_reduce(vectors: list, tower: Tower) -> list:
     indep, span, j = [], [], 0
     for V in vectors:
         cols, j = columns[j:j + V.shape[1]], j + V.shape[1]
-        if _coefficient_matrix(span + cols[:1],
-                               _constants(_XT_RING)).rank() > len(span):
+        if has_rank(_coefficient_matrix(span + cols[:1],
+                                        _constants(_XT_RING)),
+                    len(span) + 1):
             indep.append(V)
             span.extend(cols)
     return indep
@@ -376,7 +427,7 @@ def _invertible_selection(columns: list, tower: Tower):
     every combination: no combination is invertible either."""
     for choice in itertools.product(*columns):
         G = DomainMatrix.hstack(*choice)
-        if G.rank() == len(columns) * tower.degree:
+        if has_rank(G, len(columns) * tower.degree):
             return G
     return None
 

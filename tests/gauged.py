@@ -7,6 +7,8 @@ G^-1 is polynomial and the gauged system
     A' = sigma(G)^-1 A G,        B' = G^-1 (B G - delta(G))
 
 has the solutions G^-1 Y of the source: its verdict is the source's.
+:func:`gauged_by` applies a given gauge, such as the three-factor
+``EXAMPLE1_GAUGE3`` of example1.
 """
 
 import random
@@ -34,11 +36,29 @@ def gauge3(seed: int) -> sp.Matrix:
     return G
 
 
-def gauged_system(system: DDSystem, seed: int) -> DDSystem:
-    """The 3 x 3 system `system` transformed by :func:`gauge3`."""
-    G = gauge3(seed)
+def gauged_by(system: DDSystem, G: sp.Matrix) -> DDSystem:
+    """`system` transformed by the gauge G."""
     Ginv = G.inv()
     A = mat_reduce(shift(Ginv, 1) * system.A * G)
     B = mat_reduce(Ginv * (system.B * G - G.diff(t)))
     return DDSystem(system.n, A, B,
                     assume_irreducible=system.assume_irreducible)
+
+
+def gauged_system(system: DDSystem, seed: int) -> DDSystem:
+    """The 3 x 3 system `system` transformed by :func:`gauge3`."""
+    return gauged_by(system, gauge3(seed))
+
+
+def elementary(i: int, j: int, p) -> sp.Matrix:
+    """The 2 x 2 elementary matrix E_ij(p): the identity with p at
+    (i, j), i != j, counted from 1."""
+    E = sp.eye(2)
+    E[i - 1, j - 1] = p
+    return E
+
+
+# a three-factor gauge of example1 with det 1, whose degree bounds meet
+# leading matrices of degree about 20 in k and 40 in t
+EXAMPLE1_GAUGE3 = (elementary(1, 2, -3 * t - 1) * elementary(2, 1, 3 * x + 2)
+                   * elementary(1, 2, 3 * x - 3 * t))

@@ -2,6 +2,7 @@
 rational function with respect to sigma^m, and reference implementations
 that pin the results of the ones that replaced them."""
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -562,6 +563,29 @@ def reference_degree_bound(M, m, tower):
             raise UnsupportedCase("no indicial equation")
         bounds.append(max([-1] + roots))
     return max(bounds)
+
+
+def reference_degree_bound_det(Ps: list, c: int, s: int) -> int:
+    """ratsol.degree_bound with an exact determinant of every leading
+    matrix over Z[k, consts], and the integer roots of that determinant:
+    the bound as it was decided before the rank test at a point."""
+    from ddsolve.fields import x_integer_roots
+    from ddsolve.ratsol import _combined_row, _k_domain, _operator_rows
+
+    kdom = _k_domain(Ps[0].domain.symbols[1:])
+    rows = _operator_rows(Ps, c, s, kdom)
+    while True:
+        order = sorted(range(len(rows)), key=lambda r: (
+            rows[r][0], sum(len(e) for e in rows[r][1](0))))
+        lead = DomainMatrix([rows[r][1](0) for r in order], Ps[0].shape,
+                            kdom)
+        if det := lead.det():
+            return max([-1] + [d for d in x_integer_roots(det) if d >= 0])
+        old = [rows[r] for r in order]
+        for v in lead.transpose().nullspace().to_list():
+            g = functools.reduce(lambda a, b: a.gcd(b), v)
+            rows[order[max(i for i, a in enumerate(v) if a)]] = \
+                _combined_row([a.exquo(g) for a in v], old)
 
 
 def _reference_scalar_degree_candidates(pcoeffs, m):

@@ -22,8 +22,9 @@ from ddsolve.procedures import (DDSystem, _certificate_normalizer,
 from ddsolve.ratsol import UnsupportedCase
 from ddsolve.sequences import VerificationError, verify_certificates
 from ddsolve.cli import main as cli_main
-from ddsolve.files import read_system, write_system
+from ddsolve.files import read_system, write_solution, write_system
 from conftest import ROOT, SYSTEMS, random_invertible_matrix, random_ratfunc
+from gauged import EXAMPLE1_GAUGE3, gauged_by
 from helpers import (delta, mat_delta, mat_eq, mat_reduce, mat_shift,
                      reference_gauge_delta_part, teq)
 
@@ -335,6 +336,23 @@ def test_normalize_gauge_certificates_over_a_tower():
                   sp.diag(x / t + theta / (t - 1), 1 / (2 * t)), tower)
 
 
+def test_identity_normalizer_forms_no_delta_part(example1_path, monkeypatch):
+    """Every gamma of example1's certificates is 1, so the normalization
+    returns (G, Bbar) as they are: one delta-part, the gauge's, per
+    solve."""
+    import ddsolve.procedures as procedures
+
+    calls, orig = [], procedures.dm_delta_part
+
+    def spy(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(procedures, "dm_delta_part", spy)
+    assert solve_liouvillian(read_system(example1_path)).kind == "Solved"
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # decision-procedure exits (cheap cases only; the worked examples run in
 # the acceptance suite)
@@ -362,6 +380,23 @@ def test_dp1_solves_gauged_example1():
     assert out.solutions
     for sol in out.solutions:
         assert verify_certificates(sys, sol).ok
+
+
+def test_dp1_solves_the_three_factor_gauge_of_example1(tmp_path):
+    """example1 under gauged.EXAMPLE1_GAUGE3 (det 1) is Solved by DP1 with
+    verified certificates, and its solution file is
+    tests/golden/example1_gauge3.json byte for byte.  Its degree bounds
+    meet 4 x 4 leading matrices of degree about 20 in k and 40 in t; with
+    their exact determinants over Z[k, t] the solve took minutes."""
+    system = gauged_by(read_system(str(SYSTEMS / "example1.json")),
+                       EXAMPLE1_GAUGE3)
+    out = solve_liouvillian(system)
+    assert (out.kind, out.provenance) == ("Solved", "DP1")
+    assert all(verify_certificates(system, sol).ok for sol in out.solutions)
+    path = tmp_path / "solution.json"
+    write_solution(str(path), out)
+    assert path.read_bytes() == \
+        (ROOT / "tests" / "golden" / "example1_gauge3.json").read_bytes()
 
 
 def test_det_factored_once_per_solve(monkeypatch, example1_path):

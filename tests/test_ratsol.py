@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 import ddsolve.closedform as closedform
+import ddsolve.fields as fields
 import ddsolve.procedures as procedures
 from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, dm_clear, dm_from_matrix,
                             dm_inv, dm_to_matrix, make_tower, mat_inv, t,
@@ -14,8 +15,9 @@ from ddsolve.files import read_system
 from ddsolve.sequences import verify_certificates
 import ddsolve.ratsol as ratsol
 
-from gauged import gauged_system
+from gauged import gauged_by, gauged_system
 from helpers import (mat_eq, mat_reduce, mat_shift, nullspace_over_Qt,
+                     reference_degree_bound_det,
                      reference_polynomial_solutions,
                      reference_rational_solutions, reference_scalar_operators,
                      reference_universal_denominator, shift, teq)
@@ -52,10 +54,16 @@ def gauge_from_ratios(A, ratios, m):
     return None if G is None else dm_to_matrix(G)
 
 
-def _degree_bound(M, m, tower):
+def _sigma_operator(M, tower):
+    """[q I - N, q I], (q, N) = dm_clear of M's K-form: the operator whose
+    polynomial solutions polynomial_solutions takes."""
     q, N = dm_clear(dm_from_matrix(M, tower))
     qI = DomainMatrix.eye(N.shape[0], N.domain).mul(q)
-    return ratsol.degree_bound([qI - N, qI], m, m)
+    return [qI - N, qI]
+
+
+def _degree_bound(M, m, tower):
+    return ratsol.degree_bound(_sigma_operator(M, tower), m, m)
 
 
 def _constant_span_reduce(vectors, tower):
@@ -225,6 +233,107 @@ def test_degree_bound_of_order_two_covers_the_planted_degree(case):
     Ps, c, s, d = case
     assert ratsol.degree_bound(Ps, c, s) >= d
     assert ratsol.ansatz_kernel(Ps, s)
+
+
+@st.composite
+def _planted_sigma_operators(draw):
+    """(Ps, d): the operator [q I - N, q I] over Z[x, t] of sigma(Y) = M Y,
+    M = sigma(G) diag(g_i(x + 1)/g_i) G^-1 over the trivial tower or
+    TOWER1, n <= 3 and G a product of elementary matrices, with the
+    polynomial solutions G e_i g_i, of largest degree d in x."""
+    tower = draw(st.sampled_from([TRIVIAL_TOWER, TOWER1]))
+    n = draw(st.integers(1, 3))
+    g = [draw(st.sampled_from([sp.Integer(1), x, x - 2, x + t, x**2 + 1]))
+         for _ in range(n)]
+    atoms = [1, -1, 2, x, t, x - t + 1] + ([] if tower.trivial
+                                           else [theta, x * theta])
+    G = sp.eye(n)
+    for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        E = sp.eye(n)
+        E[i, j] = draw(st.sampled_from(atoms))
+        G = G * E
+    M = mat_reduce(mat_shift(G) * sp.diag(*(shift(gi) / gi for gi in g))
+                   * mat_inv(G, tower), tower)
+    Y = G * sp.diag(*g)
+    d = max(sp.degree(e, x) for e in Y if e != 0)
+    return _sigma_operator(M, tower), d
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_planted_order_two(), _planted_sigma_operators().map(
+    lambda case: (case[0], 1, 1, case[1]))))
+def test_degree_bound_matches_the_exact_determinant_loop(case):
+    """The bound that decides singularity at a point equals the one that
+    takes every leading determinant exactly
+    (helpers.reference_degree_bound_det), on the order-two operators over
+    Z[x] and Z[t] and on planted sigma-operators over Z[x, t], n <= 3, on
+    the trivial tower and on TOWER1's regular representation, and it
+    covers the planted degree."""
+    Ps, c, s, d = case
+    bound = ratsol.degree_bound(Ps, c, s)
+    assert bound == reference_degree_bound_det(Ps, c, s)
+    assert bound >= d
+
+
+def test_rank_tests_fall_back_to_exact_work_off_the_point():
+    """Matrices that are invertible but singular at the fixed point of
+    fields.point_rank, with a determinant that has the factor x - x0 (or
+    k - x0 in the degree bound, k0 = x0 the first coordinate), get the
+    exact answers: the point proves only a full rank."""
+    x0, t0 = fields._POINT[:2]
+    V1, V2 = sp.Matrix([x - x0, 0]), sp.Matrix([1, t + 1])
+    G = sp.Matrix.hstack(V1, V2)
+    assert fields.point_rank(dm_from_matrix(G)) == 1
+    assert fields.has_rank(dm_from_matrix(G), 2)
+    assert _invertible_selection([[V1], [V2]], TRIVIAL_TOWER) == G
+    A = sp.Matrix([[x - x0, t], [0, 1]])
+    p, A0 = procedures._specialization_point(dm_from_matrix(A))
+    assert (p, dm_to_matrix(A0)) == (0, sp.Matrix([[x - x0, 0], [0, 1]]))
+    # L(k) = k - x0: the root x0; L(k) = k + t - t0 - x0: the slice t = 0
+    # has the root t0 + x0, which det L(t0 + x0, t) = t rejects
+    ring = sp.ZZ[x, t]
+    X, T = ring.gens
+    for P0, bound in ((-x0 * X + T, x0), ((T - t0 - x0) * X, -1)):
+        Ps = [DomainMatrix([[P0]], (1, 1), ring),
+              DomainMatrix([[X**2]], (1, 1), ring)]
+        assert ratsol.degree_bound(Ps, 1, 1) == bound
+        assert reference_degree_bound_det(Ps, 1, 1) == bound
+
+
+@pytest.mark.parametrize("gauge", [None, sp.Matrix([[1, t - 2 * x + 1],
+                                                    [0, 1]])])
+def test_degree_bound_forms_no_determinant_over_two_generators(
+        example1_path, monkeypatch, gauge):
+    """Inside degree_bound every determinant is over a ring of one
+    generator (Z[k] or Z[consts]), on example1 and on its one-factor gauge,
+    whose bound needs six elimination rounds: a leading matrix over
+    Z[k, t] is decided at the point, by its exact null space and by
+    slices."""
+    system = read_system(example1_path)
+    if gauge is not None:
+        system = gauged_by(system, gauge)
+    bound, det = ratsol.degree_bound, DomainMatrix.det
+    depth, domains = [0], []
+
+    def bound_spy(*args):
+        depth[0] += 1
+        try:
+            return bound(*args)
+        finally:
+            depth[0] -= 1
+
+    def det_spy(self):
+        if depth[0]:
+            domains.append(self.domain)
+        return det(self)
+
+    monkeypatch.setattr(ratsol, "degree_bound", bound_spy)
+    monkeypatch.setattr(DomainMatrix, "det", det_spy)
+    out = procedures.decision_procedure_1(system)
+    monkeypatch.undo()
+    assert (out.kind, out.provenance) == ("Solved", "DP1")
+    assert domains and all(len(d.gens) == 1 for d in domains)
 
 
 def test_gauge_from_ratios_recovers_planted_gauge():
