@@ -687,17 +687,21 @@ def mat_inv(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER) -> sp.Matrix:
 
 
 # the point and the prime of every rank test at a point: the i-th
-# generator of a ring takes the value _POINT[i], mod _PRIME
+# generator of a ring (x, t of K; k, t of the degree bound's rows) takes
+# the value _POINT[i], mod _PRIME
 _PRIME = 2**31 - 1
-_POINT = (1_234_577, 7_654_337, 2_718_283)
+_POINT = (1_234_577, 7_654_337)
 _GF = GF(_PRIME)
 
 
 def _point_value(p) -> int:
     """The value at _POINT mod _PRIME of a polynomial p over Z."""
-    return sum(c * functools.reduce(lambda a, b: a * b % _PRIME, (
-        pow(v, e, _PRIME) for v, e in zip(_POINT, m)), 1)
-        for m, c in p.items()) % _PRIME
+    point, value = _POINT[:p.ring.ngens], 0
+    for m, c in p.items():
+        for v, e in zip(point, m, strict=True):
+            c = c * pow(v, e, _PRIME) % _PRIME
+        value += c
+    return value % _PRIME
 
 
 def point_rank(M: DomainMatrix) -> int:
@@ -705,13 +709,15 @@ def point_rank(M: DomainMatrix) -> int:
     field of fractions of Z[v, ...] (K, Q(t)) or over Z[v, ...] itself;
     0 when a denominator vanishes there.  It is at most rank M: each
     minor of the value is the value of the same minor of M."""
-    frac = M.domain.is_FractionField
-    try:
-        vals = [_point_value(e.numer) * pow(_point_value(e.denom), -1,
-                                            _PRIME) if frac
-                else _point_value(e) for e in M.to_list_flat()]
-    except ValueError:      # a pole at the point
-        return 0
+    entries = M.to_list_flat()
+    if M.domain.is_FractionField:
+        dens = [_point_value(e.denom) for e in entries]
+        if not all(dens):
+            return 0
+        vals = [_point_value(e.numer) * pow(d, -1, _PRIME)
+                for e, d in zip(entries, dens)]
+    else:
+        vals = list(map(_point_value, entries))
     return DomainMatrix.from_list_flat(list(map(_GF, vals)), M.shape,
                                        _GF).rank()
 

@@ -477,9 +477,8 @@ def _independent_candidates(cands, n):
     """n hyperexponential candidates with vectors independent over their
     tower, or None: a greedy scan over the ranks (``has_rank``) of the
     hstacked K-forms, trivial-tower vectors embedded into the tower of the
-    others.  A
-    candidate over a second nontrivial tower shares no tower with the
-    chosen ones and is skipped."""
+    others.  A candidate over a second nontrivial tower shares no tower
+    with the chosen ones and is skipped."""
     chosen, tower = [], TRIVIAL_TOWER
     for c in cands:
         tw = c.tower if tower.trivial else tower
