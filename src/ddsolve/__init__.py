@@ -11,8 +11,7 @@ from .ratsol import (gauge_from_ratios, polynomial_solutions,
                      rational_solutions, universal_denominator)
 from .closedform import (UnsupportedCase, hyperexp_solutions, petkovsek,
                          system_hypergeometric)
-from .sequences import (HypCert, LiouvilleSolution, interlace,
-                        lift_sigma_d_to_sigma, section, seq_from_recurrence,
+from .sequences import (HypCert, LiouvilleSolution, lift_sigma_d_to_sigma,
                         verify_certificates, verify_numeric_window)
 from .procedures import (DDSystem, Outcome, check_integrability,
                          decision_procedure_1, decision_procedure_2,

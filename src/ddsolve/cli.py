@@ -31,7 +31,8 @@ from .moser import ReductionStalled, moser_reduce
 from .parsing import ParseError, parse_element, parse_ratfunc, print_ratfunc
 from .procedures import solve_liouvillian, verification_point_fault
 from .ratsol import rational_solutions
-from .sequences import verify_certificates, verify_numeric_window
+from .sequences import (WINDOW_TERMS, verify_certificates,
+                        verify_numeric_window)
 
 __all__ = ["main"]
 
@@ -111,14 +112,12 @@ def _human_report(outcome):
         if "Bbar" in rep:
             _print_matrix("Bbar", rep["Bbar"], tw)
     for k, sol in enumerate(outcome.solutions or []):
-        for i, _, cert in (sol.components if sol.kind == "Interlaced"
-                           else [(None, sol.W, sol.cert)]):
-            what = ("hypergeometric" if i is None else
-                    f"interlaced, class {i} mod {cert.sigma_step}")
-            print(f"solution {k} ({what}): sigma-ratio "
-                  f"{print_ratfunc(cert.sigma_ratio, sol.tower)}, "
-                  f"delta-ratio "
-                  f"{print_ratfunc(cert.delta_ratio, sol.tower)}")
+        cert, i = sol.cert, sol.part.shift
+        what = ("hypergeometric" if i is None else
+                f"interlaced, class {i} mod {cert.sigma_step}")
+        print(f"solution {k} ({what}): sigma-ratio "
+              f"{print_ratfunc(cert.sigma_ratio, sol.tower)}, "
+              f"delta-ratio {print_ratfunc(cert.delta_ratio, sol.tower)}")
     if "verification" in rep:
         print(f"verified: {rep['verification']}")
 
@@ -155,8 +154,7 @@ def _cmd_verify(args) -> int:
         print("no solutions in file")
         return EXIT_NO_SOLUTION
     for k, sol in enumerate(sols):
-        if any(part.W.shape[0] != system.n * sol.tower.degree
-               for part in sol.parts):
+        if sol.part.W.shape[0] != system.n * sol.tower.degree:
             print(f"input error: /solutions/{k}/W: expected {system.n} "
                   "entries, the order of the system", file=_sys.stderr)
             return EXIT_INPUT_ERROR
@@ -348,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-verify a solution file")
     p.add_argument("file")
     p.add_argument("solfile")
-    p.add_argument("--terms", type=int, default=30)
+    p.add_argument("--terms", type=int, default=WINDOW_TERMS)
     p.add_argument("--t0", default=None)
     p.set_defaults(func=_cmd_verify)
 

@@ -20,7 +20,7 @@ Solution files::
 (:func:`~ddsolve.parsing.parse_ratfunc`).  :func:`read_solution` parses
 every entry straight into its K-form
 (:func:`~ddsolve.parsing.parse_element`): it gives a tower built from its
-modulus and solutions that hold the K-forms of their parts, whose sympy
+modulus and solutions that hold the K-forms of their part, whose sympy
 expressions are formed only when something reads them.
 
 Schema violations are reported with the JSON pointer of the offending
@@ -180,16 +180,15 @@ def outcome_to_dict(outcome: Outcome) -> dict:
     sols = []
     for sol in outcome.solutions or []:
         tower = sol.tower if not sol.tower.trivial else tower
-        for shift_idx, col, cert in (sol.components if sol.kind == "Interlaced"
-                                     else [(0, sol.W, sol.cert)]):
-            sols.append({
-                "kind": sol.kind,
-                "W": [print_ratfunc(e, sol.tower) for e in col],
-                "sigma_ratio": print_ratfunc(cert.sigma_ratio, sol.tower),
-                "sigma_step": cert.sigma_step,
-                "delta_ratio": print_ratfunc(cert.delta_ratio, sol.tower),
-                "shift": shift_idx,
-            })
+        cert = sol.cert
+        sols.append({
+            "kind": sol.kind,
+            "W": [print_ratfunc(e, sol.tower) for e in sol.W],
+            "sigma_ratio": print_ratfunc(cert.sigma_ratio, sol.tower),
+            "sigma_step": cert.sigma_step,
+            "delta_ratio": print_ratfunc(cert.delta_ratio, sol.tower),
+            "shift": sol.part.shift or 0,
+        })
     tower_str = ("trivial" if tower.trivial
                  else print_ratfunc(tower.minpoly, TRIVIAL_TOWER))
     return {
@@ -212,7 +211,8 @@ def write_solution(path: str, outcome: Outcome):
 def read_solution(path: str):
     """Solution file -> (tower, [LiouvilleSolution], raw dict).  Each
     solution holds the K-forms of its part (see
-    :class:`~ddsolve.sequences.LiouvilleSolution`)."""
+    :class:`~ddsolve.sequences.LiouvilleSolution`); a kind other than
+    Hypergeometric and Interlaced is a SchemaError."""
     data = _read_object(path)
     tower_str = _require(data, "tower", str, "")
     if tower_str == "trivial":
@@ -229,6 +229,9 @@ def read_solution(path: str):
         if not isinstance(entry, dict):
             raise SchemaError(ptr, "expected an object")
         kind = _require(entry, "kind", str, ptr)
+        if kind not in ("Hypergeometric", "Interlaced"):
+            raise SchemaError(f"{ptr}/kind",
+                              f"unknown solution kind {kind!r}")
         W = [_parse_entry(s, f"{ptr}/W/{i}", tower)
              for i, s in enumerate(_require(entry, "W", list, ptr))]
         r, c = (_parse_entry(_require(entry, key, str, ptr), f"{ptr}/{key}",
@@ -239,12 +242,8 @@ def read_solution(path: str):
         if m < 1:
             raise SchemaError(f"{ptr}/sigma_step", "expected an integer >= 1")
         shift_idx = _require(entry, "shift", int, ptr)
-        part = Part(regular_matrix(W, (len(W), 1), tower),
-                    *(regular_matrix([a], (1, 1), tower)
-                      for a in (r, c)), m,
-                    shift_idx if kind == "Interlaced" else None)
-        # a solution of unknown kind has no parts to check
-        sols.append(LiouvilleSolution(
-            kind, [part] if kind in ("Hypergeometric", "Interlaced") else [],
-            tower))
+        sols.append(LiouvilleSolution(kind, Part(
+            regular_matrix(W, (len(W), 1), tower),
+            *(regular_matrix([a], (1, 1), tower) for a in (r, c)), m,
+            shift_idx if kind == "Interlaced" else None), tower))
     return tower, sols, data

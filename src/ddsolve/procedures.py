@@ -68,8 +68,8 @@ from .fields import (QQ_T, QQ_XT, Conjugate, FieldError, MixedSplit, Split,
 from .moser import (MoserReport, ReductionStalled, leading_eigendata,
                     moser_reduce)
 from .ratsol import assemble_gauge, gauge_from_ratios, rational_solutions
-from .sequences import (CompiledMatrix, LiouvilleSolution, Part,
-                        PointEvaluator, SeqVec, VerificationError,
+from .sequences import (WINDOW_TERMS, CompiledMatrix, LiouvilleSolution,
+                        Part, PointEvaluator, SeqVec, VerificationError,
                         first_regular_index, first_safe_index, tower_fault,
                         verify_certificates, verify_numeric_window)
 
@@ -413,14 +413,14 @@ def _dp1_stage_d1(sys: DDSystem, alpha_K, eig, report: dict) -> Outcome:
     G, Bbar = _normalize_gauge_certificates(G, Bbar, tower)
     report["G"] = dm_to_matrix(G, tower)
     report["Bbar"] = dm_to_matrix(Bbar, tower)
-    sols = [LiouvilleSolution("Hypergeometric", [_column_part(
-        G, ratios[i], Bbar, i, tower)], tower) for i in range(n)]
+    sols = [LiouvilleSolution("Hypergeometric", _column_part(
+        G, ratios[i], Bbar, i, tower), tower) for i in range(n)]
     # c_i = Bbar_ii - delta(beta_i)/beta_i * x, on 1 x 1 K-forms
     cs = []
     for b, sol in zip(betas, sols):
         D = dm_diag([b], tower)
-        cs.append(dm_to_matrix(sol.parts[0].c - (dm_delta(D, tower)
-                                                 * dm_inv(D)).mul(_XK),
+        cs.append(dm_to_matrix(sol.part.c - (dm_delta(D, tower)
+                                             * dm_inv(D)).mul(_XK),
                                tower)[0])
     nf = NormalForm(alpha=report["alpha"],
                     betas=[element_expr(b) for b in betas], cs=cs, ell=1,
@@ -463,9 +463,9 @@ def _dp1_stage_d2(sys: DDSystem, alpha_K, beta1, report: dict) -> Outcome:
     sols = []
     for c in indep:
         dr = dup_add(c.certificate, dup_strip([dlog]), QQ_XT)
-        sols.append(LiouvilleSolution("Hypergeometric", [Part(
+        sols.append(LiouvilleSolution("Hypergeometric", Part(
             dm_embed(G, c.tower) * c.V, dm_diag([[ratio_K]], c.tower),
-            dm_diag([dr], c.tower), 1)], c.tower))
+            dm_diag([dr], c.tower), 1), c.tower))
     nf = NormalForm(alpha=report["alpha"], betas=[QQ_XT.to_sympy(beta1)] * n,
                     cs=[element_expr(c.certificate) for c in indep], ell=1,
                     tower=sol_tower)
@@ -577,8 +577,8 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
                      for i in range(n)]
             nf = NormalForm(alpha=report["lambda"], betas=[beta] * n,
                             bhats=bhats, j0=j0, ell=n)
-            sols = [LiouvilleSolution("Interlaced", [_column_part(
-                G, [shifted[j0 + i]], Bbar, i, TRIVIAL_TOWER, n, i)])
+            sols = [LiouvilleSolution("Interlaced", _column_part(
+                G, [shifted[j0 + i]], Bbar, i, TRIVIAL_TOWER, n, i))
                 for i in range(n)]
             return Outcome("Solved", "DP2", solutions=sols, normal_form=nf,
                            report=report)
@@ -686,8 +686,8 @@ def _lifts(sys: DDSystem, out: Outcome) -> list:
     # the lifts
     steps = CompiledMatrix(sys.A_K)
     start = first_regular_index(sys.A_K, sys.B_K, sys.det_K)
-    return [SeqVec(steps, first_safe_index(start, sol.parts[0].W),
-                   sol.parts[0].W) for sol in out.solutions]
+    return [SeqVec(steps, first_safe_index(start, sol.part.W), sol.part.W)
+            for sol in out.solutions]
 
 
 def _verify_solved(sys: DDSystem, out: Outcome):
@@ -698,11 +698,12 @@ def _verify_solved(sys: DDSystem, out: Outcome):
                 f"certificate verification failed: {res.failures}")
     t0 = _first_verification_point(sys, out.solutions)
     for sol in out.solutions:
-        res = verify_numeric_window(sys, sol, t0, terms=30)
+        res = verify_numeric_window(sys, sol, t0)
         if not res.ok:
             raise VerificationError(
                 f"numeric verification failed: {res.failures}")
-    out.report["verification"] = f"30-term numeric window at t = {t0}"
+    out.report["verification"] = \
+        f"{WINDOW_TERMS}-term numeric window at t = {t0}"
 
 
 def verification_point_fault(sys, solutions, p) -> Optional[str]:
@@ -716,8 +717,8 @@ def verification_point_fault(sys, solutions, p) -> Optional[str]:
         fault = tower_fault(tower, p)
         if fault is not None:
             return fault
-    forms = [sys.A_K, sys.B_K] + [D for sol in solutions for part in sol.parts
-                                  for D in (part.W, part.r)]
+    forms = [sys.A_K, sys.B_K] + [D for sol in solutions
+                                  for D in (sol.part.W, sol.part.r)]
     dens = {e.denom for D in forms for e in D.to_flat_nz()[0]}
     if not all(PointEvaluator(p).dense_in_x(list(dens))):
         return f"a denominator of A, B or a solution vanishes at t = {p}"

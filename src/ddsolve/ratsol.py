@@ -49,7 +49,7 @@ from sympy.polys.densetools import dmp_shift
 from sympy.polys.matrices import DomainMatrix
 
 from .difftools import shift_classes
-from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower,
+from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower, _lcm,
                      dm_clear, dm_same, dm_shift, has_rank, k_shift,
                      kernel, point_rank, regular_matrix, x_integer_roots)
 from .sequences import VerificationError
@@ -138,8 +138,7 @@ def scalar_operators(M: DomainMatrix, m: int):
                          .to_list() if v[-1]), None)
             if cand is not None:
                 # times the lcm over Z[x, t] of the denominators
-                den = functools.reduce(lambda d, c: d.lcm(c.denom), cand,
-                                       _XT_RING.one)
+                den = _lcm(c.denom for c in cand)
                 ops.append(DomainMatrix([[QQ_XT.new(c.numer * den.exquo(
                     c.denom)) for c in cand]], (1, len(cand)), QQ_XT))
                 break

@@ -1,10 +1,10 @@
-"""Sequence semantics: interlacing, sections, recurrence-generated
-sequences, lifting sigma^d-solutions to sigma-solutions, and exact
-verification of solution certificates.  The lift and the certificate
-check decide one sigma-identity, sigma^m(W) r = A_m W, through one
-routine, and a solve decides it once, in the certificate check, before
-it lifts the parts it verified; the lift is then the recurrence itself,
-computed only as its values are read.
+"""Sequence semantics: recurrence-generated sequences, lifting
+sigma^d-solutions to sigma-solutions, and exact verification of solution
+certificates.  The lift and the certificate check decide one
+sigma-identity, sigma^m(W) r = A_m W, through one routine, and a solve
+decides it once, in the certificate check, before it lifts the solutions
+it verified; the lift is then the recurrence itself, computed only as its
+values are read.
 
 Transcendental prefactors (Gamma-products, t^x, exp-integrals) are never
 evaluated: a solution is carried as a rational vector part plus a
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import sympy as sp
 from sympy import QQ, ZZ
@@ -33,10 +33,9 @@ from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower,
                      dm_same, dm_shift, dm_sigma_power, dm_to_matrix,
                      from_theta_coords, t, theta, x_integer_roots)
 
-__all__ = ["Seq", "FuncSeq", "SeqVec", "interlace", "section",
-           "seq_from_recurrence", "lift_sigma_d_to_sigma",
-           "HypCert", "Part", "LiouvilleSolution", "VerifyResult",
-           "verify_certificates", "verify_numeric_window",
+__all__ = ["SeqVec", "lift_sigma_d_to_sigma", "HypCert", "Part",
+           "LiouvilleSolution", "VerifyResult", "verify_certificates",
+           "verify_numeric_window", "WINDOW_TERMS",
            "first_regular_index", "first_safe_index", "PoleError",
            "PointEvaluator", "CompiledMatrix", "VerificationError",
            "tower_fault"]
@@ -196,22 +195,7 @@ class CompiledMatrix:
 # ---------------------------------------------------------------------------
 # sequences
 
-class Seq:
-    """A sequence j -> value; subclasses implement value(j)."""
-
-    def value(self, j: int):
-        raise NotImplementedError
-
-
-class FuncSeq(Seq):
-    def __init__(self, fn: Callable[[int], object]):
-        self.fn = fn
-
-    def value(self, j: int):
-        return self.fn(j)
-
-
-class SeqVec(Seq):
+class SeqVec:
     """Vector sequence generated by W(j+1) = A(j) W(j) from W(N) = V(N),
     for A and V given by their K-forms over a tower, whose degree is the
     number of columns of V's.
@@ -252,31 +236,6 @@ class SeqVec(Seq):
                           for a in from_theta_coords(w, self.deg)])
 
 
-def interlace(seqs: list) -> Seq:
-    """b with b(d*n + i) = seqs[i](n)."""
-    d = len(seqs)
-    if d < 1:
-        raise ValueError("need at least one sequence")
-
-    def fn(j):
-        n, i = divmod(j, d)
-        return seqs[i].value(n)
-
-    return FuncSeq(fn)
-
-
-def section(seq: Seq, d: int, i: int) -> Seq:
-    """Keep the residue class j = i mod d, zero elsewhere."""
-    if not 0 <= i < d:
-        raise ValueError("0 <= i < d required")
-
-    def fn(j):
-        v = seq.value(j)
-        return v if j % d == i else v * 0
-
-    return FuncSeq(fn)
-
-
 def first_regular_index(A: DomainMatrix, B: DomainMatrix, det) -> int:
     """Least N >= 1 with A(j), B(j) defined and det A(j) != 0 for all
     j >= N, for A and B given by their K-forms over a tower and det the
@@ -308,13 +267,6 @@ def first_safe_index(start: int, V: DomainMatrix) -> int:
     while not any(e.numer.evaluate(_X, N) for e in V.to_list_flat()):
         N += 1
     return N
-
-
-def seq_from_recurrence(A: DomainMatrix, N: int, V_N: DomainMatrix,
-                        t0=None) -> SeqVec:
-    """SeqVec with W(N) = V_N and W(j+1) = A(j) W(j), for A and V_N given
-    by their K-forms over a tower."""
-    return SeqVec(CompiledMatrix(A, t0), N, V_N)
 
 
 def lift_sigma_d_to_sigma(V: DomainMatrix, ratio: DomainMatrix, d: int,
@@ -380,48 +332,30 @@ class Part(NamedTuple):
 
 @dataclass
 class LiouvilleSolution:
-    """A solution by the K-forms of its hypergeometric parts over its
-    tower, what the certificate check, the numeric window and the lift
-    read.  kind 'Hypergeometric': one part W*h.  kind 'Interlaced':
-    sigma^m-solutions on the classes j = shift mod m, whose lifts
-    interlace to solutions of the sigma-system.
+    """A solution by the K-forms of its one hypergeometric part W*h over
+    its tower, what the certificate check, the numeric window and the lift
+    read.  kind 'Hypergeometric': a solution of the sigma-system.  kind
+    'Interlaced': a sigma^m-solution on the class j = part.shift mod m,
+    whose lift interlaces to a solution of the sigma-system.
 
-    :attr:`W`, :attr:`cert` and :attr:`components` are the same data as
-    sympy expressions, formed on first read for the report, the solution
-    file and the expression API; the parts are not modified after
-    construction."""
+    :attr:`W` and :attr:`cert` are the same data as sympy expressions,
+    formed on first read for the report, the solution file and the
+    expression API; the part is not modified after construction."""
     kind: str
-    parts: list
+    part: Part
     tower: Tower = TRIVIAL_TOWER
 
-    @property
-    def period(self) -> int:
-        return self.parts[0].m if self.kind == "Interlaced" else 1
+    @functools.cached_property
+    def W(self) -> sp.Matrix:
+        """The vector part."""
+        return dm_to_matrix(self.part.W, self.tower)
 
     @functools.cached_property
-    def _exprs(self) -> list:
-        """(W, cert) of each part, by dm_to_matrix."""
-        return [(dm_to_matrix(p.W, self.tower),
-                 HypCert(dm_to_matrix(p.r, self.tower)[0], p.m,
-                         dm_to_matrix(p.c, self.tower)[0]))
-                for p in self.parts]
-
-    @property
-    def W(self) -> Optional[sp.Matrix]:
-        """The vector part of a Hypergeometric solution."""
-        return self._exprs[0][0] if self.kind == "Hypergeometric" else None
-
-    @property
-    def cert(self) -> Optional[HypCert]:
-        """The certificates of a Hypergeometric solution."""
-        return self._exprs[0][1] if self.kind == "Hypergeometric" else None
-
-    @property
-    def components(self) -> list:
-        """[(shift class, W, cert)] of an Interlaced solution."""
-        if self.kind != "Interlaced":
-            return []
-        return [(p.shift, *e) for p, e in zip(self.parts, self._exprs)]
+    def cert(self) -> HypCert:
+        """The certificates."""
+        p = self.part
+        return HypCert(dm_to_matrix(p.r, self.tower)[0], p.m,
+                       dm_to_matrix(p.c, self.tower)[0])
 
 
 @dataclass
@@ -460,17 +394,18 @@ def verify_certificates(system, sol: LiouvilleSolution) -> VerifyResult:
     over K = Q(x, t) with t symbolic.
 
     `system` is a :class:`~ddsolve.procedures.DDSystem`, whose K-forms of
-    B and of the cocycles A_m are read.  Hypergeometric solutions check the
-    two identities directly; Interlaced ones check every component against
-    the sigma^period-system."""
-    if sol.kind not in ("Hypergeometric", "Interlaced"):
-        return VerifyResult(False, [f"unknown solution kind {sol.kind!r}"])
-    failures = [f for part in sol.parts
-                for f in _check_pair(system, part, sol.tower)]
+    B and of the cocycle A_m are read: the part is checked against the
+    sigma^m-system, m = 1 for a Hypergeometric solution."""
+    failures = _check_pair(system, sol.part, sol.tower)
     return VerifyResult(not failures, failures)
 
 
-def verify_numeric_window(system, sol: LiouvilleSolution, t0, terms: int = 30) -> VerifyResult:
+# the length of every numeric window, the solve's and verify's default
+WINDOW_TERMS = 30
+
+
+def verify_numeric_window(system, sol: LiouvilleSolution, t0,
+                          terms: int = WINDOW_TERMS) -> VerifyResult:
     """Evaluate the sigma-relation at t = t0 for `terms` integer points.
 
     All arithmetic is exact over Z, on the values of the K-forms at the
@@ -484,27 +419,23 @@ def verify_numeric_window(system, sol: LiouvilleSolution, t0, terms: int = 30) -
     fault = tower_fault(sol.tower, t0)
     if fault is not None:
         raise FieldError(fault)
-    failures = []
-    deg = sol.tower.degree
+    part, deg = sol.part, sol.tower.degree
+    label, m = part.label, part.m
     pts = PointEvaluator(t0)
-    for part in sol.parts:
-        label, m = part.label, part.m
-        Am, Wc, rc = (pts.compile(dm_embed(system.cocycle(m), sol.tower)),
-                      pts.compile(part.W), pts.compile(part.r))
-        # start past every pole visible after the specialization t = t0
-        N = max([1] + [r + m + 1 for _, den in (Am, Wc, rc) if len(den) > 1
-                       for r in common_integer_roots([den])])
-        for j in range(N, N + terms):
-            try:
-                (Wjm, dWjm), (rj, dr) = pts.at(Wc, j + m), pts.at(rc, j)
-                (Aj, dA), (Wj, dW) = pts.at(Am, j), pts.at(Wc, j)
-            except PoleError:
-                failures.append(f"{label}: pole during numeric verification "
-                                f"at index {j}")
-                break
-            if not pts.same(pts.matvec(Wjm, rj[::deg]), dWjm * dr,
-                            pts.matvec(Aj, Wj[::deg]), dA * dW):
-                failures.append(
-                    f"{label}: sigma relation fails at x={j}, t={t0}")
-                break
-    return VerifyResult(not failures, failures)
+    Am, Wc, rc = (pts.compile(dm_embed(system.cocycle(m), sol.tower)),
+                  pts.compile(part.W), pts.compile(part.r))
+    # start past every pole visible after the specialization t = t0
+    N = max([1] + [r + m + 1 for _, den in (Am, Wc, rc) if len(den) > 1
+                   for r in common_integer_roots([den])])
+    for j in range(N, N + terms):
+        try:
+            (Wjm, dWjm), (rj, dr) = pts.at(Wc, j + m), pts.at(rc, j)
+            (Aj, dA), (Wj, dW) = pts.at(Am, j), pts.at(Wc, j)
+        except PoleError:
+            return VerifyResult(False, [f"{label}: pole during numeric "
+                                        f"verification at index {j}"])
+        if not pts.same(pts.matvec(Wjm, rj[::deg]), dWjm * dr,
+                        pts.matvec(Aj, Wj[::deg]), dA * dW):
+            return VerifyResult(False, [
+                f"{label}: sigma relation fails at x={j}, t={t0}"])
+    return VerifyResult(True, [])

@@ -60,8 +60,8 @@ def solution(W: sp.Matrix, cert, tower: Tower = TRIVIAL_TOWER):
     cert (a HypCert), given as sympy expressions over the tower."""
     r, c = (dm_from_matrix(sp.Matrix([e]), tower)
             for e in (cert.sigma_ratio, cert.delta_ratio))
-    return LiouvilleSolution("Hypergeometric", [Part(
-        dm_from_matrix(W, tower), r, c, cert.sigma_step)], tower)
+    return LiouvilleSolution("Hypergeometric", Part(
+        dm_from_matrix(W, tower), r, c, cert.sigma_step), tower)
 
 
 def eigendata_expr(eig):

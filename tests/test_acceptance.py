@@ -200,7 +200,7 @@ def test_criterion_4_subroutine_property_suites():
     tm.test_moser_reduction_50_random_gauged_systems()
     tr.test_rational_solutions_planted_diagonalizable()
     tc.test_petkovsek_30_constructed_recurrences()
-    ts.test_interlace_section_roundtrip()
+    ts.test_seq_from_recurrence_window()
     ts.test_lift_step_two_cross_check_30_terms()
 
 

@@ -136,12 +136,10 @@ def test_read_solution_matches_reference_parse(name):
             [sp.srepr(e) for e in reference_tower_exprs(minpoly)]
     assert len(sols) == len(data["solutions"])
     for sol, entry in zip(sols, data["solutions"]):
+        W, cert = sol.W, sol.cert
         if sol.kind == "Interlaced":
-            ((shift_idx, W, cert),) = sol.components
-            assert shift_idx == entry["shift"]
-            assert sol.period == entry["sigma_step"]
-        else:
-            W, cert = sol.W, sol.cert
+            assert sol.part.shift == entry["shift"]
+            assert sol.part.m == entry["sigma_step"]
         assert sol.kind == entry["kind"]
         assert sp.srepr(W) == sp.srepr(sp.Matrix(
             [parse_ratfunc(e, tower) for e in entry["W"]]))
@@ -169,7 +167,7 @@ def test_read_solution_builds_no_sympy_expression():
         "import sys\n"
         "from ddsolve.files import read_solution\n"
         f"tower, sols, _ = read_solution({str(golden)!r})\n"
-        "parts = [part for sol in sols for part in sol.parts]\n"
+        "parts = [sol.part for sol in sols]\n"
         "before = 'sympy.tensor.tensor' in sys.modules\n"
         "sols[0].W\n"
         "print(len(parts), before, 'sympy.tensor.tensor' in sys.modules)\n")
@@ -736,6 +734,22 @@ def test_cli_verify_mismatch_stays_failed(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "solution 0: FAILED" in out and "solution 1: ok" in out
+
+
+def test_cli_verify_unknown_kind_is_an_input_error(tmp_path, capsys):
+    """A solution of unknown kind is a malformed file, exit 3 with its
+    JSON pointer, not a failed verification."""
+    data = json.loads((GOLDEN / "example1.json").read_text())
+    data["solutions"][1]["kind"] = "Mystery"
+    path = tmp_path / "mystery.json"
+    path.write_text(json.dumps(data))
+    code = cli_main(["verify", str(SYSTEMS / "example1.json"), str(path),
+                     "--t0", "2", "--terms", "5"])
+    out, err = capsys.readouterr()
+    assert code == 3, out + err
+    assert err == ("input error: /solutions/1/kind: unknown solution kind "
+                   "'Mystery'\n")
+    assert not out
 
 
 def test_cli_verify_internal_tower_error_exits_4(monkeypatch, capsys):

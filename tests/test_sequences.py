@@ -1,4 +1,3 @@
-import random
 from collections import Counter
 
 import pytest
@@ -17,13 +16,11 @@ from helpers import (ReferenceQQPointEvaluator, mat_reduce, mat_shift,
 from ddsolve.parsing import parse_ratfunc
 from ddsolve.procedures import (DDSystem, solve_liouvillian,
                                 verification_point_fault)
-from ddsolve.sequences import (FuncSeq, HypCert, LiouvilleSolution,
+from ddsolve.sequences import (CompiledMatrix, HypCert, LiouvilleSolution,
                                PoleError, PointEvaluator, SeqVec,
                                VerificationError,
                                first_regular_index, first_safe_index,
-                               interlace,
-                               lift_sigma_d_to_sigma, section,
-                               seq_from_recurrence, tower_fault,
+                               lift_sigma_d_to_sigma, tower_fault,
                                verify_certificates, verify_numeric_window)
 
 
@@ -42,8 +39,9 @@ def lift(V, ratio, d, A, B, tower=TRIVIAL_TOWER, **kwargs):
 
 
 def seq(A, N, V_N, t0=None):
-    """seq_from_recurrence on the K-forms of Expr arguments."""
-    return seq_from_recurrence(kform(A), N, kform(V_N), t0)
+    """The SeqVec W(N) = V_N, W(j+1) = A(j) W(j) on the K-forms of Expr
+    arguments."""
+    return SeqVec(CompiledMatrix(kform(A), t0), N, kform(V_N))
 
 
 # ---------------------------------------------------------------------------
@@ -80,35 +78,6 @@ def test_seq_specialized_tower_evaluation():
     A = sp.Matrix([[t]])
     W = seq(A, 0, sp.Matrix([1]), t0=sp.Rational(3))
     assert W.value(2) == sp.Matrix([9])
-
-
-# ---------------------------------------------------------------------------
-# interlace / section round trips for d <= 4
-
-def test_interlace_section_roundtrip():
-    rng = random.Random(41)
-    for d in (1, 2, 3, 4):
-        seqs = []
-        for i in range(d):
-            vals = [sp.Integer(rng.randint(-9, 9)) for _ in range(12)]
-            seqs.append(FuncSeq(lambda j, vals=vals: vals[j]
-                                if 0 <= j < len(vals) else 0))
-        b = interlace(seqs)
-        # b(d n + i) = seqs[i](n)
-        for i in range(d):
-            for n in range(10):
-                assert b.value(d * n + i) == seqs[i].value(n)
-        # sections of b pick out residue classes and sum back to b
-        secs = [section(b, d, i) for i in range(d)]
-        for j in range(4 * d):
-            total = sum(s.value(j) for s in secs)
-            assert total == b.value(j)
-            assert secs[j % d].value(j) == b.value(j)
-
-
-def test_section_bounds():
-    with pytest.raises(ValueError):
-        section(FuncSeq(lambda j: j), 3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +160,7 @@ def test_lifts_of_example2_evaluate_A_once_per_index(example2_path,
     assert set(per_index.values()) == {1}
     assert all(j in per_index for W in lifts for j in range(W.N, W.N + 29))
     # the exact check keeps its strength: a doubled ratio is caught
-    _, W, cert = out.solutions[0].components[0]
+    W, cert = out.solutions[0].W, out.solutions[0].cert
     with pytest.raises(VerificationError):
         lift(W, 2 * cert.sigma_ratio, system.n, system.A, system.B)
 
@@ -208,7 +177,7 @@ def test_lift_and_window_run_without_cancel_or_together(solved_example2,
     monkeypatch.setattr(sp, "cancel", boom)
     monkeypatch.setattr(sp, "together", boom)
     for sol in out.solutions:
-        part = sol.parts[0]
+        part = sol.part
         lift_sigma_d_to_sigma(part.W, part.r, system.n, system.A_K,
                               system.B_K)
         assert verify_numeric_window(system, sol, sp.Integer(1)).ok
@@ -253,7 +222,7 @@ def test_verification_and_lift_share_one_k_form_per_part(solved_example2,
     monkeypatch.setattr(procedures, "SeqVec", spy("lift", procedures.SeqVec))
     procedures._lifts(system, out)
 
-    parts = [part for sol in out.solutions for part in sol.parts]
+    parts = [sol.part for sol in out.solutions]
     assert len(parts) == 3
     assert log["convert"] == []
     assert all(args[1] is part for args, part in zip(log["check"], parts))
@@ -279,7 +248,7 @@ def test_lifts_reuse_the_verified_identity(solved_example2, monkeypatch):
     def refuse(*args):
         raise AssertionError("dm_sigma_power called")
 
-    direct = [lift_sigma_d_to_sigma(sol.parts[0].W, sol.parts[0].r,
+    direct = [lift_sigma_d_to_sigma(sol.part.W, sol.part.r,
                                     system.n, system.A_K, system.B_K)
               for sol in out.solutions]
     for name, mod in list(sys.modules.items()):
@@ -566,9 +535,9 @@ def test_recurrence_at_a_rational_t0_over_a_tower_is_the_symbolic_one():
     A = kform(sp.Matrix([[0, theta / (t + 1)], [x + 1, t * theta]]),
               EX1_TOWER)
     V = kform(sp.Matrix([1, theta + x]), EX1_TOWER)
-    symbolic = seq_from_recurrence(A, 1, V)
+    symbolic = SeqVec(CompiledMatrix(A), 1, V)
     for t0 in WINDOW_T0S:
-        at_t0 = seq_from_recurrence(A, 1, V, t0)
+        at_t0 = SeqVec(CompiledMatrix(A, t0), 1, V)
         etower = make_tower(sp.expand(EX1_TOWER.minpoly.subs(t, t0)))
         for j in range(1, 7):
             want = symbolic.value(j).subs(t, t0)
@@ -600,9 +569,9 @@ def test_numeric_window_over_Z_matches_the_QQ_reference(name, monkeypatch):
     out = solve_liouvillian(system)
     assert out.kind == "Solved"
     for sol in out.solutions:
-        part = sol.parts[0]
-        bad = LiouvilleSolution(sol.kind, [part._replace(r=part.r + part.r)]
-                                + sol.parts[1:], sol.tower)
+        part = sol.part
+        bad = LiouvilleSolution(sol.kind, part._replace(r=part.r + part.r),
+                                sol.tower)
         for t0 in WINDOW_T0S:
             got, want = (_window_result(system, sol, t0, *ev, monkeypatch)
                          for ev in evaluators)
