@@ -24,8 +24,8 @@ import sympy as sp
 from .closedform import (UnsupportedCase, hyper_ratios, hyperexp_solutions,
                          ratio_expr, recurrence_polys)
 from .difftools import dispersion, split_alpha_beta_power, standard_decompose
-from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, dm_inv, dm_to_matrix,
-                     element_expr, regular_matrix)
+from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, dm_cleared, dm_inv,
+                     dm_to_matrix, element_expr, regular_matrix)
 from .files import SchemaError, read_solution, read_system, write_solution
 from .moser import ReductionStalled, moser_reduce
 from .parsing import ParseError, parse_element, parse_ratfunc, print_ratfunc
@@ -288,7 +288,8 @@ def _dispatch_tool(args) -> int:
             M_inv = dm_inv(M)
         except FieldError:
             raise SchemaError("/M", "matrix must be invertible")
-        basis = rational_solutions(M, M_inv, args.step, TRIVIAL_TOWER)
+        basis = rational_solutions(dm_cleared(M), dm_cleared(M_inv),
+                                   args.step, TRIVIAL_TOWER)
         if not basis:
             print("no nonzero rational solutions")
             return EXIT_NO_SOLUTION

@@ -59,8 +59,8 @@ from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower,
-                     _field_element, charpoly_factors,
-                     dm_delta, dm_diag, dm_embed, dm_inv, dm_over_qt,
+                     _field_element, charpoly_factors, dm_cleared,
+                     dm_delta_clear, dm_diag, dm_embed, dm_inv, dm_over_qt,
                      dense_fraction, dm_same, regular_rows,
                      kernel, t_value, tower_from_modulus, x)
 from .difftools import standard_decompose
@@ -306,8 +306,9 @@ def system_hypergeometric(M: DomainMatrix, m: int = 1):
             ratios.setdefault(dense_fraction(QQ_XT, num, den))
     if not ratios:
         return []
-    # (M/r)^-1 = r M^-1: one inverse for the rational solves of all ratios
-    M_inv = dm_inv(M)
+    # (M/r)^-1 = r M^-1: one inverse for the rational solves of all
+    # ratios, and M and M^-1 cleared once, each scaled per ratio
+    Mc, Mc_inv = dm_cleared(M), dm_cleared(dm_inv(M))
     groups = []                 # (lambda_1, the kept g W of its class)
     out = []
     for r in ratios:
@@ -323,7 +324,8 @@ def system_hypergeometric(M: DomainMatrix, m: int = 1):
             groups.append((lam, span))
         # sigma^m(W) r = M W is the substitution check rational_solutions
         # made on P and u, W = P/u
-        for W in rational_solutions(M.mul(QQ_XT.one / r), M_inv.mul(r), m,
+        for W in rational_solutions(Mc.scale(r.denom, r.numer),
+                                    Mc_inv.scale(r.numer, r.denom), m,
                                     TRIVIAL_TOWER):
             gW = W.mul(g)
             kept = _constant_span_reduce(span + [gW], TRIVIAL_TOWER)
@@ -483,7 +485,8 @@ def hyperexp_solutions(Bhat: DomainMatrix):
             cK = QQ_XT.convert_from(c, QQ_T)
             for V in _diff_rational_solutions(
                     B - DomainMatrix.eye(n, QQ_T).mul(c)):
-                if not dm_same([(dm_delta(V),), (V, cK)], [(Bhat, V)]):
+                if not dm_same([(dm_delta_clear(V),), (V, cK)],
+                               [(Bhat, V)]):
                     raise VerificationError(
                         "hyperexponential candidate failed substitution "
                         "check")

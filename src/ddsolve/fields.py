@@ -60,17 +60,27 @@ of :func:`regular_matrix` (entry * theta^k), :func:`dm_delta`,
 :func:`dm_conjugate` and :meth:`TowerArithmetic.mul` all reduce this way.
 
 Exact identities between K-matrices are decided fraction-free, so that no
-gcd runs inside a matrix product.  :func:`dm_clear` writes D = N/q, q the
-lcm over Z[x, t] of the distinct denominators and N over Z[x, t].
-:func:`dm_same` compares two sums of products of K-matrices and elements
-of K: it multiplies the cleared numerators over Z[x, t] and scales each
-term by lcm/den.  The certificate identities, the gauge identities,
-the substitution checks and the integrability test all go through it.
-:func:`dm_delta_part` forms a gauge's delta-part G^-1 (B G - delta(G))
-from G, B and their tower: it takes delta(G) itself (:func:`dm_delta`),
-so no caller forms it, and inverts with one ``inv_den`` over Z[x, t] and
-one cancel per entry.  The cocycle (:func:`dm_sigma_power`) multiplies
-cleared numerators too.
+gcd runs inside a matrix product (E. H. Bareiss, Math. Comp. 22, 1968;
+Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*, 1992,
+ch. 9).  :func:`dm_clear` writes D = N/q, q the lcm over Z[x, t] of the
+distinct denominators and N over Z[x, t].  :class:`Cleared` carries that
+form with the gcd g of N's entries; scaling it by an element of K takes
+two gcds per matrix and gives the dm_clear of the product over K
+exactly (:meth:`Cleared.scale`), so the rational solves of ``ratsol``
+scale the cleared A_m and A_m^-1 of a system, formed once
+(:func:`dm_cleared`), where the product over K would cancel every entry.
+:func:`dm_same` compares two sums of products of K-matrices, pairs
+(q, N) and elements of K: it multiplies the cleared numerators over
+Z[x, t] and scales each term by lcm/den.  The certificate identities,
+the gauge identities, the substitution checks and the integrability test
+all go through it.  A delta that only enters it is formed on the
+trivial tower as the pair (q^2, q delta(N) - delta(q) N), with no cancel
+(:func:`dm_delta_clear`).  :func:`dm_inv` inverts with one ``inv_den``
+over Z[x, t] on the cleared numerator and one cancel per entry, and so
+does :func:`dm_delta_part`, which forms a gauge's delta-part
+G^-1 (B G - delta(G)) from G, B and their tower: it takes delta(G)
+itself, so no caller forms it.  The cocycle (:func:`dm_sigma_power`)
+multiplies cleared numerators too.
 
 A full rank is decided at a point first (S. Cabay, SYMSAC 1971; von zur
 Gathen and Gerhard, *Modern Computer Algebra*, ch. 5).
@@ -93,10 +103,10 @@ scans of the lift and the numeric window): Hensel lifting of the roots
 mod a small prime, with no polynomial factored, so its cost follows the
 bit size of the input.
 The objects a system derives from A are formed once on
-``procedures.DDSystem``, not here: det A of its K-form, and the inverse
-A_m^-1 of each cocycle (:func:`dm_inv`), from which a rational solve
-reads (A_m/r)^-1 as r A_m^-1 (:func:`dm_diag` forms r I_n over a
-tower).
+``procedures.DDSystem``, not here: det A of its K-form, the inverse
+A_m^-1 of each cocycle (:func:`dm_inv`), and the cleared forms of A_m
+and A_m^-1, from which a rational solve reads (A_m/r)^-1 as r A_m^-1
+(:func:`dm_diag` forms r I_n over a tower).
 
 An x-free K-matrix is read over Q(t) = ``QQ_T`` by :func:`dm_over_qt`,
 and :func:`charpoly_factors` factors its characteristic polynomial
@@ -120,7 +130,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import sympy as sp
 from sympy import GF, QQ, ZZ, nextprime
@@ -168,7 +178,8 @@ __all__ = [
     "sigma_power_matrix",
     "dm_from_matrix", "dm_to_matrix", "dm_diag", "k_shift",
     "dm_shift", "dm_delta", "dm_inv", "dm_embed", "dm_conjugate",
-    "dm_sigma_power", "dm_clear", "dm_same", "dm_delta_part",
+    "dm_sigma_power", "dm_clear", "Cleared", "dm_cleared", "dm_delta_clear",
+    "dm_same", "dm_delta_part",
     "dm_series_at_infinity",
 ]
 
@@ -877,14 +888,6 @@ def dm_embed(D: DomainMatrix, tower: Tower) -> DomainMatrix:
                           D.shape, tower)
 
 
-def dm_inv(D: DomainMatrix) -> DomainMatrix:
-    """D^-1; FieldError when D is singular."""
-    try:
-        return D.inv()
-    except DMNonInvertibleMatrixError:
-        raise FieldError("matrix not invertible")
-
-
 def _lcm(polys):
     """The lcm in Z[x, t] of the distinct polynomials among `polys`, with
     positive leading coefficient (1 for none).  It keeps the integer
@@ -910,14 +913,102 @@ def dm_clear(D: DomainMatrix):
                              _QQ_XT_RING)
 
 
+class Cleared(NamedTuple):
+    """A K-matrix D as N/q in the form of :func:`dm_clear`, carried with g,
+    a gcd of the entries of N (0 for N = 0).  gcd(q, g) = 1: a prime
+    power p^k that divides q divides some reduced denominator d exactly,
+    and the entry c.numer * q/d of N is then prime to p.  It is a factor
+    of :func:`dm_same` as it stands."""
+    q: PolyElement
+    N: DomainMatrix
+    g: PolyElement
+
+    def scale(self, a, b) -> Cleared:
+        """The cleared form of D a/b, a/b a reduced fraction over Z[x, t]
+        (b != 0), from two gcds and no cancel per entry.  With
+        g1 = gcd(q, a) and g2 = gcd(b, g), D a/b = N'/q' for
+        q' = (q/g1)(b/g2) and N' = N (a/g1)/g2, whose entries have the gcd
+        g' = (g/g2)(a/g1).  q' is prime to g': q/g1 is prime to a/g1 and,
+        dividing q, to g; b/g2 is prime to a and to g/g2.  So q' is the lcm
+        of the reduced denominators, and (q', N') is dm_clear(D a/b) once
+        its sign is that of :func:`_lcm`."""
+        if not a:
+            return Cleared(_XT_RING_ONE, self.N.mul(a), a)
+        g1, q1, a1 = self.q.cofactors(a)
+        g2, b2, g_rest = b.cofactors(self.g)
+        q, g = q1 * b2, g_rest * a1
+        elems, data = self.N.to_flat_nz()
+        if g2 != 1:
+            elems = [p.exquo(g2) for p in elems]
+        if a1 != 1:
+            elems = [p * a1 for p in elems]
+        if q.LC < 0:
+            q, g, elems = -q, -g, [-p for p in elems]
+        return Cleared(q, self.N.from_flat_nz(elems, data, _QQ_XT_RING), g)
+
+
+def dm_cleared(D: DomainMatrix) -> Cleared:
+    """The :class:`Cleared` form of the K-matrix D: :func:`dm_clear` and
+    the gcd of the entries of N, taken entry by entry until it is a
+    unit."""
+    q, N = dm_clear(D)
+    g = _K_RING.zero
+    for p in N.to_flat_nz()[0]:
+        g = g.gcd(p)
+        if g == 1 or g == -1:
+            break
+    return Cleared(q, N, g)
+
+
+def _cancelled(X: DomainMatrix, c, den) -> DomainMatrix:
+    """The K-matrix c X / den, X over Z[x, t] and c, den in Z[x, t]: one
+    cancel per nonzero entry."""
+    elems, data = X.to_flat_nz()
+    return X.from_flat_nz([QQ_XT.field.new(p * c, den) for p in elems], data,
+                          QQ_XT)
+
+
+def _inverse_den(N: DomainMatrix):
+    """(N', e) with N^-1 = N'/e for N square over Z[x, t], from one
+    fraction-free elimination (``inv_den``); FieldError when N is
+    singular."""
+    try:
+        return N.inv_den()
+    except DMNonInvertibleMatrixError:
+        raise FieldError("matrix not invertible")
+
+
+def dm_inv(D: DomainMatrix) -> DomainMatrix:
+    """D^-1 for a square K-matrix D; FieldError when D is singular.  With
+    D = N/q (:func:`dm_clear`) and N^-1 = N'/e from one ``inv_den`` over
+    Z[x, t], D^-1 = q N'/e, cancelled once per entry."""
+    q, N = dm_clear(D)
+    Ninv, e = _inverse_den(N)
+    return _cancelled(Ninv, q, e)
+
+
+def dm_delta_clear(D, tower: Tower = TRIVIAL_TOWER):
+    """delta(D) as a pair (d, P), delta(D) = P/d with P over Z[x, t]: a
+    factor of :func:`dm_same`.  D is a K-form over the tower or, on the
+    trivial tower, a pair (q, N) of :func:`dm_clear`.  There
+    delta(N/q) = (q delta(N) - delta(q) N)/q^2 with no cancel, so d = q^2
+    is a common denominator, not the lcm.  On a tower delta mixes the
+    coordinates of theta, and the pair is dm_clear(dm_delta(D, tower))."""
+    if not tower.trivial:
+        return dm_clear(dm_delta(D, tower))
+    q, N = dm_clear(D) if isinstance(D, DomainMatrix) else D[:2]
+    return q**2, dm_delta(N).mul(q) - N.mul(q.diff(_T_RING))
+
+
 def _cleared_term(term):
-    """(numerator, denominator) of a product of K-matrices and elements of
-    K: the product of the cleared numerators over Z[x, t], in order, and
-    the product of the denominators."""
+    """(numerator, denominator) of a product of K-matrices, pairs (q, N)
+    standing for N/q and elements of K: the product of the cleared
+    numerators over Z[x, t], in order, and the product of the
+    denominators."""
     num, scale, den = None, _XT_RING_ONE, _XT_RING_ONE
     for f in term:
-        if isinstance(f, DomainMatrix):
-            q, N = dm_clear(f)
+        if isinstance(f, (DomainMatrix, tuple)):
+            q, N = dm_clear(f) if isinstance(f, DomainMatrix) else f[:2]
             num = N if num is None else num * N
         else:
             q = f.denom
@@ -929,8 +1020,10 @@ def _cleared_term(term):
 def dm_same(lhs: list, rhs: list) -> bool:
     """Whether two sums of products of K-matrices and elements of K are
     equal.  A side is a list of terms, a term a tuple of factors
-    multiplied left to right, at least one of them a K-matrix.  Each
-    factor is cleared (:func:`dm_clear`), the numerators multiply over
+    multiplied left to right, at least one of them a K-matrix or a pair
+    (q, N) over Z[x, t] standing for N/q (:func:`dm_clear`,
+    :class:`Cleared`, :func:`dm_delta_clear`).  Each K-matrix factor is
+    cleared (:func:`dm_clear`), the numerators multiply over
     Z[x, t] with no gcd, and each term is scaled by lcm/den, the lcm
     taken over the denominators of all the terms, before the two sums are
     compared."""
@@ -947,24 +1040,18 @@ def dm_same(lhs: list, rhs: list) -> bool:
 def dm_delta_part(G: DomainMatrix, B: DomainMatrix,
                   tower: Tower) -> DomainMatrix:
     """The gauge's delta-part G^-1 (B G - delta(G)) on K-forms over the
-    tower, formed fraction-free: with G = N/g, B G - delta(G) = R/L over
-    Z[x, t] and N^-1 = N'/e from one ``inv_den`` over Z[x, t], the result
-    is g N' R / (e L), cancelled once per entry.  FieldError when G is
+    tower, formed fraction-free: with G = N/g, delta(G) = P/d
+    (:func:`dm_delta_clear`), B G - delta(G) = R/L over Z[x, t] and
+    N^-1 = N'/e from one ``inv_den`` over Z[x, t], the result is
+    g N' R / (e L), cancelled once per entry.  FieldError when G is
     singular."""
     g, N = dm_clear(G)
     b, M = dm_clear(B)
-    d, P = dm_clear(dm_delta(G, tower))
+    d, P = dm_delta_clear((g, N) if tower.trivial else G, tower)
     L = _lcm([b * g, d])
     R = M * N * L.exquo(b * g) - P * L.exquo(d)
-    try:
-        Ninv, e = N.inv_den()
-    except DMNonInvertibleMatrixError:
-        raise FieldError("matrix not invertible")
-    X = Ninv * R
-    elems, data = X.to_flat_nz()
-    den = e * L
-    return X.from_flat_nz([QQ_XT.field.new(p * g, den) for p in elems], data,
-                          QQ_XT)
+    Ninv, e = _inverse_den(N)
+    return _cancelled(Ninv * R, g, e * L)
 
 
 def dm_series_at_infinity(D: DomainMatrix, terms: int):
@@ -1022,6 +1109,4 @@ def dm_sigma_power(D: DomainMatrix, m: int) -> DomainMatrix:
     for j in range(1, m):
         num = dm_shift(N, j) * num
         den = den * a.compose(_X, _X + j)
-    elems, data = num.to_flat_nz()
-    return D.from_flat_nz([QQ_XT.field.new(p, den) for p in elems], data,
-                          QQ_XT)
+    return _cancelled(num, _XT_RING_ONE, den)

@@ -59,8 +59,9 @@ from .closedform import (UnsupportedCase, hyperexp_solutions,
 from .difftools import (StandardDecomposition, leading_beta,
                         split_alpha_beta_power, standard_decompose)
 from .fields import (QQ_T, QQ_XT, Conjugate, FieldError, MixedSplit, Split,
-                     TRIVIAL_TOWER, Tower, TowerArithmetic, dm_conjugate,
-                     dm_delta, dm_delta_part, dm_diag, dm_embed,
+                     TRIVIAL_TOWER, Tower, TowerArithmetic, dm_clear,
+                     dm_cleared, dm_conjugate, dm_delta, dm_delta_clear,
+                     dm_delta_part, dm_diag, dm_embed,
                      dm_from_matrix, dm_inv, dm_over_qt, dm_same, dm_shift,
                      dm_sigma_power, dm_to_matrix, element_expr,
                      from_regular, has_rank, k_shift, t_value,
@@ -88,12 +89,12 @@ class DDSystem:
 
     The forms over K derived from A and B (:attr:`A_K`, :attr:`B_K`,
     :attr:`det_K`, :attr:`det_standard`, the cocycles of :meth:`cocycle`
-    and their inverses, :meth:`cocycle_inverse`) are computed on first use
-    and kept, so each is formed once per system: validation, stage a of
-    both procedures and the lifts' pole scan read the one det A, and every
-    rational solve of sigma^m(W) = (A_m/r) W gets the inverse its
-    universal denominator reads as r A_m^-1.  A and B are not modified
-    after construction."""
+    and the cleared forms of the cocycles and their inverses,
+    :meth:`cleared_cocycle`) are computed on first use and kept, so each
+    is formed once per system: validation, stage a of both procedures and
+    the lifts' pole scan read the one det A, and every rational solve of
+    sigma^m(W) = (A_m/r) W scales the cleared A_m and A_m^-1 by 1/r and
+    r.  A and B are not modified after construction."""
     n: int
     A: sp.Matrix
     B: sp.Matrix
@@ -132,14 +133,18 @@ class DDSystem:
         return self._cocycles[m]
 
     @functools.cached_property
-    def _cocycle_inverses(self) -> dict:
+    def _cleared_cocycles(self) -> dict:
         return {}
 
-    def cocycle_inverse(self, m: int) -> DomainMatrix:
-        """A_m^-1 over K (m >= 1), the one inverse of the cocycle."""
-        if m not in self._cocycle_inverses:
-            self._cocycle_inverses[m] = dm_inv(self.cocycle(m))
-        return self._cocycle_inverses[m]
+    def cleared_cocycle(self, m: int) -> tuple:
+        """The cleared forms (:class:`~ddsolve.fields.Cleared`) of A_m and
+        of A_m^-1, the one inverse of the cocycle (m >= 1), which the
+        rational solves scale by 1/r and r."""
+        if m not in self._cleared_cocycles:
+            Am = self.cocycle(m)
+            self._cleared_cocycles[m] = (dm_cleared(Am),
+                                         dm_cleared(dm_inv(Am)))
+        return self._cleared_cocycles[m]
 
     @functools.cached_property
     def sigma_integrable(self) -> bool:
@@ -239,8 +244,10 @@ def check_integrability(A: sp.Matrix, B: sp.Matrix):
 def _integrable(Am: DomainMatrix, B: DomainMatrix, m: int) -> bool:
     """sigma^m(B) Am = delta(Am) + Am B over K, decided on cleared
     numerators (:func:`~ddsolve.fields.dm_same`), with no inverse and no
-    gcd in the products."""
-    return dm_same([(dm_shift(B, m), Am)], [(dm_delta(Am),), (Am, B)])
+    gcd in the products: Am is cleared once, and delta(Am) is read from
+    its pair with no cancel (:func:`~ddsolve.fields.dm_delta_clear`)."""
+    C = dm_clear(Am)
+    return dm_same([(dm_shift(B, m), C)], [(dm_delta_clear(C),), (C, B)])
 
 
 def _diag_offenders(D: DomainMatrix, tower: Tower) -> list:
@@ -377,11 +384,12 @@ def _dp1_stage_d1(sys: DDSystem, alpha_K, eig, report: dict) -> Outcome:
         A = dm_embed(sys.A_K, tower)
         ar = TowerArithmetic(tower)
         ratios = [ar.mul([alpha_K], b) for b in betas]
-        # one rational solve; the remaining columns are conjugates
+        # one rational solve; the remaining columns are conjugates.  The
+        # ratio lies in the tower, not in K: the products run over K
         basis = rational_solutions(
-            A * dm_diag([ar.inv(ratios[0])] * n, tower),
-            dm_diag([ratios[0]] * n, tower)
-            * dm_embed(sys.cocycle_inverse(1), tower), 1, tower)
+            dm_cleared(A * dm_diag([ar.inv(ratios[0])] * n, tower)),
+            dm_cleared(dm_diag([ratios[0]] * n, tower)
+                       * dm_embed(dm_inv(sys.A_K), tower)), 1, tower)
         if not basis:
             return Outcome("NoSolution", "DP1", "d1",
                            "no rational solution for the ratio alpha*beta_1",
@@ -395,8 +403,7 @@ def _dp1_stage_d1(sys: DDSystem, alpha_K, eig, report: dict) -> Outcome:
         roots = [QQ_XT.convert_from(r, QQ_T) for r in eig.roots]
         betas = [[b] for b in roots]
         ratios = [[alpha_K * b] for b in roots]
-        G = gauge_from_ratios(sys.A_K, sys.cocycle_inverse(1),
-                              dm_diag(ratios), 1)
+        G = gauge_from_ratios(*sys.cleared_cocycle(1), dm_diag(ratios), 1)
     if G is None:
         # complete: _invertible_selection tries every one-vector-per-slot
         # choice, and a minor of any constant combination per slot is a
@@ -432,10 +439,11 @@ def _dp1_stage_d1(sys: DDSystem, alpha_K, eig, report: dict) -> Outcome:
 def _dp1_stage_d2(sys: DDSystem, alpha_K, beta1, report: dict) -> Outcome:
     n = sys.n
     ratio_K = alpha_K * beta1
-    basis = rational_solutions(sys.A_K.mul(QQ_XT.one / ratio_K),
-                               sys.cocycle_inverse(1).mul(ratio_K), 1,
+    A, A_inv = sys.cleared_cocycle(1)
+    a, b = ratio_K.numer, ratio_K.denom
+    basis = rational_solutions(A.scale(b, a), A_inv.scale(a, b), 1,
                                TRIVIAL_TOWER)
-    G = assemble_gauge([basis] * n, sys.A_K, dm_diag([[ratio_K]] * n), 1)
+    G = assemble_gauge([basis] * n, A, dm_diag([[ratio_K]] * n), 1)
     if G is None:
         # complete, by the argument at ratsol._invertible_selection
         return Outcome("NoSolution", "DP1", "d2",
@@ -557,7 +565,7 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
         shifted = [k_shift(beta_K * lam, s) for s in range(2 * n - 1)]
         for j0 in range(n):
             R = DomainMatrix.diag(shifted[j0:j0 + n], QQ_XT)
-            G = gauge_from_ratios(An, sys.cocycle_inverse(n), R, n)
+            G = gauge_from_ratios(*sys.cleared_cocycle(n), R, n)
             if G is None:
                 continue
             Bbar = dm_delta_part(G, sys.B_K, TRIVIAL_TOWER)

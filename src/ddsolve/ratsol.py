@@ -11,22 +11,30 @@ there must be s >= 1 with den(M)(c - s*m) = 0, going up s >= 0 with
 den(M^-1)(c + s*m) = 0.  That traps candidate poles (per shift class and
 residue mod m) in a finite window with explicit multiplicity bounds.
 
-M^-1 is an argument.  The procedures solve sigma^m(W) = (A_m/r) W for
-ratios r, so they pass the exact product r A_m^-1 and invert A_m once
-for all ratios (``procedures.DDSystem.cocycle_inverse``; M. A. Barkatou,
-ISSAC 1999, for the universal denominator of a system).
+M^-1 is an argument, and M and M^-1 are passed as their cleared forms
+(:class:`ddsolve.fields.Cleared`: N/q over Z[x, t] with the gcd g of
+N's entries).  The procedures solve sigma^m(W) = (A_m/r) W for ratios
+r: they invert A_m once and clear A_m and A_m^-1 once per system
+(``procedures.DDSystem.cleared_cocycle``; M. A. Barkatou, ISSAC 1999,
+for the universal denominator of a system), and scale both by 1/r and
+r with two gcds each (:meth:`~ddsolve.fields.Cleared.scale`), where
+A_m/r over K would cancel every entry.  :func:`rational_solutions`
+scales M by sigma^m(u)/u the same way, so the universal denominator,
+the polynomial ansatz and the substitution check read q and N with no
+gcd per entry.
 
-Every function here takes and returns K-forms (see :mod:`ddsolve.fields`):
-a vector is the K-form of an n x 1 matrix, a scalar operator that of the
-row of its coefficients, and u an element of K = Q(x, t).  Denominators
+Every function here takes and returns K-forms (see :mod:`ddsolve.fields`),
+the system matrix of a rational solve as its cleared form: a vector is
+the K-form of an n x 1 matrix, a scalar operator that of the row of its
+coefficients, and u an element of K = Q(x, t).  Denominators
 are read off K-entries, and their factors in Z[x, t] are grouped by
 :func:`ddsolve.difftools.shift_classes`.
 
 Polynomial solutions of sum_j P_j D^j(y) = 0, D = sigma^m - 1 here and
 for Hyper's C in ``closedform``, d/dt on its delta-side, have one degree
 bound (:func:`degree_bound`) and one ansatz (:func:`ansatz_kernel`): the
-kernel of one coefficient matrix over the constants.  sigma^m clears M
-with one q in Z[x, t] (:func:`ddsolve.fields.dm_clear`) and solves
+kernel of one coefficient matrix over the constants.  sigma^m reads M
+as N/q, one q in Z[x, t] (its cleared form), and solves
 q Delta_m Y + (q - N) Y = 0.
 The constant-span test is a rank test on the same coefficient matrix.
 The substitution check of every rational solution P/u, taken on P and u,
@@ -49,8 +57,8 @@ from sympy.polys.densetools import dmp_shift
 from sympy.polys.matrices import DomainMatrix
 
 from .difftools import shift_classes
-from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower, _lcm,
-                     dm_clear, dm_same, dm_shift, has_rank, k_shift,
+from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, Cleared, FieldError, Tower,
+                     _lcm, dm_clear, dm_same, dm_shift, has_rank, k_shift,
                      kernel, point_rank, regular_matrix, x_integer_roots)
 from .sequences import VerificationError
 
@@ -96,12 +104,12 @@ def _coefficient_matrix(columns: list, constants: tuple) -> DomainMatrix:
 # ---------------------------------------------------------------------------
 # universal denominator
 
-def universal_denominator(M: DomainMatrix, M_inv: DomainMatrix, m: int):
+def universal_denominator(M: Cleared, M_inv: Cleared, m: int):
     """Polynomial u(x) in K: every rational solution of sigma^m(Y) = MY
-    (M a K-form, M_inv its inverse) has denominator dividing u.  The
-    entries of a K-form lie in K, so their denominators never involve
-    theta."""
-    _, classes = shift_classes([dm_clear(M)[0], dm_clear(M_inv)[0]])
+    (M the cleared form of a K-form, M_inv that of its inverse) has
+    denominator dividing u, read off the two lcms q.  The entries of a
+    K-form lie in K, so their denominators never involve theta."""
+    _, classes = shift_classes([M.q, M_inv.q])
     u = QQ_XT.one
     for base, shifts in classes:
         SA = {j: a for j, (a, _) in shifts.items() if a}
@@ -344,13 +352,13 @@ def ansatz_kernel(Ps: list, step: int, e: int = 1) -> list:
     return kernel(_coefficient_matrix(columns, _constants(ring))).to_list()
 
 
-def polynomial_solutions(M: DomainMatrix, m: int, tower: Tower):
+def polynomial_solutions(M: Cleared, m: int, tower: Tower):
     """All polynomial solution vectors of sigma^m(Y) = M Y:
-    :func:`ansatz_kernel` of q Delta_m Y + (q - N) Y, (q, N) = dm_clear(M),
-    over a tower on the regular representation."""
-    q, N = dm_clear(M)
+    :func:`ansatz_kernel` of q Delta_m Y + (q - N) Y, M = N/q the cleared
+    form of a K-form, over a tower on the regular representation."""
+    q, N = M.q, M.N
     qI = DomainMatrix.eye(N.shape[0], N.domain).mul(q)
-    e, ne = tower.degree, M.shape[0]
+    e, ne = tower.degree, N.shape[0]
     n = ne // e
     xK = QQ_XT.gens[0]
     sols = []
@@ -393,16 +401,17 @@ def _constant_span_reduce(vectors: list, tower: Tower) -> list:
     return indep
 
 
-def rational_solutions(M: DomainMatrix, M_inv: DomainMatrix, m: int,
+def rational_solutions(M: Cleared, M_inv: Cleared, m: int,
                        tower: Tower) -> list:
     """Complete basis of rational solutions of sigma^m(Y) = M Y, the list
-    of their K-forms, each verified by substitution; M_inv is M^-1, which
-    the universal denominator reads."""
+    of their K-forms, each verified by substitution; M and M_inv are the
+    cleared forms of a K-form and of its inverse, which the universal
+    denominator reads."""
     u = universal_denominator(M, M_inv, m)
     su = k_shift(u, m)
-    inv_u = QQ_XT.one / u
+    inv_u, c = QQ_XT.one / u, su / u
     basis = []
-    for P in polynomial_solutions(M.mul(su / u), m, tower):
+    for P in polynomial_solutions(M.scale(c.numer, c.denom), m, tower):
         # sigma^m(P/u) = M P/u, decided on P and u
         if not dm_same([(dm_shift(P, m), u)], [(M, P, su)]):
             raise VerificationError(
@@ -431,31 +440,35 @@ def _invertible_selection(columns: list, tower: Tower):
     return None
 
 
-def assemble_gauge(columns: list, A: DomainMatrix, R: DomainMatrix, m: int,
+def assemble_gauge(columns: list, A, R: DomainMatrix, m: int,
                    tower: Tower = TRIVIAL_TOWER):
     """G from one vector per slot (:func:`_invertible_selection`), or None;
     VerificationError, whatever the interpreter flags, unless
-    sigma^m(G) R = A G for R the K-form of the diagonal of ratios."""
+    sigma^m(G) R = A G for R the K-form of the diagonal of ratios, A a
+    K-form or its cleared form."""
     G = _invertible_selection(columns, tower)
     if G is not None and not dm_same([(dm_shift(G, m), R)], [(A, G)]):
         raise VerificationError("gauge postcondition violated")
     return G
 
 
-def gauge_from_ratios(A: DomainMatrix, A_inv: DomainMatrix,
-                      ratios: DomainMatrix, m: int):
+def gauge_from_ratios(A: Cleared, A_inv: Cleared, ratios: DomainMatrix,
+                      m: int):
     """G over K with sigma^m(G) * diag(r_1, ..., r_n) = A * G, `ratios` that
     diagonal over K, assembled column-by-column from rational solutions of
     sigma^m(W) = (A/r_i) W (:func:`assemble_gauge`); None on failure.
-    A_inv is A^-1, so the inverse of A/r_i is the product r_i A_inv.
+    A and A_inv are the cleared forms of A and A^-1, each scaled per
+    ratio (:meth:`~ddsolve.fields.Cleared.scale`): the inverse of A/r_i
+    is r_i A^-1.
 
     None is a complete negative answer: either some ratio has no rational
     solution, or no constant combination per slot is invertible (see
     :func:`_invertible_selection`)."""
     columns = []
-    for i in range(A.shape[0]):
+    for i in range(ratios.shape[0]):
         r = ratios[i, i].element
-        basis = rational_solutions(A.mul(QQ_XT.one / r), A_inv.mul(r), m,
+        basis = rational_solutions(A.scale(r.denom, r.numer),
+                                   A_inv.scale(r.numer, r.denom), m,
                                    TRIVIAL_TOWER)
         if not basis:
             return None

@@ -29,8 +29,8 @@ from sympy.polys.factortools import dup_irreducible_p
 from sympy.polys.matrices import DomainMatrix
 
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower,
-                     common_integer_roots, dm_clear, dm_delta, dm_embed,
-                     dm_same, dm_shift, dm_sigma_power, dm_to_matrix,
+                     common_integer_roots, dm_clear, dm_delta_clear,
+                     dm_embed, dm_same, dm_shift, dm_sigma_power, dm_to_matrix,
                      from_theta_coords, t, theta, x_integer_roots)
 
 __all__ = ["SeqVec", "lift_sigma_d_to_sigma", "HypCert", "Part",
@@ -383,7 +383,7 @@ def _check_pair(system, part: Part, tower: Tower) -> list:
     if not _sigma_identity(W, part.r, dm_embed(system.cocycle(m), tower), m):
         failures.append(
             f"{part.label}: sigma identity sigma^{m}(W)*r = A_{m}*W")
-    if not dm_same([(dm_delta(W, tower),), (W, part.c)],
+    if not dm_same([(dm_delta_clear(W, tower),), (W, part.c)],
                    [(dm_embed(system.B_K, tower), W)]):
         failures.append(f"{part.label}: delta identity delta(W) + c*W = B*W")
     return failures

@@ -17,7 +17,8 @@ from ddsolve.fields import (_QQ_XTTH, AllEqual, Conjugate, FieldError,
                             Fractions, MixedSplit, Split, QQ_T, QQ_XT,
                             TRIVIAL_TOWER, TowerArithmetic, _field_element,
                             common_integer_roots, dm_conjugate, dm_clear,
-                            dm_delta, dm_delta_part, dm_embed, dm_from_matrix,
+                            dm_cleared, dm_delta, dm_delta_clear,
+                            dm_delta_part, dm_embed, dm_from_matrix,
                             dm_inv, dm_same, dm_shift, dm_sigma_power,
                             dm_to_matrix, element_expr, expr_value,
                             factor_in_x, k_shift, make_tower, mat_inv,
@@ -839,6 +840,96 @@ def test_dm_delta_part_rejects_a_singular_gauge(tower):
     B = dm_from_matrix(sp.Matrix([[1 / t, x], [0, 1]]), tower)
     with pytest.raises(FieldError):
         dm_delta_part(G, B, tower)
+
+
+# ---------------------------------------------------------------------------
+# the cleared form: scaling, inverse and delta over Z[x, t] against the
+# per-entry K path they replace
+
+# entries with integer content, zeros and a negative leading coefficient
+_CLEARED_ENTRIES = st.one_of(st.sampled_from(
+    [0, 0, 1, sp.Rational(2, 3), -1 / (2 * x), 3 * t / (x + 1)]),
+    _ratfuncs_xt())
+# scalars: zero, constants over Q, x-free ones and general ones
+_SCALARS = st.one_of(st.sampled_from(
+    [0, 1, -1, 2, sp.Rational(-3, 4), t, 1 / t, (t + 1) / (2 * t - 1),
+     -(x + 1) / (x + t)]), _ratfuncs_xt())
+
+
+def _k_matrix(entries, rows):
+    return dm_from_matrix(sp.Matrix(rows, len(entries) // rows, entries))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_CLEARED_ENTRIES, min_size=6, max_size=6), st.integers(2, 3),
+       st.lists(st.tuples(_SCALARS, st.booleans()), min_size=1, max_size=2),
+       st.booleans())
+def test_cleared_scaling_is_dm_clear_of_the_k_product(entries, rows, scalars,
+                                                      zero):
+    """Scaling the cleared form of D (2 x 3 or 3 x 2) by c1, then c2, each
+    c or 1/c (a denominator with a negative leading coefficient), gives
+    the exact dm_clear of the product over K, q and N both, sign
+    included, and g is the gcd of the new entries up to sign and prime to
+    q; the zero matrix (g = 0) included."""
+    D = _k_matrix([0] * len(entries) if zero else entries, rows)
+    C, product = dm_cleared(D), D
+    assert (C.q, C.N) == dm_clear(D)
+    for c, invert in scalars:
+        c = QQ_XT.from_sympy(c)
+        a, b = c.numer, c.denom
+        if invert and c:
+            c, a, b = 1 / c, b, a
+        C, product = C.scale(a, b), product.mul(c)
+        q, N = dm_clear(product)
+        assert C.q == q and C.q.LC > 0
+        assert C.N == N and C.N.domain == N.domain
+        assert C.g in (dm_cleared(product).g, -dm_cleared(product).g)
+        assert bool(C.g) == (not N.is_zero_matrix)
+        assert not C.g or C.q.gcd(C.g) == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_CLEARED_ENTRIES, min_size=4, max_size=4),
+       st.lists(_CLEARED_ENTRIES, min_size=9, max_size=9), st.booleans())
+def test_dm_inv_is_the_inverse_over_k(small, large, three):
+    """dm_inv through one inv_den over Z[x, t] is DomainMatrix.inv over K,
+    entry by entry in the same reduced form; FieldError when D is
+    singular."""
+    D = _k_matrix(large, 3) if three else _k_matrix(small, 2)
+    if D.det() == 0:
+        with pytest.raises(FieldError):
+            dm_inv(D)
+        return
+    got, want = dm_inv(D), D.inv()
+    assert [(e.numer, e.denom) for e in got.to_list_flat()] == \
+        [(e.numer, e.denom) for e in want.to_list_flat()]
+
+
+def test_dm_inv_rejects_a_singular_matrix():
+    with pytest.raises(FieldError):
+        dm_inv(dm_from_matrix(sp.Matrix([[1 / x, t], [1 / (x * t), 1]])))
+    with pytest.raises(FieldError):
+        dm_inv(dm_from_matrix(sp.zeros(2, 2)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_CLEARED_ENTRIES, min_size=4, max_size=4),
+       st.integers(0, 3), st.booleans())
+def test_cleared_delta_agrees_with_the_k_delta(entries, k, over_tower):
+    """The cleared delta (q^2, q delta(N) - delta(q) N) equals
+    dm_clear(dm_delta(D)) through dm_same, from D or from its pair, and
+    differs from a perturbed delta; on a tower it is that dm_clear."""
+    if over_tower:
+        D = dm_from_matrix(sp.Matrix(2, 2, entries) * (1 + theta), EX1_TOWER)
+        assert dm_delta_clear(D, EX1_TOWER) == \
+            dm_clear(dm_delta(D, EX1_TOWER))
+        return
+    D = _k_matrix(entries, 2)
+    dD = dm_delta(D)
+    for pair in (dm_delta_clear(D), dm_delta_clear(dm_clear(D))):
+        assert dm_same([(pair,)], [(dm_clear(dD),)])
+        assert dm_same([(pair,)], [(dD,)])
+        assert not dm_same([(pair,)], [(_perturbed(dD, k, k + 1),)])
 
 
 # ---------------------------------------------------------------------------

@@ -254,8 +254,9 @@ def test_fraction_free_integrability_agrees_on_planted_sigma_n_pairs(
 
 def test_validate_forms_no_inverse(monkeypatch):
     """validate decides integrability on cleared numerators: with
-    DomainMatrix.inv disabled it still accepts the bundled systems and the
-    sigma^2-level pair, at their levels."""
+    DomainMatrix.inv and fields.dm_inv disabled it still accepts the
+    bundled systems and the sigma^2-level pair, at their levels."""
+    import ddsolve.procedures as procedures
     systems = [read_system(str(SYSTEMS / f"{name}.json"))
                for name in ("example1", "example2", "hermite")]
     systems.append(DDSystem(2, SIGMA2_A, SIGMA2_B))
@@ -264,6 +265,7 @@ def test_validate_forms_no_inverse(monkeypatch):
         raise AssertionError("validate formed an inverse")
 
     monkeypatch.setattr(DomainMatrix, "inv", no_inverse)
+    monkeypatch.setattr(procedures, "dm_inv", no_inverse)
     for sys in systems:
         sys.validate()
     assert [s.integrability_level for s in systems] == [1, 3, 1, 2]
@@ -666,7 +668,7 @@ _PLANTED_BAD_GAUGE = """
 import sys
 import sympy as sp
 import ddsolve.ratsol as ratsol
-from ddsolve.fields import dm_from_matrix
+from ddsolve.fields import dm_cleared, dm_from_matrix
 from ddsolve.sequences import VerificationError
 
 assert sys.flags.optimize, "run under python -O"
@@ -674,9 +676,9 @@ assert sys.flags.optimize, "run under python -O"
 ratsol._invertible_selection = lambda columns, tower: dm_from_matrix(
     sp.Matrix([[0, 1], [1, 0]]))
 try:
-    ratsol.gauge_from_ratios(dm_from_matrix(sp.diag(2, 3)),
-                             dm_from_matrix(sp.diag(sp.Rational(1, 2),
-                                                    sp.Rational(1, 3))),
+    ratsol.gauge_from_ratios(dm_cleared(dm_from_matrix(sp.diag(2, 3))),
+                             dm_cleared(dm_from_matrix(sp.diag(
+                                 sp.Rational(1, 2), sp.Rational(1, 3)))),
                              dm_from_matrix(sp.diag(2, 3)), 1)
 except VerificationError as err:
     print("raised:", err)
@@ -775,14 +777,18 @@ def test_example2_forms_each_derived_object_once(example2_path,
     factor in K: the rational solves of sigma^3(W) = (A_3/r) W read
     (A_3/r)^-1 as r A_3^-1), computes det A once (validation and the
     lifts share DDSystem.det_K) and finds every integer root with no
-    polynomial factoring."""
+    polynomial factoring.  Every inverse over K is fields.dm_inv, spied in
+    each module that imports it."""
+    import ddsolve.closedform as closedform
     import ddsolve.fields as fields
+    import ddsolve.moser as moser
+    import ddsolve.procedures as procedures
     from sympy.polys import factortools
 
     system = read_system(example2_path)
     A, A3 = system.A_K, system.cocycle(3)
     inverted, dets, factored = [], [], []
-    inv, det, factor = (DomainMatrix.inv, DomainMatrix.det,
+    inv, det, factor = (fields.dm_inv, DomainMatrix.det,
                         factortools.dup_factor_list)
 
     def inv_spy(D):
@@ -810,7 +816,8 @@ def test_example2_forms_each_derived_object_once(example2_path,
         c = D.to_list_flat()[k] / a
         return D.to_list_flat() == M.mul(c).to_list_flat()
 
-    monkeypatch.setattr(DomainMatrix, "inv", inv_spy)
+    for mod in (fields, procedures, closedform, moser):
+        monkeypatch.setattr(mod, "dm_inv", inv_spy)
     monkeypatch.setattr(DomainMatrix, "det", det_spy)
     monkeypatch.setattr(factortools, "dup_factor_list", factor_spy)
     if hasattr(fields, "dup_factor_list"):
@@ -822,6 +829,28 @@ def test_example2_forms_each_derived_object_once(example2_path,
     assert sum(D.shape == A.shape
                and D.to_list_flat() == A.to_list_flat() for D in dets) == 1
     assert not factored
+
+
+@pytest.mark.parametrize("name, want", [("example1", 166), ("example2", 177)])
+def test_solve_takes_a_pinned_number_of_gcds(name, want, monkeypatch):
+    """The gcds over Z behind every cancel and lcm (fields._gcd_ZZ, which
+    SymPy's sparse polynomials call), counted over one read and solve.
+    The rational solves scale cleared forms, two gcds per matrix, and
+    dm_inv and the delta identities cancel no entry they need not: a
+    return to a gcd per entry shows as a larger count."""
+    from sympy.polys.rings import PolyElement
+
+    calls = []
+
+    def gcd_spy(f, g):
+        calls.append(None)
+        return fields._gcd_ZZ(f, g)
+
+    monkeypatch.setattr(PolyElement, "_gcd_ZZ", gcd_spy)
+    out = solve_liouvillian(read_system(str(SYSTEMS / f"{name}.json")))
+    monkeypatch.undo()
+    assert out.kind == "Solved"
+    assert len(calls) == want
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ from sympy.polys.matrices import DomainMatrix
 import ddsolve.closedform as closedform
 import ddsolve.fields as fields
 import ddsolve.procedures as procedures
-from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, dm_clear, dm_from_matrix,
-                            dm_inv, dm_to_matrix, make_tower, mat_inv, t,
-                            theta, treduce, x)
+from ddsolve.fields import (QQ_XT, TRIVIAL_TOWER, dm_clear, dm_cleared,
+                            dm_from_matrix, dm_inv, dm_to_matrix, make_tower,
+                            mat_inv, t, theta, treduce, x)
 from ddsolve.files import read_system
 from ddsolve.sequences import verify_certificates
 import ddsolve.ratsol as ratsol
@@ -23,23 +23,33 @@ from helpers import (mat_eq, mat_reduce, mat_shift, nullspace_over_Qt,
                      reference_universal_denominator, shift, teq)
 
 
-# ratsol takes and returns K-forms; these call it on sympy matrices
+# ratsol takes and returns K-forms, the matrix of a rational solve as its
+# cleared form; these call it on sympy matrices
+
+def _cleared_pair(M, tower=TRIVIAL_TOWER):
+    """The cleared forms of M's K-form and of its inverse."""
+    D = dm_from_matrix(M, tower)
+    return dm_cleared(D), dm_cleared(dm_inv(D))
+
+
+def _uncleared(C):
+    """The K-matrix N/q of a cleared form."""
+    return C.N.convert_to(QQ_XT).mul(QQ_XT.one / QQ_XT.new(C.q))
+
 
 def universal_denominator(M, m=1, tower=TRIVIAL_TOWER):
-    D = dm_from_matrix(M, tower)
-    u = ratsol.universal_denominator(D, dm_inv(D), m)
+    u = ratsol.universal_denominator(*_cleared_pair(M, tower), m)
     return dm_to_matrix(DomainMatrix([[u]], (1, 1), QQ_XT))[0]
 
 
 def polynomial_solutions(M, m=1, tower=TRIVIAL_TOWER):
     return [dm_to_matrix(P, tower) for P in ratsol.polynomial_solutions(
-        dm_from_matrix(M, tower), m, tower)]
+        dm_cleared(dm_from_matrix(M, tower)), m, tower)]
 
 
 def rational_solutions(M, m=1, tower=TRIVIAL_TOWER):
-    D = dm_from_matrix(M, tower)
-    return [dm_to_matrix(V, tower)
-            for V in ratsol.rational_solutions(D, dm_inv(D), m, tower)]
+    return [dm_to_matrix(V, tower) for V in ratsol.rational_solutions(
+        *_cleared_pair(M, tower), m, tower)]
 
 
 def scalar_operators(M, m):
@@ -48,8 +58,7 @@ def scalar_operators(M, m):
 
 
 def gauge_from_ratios(A, ratios, m):
-    D = dm_from_matrix(A)
-    G = ratsol.gauge_from_ratios(D, dm_inv(D),
+    G = ratsol.gauge_from_ratios(*_cleared_pair(A),
                                  dm_from_matrix(sp.diag(*ratios)), m)
     return None if G is None else dm_to_matrix(G)
 
@@ -485,7 +494,9 @@ def captured_calls(example1_path, example2_path):
                 # scalar_operators works over K.  The inverse of M that
                 # universal_denominator and rational_solutions take is not
                 # recorded: the wrappers form it from M, and the
-                # references invert M themselves
+                # references invert M themselves.  A cleared form is
+                # recorded as its K-matrix N/q
+                K = M if _name == "scalar_operators" else _uncleared(M)
                 if _name == "scalar_operators":
                     tower, extra = TRIVIAL_TOWER, ()
                 elif _name == "universal_denominator":
@@ -495,7 +506,7 @@ def captured_calls(example1_path, example2_path):
                     tower, extra = args[-1], ()
                 rest = args[1:] if _name in ("universal_denominator",
                                              "rational_solutions") else args
-                current[-1].append((_name, (dm_to_matrix(M, tower), *rest)
+                current[-1].append((_name, (dm_to_matrix(K, tower), *rest)
                                     + extra, kwargs))
                 towers.append(tower)
                 try:
@@ -561,7 +572,7 @@ def test_gauged_example2_bounds_degrees_without_scalar_operators(
         return ops(*args)
 
     def poly_spy(M, m, tower):
-        calls.append((dm_to_matrix(M, tower), m, tower))
+        calls.append((dm_to_matrix(_uncleared(M), tower), m, tower))
         return poly(M, m, tower)
 
     monkeypatch.setattr(ratsol, "degree_bound", bound_spy)
@@ -610,7 +621,7 @@ def test_polynomial_solutions_run_without_together_and_expand(monkeypatch):
     def no_together(*args, **kwargs):
         raise AssertionError("sp.together called")
 
-    forms = [dm_from_matrix(M, tw) for M, m, tw in cases]
+    forms = [dm_cleared(dm_from_matrix(M, tw)) for M, m, tw in cases]
     monkeypatch.setattr(sp.Expr, "expand", no_expand)
     monkeypatch.setattr(sp, "together", no_together)
     try:
