@@ -24,11 +24,12 @@ import sympy as sp
 from .closedform import (UnsupportedCase, hyper_ratios, hyperexp_solutions,
                          ratio_expr, recurrence_polys)
 from .difftools import dispersion, split_alpha_beta_power, standard_decompose
-from .fields import (QQ_XT, TRIVIAL_TOWER, FieldError, dm_cleared, dm_inv,
-                     dm_to_matrix, element_expr, regular_matrix)
+from .fields import (TRIVIAL_TOWER, FieldError, dm_cleared, dm_inv,
+                     regular_matrix)
 from .files import SchemaError, read_solution, read_system, write_solution
 from .moser import ReductionStalled, moser_reduce
-from .parsing import ParseError, parse_element, parse_ratfunc, print_ratfunc
+from .parsing import (ParseError, parse_element, parse_ratfunc, print_element,
+                      print_matrix, print_ratfunc)
 from .procedures import solve_liouvillian, verification_point_fault
 from .ratsol import rational_solutions
 from .sequences import (WINDOW_TERMS, verify_certificates,
@@ -51,12 +52,11 @@ _VERDICT_EXIT = {
 }
 
 
-def _print_matrix(name: str, M: sp.Matrix, tower=TRIVIAL_TOWER):
+def _print_matrix(name: str, D, tower=TRIVIAL_TOWER):
+    """The matrix over the tower whose K-form is D, one row a line."""
     print(f"{name} =")
-    for i in range(M.shape[0]):
-        row = "  ".join(print_ratfunc(M[i, j], tower)
-                        for j in range(M.shape[1]))
-        print(f"  [ {row} ]")
+    for row in print_matrix(D, tower):
+        print(f"  [ {'  '.join(row)} ]")
 
 
 def _cmd_check(args) -> int:
@@ -73,7 +73,7 @@ def _cmd_check(args) -> int:
     if level == 1:
         print("integrable: sigma(B) = delta(A)A^-1 + ABA^-1 holds")
         return EXIT_SOLVED
-    residual = dm_to_matrix(system.integrability_residual())
+    residual = system.integrability_residual()
     if not level:
         print("not integrable; residual sigma(B) - delta(A)A^-1 - ABA^-1:")
         _print_matrix("residual", residual)
@@ -100,24 +100,23 @@ def _human_report(outcome):
     nf = outcome.normal_form
     if nf is not None:
         tw = nf.tower
-        print(f"alpha = {print_ratfunc(nf.alpha, tw)}")
-        for i, b in enumerate(nf.betas):
-            print(f"beta_{i + 1} = {print_ratfunc(b, tw)}")
-        for i, c in enumerate(nf.cs + nf.bhats):
-            print(f"c_{i + 1} = {print_ratfunc(c, tw)}")
+        print(f"alpha = {print_element(nf.alpha_K, tw)}")
+        for i, b in enumerate(nf.betas_K):
+            print(f"beta_{i + 1} = {print_element(b, tw)}")
+        for i, c in enumerate(nf.cs_K + nf.bhats_K):
+            print(f"c_{i + 1} = {print_element(c, tw)}")
         if nf.ell != 1:
             print(f"interlacing period = {nf.ell}, j0 = {nf.j0}")
-        if "G" in rep:
-            _print_matrix("G", rep["G"], tw)
-        if "Bbar" in rep:
-            _print_matrix("Bbar", rep["Bbar"], tw)
+        for key in ("G", "Bbar"):
+            if key in rep:
+                form = rep.form(key)
+                _print_matrix(key, form.value, form.tower)
     for k, sol in enumerate(outcome.solutions or []):
-        cert, i = sol.cert, sol.part.shift
+        part, i = sol.part, sol.part.shift
         what = ("hypergeometric" if i is None else
-                f"interlaced, class {i} mod {cert.sigma_step}")
-        print(f"solution {k} ({what}): sigma-ratio "
-              f"{print_ratfunc(cert.sigma_ratio, sol.tower)}, "
-              f"delta-ratio {print_ratfunc(cert.delta_ratio, sol.tower)}")
+                f"interlaced, class {i} mod {part.m}")
+        (r,), (c,) = (print_matrix(D, sol.tower)[0] for D in (part.r, part.c))
+        print(f"solution {k} ({what}): sigma-ratio {r}, delta-ratio {c}")
     if "verification" in rep:
         print(f"verified: {rep['verification']}")
 
@@ -255,8 +254,8 @@ def _dispatch_tool(args) -> int:
         return EXIT_SOLVED
     if args.tool == "standard":
         sd = standard_decompose(_parse_K(args.expr[0]), args.step)
-        print(f"g = {print_ratfunc(QQ_XT.to_sympy(sd.g))}")
-        print(f"standard = {print_ratfunc(QQ_XT.to_sympy(sd.standard_part))}")
+        print(f"g = {print_element([sd.g])}")
+        print(f"standard = {print_element([sd.standard_part])}")
         return EXIT_SOLVED
     if args.tool == "split":
         a = _parse_K(args.expr[0])
@@ -269,8 +268,8 @@ def _dispatch_tool(args) -> int:
             print("no alpha(x)^n * beta(t) split")
             return EXIT_NO_SOLUTION
         alpha, beta = res
-        print(f"alpha = {print_ratfunc(QQ_XT.to_sympy(alpha))}")
-        print(f"beta = {print_ratfunc(QQ_XT.to_sympy(beta))}")
+        print(f"alpha = {print_element([alpha])}")
+        print(f"beta = {print_element([beta])}")
         return EXIT_SOLVED
     if args.tool == "moser":
         D = _read_matrix_file(args.expr[0])
@@ -279,8 +278,8 @@ def _dispatch_tool(args) -> int:
         rep = moser_reduce(D)
         print(f"ord = {rep.ord}")
         print(f"moser_order = {rep.moser_order}")
-        _print_matrix("gauge", dm_to_matrix(rep.gauge))
-        _print_matrix("reduced", dm_to_matrix(rep.reduced))
+        _print_matrix("gauge", rep.gauge)
+        _print_matrix("reduced", rep.reduced)
         return EXIT_SOLVED
     if args.tool == "ratsol":
         M = _read_matrix_file(args.expr[0])
@@ -294,9 +293,8 @@ def _dispatch_tool(args) -> int:
             print("no nonzero rational solutions")
             return EXIT_NO_SOLUTION
         for k, V in enumerate(basis):
-            print(f"V_{k} = [ "
-                  + "  ".join(print_ratfunc(e) for e in dm_to_matrix(V))
-                  + " ]")
+            vec = "  ".join(e for row in print_matrix(V) for e in row)
+            print(f"V_{k} = [ {vec} ]")
         return EXIT_SOLVED
     if args.tool == "petkovsek":
         ps = [parse_ratfunc(s) for s in args.expr]
@@ -319,9 +317,9 @@ def _dispatch_tool(args) -> int:
             print("no hyperexponential solutions")
             return EXIT_NO_SOLUTION
         for c in cands:
-            vec = "  ".join(print_ratfunc(e, c.tower)
-                            for e in dm_to_matrix(c.V, c.tower))
-            cert = print_ratfunc(element_expr(c.certificate), c.tower)
+            vec = "  ".join(e for row in print_matrix(c.V, c.tower)
+                           for e in row)
+            cert = print_element(c.certificate, c.tower)
             print(f"certificate = {cert}   V = [ {vec} ]")
         return EXIT_SOLVED
     raise SchemaError("", f"unknown tool {args.tool}")

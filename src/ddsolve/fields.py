@@ -1,11 +1,12 @@
 """Exact arithmetic for the coefficient tower Q < Q(t) < Q(t)[theta]/(m(theta)).
 
 Field elements and matrices are held as K-forms (below) inside the
-procedures; :mod:`ddsolve.parsing` evaluates the entries of solution
-files straight into them.  Sympy expressions in the global symbols x, t,
-theta are the form of the expression API (:func:`treduce`, the entries
-of system files, the sympy matrices of a system or a solution, the
-recurrence coefficients of ``petkovsek``, the report).  They enter K
+procedures and the report; :mod:`ddsolve.parsing` evaluates the entries
+of system and solution files straight into them and prints them back.
+Sympy expressions in the global symbols x, t, theta are the form of the
+expression API (:func:`treduce`, the sympy matrices of a system or a
+solution and the sympy values of the report, formed when read, the
+recurrence coefficients of ``petkovsek``).  They enter K
 through one walker, :func:`expr_value`, in :class:`Fractions` (Q(x, t),
 Q(x, t, theta)) or :class:`TowerArithmetic` (K[theta]/(m)): it reads
 rationals and x, t, theta under +, * and integer powers, and a Float or
@@ -116,8 +117,8 @@ there, once, for the eigenvalues of ``closedform``'s delta-side and
 tower.  An element of a tower is a dense list over K (highest power of
 theta first, reduced mod m), and :func:`dm_diag` forms the K-form of a
 diagonal matrix of them; :func:`element_expr` and :func:`dm_to_matrix`
-form the expressions of the report and of the expression API, and
-:func:`treduce` serves parsing and printing.  :func:`k_shift` is sigma
+form the expressions of the expression API, and :func:`treduce` serves
+its parsing and printing.  :func:`k_shift` is sigma
 on K.  :func:`mat_inv`, :func:`sigma_power_matrix`, :func:`factor_in_x`
 and :func:`series_at_infinity` have no caller in the package
 (``difftools`` works on K and Z[x, t]); they stay for ``ddsolve``'s
@@ -177,7 +178,8 @@ __all__ = [
     "common_integer_roots", "x_integer_roots", "t_value", "dense_fraction",
     "sigma_power_matrix",
     "dm_from_matrix", "dm_to_matrix", "dm_diag", "k_shift",
-    "dm_shift", "dm_delta", "dm_inv", "dm_embed", "dm_conjugate",
+    "dm_shift", "dm_shift_clear", "dm_delta", "dm_inv", "dm_embed",
+    "dm_conjugate",
     "dm_sigma_power", "dm_clear", "Cleared", "dm_cleared", "dm_delta_clear",
     "dm_same", "dm_delta_part",
     "dm_series_at_infinity",
@@ -855,6 +857,16 @@ def dm_shift(D: DomainMatrix, j: int = 1) -> DomainMatrix:
     if D.domain.is_PolynomialRing:
         return D.applyfunc(lambda p: p.compose(_X, _X + j))
     return D.applyfunc(lambda e: k_shift(e, j))
+
+
+def dm_shift_clear(C, j: int = 1) -> tuple:
+    """sigma^j of a K-matrix given by a pair (q, N) of :func:`dm_clear`
+    (or :class:`Cleared`), as the pair (sigma^j(q), sigma^j(N)): the
+    dm_clear of the shifted matrix, with no lcm, since x -> x + j maps the
+    lcm of the denominators to the lcm of the shifted ones and keeps its
+    leading coefficient."""
+    q, N = C[:2]
+    return q.compose(_X, _X + j), dm_shift(N, j)
 
 
 def dm_delta(D: DomainMatrix, tower: Tower = TRIVIAL_TOWER) -> DomainMatrix:

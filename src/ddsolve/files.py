@@ -16,12 +16,14 @@ Solution files::
                        "delta_ratio": str, "shift": int } ],
       "report": { ... } }
 
-:func:`read_system` reads the entries of A and B as sympy expressions
-(:func:`~ddsolve.parsing.parse_ratfunc`).  :func:`read_solution` parses
-every entry straight into its K-form
-(:func:`~ddsolve.parsing.parse_element`): it gives a tower built from its
-modulus and solutions that hold the K-forms of their part, whose sympy
-expressions are formed only when something reads them.
+:func:`read_system` and :func:`read_solution` parse every entry straight
+into its K-form (:func:`~ddsolve.parsing.parse_element`), with no sympy
+expression on the way: a system holds the K-forms of A and B, and a
+solution file gives a tower built from its modulus and solutions that hold
+the K-forms of their part.  Their sympy expressions are formed only when
+something reads them.  :func:`write_system` and :func:`write_solution`
+print from the K-forms (:func:`~ddsolve.parsing.print_element`), and so do
+the report entries of an outcome, which it holds as K-forms.
 
 Schema violations are reported with the JSON pointer of the offending
 location (e.g. a missing "B" key raises ``SchemaError('/B')``, and an
@@ -32,13 +34,13 @@ from __future__ import annotations
 
 import json
 
-import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
-from .fields import (TRIVIAL_TOWER, FieldError, Tower, regular_matrix, theta,
+from .fields import (TRIVIAL_TOWER, FieldError, Tower, regular_matrix,
                      tower_from_modulus)
-from .parsing import (ParseError, parse_element, parse_ratfunc,
-                      parse_theta_poly, print_ratfunc)
-from .procedures import DDSystem, Outcome
+from .parsing import (ParseError, parse_element, parse_theta_poly,
+                      print_element, print_matrix)
+from .procedures import DDSystem, Outcome, Report
 from .sequences import LiouvilleSolution, Part
 
 __all__ = ["SchemaError", "read_system", "write_system",
@@ -64,39 +66,34 @@ def _require(obj: dict, key: str, typ, pointer: str):
     return val
 
 
-def _parse_entry(s, pointer: str, tower: Tower = TRIVIAL_TOWER) -> list:
+def _parse_entry(s, pointer: str, tower: Tower = TRIVIAL_TOWER,
+                 outside: str = "") -> list:
     """The entry string s as an element of the tower in its K-form (see
     :func:`~ddsolve.parsing.parse_element`); SchemaError at `pointer`
-    otherwise."""
+    otherwise, with the message `outside`, when given, for a value outside
+    the tower (theta on the trivial tower)."""
     if not isinstance(s, str):
         raise SchemaError(pointer, "expected an expression string")
     try:
         return parse_element(s, tower)
-    except (ParseError, ZeroDivisionError, FieldError) as err:
+    except FieldError as err:
+        raise SchemaError(pointer, outside or str(err))
+    except (ParseError, ZeroDivisionError) as err:
         raise SchemaError(pointer, str(err))
 
 
-def _parse_matrix(rows, n: int, pointer: str) -> sp.Matrix:
+def _parse_matrix(rows, n: int, pointer: str) -> DomainMatrix:
+    """The K-form of the n x n matrix over Q(x, t) in `rows`."""
     if not isinstance(rows, list) or len(rows) != n:
         raise SchemaError(pointer, f"expected {n} rows")
-    out = []
+    entries = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"{pointer}/{i}", f"expected {n} entries")
-        for j, entry in enumerate(row):
-            if not isinstance(entry, str):
-                raise SchemaError(f"{pointer}/{i}/{j}",
-                                  "expected an expression string")
-            try:
-                e = parse_ratfunc(entry)
-            except (ParseError, ZeroDivisionError, FieldError) as err:
-                raise SchemaError(f"{pointer}/{i}/{j}", str(err))
-            if theta in e.free_symbols:
-                raise SchemaError(f"{pointer}/{i}/{j}",
-                                  "system entries lie in Q(x, t); "
-                                  "theta is not allowed")
-            out.append(e)
-    return sp.Matrix(n, n, out)
+        entries += [_parse_entry(entry, f"{pointer}/{i}/{j}", outside=(
+            "system entries lie in Q(x, t); theta is not allowed"))
+            for j, entry in enumerate(row)]
+    return regular_matrix(entries, (n, n))
 
 
 def _read_object(path: str) -> dict:
@@ -126,16 +123,11 @@ def read_system(path: str) -> DDSystem:
     return DDSystem(n, A, B, assume_irreducible=assume)
 
 
-def _matrix_strings(M: sp.Matrix, tower: Tower = TRIVIAL_TOWER):
-    return [[print_ratfunc(M[i, j], tower) for j in range(M.shape[1])]
-            for i in range(M.shape[0])]
-
-
 def write_system(path: str, sys: DDSystem):
     data = {
         "n": sys.n,
-        "A": _matrix_strings(sys.A),
-        "B": _matrix_strings(sys.B),
+        "A": print_matrix(sys.A_K),
+        "B": print_matrix(sys.B_K),
         "assumptions": {"irreducible_over_k0": bool(sys.assume_irreducible)},
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -148,25 +140,27 @@ def write_system(path: str, sys: DDSystem):
 
 _JSONABLE_REPORT_KEYS = ("stages", "specialization_point", "j0",
                          "verification", "assumptions")
-_EXPR_REPORT_KEYS = ("alpha", "beta", "lambda")
+# elements of a tower; beta_minpoly is a polynomial in theta over Q(t),
+# held over the trivial tower
+_ELEMENT_REPORT_KEYS = ("alpha", "beta", "lambda", "beta_minpoly")
 _MATRIX_REPORT_KEYS = ("G", "Bbar", "Bhat")
 
 
-def _report_to_dict(report: dict, tower: Tower) -> dict:
+def _report_to_dict(report: Report) -> dict:
+    """The JSON form of a report, its K-form entries printed over their
+    own towers."""
     out = {}
     for key in _JSONABLE_REPORT_KEYS:
         if key in report:
             out[key] = report[key]
-    for key in _EXPR_REPORT_KEYS:
+    for key in _ELEMENT_REPORT_KEYS:
         if key in report:
-            out[key] = print_ratfunc(report[key], tower)
-    if "beta_minpoly" in report:
-        # the minimal polynomial lives over Q(t), not inside the tower
-        out["beta_minpoly"] = print_ratfunc(report["beta_minpoly"],
-                                            TRIVIAL_TOWER)
+            form = report.form(key)
+            out[key] = print_element(form.value, form.tower)
     for key in _MATRIX_REPORT_KEYS:
         if key in report:
-            out[key] = _matrix_strings(report[key], tower)
+            form = report.form(key)
+            out[key] = print_matrix(form.value, form.tower)
     for sub in ("dp1", "dp2"):
         if sub in report:
             out[sub] = {k: report[sub][k]
@@ -180,17 +174,18 @@ def outcome_to_dict(outcome: Outcome) -> dict:
     sols = []
     for sol in outcome.solutions or []:
         tower = sol.tower if not sol.tower.trivial else tower
-        cert = sol.cert
+        part = sol.part
+        (r,), (c,) = (print_matrix(D, sol.tower)[0] for D in (part.r, part.c))
         sols.append({
             "kind": sol.kind,
-            "W": [print_ratfunc(e, sol.tower) for e in sol.W],
-            "sigma_ratio": print_ratfunc(cert.sigma_ratio, sol.tower),
-            "sigma_step": cert.sigma_step,
-            "delta_ratio": print_ratfunc(cert.delta_ratio, sol.tower),
-            "shift": sol.part.shift or 0,
+            "W": [e for row in print_matrix(part.W, sol.tower) for e in row],
+            "sigma_ratio": r,
+            "sigma_step": part.m,
+            "delta_ratio": c,
+            "shift": part.shift or 0,
         })
     tower_str = ("trivial" if tower.trivial
-                 else print_ratfunc(tower.minpoly, TRIVIAL_TOWER))
+                 else print_element(list(tower.modulus)))
     return {
         "provenance": outcome.provenance or "",
         "verdict": outcome.kind,
@@ -198,7 +193,7 @@ def outcome_to_dict(outcome: Outcome) -> dict:
         "reason": outcome.reason,
         "tower": tower_str,
         "solutions": sols,
-        "report": _report_to_dict(outcome.report or {}, tower),
+        "report": _report_to_dict(outcome.report or Report()),
     }
 
 

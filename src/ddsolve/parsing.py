@@ -15,38 +15,43 @@ with no sympy expression on the way: into Q(x, t, theta), theta an
 indeterminate, as a fraction over Q[x, t, theta] cancelled once at the
 end (:class:`~ddsolve.fields.Fractions`), or into K[theta]/(m) over a tower
 (:class:`~ddsolve.fields.TowerArithmetic`).  It gives an element of a
-tower in its K-form, the form in which solution files reach the
-procedures; :func:`parse_theta_poly` gives a minimal polynomial the same
-way.  :func:`parse_ratfunc` evaluates the tree to a sympy expression
+tower in its K-form, the form in which system and solution files reach
+the procedures; :func:`parse_theta_poly` gives a minimal polynomial the
+same way.  :func:`parse_ratfunc` evaluates the tree to a sympy expression
 (:func:`tree_to_sympy`) and reduces it with
-:func:`~ddsolve.fields.treduce`: the path of system files and of the
-sympy-facing API.  A division by zero is a ZeroDivisionError, with
+:func:`~ddsolve.fields.treduce`: the path of the sympy-facing API and of
+``tools petkovsek``.  A division by zero is a ZeroDivisionError, with
 ``0^-1`` and the denominators that vanish in the tower.
 
-:func:`print_ratfunc` writes a rational function back in the grammar with
-a monic denominator and integer-normalized content, so that
-``parse(print(f))`` equals ``f`` as a rational function.
+:func:`print_element` writes an element of a tower, given by its K-form,
+back in the grammar with a monic denominator and integer-normalized
+content, so that ``parse(print(f))`` equals ``f`` as a rational function;
+:func:`print_matrix` prints a K-form matrix with it, and the report and
+the solution file are printed this way, with no sympy expression on the
+way.  :func:`print_ratfunc` is the door of sympy expressions into the same
+canonical form.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
 import sympy as sp
 from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from .fields import (_QQ_XTTH, TRIVIAL_TOWER, FieldError, Fractions, Tower,
-                     TowerArithmetic, _field_element, t, theta, theta_poly,
-                     treduce, x)
+                     TowerArithmetic, _field_element, _lcm, _tower_element,
+                     from_regular, t, theta, theta_poly, treduce, x)
 
 __all__ = ["ExprTree", "ParseError", "parse_expression", "parse_element",
            "parse_theta_poly", "parse_ratfunc", "tree_to_sympy",
-           "print_ratfunc"]
+           "print_element", "print_matrix", "print_ratfunc"]
 
 _NAMES = ("x", "t", "theta")   # the generators of _QQ_XTTH, in its order
+_XTTH = _QQ_XTTH.field.ring    # Z[x, t, theta], where the printer works
 _VARS = {"x": x, "t": t, "theta": theta}
 
 
@@ -307,19 +312,53 @@ def _print_poly(p, den: int = 1) -> str:
     return out or "0"
 
 
-@functools.lru_cache(maxsize=4096)
-def print_ratfunc(f, tower: Tower = TRIVIAL_TOWER) -> str:
-    """Canonical string: c * N / D with D monic (lex leading coefficient
-    1), N primitive over the integers with positive leading coefficient,
-    and c a rational constant, N/D the reduced fraction in Q(x, t, theta)
-    (theta an indeterminate) of f, reduced mod the minimal polynomial
-    first over a tower (:func:`~ddsolve.fields.treduce`).  Memoized on
-    (f, tower): the report and the solution file print the same
-    entries."""
+def print_element(a: list, tower: Tower = TRIVIAL_TOWER) -> str:
+    """The canonical string of :func:`print_ratfunc` for an element a of
+    the tower (a dense polynomial in theta over K = Q(x, t), highest degree
+    first, reduced mod the minimal polynomial first over a tower), printed
+    from its theta-coordinates n_k/d_k over Z[x, t].  Over the lcm D of the
+    d_k, a = (sum_k n_k (D/d_k) theta^k) / D, and this fraction is reduced
+    in Q(x, t, theta): a prime power p^e that exactly divides D exactly
+    divides some d_k, so p divides neither n_k nor D/d_k.  So no gcd runs
+    beyond the lcm, and none at all for a single coordinate."""
     if not tower.trivial:
-        f = treduce(f, tower)
+        a = tower.reduce(a)
+    den = _lcm(c.denom for c in a if c)
+    num = {}
+    for k, c in enumerate(reversed(a)):
+        if c:
+            n = c.numer if c.denom == den else c.numer * den.exquo(c.denom)
+            for (i, j), v in n.items():
+                num[(i, j, k)] = v
+    return _print_fraction(_XTTH.from_dict(num), _XTTH.from_dict(
+        {(i, j, 0): v for (i, j), v in den.items()}))
+
+
+def print_matrix(D: DomainMatrix, tower: Tower = TRIVIAL_TOWER) -> list:
+    """The rows of the matrix over the tower whose K-form is D, each entry
+    printed by :func:`print_element`."""
+    deg = tower.degree
+    cols = D.shape[1] // deg
+    entries = [print_element(a, tower) for a in from_regular(D, deg)]
+    return [entries[i:i + cols] for i in range(0, len(entries), cols)]
+
+
+def print_ratfunc(f, tower: Tower = TRIVIAL_TOWER) -> str:
+    """The canonical string of the expression f: on the trivial tower of
+    its reduced fraction in Q(x, t, theta) (theta an indeterminate), on a
+    tower of its element there (:func:`print_element`).  The door of the
+    expression API into the printer."""
+    if not tower.trivial:
+        return print_element(_tower_element(f, tower))
     f = _field_element(_QQ_XTTH, f)
-    pn, pd = f.numer, f.denom
+    return _print_fraction(f.numer, f.denom)
+
+
+def _print_fraction(pn, pd) -> str:
+    """Canonical string of the reduced fraction pn/pd over Z[x, t, theta]:
+    c * N / D with D monic (lex leading coefficient 1), N primitive over
+    the integers with positive leading coefficient, and c a rational
+    constant."""
     if not pn:
         return "0"
     # pn / pd = c * prim / (pd / lc), pd / lc monic and prim primitive

@@ -26,8 +26,10 @@ certificates are formed on K-forms (see :mod:`ddsolve.fields`), from the
 ones of A and B a :class:`DDSystem` holds, and so are DP2's specialized
 system and its ratios beta * lambda(x + j0 + i).  A solution's part is a
 column of G with its ratio and diagonal entry of B-bar, as K-forms; no
-expression is converted into K inside a solve, and the report and the
-:class:`NormalForm` are formed once, from K, as expressions.
+expression is converted into K inside a solve.  The report
+(:class:`Report`) and the :class:`NormalForm` hold K-forms too, printed
+from K, and form their sympy values only when read; DP2's one sympy
+expression is the sort key of its candidate ratios.
 
 Every gauge comes from ``ratsol.assemble_gauge``, which checks it once.
 A K-matrix is specialized at t = p by K's own ``subs``, and is defined
@@ -74,9 +76,10 @@ from .sequences import (WINDOW_TERMS, CompiledMatrix, LiouvilleSolution,
                         first_regular_index, first_safe_index, tower_fault,
                         verify_certificates, verify_numeric_window)
 
-__all__ = ["DDSystem", "Outcome", "NormalForm", "check_integrability",
-           "decision_procedure_1", "decision_procedure_2",
-           "solve_liouvillian", "verification_point_fault"]
+__all__ = ["DDSystem", "Outcome", "NormalForm", "KForm", "Report",
+           "check_integrability", "decision_procedure_1",
+           "decision_procedure_2", "solve_liouvillian",
+           "verification_point_fault"]
 
 # x and t in the ring Z[x, t] of K's numerators, and in K
 _X, _T = QQ_XT.field.ring.gens
@@ -85,35 +88,42 @@ _XK, _TK = QQ_XT.gens
 
 @dataclass
 class DDSystem:
-    """Integrable system sigma(Y) = A Y, delta(Y) = B Y over Q(x, t).
+    """Integrable system sigma(Y) = A Y, delta(Y) = B Y over Q(x, t), held
+    as the K-forms :attr:`A_K` and :attr:`B_K` of A and B.
 
-    The forms over K derived from A and B (:attr:`A_K`, :attr:`B_K`,
-    :attr:`det_K`, :attr:`det_standard`, the cocycles of :meth:`cocycle`
-    and the cleared forms of the cocycles and their inverses,
-    :meth:`cleared_cocycle`) are computed on first use and kept, so each
-    is formed once per system: validation, stage a of both procedures and
-    the lifts' pole scan read the one det A, and every rational solve of
-    sigma^m(W) = (A_m/r) W scales the cleared A_m and A_m^-1 by 1/r and
-    r.  A and B are not modified after construction."""
+    ``files.read_system`` gives the K-forms; sympy matrices A and B enter K
+    here, through :func:`~ddsolve.fields.dm_from_matrix`, and an entry
+    outside Q(x, t) is a ValueError.  :attr:`A` and :attr:`B` are the
+    sympy matrices, formed on first read.  The forms over K derived from A
+    and B (:attr:`det_K`, :attr:`det_standard`, the cocycles of
+    :meth:`cocycle` and the cleared forms of the cocycles and their
+    inverses, :meth:`cleared_cocycle`) are computed on first use and kept,
+    so each is formed once per system: validation, stage a of both
+    procedures and the lifts' pole scan read the one det A, and every
+    rational solve of sigma^m(W) = (A_m/r) W scales the cleared A_m and
+    A_m^-1 by 1/r and r.  A and B are not modified after construction."""
     n: int
-    A: sp.Matrix
-    B: sp.Matrix
+    A_K: DomainMatrix
+    B_K: DomainMatrix
     assume_irreducible: bool = False
 
-    @functools.cached_property
-    def A_K(self) -> DomainMatrix:
-        """A over K; FieldError for an entry outside Q(x, t)."""
-        return dm_from_matrix(self.A)
+    def __post_init__(self):
+        self.A_K, self.B_K = map(_over_k, (self.A_K, self.B_K))
 
     @functools.cached_property
-    def B_K(self) -> DomainMatrix:
-        """B over K; FieldError for an entry outside Q(x, t)."""
-        return dm_from_matrix(self.B)
+    def A(self) -> sp.Matrix:
+        return dm_to_matrix(self.A_K)
+
+    @functools.cached_property
+    def B(self) -> sp.Matrix:
+        return dm_to_matrix(self.B_K)
 
     @functools.cached_property
     def det_K(self):
-        """det A, an element of K."""
-        return self.A_K.det()
+        """det A, an element of K: with A = N/q (:func:`dm_clear`), det N
+        over Z[x, t] (fraction-free) divided by q^n, cancelled once."""
+        q, N = dm_clear(self.A_K)
+        return QQ_XT.field.new(N.det(), q ** N.shape[0])
 
     @functools.cached_property
     def det_standard(self) -> StandardDecomposition:
@@ -177,17 +187,13 @@ class DDSystem:
 
     def validate(self):
         """Check that (A, B) is a system the procedures accept: n prime,
-        A and B n x n over Q(x, t), A invertible, and
-        :attr:`integrability_level` 1 or n; the residual over K is formed
-        only for the message when it is 0.  ValueError otherwise."""
+        A and B n x n, A invertible, and :attr:`integrability_level` 1 or
+        n; the residual over K is formed only for the message when it is
+        0.  ValueError otherwise."""
         if not sp.isprime(self.n):
             raise ValueError(f"order n = {self.n} must be prime")
-        if self.A.shape != (self.n, self.n) or self.B.shape != (self.n, self.n):
+        if {self.A_K.shape, self.B_K.shape} != {(self.n, self.n)}:
             raise ValueError("A and B must be n x n")
-        try:
-            self.A_K, self.B_K
-        except FieldError as err:
-            raise ValueError(f"A and B must be over Q(x, t): {err}")
         if self.det_K == 0:
             raise ValueError("A must be invertible")
         if not self.integrability_level:
@@ -195,22 +201,90 @@ class DDSystem:
                              f"{dm_to_matrix(self.integrability_residual())}")
 
 
+def _over_k(M) -> DomainMatrix:
+    """A system matrix as its K-form: a K-matrix as it is, a sympy matrix
+    through :func:`~ddsolve.fields.dm_from_matrix`.  ValueError for an
+    entry outside Q(x, t)."""
+    if isinstance(M, DomainMatrix):
+        return M
+    try:
+        return dm_from_matrix(M)
+    except FieldError as err:
+        raise ValueError(f"A and B must be over Q(x, t): {err}")
+
+
+@dataclass(eq=False)
+class KForm:
+    """A report entry held in K: an element of the tower (a dense list over
+    K, highest power of theta first) or the K-form of a matrix over it.
+    :attr:`expr` is the same as a sympy expression or matrix, formed on
+    first read."""
+    value: object
+    tower: Tower = TRIVIAL_TOWER
+
+    @functools.cached_property
+    def expr(self):
+        if isinstance(self.value, DomainMatrix):
+            return dm_to_matrix(self.value, self.tower)
+        return element_expr(self.value)
+
+
+class Report(dict):
+    """The report of a decision procedure.  Its K-form entries (a
+    :class:`KForm`, or a list of them) read as their sympy values through
+    ``[]`` and :meth:`get`; :meth:`form` reads the stored entry, which the
+    printers print from."""
+
+    def __getitem__(self, key):
+        v = super().__getitem__(key)
+        if isinstance(v, KForm):
+            return v.expr
+        if isinstance(v, list) and v and isinstance(v[0], KForm):
+            return [a.expr for a in v]
+        return v
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def form(self, key):
+        return super().__getitem__(key)
+
+
 @dataclass
 class NormalForm:
-    """Diagonal normal form data.
+    """Diagonal normal form data, its entries elements of the tower (dense
+    lists over K).
 
     DP1: sigma-part diag(alpha * beta_i), delta-part diag(cs[i] +
     (delta beta_i / beta_i) x collapsed into the full delta ratios).
     DP2: sigma^n-part beta * diag(lam(x + j0 + i)), delta-part
     diag((delta beta/(n beta)) x + bhats[i]).  The list of the other
-    procedure is empty."""
-    alpha: sp.Expr
-    betas: list
-    cs: list = field(default_factory=list)
-    bhats: list = field(default_factory=list)
+    procedure is empty.  :attr:`alpha`, :attr:`betas`, :attr:`cs` and
+    :attr:`bhats` are the entries as sympy expressions, formed when
+    read."""
+    alpha_K: list
+    betas_K: list
+    cs_K: list = field(default_factory=list)
+    bhats_K: list = field(default_factory=list)
     j0: int = 0
     ell: int = 1
     tower: Tower = TRIVIAL_TOWER
+
+    @property
+    def alpha(self) -> sp.Expr:
+        return element_expr(self.alpha_K)
+
+    @property
+    def betas(self) -> list:
+        return list(map(element_expr, self.betas_K))
+
+    @property
+    def cs(self) -> list:
+        return list(map(element_expr, self.cs_K))
+
+    @property
+    def bhats(self) -> list:
+        return list(map(element_expr, self.bhats_K))
 
 
 @dataclass
@@ -222,7 +296,7 @@ class Outcome:
     reason: str = ""
     solutions: list = field(default_factory=list)
     normal_form: Optional[NormalForm] = None
-    report: dict = field(default_factory=dict)
+    report: Report = field(default_factory=Report)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +308,7 @@ def check_integrability(A: sp.Matrix, B: sp.Matrix):
     ok is :attr:`DDSystem.sigma_integrable`, decided fraction-free; the
     residual over K, which needs A^{-1}, is formed only when the test
     fails (the zero matrix otherwise).  Returns (ok, residual matrix).
-    FieldError when A is singular or an entry lies outside K."""
+    FieldError when A is singular, ValueError for an entry outside K."""
     system = DDSystem(A.shape[0], A, B)
     if system.sigma_integrable:
         return True, sp.zeros(*B.shape)
@@ -314,7 +388,7 @@ def _unsupported_as_outcome(procedure, sys: DDSystem, provenance: str):
     """Run a decision procedure; a subroutine outside its scope
     (UnsupportedCase, ReductionStalled) ends it as Unsupported at the
     current stage."""
-    report = {"stages": []}
+    report = Report(stages=[])
     try:
         return procedure(sys, report)
     except (UnsupportedCase, ReductionStalled) as err:
@@ -334,7 +408,7 @@ def _decision_procedure_1(sys: DDSystem, report: dict) -> Outcome:
                        "standard part of det A is not of the form "
                        "alpha(x)^n * beta(t)", report=report)
     alpha_K = split[0]
-    report["alpha"] = QQ_XT.to_sympy(alpha_K)
+    report["alpha"] = KForm([alpha_K])
 
     # (b) Moser-reduce A/alpha; order at infinity must be 0
     stages.append("b")
@@ -375,7 +449,8 @@ def _dp1_stage_d1(sys: DDSystem, alpha_K, eig, report: dict) -> Outcome:
     if isinstance(eig, Conjugate):
         tower = tower_from_modulus(eig.modulus)
         betas = tower.conjugates()
-        report["beta_minpoly"] = sp.expand(tower.minpoly)
+        # a polynomial in theta over Q(t), theta an indeterminate
+        report["beta_minpoly"] = KForm(list(tower.modulus))
         if len(betas) != n:
             return Outcome("Unsupported", "DP1", "d1",
                            "splitting field required: not all conjugate "
@@ -418,19 +493,16 @@ def _dp1_stage_d1(sys: DDSystem, alpha_K, eig, report: dict) -> Outcome:
         return Outcome("NoSolution", "DP1", "d1",
                        f"delta-part not diagonal at {off}", report=report)
     G, Bbar = _normalize_gauge_certificates(G, Bbar, tower)
-    report["G"] = dm_to_matrix(G, tower)
-    report["Bbar"] = dm_to_matrix(Bbar, tower)
+    report["G"], report["Bbar"] = KForm(G, tower), KForm(Bbar, tower)
     sols = [LiouvilleSolution("Hypergeometric", _column_part(
         G, ratios[i], Bbar, i, tower), tower) for i in range(n)]
     # c_i = Bbar_ii - delta(beta_i)/beta_i * x, on 1 x 1 K-forms
     cs = []
     for b, sol in zip(betas, sols):
         D = dm_diag([b], tower)
-        cs.append(dm_to_matrix(sol.part.c - (dm_delta(D, tower)
-                                             * dm_inv(D)).mul(_XK),
-                               tower)[0])
-    nf = NormalForm(alpha=report["alpha"],
-                    betas=[element_expr(b) for b in betas], cs=cs, ell=1,
+        cs += from_regular(sol.part.c - (dm_delta(D, tower)
+                                         * dm_inv(D)).mul(_XK), tower.degree)
+    nf = NormalForm(alpha_K=[alpha_K], betas_K=betas, cs_K=cs, ell=1,
                     tower=tower)
     return Outcome("Solved", "DP1", solutions=sols, normal_form=nf,
                    report=report)
@@ -456,8 +528,7 @@ def _dp1_stage_d2(sys: DDSystem, alpha_K, beta1, report: dict) -> Outcome:
     if dm_over_qt(Bhat) is None:
         return Outcome("NoSolution", "DP1", "d2",
                        "residual delta-part is not over Q(t)", report=report)
-    report["G"] = dm_to_matrix(G)
-    report["Bhat"] = dm_to_matrix(Bhat)
+    report["G"], report["Bhat"] = KForm(G), KForm(Bhat)
     cands = hyperexp_solutions(Bhat)
     indep = _independent_candidates(cands, n)
     if indep is None:
@@ -474,8 +545,8 @@ def _dp1_stage_d2(sys: DDSystem, alpha_K, beta1, report: dict) -> Outcome:
         sols.append(LiouvilleSolution("Hypergeometric", Part(
             dm_embed(G, c.tower) * c.V, dm_diag([[ratio_K]], c.tower),
             dm_diag([dr], c.tower), 1), c.tower))
-    nf = NormalForm(alpha=report["alpha"], betas=[QQ_XT.to_sympy(beta1)] * n,
-                    cs=[element_expr(c.certificate) for c in indep], ell=1,
+    nf = NormalForm(alpha_K=[alpha_K], betas_K=[[beta1]] * n,
+                    cs_K=[c.certificate for c in indep], ell=1,
                     tower=sol_tower)
     return Outcome("Solved", "DP1", solutions=sols, normal_form=nf,
                    report=report)
@@ -515,7 +586,7 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
     n = sys.n
     stages = report["stages"]
     An = sys.cocycle(n)
-    report["An"] = dm_to_matrix(An)
+    report["An"] = KForm(An)
 
     # (a) det A = (-1)^{n-1} sigma(g)/g alpha(x) beta(t): rational bases
     stages.append("a")
@@ -527,7 +598,7 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
     # (b) beta from the leading series coefficient; specialize t = p
     stages.append("b")
     beta_K = leading_beta(sys.det_K, n)
-    report["beta"] = beta = QQ_XT.to_sympy(beta_K)
+    report["beta"] = KForm([beta_K])
     spec = _specialization_point(An.mul(QQ_XT.one / beta_K))
     if spec is None:
         return Outcome("Unsupported", "DP2", "b",
@@ -550,10 +621,12 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
     # gauge G_2 = G_1 diag(q(x + j0 + i))^-1 works for lambda_2 whenever G_1
     # works for lambda_1, and its delta-part differs from G_1's by a
     # conjugation with that diagonal and a diagonal log-derivative, so it
-    # is diagonal exactly when G_1's is (ROADMAP item 1)
+    # is diagonal exactly when G_1's is (ROADMAP item 1).  The sort key is
+    # DP2's one remaining sympy expression: it fixes which gauge is found
+    # first, and so the bytes of the solution file
     lams = sorted({c.standard_part for c in cands},
                   key=lambda lam: sp.default_sort_key(QQ_XT.to_sympy(lam)))
-    report["candidate_ratios"] = [QQ_XT.to_sympy(lam) for lam in lams]
+    report["candidate_ratios"] = [KForm([lam]) for lam in lams]
 
     # (d) least shift j0 with a rational sigma^n-solution, then the gauge.
     # Existence is periodic in j0 with period n (the systems for j0 and
@@ -575,16 +648,14 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
                                f"delta-part not diagonal at {off}",
                                report=report)
             G, Bbar = _normalize_gauge_certificates(G, Bbar, TRIVIAL_TOWER)
-            report["lambda"] = QQ_XT.to_sympy(lam)
-            report["j0"] = j0
-            report["G"] = dm_to_matrix(G)
-            report["Bbar"] = dm_to_matrix(Bbar)
+            report["lambda"], report["j0"] = KForm([lam]), j0
+            report["G"], report["Bbar"] = KForm(G), KForm(Bbar)
             # delta(beta)/(n beta) * x, the delta-ratio of beta^(x/n)
             dlog = beta_K.diff(_TK) / (n * beta_K) * _XK
-            bhats = [QQ_XT.to_sympy(Bbar[i, i].element - dlog)
+            bhats = [dup_strip([Bbar[i, i].element - dlog])
                      for i in range(n)]
-            nf = NormalForm(alpha=report["lambda"], betas=[beta] * n,
-                            bhats=bhats, j0=j0, ell=n)
+            nf = NormalForm(alpha_K=[lam], betas_K=[[beta_K]] * n,
+                            bhats_K=bhats, j0=j0, ell=n)
             sols = [LiouvilleSolution("Interlaced", _column_part(
                 G, [shifted[j0 + i]], Bbar, i, TRIVIAL_TOWER, n, i))
                 for i in range(n)]
@@ -637,7 +708,7 @@ def solve_liouvillian(sys: DDSystem) -> Outcome:
     sys.validate()
     level = ("integrable as a sigma-delta system" if sys.integrability_level == 1
              else f"integrable only at the sigma^{sys.integrability_level} level")
-    report = {"assumptions": [level], "timings": {}}
+    report = Report(assumptions=[level], timings={})
     if sys.assume_irreducible:
         report["assumptions"].append(
             "irreducibility over Q(x, t) asserted by the caller")

@@ -58,8 +58,9 @@ from sympy.polys.matrices import DomainMatrix
 
 from .difftools import shift_classes
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, Cleared, FieldError, Tower,
-                     _lcm, dm_clear, dm_same, dm_shift, has_rank, k_shift,
-                     kernel, point_rank, regular_matrix, x_integer_roots)
+                     _lcm, dm_clear, dm_same, dm_shift, dm_shift_clear,
+                     has_rank, k_shift, kernel, point_rank, regular_matrix,
+                     x_integer_roots)
 from .sequences import VerificationError
 
 __all__ = ["UnsupportedCase", "universal_denominator", "degree_bound",
@@ -412,8 +413,9 @@ def rational_solutions(M: Cleared, M_inv: Cleared, m: int,
     inv_u, c = QQ_XT.one / u, su / u
     basis = []
     for P in polynomial_solutions(M.scale(c.numer, c.denom), m, tower):
-        # sigma^m(P/u) = M P/u, decided on P and u
-        if not dm_same([(dm_shift(P, m), u)], [(M, P, su)]):
+        # sigma^m(P/u) = M P/u, decided on P and u, P cleared once
+        Pc = dm_clear(P)
+        if not dm_same([(dm_shift_clear(Pc, m), u)], [(M, Pc, su)]):
             raise VerificationError(
                 "rational solution failed substitution check")
         basis.append(P.mul(inv_u))
@@ -447,7 +449,10 @@ def assemble_gauge(columns: list, A, R: DomainMatrix, m: int,
     sigma^m(G) R = A G for R the K-form of the diagonal of ratios, A a
     K-form or its cleared form."""
     G = _invertible_selection(columns, tower)
-    if G is not None and not dm_same([(dm_shift(G, m), R)], [(A, G)]):
+    if G is None:
+        return None
+    Gc = dm_clear(G)     # sigma^m(G) is cleared as the shift of G's form
+    if not dm_same([(dm_shift_clear(Gc, m), R)], [(A, Gc)]):
         raise VerificationError("gauge postcondition violated")
     return G
 

@@ -30,7 +30,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower,
                      common_integer_roots, dm_clear, dm_delta_clear,
-                     dm_embed, dm_same, dm_shift, dm_sigma_power, dm_to_matrix,
+                     dm_embed, dm_same, dm_shift_clear, dm_sigma_power,
+                     dm_to_matrix,
                      from_theta_coords, t, theta, x_integer_roots)
 
 __all__ = ["SeqVec", "lift_sigma_d_to_sigma", "HypCert", "Part",
@@ -296,7 +297,7 @@ def lift_sigma_d_to_sigma(V: DomainMatrix, ratio: DomainMatrix, d: int,
     vouches for those conditions, and a pole of A met on the way raises
     PoleError when the value is read.
     """
-    if not _sigma_identity(V, ratio, dm_sigma_power(A, d), d):
+    if not _sigma_identity(dm_clear(V), ratio, dm_sigma_power(A, d), d):
         raise VerificationError(
             f"lift precondition fails: sigma^{d}(V)*r != A_{d}*V")
     if N is None:
@@ -364,27 +365,29 @@ class VerifyResult:
     failures: list  # human-readable identity names
 
 
-def _sigma_identity(W: DomainMatrix, r: DomainMatrix, Am: DomainMatrix,
+def _sigma_identity(Wc: tuple, r: DomainMatrix, Am: DomainMatrix,
                     m: int) -> bool:
-    """Whether sigma^m(W) r = A_m W, for K-forms over one tower, decided on
-    cleared numerators (:func:`~ddsolve.fields.dm_same`): the sigma half
-    of a certificate and the precondition of the lift."""
-    return dm_same([(dm_shift(W, m), r)], [(Am, W)])
+    """Whether sigma^m(W) r = A_m W, for K-forms over one tower, W given by
+    its pair Wc of :func:`~ddsolve.fields.dm_clear`, decided on cleared
+    numerators (:func:`~ddsolve.fields.dm_same`): the sigma half of a
+    certificate and the precondition of the lift."""
+    return dm_same([(dm_shift_clear(Wc, m), r)], [(Am, Wc)])
 
 
 def _check_pair(system, part: Part, tower: Tower) -> list:
     """The sigma- and delta-identities of one hypergeometric part, as
     equalities of K-forms over the tower decided on cleared numerators
-    (:func:`~ddsolve.fields.dm_same`)."""
+    (:func:`~ddsolve.fields.dm_same`), W cleared once for both."""
     W, m = part.W, part.m
     if W.is_zero_matrix:
         return [f"{part.label}: W is zero"]
+    Wc = dm_clear(W)
     failures = []
-    if not _sigma_identity(W, part.r, dm_embed(system.cocycle(m), tower), m):
+    if not _sigma_identity(Wc, part.r, dm_embed(system.cocycle(m), tower), m):
         failures.append(
             f"{part.label}: sigma identity sigma^{m}(W)*r = A_{m}*W")
-    if not dm_same([(dm_delta_clear(W, tower),), (W, part.c)],
-                   [(dm_embed(system.B_K, tower), W)]):
+    if not dm_same([(dm_delta_clear(Wc if tower.trivial else W, tower),),
+                    (Wc, part.c)], [(dm_embed(system.B_K, tower), Wc)]):
         failures.append(f"{part.label}: delta identity delta(W) + c*W = B*W")
     return failures
 

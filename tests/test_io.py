@@ -177,6 +177,51 @@ def test_read_solution_builds_no_sympy_expression():
     assert out.split() == ["2", "False", "True"]
 
 
+_NO_ADD = r"""
+import contextlib, io, sys
+import sympy.core.add
+import ddsolve, ddsolve.cli
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a sympy Add was formed")
+
+sympy.core.add.Add.flatten = classmethod(refuse)
+system = ddsolve.read_system(sys.argv[1])
+outcome = ddsolve.solve_liouvillian(system)
+report = io.StringIO()
+with contextlib.redirect_stdout(report):
+    ddsolve.cli._human_report(outcome)
+ddsolve.write_solution(sys.argv[2], outcome)
+verify = io.StringIO()
+with contextlib.redirect_stdout(verify):
+    code = ddsolve.cli.main(["verify", sys.argv[1], sys.argv[3],
+                             "--t0", "1"])
+sys.stdout.write(report.getvalue() + "--\n" + verify.getvalue())
+print(code, "sympy.tensor.tensor" in sys.modules)
+"""
+
+
+def test_solve_and_verify_form_no_sympy_add(tmp_path):
+    """Reading, solving, reporting and writing example1, and verifying its
+    golden solution file at t0 = 1, form no sympy Add: in a fresh
+    interpreter whose Add.flatten raises, all succeed with the golden
+    bytes, and sympy.tensor.tensor, which the first Add imports, is never
+    imported."""
+    golden = SYSTEMS.parent / "tests" / "golden"
+    out = tmp_path / "example1.json"
+    env = dict(os.environ, PYTHONPATH=str(SYSTEMS.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_ADD, str(SYSTEMS / "example1.json"),
+         str(out), str(golden / "example1.json")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report, verify = proc.stdout.split("--\n")
+    assert report.encode() == (golden / "example1.stdout").read_bytes()
+    assert out.read_bytes() == (golden / "example1.json").read_bytes()
+    assert verify.splitlines() == ["solution 0: ok", "solution 1: ok",
+                                   "0 False"]
+
+
 # ---------------------------------------------------------------------------
 # print/parse round trip on 500 random rational functions
 
@@ -230,6 +275,68 @@ def test_system_file_roundtrip(tmp_path, example1_path):
     write_system(str(tmp_path / "copy2.json"), sys2)
     assert (tmp_path / "copy.json").read_bytes() == \
         (tmp_path / "copy2.json").read_bytes()
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("theta", "system entries lie in Q(x, t); theta is not allowed"),
+    ("1/(x-x)", "division by zero in expression"),
+    ("0^-1", "division by zero in expression"),
+    ("x/0", "division by zero in expression"),
+    ("(x-x)^-2", "division by zero in expression"),
+    ("x^1.5", "error at offset 3: unexpected trailing input"),
+])
+def test_read_system_errors_keep_pointer_and_message(entry, message,
+                                                     tmp_path):
+    """A system entry is parsed straight into K; each rejection keeps the
+    pointer and the message of the expression path it replaced."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "A": [["1", "0"], ["0", entry]],
+                                "B": [["0", "0"], ["0", "0"]]}))
+    with pytest.raises(SchemaError) as err:
+        read_system(str(path))
+    assert err.value.pointer == "/A/1/1"
+    assert str(err.value) == f"/A/1/1: {message}"
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("theta/theta", sp.Integer(1)), ("2^-1", sp.Rational(1, 2))])
+def test_read_system_accepts_values_in_q_x_t(entry, value, tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps({"n": 2, "A": [["1", "0"], ["0", entry]],
+                                "B": [["0", "0"], ["0", "0"]]}))
+    assert read_system(str(path)).A[1, 1] == value
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "hermite"])
+def test_system_views_are_the_canonical_expressions(name):
+    """The sympy matrices A and B of a system read into K are, entry by
+    entry, the canonical expressions of the expression path
+    (parse_ratfunc: the parsed tree reduced by treduce)."""
+    system = read_system(str(SYSTEMS / f"{name}.json"))
+    data = json.loads((SYSTEMS / f"{name}.json").read_text())
+    for key, M in (("A", system.A), ("B", system.B)):
+        want = [parse_ratfunc(e) for row in data[key] for e in row]
+        assert [sp.srepr(e) for e in M] == [sp.srepr(e) for e in want]
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "hermite"])
+def test_write_system_prints_what_the_expression_path_prints(name,
+                                                             tmp_path):
+    """write_system prints from the K-forms the bytes that printing the
+    canonical expressions (print_ratfunc of parse_ratfunc) gives."""
+    path = SYSTEMS / f"{name}.json"
+    out = tmp_path / "copy.json"
+    write_system(str(out), read_system(str(path)))
+    data = json.loads(path.read_text())
+    want = {"n": data["n"],
+            "A": [[print_ratfunc(parse_ratfunc(e)) for e in row]
+                  for row in data["A"]],
+            "B": [[print_ratfunc(parse_ratfunc(e)) for e in row]
+                  for row in data["B"]],
+            "assumptions": {"irreducible_over_k0": bool(
+                data.get("assumptions", {}).get("irreducible_over_k0"))}}
+    assert out.read_text() == json.dumps(want, indent=2,
+                                         sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("tower, why", [
