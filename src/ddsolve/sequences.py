@@ -31,8 +31,8 @@ from sympy.polys.matrices import DomainMatrix
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower,
                      common_integer_roots, dm_clear, dm_delta_clear,
                      dm_embed, dm_same, dm_shift_clear, dm_sigma_power,
-                     dm_to_matrix,
-                     from_theta_coords, t, theta, x_integer_roots)
+                     dm_to_matrix, from_theta_coords, t, theta,
+                     x_integer_roots)
 
 __all__ = ["SeqVec", "lift_sigma_d_to_sigma", "HypCert", "Part",
            "LiouvilleSolution", "VerifyResult", "verify_certificates",
