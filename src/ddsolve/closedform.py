@@ -10,7 +10,11 @@ ratsol.ansatz_kernel with its degree bound ratsol.degree_bound, on
 sum_j R_j Delta_m^j C = 0 over the regular representation of
 Q(z) = Q[theta]/(f), f the minimal polynomial of z: 1 x 1 for a
 rational z, e x e for z of degree e, solved once per f, since
-conjugate roots share it.  A constant of degree e >= 3 is
+conjugate roots share it.  A rational z is decided first from the top
+k+1 coefficients of the P_i, read off truncated products before any
+P_i is formed: they give the leading row of the degree bound, and a
+pair whose every rational z has a bound < 0 is dropped there
+(_window_bound).  A constant of degree e >= 3 is
 decided the same way: when its C-equation has a nonzero solution,
 UnsupportedCase names f, since the ratios would need QQ(z).  Duplicate
 ratios are found by cross-multiplying over K, and each ratio leaves as
@@ -51,15 +55,16 @@ from math import comb, lcm
 
 import sympy as sp
 from sympy import QQ, ZZ
-from sympy.polys.densearith import (dup_add, dup_lshift, dup_mul, dup_pow,
-                                   dup_rem)
+from sympy.polys.densearith import (dup_add, dup_lshift, dup_mul,
+                                   dup_mul_ground, dup_pow, dup_rem)
 from sympy.polys.densebasic import dup_convert, dup_degree, dup_strip
 from sympy.polys.densetools import dup_clear_denoms, dup_monic, dup_shift
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower,
-                     _field_element, charpoly_factors, dm_cleared,
+                     _field_element, charpoly_factors,
+                     common_integer_roots, dm_cleared,
                      dm_delta_clear, dm_diag, dm_embed, dm_inv, dm_over_qt,
                      dense_fraction, dm_same, regular_rows,
                      kernel, t_value, tower_from_modulus, x)
@@ -183,6 +188,68 @@ def _times(p: list, factors: list, K) -> list:
     return p
 
 
+def _top_mul(f: list, g: list, r: int) -> list:
+    """The top r coefficients of f * g, f and g nonzero and dense over Q:
+    the coefficient of x^(deg f + deg g - s) is a sum of products of
+    those of x^(deg f - s1) and x^(deg g - s2), s1 + s2 = s, so the top r
+    of each factor decide it for s < r."""
+    return dup_mul(f[:r], g[:r], QQ)[:r]
+
+
+def _top_products(factors: list, r: int) -> list:
+    """[1, f_0, f_0 f_1, ...], each product truncated to its top r
+    coefficients (:func:`_top_mul`)."""
+    out = [[QQ.one]]
+    for f in factors:
+        out.append(_top_mul(out[-1], f, r))
+    return out
+
+
+def _window(pA: list, B_top: list, pdeg: list, top: int, r: int) -> list:
+    """W[i], the coefficients of x^top, ..., x^(top-r+1) of
+    P_i = pA[i] * B_top[i], from the top r coefficients of each factor
+    (:func:`_top_mul`), pdeg[i] the degree of P_i (-1 for P_i = 0)."""
+    W = []
+    for f, g, dg in zip(pA, B_top, pdeg):
+        lag = top - dg
+        w = _top_mul(f, g, r - lag) if f and lag < r else []
+        W.append(([QQ.zero] * lag + w + [QQ.zero] * r)[:r])
+    return W
+
+
+def _window_bound(W: list, m: int, z) -> int:
+    """The degree bound of the C-equation of a rational z (see
+    :func:`_c_kernel`), from W[i], the coefficients of x^D, ...,
+    x^(D-k) of P_i, D the largest degree of the P_i: the largest
+    nonnegative integer root of the leading row that
+    :func:`ddsolve.ratsol.degree_bound` reads over Z[k] (there times the
+    positive integer that clears the P_i and z^i),
+    I(d) = sum_j m^j d (d - 1) ... (d - j + 1) [x^(h+j)] R_j over the j
+    with deg R_j - j = h = max_j (deg R_j - j), or -1.
+
+    The window decides I: h >= D - k, since for the largest i with
+    deg P_i = D, R_i = z^i P_i + (terms of lower degree) has degree D
+    (z != 0).  So I reads each R_j only at degrees >= D - k + j, where
+    the W[i] give its coefficients, and a j whose R_j vanishes there has
+    deg R_j - j < D - k and no part in I."""
+    k = len(W) - 1
+    best, I = -k - 1, []                    # h - D, and I
+    zs = [z**i for i in range(k + 1)]
+    falling = [QQ.one]                      # m^j d (d - 1) ... (d - j + 1)
+    for j in range(k + 1):
+        for s in range(k + 1 - j):          # [x^(D-s)] R_j
+            c = sum((comb(i, j) * zs[i] * W[i][s] for i in range(j, k + 1)),
+                    QQ.zero)
+            if c:
+                if -s - j > best:
+                    best, I = -s - j, []
+                if -s - j == best:
+                    I = dup_add(I, dup_mul_ground(falling, c, QQ), QQ)
+                break
+        falling = dup_mul(falling, [QQ(m), QQ(-m * j)], QQ)
+    return max([-1] + [d for d in common_integer_roots([I]) if d >= 0])
+
+
 def _check_ratio(ps: list, m: int, K, num: list, den: list):
     """VerificationError unless r = num/den solves the recurrence:
     sum_i p_i(x) prod_{j<i} num(x+jm) prod_{i<=j<k} den(x+jm) = 0."""
@@ -205,7 +272,24 @@ def hyper_ratios(ps: list, m: int = 1) -> list:
     Each r is returned as (K, num, den), r = num/den with num and den
     dense over K, checked by substitution into the recurrence.  Constants
     are searched in Q and quadratic extensions of Q; UnsupportedCase when
-    a constant of higher degree has a polynomial C (:func:`_c_kernel`)."""
+    a constant of higher degree has a polynomial C (:func:`_c_kernel`).
+
+    Each divisor pair (a, b) is decided before its P_i are formed.  The
+    degree and leading coefficient of P_i come from those of p_i, a and
+    b (monic), so the leading polynomial and its roots z cost no product.
+    For a rational z the degree bound of the C-equation is read from the
+    top k+1 coefficients of the P_i (:func:`_window_bound`), taken from
+    the top k+1 of p_i times the prefix products of a's shifts, kept per
+    a, times the suffix products of b's shifts, kept per b
+    (:func:`_top_products`).  A z whose bound is < 0 has C = 0 only, so
+    its ratio does not exist; the P_i are formed, and :func:`_c_kernel`
+    runs, only for a pair that keeps a rational z or has a quadratic or
+    higher one.  Nothing is lost, which DP2 stage c's NoSolution needs:
+    the bound from the window is the one
+    :func:`ddsolve.ratsol.degree_bound` reads from the full P_i, since (1) the top r coefficients of a
+    product depend only on the top r of each factor, and (2) the leading
+    row of that bound reads the R_j only at degrees >= D - k (see
+    :func:`_window_bound`)."""
     # drop zero coefficients at both ends: if p_0 = ... = p_{i0-1} = 0,
     # rewrite in x - m*i0 so that the trailing coefficient is nonzero
     nonzero = [i for i, p in enumerate(ps) if p]
@@ -219,9 +303,14 @@ def hyper_ratios(ps: list, m: int = 1) -> list:
 
     found = []                  # (K, numerator, denominator of r)
     roots_of = {}               # leading polynomial -> _leading_roots
-    bs = with_shifts(_monic_divisors(dup_shift(ps[k], QQ(-(k - 1) * m), QQ)))
+    # with each b, the top k+1 coefficients of b(x+im) ... b(x+(k-1)m)
+    bs = [(b, B, _top_products(B[::-1], k + 1)[::-1]) for b, B in
+          with_shifts(_monic_divisors(dup_shift(ps[k], QQ(-(k - 1) * m),
+                                                QQ)))]
     for a, A in with_shifts(_monic_divisors(ps[0])):
-        for b, B in bs:
+        pA = None               # the top k+1 coefficients of
+                                # p_i a(x) ... a(x+(i-1)m), on first use
+        for b, B, B_top in bs:
             # P_i = p_i * a(x) ... a(x+(i-1)m) * b(x+im) ... b(x+(k-1)m);
             # a and b are monic, so degree and leading coefficient of P_i
             # come without the product
@@ -234,11 +323,19 @@ def hyper_ratios(ps: list, m: int = 1) -> list:
                                                      reversed(ps))]))
             if lead not in roots_of:
                 roots_of[lead] = _leading_roots(list(lead))
-            if not roots_of[lead]:
+            roots = roots_of[lead]
+            if any(len(f) == 2 for _, _, f in roots):
+                # a rational z is kept only when its bound is >= 0
+                pA = pA or [_top_mul(p, a_top, k + 1) if p else []
+                            for p, a_top in zip(ps, _top_products(A, k + 1))]
+                W = _window(pA, B_top, pdeg, top, k + 1)
+                roots = [(K, z, f) for K, z, f in roots
+                         if len(f) > 2 or _window_bound(W, m, z) >= 0]
+            if not roots:
                 continue
             P = [_times(p, A[:i] + B[i:], QQ) for i, p in enumerate(ps)]
             kernels = {}        # conjugate roots share f and its kernel
-            for K, z, f in roots_of[lead]:
+            for K, z, f in roots:
                 key = tuple(f)
                 if key not in kernels:
                     kernels[key] = _c_kernel(P, m, f)

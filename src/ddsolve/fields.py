@@ -131,6 +131,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
+from math import isqrt
 from typing import NamedTuple, Optional
 
 import sympy as sp
@@ -181,7 +182,7 @@ __all__ = [
     "dm_shift", "dm_shift_clear", "dm_delta", "dm_inv", "dm_embed",
     "dm_conjugate",
     "dm_sigma_power", "dm_clear", "Cleared", "dm_cleared", "dm_delta_clear",
-    "dm_same", "dm_delta_part",
+    "dm_same", "dm_delta_part", "cleared_pair",
     "dm_series_at_infinity",
 ]
 
@@ -580,26 +581,43 @@ def factor_in_x(p, tower: Tower = TRIVIAL_TOWER):
     return content, factors
 
 
+def _low_degree_roots(g: list) -> list:
+    """The integer roots of g over Z of degree 1 or 2, in closed form:
+    -c/b for b x + c, and (-b +- s)/(2a) for a x^2 + b x + c when the
+    discriminant is a square s^2."""
+    if len(g) == 2:
+        b, c = g
+        return [] if c % b else [-c // b]
+    a, b, c = g
+    disc = b * b - 4 * a * c
+    s = isqrt(disc) if disc >= 0 else -1
+    return ([] if s * s != disc else
+            [r // (2 * a) for r in {-b + s, -b - s} if not r % (2 * a)])
+
+
 def common_integer_roots(slices: list) -> list:
     """Sorted integers that are roots of every nonzero dense polynomial
     over Q (or Z) in `slices`, found with no factoring.  The candidates
     are the integer roots of the first, cleared to a primitive polynomial
     f over Z (the slices of a determinant over Z[k, t] by the monomials
     in t, :func:`x_integer_roots`, or one denominator specialized at t0):
-    0 when x divides f, and the roots of the square-free part h of
-    f / x^k, found p-adically.  For the least prime p that keeps h's
-    degree and square-freeness mod p, each root of h mod p is simple and
-    Newton (Hensel) lifting carries it to p^(2^j) > 2 B, B the Cauchy
-    bound 1 + max |h_i| / |h_n| on the roots of h; its symmetric residue
-    is the one integer in [-B, B] it can be, kept when h vanishes there.
-    The cost grows with the degree and bit size of f, not with the size
-    of its roots or coefficients."""
+    0 when x divides f, and the roots of g = f / x^k, in closed form when
+    g has degree 1 or 2 (:func:`_low_degree_roots`), else those of the
+    square-free part h of g, found p-adically.  For the least prime p
+    that keeps h's degree and square-freeness mod p, each root of h mod p
+    is simple and Newton (Hensel) lifting carries it to p^(2^j) > 2 B, B
+    the Cauchy bound 1 + max |h_i| / |h_n| on the roots of h; its
+    symmetric residue is the one integer in [-B, B] it can be, kept when
+    h vanishes there.  The cost grows with the degree and bit size of f,
+    not with the size of its roots or coefficients."""
     f = dup_primitive(dup_clear_denoms(slices[0], QQ, convert=True)[1],
                       ZZ)[1]
     g = dup_strip(f[::-1])[::-1]            # f / x^k
     roots = [0] if len(g) < len(f) else []
-    h = dup_sqf_part(g, ZZ)
-    if len(h) > 1:
+    if len(g) in (2, 3):
+        roots += _low_degree_roots(g)
+    elif len(g) > 3:
+        h = dup_sqf_part(g, ZZ)
         bound = 1 + max(map(abs, h[1:])) // abs(h[0])
         p = 2
         while not h[0] % p or not gf_sqf_p(gf_from_int_poly(h, p), p, ZZ):
@@ -894,10 +912,19 @@ def dm_conjugate(D: DomainMatrix, conj, tower: Tower) -> DomainMatrix:
                           tower)
 
 
-def dm_embed(D: DomainMatrix, tower: Tower) -> DomainMatrix:
-    """The K-form over the tower of a matrix D over K."""
-    return regular_matrix([[a] if a else [] for a in D.to_list_flat()],
-                          D.shape, tower)
+def dm_embed(D, tower: Tower):
+    """The K-form over the tower of a matrix D over K: entry a becomes
+    the block a I_e, e the tower's degree, since a theta^k = a theta^k is
+    reduced (the layout of :func:`regular_rows`).  D may also be a pair
+    (q, N) of :func:`dm_clear` (or :class:`Cleared`); its embedding is
+    the pair (q, N embedded), the dm_clear of the embedded K-form."""
+    if not isinstance(D, DomainMatrix):
+        q, N = D[:2]
+        return q, dm_embed(N, tower)
+    e, zero = tower.degree, D.domain.zero
+    rows = [[a if k == j else zero for a in row for j in range(e)]
+            for row in D.to_list() for k in range(e)]
+    return DomainMatrix(rows, (D.shape[0] * e, D.shape[1] * e), D.domain)
 
 
 def _lcm(polys):
@@ -923,6 +950,13 @@ def dm_clear(D: DomainMatrix):
     quo = {d: q.exquo(d) for d in dens}
     return q, D.from_flat_nz([c.numer * quo[c.denom] for c in elems], data,
                              _QQ_XT_RING)
+
+
+def cleared_pair(D) -> tuple:
+    """(q, N) of :func:`dm_clear` for a K-matrix D; a pair (q, N) or a
+    :class:`Cleared` is taken as it stands, so a caller that keeps a
+    matrix's cleared form passes it in place of the matrix."""
+    return dm_clear(D) if isinstance(D, DomainMatrix) else D[:2]
 
 
 class Cleared(NamedTuple):
@@ -959,11 +993,11 @@ class Cleared(NamedTuple):
         return Cleared(q, self.N.from_flat_nz(elems, data, _QQ_XT_RING), g)
 
 
-def dm_cleared(D: DomainMatrix) -> Cleared:
-    """The :class:`Cleared` form of the K-matrix D: :func:`dm_clear` and
-    the gcd of the entries of N, taken entry by entry until it is a
-    unit."""
-    q, N = dm_clear(D)
+def dm_cleared(D) -> Cleared:
+    """The :class:`Cleared` form of the K-matrix D, or of its pair (q, N)
+    (:func:`cleared_pair`): the gcd of the entries of N joins (q, N),
+    taken entry by entry until it is a unit."""
+    q, N = cleared_pair(D)
     g = _K_RING.zero
     for p in N.to_flat_nz()[0]:
         g = g.gcd(p)
@@ -990,11 +1024,12 @@ def _inverse_den(N: DomainMatrix):
         raise FieldError("matrix not invertible")
 
 
-def dm_inv(D: DomainMatrix) -> DomainMatrix:
-    """D^-1 for a square K-matrix D; FieldError when D is singular.  With
-    D = N/q (:func:`dm_clear`) and N^-1 = N'/e from one ``inv_den`` over
-    Z[x, t], D^-1 = q N'/e, cancelled once per entry."""
-    q, N = dm_clear(D)
+def dm_inv(D) -> DomainMatrix:
+    """D^-1 for a square K-matrix D, or its pair (q, N)
+    (:func:`cleared_pair`); FieldError when D is singular.  With
+    D = N/q and N^-1 = N'/e from one ``inv_den`` over Z[x, t],
+    D^-1 = q N'/e, cancelled once per entry."""
+    q, N = cleared_pair(D)
     Ninv, e = _inverse_den(N)
     return _cancelled(Ninv, q, e)
 
@@ -1008,7 +1043,7 @@ def dm_delta_clear(D, tower: Tower = TRIVIAL_TOWER):
     coordinates of theta, and the pair is dm_clear(dm_delta(D, tower))."""
     if not tower.trivial:
         return dm_clear(dm_delta(D, tower))
-    q, N = dm_clear(D) if isinstance(D, DomainMatrix) else D[:2]
+    q, N = cleared_pair(D)
     return q**2, dm_delta(N).mul(q) - N.mul(q.diff(_T_RING))
 
 
@@ -1020,7 +1055,7 @@ def _cleared_term(term):
     num, scale, den = None, _XT_RING_ONE, _XT_RING_ONE
     for f in term:
         if isinstance(f, (DomainMatrix, tuple)):
-            q, N = dm_clear(f) if isinstance(f, DomainMatrix) else f[:2]
+            q, N = cleared_pair(f)
             num = N if num is None else num * N
         else:
             q = f.denom
@@ -1049,16 +1084,16 @@ def dm_same(lhs: list, rhs: list) -> bool:
     return total.is_zero_matrix
 
 
-def dm_delta_part(G: DomainMatrix, B: DomainMatrix,
-                  tower: Tower) -> DomainMatrix:
+def dm_delta_part(G: DomainMatrix, B, tower: Tower) -> DomainMatrix:
     """The gauge's delta-part G^-1 (B G - delta(G)) on K-forms over the
-    tower, formed fraction-free: with G = N/g, delta(G) = P/d
+    tower, B given as its K-form or its pair (:func:`cleared_pair`),
+    formed fraction-free: with G = N/g, B = M/b, delta(G) = P/d
     (:func:`dm_delta_clear`), B G - delta(G) = R/L over Z[x, t] and
     N^-1 = N'/e from one ``inv_den`` over Z[x, t], the result is
     g N' R / (e L), cancelled once per entry.  FieldError when G is
     singular."""
     g, N = dm_clear(G)
-    b, M = dm_clear(B)
+    b, M = cleared_pair(B)
     d, P = dm_delta_clear((g, N) if tower.trivial else G, tower)
     L = _lcm([b * g, d])
     R = M * N * L.exquo(b * g) - P * L.exquo(d)

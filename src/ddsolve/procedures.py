@@ -60,12 +60,13 @@ from .closedform import (UnsupportedCase, hyperexp_solutions,
                          system_hypergeometric)
 from .difftools import (StandardDecomposition, leading_beta,
                         split_alpha_beta_power, standard_decompose)
-from .fields import (QQ_T, QQ_XT, Conjugate, FieldError, MixedSplit, Split,
-                     TRIVIAL_TOWER, Tower, TowerArithmetic, dm_clear,
-                     dm_cleared, dm_conjugate, dm_delta, dm_delta_clear,
-                     dm_delta_part, dm_diag, dm_embed,
-                     dm_from_matrix, dm_inv, dm_over_qt, dm_same, dm_shift,
-                     dm_sigma_power, dm_to_matrix, element_expr,
+from .fields import (QQ_T, QQ_XT, Conjugate, FieldError, MixedSplit,
+                     Split, TRIVIAL_TOWER, Tower, TowerArithmetic,
+                     cleared_pair, dm_clear, dm_cleared, dm_conjugate,
+                     dm_delta, dm_delta_clear, dm_delta_part, dm_diag,
+                     dm_embed, dm_from_matrix, dm_inv, dm_over_qt, dm_same,
+                     dm_shift, dm_shift_clear, dm_sigma_power, dm_to_matrix,
+                     element_expr,
                      from_regular, has_rank, k_shift, t_value,
                      tower_from_modulus)
 from .moser import (MoserReport, ReductionStalled, leading_eigendata,
@@ -96,12 +97,17 @@ class DDSystem:
     outside Q(x, t) is a ValueError.  :attr:`A` and :attr:`B` are the
     sympy matrices, formed on first read.  The forms over K derived from A
     and B (:attr:`det_K`, :attr:`det_standard`, the cocycles of
-    :meth:`cocycle` and the cleared forms of the cocycles and their
-    inverses, :meth:`cleared_cocycle`) are computed on first use and kept,
-    so each is formed once per system: validation, stage a of both
-    procedures and the lifts' pole scan read the one det A, and every
-    rational solve of sigma^m(W) = (A_m/r) W scales the cleared A_m and
-    A_m^-1 by 1/r and r.  A and B are not modified after construction."""
+    :meth:`cocycle`, their pairs (q, N) of :func:`dm_clear`,
+    :meth:`cocycle_pair`, the cleared forms of the cocycles and their
+    inverses, :meth:`cleared_cocycle`, and B's pair, :attr:`B_pair`) are
+    computed on first use and kept, so each is formed once per system:
+    validation, stage a of both procedures and the lifts' pole scan read
+    the one det A, every rational solve of sigma^m(W) = (A_m/r) W scales
+    the cleared A_m and A_m^-1 by 1/r and r, and the integrability test,
+    the delta-parts, the certificate check, the numeric window and the
+    lifts read A, A_m and B as their pairs
+    (:func:`~ddsolve.fields.cleared_pair`).  A and B are not modified
+    after construction."""
     n: int
     A_K: DomainMatrix
     B_K: DomainMatrix
@@ -120,9 +126,10 @@ class DDSystem:
 
     @functools.cached_property
     def det_K(self):
-        """det A, an element of K: with A = N/q (:func:`dm_clear`), det N
-        over Z[x, t] (fraction-free) divided by q^n, cancelled once."""
-        q, N = dm_clear(self.A_K)
+        """det A, an element of K: with A = N/q (:meth:`cocycle_pair`),
+        det N over Z[x, t] (fraction-free) divided by q^n, cancelled
+        once."""
+        q, N = self.cocycle_pair(1)
         return QQ_XT.field.new(N.det(), q ** N.shape[0])
 
     @functools.cached_property
@@ -132,29 +139,37 @@ class DDSystem:
         return standard_decompose(self.det_K, 1)
 
     @functools.cached_property
-    def _cocycles(self) -> dict:
+    def _derived(self) -> dict:
         return {}
+
+    def _once(self, key, make):
+        """The object `key` derived from A, made by make() on first use."""
+        if key not in self._derived:
+            self._derived[key] = make()
+        return self._derived[key]
 
     def cocycle(self, m: int) -> DomainMatrix:
         """A_m = sigma^{m-1}(A) ... sigma(A) A over K (m >= 1); read, never
         modified, by the certificate check and the numeric window."""
-        if m not in self._cocycles:
-            self._cocycles[m] = dm_sigma_power(self.A_K, m)
-        return self._cocycles[m]
+        return self._once(("cocycle", m), lambda: dm_sigma_power(self.A_K, m))
 
-    @functools.cached_property
-    def _cleared_cocycles(self) -> dict:
-        return {}
+    def cocycle_pair(self, m: int) -> tuple:
+        """The pair (q, N) of :func:`dm_clear` of A_m (m >= 1)."""
+        return self._once(("pair", m), lambda: dm_clear(self.cocycle(m)))
 
     def cleared_cocycle(self, m: int) -> tuple:
         """The cleared forms (:class:`~ddsolve.fields.Cleared`) of A_m and
-        of A_m^-1, the one inverse of the cocycle (m >= 1), which the
-        rational solves scale by 1/r and r."""
-        if m not in self._cleared_cocycles:
-            Am = self.cocycle(m)
-            self._cleared_cocycles[m] = (dm_cleared(Am),
-                                         dm_cleared(dm_inv(Am)))
-        return self._cleared_cocycles[m]
+        of A_m^-1, the one inverse of the cocycle (m >= 1), both from
+        :meth:`cocycle_pair`; the rational solves scale them by 1/r and
+        r."""
+        pair = self.cocycle_pair(m)
+        return self._once(("cleared", m), lambda: (
+            dm_cleared(pair), dm_cleared(dm_inv(pair))))
+
+    @functools.cached_property
+    def B_pair(self) -> tuple:
+        """The pair (q, N) of :func:`dm_clear` of B."""
+        return dm_clear(self.B_K)
 
     @functools.cached_property
     def sigma_integrable(self) -> bool:
@@ -163,7 +178,7 @@ class DDSystem:
         singular."""
         if self.det_K == 0:
             raise FieldError("matrix not invertible")
-        return _integrable(self.A_K, self.B_K, 1)
+        return _integrable(self.cocycle_pair(1), self.B_pair, 1)
 
     @functools.cached_property
     def integrability_level(self) -> int:
@@ -176,8 +191,8 @@ class DDSystem:
         # a system whose sigma^n-compressed companion is integrable: every
         # certificate emitted downstream is verified against the sigma^n-
         # and delta-relations, which are exactly the ones that hold
-        return self.n if _integrable(self.cocycle(self.n), self.B_K,
-                                     self.n) else 0
+        return self.n if _integrable(self.cocycle_pair(self.n),
+                                     self.B_pair, self.n) else 0
 
     def integrability_residual(self) -> DomainMatrix:
         """sigma(B) - delta(A) A^{-1} - A B A^{-1} over K, the residual of
@@ -315,13 +330,17 @@ def check_integrability(A: sp.Matrix, B: sp.Matrix):
     return False, dm_to_matrix(system.integrability_residual())
 
 
-def _integrable(Am: DomainMatrix, B: DomainMatrix, m: int) -> bool:
+def _integrable(Am, B, m: int) -> bool:
     """sigma^m(B) Am = delta(Am) + Am B over K, decided on cleared
     numerators (:func:`~ddsolve.fields.dm_same`), with no inverse and no
-    gcd in the products: Am is cleared once, and delta(Am) is read from
-    its pair with no cancel (:func:`~ddsolve.fields.dm_delta_clear`)."""
-    C = dm_clear(Am)
-    return dm_same([(dm_shift(B, m), C)], [(dm_delta_clear(C),), (C, B)])
+    gcd in the products: Am and B, K-forms or their pairs
+    (:func:`~ddsolve.fields.cleared_pair`), are cleared once, sigma^m(B)
+    is the shift of B's pair (:func:`~ddsolve.fields.dm_shift_clear`),
+    and delta(Am) is read from Am's pair with no cancel
+    (:func:`~ddsolve.fields.dm_delta_clear`)."""
+    C, Bc = cleared_pair(Am), cleared_pair(B)
+    return dm_same([(dm_shift_clear(Bc, m), C)],
+                   [(dm_delta_clear(C),), (C, Bc)])
 
 
 def _diag_offenders(D: DomainMatrix, tower: Tower) -> list:
@@ -463,8 +482,8 @@ def _dp1_stage_d1(sys: DDSystem, alpha_K, eig, report: dict) -> Outcome:
         # ratio lies in the tower, not in K: the products run over K
         basis = rational_solutions(
             dm_cleared(A * dm_diag([ar.inv(ratios[0])] * n, tower)),
-            dm_cleared(dm_diag([ratios[0]] * n, tower)
-                       * dm_embed(dm_inv(sys.A_K), tower)), 1, tower)
+            dm_cleared(dm_diag([ratios[0]] * n, tower) * dm_embed(
+                dm_inv(sys.cocycle_pair(1)), tower)), 1, tower)
         if not basis:
             return Outcome("NoSolution", "DP1", "d1",
                            "no rational solution for the ratio alpha*beta_1",
@@ -487,7 +506,7 @@ def _dp1_stage_d1(sys: DDSystem, alpha_K, eig, report: dict) -> Outcome:
         return Outcome("NoSolution", "DP1", "d1",
                        "rational solutions exist but assemble to no "
                        "invertible gauge", report=report)
-    Bbar = dm_delta_part(G, dm_embed(sys.B_K, tower), tower)
+    Bbar = dm_delta_part(G, dm_embed(sys.B_pair, tower), tower)
     off = _diag_offenders(Bbar, tower)
     if off:
         return Outcome("NoSolution", "DP1", "d1",
@@ -521,7 +540,7 @@ def _dp1_stage_d2(sys: DDSystem, alpha_K, beta1, report: dict) -> Outcome:
         return Outcome("NoSolution", "DP1", "d2",
                        "no invertible gauge with ratio alpha*beta over "
                        "Q(x, t)", report=report)
-    Bbar = dm_delta_part(G, sys.B_K, TRIVIAL_TOWER)
+    Bbar = dm_delta_part(G, sys.B_pair, TRIVIAL_TOWER)
     # delta(beta_1)/beta_1 * x, the delta-ratio of beta_1^x
     dlog = beta1.diff(_TK) / beta1 * _XK
     Bhat = Bbar - DomainMatrix.eye(n, QQ_XT).mul(dlog)
@@ -641,7 +660,7 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
             G = gauge_from_ratios(*sys.cleared_cocycle(n), R, n)
             if G is None:
                 continue
-            Bbar = dm_delta_part(G, sys.B_K, TRIVIAL_TOWER)
+            Bbar = dm_delta_part(G, sys.B_pair, TRIVIAL_TOWER)
             off = _diag_offenders(Bbar, TRIVIAL_TOWER)
             if off:
                 return Outcome("NoSolution", "DP2", "d",
@@ -763,7 +782,7 @@ def _lifts(sys: DDSystem, out: Outcome) -> list:
     that is the lift)."""
     # N(j), d(j) of A = N/d and the poles of A, B and det A, shared by
     # the lifts
-    steps = CompiledMatrix(sys.A_K)
+    steps = CompiledMatrix(sys.cocycle_pair(1))
     start = first_regular_index(sys.A_K, sys.B_K, sys.det_K)
     return [SeqVec(steps, first_safe_index(start, sol.part.W), sol.part.W)
             for sol in out.solutions]

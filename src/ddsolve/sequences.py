@@ -29,10 +29,10 @@ from sympy.polys.factortools import dup_irreducible_p
 from sympy.polys.matrices import DomainMatrix
 
 from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower,
-                     common_integer_roots, dm_clear, dm_delta_clear,
-                     dm_embed, dm_same, dm_shift_clear, dm_sigma_power,
-                     dm_to_matrix, from_theta_coords, t, theta,
-                     x_integer_roots)
+                     cleared_pair, common_integer_roots, dm_clear,
+                     dm_delta_clear, dm_embed, dm_same, dm_shift_clear,
+                     dm_sigma_power, dm_to_matrix, from_theta_coords, t,
+                     theta, x_integer_roots)
 
 __all__ = ["SeqVec", "lift_sigma_d_to_sigma", "HypCert", "Part",
            "LiouvilleSolution", "VerifyResult", "verify_certificates",
@@ -108,11 +108,12 @@ class PointEvaluator:
         return sp.Add(*(K.to_sympy(K.convert_from(c, R) / d) * theta**k
                         for k, c in enumerate(reversed(a))))
 
-    def compile(self, D: DomainMatrix):
-        """(nums, den) for the K-matrix D: entry i (row-major) is
+    def compile(self, D):
+        """(nums, den) for the K-matrix D, or its pair (q, N)
+        (:func:`~ddsolve.fields.cleared_pair`): entry i (row-major) is
         nums[i] / den, nums[i] and den dense polynomials in x over R,
         highest degree first."""
-        q, N = dm_clear(D)
+        q, N = cleared_pair(D)
         den, *nums = self.dense_in_x([q] + N.to_list_flat())
         return nums, den
 
@@ -383,11 +384,13 @@ def _check_pair(system, part: Part, tower: Tower) -> list:
         return [f"{part.label}: W is zero"]
     Wc = dm_clear(W)
     failures = []
-    if not _sigma_identity(Wc, part.r, dm_embed(system.cocycle(m), tower), m):
+    if not _sigma_identity(Wc, part.r,
+                           dm_embed(system.cocycle_pair(m), tower), m):
         failures.append(
             f"{part.label}: sigma identity sigma^{m}(W)*r = A_{m}*W")
     if not dm_same([(dm_delta_clear(Wc if tower.trivial else W, tower),),
-                    (Wc, part.c)], [(dm_embed(system.B_K, tower), Wc)]):
+                    (Wc, part.c)], [(dm_embed(system.B_pair, tower),
+                                     Wc)]):
         failures.append(f"{part.label}: delta identity delta(W) + c*W = B*W")
     return failures
 
@@ -425,7 +428,8 @@ def verify_numeric_window(system, sol: LiouvilleSolution, t0,
     part, deg = sol.part, sol.tower.degree
     label, m = part.label, part.m
     pts = PointEvaluator(t0)
-    Am, Wc, rc = (pts.compile(dm_embed(system.cocycle(m), sol.tower)),
+    Am, Wc, rc = (pts.compile(dm_embed(system.cocycle_pair(m),
+                                       sol.tower)),
                   pts.compile(part.W), pts.compile(part.r))
     # start past every pole visible after the specialization t = t0
     N = max([1] + [r + m + 1 for _, den in (Am, Wc, rc) if len(den) > 1

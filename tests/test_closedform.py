@@ -4,8 +4,9 @@ import random
 import pytest
 import sympy as sp
 from sympy import QQ
-from sympy.polys.densearith import dup_mul_ground
+from sympy.polys.densearith import dup_mul, dup_mul_ground
 from sympy.polys.densebasic import dup_convert
+from sympy.polys.densetools import dup_shift
 from hypothesis import example, given, settings, strategies as st
 
 from ddsolve import closedform
@@ -167,21 +168,56 @@ def test_petkovsek_matches_reference_on_planted_recurrences(case):
                == 1 for g in got)
 
 
-@settings(max_examples=25, deadline=None)
-@given(_planted_recurrences())
-@example(([1, -2, 1], 1, sp.Integer(1)))
-@example(([-2, 0, 1], 1, None))
-@example(([-1, -1, 1], 1, None))
-@example(([0, -1, -1, 1, 0], 1, None))
-@example(([x - 2, -2 * x, x + 2], 2, (x - 2) / x))
-def test_hyper_degree_bound_matches_the_reference_indicial_roots(case):
+def _rational_pairs(ps: list, m: int) -> list:
+    """(P, z) for every divisor pair (a, b) of Hyper and every nonzero
+    rational root z of its leading polynomial, in Hyper's order (roots
+    ascending), ps dense over Q (see recurrence_polys): P_i =
+    p_i a(x) ... a(x+(i-1)m) b(x+im) ... b(x+(k-1)m) multiplied out,
+    after the zero coefficients at both ends are dropped."""
+    nonzero = [i for i, p in enumerate(ps) if p]
+    ps = [dup_shift(p, QQ(-m * nonzero[0]), QQ)
+          for p in ps[nonzero[0]:nonzero[-1] + 1]]
+    k, out = len(ps) - 1, []
+    if not k:
+        return out
+    for a in closedform._monic_divisors(ps[0]):
+        for b in closedform._monic_divisors(
+                dup_shift(ps[k], QQ(-(k - 1) * m), QQ)):
+            P = []
+            for i, p in enumerate(ps):
+                for j in range(k):
+                    p = dup_mul(p, dup_shift(a if j < i else b, QQ(j * m),
+                                             QQ), QQ)
+                P.append(p)
+            D = max(len(p) - 1 for p in P)
+            lead = sp.Poly([p[0] if len(p) - 1 == D else 0
+                            for p in reversed(P)], sp.Symbol("_z"),
+                           domain=QQ)
+            out += [(P, QQ(r.p, r.q)) for r in sorted(lead.ground_roots())
+                    if r]
+    return out
+
+
+def _top_window(P: list) -> list:
+    """The coefficients of x^D, ..., x^(D-k) of each P_i, D the largest
+    degree among them."""
+    D = max(len(p) - 1 for p in P)
+    return [[p[len(p) - 1 - e] if 0 <= len(p) - 1 - e < len(p) else QQ(0)
+             for e in range(D, D - len(P), -1)] for p in P]
+
+
+def _check_hyper_degree_bounds(ps, m):
     """On every (pair, z) Hyper searches, rational or quadratic z, the
     degree bound of its C-equation, ratsol.degree_bound on the regular
     representation, is the largest nonnegative integer root of the first
-    nonzero indicial polynomial over Q(z), or -1."""
-    ps, m, _ = case
-    seen = []
+    nonzero indicial polynomial over Q(z), or -1.  For a rational z the
+    bound comes first from the top k+1 coefficients of the P_i
+    (closedform._window_bound), on every pair, pruned or not: that window
+    is the top of the P_i multiplied out in full (_rational_pairs), and
+    its bound is the same indicial one."""
+    seen, windows = [], []
     c_kernel, ansatz_kernel = closedform._c_kernel, closedform.ansatz_kernel
+    window_bound = closedform._window_bound
 
     def c_spy(P, m, f):
         seen.append([P, m, f])
@@ -191,9 +227,14 @@ def test_hyper_degree_bound_matches_the_reference_indicial_roots(case):
         seen[-1].append(ratsol.degree_bound(Ps, step, step))
         return ansatz_kernel(Ps, step, e)
 
+    def window_spy(W, m, z):
+        windows.append((W, m, z, window_bound(W, m, z)))
+        return windows[-1][-1]
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(closedform, "_c_kernel", c_spy)
         mp.setattr(closedform, "ansatz_kernel", ansatz_spy)
+        mp.setattr(closedform, "_window_bound", window_spy)
         petkovsek(ps, m)
     assert seen
     for P, m, f, bound in seen:
@@ -207,6 +248,25 @@ def test_hyper_degree_bound_matches_the_reference_indicial_roots(case):
              for i, p in enumerate(P)]
         assert bound == max([-1] + (reference_indicial_degrees(Q, m, K)
                                     or []))
+    pairs = _rational_pairs(closedform.recurrence_polys(ps), m)
+    assert [(m2, z) for _, m2, z, _ in windows] == [(m, z) for _, z in pairs]
+    for (W, _, z, bound), (P, _) in zip(windows, pairs):
+        assert W == _top_window(P)
+        Q = [dup_mul_ground(p, z**i, QQ) for i, p in enumerate(P)]
+        assert bound == max([-1] + (reference_indicial_degrees(Q, m, QQ)
+                                    or []))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_planted_recurrences())
+@example(([1, -2, 1], 1, sp.Integer(1)))
+@example(([-2, 0, 1], 1, None))
+@example(([-1, -1, 1], 1, None))
+@example(([0, -1, -1, 1, 0], 1, None))
+@example(([x - 2, -2 * x, x + 2], 2, (x - 2) / x))
+def test_hyper_degree_bound_matches_the_reference_indicial_roots(case):
+    ps, m, _ = case
+    _check_hyper_degree_bounds(ps, m)
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +292,27 @@ def test_petkovsek_matches_reference_on_example2(example2_operators):
     assert any(_ratio_matches(r, (x + 1) * (x + 2)) for r in found[2])
 
 
+def test_hyper_degree_bound_matches_the_reference_on_example2(
+        example2_operators):
+    for op in example2_operators:
+        _check_hyper_degree_bounds(op, 3)
+
+
+def test_hyper_decides_most_of_example2_by_the_window(example2_A0,
+                                                      monkeypatch):
+    """Each of the 54 (pair, rational z) of example2's stage c has its
+    degree bound read from the window (closedform._window_bound); only
+    the 7 with a bound >= 0 form their P_i and solve for C."""
+    calls = {"_window_bound": 0, "_c_kernel": 0}
+    for name in calls:
+        def spy(*args, name=name, orig=getattr(closedform, name)):
+            calls[name] += 1
+            return orig(*args)
+        monkeypatch.setattr(closedform, name, spy)
+    assert system_hypergeometric(example2_A0, 3)
+    assert calls == {"_window_bound": 54, "_c_kernel": 7}
+
+
 @pytest.mark.parametrize("ps, m", [
     ([-2, 0, 1], 1),            # +-sqrt(2)
     ([1, 0, 1], 1),             # +-I
@@ -242,6 +323,7 @@ def test_petkovsek_matches_reference_on_example2(example2_operators):
 ])
 def test_petkovsek_matches_reference_on_quadratic_constants(ps, m):
     assert _same_ratios(ps, m)
+    _check_hyper_degree_bounds(ps, m)
 
 
 @pytest.mark.parametrize("ps", [[-2, 0, 1], [0, -1, -1, 1, 0]])
