@@ -68,7 +68,7 @@ from .fields import (QQ_T, QQ_XT, TRIVIAL_TOWER, FieldError, Tower,
                      dm_delta_clear, dm_diag, dm_embed, dm_inv, dm_over_qt,
                      dense_fraction, dm_same, regular_rows,
                      kernel, t_value, tower_from_modulus, x)
-from .difftools import standard_decompose
+from .difftools import shift_classes, standard_decompose
 from .ratsol import (UnsupportedCase, _constant_span_reduce, ansatz_kernel,
                      rational_solutions, scalar_operators)
 from .sequences import VerificationError
@@ -404,15 +404,20 @@ def system_hypergeometric(M: DomainMatrix, m: int = 1):
     if not ratios:
         return []
     # (M/r)^-1 = r M^-1: one inverse for the rational solves of all
-    # ratios, and M and M^-1 cleared once, each scaled per ratio
+    # ratios, and M and M^-1 cleared once, each scaled per ratio.  The
+    # factors of their two q, found once, and those of each ratio, found
+    # by its decomposition, are what every universal denominator divides
+    # by before it factors
     Mc, Mc_inv = dm_cleared(M), dm_cleared(dm_inv(M))
+    known = []
+    shift_classes([Mc.q, Mc_inv.q], known)
     groups = []                 # (lambda_1, the kept g W of its class)
     out = []
     for r in ratios:
-        sd = standard_decompose(r, m)
+        sd = standard_decompose(r, m, known)
         lam, g = sd.standard_part, sd.g
         for lam1, span in groups:
-            sq = standard_decompose(lam / lam1, m)
+            sq = standard_decompose(lam / lam1, m, known)
             if sq.standard_part == QQ_XT.one:
                 lam, g = lam1, g * sq.g
                 break
@@ -423,7 +428,7 @@ def system_hypergeometric(M: DomainMatrix, m: int = 1):
         # made on P and u, W = P/u
         for W in rational_solutions(Mc.scale(r.denom, r.numer),
                                     Mc_inv.scale(r.numer, r.denom), m,
-                                    TRIVIAL_TOWER):
+                                    TRIVIAL_TOWER, known):
             gW = W.mul(g)
             kept = _constant_span_reduce(span + [gW], TRIVIAL_TOWER)
             if len(kept) > len(span):

@@ -12,9 +12,16 @@ are both standard for sigma, and each is its own representative.
 
 :func:`shift_classes`, the one routine behind this module and the
 universal denominator of :mod:`ddsolve.ratsol`, works in Z[x, t], the
-ring of K's numerators: PolyElement.factor_list() gives the irreducible
-factors, and each one involving x becomes a base monic in x over Q(t), an
-element of K.  Every function here takes and returns elements of K; the
+ring of K's numerators, and each irreducible factor involving x becomes
+a base monic in x over Q(t), an element of K.  It takes the irreducible
+factors the caller already holds (a list, one per system in
+``procedures.DDSystem.irreducibles``): each polynomial is divided by them
+exactly, to full multiplicity, and PolyElement.factor_list() runs only on
+the part left, and only when that part involves x; the factors it gives
+join the list.  A missing factor costs a factorization and never changes
+the result, so there is one path: a call with no list starts from an
+empty one (compare van Hoeij, JPAA 139, 1999, who reads local data off
+known factors).  Every function here takes and returns elements of K; the
 ``Expr`` helpers fields.factor_in_x and fields.series_at_infinity, which
 have no caller in the package, stay for the tests and the tracer.
 """
@@ -79,23 +86,55 @@ def _shift_between(p, q) -> Optional[int]:
     return j if p.compose(_X, _X + j) == q else None
 
 
-def shift_classes(polys: list):
+def _irreducible_factors(p, known: list) -> tuple:
+    """(content, [(f, e)]) with p = content * prod f^e, content in K free
+    of x and each f irreducible in Z[x, t] of positive degree in x: the
+    factors in `known` divided out exactly and to full multiplicity, then
+    the part left factored if it involves x (else it is content as it
+    stands), its factors appended to `known`."""
+    factors = []
+    for f in known:
+        e = 0
+        while f.degree(_X) <= p.degree(_X):
+            quo, rem = p.div(f)
+            if rem:
+                break
+            p, e = quo, e + 1
+        if e:
+            factors.append((f, e))
+    if p.degree(_X) <= 0:
+        return QQ_XT.new(p), factors
+    coeff, rest = p.factor_list()
+    content = QQ_XT(coeff)
+    for f, e in rest:
+        if f.degree(_X) <= 0:
+            content *= QQ_XT.new(f) ** e
+        else:
+            known.append(f)
+            factors.append((f, e))
+    return content, factors
+
+
+def shift_classes(polys: list, known: Optional[list] = None):
     """The shift classes of the irreducible factors of nonzero p_0, ...,
     p_k in Z[x, t].
 
     Returns (contents, classes).  contents[i] is the x-free cofactor of
     p_i in K; classes lists (base, {j: [multiplicity in p_0, ..., in
     p_k]}) with base monic in x over Q(t), in K, and
-    p_i = contents[i] * prod base(x + j)^(multiplicity in p_i)."""
+    p_i = contents[i] * prod base(x + j)^(multiplicity in p_i).
+
+    `known` lists irreducible factors in Z[x, t] already found, as
+    factor_list gives them; each p_i is divided by them before what is
+    left is factored (:func:`_irreducible_factors`), and the factors found
+    join the list.  Contents and classes, as elements of K, do not depend
+    on it; None stands for an empty list."""
+    known = [] if known is None else known
     contents = []
     refs = []                          # (reference factor, base, shifts)
     for i, p in enumerate(polys):
-        coeff, factors = p.factor_list()
-        content = QQ_XT(coeff)
+        content, factors = _irreducible_factors(p, known)
         for fac, mult in factors:
-            if fac.degree(_X) <= 0:
-                content *= QQ_XT.new(fac) ** mult
-                continue
             lead = fac.coeff_wrt(_X, fac.degree(_X))
             content *= QQ_XT.new(lead) ** mult
             for ref, _, shifts in refs:
@@ -120,12 +159,14 @@ def _anchored(base, entries) -> Optional[ShiftClass]:
     return ShiftClass(k_shift(base, j0), [(j - j0, e) for j, e in entries])
 
 
-def shift_class_divisor(f) -> ShiftClassDivisor:
+def shift_class_divisor(f, known: Optional[list] = None
+                        ) -> ShiftClassDivisor:
     """Factor numerator (positive mult.) and denominator (negative mult.)
-    of f in K and group the irreducible factors into shift classes."""
+    of f in K and group the irreducible factors into shift classes;
+    `known` as for :func:`shift_classes`."""
     if not f:
         raise ValueError("shift_class_divisor needs f != 0")
-    (cn, cd), raw = shift_classes([f.numer, f.denom])
+    (cn, cd), raw = shift_classes([f.numer, f.denom], known)
     classes = [_anchored(base, [(j, a - b) for j, (a, b) in shifts.items()])
                for base, shifts in raw]
     return ShiftClassDivisor(cn / cd, [c for c in classes if c])
@@ -139,14 +180,15 @@ def dispersion(P) -> int:
                 for cls in shift_class_divisor(P).classes], default=0)
 
 
-def standard_decompose(f, m: int) -> StandardDecomposition:
+def standard_decompose(f, m: int, known: Optional[list] = None
+                       ) -> StandardDecomposition:
     """Write f = sigma^m(g)/g * f_standard with f_standard standard w.r.t.
     sigma^m, collapsing every shift class into the window [0, m) above its
-    leftmost shift.
+    leftmost shift; `known` as for :func:`shift_classes`.
 
     Moving a factor uses b(x+r+s*m) = sigma^m(h)/h * b(x+r) with
     h = prod_{i<s} b(x+r+i*m)."""
-    scd = shift_class_divisor(f)
+    scd = shift_class_divisor(f, known)
     g, standard, classes = QQ_XT.one, scd.content, []
     for cls in scd.classes:
         window: dict[int, int] = {}

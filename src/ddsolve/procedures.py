@@ -135,8 +135,20 @@ class DDSystem:
     @functools.cached_property
     def det_standard(self) -> StandardDecomposition:
         """det A = sigma(g)/g * a with a standard, which stage a of both
-        decision procedures reads."""
-        return standard_decompose(self.det_K, 1)
+        decision procedures reads; its factors start
+        :attr:`irreducibles`."""
+        return standard_decompose(self.det_K, 1, self.irreducibles)
+
+    @functools.cached_property
+    def irreducibles(self) -> list:
+        """The irreducible factors in Z[x, t] of positive degree in x that
+        the solve has found, as factor_list gives them: those of det A,
+        which :attr:`det_standard` factors, and each one a universal
+        denominator has factored since.  Every rational solve of the
+        system divides its two q by them before it factors what is left,
+        and adds what it finds
+        (:func:`~ddsolve.difftools.shift_classes`)."""
+        return []
 
     @functools.cached_property
     def _derived(self) -> dict:
@@ -483,7 +495,8 @@ def _dp1_stage_d1(sys: DDSystem, alpha_K, eig, report: dict) -> Outcome:
         basis = rational_solutions(
             dm_cleared(A * dm_diag([ar.inv(ratios[0])] * n, tower)),
             dm_cleared(dm_diag([ratios[0]] * n, tower) * dm_embed(
-                dm_inv(sys.cocycle_pair(1)), tower)), 1, tower)
+                dm_inv(sys.cocycle_pair(1)), tower)), 1, tower,
+            sys.irreducibles)
         if not basis:
             return Outcome("NoSolution", "DP1", "d1",
                            "no rational solution for the ratio alpha*beta_1",
@@ -497,7 +510,8 @@ def _dp1_stage_d1(sys: DDSystem, alpha_K, eig, report: dict) -> Outcome:
         roots = [QQ_XT.convert_from(r, QQ_T) for r in eig.roots]
         betas = [[b] for b in roots]
         ratios = [[alpha_K * b] for b in roots]
-        G = gauge_from_ratios(*sys.cleared_cocycle(1), dm_diag(ratios), 1)
+        G = gauge_from_ratios(*sys.cleared_cocycle(1), dm_diag(ratios), 1,
+                              sys.irreducibles)
     if G is None:
         # complete: _invertible_selection tries every one-vector-per-slot
         # choice, and a minor of any constant combination per slot is a
@@ -533,7 +547,7 @@ def _dp1_stage_d2(sys: DDSystem, alpha_K, beta1, report: dict) -> Outcome:
     A, A_inv = sys.cleared_cocycle(1)
     a, b = ratio_K.numer, ratio_K.denom
     basis = rational_solutions(A.scale(b, a), A_inv.scale(a, b), 1,
-                               TRIVIAL_TOWER)
+                               TRIVIAL_TOWER, sys.irreducibles)
     G = assemble_gauge([basis] * n, A, dm_diag([[ratio_K]] * n), 1)
     if G is None:
         # complete, by the argument at ratsol._invertible_selection
@@ -657,7 +671,8 @@ def _decision_procedure_2(sys: DDSystem, report: dict) -> Outcome:
         shifted = [k_shift(beta_K * lam, s) for s in range(2 * n - 1)]
         for j0 in range(n):
             R = DomainMatrix.diag(shifted[j0:j0 + n], QQ_XT)
-            G = gauge_from_ratios(*sys.cleared_cocycle(n), R, n)
+            G = gauge_from_ratios(*sys.cleared_cocycle(n), R, n,
+                                  sys.irreducibles)
             if G is None:
                 continue
             Bbar = dm_delta_part(G, sys.B_pair, TRIVIAL_TOWER)

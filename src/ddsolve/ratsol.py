@@ -21,7 +21,13 @@ r with two gcds each (:meth:`~ddsolve.fields.Cleared.scale`), where
 A_m/r over K would cancel every entry.  :func:`rational_solutions`
 scales M by sigma^m(u)/u the same way, so the universal denominator,
 the polynomial ansatz and the substitution check read q and N with no
-gcd per entry.
+gcd per entry.  The scaled q is (q/g1)(b/g2), its irreducible factors
+those of A_m's and A_m^-1's q and of the ratio, so the universal
+denominator takes the factors the solve already holds
+(``procedures.DDSystem.irreducibles``, or those of
+``closedform.system_hypergeometric`` for its specialized M), divides
+each q by them and factors only what is left; what that gives joins
+them for the next ratio.
 
 Every function here takes and returns K-forms (see :mod:`ddsolve.fields`),
 the system matrix of a rational solve as its cleared form: a vector is
@@ -49,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from typing import Optional
 
 import sympy as sp
 from sympy import QQ, ZZ
@@ -105,12 +112,16 @@ def _coefficient_matrix(columns: list, constants: tuple) -> DomainMatrix:
 # ---------------------------------------------------------------------------
 # universal denominator
 
-def universal_denominator(M: Cleared, M_inv: Cleared, m: int):
+def universal_denominator(M: Cleared, M_inv: Cleared, m: int,
+                          known: Optional[list] = None):
     """Polynomial u(x) in K: every rational solution of sigma^m(Y) = MY
     (M the cleared form of a K-form, M_inv that of its inverse) has
     denominator dividing u, read off the two lcms q.  The entries of a
-    K-form lie in K, so their denominators never involve theta."""
-    _, classes = shift_classes([M.q, M_inv.q])
+    K-form lie in K, so their denominators never involve theta.  `known`
+    lists the irreducible factors the solve already holds: each q is
+    divided by them before the rest is factored, and the rest's factors
+    join the list (:func:`ddsolve.difftools.shift_classes`)."""
+    _, classes = shift_classes([M.q, M_inv.q], known)
     u = QQ_XT.one
     for base, shifts in classes:
         SA = {j: a for j, (a, _) in shifts.items() if a}
@@ -403,12 +414,12 @@ def _constant_span_reduce(vectors: list, tower: Tower) -> list:
 
 
 def rational_solutions(M: Cleared, M_inv: Cleared, m: int,
-                       tower: Tower) -> list:
+                       tower: Tower, known: Optional[list] = None) -> list:
     """Complete basis of rational solutions of sigma^m(Y) = M Y, the list
     of their K-forms, each verified by substitution; M and M_inv are the
     cleared forms of a K-form and of its inverse, which the universal
-    denominator reads."""
-    u = universal_denominator(M, M_inv, m)
+    denominator reads with the irreducible factors `known`."""
+    u = universal_denominator(M, M_inv, m, known)
     su = k_shift(u, m)
     inv_u, c = QQ_XT.one / u, su / u
     basis = []
@@ -458,13 +469,15 @@ def assemble_gauge(columns: list, A, R: DomainMatrix, m: int,
 
 
 def gauge_from_ratios(A: Cleared, A_inv: Cleared, ratios: DomainMatrix,
-                      m: int):
+                      m: int, known: Optional[list] = None):
     """G over K with sigma^m(G) * diag(r_1, ..., r_n) = A * G, `ratios` that
     diagonal over K, assembled column-by-column from rational solutions of
     sigma^m(W) = (A/r_i) W (:func:`assemble_gauge`); None on failure.
     A and A_inv are the cleared forms of A and A^-1, each scaled per
     ratio (:meth:`~ddsolve.fields.Cleared.scale`): the inverse of A/r_i
-    is r_i A^-1.
+    is r_i A^-1.  Every universal denominator divides by the irreducible
+    factors `known`, which the factors of one ratio's solve join before
+    the next ratio's.
 
     None is a complete negative answer: either some ratio has no rational
     solution, or no constant combination per slot is invertible (see
@@ -474,7 +487,7 @@ def gauge_from_ratios(A: Cleared, A_inv: Cleared, ratios: DomainMatrix,
         r = ratios[i, i].element
         basis = rational_solutions(A.scale(r.denom, r.numer),
                                    A_inv.scale(r.numer, r.denom), m,
-                                   TRIVIAL_TOWER)
+                                   TRIVIAL_TOWER, known)
         if not basis:
             return None
         columns.append(basis)

@@ -471,6 +471,48 @@ def reference_universal_denominator(M, m=1, tower=TRIVIAL_TOWER):
     return sp.expand(u)
 
 
+def reference_cleared_universal_denominator(M, M_inv, m=1):
+    """ratsol.universal_denominator as it was before it took known
+    factors, for the cleared forms M and M_inv: the two q factored afresh
+    by factor_list, their factors grouped into shift classes by the first
+    factor of each class, and u read off the classes; an element of K."""
+    ring = QQ_XT.field.ring
+    X = ring.gens[0]
+    refs = []                       # (reference factor, base, shifts)
+    for i, p in enumerate((M.q, M_inv.q)):
+        for fac, mult in p.factor_list()[1]:
+            d = fac.degree(X)
+            if d <= 0:
+                continue
+            for ref, _, shifts in refs:
+                if ref.degree(X) != d:
+                    continue
+                j = QQ((fac.coeff_wrt(X, d - 1)
+                        - ref.coeff_wrt(X, d - 1)).LC,
+                       d * ref.coeff_wrt(X, d).LC)
+                if j.denominator == 1 and ref.compose(X, X + int(j)) == fac:
+                    j = int(j)
+                    break
+            else:
+                j, shifts = 0, {}
+                refs.append((fac, QQ_XT.new(fac) / QQ_XT.new(
+                    fac.coeff_wrt(X, d)), shifts))
+            shifts.setdefault(j, [0, 0])[i] += mult
+    u = QQ_XT.one
+    for _, base, shifts in refs:
+        SA = {j: a for j, (a, _) in shifts.items() if a}
+        SB = {j: b for j, (_, b) in shifts.items() if b}
+        for rho in {a % m for a in SA} & {b % m for b in SB}:
+            As = {a: mu for a, mu in SA.items() if a % m == rho}
+            Bs = {b: mu for b, mu in SB.items() if b % m == rho}
+            for k in range(min(Bs), max(As) - m + 1, m):
+                mult = min(sum(mu for a, mu in As.items() if a >= k + m),
+                           sum(mu for b, mu in Bs.items() if b <= k))
+                if mult > 0:
+                    u *= k_shift(base, k) ** mult
+    return u
+
+
 def reference_scalar_operators(M, m, tower):
     """Chain operators from nullspace on sp.Matrix rows, normalized by the
     lcm of the together-denominators."""

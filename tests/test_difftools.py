@@ -227,14 +227,10 @@ _CONTENTS = [sp.Integer(1), sp.Integer(-2), t, t**2 + 1, 1 / (t + 1),
              sp.Rational(3, 2) / t]
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_shift_classes_match_expr_references(data):
-    """f = c(t) * prod b_i(x + s_i)^e_i, bases linear and quadratic in x,
-    with and without t, and shifts that may cancel: g, the standard part,
-    alpha, beta, leading beta and the dispersion are the references' as
-    elements of K, and their canonical expressions are srepr-identical
-    (the reference's alpha is in the form of sp.cancel)."""
+def _draw_f(data) -> tuple:
+    """(f, m, n): f = c(t) * prod b_i(x + s_i)^e_i, bases linear and
+    quadratic in x, with and without t, and shifts that may cancel; with
+    the probability drawn, every e_i a multiple of n."""
     m = data.draw(st.sampled_from([1, 2, 3]), label="m")
     n = data.draw(st.sampled_from([2, 3]), label="n")
     scale = n if data.draw(st.booleans(), label="powers of n") else 1
@@ -244,6 +240,17 @@ def test_shift_classes_match_expr_references(data):
         s = data.draw(st.integers(0, 5))
         e = data.draw(st.sampled_from([-2, -1, 1, 2]))
         f = f * shift(b, s) ** (e * scale)
+    return f, m, n
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_shift_classes_match_expr_references(data):
+    """f of :func:`_draw_f`: g, the standard part, alpha, beta, leading
+    beta and the dispersion are the references' as elements of K, and
+    their canonical expressions are srepr-identical (the reference's
+    alpha is in the form of sp.cancel)."""
+    f, m, n = _draw_f(data)
     fK = K(f)
     assert dispersion(fK) == reference_dispersion(f)
     sd = standard_decompose(fK, m)
@@ -266,3 +273,46 @@ def test_shift_classes_match_expr_references(data):
 def test_zero_has_no_shift_classes():
     with pytest.raises(ValueError):
         shift_class_divisor(QQ_XT.zero)
+
+
+def _in_k(contents: list, classes: list) -> tuple:
+    """The result of shift_classes as elements of K: the contents, and
+    each class as the set of its members base(x + j) with their
+    multiplicities."""
+    return contents, {frozenset((k_shift(base, j), tuple(mults))
+                                for j, mults in shifts.items())
+                      for base, shifts in classes}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_shift_classes_with_known_factors_match(data):
+    """On the draws of test_shift_classes_match_expr_references, the
+    numerator and denominator of f: shift_classes with the known factors
+    complete, in part, none, or padded with integer shifts of them and
+    unrelated irreducibles gives the contents and classes, as elements
+    of K, that it gives with none.  The list keeps its entries and gains
+    exactly the factors it lacked."""
+    fK = K(_draw_f(data)[0])
+    polys = [fK.numer, fK.denom]
+    X = polys[0].ring.gens[0]
+    factors = list(dict.fromkeys(f for p in polys for f, _ in
+                                 p.factor_list()[1] if f.degree(X) > 0))
+    mode = data.draw(st.sampled_from(["complete", "partial", "empty",
+                                      "padded"]), label="known")
+    if mode == "partial":
+        known = data.draw(st.lists(st.sampled_from(factors), unique=True)
+                          if factors else st.just([]))
+    elif mode == "padded":
+        unrelated = [K(x**2 + t + 5).numer, K(3 * x + t**2 + 1).numer]
+        known = data.draw(st.permutations(list(dict.fromkeys(
+            factors + unrelated + [f.compose(X, X + j) for f in factors
+                                   for j in (-1, 1, 3)]))))
+    else:
+        known = list(factors) if mode == "complete" else []
+    before = list(known)
+    got = shift_classes(polys, known)
+    assert _in_k(*got) == _in_k(*shift_classes(polys))
+    assert known[:len(before)] == before
+    assert len(set(known)) == len(known)
+    assert set(known) == set(before) | set(factors)

@@ -413,9 +413,9 @@ def test_det_factored_once_per_solve(monkeypatch, example1_path):
     factored = []
     shift_classes = difftools.shift_classes
 
-    def spy(polys):
+    def spy(polys, *args):
         factored.append(list(polys))
-        return shift_classes(polys)
+        return shift_classes(polys, *args)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("factor_in_x called")
@@ -867,6 +867,35 @@ def test_solve_takes_a_pinned_number_of_gcds(name, want, monkeypatch):
         return fields._gcd_ZZ(f, g)
 
     monkeypatch.setattr(PolyElement, "_gcd_ZZ", gcd_spy)
+    out = solve_liouvillian(read_system(str(SYSTEMS / f"{name}.json")))
+    monkeypatch.undo()
+    assert out.kind == ("NoLiouvillianSolutions" if name == "hermite"
+                        else "Solved")
+    assert len(calls) == want
+
+
+@pytest.mark.parametrize("name, want", [("example1", 2), ("example2", 6),
+                                        ("hermite", 4)])
+def test_solve_factors_a_pinned_number_of_polynomials(name, want,
+                                                      monkeypatch):
+    """PolyElement.factor_list on polynomials of positive degree in x,
+    counted over one read and solve.  det A is factored once, and each
+    universal denominator divides its two q by the irreducible factors
+    the solve already holds before it factors what is left
+    (difftools.shift_classes): a return to factoring every q afresh shows
+    as a larger count (example1 took 4, example2 24 and hermite 17, of
+    which 2, 12 and 12 came from universal_denominator)."""
+    from sympy.polys.rings import PolyElement
+
+    calls, factor_list = [], PolyElement.factor_list
+
+    def factor_spy(self):
+        if x in self.ring.symbols and self.degree(
+                self.ring.symbols.index(x)) > 0:
+            calls.append(self)
+        return factor_list(self)
+
+    monkeypatch.setattr(PolyElement, "factor_list", factor_spy)
     out = solve_liouvillian(read_system(str(SYSTEMS / f"{name}.json")))
     monkeypatch.undo()
     assert out.kind == ("NoLiouvillianSolutions" if name == "hermite"

@@ -2,7 +2,7 @@ import random
 
 import pytest
 import sympy as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 import ddsolve.closedform as closedform
@@ -17,6 +17,7 @@ import ddsolve.ratsol as ratsol
 
 from gauged import gauged_by, gauged_system
 from helpers import (mat_eq, mat_reduce, mat_shift, nullspace_over_Qt,
+                     reference_cleared_universal_denominator,
                      reference_degree_bound_det,
                      reference_polynomial_solutions,
                      reference_rational_solutions, reference_scalar_operators,
@@ -494,8 +495,12 @@ def captured_calls(example1_path, example2_path):
                 # scalar_operators works over K.  The inverse of M that
                 # universal_denominator and rational_solutions take is not
                 # recorded: the wrappers form it from M, and the
-                # references invert M themselves.  A cleared form is
-                # recorded as its K-matrix N/q
+                # references invert M themselves.  Nor are the known
+                # irreducible factors they take last, which change no
+                # result.  A cleared form is recorded as its K-matrix N/q
+                full = args
+                args = args[:{"universal_denominator": 2,
+                              "rational_solutions": 3}.get(_name, len(args))]
                 K = M if _name == "scalar_operators" else _uncleared(M)
                 if _name == "scalar_operators":
                     tower, extra = TRIVIAL_TOWER, ()
@@ -510,7 +515,7 @@ def captured_calls(example1_path, example2_path):
                                     + extra, kwargs))
                 towers.append(tower)
                 try:
-                    return _orig(M, *args, **kwargs)
+                    return _orig(M, *full, **kwargs)
                 finally:
                     towers.pop()
 
@@ -599,6 +604,144 @@ def test_universal_denominator_in_canonical_form():
     assert reference_universal_denominator(M) == x + 1 / t
     _srepr_equal(rational_solutions(M), reference_rational_solutions(M))
     assert rational_solutions(M) == [sp.Matrix([t / g])]
+
+
+# ---------------------------------------------------------------------------
+# the universal denominator with the irreducible factors a solve holds
+
+_XT = QQ_XT.field.ring
+_X, _T = _XT.gens
+# linear in x, with and without t, a leading coefficient in t, quadratic
+_Q_FACTORS = [_X, _X + 1, _X + _T, _T * _X + 1, 2 * _X + 1, _X**2 + _T]
+# irreducibles in Z[x, t] that divide no drawn q
+_Q_UNRELATED = [_X**2 + _T + 5, 3 * _X + _T**2 + 1, _X**3 - 7]
+
+
+def _x_factors(p) -> list:
+    """The irreducible factors of p of positive degree in x, as
+    factor_list gives them."""
+    return [f for f, _ in p.factor_list()[1] if f.degree(_X) > 0]
+
+
+def _known(S, S_inv, mode: str, pick=()) -> list:
+    """The known factors for the two scaled q: all of them, those at the
+    indices `pick`, none, or all padded with integer shifts of each and
+    with unrelated irreducibles."""
+    complete = list(dict.fromkeys(_x_factors(S.q) + _x_factors(S_inv.q)))
+    if mode == "partial":
+        return [complete[i] for i in sorted(set(pick)) if i < len(complete)]
+    if mode == "padded":
+        shifts = [f.compose(_X, _X + j) for f in complete for j in (-1, 2)]
+        return list(dict.fromkeys(shifts + complete + _Q_UNRELATED))
+    return complete if mode == "complete" else []
+
+
+def _scaled(A: DomainMatrix, r):
+    """The cleared forms of A/r and r A^-1, scaled from those of A and
+    A^-1 as a rational solve scales them."""
+    Ac, Ac_inv = dm_cleared(A), dm_cleared(dm_inv(A))
+    return (Ac, Ac.scale(r.denom, r.numer),
+            Ac_inv.scale(r.numer, r.denom))
+
+
+def _k(num, den=None):
+    return QQ_XT.new(num) / QQ_XT.new(_XT.one if den is None else den)
+
+
+@st.composite
+def _ratio_solves(draw):
+    """(A, r, m, mode, pick): A = c/d [[e1/h, e2], [e4, e3]] over K with
+    c, d, h and the e_i products of integer shifts of _Q_FACTORS, a ratio r
+    that puts a factor of A's q into its denominator (g1 != 1 for A/r),
+    a factor of the gcd g of A's numerators into its numerator
+    (g2 != 1), or an integer shift of a factor of q into its numerator
+    (a shift class of two members in the scaled q), or neither, and a
+    mode of :func:`_known`."""
+
+    def product(k):
+        p = _XT.one
+        for _ in range(draw(st.integers(0, k))):
+            p *= draw(st.sampled_from(_Q_FACTORS)).compose(
+                _X, _X + draw(st.integers(0, 3)))
+        return p
+
+    c, d, h, e1, e2, e3 = (product(2) for _ in range(6))
+    e4 = product(1) if draw(st.booleans()) else _XT.zero
+    A = DomainMatrix([[_k(c * e1, d * h), _k(c * e2, d)],
+                      [_k(c * e4, d), _k(c * e3, d)]], (2, 2), QQ_XT)
+    assume(A.det())
+    Ac = dm_cleared(A)
+    case = draw(st.sampled_from(["g1", "g2", "shift", "free"]))
+    num = product(1) * draw(st.sampled_from([1, 2, _T**2 + 1]))
+    den = product(1)
+    if case == "g1":
+        assume(_x_factors(Ac.q))
+        den *= draw(st.sampled_from(_x_factors(Ac.q)))
+    elif case == "g2":
+        assume(_x_factors(Ac.g))
+        num *= draw(st.sampled_from(_x_factors(Ac.g)))
+    elif case == "shift":
+        assume(_x_factors(Ac.q))
+        num *= draw(st.sampled_from(_x_factors(Ac.q))).compose(
+            _X, _X + draw(st.integers(1, 2)))
+    r = _k(num, den)
+    return (A, r, draw(st.integers(1, 3)),
+            draw(st.sampled_from(["complete", "partial", "empty",
+                                  "padded"])),
+            draw(st.lists(st.integers(0, 5), max_size=4)))
+
+
+# A = 1/(x (x + t)^2) [[t x + 1, 1], [0, x + 2]]: q = x (x + t)^2, and
+# the ratio (x + t + 1) x (x + 1)/(x (x + t)) reduces to
+# (x + t + 1)(x + 1)/(x + t), so den r shares x + t with q (g1 != 1) and
+# num r holds x + t + 1, a shift of it; A = (x + t)/x [[x, x + 1],
+# [0, 2 x + 1]] has g = x + t, shared with num r = (x + t) (x + 3)
+_EXAMPLE_A1 = DomainMatrix(
+    [[_k(_T * _X + 1, _X * (_X + _T)**2), _k(_XT.one, _X * (_X + _T)**2)],
+     [QQ_XT.zero, _k(_X + 2, _X * (_X + _T)**2)]], (2, 2), QQ_XT)
+_EXAMPLE_R1 = _k((_X + _T + 1) * (_X + 1), _X + _T)
+_EXAMPLE_A2 = DomainMatrix(
+    [[_k((_X + _T) * _X, _X), _k((_X + _T) * (_X + 1), _X)],
+     [QQ_XT.zero, _k((_X + _T) * (2 * _X + 1), _X)]], (2, 2), QQ_XT)
+_EXAMPLE_R2 = _k((_X + _T) * (_X + 3), _T * _X + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ratio_solves())
+@example((_EXAMPLE_A1, _EXAMPLE_R1, 1, "partial", [0, 2]))
+@example((_EXAMPLE_A1, _EXAMPLE_R1, 2, "padded", []))
+@example((_EXAMPLE_A2, _EXAMPLE_R2, 1, "complete", []))
+@example((_EXAMPLE_A2, _EXAMPLE_R2, 3, "empty", []))
+def test_universal_denominator_with_known_factors_is_the_factored_one(case):
+    """The universal denominator of the scaled cleared forms of A/r and
+    r A^-1, given the factors of their two q completely, in part, not at
+    all, or padded with shifts of them and unrelated irreducibles, is the
+    one that factors both q afresh (the reference, the path before known
+    factors).  The list keeps its entries and order, gains exactly the
+    factors it lacked, and has no repeats."""
+    A, r, m, mode, pick = case
+    Ac, S, S_inv = _scaled(A, r)
+    known = _known(S, S_inv, mode, pick)
+    before = list(known)
+    u = ratsol.universal_denominator(S, S_inv, m, known)
+    assert u == reference_cleared_universal_denominator(S, S_inv, m)
+    assert known[:len(before)] == before
+    assert len(set(known)) == len(known)
+    assert set(known) == set(before) | set(_x_factors(S.q)
+                                          + _x_factors(S_inv.q))
+
+
+def test_the_examples_reach_g1_g2_and_a_shifted_factor():
+    """The fixed examples of the known-factor test reach what no bundled
+    system does: g1 != 1 and g2 != 1 in the scaling, factors linear in
+    x that depend on t (x + t, t x + 1), and two factors of one shift
+    class in a scaled q."""
+    Ac, S, _ = _scaled(_EXAMPLE_A1, _EXAMPLE_R1)
+    assert Ac.q.gcd(_EXAMPLE_R1.denom) == _X + _T                   # g1
+    assert {_X + _T, _X + _T + 1} <= set(_x_factors(S.q))         # shift
+    Ac, _, S_inv = _scaled(_EXAMPLE_A2, _EXAMPLE_R2)
+    assert Ac.g.gcd(_EXAMPLE_R2.numer) == _X + _T                   # g2
+    assert _T * _X + 1 in _x_factors(S_inv.q)
 
 
 def test_polynomial_solutions_run_without_together_and_expand(monkeypatch):
